@@ -8,8 +8,13 @@
 //! ```
 //!
 //! The file is split evenly over `P` PEs and sorted; OUTPUT is
-//! globally sorted either way. `--mem-mib` bounds each PE's memory, so
-//! files much larger than `P × M` are sorted genuinely externally.
+//! globally sorted either way. `--mem-mib` is the memory each PE sorts
+//! with, so a file larger than `P × M` takes the external path: several
+//! runs, ≈ 4 N of block I/O. The file edges stream — each PE reads its
+//! shard into pooled blocks and writes its part of OUTPUT from them in
+//! `O(window · B)` memory, all PEs at once — but the "disks" behind the
+//! sort are in-memory (`MemBackend`), so the process still holds the
+//! data set once: this binary does not yet sort files larger than RAM.
 //!
 //! `--algo` selects the paper's algorithm: `canonical`
 //! (CANONICALMERGESORT, Section IV — per-PE outputs concatenate into
@@ -26,12 +31,8 @@
 //!   counters, real process isolation. The job-building flags are the
 //!   same as `demsort-launch`'s (shared via `demsort_bench::procs`).
 
-use demsort_bench::procs::{launch_and_report, TcpJobCli};
-use demsort_core::canonical::sort_cluster;
-use demsort_core::recio::read_records;
-use demsort_core::striped::{read_striped_blocks, striped_sort_cluster};
-use demsort_types::{Record as _, Record100, SortAlgo, SortConfig};
-use std::io::{Read, Seek, SeekFrom, Write};
+use demsort_bench::procs::{launch_and_report, print_done, TcpJobCli};
+use demsort_types::SortConfig;
 
 fn main() {
     const BIN: &str = "sortfile";
@@ -68,9 +69,18 @@ fn main() {
             let job = cli.job(input, output);
             let cfg =
                 SortConfig::new(job.machine, job.algo).unwrap_or_else(|e| die(&e.to_string()));
-            match cli.algorithm {
-                SortAlgo::Canonical => sort_local(cfg, input, output),
-                SortAlgo::Striped => sort_local_striped(cfg, input, output),
+            eprintln!(
+                "{}-sorting {input} on {} in-process PEs ({} each)",
+                cli.algorithm,
+                cfg.machine.pes,
+                demsort_types::fmtsize::fmt_bytes(cfg.machine.mem_bytes_per_pe as u64)
+            );
+            match demsort_core::sort_file(&cfg, cli.algorithm, input.as_ref(), output.as_ref()) {
+                Ok(report) => print_done(&report),
+                Err(e) => {
+                    eprintln!("sortfile: {e}");
+                    std::process::exit(1);
+                }
             }
         }
         "tcp" => {
@@ -80,100 +90,6 @@ fn main() {
         }
         other => die(&format!("unknown transport {other} (expected local or tcp)")),
     }
-}
-
-/// Validate the input file and split it into per-PE shard loaders (the
-/// same `⌊i·n/p⌋` boundaries the TCP workers use).
-fn shard_loader(input: &str) -> (usize, impl Fn(usize, usize) -> Vec<Record100> + Send + Sync) {
-    let meta = std::fs::metadata(input).unwrap_or_else(|e| die(&format!("stat {input}: {e}")));
-    if !meta.len().is_multiple_of(Record100::BYTES as u64) {
-        die(&format!("input {input} must be whole 100-byte records"));
-    }
-    let total_records = (meta.len() / Record100::BYTES as u64) as usize;
-    let input_path = input.to_string();
-    let load = move |pe: usize, p: usize| {
-        let shard = demsort_types::ranks::owned_range(pe, p, total_records as u64);
-        let mut f = std::fs::File::open(&input_path).expect("open input");
-        f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64)).expect("seek");
-        let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-        f.read_exact(&mut bytes).expect("read shard");
-        let mut recs = Vec::with_capacity((shard.end - shard.start) as usize);
-        Record100::decode_slice(&bytes, &mut recs);
-        recs
-    };
-    (total_records, load)
-}
-
-/// The in-process cluster: one thread per PE over the channel mesh.
-fn sort_local(cfg: SortConfig, input: &str, output: &str) {
-    let (total_records, load) = shard_loader(input);
-    let pes = cfg.machine.pes;
-    eprintln!(
-        "sorting {total_records} records on {pes} in-process PEs ({} each)",
-        demsort_types::fmtsize::fmt_bytes(cfg.machine.mem_bytes_per_pe as u64)
-    );
-    let outcome = sort_cluster::<Record100, _>(&cfg, load).unwrap_or_else(|e| {
-        eprintln!("sortfile: {e}");
-        std::process::exit(1);
-    });
-
-    // Concatenate the canonical outputs: globally sorted by key.
-    let out =
-        std::fs::File::create(output).unwrap_or_else(|e| die(&format!("create {output}: {e}")));
-    let mut out = std::io::BufWriter::new(out);
-    let mut buf = vec![0u8; Record100::BYTES];
-    for (pe, o) in outcome.per_pe.iter().enumerate() {
-        let recs = read_records::<Record100>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-            .expect("read output");
-        for rec in recs {
-            rec.encode(&mut buf);
-            out.write_all(&buf).expect("write");
-        }
-    }
-    out.flush().expect("flush");
-    eprintln!(
-        "done: {} runs, I/O volume {:.2} N, communication {:.2} N",
-        outcome.per_pe[0].runs,
-        outcome.report.io_volume_over_n(),
-        outcome.report.comm_volume_over_n(),
-    );
-}
-
-/// The in-process striped sort (Section III): globally striped output
-/// read back through the cluster block service in block order.
-fn sort_local_striped(cfg: SortConfig, input: &str, output: &str) {
-    let (total_records, load) = shard_loader(input);
-    let pes = cfg.machine.pes;
-    eprintln!(
-        "striped-sorting {total_records} records on {pes} in-process PEs ({} each)",
-        demsort_types::fmtsize::fmt_bytes(cfg.machine.mem_bytes_per_pe as u64)
-    );
-    let outcome = striped_sort_cluster::<Record100, _>(&cfg, load, None).unwrap_or_else(|e| {
-        eprintln!("sortfile: {e}");
-        std::process::exit(1);
-    });
-
-    // Stream the globally striped output through the core block
-    // reader: global block order, bounded read-ahead window, so memory
-    // stays O(window · B) — not O(N) — while the async engine overlaps
-    // reads across every PE's disks (blocks hold raw encoded records,
-    // so bytes go straight to the file).
-    let run = &outcome.per_pe[0].output;
-    let out =
-        std::fs::File::create(output).unwrap_or_else(|e| die(&format!("create {output}: {e}")));
-    let mut out = std::io::BufWriter::new(out);
-    read_striped_blocks(&outcome.storage, run, Record100::BYTES, |bytes| {
-        out.write_all(bytes).map_err(|e| demsort_types::Error::io(format!("write {output}: {e}")))
-    })
-    .unwrap_or_else(|e| die(&e.to_string()));
-    out.flush().expect("flush");
-    eprintln!(
-        "done: {} runs, {} merge passes, I/O volume {:.2} N, communication {:.2} N",
-        outcome.per_pe[0].runs,
-        outcome.per_pe[0].passes,
-        outcome.report.io_volume_over_n(),
-        outcome.report.comm_volume_over_n(),
-    );
 }
 
 fn die(msg: &str) -> ! {

@@ -10,6 +10,19 @@
 //! path as the in-process cluster — same `canonical_mergesort`, same
 //! collectives, same counters.
 //!
+//! ## Data path of a worker
+//!
+//! A rank touches the job's files only through
+//! [`demsort_core::fileio`], the same edges `sortfile --transport
+//! local` uses: it streams its shard of the input into pooled blocks
+//! on its own disks, sorts, and streams the blocks it ends up owning
+//! into its byte ranges of the shared output file — `O(window · B)` of
+//! memory at either edge, and any file failure is an `Error::Io`
+//! naming the path, the rank and the byte offset, shipped to the
+//! launcher like every other failure. The rank's "disks" are a
+//! [`MemBackend`], so a worker still holds its `N/P` share of the data
+//! in memory for the sort itself.
+//!
 //! ## Failure model
 //!
 //! Collectives are fallible end-to-end: a peer dying mid-sort surfaces
@@ -52,8 +65,10 @@ use demsort_core::ctx::{
     assemble_report, BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore,
     RemoteBlockService,
 };
-use demsort_core::recio::read_records;
-use demsort_core::runform::{ingest_input, LocalInput};
+use demsort_core::fileio::{
+    file_records, ingest_file_shard, write_run_to_file, write_striped_blocks_to_file,
+};
+use demsort_core::runform::LocalInput;
 use demsort_core::striped::{striped_mergesort_resilient, ResilientHooks};
 use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport, WireFetch, WireStore};
 use demsort_net::{Communicator, SubTransport, Transport as _};
@@ -66,9 +81,9 @@ use demsort_types::{
     ranks, AlgoConfig, Error, JobConfig, MachineConfig, ProgressFrame, Record as _, Record100,
     Result, SortAlgo, SortConfig, SortReport, Tracer,
 };
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -343,29 +358,20 @@ pub fn run_rank(
     }));
     let _handler_guard = HandlerGuard(tcp.clone());
 
-    // Load this rank's contiguous shard of the input.
-    let meta =
-        std::fs::metadata(&job.input).map_err(|e| Error::io(format!("stat {}: {e}", job.input)))?;
-    if meta.len() % Record100::BYTES as u64 != 0 {
-        return Err(Error::config(format!("input {} is not whole 100-byte records", job.input)));
-    }
-    let total_records = meta.len() / Record100::BYTES as u64;
-    let shard = ranks::owned_range(rank, p, total_records);
-    let mut f = std::fs::File::open(&job.input)
-        .map_err(|e| Error::io(format!("open {}: {e}", job.input)))?;
-    f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64))?;
-    let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-    f.read_exact(&mut bytes)?;
-    let mut recs = Vec::with_capacity((shard.end - shard.start) as usize);
-    Record100::decode_slice(&bytes, &mut recs);
-    drop(bytes);
-
     // The SPMD sort — identical code path to the in-process cluster.
+    // The rank's contiguous shard of the input streams onto its disks
+    // block by block; nothing here holds the shard in memory.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
     comm.set_tracer(tracer.clone());
     let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
-    let input = ingest_input(storage.pe(rank), &recs)?;
-    drop(recs);
+    let total_records = file_records::<Record100>(Path::new(&job.input))?;
+    let input = ingest_file_shard::<Record100>(
+        storage.pe(rank),
+        Path::new(&job.input),
+        rank,
+        p,
+        total_records,
+    )?;
     let report = match job.algorithm {
         SortAlgo::Canonical => {
             run_canonical_rank(rank, total_records, &comm, &storage, &cfg, input, job)?
@@ -396,29 +402,11 @@ pub fn run_rank(
     Ok(report)
 }
 
-/// Open the shared output file for this rank's writes and size it to
-/// the job's record count. Hostfile mode has no launcher to pre-size
-/// the file, so every rank sizes it on open; the call is idempotent —
-/// all ranks set the same length, `set_len` to the current length is a
-/// no-op, and every rank's write range lies inside it, so no ordering
-/// (and no barrier) between sizing and the disjoint-range writes is
-/// needed. In coordinator mode the launcher has already pre-sized the
-/// file and this is a no-op.
-fn open_sized_output(path: &str, total_records: u64) -> Result<std::fs::File> {
-    let out = std::fs::OpenOptions::new()
-        .create(true)
-        .truncate(false) // peers' already-written ranges must survive
-        .write(true)
-        .open(path)
-        .map_err(|e| Error::io(format!("open {path}: {e}")))?;
-    out.set_len(total_records * Record100::BYTES as u64)
-        .map_err(|e| Error::io(format!("size {path}: {e}")))?;
-    Ok(out)
-}
-
-/// The canonical-mergesort body of a rank: sort, then write this
+/// The canonical-mergesort body of a rank: sort, then stream this
 /// rank's canonical slice into the shared output file — ranks own
-/// disjoint contiguous byte ranges, so the file assembles in place.
+/// disjoint contiguous byte ranges, so the file assembles in place
+/// (hostfile mode has no launcher to pre-size it; every rank sizes it
+/// on open).
 #[allow(clippy::too_many_arguments)]
 fn run_canonical_rank(
     rank: usize,
@@ -432,20 +420,16 @@ fn run_canonical_rank(
     let outcome =
         canonical_mergesort::<Record100>(comm, storage, cfg, input, job.machine.cores_per_pe)?;
 
-    let out_recs =
-        read_records::<Record100>(storage.pe(rank), &outcome.output.run, outcome.output.elems)?;
     let own = ranks::owned_range(rank, comm.size(), total_records);
-    debug_assert_eq!(out_recs.len() as u64, own.end - own.start);
-    let mut out = open_sized_output(&job.output, total_records)?;
-    out.seek(SeekFrom::Start(own.start * Record100::BYTES as u64))?;
-    let mut writer = std::io::BufWriter::new(&mut out);
-    let mut buf = vec![0u8; Record100::BYTES];
-    for rec in &out_recs {
-        rec.encode(&mut buf);
-        writer.write_all(&buf)?;
-    }
-    writer.flush()?;
-    drop(writer);
+    debug_assert_eq!(outcome.output.elems, own.end - own.start);
+    write_run_to_file(
+        storage.pe(rank),
+        &outcome.output,
+        Path::new(&job.output),
+        rank,
+        total_records * Record100::BYTES as u64,
+        own.start * Record100::BYTES as u64,
+    )?;
 
     Ok(RankReport {
         rank,
@@ -458,10 +442,7 @@ fn run_canonical_rank(
 
 /// The striped-mergesort body of a rank: sort, then write the blocks
 /// this rank owns of the globally striped output into the shared
-/// output file. Block `g` starts at the record offset given by the
-/// prefix sum of the directory's block counts (interior blocks of
-/// stitched merge output can be partial), and the directory is global,
-/// so ranks write disjoint ranges without further communication.
+/// output file ([`write_striped_blocks_to_file`]).
 ///
 /// The sort runs with failure-recovery hooks wired to the transport:
 /// with `--replication f` (f > 0), a rank dying mid-merge is detected
@@ -525,27 +506,13 @@ fn run_striped_rank(
         Some(hooks),
     )?;
 
-    let run = &outcome.output;
-    let mut offsets = Vec::with_capacity(run.counts.len());
-    let mut at = 0u64;
-    for &c in &run.counts {
-        offsets.push(at);
-        at += c as u64;
-    }
-    let st = storage.pe(rank);
-    let mut out = open_sized_output(&job.output, run.elems)?;
-    let mut elems = 0u64;
-    for (g, &id) in run.blocks.iter().enumerate() {
-        if run.owners[g] as usize != rank {
-            continue;
-        }
-        let data = st.engine().read_sync(id)?;
-        let bytes = run.counts[g] as usize * Record100::BYTES;
-        out.seek(SeekFrom::Start(offsets[g] * Record100::BYTES as u64))?;
-        out.write_all(&data[..bytes])?;
-        elems += run.counts[g] as u64;
-    }
-    drop(out);
+    let elems = write_striped_blocks_to_file(
+        storage.pe(rank),
+        &outcome.output,
+        Record100::BYTES,
+        Path::new(&job.output),
+        rank,
+    )?;
 
     Ok(RankReport { rank, elems, runs: outcome.runs, phases: outcome.phases, error: None })
 }
@@ -1204,6 +1171,19 @@ impl TcpJobCli {
     }
 }
 
+/// Print a finished job's summary line on stderr — the same on either
+/// transport, so the volumes of a local and a TCP run compare by `diff`.
+pub fn print_done(report: &SortReport) {
+    eprintln!(
+        "done: {} records on {} ranks, {} runs, I/O volume {:.2} N, communication {:.2} N",
+        report.elements,
+        report.pes,
+        report.runs,
+        report.io_volume_over_n(),
+        report.comm_volume_over_n(),
+    );
+}
+
 /// Launch `job` with `worker`, print the per-rank and summary lines,
 /// and exit — non-zero (naming the failed rank) on any failure. The
 /// shared tail of `demsort-launch` and `sortfile --transport tcp`.
@@ -1219,15 +1199,7 @@ pub fn launch_and_report(bin: &str, job: &JobConfig, worker: &std::path::Path) -
             for rep in &outcome.per_rank {
                 eprintln!("  rank {}: {} records, {} runs", rep.rank, rep.elems, rep.runs);
             }
-            eprintln!(
-                "done: {} records on {} ranks, {} runs, I/O volume {:.2} N, \
-                 communication {:.2} N",
-                outcome.report.elements,
-                job.machine.pes,
-                outcome.report.runs,
-                outcome.report.io_volume_over_n(),
-                outcome.report.comm_volume_over_n(),
-            );
+            print_done(&outcome.report);
             std::process::exit(0);
         }
         Err(e) => {

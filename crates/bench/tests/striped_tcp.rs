@@ -330,3 +330,34 @@ fn buffer_pool_misses_plateau_after_warmup() {
         "the miss rate must fall as warmup amortises: {warm:?} vs {big:?}"
     );
 }
+
+#[test]
+fn sort_file_matches_the_materialising_striped_run() {
+    // `striped_in_process` above loads whole shards and reads the
+    // output back as one record vector; the streaming file edges
+    // behind `sort_file` must leave the same bytes and counters.
+    let input = tmp_path("sf-input.dat");
+    let out_ref = tmp_path("sf-out-ref.dat");
+    let out = tmp_path("sf-out.dat");
+    write_gensort_input(&input);
+    let reference = striped_in_process(&input, &out_ref);
+    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
+    let report = demsort_core::sort_file(&cfg, SortAlgo::Striped, &input, &out).expect("sort");
+
+    assert_eq!(
+        std::fs::read(&out).expect("read output"),
+        std::fs::read(&out_ref).expect("read reference"),
+        "sort_file output must be byte-identical to the materialising run"
+    );
+    assert_eq!(report.runs, reference.runs);
+    for pe in 0..RANKS {
+        for phase in Phase::ALL {
+            let (got, want) = (report.get(pe, phase), reference.get(pe, phase));
+            assert_eq!(got.comm, want.comm, "comm counters (pe {pe}, {phase})");
+            assert_eq!(got.io, want.io, "io counters (pe {pe}, {phase})");
+        }
+    }
+    for p in [&input, &out_ref, &out] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -192,3 +192,38 @@ fn launch_surfaces_worker_failure() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+#[test]
+fn sort_file_matches_the_materialising_in_process_run() {
+    // `sort_in_process` above loads whole shards and writes the output
+    // record by record; the streaming file edges behind `sort_file`
+    // must leave the same bytes and move the same volumes.
+    let input = tmp_path("sf-input.dat");
+    let out_ref = tmp_path("sf-out-ref.dat");
+    let out = tmp_path("sf-out.dat");
+    write_gensort_input(&input);
+    let reference = sort_in_process(&input, &out_ref);
+    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
+    let report = demsort_core::sort_file(&cfg, SortAlgo::Canonical, &input, &out).expect("sort");
+
+    assert_eq!(
+        std::fs::read(&out).expect("read output"),
+        std::fs::read(&out_ref).expect("read reference"),
+        "sort_file output must be byte-identical to the materialising run"
+    );
+    assert_eq!(report.runs, reference.runs);
+    assert_eq!(report.io_volume_over_n(), reference.io_volume_over_n());
+    assert_eq!(report.comm_volume_over_n(), reference.comm_volume_over_n());
+    for pe in 0..RANKS {
+        for phase in Phase::ALL {
+            assert_eq!(
+                report.get(pe, phase).comm,
+                reference.get(pe, phase).comm,
+                "comm counters (pe {pe}, {phase})"
+            );
+        }
+    }
+    for p in [&input, &out_ref, &out] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -26,6 +26,7 @@ use crate::recio::FinishedRun;
 use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::{run_cluster, Communicator};
+use demsort_storage::PeStorage;
 use demsort_types::trace::TraceEv;
 use demsort_types::{ranks, Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
@@ -152,15 +153,26 @@ where
     R: Record + Ord,
     G: Fn(usize, usize) -> Vec<R> + Send + Sync,
 {
+    sort_cluster_with(cfg, |st, pe, p| ingest_input(st, &gen(pe, p)))
+}
+
+/// [`sort_cluster`] with the ingest step supplied by the caller:
+/// `ingest(st, pe, p)` puts PE `pe`'s input on its own storage `st`
+/// however it likes (e.g. streamed from a file by
+/// [`crate::fileio::ingest_file_shard`]) and returns the resulting
+/// [`LocalInput`].
+pub fn sort_cluster_with<R, I>(cfg: &SortConfig, ingest: I) -> Result<ClusterOutcome<R>>
+where
+    R: Record + Ord,
+    I: Fn(&PeStorage, usize, usize) -> Result<LocalInput> + Send + Sync,
+{
     let p = cfg.machine.pes;
     let storage =
         ClusterStorage::new_mem_sized(&cfg.machine, cfg.algo.effective_pool_blocks(&cfg.machine));
     let storage_ref = &storage;
-    let gen = &gen;
+    let ingest = &ingest;
     let results: Vec<Result<PeOutcome<R>>> = run_cluster(p, move |comm| {
-        let st = storage_ref.pe(comm.rank());
-        let recs = gen(comm.rank(), p);
-        let input = ingest_input(st, &recs)?;
+        let input = ingest(storage_ref.pe(comm.rank()), comm.rank(), p)?;
         canonical_mergesort::<R>(&comm, storage_ref, cfg, input, cfg.machine.cores_per_pe)
     });
     let mut per_pe = Vec::with_capacity(p);

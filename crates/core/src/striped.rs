@@ -1020,8 +1020,9 @@ const READ_STRIPED_WINDOW: usize = 64;
 /// per-owner batches, bounded by a fixed in-flight window — memory
 /// stays O(window · B) regardless of the run size. Each callback
 /// receives one block's valid bytes (`counts[g] · record_bytes` of raw
-/// encoded records). The shared engine under [`read_striped`] and the
-/// file write-back of `sortfile --algo striped`.
+/// encoded records). The engine under [`read_striped`]; the binaries
+/// write files rank by rank instead
+/// ([`crate::fileio::write_striped_blocks_to_file`]).
 pub fn read_striped_blocks<K>(
     storage: &ClusterStorage,
     run: &StripedRun<K>,
@@ -1101,15 +1102,28 @@ where
     R: Record + Ord,
     G: Fn(usize, usize) -> Vec<R> + Send + Sync,
 {
+    striped_sort_cluster_with(cfg, |st, pe, p| ingest_input(st, &gen(pe, p)), k_max)
+}
+
+/// [`striped_sort_cluster`] with the ingest step supplied by the
+/// caller — the striped sibling of
+/// [`sort_cluster_with`](crate::canonical::sort_cluster_with).
+pub fn striped_sort_cluster_with<R, I>(
+    cfg: &SortConfig,
+    ingest: I,
+    k_max: Option<usize>,
+) -> Result<StripedClusterOutcome<R>>
+where
+    R: Record + Ord,
+    I: Fn(&PeStorage, usize, usize) -> Result<LocalInput> + Send + Sync,
+{
     let p = cfg.machine.pes;
     let storage =
         ClusterStorage::new_mem_sized(&cfg.machine, cfg.algo.effective_pool_blocks(&cfg.machine));
     let storage_ref = &storage;
-    let gen = &gen;
+    let ingest = &ingest;
     let results: Vec<Result<StripedOutcome<R>>> = run_cluster(p, move |comm| {
-        let st = storage_ref.pe(comm.rank());
-        let recs = gen(comm.rank(), p);
-        let input = ingest_input(st, &recs)?;
+        let input = ingest(storage_ref.pe(comm.rank()), comm.rank(), p)?;
         striped_mergesort::<R>(&comm, storage_ref, cfg, input, cfg.machine.cores_per_pe, k_max)
     });
     let mut per_pe = Vec::with_capacity(p);

@@ -39,8 +39,37 @@
 //! // about twice (4N of disk traffic), communicating it about once.
 //! assert!(outcome.report.io_volume_over_n() < 7.0);
 //! ```
+//!
+//! ## Sorting a file
+//!
+//! [`sort_file`] is the whole local file-to-file sort of SortBenchmark
+//! records in one call (what `sortfile --transport local` runs): every
+//! PE streams its shard of the input onto its disks, the cluster sorts,
+//! and all PEs stream their part of the output file concurrently.
+//!
+//! ```
+//! use demsort::prelude::*;
+//! use demsort::types::SortAlgo;
+//!
+//! let dir = std::env::temp_dir().join(format!("demsort-doc-{}", std::process::id()));
+//! std::fs::create_dir_all(&dir).unwrap();
+//! let (input, output) = (dir.join("in.dat"), dir.join("out.dat"));
+//! let recs = demsort::workloads::gensort_records(1, 0, 500);
+//! let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
+//! Record100::encode_slice(&recs, &mut bytes);
+//! std::fs::write(&input, &bytes).unwrap();
+//!
+//! let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).unwrap();
+//! let report = demsort::sort_file(&cfg, SortAlgo::Canonical, &input, &output).unwrap();
+//! assert_eq!(report.elements, 500);
+//!
+//! let sorted = std::fs::read(&output).unwrap();
+//! assert!(sorted.chunks(100).is_sorted_by_key(|r| &r[..10]));
+//! std::fs::remove_dir_all(&dir).unwrap();
+//! ```
 
 pub use demsort_core as core;
+pub use demsort_core::fileio::sort_file;
 pub use demsort_net as net;
 pub use demsort_simcost as simcost;
 pub use demsort_storage as storage;
