@@ -5,8 +5,8 @@
 //!
 //! EXPERIMENT: fig2 | fig3 | fig4 | fig5 | fig6 | sortbench |
 //!             ablate-selection | ablate-overlap |
-//!             striped-vs-canonical | baseline-skew | bench-striped |
-//!             all (default)
+//!             ablate-runlength | ablate-prefetch |
+//!             striped-vs-canonical | baseline-skew | all (default)
 //!
 //! --smoke     run at the fast smoke scale (CI-sized, same shapes)
 //! --pes       override the cluster-size sweep
@@ -18,18 +18,15 @@ use demsort_bench::table::Table;
 use demsort_bench::ExpScale;
 use std::path::PathBuf;
 
-const USAGE: &str = "repro [EXPERIMENT] [--smoke] [--pes P1,P2,...] [--records N] [--out DIR]
+const USAGE: &str = "repro [EXPERIMENT] [--smoke] [--pes P1,P2,...] [--out DIR]
 
 EXPERIMENT: fig2 | fig3 | fig4 | fig5 | fig6 | sortbench |
             ablate-selection | ablate-overlap | ablate-runlength |
             ablate-prefetch | striped-vs-canonical | baseline-skew |
-            bench-striped | all (default)
+            all (default)
 
 --smoke      run at the fast smoke scale (CI-sized, same shapes)
 --pes        override the cluster-size sweep
---records N  bench-striped: total records to sort (default: the scale's
-             data volume; without --smoke the default is doubled so the
-             final merge runs long enough to time meaningfully)
 --out DIR    CSV output directory (default: results/)";
 
 struct Args {
@@ -38,8 +35,6 @@ struct Args {
     pes_list: Vec<usize>,
     fig3_pes: usize,
     single_pes: usize,
-    records: Option<u64>,
-    smoke: bool,
     out: PathBuf,
 }
 
@@ -50,7 +45,6 @@ fn parse_args() -> Args {
     let mut pes_overridden = false;
     let mut out = PathBuf::from("results");
     let mut smoke = false;
-    let mut records: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -66,10 +60,6 @@ fn parse_args() -> Args {
                     .map(|s| s.trim().parse().expect("--pes values must be integers"))
                     .collect();
                 pes_overridden = true;
-            }
-            "--records" => {
-                let v = args.next().expect("--records needs a count");
-                records = Some(v.trim().parse().expect("--records must be an integer"));
             }
             "--out" => out = PathBuf::from(args.next().expect("--out needs a directory")),
             "--help" | "-h" => {
@@ -88,24 +78,7 @@ fn parse_args() -> Args {
     }
     let fig3_pes = if smoke { 8 } else { 32 };
     let single_pes = if smoke { 4 } else { 16 };
-    Args { experiment, scale, pes_list, fig3_pes, single_pes, records, smoke, out }
-}
-
-/// The scale the throughput benchmarks run at: `--records` pins the
-/// total record count exactly; otherwise the full (non-smoke) scale is
-/// doubled so the final merge's wall time is long enough to time
-/// meaningfully.
-fn bench_scale(args: &Args, pes: usize) -> ExpScale {
-    let mut scale = args.scale.clone();
-    match args.records {
-        Some(r) => {
-            let per_pe = (r as usize).div_ceil(pes).max(1);
-            scale.data_bytes_per_pe = per_pe * 16; // Element16
-        }
-        None if !args.smoke => scale.data_bytes_per_pe *= 2,
-        None => {}
-    }
-    scale
+    Args { experiment, scale, pes_list, fig3_pes, single_pes, out }
 }
 
 fn main() {
@@ -156,27 +129,7 @@ fn main() {
     if want("baseline-skew") {
         emit("baseline_skew", experiments::baseline_skew(&args.scale, args.single_pes));
     }
-    // Machine-readable throughput benchmarks (not paper tables): JSON
-    // to stdout and to OUT/BENCH_striped.json (replication off and on)
-    // plus OUT/BENCH_merge_parallel.json (in-node cores sweep).
-    let mut bench_emitted = false;
-    if want("bench-striped") {
-        let scale = bench_scale(&args, args.single_pes);
-        let striped = experiments::bench_striped_json(&scale, args.single_pes, &[0, 1]);
-        let par = experiments::bench_merge_parallel_json(&scale, args.single_pes, &[1, 2, 4, 8]);
-        for (name, json) in [("BENCH_striped.json", &striped), ("BENCH_merge_parallel.json", &par)]
-        {
-            print!("{json}");
-            if let Err(e) = std::fs::create_dir_all(&args.out)
-                .and_then(|()| std::fs::write(args.out.join(name), json))
-            {
-                eprintln!("warning: could not write {}/{name}: {e}", args.out.display());
-            }
-        }
-        bench_emitted = true;
-    }
-
-    if emitted.is_empty() && !bench_emitted {
+    if emitted.is_empty() {
         eprintln!("unknown experiment `{}`; try --help", args.experiment);
         std::process::exit(2);
     }
@@ -185,7 +138,5 @@ fn main() {
             eprintln!("warning: could not write {}/{}.csv: {e}", args.out.display(), name);
         }
     }
-    if !emitted.is_empty() {
-        eprintln!("CSV written to {}/", args.out.display());
-    }
+    eprintln!("CSV written to {}/", args.out.display());
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! sortfile [--transport local|tcp] [--algo canonical|striped]
 //!          [--pes P] [--mem-mib M] [--block-kib K] [--disks D]
-//!          [--seed S] [--comm-timeout MS] [--cores C]
+//!          [--seed S] [--comm-timeout MS] [--cores C] [--trace DIR]
 //!          [--worker-bin PATH] INPUT OUTPUT
 //! ```
 //!
@@ -21,18 +21,20 @@
 //! OUTPUT) or `striped` (mergesort with global striping, Section III —
 //! the globally striped blocks interleave into OUTPUT).
 //!
-//! `--transport` selects the cluster substrate:
+//! `--transport` selects the cluster substrate. Both build the same
+//! `JobConfig` from the same flags (`demsort_bench::procs::TcpJobCli`,
+//! shared with `demsort-launch` and `demsort-worker`) and run the same
+//! rank program (`demsort_core::job::run_rank_job`) on every rank, so
+//! output bytes, counters and `--trace DIR` journals agree:
 //!
 //! * `local` (default) — the in-process cluster: one thread per PE
 //!   over the channel mesh.
 //! * `tcp` — the multi-process cluster: one `demsort-worker` process
 //!   per rank over the loopback TCP mesh (`--ranks` is an alias for
-//!   `--pes` in this mode). Identical SPMD code path, identical
-//!   counters, real process isolation. The job-building flags are the
-//!   same as `demsort-launch`'s (shared via `demsort_bench::procs`).
+//!   `--pes`), with real process isolation.
 
 use demsort_bench::procs::{launch_and_report, print_done, TcpJobCli};
-use demsort_types::SortConfig;
+use demsort_core::job::run_job_local;
 
 fn main() {
     const BIN: &str = "sortfile";
@@ -64,18 +66,17 @@ fn main() {
 
     match transport.as_str() {
         "local" => {
-            // The same job config the TCP path would ship, validated the
-            // same way (bad --pool-blocks etc. die with the config error).
             let job = cli.job(input, output);
-            let cfg =
-                SortConfig::new(job.machine, job.algo).unwrap_or_else(|e| die(&e.to_string()));
+            // A flag value the job rejects is a usage error (exit 2),
+            // like a flag nobody knows; a failed sort exits 1.
+            job.validate().unwrap_or_else(|e| die(&e.to_string()));
             eprintln!(
                 "{}-sorting {input} on {} in-process PEs ({} each)",
-                cli.algorithm,
-                cfg.machine.pes,
-                demsort_types::fmtsize::fmt_bytes(cfg.machine.mem_bytes_per_pe as u64)
+                job.algorithm,
+                job.machine.pes,
+                demsort_types::fmtsize::fmt_bytes(job.machine.mem_bytes_per_pe as u64)
             );
-            match demsort_core::sort_file(&cfg, cli.algorithm, input.as_ref(), output.as_ref()) {
+            match run_job_local(&job) {
                 Ok(report) => print_done(&report),
                 Err(e) => {
                     eprintln!("sortfile: {e}");

@@ -6,12 +6,13 @@ use crate::table::{ratio, secs, Table};
 use crate::{run_canonical, worst_case, ExpScale};
 use demsort_core::baselines::nowsort;
 use demsort_core::canonical::{sort_cluster, ClusterOutcome};
-use demsort_core::ctx::ClusterStorage;
+use demsort_core::job::run_in_process;
 use demsort_core::runform::ingest_input;
-use demsort_core::striped::{striped_mergesort, striped_sort_cluster, StripedOutcome};
-use demsort_net::run_cluster;
-use demsort_types::json::Json;
-use demsort_types::{AlgoConfig, Element16, Phase, Record, Record100, SortConfig, SortReport};
+use demsort_core::striped::striped_mergesort;
+use demsort_types::wire::RankReport;
+use demsort_types::{
+    AlgoConfig, Element16, Phase, PhaseStats, Record, Record100, SortConfig, SortReport,
+};
 use demsort_workloads::{generate_pe_input, gensort_records, InputSpec};
 
 /// Default cluster sizes of the scalability figures (`P = 1..64`).
@@ -334,221 +335,27 @@ pub fn striped_vs_canonical(scale: &ExpScale, pes_list: &[usize]) -> Table {
 /// Run the striped sort and collect a single-phase report (totals).
 pub fn run_striped_report(scale: &ExpScale, pes: usize) -> SortReport {
     let cfg = SortConfig::new(scale.machine(pes), AlgoConfig::default()).expect("valid config");
-    let storage = ClusterStorage::new_mem(&cfg.machine);
-    let storage_ref = &storage;
     let local_n = scale.elems_per_pe();
-    let cfg2 = cfg.clone();
-    let stats = run_cluster(pes, move |c| {
-        let st = storage_ref.pe(c.rank());
+    let (report, _, _) = run_in_process(&cfg, Element16::BYTES, |c, storage| {
+        let st = storage.pe(c.rank());
         let recs =
             generate_pe_input(InputSpec::Uniform, 0xDE77_5047 ^ pes as u64, c.rank(), pes, local_n);
-        let input = ingest_input(st, &recs).expect("ingest");
+        let input = ingest_input(st, &recs)?;
         let io0 = st.counters();
         let comm0 = c.counters();
-        let out = striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None)
-            .expect("striped");
-        demsort_types::PhaseStats {
+        let out = striped_mergesort::<Element16>(&c, storage, &cfg, input, 1, None)?;
+        // Attribute run formation and merging together; the comparison
+        // table uses totals only.
+        let totals = PhaseStats {
             io: st.counters().delta_since(&io0),
             comm: c.counters().delta_since(&comm0),
             cpu: out.cpu,
-        }
-    });
-    let elements = (local_n * pes) as u64;
-    let mut report = SortReport::new(pes, elements, Element16::BYTES, 0);
-    for (pe, s) in stats.into_iter().enumerate() {
-        // Attribute run formation and merging together; the comparison
-        // table uses totals only.
-        report.record(pe, Phase::RunFormation, s);
-    }
+        };
+        let phases = vec![(Phase::RunFormation, totals)];
+        Ok((RankReport { rank: c.rank(), elems: local_n as u64, runs: 0, phases, error: None }, ()))
+    })
+    .expect("striped");
     report
-}
-
-/// Repeatable striped-sort benchmark: measured wall-clock records/s,
-/// per phase and total, with each replication factor in
-/// `replications` — emitted as machine-readable JSON (the CI smoke
-/// step writes it to `BENCH_striped.json`), built on the shared
-/// escape-correct [`Json`] emitter the trace journals use. The same
-/// seed, input, and machine shape are used for every factor, so
-/// consecutive runs (and runs across commits) measure exactly the same
-/// work and the replication column isolates the cost of storing
-/// buddy-rank copies of every run block during run formation.
-pub fn bench_striped_json(scale: &ExpScale, pes: usize, replications: &[usize]) -> String {
-    bench_striped_json_reps(scale, pes, replications, BENCH_REPS)
-}
-
-/// Repetitions each benchmark configuration runs; the reported wall
-/// time is the median, so one noisy rep cannot move the headline rate.
-pub const BENCH_REPS: usize = 3;
-
-/// Median of `xs` (mean of the middle two for even lengths).
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
-/// Pool counters summed over PEs, as a JSON object.
-fn pool_json<R: Record>(per_pe: &[StripedOutcome<R>]) -> Json {
-    let sum = |f: &dyn Fn(&demsort_types::PoolCounters) -> u64| -> u64 {
-        per_pe.iter().map(|o| f(&o.pool)).sum()
-    };
-    Json::Obj(vec![
-        ("hits".into(), Json::Uint(sum(&|p| p.hits))),
-        ("misses".into(), Json::Uint(sum(&|p| p.misses))),
-        ("recycled".into(), Json::Uint(sum(&|p| p.recycled))),
-        ("discarded".into(), Json::Uint(sum(&|p| p.discarded))),
-        ("copied_bytes".into(), Json::Uint(sum(&|p| p.copied_bytes))),
-    ])
-}
-
-/// [`bench_striped_json`] with an explicit repetition count (tests use
-/// 1 to stay fast; the default is [`BENCH_REPS`]).
-pub fn bench_striped_json_reps(
-    scale: &ExpScale,
-    pes: usize,
-    replications: &[usize],
-    reps: usize,
-) -> String {
-    let local_n = scale.elems_per_pe();
-    let mut runs_json = Vec::new();
-    for &f in replications {
-        let algo = AlgoConfig { replication: f, ..AlgoConfig::default() };
-        let cfg = SortConfig::new(scale.machine(pes), algo).expect("valid config");
-        let mut walls = Vec::with_capacity(reps);
-        let mut last = None;
-        for _ in 0..reps.max(1) {
-            let started = std::time::Instant::now();
-            let outcome = striped_sort_cluster::<Element16, _>(
-                &cfg,
-                |pe, p| generate_pe_input(InputSpec::Uniform, 0xBE6C_57A1, pe, p, local_n),
-                None,
-            )
-            .expect("striped sort");
-            walls.push(started.elapsed().as_secs_f64());
-            last = Some(outcome);
-        }
-        let outcome = last.expect("at least one rep");
-        let wall_s = median(&mut walls);
-        let records = outcome.per_pe.first().map_or(0, |o| o.output.elems);
-        runs_json.push(Json::Obj(vec![
-            ("replication".into(), Json::Uint(f as u64)),
-            ("reps".into(), Json::Uint(walls.len() as u64)),
-            ("wall_s".into(), Json::Num(wall_s)),
-            ("records_per_s".into(), Json::Uint((records as f64 / wall_s) as u64)),
-            ("pool".into(), pool_json(&outcome.per_pe)),
-            ("phases".into(), Json::Obj(striped_phase_rates(&outcome.per_pe, records))),
-        ]));
-    }
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::str("striped")),
-        ("pes".into(), Json::Uint(pes as u64)),
-        ("records".into(), Json::Uint(local_n as u64 * pes as u64)),
-        ("record_bytes".into(), Json::Uint(Element16::BYTES as u64)),
-        ("runs".into(), Json::Arr(runs_json)),
-    ]);
-    let mut out = doc.to_string();
-    out.push('\n');
-    out
-}
-
-/// Per-phase wall time and throughput of a striped cluster run. A
-/// phase ends when its slowest PE does: throughput is bounded by the
-/// per-phase maximum over PEs of measured host wall time.
-fn striped_phase_rates(per_pe: &[StripedOutcome<Element16>], records: u64) -> Vec<(String, Json)> {
-    let mut phases = Vec::new();
-    for &phase in Phase::ALL.iter() {
-        let ns = per_pe
-            .iter()
-            .flat_map(|o| &o.phases)
-            .filter(|(p, _)| *p == phase)
-            .map(|(_, s)| s.cpu.host_wall_ns)
-            .max()
-            .unwrap_or(0);
-        if ns == 0 {
-            continue;
-        }
-        let s = ns as f64 / 1e9;
-        phases.push((
-            phase.key().to_string(),
-            Json::Obj(vec![
-                ("wall_s".into(), Json::Num(s)),
-                ("records_per_s".into(), Json::Uint((records as f64 / s) as u64)),
-            ]),
-        ));
-    }
-    phases
-}
-
-/// Repeatable in-node parallel-merge benchmark: the striped sort at
-/// each thread count in `cores_list`, same seed, input, and machine
-/// shape, so the cores column isolates the intra-rank parallel batch
-/// merge (and parallel batch decode) — emitted as machine-readable
-/// JSON (the CI bench step writes it to `BENCH_merge_parallel.json`).
-/// `split_probes` counts the multisequence-selection probes that split
-/// each batch across threads: 0 at `cores = 1` and deterministic for a
-/// given shape, so a splitter regression shows up as a counter diff,
-/// not just timing drift.
-pub fn bench_merge_parallel_json(scale: &ExpScale, pes: usize, cores_list: &[usize]) -> String {
-    bench_merge_parallel_json_reps(scale, pes, cores_list, BENCH_REPS)
-}
-
-/// [`bench_merge_parallel_json`] with an explicit repetition count.
-pub fn bench_merge_parallel_json_reps(
-    scale: &ExpScale,
-    pes: usize,
-    cores_list: &[usize],
-    reps: usize,
-) -> String {
-    let local_n = scale.elems_per_pe();
-    let mut runs_json = Vec::new();
-    for &cores in cores_list {
-        let s = ExpScale { sim_cores: cores, ..scale.clone() };
-        let cfg = SortConfig::new(s.machine(pes), AlgoConfig::default()).expect("valid config");
-        let mut walls = Vec::with_capacity(reps);
-        let mut last = None;
-        for _ in 0..reps.max(1) {
-            let started = std::time::Instant::now();
-            let outcome = striped_sort_cluster::<Element16, _>(
-                &cfg,
-                |pe, p| generate_pe_input(InputSpec::Uniform, 0xBE6C_57A1, pe, p, local_n),
-                None,
-            )
-            .expect("striped sort");
-            walls.push(started.elapsed().as_secs_f64());
-            last = Some(outcome);
-        }
-        let outcome = last.expect("at least one rep");
-        let wall_s = median(&mut walls);
-        let records = outcome.per_pe.first().map_or(0, |o| o.output.elems);
-        let split_probes: u64 =
-            outcome.per_pe.iter().flat_map(|o| &o.phases).map(|(_, st)| st.cpu.split_probes).sum();
-        runs_json.push(Json::Obj(vec![
-            ("cores".into(), Json::Uint(cores as u64)),
-            ("reps".into(), Json::Uint(walls.len() as u64)),
-            ("wall_s".into(), Json::Num(wall_s)),
-            ("records_per_s".into(), Json::Uint((records as f64 / wall_s) as u64)),
-            ("split_probes".into(), Json::Uint(split_probes)),
-            ("pool".into(), pool_json(&outcome.per_pe)),
-            ("phases".into(), Json::Obj(striped_phase_rates(&outcome.per_pe, records))),
-        ]));
-    }
-    let doc = Json::Obj(vec![
-        ("bench".into(), Json::str("merge_parallel")),
-        ("pes".into(), Json::Uint(pes as u64)),
-        ("records".into(), Json::Uint(local_n as u64 * pes as u64)),
-        ("record_bytes".into(), Json::Uint(Element16::BYTES as u64)),
-        ("runs".into(), Json::Arr(runs_json)),
-    ]);
-    let mut out = doc.to_string();
-    out.push('\n');
-    out
 }
 
 /// NOW-Sort baseline vs CANONICALMERGESORT on uniform and skewed
@@ -586,27 +393,17 @@ pub fn baseline_skew(scale: &ExpScale, pes: usize) -> Table {
 /// Run the NOW-Sort baseline and return (report, imbalance).
 pub fn run_nowsort_report(scale: &ExpScale, pes: usize, spec: InputSpec) -> (SortReport, f64) {
     let cfg = SortConfig::new(scale.machine(pes), AlgoConfig::default()).expect("valid config");
-    let storage = ClusterStorage::new_mem(&cfg.machine);
-    let storage_ref = &storage;
     let local_n = scale.elems_per_pe();
-    let cfg2 = cfg.clone();
-    let outcomes = run_cluster(pes, move |c| {
-        let st = storage_ref.pe(c.rank());
+    let (report, imbalances, _) = run_in_process(&cfg, Element16::BYTES, |c, storage| {
+        let st = storage.pe(c.rank());
         let recs = generate_pe_input(spec, 0xDE77_5047 ^ pes as u64, c.rank(), pes, local_n);
-        let input = ingest_input(st, &recs).expect("ingest");
-        let out = nowsort::<Element16>(&c, st, &cfg2, input, 1).expect("nowsort");
-        (out.phases, out.imbalance)
-    });
-    let elements = (local_n * pes) as u64;
-    let mut report = SortReport::new(pes, elements, Element16::BYTES, 0);
-    let mut imbalance = 1.0f64;
-    for (pe, (phases, imb)) in outcomes.into_iter().enumerate() {
-        imbalance = imbalance.max(imb);
-        for (phase, stats) in phases {
-            report.record(pe, phase, stats);
-        }
-    }
-    (report, imbalance)
+        let input = ingest_input(st, &recs)?;
+        let out = nowsort::<Element16>(&c, st, &cfg, input, 1)?;
+        let (rank, elems) = (c.rank(), local_n as u64);
+        Ok((RankReport { rank, elems, runs: 0, phases: out.phases, error: None }, out.imbalance))
+    })
+    .expect("nowsort");
+    (report, imbalances.into_iter().fold(1.0, f64::max))
 }
 
 /// Future-work ablation: replacement-selection run formation (Knuth
@@ -768,62 +565,6 @@ mod tests {
         assert!(svc.contains("striped") && svc.contains("canonical"));
         let skew = baseline_skew(&s, 4).render();
         assert!(skew.contains("nowsort"));
-    }
-
-    #[test]
-    fn bench_striped_json_is_machine_readable_and_covers_both_factors() {
-        let s = bench_striped_json_reps(&smoke(), 3, &[0, 1], 1);
-        // Shape pins, now through the shared parser: both replication
-        // factors, both striped phases, positive rates, pool counters.
-        let doc = Json::parse(s.trim()).expect("BENCH output parses");
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("striped"), "{s}");
-        let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
-        let reps: Vec<u64> =
-            runs.iter().filter_map(|r| r.get("replication").and_then(Json::as_u64)).collect();
-        assert_eq!(reps, [0, 1], "{s}");
-        for run in runs {
-            let rate = run.get("records_per_s").and_then(Json::as_f64).expect("rate");
-            assert!(rate > 0.0, "rates must be positive: {s}");
-            assert_eq!(run.get("reps").and_then(Json::as_u64), Some(1), "{s}");
-            let pool = run.get("pool").expect("pool counters object");
-            assert!(
-                pool.get("hits").and_then(Json::as_u64).unwrap_or(0) > 0,
-                "a striped sort must recycle buffers through the pool: {s}"
-            );
-            let phases = run.get("phases").expect("phases object");
-            for key in ["run_formation", "final_merge"] {
-                let ph = phases.get(key).unwrap_or_else(|| panic!("phase {key} present: {s}"));
-                assert!(ph.get("wall_s").and_then(Json::as_f64).unwrap_or(0.0) > 0.0, "{s}");
-            }
-        }
-    }
-
-    #[test]
-    fn bench_merge_parallel_json_sweeps_cores_and_counts_split_probes() {
-        let s = bench_merge_parallel_json_reps(&smoke(), 3, &[1, 2], 1);
-        let doc = Json::parse(s.trim()).expect("BENCH output parses");
-        assert_eq!(doc.get("bench").and_then(Json::as_str), Some("merge_parallel"), "{s}");
-        let runs = doc.get("runs").and_then(Json::as_arr).expect("runs array");
-        let cores: Vec<u64> =
-            runs.iter().filter_map(|r| r.get("cores").and_then(Json::as_u64)).collect();
-        assert_eq!(cores, [1, 2], "{s}");
-        let probes: Vec<u64> =
-            runs.iter().filter_map(|r| r.get("split_probes").and_then(Json::as_u64)).collect();
-        assert_eq!(probes[0], 0, "cores=1 performs no split selection: {s}");
-        assert_eq!(
-            probes[1], 0,
-            "smoke-scale batches sit below PAR_MERGE_MIN_PER_THREAD, so cores=2 \
-             must take the sequential path with zero split probes: {s}"
-        );
-        for run in runs {
-            let rate = run.get("records_per_s").and_then(Json::as_f64).expect("rate");
-            assert!(rate > 0.0, "rates must be positive: {s}");
-            assert!(run.get("pool").is_some(), "pool counters present: {s}");
-            let phases = run.get("phases").expect("phases object");
-            for key in ["run_formation", "final_merge"] {
-                assert!(phases.get(key).is_some(), "phase {key} present: {s}");
-            }
-        }
     }
 
     #[test]

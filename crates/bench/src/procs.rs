@@ -6,22 +6,22 @@
 //! address, the coordinator assigns ranks and broadcasts the address
 //! table plus the [`JobConfig`]), and collects per-rank
 //! [`RankReport`]s when the sort finishes. The workers build the full
-//! `P × P` TCP mesh among themselves and run the *identical* SPMD code
-//! path as the in-process cluster — same `canonical_mergesort`, same
-//! collectives, same counters.
+//! `P × P` TCP mesh among themselves and run the same rank program as
+//! the in-process cluster — [`run_rank_job`], so the same sort, the
+//! same collectives, the same counters.
 //!
 //! ## Data path of a worker
 //!
-//! A rank touches the job's files only through
-//! [`demsort_core::fileio`], the same edges `sortfile --transport
-//! local` uses: it streams its shard of the input into pooled blocks
-//! on its own disks, sorts, and streams the blocks it ends up owning
-//! into its byte ranges of the shared output file — `O(window · B)` of
-//! memory at either edge, and any file failure is an `Error::Io`
-//! naming the path, the rank and the byte offset, shipped to the
-//! launcher like every other failure. The rank's "disks" are a
-//! [`MemBackend`], so a worker still holds its `N/P` share of the data
-//! in memory for the sort itself.
+//! [`run_rank`] builds this substrate's `(comm, storage, hooks)` — the
+//! TCP mesh, one rank's storage plus a block service for its peers',
+//! recovery hooks wired to the transport's failure detector — and
+//! hands them to [`run_rank_job`], which streams the rank's shard of
+//! the input onto its disks, sorts, and streams the blocks it ends up
+//! owning into its byte ranges of the shared output file. Any file
+//! failure is an `Error::Io` naming the path, the rank and the byte
+//! offset, shipped to the launcher like every other failure. The
+//! rank's "disks" are a [`MemBackend`], so a worker still holds its
+//! `N/P` share of the data in memory for the sort itself.
 //!
 //! ## Failure model
 //!
@@ -60,16 +60,11 @@
 //! address — the multi-host path, where the job config comes from
 //! flags instead of the wire.
 
-use demsort_core::canonical::canonical_mergesort;
 use demsort_core::ctx::{
-    assemble_report, BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore,
-    RemoteBlockService,
+    BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore, RemoteBlockService,
 };
-use demsort_core::fileio::{
-    file_records, ingest_file_shard, write_run_to_file, write_striped_blocks_to_file,
-};
-use demsort_core::runform::LocalInput;
-use demsort_core::striped::{striped_mergesort_resilient, ResilientHooks};
+use demsort_core::job::{cluster_report, rank_tracer, run_rank_job};
+use demsort_core::striped::ResilientHooks;
 use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport, WireFetch, WireStore};
 use demsort_net::{Communicator, SubTransport, Transport as _};
 use demsort_storage::{BlockId, DiskModel, MemBackend, PeStorage};
@@ -78,12 +73,12 @@ use demsort_types::wire::{
     encode_rank_report, RankReport, WireReader, WireWriter,
 };
 use demsort_types::{
-    ranks, AlgoConfig, Error, JobConfig, MachineConfig, ProgressFrame, Record as _, Record100,
-    Result, SortAlgo, SortConfig, SortReport, Tracer,
+    AlgoConfig, Error, JobConfig, MachineConfig, ProgressFrame, Record as _, Record100, Result,
+    SortAlgo, SortConfig, SortReport, Tracer,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -231,24 +226,16 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
     // and coarse progress frames ride this control connection back to
     // the launcher. Progress is best-effort: a write error must not
     // fail the sort, so the callback swallows it.
-    let tracer = if job.trace_dir.is_empty() {
-        Tracer::off()
-    } else {
-        let dir = std::path::PathBuf::from(&job.trace_dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| Error::io(format!("create trace dir {}: {e}", job.trace_dir)))?;
-        let t = Tracer::to_path(rank, &dir.join(format!("rank{rank}.jsonl")))?;
-        match ctrl.try_clone() {
-            Ok(stream) => {
-                let stream = std::sync::Mutex::new(stream);
-                t.with_progress(Box::new(move |f: &ProgressFrame| {
-                    let mut s = stream.lock().expect("progress stream lock");
-                    let _ = write_msg(&mut s, TAG_PROGRESS, &encode_progress(f));
-                }))
-            }
-            Err(_) => t,
+    let mut tracer = rank_tracer(&job.trace_dir, rank)?;
+    if tracer.enabled() {
+        if let Ok(stream) = ctrl.try_clone() {
+            let stream = std::sync::Mutex::new(stream);
+            tracer = tracer.with_progress(Box::new(move |f: &ProgressFrame| {
+                let mut s = stream.lock().expect("progress stream lock");
+                let _ = write_msg(&mut s, TAG_PROGRESS, &encode_progress(f));
+            }));
         }
-    };
+    }
 
     // Run the rank. Errors (a dead peer surfacing as Error::Comm from
     // a collective, storage faults, bad input) come back as plain
@@ -267,8 +254,9 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
 }
 
 /// Run one rank of `job` over an established rendezvous: build the TCP
-/// mesh, sort this rank's shard, write the canonical output slice.
-/// Shared by the coordinator and hostfile bootstrap paths.
+/// mesh, this rank's storage and block service, run [`run_rank_job`],
+/// and hold the mesh up until every live peer is done too. Shared by
+/// the coordinator and hostfile bootstrap paths.
 ///
 /// `tracer` is threaded through the transport, the block service and
 /// the communicator so a traced run journals every layer under one
@@ -358,26 +346,10 @@ pub fn run_rank(
     }));
     let _handler_guard = HandlerGuard(tcp.clone());
 
-    // The SPMD sort — identical code path to the in-process cluster.
-    // The rank's contiguous shard of the input streams onto its disks
-    // block by block; nothing here holds the shard in memory.
+    // The rank program — the same body the in-process cluster runs.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
     comm.set_tracer(tracer.clone());
-    let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
-    let total_records = file_records::<Record100>(Path::new(&job.input))?;
-    let input = ingest_file_shard::<Record100>(
-        storage.pe(rank),
-        Path::new(&job.input),
-        rank,
-        p,
-        total_records,
-    )?;
-    let report = match job.algorithm {
-        SortAlgo::Canonical => {
-            run_canonical_rank(rank, total_records, &comm, &storage, &cfg, input, job)?
-        }
-        SortAlgo::Striped => run_striped_rank(rank, &tcp, &comm, &storage, &cfg, input, job)?,
-    };
+    let report = run_rank_job(job, &comm, &storage, Some(recovery_hooks(&tcp)))?;
 
     // Ranks must not tear the mesh down while a slower peer still
     // depends on it (remote reads are done, but the final phases
@@ -402,49 +374,7 @@ pub fn run_rank(
     Ok(report)
 }
 
-/// The canonical-mergesort body of a rank: sort, then stream this
-/// rank's canonical slice into the shared output file — ranks own
-/// disjoint contiguous byte ranges, so the file assembles in place
-/// (hostfile mode has no launcher to pre-size it; every rank sizes it
-/// on open).
-#[allow(clippy::too_many_arguments)]
-fn run_canonical_rank(
-    rank: usize,
-    total_records: u64,
-    comm: &Communicator,
-    storage: &ClusterStorage,
-    cfg: &SortConfig,
-    input: LocalInput,
-    job: &JobConfig,
-) -> Result<RankReport> {
-    let outcome =
-        canonical_mergesort::<Record100>(comm, storage, cfg, input, job.machine.cores_per_pe)?;
-
-    let own = ranks::owned_range(rank, comm.size(), total_records);
-    debug_assert_eq!(outcome.output.elems, own.end - own.start);
-    write_run_to_file(
-        storage.pe(rank),
-        &outcome.output,
-        Path::new(&job.output),
-        rank,
-        total_records * Record100::BYTES as u64,
-        own.start * Record100::BYTES as u64,
-    )?;
-
-    Ok(RankReport {
-        rank,
-        elems: outcome.output.elems,
-        runs: outcome.runs,
-        phases: outcome.phases,
-        error: None,
-    })
-}
-
-/// The striped-mergesort body of a rank: sort, then write the blocks
-/// this rank owns of the globally striped output into the shared
-/// output file ([`write_striped_blocks_to_file`]).
-///
-/// The sort runs with failure-recovery hooks wired to the transport:
+/// Rank-failure recovery over the TCP mesh, for the striped sort:
 /// with `--replication f` (f > 0), a rank dying mid-merge is detected
 /// by the survivors' failure detector ([`TcpTransport`]'s reader
 /// threads), the survivors cut stale traffic with an epoch marker,
@@ -458,19 +388,11 @@ fn run_canonical_rank(
 /// point); if `DEMSORT_MERGE_START_STALL_MS` is set, each rank then
 /// stalls that long before merging (so the kill lands before any
 /// survivor enters the merge).
-fn run_striped_rank(
-    rank: usize,
-    tcp: &TcpTransport,
-    comm: &Communicator,
-    storage: &ClusterStorage,
-    cfg: &SortConfig,
-    input: LocalInput,
-    job: &JobConfig,
-) -> Result<RankReport> {
+fn recovery_hooks(tcp: &TcpTransport) -> ResilientHooks<'_> {
     let marker_dir = std::env::var_os("DEMSORT_MERGE_START_MARKER_DIR");
     let stall_ms =
         std::env::var("DEMSORT_MERGE_START_STALL_MS").ok().and_then(|s| s.parse::<u64>().ok());
-    let hooks = ResilientHooks {
+    ResilientHooks {
         dead_set: Box::new(|| tcp.dead_peers()),
         subgroup: Box::new(move |members: &[usize]| {
             // Epoch cut: discard every frame the doomed attempt left
@@ -495,26 +417,7 @@ fn run_striped_rank(
             }
             true
         })),
-    };
-    let outcome = striped_mergesort_resilient::<Record100>(
-        comm,
-        storage,
-        cfg,
-        input,
-        job.machine.cores_per_pe,
-        None,
-        Some(hooks),
-    )?;
-
-    let elems = write_striped_blocks_to_file(
-        storage.pe(rank),
-        &outcome.output,
-        Record100::BYTES,
-        Path::new(&job.output),
-        rank,
-    )?;
-
-    Ok(RankReport { rank, elems, runs: outcome.runs, phases: outcome.phases, error: None })
+    }
 }
 
 // -------------------------------------------------------------------
@@ -524,9 +427,8 @@ fn run_striped_rank(
 /// Result of a multi-process launch.
 #[derive(Debug)]
 pub struct LaunchOutcome {
-    /// Aggregated per-rank, per-phase counters (same shape as the
-    /// in-process [`sort_cluster`](demsort_core::canonical::sort_cluster)
-    /// report).
+    /// Aggregated per-rank, per-phase counters
+    /// ([`cluster_report`], as on the in-process cluster).
     pub report: SortReport,
     /// The raw per-rank reports, in rank order.
     pub per_rank: Vec<RankReport>,
@@ -838,17 +740,8 @@ pub fn summarize_outcomes(job: &JobConfig, outcomes: Vec<RankOutcome>) -> Result
         return Err(Error::comm(parts.join("; ")));
     }
 
-    // Aggregate exactly like the in-process driver.
-    let elements: u64 = per_rank.iter().map(|r| r.elems).sum();
-    let runs = per_rank.first().map_or(0, |r| r.runs);
     let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
-    let report = assemble_report(
-        &cfg,
-        elements,
-        Record100::BYTES,
-        runs,
-        per_rank.iter().map(|r| r.phases.clone()).collect(),
-    );
+    let report = cluster_report(&cfg, Record100::BYTES, &per_rank);
     Ok(LaunchOutcome { report, per_rank })
 }
 
@@ -862,7 +755,7 @@ pub fn launch_workers(job: &JobConfig, worker_bin: &std::path::Path) -> Result<L
 
 /// [`launch_workers`] with extra environment variables set on every
 /// worker process — the failure-injection tests use this to arm the
-/// merge-start marker/stall harness (see [`run_rank`]'s striped path)
+/// merge-start marker/stall harness (`recovery_hooks` reads it)
 /// without mutating the test process's own environment.
 pub fn launch_workers_env(
     job: &JobConfig,
@@ -1024,9 +917,9 @@ pub struct TcpJobCli {
     pub disks: usize,
     /// Algorithm seed (`--seed`), default config seed if unset.
     pub seed: Option<u64>,
-    /// Comm read timeout in milliseconds (`--comm-timeout`, legacy
-    /// alias `--timeout-ms`): how long a rank waits on a silent peer
-    /// before declaring it dead ([`JobConfig::read_timeout_ms`]).
+    /// Comm read timeout in milliseconds (`--comm-timeout`): how long
+    /// a rank waits on a silent peer before declaring it dead
+    /// ([`JobConfig::read_timeout_ms`]).
     pub comm_timeout_ms: u64,
     /// Which sorting algorithm the job runs (`--algo
     /// canonical|striped`).
@@ -1079,7 +972,7 @@ impl TcpJobCli {
          --block-kib K     block size in KiB (default 64)\n  \
          --disks D         disks per PE (default 4)\n  \
          --seed S          algorithm seed\n  \
-         --comm-timeout MS comm read timeout in ms (default 30000; alias --timeout-ms)\n  \
+         --comm-timeout MS comm read timeout in ms (default 30000)\n  \
          --algo A          sorting algorithm: canonical (default) or striped\n  \
          --replication F   store F buddy-rank replicas of every run block (striped only; \
          default 0)\n  \
@@ -1108,9 +1001,7 @@ impl TcpJobCli {
             "--block-kib" => self.block_kib = cli_parse(bin, &next(flag), "block-kib"),
             "--disks" => self.disks = cli_parse(bin, &next(flag), "disks"),
             "--seed" => self.seed = Some(cli_parse(bin, &next(flag), "seed")),
-            "--comm-timeout" | "--timeout-ms" => {
-                self.comm_timeout_ms = cli_parse(bin, &next(flag), "comm-timeout")
-            }
+            "--comm-timeout" => self.comm_timeout_ms = cli_parse(bin, &next(flag), "comm-timeout"),
             "--algo" => {
                 self.algorithm =
                     SortAlgo::parse(&next(flag)).unwrap_or_else(|e| cli_die(bin, &e.to_string()))
@@ -1427,10 +1318,5 @@ mod tests {
         let derived = TcpJobCli { ranks: 3, ..TcpJobCli::default() }.machine().cores_per_pe;
         let host = std::thread::available_parallelism().map_or(1, |c| c.get());
         assert_eq!(derived, (host / 3).max(1));
-        // The legacy alias still works.
-        let mut args = ["--timeout-ms", "2500"].iter().map(|s| s.to_string());
-        let flag = args.next().expect("flag");
-        assert!(cli.try_flag("test", &flag, &mut args));
-        assert_eq!(cli.job("a", "b").read_timeout_ms, 2500);
     }
 }

@@ -6,6 +6,10 @@
 //! ranks dial peers whose listeners do not exist yet and connections
 //! arrive out of order. The mesh bootstrap's retry-dial plus rank
 //! handshake must sort it out, and the job must finish valsort-clean.
+//!
+//! Hostfile mode has no launcher to ship a job config, so the worker
+//! builds it from the job flags it shares with `demsort-launch`; the
+//! second half pins that those flags reach the job.
 
 use demsort_types::{Record as _, Record100};
 use demsort_workloads::gensort_records;
@@ -33,8 +37,10 @@ fn reserve_port(ip: &str) -> Option<u16> {
     Some(port)
 }
 
-#[test]
-fn multi_address_hostfile_with_out_of_order_worker_starts() {
+/// Sort a gensort file with three hostfile-mode workers started with
+/// `job_flags`; `name` keeps concurrent tests' files apart. Returns
+/// `false` if the platform cannot bind the addresses (nothing ran).
+fn sort_over_hostfile(name: &str, job_flags: &[&str]) -> bool {
     // 127.0.0.2/3 are bindable on Linux (the whole 127/8 block is
     // loopback); on platforms where they are not, the multi-address
     // shape cannot be exercised — skip rather than fail.
@@ -45,14 +51,14 @@ fn multi_address_hostfile_with_out_of_order_worker_starts() {
             Some(port) => addrs.push(format!("{ip}:{port}")),
             None => {
                 eprintln!("skipping: cannot bind {ip} on this platform");
-                return;
+                return false;
             }
         }
     }
 
-    let input = tmp_path("input.dat");
-    let output = tmp_path("output.dat");
-    let hostfile = tmp_path("hosts");
+    let input = tmp_path(&format!("{name}-input.dat"));
+    let output = tmp_path(&format!("{name}-output.dat"));
+    let hostfile = tmp_path(&format!("{name}-hosts"));
     let mut f = std::io::BufWriter::new(std::fs::File::create(&input).expect("create input"));
     let mut buf = vec![0u8; Record100::BYTES];
     for rec in gensort_records(23, 0, RECORDS) {
@@ -77,8 +83,7 @@ fn multi_address_hostfile_with_out_of_order_worker_starts() {
             .args(["--rank", &rank.to_string()])
             .args(["--input", &input.to_string_lossy()])
             .args(["--output", &output.to_string_lossy()])
-            .args(["--mem-mib", "1", "--block-kib", "16", "--disks", "2"])
-            .args(["--comm-timeout", "30000"])
+            .args(job_flags)
             .spawn()
             .expect("spawn worker");
         children.push((rank, child));
@@ -105,4 +110,55 @@ fn multi_address_hostfile_with_out_of_order_worker_starts() {
     for p in [&input, &output, &hostfile] {
         let _ = std::fs::remove_file(p);
     }
+    true
+}
+
+#[test]
+fn multi_address_hostfile_with_out_of_order_worker_starts() {
+    sort_over_hostfile(
+        "canonical",
+        &["--mem-mib", "1", "--block-kib", "16", "--disks", "2", "--comm-timeout", "30000"],
+    );
+}
+
+#[test]
+fn hostfile_worker_takes_the_shared_job_flags() {
+    // `--algo striped` reaches the job: every rank's journal carries
+    // the striped merge loop's events.
+    let trace = tmp_path("striped-trace");
+    let trace_dir = trace.to_string_lossy().into_owned();
+    let flags = ["--mem-mib", "1", "--block-kib", "16", "--disks", "2", "--algo", "striped"];
+    let striped = [&flags[..], &["--pool-blocks", "8", "--trace", &trace_dir]].concat();
+    if sort_over_hostfile("striped", &striped) {
+        for rank in 0..RANKS {
+            let journal = std::fs::read_to_string(trace.join(format!("rank{rank}.jsonl")))
+                .expect("rank journal");
+            assert!(journal.contains("\"ev\":\"merge_issued\""), "rank {rank}");
+        }
+        let _ = std::fs::remove_dir_all(&trace);
+    }
+
+    // `--pool-blocks N` reaches the job: a capacity below the
+    // prefetch+carry minimum (6 blocks on 2 disks) fails the job's
+    // validation (exit 1), where a flag the worker does not know is a
+    // usage error (exit 2).
+    let port = reserve_port("127.0.0.1").expect("loopback port");
+    let hostfile = tmp_path("flags-hosts");
+    std::fs::write(&hostfile, format!("127.0.0.1:{port}\n")).expect("write hostfile");
+    let worker = |extra: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_demsort-worker"))
+            .args(["--hostfile", &hostfile.to_string_lossy(), "--rank", "0"])
+            .args(["--input", "/nonexistent", "--output", "/nonexistent"])
+            .args(flags)
+            .args(extra)
+            .output()
+            .expect("run worker")
+    };
+    let rejected = worker(&["--pool-blocks", "1"]);
+    assert_eq!(rejected.status.code(), Some(1), "{rejected:?}");
+    assert!(String::from_utf8_lossy(&rejected.stderr).contains("pool_blocks 1"), "{rejected:?}");
+    let unknown = worker(&["--bogus"]);
+    assert_eq!(unknown.status.code(), Some(2), "{unknown:?}");
+    assert!(String::from_utf8_lossy(&unknown.stderr).contains("--bogus"), "{unknown:?}");
+    let _ = std::fs::remove_file(&hostfile);
 }

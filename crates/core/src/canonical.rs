@@ -19,15 +19,16 @@
 //! are needed").
 
 use crate::alltoall::{exchange_splitters, external_alltoall};
-use crate::ctx::{assemble_report, ClusterStorage, PhaseRecorder};
+use crate::ctx::{ClusterStorage, PhaseRecorder};
 use crate::extselect::{select_rank_external, SelectionStats};
+use crate::job::run_in_process;
 use crate::localmerge::final_merge;
 use crate::recio::FinishedRun;
 use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
-use demsort_net::{run_cluster, Communicator};
-use demsort_storage::PeStorage;
+use demsort_net::Communicator;
 use demsort_types::trace::TraceEv;
+use demsort_types::wire::RankReport;
 use demsort_types::{ranks, Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
 
@@ -141,9 +142,9 @@ pub struct ClusterOutcome<R: Record> {
     pub storage: Arc<ClusterStorage>,
 }
 
-/// Convenience driver: spin up `cfg.machine.pes` PE threads, generate
-/// and ingest each PE's input via `gen(pe, p)`, run CANONICALMERGESORT,
-/// and aggregate the report.
+/// Convenience driver: spin up `cfg.machine.pes` PE threads
+/// ([`run_in_process`]), generate and ingest each PE's input via
+/// `gen(pe, p)`, run CANONICALMERGESORT, and aggregate the report.
 ///
 /// Input generation and ingest are *setup* — their I/O happens before
 /// the measured baseline, like the pre-loaded input files of the
@@ -153,41 +154,19 @@ where
     R: Record + Ord,
     G: Fn(usize, usize) -> Vec<R> + Send + Sync,
 {
-    sort_cluster_with(cfg, |st, pe, p| ingest_input(st, &gen(pe, p)))
-}
-
-/// [`sort_cluster`] with the ingest step supplied by the caller:
-/// `ingest(st, pe, p)` puts PE `pe`'s input on its own storage `st`
-/// however it likes (e.g. streamed from a file by
-/// [`crate::fileio::ingest_file_shard`]) and returns the resulting
-/// [`LocalInput`].
-pub fn sort_cluster_with<R, I>(cfg: &SortConfig, ingest: I) -> Result<ClusterOutcome<R>>
-where
-    R: Record + Ord,
-    I: Fn(&PeStorage, usize, usize) -> Result<LocalInput> + Send + Sync,
-{
-    let p = cfg.machine.pes;
-    let storage =
-        ClusterStorage::new_mem_sized(&cfg.machine, cfg.algo.effective_pool_blocks(&cfg.machine));
-    let storage_ref = &storage;
-    let ingest = &ingest;
-    let results: Vec<Result<PeOutcome<R>>> = run_cluster(p, move |comm| {
-        let input = ingest(storage_ref.pe(comm.rank()), comm.rank(), p)?;
-        canonical_mergesort::<R>(&comm, storage_ref, cfg, input, cfg.machine.cores_per_pe)
-    });
-    let mut per_pe = Vec::with_capacity(p);
-    for r in results {
-        per_pe.push(r?);
-    }
-    let elements: u64 = per_pe.iter().map(|o| o.output.elems).sum();
-    let runs = per_pe.first().map_or(0, |o| o.runs);
-    let report = assemble_report(
-        cfg,
-        elements,
-        R::BYTES,
-        runs,
-        per_pe.iter().map(|o| o.phases.clone()).collect(),
-    );
+    let (report, per_pe, storage) = run_in_process(cfg, R::BYTES, |comm, storage| {
+        let (rank, p) = (comm.rank(), comm.size());
+        let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
+        let o = canonical_mergesort::<R>(&comm, storage, cfg, input, cfg.machine.cores_per_pe)?;
+        let report = RankReport {
+            rank,
+            elems: o.output.elems,
+            runs: o.runs,
+            phases: o.phases.clone(),
+            error: None,
+        };
+        Ok((report, o))
+    })?;
     Ok(ClusterOutcome { per_pe, report, storage })
 }
 

@@ -25,14 +25,14 @@
 //! Every failure is an [`Error::Io`] naming the file, the rank and the
 //! byte offset.
 //!
-//! [`sort_file`] is the whole local file-to-file sort in one call.
+//! The rank program that runs between the edges is
+//! [`run_rank_job`](crate::job::run_rank_job).
 
-use crate::canonical::sort_cluster_with;
 use crate::recio::{records_per_block, FinishedRun};
 use crate::runform::LocalInput;
-use crate::striped::{striped_sort_cluster_with, StripedRun};
+use crate::striped::StripedRun;
 use demsort_storage::{BlockId, PeStorage, Run, RunReader, RunWriter};
-use demsort_types::{ranks, Error, Record, Record100, Result, SortAlgo, SortConfig, SortReport};
+use demsort_types::{ranks, Error, Record, Result};
 use std::fs::File;
 use std::io::{self, IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -284,74 +284,19 @@ pub fn write_striped_blocks_to_file<K>(
     Ok(owned_elems)
 }
 
-/// Sort the SortBenchmark file `input` into `output` on the in-process
-/// cluster `cfg` describes (one thread per PE, [`MemBackend`] disks):
-/// every PE ingests its shard of the file, the cluster runs `algo`,
-/// and all PEs write their part of the output concurrently. `output`
-/// is created, or overwritten in place, only after the sort — so it
-/// may be the input file.
-///
-/// The edges stream in `O(window · B)` memory per PE; the in-memory
-/// disks still hold the data set itself.
-///
-/// [`MemBackend`]: demsort_storage::MemBackend
-pub fn sort_file(
-    cfg: &SortConfig,
-    algo: SortAlgo,
-    input: &Path,
-    output: &Path,
-) -> Result<SortReport> {
-    type R = Record100;
-    let total = file_records::<R>(input)?;
-    let file_bytes = total * R::BYTES as u64;
-    let ingest =
-        |st: &PeStorage, pe: usize, p: usize| ingest_file_shard::<R>(st, input, pe, p, total);
-    match algo {
-        SortAlgo::Canonical => {
-            let outcome = sort_cluster_with::<R, _>(cfg, ingest)?;
-            // PE `pe`'s output is global ranks `⌊pe·n/p⌋ ..`, so the
-            // outputs concatenate at the shard boundaries.
-            let p = outcome.per_pe.len();
-            each_pe(p, |pe| {
-                let out = &outcome.per_pe[pe].output;
-                let at = ranks::owned_range(pe, p, total).start * R::BYTES as u64;
-                write_run_to_file(outcome.storage.pe(pe), out, output, pe, file_bytes, at)
-            })?;
-            Ok(outcome.report)
-        }
-        SortAlgo::Striped => {
-            let outcome = striped_sort_cluster_with::<R, _>(cfg, ingest, None)?;
-            each_pe(outcome.per_pe.len(), |pe| {
-                let run = &outcome.per_pe[pe].output;
-                write_striped_blocks_to_file(outcome.storage.pe(pe), run, R::BYTES, output, pe)
-                    .map(|_| ())
-            })?;
-            Ok(outcome.report)
-        }
-    }
-}
-
-/// Run `f(pe)` for every PE on its own thread; the first error (in
-/// rank order) wins.
-fn each_pe(p: usize, f: impl Fn(usize) -> Result<()> + Sync) -> Result<()> {
-    let f = &f;
-    std::thread::scope(|s| {
-        let threads: Vec<_> = (0..p).map(|pe| s.spawn(move || f(pe))).collect();
-        threads
-            .into_iter()
-            .try_for_each(|t| t.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::canonical::sort_cluster;
+    use crate::job::{run_job_local, sort_file};
     use crate::recio::read_records;
     use crate::runform::ingest_input;
     use crate::striped::{read_striped, striped_sort_cluster};
     use demsort_storage::read_run;
-    use demsort_types::{AlgoConfig, MachineConfig};
+    use demsort_types::trace::{read_journal, validate_rank_journal};
+    use demsort_types::{
+        AlgoConfig, JobConfig, MachineConfig, Record100, SortAlgo, SortConfig, SortReport, TraceEv,
+    };
     use demsort_workloads::gensort_records;
     use std::path::PathBuf;
 
@@ -473,6 +418,17 @@ mod tests {
         }
     }
 
+    /// A rank's journal of a traced job validates and carries phase
+    /// spans and exactly one pool checkpoint.
+    fn check_journal(path: &Path, case: &str) {
+        let text = std::fs::read_to_string(path).expect("rank journal");
+        let journal = read_journal(&text).expect("journal parses");
+        validate_rank_journal(&journal).expect("journal invariants");
+        let count = |is: fn(&TraceEv) -> bool| journal.iter().filter(|r| is(&r.ev)).count();
+        assert!(count(|ev| matches!(ev, TraceEv::Phase { .. })) > 0, "{case}: phase spans");
+        assert_eq!(count(|ev| matches!(ev, TraceEv::PoolStats { .. })), 1, "{case}: pool events");
+    }
+
     #[test]
     fn sort_file_matches_the_materialising_sort() {
         let scratch = Scratch::new("sort");
@@ -504,6 +460,25 @@ mod tests {
                             want_report.comm_volume_over_n().to_bits(),
                             "{case}"
                         );
+                        if report.runs > 1 {
+                            // The external case once more, traced: same
+                            // bytes, and a worker's journal per rank.
+                            let trace = scratch.file("trace");
+                            let job = JobConfig {
+                                input: input.to_string_lossy().into_owned(),
+                                output: output.to_string_lossy().into_owned(),
+                                machine: m.clone(),
+                                algo: AlgoConfig::default(),
+                                algorithm: algo,
+                                read_timeout_ms: 1000,
+                                trace_dir: trace.to_string_lossy().into_owned(),
+                            };
+                            run_job_local(&job).expect("traced job");
+                            assert!(std::fs::read(&output).expect("read output") == want, "{case}");
+                            for rank in 0..p {
+                                check_journal(&trace.join(format!("rank{rank}.jsonl")), &case);
+                            }
+                        }
                     }
                 }
             }

@@ -19,7 +19,10 @@
 //! * [`canonical`] — the CANONICALMERGESORT driver (Figure 1);
 //! * [`striped`] — mergesort with global striping (Section III);
 //! * [`fileio`] — the file edges: streamed shard ingest, streamed
-//!   output, and the one-call local file sort;
+//!   output;
+//! * [`job`] — the rank program (ingest → sort → write-out) every
+//!   substrate runs, the in-process harness, and the one-call local
+//!   file sort;
 //! * [`baselines`] — comparison algorithms (NOW-Sort-style);
 //! * [`validate`] — distributed output validation.
 
@@ -30,6 +33,7 @@ pub mod ctx;
 pub mod distselect;
 pub mod extselect;
 pub mod fileio;
+pub mod job;
 pub mod localmerge;
 pub mod merge;
 pub mod pipeline;
@@ -43,20 +47,18 @@ pub mod seqsort;
 pub mod striped;
 pub mod validate;
 
-pub use canonical::{
-    canonical_mergesort, sort_cluster, sort_cluster_with, ClusterOutcome, PeOutcome,
-};
+pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
 pub use ctx::{
     BlockCache, BlockFetch, BlockStore, ClusterStorage, FetchSource, PendingBlock, PendingStore,
     RemoteBlockService, StoreTarget,
 };
 pub use distselect::{dist_select_rank, dist_split};
-pub use fileio::sort_file;
+pub use job::sort_file;
 pub use merge::{merge_k, par_merge_k_below_into, par_merge_k_into, LoserTree, ParMerge};
 pub use psort::parallel_sort;
 pub use selection::{multiway_select, SelectionResult};
 pub use seqsort::sort_in_node;
 pub use striped::{
     read_striped, read_striped_blocks, striped_mergesort, striped_mergesort_resilient,
-    striped_sort_cluster, striped_sort_cluster_with, ResilientHooks, StripedClusterOutcome,
+    striped_sort_cluster, ResilientHooks, StripedClusterOutcome,
 };

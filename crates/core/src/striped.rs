@@ -46,13 +46,15 @@
 //! blocks owned by peers are fetched over the wire in pipelined
 //! per-owner batches.
 
-use crate::ctx::{assemble_report, BlockFetch, ClusterStorage, PhaseRecorder};
+use crate::ctx::{BlockFetch, ClusterStorage, PhaseRecorder};
+use crate::job::run_in_process;
 use crate::merge::{merge_cpu, par_merge_k_below_traced_with_min, par_merge_k_traced_with_min};
 use crate::psort::{parallel_sort, parallel_sort_presorted};
 use crate::recio::records_per_block;
 use crate::runform::{ingest_input, LocalInput};
-use demsort_net::{chunked_alltoallv, run_cluster, Communicator, MPI_VOLUME_LIMIT};
+use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{duality_issue_order, BlockId, PeStorage};
+use demsort_types::wire::RankReport;
 use demsort_types::{
     CommCounters, CpuCounters, Error, Phase, PhaseStats, Record, Result, SortConfig, SortReport,
     TraceEv, Tracer,
@@ -409,19 +411,14 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
     }
     tr.end(merge_span, pev(Phase::FinalMerge));
 
-    // Checkpoint the buffer-pool counters: in steady state the journal
-    // shows hits climbing while misses stay flat (diagnostics only —
-    // hit/miss splits are timing-dependent, never an identity surface).
-    let pc = st.pool().counters();
-    tr.instant(TraceEv::PoolStats {
-        hits: pc.hits,
-        misses: pc.misses,
-        recycled: pc.recycled,
-        discarded: pc.discarded,
-        copied_bytes: pc.copied_bytes,
-    });
-
-    Ok(StripedOutcome { output, runs: num_runs, passes, cpu, phases: rec.into_stats(), pool: pc })
+    Ok(StripedOutcome {
+        output,
+        runs: num_runs,
+        passes,
+        cpu,
+        phases: rec.into_stats(),
+        pool: st.pool().counters(),
+    })
 }
 
 /// Run the merge passes over `runs` until one run remains. Collective
@@ -1088,10 +1085,10 @@ pub struct StripedClusterOutcome<R: Record> {
     pub storage: Arc<ClusterStorage>,
 }
 
-/// Convenience driver for the in-process cluster: spin up
-/// `cfg.machine.pes` PE threads, generate and ingest each PE's input
-/// via `gen(pe, p)`, run the striped mergesort, and aggregate the
-/// report — the striped sibling of
+/// Convenience driver for the in-process cluster
+/// ([`run_in_process`]): generate and ingest each PE's input via
+/// `gen(pe, p)`, run the striped mergesort, and aggregate the report —
+/// the striped sibling of
 /// [`sort_cluster`](crate::canonical::sort_cluster).
 pub fn striped_sort_cluster<R, G>(
     cfg: &SortConfig,
@@ -1102,51 +1099,27 @@ where
     R: Record + Ord,
     G: Fn(usize, usize) -> Vec<R> + Send + Sync,
 {
-    striped_sort_cluster_with(cfg, |st, pe, p| ingest_input(st, &gen(pe, p)), k_max)
-}
-
-/// [`striped_sort_cluster`] with the ingest step supplied by the
-/// caller — the striped sibling of
-/// [`sort_cluster_with`](crate::canonical::sort_cluster_with).
-pub fn striped_sort_cluster_with<R, I>(
-    cfg: &SortConfig,
-    ingest: I,
-    k_max: Option<usize>,
-) -> Result<StripedClusterOutcome<R>>
-where
-    R: Record + Ord,
-    I: Fn(&PeStorage, usize, usize) -> Result<LocalInput> + Send + Sync,
-{
-    let p = cfg.machine.pes;
-    let storage =
-        ClusterStorage::new_mem_sized(&cfg.machine, cfg.algo.effective_pool_blocks(&cfg.machine));
-    let storage_ref = &storage;
-    let ingest = &ingest;
-    let results: Vec<Result<StripedOutcome<R>>> = run_cluster(p, move |comm| {
-        let input = ingest(storage_ref.pe(comm.rank()), comm.rank(), p)?;
-        striped_mergesort::<R>(&comm, storage_ref, cfg, input, cfg.machine.cores_per_pe, k_max)
-    });
-    let mut per_pe = Vec::with_capacity(p);
-    for r in results {
-        per_pe.push(r?);
-    }
-    // The striped output is global, so the element count is any PE's
-    // view of it (identical everywhere), not a per-PE sum.
-    let elements = per_pe.first().map_or(0, |o| o.output.elems);
-    let runs = per_pe.first().map_or(0, |o| o.runs);
-    let report = assemble_report(
-        cfg,
-        elements,
-        R::BYTES,
-        runs,
-        per_pe.iter().map(|o| o.phases.clone()).collect(),
-    );
+    let (report, per_pe, storage) = run_in_process(cfg, R::BYTES, |comm, storage| {
+        let (rank, p) = (comm.rank(), comm.size());
+        let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
+        let cores = cfg.machine.cores_per_pe;
+        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, k_max)?;
+        // The striped output is global; a rank's share of it is the
+        // records in the blocks it owns.
+        let blocks = o.output.owners.iter().zip(&o.output.counts);
+        let elems =
+            blocks.filter(|&(&owner, _)| owner as usize == rank).map(|(_, &n)| n as u64).sum();
+        let report =
+            RankReport { rank, elems, runs: o.runs, phases: o.phases.clone(), error: None };
+        Ok((report, o))
+    })?;
     Ok(StripedClusterOutcome { per_pe, report, storage })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demsort_net::run_cluster;
     use demsort_types::{AlgoConfig, Element16, MachineConfig};
     use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
 

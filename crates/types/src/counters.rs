@@ -40,7 +40,7 @@ impl Phase {
     }
 
     /// Stable snake_case key used in machine-readable output (trace
-    /// journals, `BENCH_striped.json`).
+    /// journals, the `benchmark/` reports).
     pub fn key(&self) -> &'static str {
         match self {
             Phase::RunFormation => "run_formation",

@@ -2,8 +2,8 @@
 //! reader.
 //!
 //! The suite emits machine-readable output in two places — the
-//! `BENCH_striped.json` benchmark summary and the per-rank trace
-//! journals of [`crate::trace`] — and `demsort-trace` reads the
+//! per-rank trace journals of [`crate::trace`] and the `benchmark/`
+//! harness's reports — and `demsort-trace` and the harness read the
 //! journals back. Both sides go through this module so a string that
 //! was emitted always parses back to the same value (escaping is
 //! centralized and round-trip tested), without pulling a serde stack

@@ -69,7 +69,7 @@
 //! ```
 
 pub use demsort_core as core;
-pub use demsort_core::fileio::sort_file;
+pub use demsort_core::sort_file;
 pub use demsort_net as net;
 pub use demsort_simcost as simcost;
 pub use demsort_storage as storage;
