@@ -4,14 +4,17 @@
 //! ```text
 //! demsort-launch [--ranks P] [--mem-mib M] [--block-kib K] [--disks D]
 //!                [--seed S] [--comm-timeout MS] [--cores C]
-//!                [--worker-bin PATH] INPUT OUTPUT
+//!                [--scratch DIR] [--worker-bin PATH] INPUT OUTPUT
 //! ```
 //!
 //! Spawns `P` `demsort-worker` processes, rendezvouses them over a
 //! loopback coordinator port, distributes the job, and aggregates the
 //! per-rank reports. The workers run the identical SPMD code path as
 //! `sortfile`'s in-process cluster — same algorithms, same counters —
-//! so the two modes are directly comparable.
+//! so the two modes are directly comparable. Each worker keeps its
+//! blocks in files under `--scratch DIR` (default `OUTPUT.scratch`,
+//! `DIR/rank<K>/disk_<D>.bin`) and removes them when it is done; the
+//! launcher sweeps what a killed worker leaves.
 //!
 //! On failure the exit code is non-zero and the error names the failed
 //! rank(s): a rank that died without reporting (crash, SIGKILL) leads
@@ -41,7 +44,7 @@ fn main() {
         die("usage: demsort-launch [flags] INPUT OUTPUT (see --help)");
     };
 
-    let job = cli.job(input, output);
+    let job = cli.checked_job(BIN, input, output);
     let worker = cli.worker(BIN);
     launch_and_report(BIN, &job, &worker)
 }

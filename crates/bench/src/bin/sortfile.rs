@@ -4,17 +4,19 @@
 //! sortfile [--transport local|tcp] [--algo canonical|striped]
 //!          [--pes P] [--mem-mib M] [--block-kib K] [--disks D]
 //!          [--seed S] [--comm-timeout MS] [--cores C] [--trace DIR]
-//!          [--worker-bin PATH] INPUT OUTPUT
+//!          [--scratch DIR] [--worker-bin PATH] INPUT OUTPUT
 //! ```
 //!
 //! The file is split evenly over `P` PEs and sorted; OUTPUT is
 //! globally sorted either way. `--mem-mib` is the memory each PE sorts
 //! with, so a file larger than `P × M` takes the external path: several
-//! runs, ≈ 4 N of block I/O. The file edges stream — each PE reads its
-//! shard into pooled blocks and writes its part of OUTPUT from them in
-//! `O(window · B)` memory, all PEs at once — but the "disks" behind the
-//! sort are in-memory (`MemBackend`), so the process still holds the
-//! data set once: this binary does not yet sort files larger than RAM.
+//! runs, ≈ 4 N of block I/O. That I/O is real: the file edges stream —
+//! each PE reads its shard into pooled blocks and writes its part of
+//! OUTPUT from them in `O(window · B)` memory, all PEs at once — and
+//! the disks behind the sort are files, `DIR/rank<K>/disk_<D>.bin`
+//! under `--scratch DIR` (default `OUTPUT.scratch`; about the input's
+//! size, removed when the sort ends), so the process's memory follows
+//! `--mem-mib`, not the file.
 //!
 //! `--algo` selects the paper's algorithm: `canonical`
 //! (CANONICALMERGESORT, Section IV — per-PE outputs concatenate into
@@ -66,10 +68,7 @@ fn main() {
 
     match transport.as_str() {
         "local" => {
-            let job = cli.job(input, output);
-            // A flag value the job rejects is a usage error (exit 2),
-            // like a flag nobody knows; a failed sort exits 1.
-            job.validate().unwrap_or_else(|e| die(&e.to_string()));
+            let job = cli.checked_job(BIN, input, output);
             eprintln!(
                 "{}-sorting {input} on {} in-process PEs ({} each)",
                 job.algorithm,
@@ -85,7 +84,7 @@ fn main() {
             }
         }
         "tcp" => {
-            let job = cli.job(input, output);
+            let job = cli.checked_job(BIN, input, output);
             let worker = cli.worker(BIN);
             launch_and_report(BIN, &job, &worker)
         }

@@ -20,8 +20,11 @@
 //! owning into its byte ranges of the shared output file. Any file
 //! failure is an `Error::Io` naming the path, the rank and the byte
 //! offset, shipped to the launcher like every other failure. The
-//! rank's "disks" are a [`MemBackend`], so a worker still holds its
-//! `N/P` share of the data in memory for the sort itself.
+//! rank's disks are the files [`rank_backend`] creates under the job's
+//! scratch directory (`SCRATCH/rank<K>/disk_<D>.bin`), so a worker's
+//! memory follows `--mem-mib`, not its `N/P` share of the data. A rank
+//! removes its files when it is done, however it ends; the launcher
+//! sweeps what a killed rank could not ([`LaunchControl`]'s drop).
 //!
 //! ## Failure model
 //!
@@ -63,11 +66,14 @@
 use demsort_core::ctx::{
     BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore, RemoteBlockService,
 };
-use demsort_core::job::{cluster_report, rank_tracer, run_rank_job};
+use demsort_core::job::{
+    cluster_report, default_scratch, probe_scratch, rank_backend, rank_tracer, run_rank_job,
+    sweep_scratch,
+};
 use demsort_core::striped::ResilientHooks;
 use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport, WireFetch, WireStore};
 use demsort_net::{Communicator, SubTransport, Transport as _};
-use demsort_storage::{BlockId, DiskModel, MemBackend, PeStorage};
+use demsort_storage::{BlockId, DiskModel, PeStorage};
 use demsort_types::wire::{
     decode_job, decode_progress, decode_rank_report, encode_job, encode_progress,
     encode_rank_report, RankReport, WireReader, WireWriter,
@@ -278,6 +284,11 @@ pub fn run_rank(
         )));
     }
 
+    // This rank's disks, before anything that can fail for a peer's
+    // sake: the guard is declared first so it drops last, and the
+    // rank's scratch files go whichever way this function returns.
+    let (backend, _scratch) = rank_backend(job, rank)?;
+
     let opts = TcpOptions {
         read_timeout: Duration::from_millis(job.read_timeout_ms),
         ..TcpOptions::default()
@@ -285,10 +296,11 @@ pub fn run_rank(
     let tcp = TcpTransport::connect_mesh(rank, addrs, listener, opts)?;
     tcp.set_tracer(tracer.clone());
 
-    // One rank's storage: same in-memory multi-disk engine as the
-    // in-process cluster, so counters are comparable run-for-run. The
-    // block-buffer pool is shared with the transport so wire frames
-    // recycle the same buffers the disk path uses.
+    // One rank's storage: the same multi-disk engine over the same
+    // kind of disks as the in-process cluster, so counters are
+    // comparable run-for-run. The block-buffer pool is shared with the
+    // transport so wire frames recycle the same buffers the disk path
+    // uses.
     let pool = demsort_types::BufferPool::new(
         job.machine.block_bytes,
         job.algo.effective_pool_blocks(&job.machine),
@@ -298,7 +310,7 @@ pub fn run_rank(
         job.machine.disks_per_pe,
         job.machine.block_bytes,
         DiskModel::paper(),
-        Arc::new(MemBackend::new(job.machine.disks_per_pe)),
+        backend,
         pool,
     );
     let storage = ClusterStorage::single_traced(
@@ -569,13 +581,19 @@ fn classify_report(rank: usize, body: &[u8]) -> RankOutcome {
 /// shipped. Used directly by failure-injection tests (which kill a
 /// worker mid-sort) and by [`launch`] (which immediately collects).
 ///
-/// Dropping the control kills and reaps any children not yet reaped.
+/// Dropping the control kills and reaps any children not yet reaped,
+/// then sweeps the job's scratch directory: a rank removes its own
+/// files on every exit it lives through, and this removes those of a
+/// rank that was killed.
 pub struct LaunchControl {
     children: Vec<std::process::Child>,
     conns: Vec<TcpStream>,
     /// OS pid per rank (reported in each worker's JOIN).
     pids: Vec<u32>,
     collect_deadline: Instant,
+    /// The job's scratch directory and rank count, for the sweep.
+    scratch: String,
+    ranks: usize,
 }
 
 impl LaunchControl {
@@ -715,6 +733,7 @@ impl Drop for LaunchControl {
             // verify: allow(L2, reaping an already-killed child in Drop — the exit status is meaningless here)
             let _ = c.wait();
         }
+        sweep_scratch(&self.scratch, 0..self.ranks);
     }
 }
 
@@ -795,12 +814,15 @@ pub fn launch_workers_env(
     let coord_addr = coordinator.local_addr().map_err(|e| Error::comm(e.to_string()))?;
     coordinator.set_nonblocking(true).map_err(|e| Error::comm(e.to_string()))?;
 
-    // Spawn all workers; children are killed and reaped by the
-    // LaunchControl's Drop on any later failure, so none leak.
+    // Spawn all workers; children are killed and reaped (and the
+    // scratch directory swept) by the LaunchControl's Drop on any later
+    // failure, so nothing leaks.
     let mut ctl = LaunchControl {
         children: Vec::with_capacity(p),
         conns: Vec::new(),
         pids: Vec::new(),
+        scratch: job.scratch.clone(),
+        ranks: p,
         // A dying worker closes its socket (read error, not a hang); a
         // wedged-but-alive worker is cut off by a deadline scaled from
         // the job's transport timeout — a legitimately long sort
@@ -943,6 +965,10 @@ pub struct TcpJobCli {
     /// JSONL event journal `rank<K>.jsonl` under it and streams live
     /// progress frames to the launcher. Empty/`None` disables tracing.
     pub trace_dir: Option<String>,
+    /// Scratch directory (`--scratch DIR`): where the ranks keep the
+    /// blocks being sorted, as `DIR/rank<K>/disk_<D>.bin`. `None` puts
+    /// it next to the output ([`default_scratch`]).
+    pub scratch: Option<String>,
 }
 
 impl Default for TcpJobCli {
@@ -960,6 +986,7 @@ impl Default for TcpJobCli {
             pool_blocks: 0,
             worker_bin: None,
             trace_dir: None,
+            scratch: None,
         }
     }
 }
@@ -982,7 +1009,10 @@ impl TcpJobCli {
          from --mem-mib)\n  \
          --worker-bin PATH explicit demsort-worker binary\n  \
          --trace DIR       write per-rank JSONL event journals under DIR and stream live \
-         progress";
+         progress\n  \
+         --scratch DIR     keep the blocks being sorted under DIR, as DIR/rank<K>/disk_<D>.bin \
+         (default: OUTPUT.scratch). Needs about the input's size on that device (one more per \
+         --replication); plain buffered files, not durable, removed when the job ends";
 
     /// Consume `flag` if it is one of the shared job flags (pulling its
     /// value from `args`); returns `false` for flags the bin must
@@ -1011,6 +1041,7 @@ impl TcpJobCli {
             "--pool-blocks" => self.pool_blocks = cli_parse(bin, &next(flag), "pool-blocks"),
             "--worker-bin" => self.worker_bin = Some(next(flag)),
             "--trace" => self.trace_dir = Some(next(flag)),
+            "--scratch" => self.scratch = Some(next(flag)),
             _ => return false,
         }
         true
@@ -1049,7 +1080,20 @@ impl TcpJobCli {
             algorithm: self.algorithm,
             read_timeout_ms: self.comm_timeout_ms,
             trace_dir: self.trace_dir.clone().unwrap_or_default(),
+            scratch: self.scratch.clone().unwrap_or_else(|| default_scratch(output)),
         }
+    }
+
+    /// [`TcpJobCli::job`] for a bin about to run it: a flag value the
+    /// job rejects or a scratch directory it cannot use is a usage
+    /// error (exit 2) before any rank starts, like a flag nobody knows;
+    /// a sort that fails later exits 1.
+    pub fn checked_job(&self, bin: &str, input: &str, output: &str) -> JobConfig {
+        let job = self.job(input, output);
+        job.validate()
+            .and_then(|()| probe_scratch(&job))
+            .unwrap_or_else(|e| cli_die(bin, &e.to_string()));
+        job
     }
 
     /// Resolve the worker binary: the explicit `--worker-bin` path or
@@ -1156,6 +1200,8 @@ mod tests {
             conns,
             pids: vec![0; n],
             collect_deadline: Instant::now() + Duration::from_secs(30),
+            scratch: String::new(),
+            ranks: n,
         };
 
         let report = |rank: usize| RankReport {
@@ -1221,6 +1267,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         // Rejected before any worker spawns (the bogus worker path is
         // never exercised) and before the output truncate.
@@ -1242,6 +1289,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         let err = run_rank(0, &[], listener, &job, Tracer::off()).expect_err("empty address table");
         assert!(err.to_string().contains("address table"), "{err}");
@@ -1257,6 +1305,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         let outcomes = vec![
             RankOutcome::Failed("communication error: recv from rank 1: timed out".into()),
@@ -1295,6 +1344,8 @@ mod tests {
             "2",
             "--pool-blocks",
             "12",
+            "--scratch",
+            "/mnt/fast/scr",
         ]
         .iter()
         .map(|s| s.to_string());
@@ -1314,6 +1365,10 @@ mod tests {
         assert_eq!(job.machine.cores_per_pe, 2, "--cores overrides the derived default");
         assert_eq!(job.algo.pool_blocks, 12, "--pool-blocks reaches the algo config");
         assert_eq!(job.algo.effective_pool_blocks(&job.machine), 12);
+        assert_eq!(job.scratch, "/mnt/fast/scr", "--scratch names another device");
+        // Without --scratch the blocks go next to the output; there is
+        // no spelling that keeps them in memory.
+        assert_eq!(TcpJobCli::default().job("a.dat", "out/b.dat").scratch, "out/b.dat.scratch");
         // Without --cores the default splits the host over the ranks.
         let derived = TcpJobCli { ranks: 3, ..TcpJobCli::default() }.machine().cores_per_pe;
         let host = std::thread::available_parallelism().map_or(1, |c| c.get());

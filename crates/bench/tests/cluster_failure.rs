@@ -22,6 +22,7 @@
 use demsort_bench::procs::{
     launch, launch_workers, launch_workers_env, summarize_outcomes, RankOutcome,
 };
+use demsort_core::job::default_scratch;
 use demsort_types::{AlgoConfig, JobConfig, MachineConfig, Record as _, Record100, SortAlgo};
 use demsort_workloads::gensort_records;
 use std::io::Write;
@@ -70,6 +71,7 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
         algorithm: SortAlgo::default(),
         read_timeout_ms: COMM_TIMEOUT_MS,
         trace_dir: String::new(),
+        scratch: default_scratch(&output.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
 
@@ -129,7 +131,11 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
         "dead rank leads the diagnostics: {msg}"
     );
 
-    drop(ctl); // reaps the surviving workers
+    // Reaps the surviving workers and sweeps the scratch directory: the
+    // survivors removed their own files on the way out, the victim
+    // could not.
+    drop(ctl);
+    assert!(!Path::new(&job.scratch).exists(), "{} must be gone", job.scratch);
     for p in [&input, &output] {
         let _ = std::fs::remove_file(p);
     }
@@ -163,6 +169,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: COMM_TIMEOUT_MS,
         trace_dir: String::new(),
+        scratch: default_scratch(&output_ref.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
 
@@ -172,6 +179,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     assert_eq!(reference.report.elements as usize, RECORDS);
     let ref_bytes = std::fs::read(&output_ref).expect("read reference output");
     assert_eq!(ref_bytes.len(), RECORDS * Record100::BYTES);
+    assert!(!Path::new(&job.scratch).exists(), "{} must be gone", job.scratch);
 
     // Failure run: arm the merge-start harness so every rank drops a
     // marker file when it reaches the merge phase and then stalls,
@@ -180,6 +188,7 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     let marker_dir = tmp_path("repl-markers");
     std::fs::create_dir_all(&marker_dir).expect("create marker dir");
     job.output = output.to_string_lossy().into_owned();
+    job.scratch = default_scratch(&job.output);
     let envs = [
         ("DEMSORT_MERGE_START_MARKER_DIR", marker_dir.to_string_lossy().into_owned()),
         ("DEMSORT_MERGE_START_STALL_MS", "1500".to_string()),
@@ -232,7 +241,10 @@ fn sigkill_mid_merge_with_replication_survivors_finish_byte_identical() {
     }
     assert_eq!(out_bytes, ref_bytes, "degraded output must be byte-identical to undisturbed run");
 
+    // The victim's disks — run blocks and its peers' replicas — went
+    // down with it; the launcher sweeps them once it has reaped it.
     drop(ctl);
+    assert!(!Path::new(&job.scratch).exists(), "{} must be gone", job.scratch);
     let _ = std::fs::remove_dir_all(&marker_dir);
     for p in [&input, &output, &output_ref] {
         let _ = std::fs::remove_file(p);

@@ -11,6 +11,7 @@
 //! the comparison is exact on every counter.
 
 use demsort_bench::procs::launch;
+use demsort_core::job::default_scratch;
 use demsort_core::merge::merge_work;
 use demsort_core::striped::{read_striped, striped_sort_cluster};
 use demsort_core::validate::hash_record;
@@ -110,6 +111,7 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch: default_scratch(&out_tcp.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("striped tcp launch");
@@ -235,6 +237,7 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch: default_scratch(&out_tcp.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("striped tcp launch (cores = 4)");

@@ -9,6 +9,7 @@
 
 use demsort_bench::procs::launch;
 use demsort_core::canonical::sort_cluster;
+use demsort_core::job::default_scratch;
 use demsort_core::recio::read_records;
 use demsort_core::validate::hash_record;
 use demsort_types::{
@@ -108,11 +109,13 @@ fn four_rank_tcp_launch_matches_in_process_run() {
         algorithm: SortAlgo::Canonical,
         read_timeout_ms: 60_000,
         trace_dir: String::new(),
+        scratch: default_scratch(&out_tcp.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let tcp = launch(&job, &worker).expect("tcp launch");
     assert_eq!(tcp.per_rank.len(), RANKS);
     assert!(tcp.report.runs > 1, "test must exercise the external path (R > 1)");
+    assert!(!Path::new(&job.scratch).exists(), "the workers' scratch files must be gone");
 
     // --- in-process reference run ---
     let local_report = sort_in_process(&input, &out_local);
@@ -183,11 +186,13 @@ fn launch_surfaces_worker_failure() {
         algorithm: SortAlgo::Canonical,
         read_timeout_ms: 10_000,
         trace_dir: String::new(),
+        scratch: default_scratch(&out.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let err = launch(&job, &worker).expect_err("bad input must fail the launch");
     let msg = err.to_string();
     assert!(msg.contains("failed") || msg.contains("exited"), "useful error: {msg}");
+    assert!(!Path::new(&job.scratch).exists(), "a failed launch leaves no scratch files");
     for p in [&input, &out] {
         let _ = std::fs::remove_file(p);
     }

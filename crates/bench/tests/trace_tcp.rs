@@ -8,6 +8,7 @@
 //! cluster-chronological and the Chrome export valid JSON.
 
 use demsort_bench::procs::launch;
+use demsort_core::job::default_scratch;
 use demsort_types::json::Json;
 use demsort_types::trace::{
     chrome_trace, merge_journals, read_journal, validate_rank_journal, TraceEv, TraceOp,
@@ -66,6 +67,7 @@ fn four_rank_traced_run_produces_valid_journals() {
         algorithm: SortAlgo::Striped,
         read_timeout_ms: 60_000,
         trace_dir: trace_dir.to_string_lossy().into_owned(),
+        scratch: default_scratch(&output.to_string_lossy()),
     };
     let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
     let outcome = launch(&job, &worker).expect("traced striped tcp launch");

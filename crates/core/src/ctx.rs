@@ -203,37 +203,43 @@ impl ClusterStorage {
     }
 
     /// [`ClusterStorage::new_mem`] with an explicit per-PE block-buffer
-    /// pool capacity — what the sort entrypoints use to honor
+    /// pool capacity — what generator-fed sorts use to honor
     /// [`demsort_types::AlgoConfig::pool_blocks`]; `new_mem` itself
     /// always applies the auto policy.
     pub fn new_mem_sized(cfg: &MachineConfig, pool_blocks: usize) -> Arc<Self> {
-        Self::build(cfg, pool_blocks, |c| Arc::new(MemBackend::new(c.disks_per_pe)))
+        let mem = |_| Arc::new(MemBackend::new(cfg.disks_per_pe)) as Arc<dyn Backend>;
+        Self::with_rank_backends(cfg, pool_blocks, (0..cfg.pes).map(mem).collect())
     }
 
     /// Storage with a custom backend per PE (files, fault injection).
     pub fn with_backends(
         cfg: &MachineConfig,
-        make: impl FnMut(&MachineConfig) -> Arc<dyn Backend>,
+        mut make: impl FnMut(&MachineConfig) -> Arc<dyn Backend>,
     ) -> Arc<Self> {
         // Each PE gets a buffer pool sized to its memory budget (the
         // auto policy of `AlgoConfig::effective_pool_blocks`), so the
         // steady-state data plane recycles instead of allocating.
         let pool_blocks = cfg.mem_blocks_per_pe().max(cfg.min_pool_blocks());
-        Self::build(cfg, pool_blocks, make)
+        Self::with_rank_backends(cfg, pool_blocks, (0..cfg.pes).map(|_| make(cfg)).collect())
     }
 
-    fn build(
+    /// Storage over `backends[rank]` for every rank of the cluster,
+    /// each PE with a block-buffer pool of `pool_blocks` — how a file
+    /// job's storage is assembled from
+    /// [`rank_backend`](crate::job::rank_backend).
+    pub fn with_rank_backends(
         cfg: &MachineConfig,
         pool_blocks: usize,
-        mut make: impl FnMut(&MachineConfig) -> Arc<dyn Backend>,
+        backends: Vec<Arc<dyn Backend>>,
     ) -> Arc<Self> {
-        let pes: Vec<PeStorage> = (0..cfg.pes)
-            .map(|_| {
+        let pes: Vec<PeStorage> = backends
+            .into_iter()
+            .map(|backend| {
                 PeStorage::with_backend_pool(
                     cfg.disks_per_pe,
                     cfg.block_bytes,
                     DiskModel::paper(),
-                    make(cfg),
+                    backend,
                     demsort_types::BufferPool::new(cfg.block_bytes, pool_blocks),
                 )
             })

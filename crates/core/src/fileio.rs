@@ -32,9 +32,10 @@ use crate::recio::{records_per_block, FinishedRun};
 use crate::runform::LocalInput;
 use crate::striped::StripedRun;
 use demsort_storage::{BlockId, PeStorage, Run, RunReader, RunWriter};
+use demsort_types::fio::{self, Stopped};
 use demsort_types::{ranks, Error, Record, Result};
 use std::fs::File;
-use std::io::{self, IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
+use std::io::{IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// Fewest bytes an edge moves per read/write system call, short of the
@@ -76,54 +77,37 @@ impl<'a> RankFile<'a> {
         Ok(Self { file, path, rank, pos: 0 })
     }
 
-    fn fail(&self, what: &str, e: io::Error) -> Error {
-        Error::io(format!(
-            "rank {}: {what} {} at byte {}: {e}",
-            self.rank,
-            self.path.display(),
-            self.pos
-        ))
+    /// The failure of `op` that stopped `stopped.done` bytes past the
+    /// descriptor's position.
+    fn fail(&self, op: &str, stopped: Stopped) -> Error {
+        let at = stopped.describe(op, self.path.display(), self.pos);
+        Error::io(format!("rank {}: {at}", self.rank))
     }
 
     fn seek(&mut self, at: u64) -> Result<()> {
         if self.pos != at {
-            self.file.seek(SeekFrom::Start(at)).map_err(|e| self.fail("seek", e))?;
+            self.file
+                .seek(SeekFrom::Start(at))
+                .map_err(|cause| self.fail("seek", Stopped { done: 0, cause }))?;
             self.pos = at;
         }
         Ok(())
     }
 
-    /// Fill every buffer from the current position (`read_exact`,
-    /// vectored): a file that ends early is an error.
-    fn read_exact_vectored(&mut self, mut bufs: &mut [IoSliceMut<'_>]) -> Result<()> {
-        while !bufs.is_empty() {
-            match self.file.read_vectored(bufs) {
-                Ok(0) => return Err(self.fail("read", io::ErrorKind::UnexpectedEof.into())),
-                Ok(n) => {
-                    self.pos += n as u64;
-                    IoSliceMut::advance_slices(&mut bufs, n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(self.fail("read", e)),
-            }
-        }
+    /// Fill every buffer from the current position: a file that ends
+    /// early is an error.
+    fn read_exact_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> Result<()> {
+        let moved = fio::read_exact(bufs, |bufs, _| (&self.file).read_vectored(bufs))
+            .map_err(|stopped| self.fail("read", stopped))?;
+        self.pos += moved;
         Ok(())
     }
 
-    /// Write every buffer at the current position (`write_all`,
-    /// vectored).
-    fn write_all_vectored(&mut self, mut bufs: &mut [IoSlice<'_>]) -> Result<()> {
-        while !bufs.is_empty() {
-            match self.file.write_vectored(bufs) {
-                Ok(0) => return Err(self.fail("write", io::ErrorKind::WriteZero.into())),
-                Ok(n) => {
-                    self.pos += n as u64;
-                    IoSlice::advance_slices(&mut bufs, n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(self.fail("write", e)),
-            }
-        }
+    /// Write every buffer at the current position.
+    fn write_all_vectored(&mut self, bufs: &mut [IoSlice<'_>]) -> Result<()> {
+        let moved = fio::write_all(bufs, |bufs, _| (&self.file).write_vectored(bufs))
+            .map_err(|stopped| self.fail("write", stopped))?;
+        self.pos += moved;
         Ok(())
     }
 }
@@ -461,8 +445,9 @@ mod tests {
                             "{case}"
                         );
                         if report.runs > 1 {
-                            // The external case once more, traced: same
-                            // bytes, and a worker's journal per rank.
+                            // The external case once more, traced and
+                            // with the disks in memory: same bytes, and
+                            // a worker's journal per rank.
                             let trace = scratch.file("trace");
                             let job = JobConfig {
                                 input: input.to_string_lossy().into_owned(),
@@ -472,6 +457,7 @@ mod tests {
                                 algorithm: algo,
                                 read_timeout_ms: 1000,
                                 trace_dir: trace.to_string_lossy().into_owned(),
+                                scratch: String::new(),
                             };
                             run_job_local(&job).expect("traced job");
                             assert!(std::fs::read(&output).expect("read output") == want, "{case}");

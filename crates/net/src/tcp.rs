@@ -36,7 +36,7 @@
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use demsort_types::trace::TraceEv;
-use demsort_types::{wire, BufferPool, Error, Result, Tracer};
+use demsort_types::{fio, wire, BufferPool, Error, Result, Tracer};
 use std::collections::HashMap;
 use std::io::{BufWriter, ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -149,29 +149,16 @@ impl PeerLink {
         let header = frame_header(kind, len);
         let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(parts.len() + 1);
         slices.push(IoSlice::new(&header));
-        // Zero-length slices are skipped: a fully-written vectored call
-        // must leave the slice list empty, and `advance_slices` only
-        // drops slices it advances *through*.
-        slices.extend(parts.iter().filter(|p| !p.is_empty()).map(|p| IoSlice::new(p)));
-        let mut slices = &mut slices[..];
-        while !slices.is_empty() {
-            match w.write_vectored(slices) {
-                Ok(0) => {
-                    return Err(Error::comm(format!(
-                        "send to rank {}: connection closed mid-frame",
-                        self.peer
-                    )));
+        slices.extend(parts.iter().map(|p| IoSlice::new(p)));
+        fio::write_all(&mut slices, |bufs, _| w.write_vectored(bufs)).map_err(|stopped| {
+            let peer = self.peer;
+            match stopped.cause.kind() {
+                ErrorKind::WriteZero => {
+                    Error::comm(format!("send to rank {peer}: connection closed mid-frame"))
                 }
-                Ok(n) => IoSlice::advance_slices(&mut slices, n),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    return Err(Error::comm(format!(
-                        "send to rank {}: write failed: {e}",
-                        self.peer
-                    )));
-                }
+                _ => Error::comm(format!("send to rank {peer}: write failed: {}", stopped.cause)),
             }
-        }
+        })?;
         self.dirty.store(true, Ordering::Release);
         self.wire_sent.fetch_add((header.len() + len) as u64, Ordering::Relaxed);
         Ok(())

@@ -321,6 +321,12 @@ pub struct JobConfig {
     /// `<trace_dir>/rank<K>.jsonl` and streams coarse progress frames
     /// to the launcher; the directory must exist on every worker host.
     pub trace_dir: String,
+    /// Directory for the sort's blocks (empty = keep them in memory,
+    /// what tests and generator-fed sorts do). Rank `K`'s disk `D` is
+    /// the file `<scratch>/rank<K>/disk_<D>.bin`: buffered, never
+    /// synced — the disk bounds memory, it does not make the sort
+    /// durable — and removed when the rank is done with it.
+    pub scratch: String,
 }
 
 impl JobConfig {
@@ -365,6 +371,7 @@ mod tests {
             algorithm: SortAlgo::default(),
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         job.validate().expect("valid");
         job.read_timeout_ms = 0;
@@ -435,6 +442,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         assert!(job.validate().is_err(), "2 replicas on 2 PEs");
         job.algo.replication = 1;
@@ -459,6 +467,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 1000,
             trace_dir: String::new(),
+            scratch: String::new(),
         };
         assert!(matches!(job.validate(), Err(Error::Config(m)) if m.contains("pool_blocks")));
         job.algo.pool_blocks = 6;

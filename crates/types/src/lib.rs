@@ -17,12 +17,15 @@
 //! * [`PhaseStats`] and friends — per-PE, per-phase I/O, communication,
 //!   and CPU counters that the cost model turns into cluster times,
 //! * rank arithmetic for the canonical output format (PE `i` holds the
-//!   elements of global ranks `i·N/P .. (i+1)·N/P`).
+//!   elements of global ranks `i·N/P .. (i+1)·N/P`),
+//! * [`fio`] — the write-all / read-exact transfer loops the file
+//!   edges, the file-backed disks and the socket frames share.
 
 pub mod buf;
 pub mod config;
 pub mod counters;
 pub mod error;
+pub mod fio;
 pub mod fmtsize;
 pub mod json;
 pub mod ranks;

@@ -208,7 +208,7 @@ pub fn encode_job(job: &JobConfig) -> Vec<u8> {
     encode_algo(&mut w, &job.algo);
     w.u8(algo_tag(job.algorithm));
     w.u64(job.read_timeout_ms);
-    w.string(&job.trace_dir);
+    w.string(&job.trace_dir).string(&job.scratch);
     w.finish()
 }
 
@@ -223,6 +223,7 @@ pub fn decode_job(buf: &[u8]) -> Result<JobConfig> {
         algorithm: algo_from_tag(r.u8()?)?,
         read_timeout_ms: r.u64()?,
         trace_dir: r.string()?,
+        scratch: r.string()?,
     })
 }
 
@@ -533,6 +534,7 @@ mod tests {
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 12_345,
             trace_dir: "/tmp/trace".to_string(),
+            scratch: "/tmp/out.dat.scratch".to_string(),
         };
         let decoded = decode_job(&encode_job(&job)).expect("decode");
         assert_eq!(decoded.input, job.input);
@@ -542,6 +544,7 @@ mod tests {
         assert_eq!(decoded.algorithm, SortAlgo::Striped);
         assert_eq!(decoded.read_timeout_ms, 12_345);
         assert_eq!(decoded.trace_dir, "/tmp/trace");
+        assert_eq!(decoded.scratch, "/tmp/out.dat.scratch");
     }
 
     #[test]
@@ -684,6 +687,7 @@ mod tests {
                 algorithm: SortAlgo::default(),
                 read_timeout_ms: 1234,
                 trace_dir: "/tmp/trace".into(),
+                scratch: "/tmp/scratch".into(),
             }
         }
 

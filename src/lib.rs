@@ -45,7 +45,9 @@
 //! [`sort_file`] is the whole local file-to-file sort of SortBenchmark
 //! records in one call (what `sortfile --transport local` runs): every
 //! PE streams its shard of the input onto its disks, the cluster sorts,
-//! and all PEs stream their part of the output file concurrently.
+//! and all PEs stream their part of the output file concurrently. The
+//! disks are files under `<output>.scratch/` for as long as the call
+//! runs, so its memory is set by `mem_bytes_per_pe`, not by the file.
 //!
 //! ```
 //! use demsort::prelude::*;
@@ -65,6 +67,7 @@
 //!
 //! let sorted = std::fs::read(&output).unwrap();
 //! assert!(sorted.chunks(100).is_sorted_by_key(|r| &r[..10]));
+//! assert!(!dir.join("out.dat.scratch").exists());
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 

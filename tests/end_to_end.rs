@@ -113,44 +113,94 @@ fn sortbenchmark_records_end_to_end() {
 
 #[test]
 fn file_backed_storage_end_to_end() {
-    // Real files instead of RAM: the same sort must work through the
-    // FileBackend (true external memory).
-    use demsort::core::canonical::canonical_mergesort;
-    use demsort::core::ctx::ClusterStorage;
-    use demsort::core::runform::ingest_input;
-    use demsort::storage::{Backend, FileBackend};
-    use std::sync::Arc;
+    // Real files instead of RAM behind the same job: `sort_file` keeps
+    // its blocks under `<output>.scratch`, the same `JobConfig` with no
+    // scratch directory keeps them in memory, and nothing the sort
+    // computes or counts may tell the two apart.
+    use demsort::core::job::{default_scratch, run_job_local};
+    use demsort::types::{JobConfig, SortAlgo};
 
-    let p = 2;
-    let machine = MachineConfig::tiny(p);
     let dir = std::env::temp_dir().join(format!("demsort-e2e-{}", std::process::id()));
-    let mut pe_idx = 0;
-    let storage = ClusterStorage::with_backends(&machine, |m| {
-        let b: Arc<dyn Backend> = Arc::new(
-            FileBackend::create(&dir.join(format!("pe{pe_idx}")), m.disks_per_pe, m.block_bytes)
-                .expect("create files"),
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let recs = gensort_records(5, 0, 6_000);
+    let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
+    Record100::encode_slice(&recs, &mut bytes);
+    std::fs::write(path("in.dat"), &bytes).expect("write input");
+
+    let machine = MachineConfig {
+        pes: 3,
+        disks_per_pe: 2,
+        block_bytes: 1 << 10,
+        mem_bytes_per_pe: 16 << 10,
+        cores_per_pe: 1,
+    };
+    for (algorithm, replication) in
+        [(SortAlgo::Canonical, 0), (SortAlgo::Striped, 0), (SortAlgo::Striped, 1)]
+    {
+        let case = format!("{algorithm}, replication {replication}");
+        let cfg =
+            SortConfig::new(machine.clone(), AlgoConfig { replication, ..AlgoConfig::default() })
+                .expect("valid");
+        let in_files = demsort::sort_file(
+            &cfg,
+            algorithm,
+            path("in.dat").as_ref(),
+            path("files.dat").as_ref(),
+        )
+        .expect("file-backed sort");
+        assert!(
+            !std::path::Path::new(&default_scratch(&path("files.dat"))).exists(),
+            "{case}: scratch directory removed"
         );
-        pe_idx += 1;
-        b
-    });
-    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
-    let storage_ref = &storage;
-    let cfg2 = cfg.clone();
-    let outcomes = run_cluster(p, move |c| {
-        let st = storage_ref.pe(c.rank());
-        let recs = generate_pe_input(InputSpec::Uniform, 5, c.rank(), p, 600);
-        let input = ingest_input(st, &recs).expect("ingest");
-        canonical_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1).expect("sort")
-    });
-    let mut all = Vec::new();
-    for (pe, o) in outcomes.iter().enumerate() {
-        all.extend(
-            read_records::<Element16>(storage.pe(pe), &o.output.run, o.output.elems).expect("read"),
-        );
+        let in_memory = run_job_local(&JobConfig {
+            input: path("in.dat"),
+            output: path("memory.dat"),
+            machine: cfg.machine.clone(),
+            algo: cfg.algo.clone(),
+            algorithm,
+            read_timeout_ms: 1,
+            trace_dir: String::new(),
+            scratch: String::new(),
+        })
+        .expect("in-memory sort");
+
+        let sorted = std::fs::read(path("files.dat")).expect("read output");
+        assert!(sorted == std::fs::read(path("memory.dat")).expect("read output"), "{case}");
+        assert!(sorted.chunks(Record100::BYTES).is_sorted_by_key(|r| &r[..10]), "{case}");
+        assert_eq!(sorted.len(), bytes.len(), "{case}");
+
+        // What the `done:` line prints.
+        assert!(in_files.runs > 1, "{case}: external");
+        assert_eq!((in_files.elements, in_files.runs), (in_memory.elements, in_memory.runs));
+        let volumes = |r: &SortReport| (r.io_volume_over_n(), r.comm_volume_over_n());
+        assert_eq!(volumes(&in_files), volumes(&in_memory), "{case}");
+        // Communication per rank and phase; I/O per rank — a block a
+        // peer reads is charged to its owner's engine in whatever phase
+        // the owner is in at that instant, so only the totals are
+        // schedule-independent (on any backend).
+        for pe in 0..machine.pes {
+            let io_total = |r: &SortReport| {
+                Phase::ALL.iter().fold((0, 0, 0, 0), |t, &phase| {
+                    let io = r.get(pe, phase).io;
+                    (
+                        t.0 + io.bytes_read,
+                        t.1 + io.bytes_written,
+                        t.2 + io.blocks_read,
+                        t.3 + io.blocks_written,
+                    )
+                })
+            };
+            assert_eq!(io_total(&in_files), io_total(&in_memory), "{case}: I/O of PE {pe}");
+            for phase in Phase::ALL {
+                assert_eq!(
+                    in_files.get(pe, phase).comm,
+                    in_memory.get(pe, phase).comm,
+                    "{case}: communication of PE {pe} in {phase}"
+                );
+            }
+        }
     }
-    let mut reference = generate_all(InputSpec::Uniform, 5, p, 600);
-    reference.sort_unstable();
-    assert_eq!(all, reference, "file-backed sort matches");
     std::fs::remove_dir_all(&dir).ok();
 }
 
