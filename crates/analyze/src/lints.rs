@@ -123,7 +123,7 @@ const COUNTER_FIELDS: &[&str] = &[
 const L5_ALLOWED_FILES: &[&str] = &[
     "crates/types/src/counters.rs",
     "crates/net/src/comm.rs",
-    "crates/net/src/tcp.rs",
+    "crates/net/src/tcp/link.rs",
     "crates/storage/src/engine.rs",
     "crates/storage/src/disk.rs",
     "crates/core/src/ctx.rs",

@@ -2,7 +2,7 @@
 //!
 //! The reproduction harness: one experiment per figure/table of the
 //! paper's evaluation (Section VI), runnable through the `repro`
-//! binary, plus shared plumbing for the criterion micro-benchmarks.
+//! binary, and the multi-process cluster runtime ([`procs`]).
 //!
 //! ## Scale
 //!

@@ -13,13 +13,19 @@
 //! ## Data path of a worker
 //!
 //! [`run_rank`] builds this substrate's `(comm, storage, hooks)` — the
-//! TCP mesh, one rank's storage plus a block service for its peers',
-//! recovery hooks wired to the transport's failure detector — and
-//! hands them to [`run_rank_job`], which streams the rank's shard of
-//! the input onto its disks, sorts, and streams the blocks it ends up
-//! owning into its byte ranges of the shared output file. Any file
-//! failure is an `Error::Io` naming the path, the rank and the byte
-//! offset, shipped to the launcher like every other failure. The
+//! rank's disks, the TCP mesh, the rank's view of the cluster over its
+//! mesh endpoint ([`ClusterStorage::over_mesh`]: its storage, the
+//! endpoint's block channel for its peers' blocks, its own blocks
+//! served to them for as long as the view lives), recovery hooks wired
+//! to the transport's failure detector — and hands them to
+//! [`run_rank_job`], which streams the rank's shard of the input onto
+//! its disks, sorts, and streams the blocks it ends up owning into its
+//! byte ranges of the shared output file. A block a peer asks for, or
+//! sends here to be stored (run replication), is served on that peer's
+//! reader thread by the same two functions of `demsort_core::ctx` that
+//! serve the in-process cluster, out of this rank's buffer pool. Any
+//! file failure is an `Error::Io` naming the path, the rank and the
+//! byte offset, shipped to the launcher like every other failure. The
 //! rank's disks are the files [`rank_backend`] creates under the job's
 //! scratch directory (`SCRATCH/rank<K>/disk_<D>.bin`), so a worker's
 //! memory follows `--mem-mib`, not its `N/P` share of the data. A rank
@@ -63,17 +69,14 @@
 //! address — the multi-host path, where the job config comes from
 //! flags instead of the wire.
 
-use demsort_core::ctx::{
-    BlockFetch, BlockStore, ClusterStorage, PendingBlock, PendingStore, RemoteBlockService,
-};
+use demsort_core::ctx::ClusterStorage;
 use demsort_core::job::{
     cluster_report, default_scratch, probe_scratch, rank_backend, rank_tracer, run_rank_job,
     sweep_scratch,
 };
 use demsort_core::striped::ResilientHooks;
-use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport, WireFetch, WireStore};
+use demsort_net::tcp::{bind_loopback, TcpOptions, TcpTransport};
 use demsort_net::{Communicator, SubTransport, Transport as _};
-use demsort_storage::{BlockId, DiskModel, PeStorage};
 use demsort_types::wire::{
     decode_job, decode_progress, decode_rank_report, encode_job, encode_progress,
     encode_rank_report, RankReport, WireReader, WireWriter,
@@ -85,7 +88,6 @@ use demsort_types::{
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const TAG_JOIN: u8 = 1;
@@ -130,62 +132,6 @@ fn read_msg_deadline(s: &mut TcpStream, deadline: Instant) -> Result<(u8, Vec<u8
 // -------------------------------------------------------------------
 // Worker
 // -------------------------------------------------------------------
-
-/// The remote half of a worker's cluster block service: batched reads
-/// and writes of peers' blocks ride the transport's out-of-band block
-/// channel ([`TcpTransport::fetch_blocks`] /
-/// [`TcpTransport::store_blocks`] — pipelined requests, responses
-/// matched by id). Public so tests can assemble single-rank
-/// [`ClusterStorage`] views over a real TCP mesh.
-pub struct TcpBlockService(pub TcpTransport);
-
-/// One in-flight wire read adapted to the core block-service contract.
-struct WirePending(WireFetch);
-
-impl PendingBlock for WirePending {
-    fn wait(self: Box<Self>) -> Result<Box<[u8]>> {
-        self.0.wait().map(Vec::into_boxed_slice)
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-}
-
-/// One in-flight wire write adapted to the core block-service
-/// contract: the owner's acknowledgement carries the assigned address.
-struct WirePendingStore(WireStore);
-
-impl PendingStore for WirePendingStore {
-    fn wait(self: Box<Self>) -> Result<BlockId> {
-        self.0.wait().map(|(disk, slot)| BlockId::new(disk, slot))
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-}
-
-impl RemoteBlockService for TcpBlockService {
-    fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-        let addrs: Vec<(u32, u32)> = ids.iter().map(|id| (id.disk, id.slot)).collect();
-        Ok(self
-            .0
-            .fetch_blocks(pe, &addrs)?
-            .into_iter()
-            .map(|f| BlockFetch::remote(Box::new(WirePending(f))))
-            .collect())
-    }
-
-    fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
-        Ok(self
-            .0
-            .store_blocks(pe, blocks)?
-            .into_iter()
-            .map(|s| BlockStore::remote(Box::new(WirePendingStore(s))))
-            .collect())
-    }
-}
 
 /// Join a cluster through the coordinator at `coordinator`, run the
 /// assigned rank's share of the job, and report back. The normal body
@@ -259,9 +205,9 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
     }
 }
 
-/// Run one rank of `job` over an established rendezvous: build the TCP
-/// mesh, this rank's storage and block service, run [`run_rank_job`],
-/// and hold the mesh up until every live peer is done too. Shared by
+/// Run one rank of `job` over an established rendezvous: backend, mesh,
+/// this rank's view of the cluster, communicator, [`run_rank_job`],
+/// then hold the mesh up until every live peer is done too. Shared by
 /// the coordinator and hostfile bootstrap paths.
 ///
 /// `tracer` is threaded through the transport, the block service and
@@ -296,67 +242,12 @@ pub fn run_rank(
     let tcp = TcpTransport::connect_mesh(rank, addrs, listener, opts)?;
     tcp.set_tracer(tracer.clone());
 
-    // One rank's storage: the same multi-disk engine over the same
-    // kind of disks as the in-process cluster, so counters are
-    // comparable run-for-run. The block-buffer pool is shared with the
-    // transport so wire frames recycle the same buffers the disk path
-    // uses.
-    let pool = demsort_types::BufferPool::new(
-        job.machine.block_bytes,
-        job.algo.effective_pool_blocks(&job.machine),
-    );
-    tcp.set_buffer_pool(pool.clone());
-    let st = PeStorage::with_backend_pool(
-        job.machine.disks_per_pe,
-        job.machine.block_bytes,
-        DiskModel::paper(),
-        backend,
-        pool,
-    );
-    let storage = ClusterStorage::single_traced(
-        rank,
-        p,
-        st,
-        Box::new(TcpBlockService(tcp.clone())),
-        tracer.clone(),
-    );
-
-    // Serve peers' block-service reads (selection probes, striped
-    // remote reads) and writes (run replication) out of this rank's
-    // storage. The handler closures hold the storage, which holds the
-    // transport, whose endpoint holds the handlers — a cycle only
-    // clearing the handlers breaks, so guard it against every exit
-    // path (errors included), or a failed job leaks the reader
-    // threads, sockets, and storage for the process lifetime.
-    struct HandlerGuard(TcpTransport);
-    impl Drop for HandlerGuard {
-        fn drop(&mut self) {
-            self.0.clear_block_handler();
-            self.0.clear_store_handler();
-        }
-    }
-    let serve_storage = Arc::clone(&storage);
-    tcp.set_block_handler(Arc::new(move |disk, slot| {
-        serve_storage
-            .pe(rank)
-            .engine()
-            .read_sync(BlockId::new(disk, slot))
-            .map(|b| b.into_vec())
-            .map_err(|e| e.to_string())
-    }));
-    // Stores allocate on the serving rank — its allocator stays the
-    // authority for its disks; the requester only supplies a disk
-    // hint (spread stores like the originals were spread).
-    let store_storage = Arc::clone(&storage);
-    tcp.set_store_handler(Arc::new(move |disk_hint, data| {
-        let st = store_storage.pe(rank);
-        let id = st.alloc().alloc_on(disk_hint as usize % st.disks());
-        st.engine()
-            .write_sync(id, data.to_vec().into_boxed_slice())
-            .map(|()| (id.disk, id.slot))
-            .map_err(|e| e.to_string())
-    }));
-    let _handler_guard = HandlerGuard(tcp.clone());
+    // This rank's view of the cluster: its storage, the mesh for its
+    // peers' blocks, and its own blocks served to them until the view
+    // drops — on every way out of this function.
+    let pool_blocks = job.algo.effective_pool_blocks(&job.machine);
+    let storage =
+        ClusterStorage::over_mesh(&tcp, &job.machine, pool_blocks, backend, tracer.clone());
 
     // The rank program — the same body the in-process cluster runs.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
@@ -365,7 +256,7 @@ pub fn run_rank(
 
     // Ranks must not tear the mesh down while a slower peer still
     // depends on it (remote reads are done, but the final phases
-    // interleave); the handlers clear on return. After a degraded
+    // interleave); the view stops serving on return. After a degraded
     // striped completion a global barrier would wait on the dead rank
     // forever, so synchronize over the live group only.
     let dead = tcp.dead_peers();

@@ -10,16 +10,15 @@
 //! reconstruct a striped run from any single rank, fetching peers'
 //! blocks through the wire.
 
-use demsort_bench::procs::TcpBlockService;
-use demsort_core::ctx::ClusterStorage;
+use demsort_core::ctx::{ClusterStorage, MeshView};
 use demsort_core::extselect::{select_rank_external, SelectionStats};
 use demsort_core::rundir::build_directory;
 use demsort_core::runform::{form_runs, ingest_input};
 use demsort_core::striped::{read_striped, striped_mergesort};
 use demsort_net::tcp::{loopback_mesh, TcpOptions, TcpTransport};
 use demsort_net::{run_cluster, Communicator};
-use demsort_storage::{BlockId, DiskModel, MemBackend, PeStorage};
-use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig, SortConfig};
+use demsort_storage::MemBackend;
+use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig, SortConfig, Tracer};
 use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 use std::sync::Arc;
 
@@ -27,24 +26,11 @@ const P: usize = 3;
 const LOCAL_N: usize = 700;
 const SEED: u64 = 11;
 
-fn single_rank_storage(rank: usize, cfg: &SortConfig, tcp: &TcpTransport) -> Arc<ClusterStorage> {
-    let st = PeStorage::with_backend(
-        cfg.machine.disks_per_pe,
-        cfg.machine.block_bytes,
-        DiskModel::paper(),
-        Arc::new(MemBackend::new(cfg.machine.disks_per_pe)),
-    );
-    let storage = ClusterStorage::single(rank, P, st, Box::new(TcpBlockService(tcp.clone())));
-    let serve = Arc::clone(&storage);
-    tcp.set_block_handler(Arc::new(move |disk, slot| {
-        serve
-            .pe(rank)
-            .engine()
-            .read_sync(BlockId::new(disk, slot))
-            .map(|b| b.into_vec())
-            .map_err(|e| e.to_string())
-    }));
-    storage
+/// A worker's view over `tcp`, as `procs::run_rank` builds it.
+fn single_rank_storage(cfg: &SortConfig, tcp: &TcpTransport) -> MeshView {
+    let pool_blocks = cfg.algo.effective_pool_blocks(&cfg.machine);
+    let disks = Arc::new(MemBackend::new(cfg.machine.disks_per_pe));
+    ClusterStorage::over_mesh(tcp, &cfg.machine, pool_blocks, disks, Tracer::off())
 }
 
 #[test]
@@ -80,7 +66,7 @@ fn probe_counters_identical_across_local_and_tcp_transports() {
             .enumerate()
             .map(|(rank, tcp)| {
                 s.spawn(move || {
-                    let storage = single_rank_storage(rank, cfg3, &tcp);
+                    let storage = single_rank_storage(cfg3, &tcp);
                     let comm = Communicator::new(Box::new(tcp.clone()));
                     let st = storage.pe(rank);
                     let recs = generate_pe_input(InputSpec::Uniform, SEED, rank, P, LOCAL_N);
@@ -91,9 +77,8 @@ fn probe_counters_identical_across_local_and_tcp_transports() {
                     let (_, stats) =
                         select_rank_external(&storage, rank, &dir, r, &cfg3.algo).expect("select");
                     // Peers may still be probing this rank's blocks —
-                    // keep serving until everyone is done.
+                    // keep serving (the view) until everyone is done.
                     comm.barrier().expect("barrier");
-                    tcp.clear_block_handler();
                     stats
                 })
             })
@@ -115,7 +100,7 @@ fn read_striped_reconstructs_from_one_rank_over_tcp() {
             .enumerate()
             .map(|(rank, tcp)| {
                 s.spawn(move || {
-                    let storage = single_rank_storage(rank, cfg_ref, &tcp);
+                    let storage = single_rank_storage(cfg_ref, &tcp);
                     let comm = Communicator::new(Box::new(tcp.clone()));
                     let st = storage.pe(rank);
                     let recs = generate_pe_input(InputSpec::Uniform, SEED, rank, P, LOCAL_N);
@@ -132,7 +117,6 @@ fn read_striped_reconstructs_from_one_rank_over_tcp() {
                             .expect("single-rank striped read over TCP")
                     });
                     comm.barrier().expect("barrier");
-                    tcp.clear_block_handler();
                     full
                 })
             })

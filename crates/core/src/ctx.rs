@@ -1,59 +1,44 @@
 //! Per-PE execution context: storage for every PE, phase accounting.
 //!
 //! A PE owns its communicator endpoint and *operates on* its own
-//! storage; peers' storage is reachable read-only through the
+//! storage; peers' storage is reachable through the
 //! **location-transparent block service** of [`ClusterStorage`] — the
 //! remote probes of external multiway selection (Section IV-A: "they
-//! have to request data from remote disks") and the cross-rank block
-//! reads of the globally striped algorithm (Section III). In a real
-//! deployment those reads are one-block RDMA gets / MPI request-reply
-//! pairs. The in-process cluster holds every PE's storage in one
-//! [`ClusterStorage`], so a fetch reads the owner's storage engine
+//! have to request data from remote disks"), the cross-rank block
+//! reads of the globally striped algorithm (Section III) and the
+//! stores of run replication. In a real deployment those are
+//! one-block RDMA gets and puts / MPI request-reply pairs. The
+//! in-process cluster holds every PE's storage in one
+//! [`ClusterStorage`], so a request reaches the owner's storage
 //! directly; the multi-process runtime gives each worker a single-rank
-//! view ([`ClusterStorage::single`]) whose remote fetches go through a
-//! [`RemoteBlockService`] (the TCP transport's out-of-band block
-//! channel). Either way the I/O lands on the owning PE's disks
-//! (exactly where the paper's bottleneck analysis puts it), fetches
-//! are asynchronous [`BlockFetch`] handles mirroring the storage
-//! engine's `IoHandle` (so callers overlap remote reads with
+//! view over its mesh endpoint ([`ClusterStorage::over_mesh`]) whose
+//! requests for peers' blocks cross the wire (the TCP transport's
+//! out-of-band block channel) and are served there by the owner's
+//! view. Either way the block is **served by one pair of functions**
+//! of this module (`serve_fetch` / `serve_store`): the I/O lands on the
+//! owning PE's disks (exactly where the paper's bottleneck analysis
+//! puts it) and is staged in the owner's buffer pool. Requests are
+//! asynchronous [`BlockFetch`] / [`BlockStore`] handles mirroring the
+//! storage engine's `IoHandle` (so callers overlap remote I/O with
 //! computation), and the transferred bytes are charged to the
 //! requester as communication.
 
+use demsort_net::tcp::{TcpTransport, WireFetch, WireStore};
+use demsort_net::Transport as _;
 use demsort_storage::{Backend, BlockId, DiskModel, IoHandle, MemBackend, PeStorage};
 use demsort_types::trace::TraceEv;
 use demsort_types::{
-    CommCounters, CpuCounters, Error, IoCounters, MachineConfig, Phase, PhaseStats, Result,
-    SortConfig, SortReport, Tracer,
+    BufferPool, CommCounters, CpuCounters, Error, IoCounters, MachineConfig, Phase, PhaseStats,
+    Result, SortConfig, SortReport, Tracer,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A pending remote block read: the block service's counterpart of the
-/// storage engine's `IoHandle`, implemented by the transport (the TCP
-/// backend wraps its wire-level future in this).
-pub trait PendingBlock: Send {
-    /// Block until the response arrives; returns the block bytes.
-    fn wait(self: Box<Self>) -> Result<Box<[u8]>>;
-
-    /// `true` once the response has arrived (success or failure).
-    fn is_done(&self) -> bool;
-}
-
-/// A pending remote block *store*: resolves to the [`BlockId`] the
-/// serving rank's allocator assigned to the copy.
-pub trait PendingStore: Send {
-    /// Block until the serving rank acknowledges the store.
-    fn wait(self: Box<Self>) -> Result<BlockId>;
-
-    /// `true` once the acknowledgement has arrived (success or
-    /// failure).
-    fn is_done(&self) -> bool;
-}
-
-/// Issues asynchronous batched reads of blocks owned by a remote PE
-/// (multi-process mode: implemented over the transport's block-service
-/// channel). Requests are pipelined — all go out before any is waited
-/// on — and responses may complete in any order.
+/// Issues asynchronous batched reads and writes of blocks owned by a
+/// remote PE. The multi-process runtime's is the mesh endpoint itself
+/// ([`TcpTransport`]'s block channel); tests substitute fakes. Requests
+/// are pipelined — all go out before any is waited on — and responses
+/// may complete in any order.
 pub trait RemoteBlockService: Send + Sync {
     /// Issue reads of `ids` owned by rank `pe`; handles are returned
     /// in request order.
@@ -61,13 +46,20 @@ pub trait RemoteBlockService: Send + Sync {
 
     /// Issue stores of `(disk_hint, data)` blocks into rank `pe`'s
     /// storage; handles are returned in request order and resolve to
-    /// the address `pe`'s allocator assigned. The default — for
-    /// read-only services predating run replication — refuses.
+    /// the address `pe`'s allocator assigned.
+    fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>>;
+}
+
+impl RemoteBlockService for TcpTransport {
+    fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
+        let addrs: Vec<(u32, u32)> = ids.iter().map(|id| (id.disk, id.slot)).collect();
+        let issued = TcpTransport::fetch_blocks(self, pe, &addrs)?;
+        Ok(issued.into_iter().map(|f| BlockFetch(FetchState::Remote(f))).collect())
+    }
+
     fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
-        let _ = blocks;
-        Err(Error::io(format!(
-            "rank {pe}: this block service is read-only (no remote store support)"
-        )))
+        let issued = TcpTransport::store_blocks(self, pe, blocks)?;
+        Ok(issued.into_iter().map(|s| BlockStore(StoreState::Remote(s))).collect())
     }
 }
 
@@ -75,26 +67,15 @@ enum FetchState {
     /// Served by a local engine (the owner's disk pays the I/O).
     Local(IoHandle),
     /// In flight on the wire.
-    Remote(Box<dyn PendingBlock>),
+    Remote(WireFetch),
 }
 
 /// One pending block read through [`ClusterStorage::fetch_blocks`],
-/// local or remote — poll with [`BlockFetch::is_done`], resolve with
-/// [`BlockFetch::wait`].
+/// local or remote — resolve with [`BlockFetch::wait`].
 #[must_use = "a BlockFetch must be waited on, or the read is abandoned"]
 pub struct BlockFetch(FetchState);
 
 impl BlockFetch {
-    /// A fetch served by a local storage engine.
-    pub fn local(handle: IoHandle) -> Self {
-        Self(FetchState::Local(handle))
-    }
-
-    /// A fetch in flight on a transport.
-    pub fn remote(pending: Box<dyn PendingBlock>) -> Self {
-        Self(FetchState::Remote(pending))
-    }
-
     /// An already-completed fetch (cache hits, tests).
     pub fn ready(data: Box<[u8]>) -> Self {
         Self(FetchState::Local(IoHandle::ready(data)))
@@ -104,25 +85,20 @@ impl BlockFetch {
     pub fn wait(self) -> Result<Box<[u8]>> {
         match self.0 {
             FetchState::Local(h) => h.wait(),
-            FetchState::Remote(p) => p.wait(),
-        }
-    }
-
-    /// `true` once the read has completed (success or failure).
-    pub fn is_done(&self) -> bool {
-        match &self.0 {
-            FetchState::Local(h) => h.is_done(),
-            FetchState::Remote(p) => p.is_done(),
+            FetchState::Remote(f) => f.wait().map(Vec::into_boxed_slice),
         }
     }
 }
 
 enum StoreState {
     /// Written through a local engine: the address is already
-    /// assigned, the engine write is (possibly) still in flight.
-    Local(BlockId, IoHandle),
+    /// assigned, the engine write is (possibly) still in flight, and
+    /// its staging buffer goes back to `pool` when it retires.
+    Local { id: BlockId, write: IoHandle, pool: BufferPool },
     /// In flight on the wire; the serving rank assigns the address.
-    Remote(Box<dyn PendingStore>),
+    Remote(WireStore),
+    /// Already decided (a refused store, tests).
+    Ready(Result<BlockId>),
 }
 
 /// One pending block store through [`ClusterStorage::store_blocks`],
@@ -132,33 +108,55 @@ enum StoreState {
 pub struct BlockStore(StoreState);
 
 impl BlockStore {
-    /// A store served by a local storage engine (address `id` already
-    /// assigned; `handle` is the engine write).
-    pub fn local(id: BlockId, handle: IoHandle) -> Self {
-        Self(StoreState::Local(id, handle))
-    }
-
-    /// A store in flight on a transport.
-    pub fn remote(pending: Box<dyn PendingStore>) -> Self {
-        Self(StoreState::Remote(pending))
+    /// An already-acknowledged store (tests).
+    pub fn ready(id: BlockId) -> Self {
+        Self(StoreState::Ready(Ok(id)))
     }
 
     /// Block until the write is durable at the owner; returns the
     /// assigned address.
     pub fn wait(self) -> Result<BlockId> {
         match self.0 {
-            StoreState::Local(id, h) => h.wait().map(|_| id),
-            StoreState::Remote(p) => p.wait(),
+            StoreState::Local { id, write, pool } => write.wait().map(|staged| {
+                pool.put(staged);
+                id
+            }),
+            StoreState::Remote(s) => s.wait().map(|(disk, slot)| BlockId::new(disk, slot)),
+            StoreState::Ready(outcome) => outcome,
         }
     }
+}
 
-    /// `true` once the write has completed (success or failure).
-    pub fn is_done(&self) -> bool {
-        match &self.0 {
-            StoreState::Local(_, h) => h.is_done(),
-            StoreState::Remote(p) => p.is_done(),
-        }
+/// Serve a read of block `id` out of `pe`'s storage — the one place a
+/// rank's block is read for somebody else, whether the request arrived
+/// by function call (in-process cluster) or over the wire. Serving
+/// journals nothing: the requester's view does.
+fn serve_fetch(pe: &PeStorage, id: BlockId) -> BlockFetch {
+    BlockFetch(FetchState::Local(pe.engine().read(id)))
+}
+
+/// Serve a store of `data` into `pe`'s storage, the write-side twin of
+/// [`serve_fetch`]: `pe`'s allocator assigns the slot (it stays the
+/// single authority over its disks; `disk_hint` is folded into its disk
+/// range), the bytes are staged in a buffer of `pe`'s pool — the one
+/// copy, metered there — and the buffer returns to that pool when the
+/// write retires. A payload short of a block is zero-padded; one
+/// beyond a block is refused.
+fn serve_store(pe: &PeStorage, disk_hint: u32, data: &[u8]) -> BlockStore {
+    let pool = pe.pool();
+    if data.len() > pool.buf_bytes() {
+        return BlockStore(StoreState::Ready(Err(Error::io(format!(
+            "store of {} bytes exceeds the {}-byte block",
+            data.len(),
+            pool.buf_bytes()
+        )))));
     }
+    let id = pe.alloc().alloc_on(disk_hint as usize % pe.disks());
+    let mut staged = pool.get();
+    staged[..data.len()].copy_from_slice(data);
+    staged[data.len()..].fill(0);
+    pool.add_copied(data.len() as u64);
+    BlockStore(StoreState::Local { id, write: pe.engine().write(id, staged), pool: pool.clone() })
 }
 
 /// Which path a [`ClusterStorage::store_blocks`] write took,
@@ -179,7 +177,7 @@ pub enum StoreTarget {
 /// * In-process cluster: every PE's storage, shared between PE
 ///   threads (`base_rank = 0`, all ranks local).
 /// * Multi-process cluster: one worker's own storage plus a remote
-///   block service for reading peers' blocks.
+///   block service for its peers' blocks.
 pub struct ClusterStorage {
     /// Cluster size (`P`), which may exceed `pes.len()` in single-rank
     /// mode.
@@ -189,11 +187,23 @@ pub struct ClusterStorage {
     pes: Vec<PeStorage>,
     remote: Option<Box<dyn RemoteBlockService>>,
     /// Journals block-service traffic ([`TraceEv::Fetch`] /
-    /// [`TraceEv::Store`]) and feeds the progress byte meter. Off by
-    /// default; the single-rank view installs it via
-    /// [`ClusterStorage::single_traced`]. Journal writes bypass the
-    /// metered storage path, so tracing never perturbs the counters.
+    /// [`TraceEv::Store`]) and feeds the progress byte meter. Off
+    /// unless a single-rank view is given one. Journal writes bypass
+    /// the metered storage path, so tracing never perturbs the
+    /// counters.
     tracer: Tracer,
+}
+
+/// One PE's storage as every view builds it: the paper's disk model
+/// over `backend`, with a block-buffer pool of `pool_blocks`.
+fn pe_storage(cfg: &MachineConfig, pool_blocks: usize, backend: Arc<dyn Backend>) -> PeStorage {
+    PeStorage::with_backend_pool(
+        cfg.disks_per_pe,
+        cfg.block_bytes,
+        DiskModel::paper(),
+        backend,
+        BufferPool::new(cfg.block_bytes, pool_blocks),
+    )
 }
 
 impl ClusterStorage {
@@ -232,38 +242,17 @@ impl ClusterStorage {
         pool_blocks: usize,
         backends: Vec<Arc<dyn Backend>>,
     ) -> Arc<Self> {
-        let pes: Vec<PeStorage> = backends
-            .into_iter()
-            .map(|backend| {
-                PeStorage::with_backend_pool(
-                    cfg.disks_per_pe,
-                    cfg.block_bytes,
-                    DiskModel::paper(),
-                    backend,
-                    demsort_types::BufferPool::new(cfg.block_bytes, pool_blocks),
-                )
-            })
-            .collect();
+        let pes: Vec<PeStorage> =
+            backends.into_iter().map(|backend| pe_storage(cfg, pool_blocks, backend)).collect();
         Arc::new(Self { size: pes.len(), base_rank: 0, pes, remote: None, tracer: Tracer::off() })
     }
 
-    /// Single-rank view for a worker process: `rank`'s own storage plus
-    /// a block service for remote reads. `size` is the cluster size
-    /// `P`.
-    pub fn single(
-        rank: usize,
-        size: usize,
-        storage: PeStorage,
-        remote: Box<dyn RemoteBlockService>,
-    ) -> Arc<Self> {
-        Self::single_traced(rank, size, storage, remote, Tracer::off())
-    }
-
-    /// [`ClusterStorage::single`] with a trace sink: every batch of
-    /// fetches and stores issued through this view is journalled as a
-    /// [`TraceEv::Fetch`] / [`TraceEv::Store`] instant carrying the
-    /// owning rank and locality, and the moved bytes feed the tracer's
-    /// progress byte meter.
+    /// Single-rank view: `rank`'s own storage plus a block service for
+    /// its peers' blocks; `size` is the cluster size `P`. Every batch
+    /// of fetches and stores issued through the view is journalled to
+    /// `tracer` as a [`TraceEv::Fetch`] / [`TraceEv::Store`] instant
+    /// carrying the owning rank and locality, and the moved bytes feed
+    /// the tracer's progress byte meter ([`Tracer::off`] for neither).
     pub fn single_traced(
         rank: usize,
         size: usize,
@@ -273,6 +262,38 @@ impl ClusterStorage {
     ) -> Arc<Self> {
         assert!(rank < size, "rank {rank} out of range for {size} ranks");
         Arc::new(Self { size, base_rank: rank, pes: vec![storage], remote: Some(remote), tracer })
+    }
+
+    /// A worker's view of the cluster over its mesh endpoint: this
+    /// rank's storage on `backend` (same engine, disk model and pool
+    /// policy as the in-process cluster's, so counters compare run for
+    /// run), its buffer pool installed on the endpoint (wire frames
+    /// recycle the buffers the disk path uses), the endpoint as the
+    /// service for peers' blocks, and this rank's blocks served to
+    /// those peers — through the same `serve_fetch` / `serve_store` the
+    /// in-process cluster calls — for as long as the view lives.
+    pub fn over_mesh(
+        mesh: &TcpTransport,
+        cfg: &MachineConfig,
+        pool_blocks: usize,
+        backend: Arc<dyn Backend>,
+        tracer: Tracer,
+    ) -> MeshView {
+        let rank = mesh.rank();
+        let disks = pe_storage(cfg, pool_blocks, backend);
+        mesh.set_buffer_pool(disks.pool().clone());
+        let storage = Self::single_traced(rank, mesh.size(), disks, Box::new(mesh.clone()), tracer);
+        let served = Arc::clone(&storage);
+        mesh.set_block_handler(Arc::new(move |disk, slot| {
+            let block = serve_fetch(served.pe(rank), BlockId::new(disk, slot)).wait();
+            block.map(|b| b.into_vec()).map_err(|e| e.to_string())
+        }));
+        let served = Arc::clone(&storage);
+        mesh.set_store_handler(Arc::new(move |disk_hint, data| {
+            let id = serve_store(served.pe(rank), disk_hint, data).wait();
+            id.map(|id| (id.disk, id.slot)).map_err(|e| e.to_string())
+        }));
+        MeshView { storage, mesh: mesh.clone() }
     }
 
     /// `true` if rank `rank`'s storage lives in this view.
@@ -290,6 +311,21 @@ impl ClusterStorage {
             self.pes.len()
         );
         &self.pes[rank - self.base_rank]
+    }
+
+    /// The view's way to rank `rank`'s blocks, in or out of it.
+    fn route(&self, rank: usize) -> Result<Route<'_>> {
+        if rank >= self.size {
+            return Err(Error::config(format!("rank {rank} out of range for {} ranks", self.size)));
+        }
+        if self.is_local(rank) {
+            return Ok(Route::Local(self.pe(rank)));
+        }
+        self.remote.as_deref().map(Route::Remote).ok_or_else(|| {
+            Error::io(format!(
+                "PE {rank}'s storage is remote and no remote block service is registered"
+            ))
+        })
     }
 
     /// Read one block of PE `rank`'s storage, local or remote — a
@@ -310,9 +346,7 @@ impl ClusterStorage {
     /// schedule order to realize it); remote reads go through the
     /// registered [`RemoteBlockService`].
     pub fn fetch_blocks(&self, rank: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-        if rank >= self.size {
-            return Err(Error::config(format!("rank {rank} out of range for {} ranks", self.size)));
-        }
+        let route = self.route(rank)?;
         if self.tracer.enabled() && !ids.is_empty() {
             self.tracer.instant(TraceEv::Fetch {
                 owner: rank,
@@ -321,15 +355,9 @@ impl ClusterStorage {
             });
             self.tracer.add_bytes((ids.len() * self.block_bytes_hint()) as u64);
         }
-        if self.is_local(rank) {
-            let engine = self.pe(rank).engine();
-            return Ok(ids.iter().map(|&id| BlockFetch::local(engine.read(id))).collect());
-        }
-        match &self.remote {
-            Some(r) => r.fetch_blocks(rank, ids),
-            None => Err(Error::io(format!(
-                "PE {rank}'s storage is remote and no remote block service is registered"
-            ))),
+        match route {
+            Route::Local(pe) => Ok(ids.iter().map(|&id| serve_fetch(pe, id)).collect()),
+            Route::Remote(service) => service.fetch_blocks(rank, ids),
         }
     }
 
@@ -350,21 +378,15 @@ impl ClusterStorage {
     /// must not depend on the deployment shape.
     ///
     /// # Errors
-    /// [`Error::Config`] for an out-of-range owner; [`Error::Io`] if
-    /// the owner is remote and the block service is read-only.
-    /// Per-block failures surface from each [`BlockStore::wait`].
+    /// [`Error::Config`] for an out-of-range owner. Per-block failures
+    /// surface from each [`BlockStore::wait`].
     pub fn store_blocks(
         &self,
         my_rank: usize,
         owner: usize,
         blocks: &[(u32, &[u8])],
     ) -> Result<(Vec<BlockStore>, StoreTarget)> {
-        if owner >= self.size {
-            return Err(Error::config(format!(
-                "rank {owner} out of range for {} ranks",
-                self.size
-            )));
-        }
+        let route = self.route(owner)?;
         let target =
             if owner == my_rank { StoreTarget::LocalDisk } else { StoreTarget::RemoteDisk };
         if self.tracer.enabled() && !blocks.is_empty() {
@@ -375,38 +397,11 @@ impl ClusterStorage {
             });
             self.tracer.add_bytes(blocks.iter().map(|&(_, d)| d.len() as u64).sum());
         }
-        if self.is_local(owner) {
-            let pe = self.pe(owner);
-            let disks = pe.disks();
-            let engine = pe.engine();
-            let pool = pe.pool();
-            let stores = blocks
-                .iter()
-                .map(|&(hint, data)| {
-                    let id = pe.alloc().alloc_on(hint as usize % disks);
-                    // Stage the write in a pooled buffer (recycled when
-                    // the write retires) when the payload is exactly one
-                    // block; odd-sized payloads fall back to a fresh
-                    // allocation.
-                    let staged: Box<[u8]> = if data.len() == pool.buf_bytes() {
-                        let mut buf = pool.get();
-                        buf.copy_from_slice(data);
-                        buf
-                    } else {
-                        data.to_vec().into_boxed_slice()
-                    };
-                    pool.add_copied(data.len() as u64);
-                    BlockStore::local(id, engine.write(id, staged))
-                })
-                .collect();
-            return Ok((stores, target));
-        }
-        match &self.remote {
-            Some(r) => Ok((r.store_blocks(owner, blocks)?, target)),
-            None => Err(Error::io(format!(
-                "PE {owner}'s storage is remote and no remote block service is registered"
-            ))),
-        }
+        let stores = match route {
+            Route::Local(pe) => blocks.iter().map(|&(hint, d)| serve_store(pe, hint, d)).collect(),
+            Route::Remote(service) => service.store_blocks(owner, blocks)?,
+        };
+        Ok((stores, target))
     }
 
     /// [`ClusterStorage::fetch_blocks`], but issue the reads in
@@ -480,6 +475,43 @@ impl ClusterStorage {
     /// `true` if the cluster has no PEs (never in practice).
     pub fn is_empty(&self) -> bool {
         self.size == 0
+    }
+}
+
+/// Where a view finds a rank's blocks.
+enum Route<'a> {
+    /// In the view: the owner's storage itself.
+    Local(&'a PeStorage),
+    /// Out of it: ask the owner.
+    Remote(&'a dyn RemoteBlockService),
+}
+
+/// A worker's [`ClusterStorage`] view over its mesh endpoint
+/// ([`ClusterStorage::over_mesh`]), which serves this rank's blocks to
+/// its peers while it lives. The serve handlers hold the storage, which
+/// holds the endpoint, whose reader threads hold the handlers — a cycle
+/// only clearing the handlers breaks, so dropping the view clears them
+/// on every exit path (errors included): peers then get an error reply
+/// instead of a block, and the reader threads, sockets and storage go
+/// with the last endpoint handle instead of leaking for the process
+/// lifetime.
+pub struct MeshView {
+    storage: Arc<ClusterStorage>,
+    mesh: TcpTransport,
+}
+
+impl std::ops::Deref for MeshView {
+    type Target = ClusterStorage;
+
+    fn deref(&self) -> &ClusterStorage {
+        &self.storage
+    }
+}
+
+impl Drop for MeshView {
+    fn drop(&mut self) {
+        self.mesh.clear_block_handler();
+        self.mesh.clear_store_handler();
     }
 }
 
@@ -642,10 +674,12 @@ mod tests {
         assert!((0..3).all(|r| cs.is_local(r)));
     }
 
-    /// Echoes the requested address instead of real data.
-    struct FakeFetch;
+    /// Stands in for the peers: a fetch echoes the requested address
+    /// instead of real data, a store is acknowledged with a synthetic
+    /// address derived from the hint.
+    struct FakePeers;
 
-    impl RemoteBlockService for FakeFetch {
+    impl RemoteBlockService for FakePeers {
         fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
             Ok(ids
                 .iter()
@@ -656,21 +690,25 @@ mod tests {
                 })
                 .collect())
         }
+
+        fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
+            let ack = |(i, &(hint, _))| BlockStore::ready(BlockId::new(hint + pe as u32, i as u32));
+            Ok(blocks.iter().enumerate().map(ack).collect())
+        }
+    }
+
+    fn mem_disks(cfg: &MachineConfig) -> Arc<dyn Backend> {
+        Arc::new(MemBackend::new(cfg.disks_per_pe))
     }
 
     fn one_rank_view(rank: usize, size: usize) -> (Arc<ClusterStorage>, BlockId) {
         let cfg = MachineConfig::tiny(size);
-        let st = PeStorage::with_backend(
-            cfg.disks_per_pe,
-            cfg.block_bytes,
-            DiskModel::paper(),
-            Arc::new(MemBackend::new(cfg.disks_per_pe)),
-        );
+        let st = pe_storage(&cfg, cfg.min_pool_blocks(), mem_disks(&cfg));
         let id = st.alloc().alloc_striped();
         st.engine()
             .write_sync(id, vec![7u8; cfg.block_bytes].into_boxed_slice())
             .expect("write local block");
-        (ClusterStorage::single(rank, size, st, Box::new(FakeFetch)), id)
+        (ClusterStorage::single_traced(rank, size, st, Box::new(FakePeers), Tracer::off()), id)
     }
 
     #[test]
@@ -698,18 +736,13 @@ mod tests {
     #[test]
     fn traced_view_journals_block_service_traffic() {
         let cfg = MachineConfig::tiny(3);
-        let st = PeStorage::with_backend(
-            cfg.disks_per_pe,
-            cfg.block_bytes,
-            DiskModel::paper(),
-            Arc::new(MemBackend::new(cfg.disks_per_pe)),
-        );
+        let st = pe_storage(&cfg, cfg.min_pool_blocks(), mem_disks(&cfg));
         let id = st.alloc().alloc_striped();
         st.engine()
             .write_sync(id, vec![7u8; cfg.block_bytes].into_boxed_slice())
             .expect("write local block");
         let tracer = Tracer::to_buffer(1);
-        let cs = ClusterStorage::single_traced(1, 3, st, Box::new(FakeFetch), tracer.clone());
+        let cs = ClusterStorage::single_traced(1, 3, st, Box::new(FakePeers), tracer.clone());
         cs.fetch_block(1, id).expect("local fetch");
         cs.fetch_block(2, BlockId::new(0, 0)).expect("remote fetch");
         let data = vec![0xC3u8; cs.pe(1).block_bytes()];
@@ -747,62 +780,14 @@ mod tests {
         assert_eq!(ids[1].disk, (7 % disks) as u32);
         assert_eq!(&cs.fetch_block(1, ids[0]).expect("read back")[..], &a[..]);
         assert_eq!(&cs.fetch_block(1, ids[1]).expect("read back")[..], &b[..]);
-        // A cross-PE store through a read-only service is a clean
-        // error (FakeFetch takes the default), classified RemoteDisk
-        // before the refusal.
-        let err = match cs.store_blocks(1, 2, &[(0, a.as_slice())]) {
-            Ok(_) => panic!("read-only service must refuse"),
-            Err(e) => e,
-        };
-        assert!(matches!(err, Error::Io(ref m) if m.contains("read-only")), "{err}");
         // Out-of-range owners are clean config errors.
         assert!(cs.store_blocks(1, 9, &[(0, a.as_slice())]).is_err());
     }
 
-    /// Write-capable fake: acknowledges every store with a synthetic
-    /// address derived from the hint.
-    struct FakeStore;
-
-    struct ReadyStore(Result<BlockId>);
-
-    impl PendingStore for ReadyStore {
-        fn wait(self: Box<Self>) -> Result<BlockId> {
-            self.0
-        }
-        fn is_done(&self) -> bool {
-            true
-        }
-    }
-
-    impl RemoteBlockService for FakeStore {
-        fn fetch_blocks(&self, _pe: usize, _ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-            Err(Error::io("fetch not under test"))
-        }
-        fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
-            Ok(blocks
-                .iter()
-                .enumerate()
-                .map(|(i, &(hint, _))| {
-                    BlockStore::remote(Box::new(ReadyStore(Ok(BlockId::new(
-                        hint + pe as u32,
-                        i as u32,
-                    )))))
-                })
-                .collect())
-        }
-    }
-
     #[test]
     fn store_blocks_routes_remote_owners_through_the_service() {
-        let cfg = MachineConfig::tiny(3);
-        let st = PeStorage::with_backend(
-            cfg.disks_per_pe,
-            cfg.block_bytes,
-            DiskModel::paper(),
-            Arc::new(MemBackend::new(cfg.disks_per_pe)),
-        );
-        let cs = ClusterStorage::single(1, 3, st, Box::new(FakeStore));
-        let data = vec![0u8; cfg.block_bytes];
+        let (cs, _) = one_rank_view(1, 3);
+        let data = vec![0u8; cs.pe(1).block_bytes()];
         let (stores, target) = cs
             .store_blocks(1, 2, &[(4, data.as_slice()), (5, data.as_slice())])
             .expect("remote stores");
@@ -929,5 +914,175 @@ mod tests {
         assert_eq!(report.runs, 2);
         assert_eq!(report.get(0, Phase::FinalMerge).io.bytes_written, 64);
         assert_eq!(report.get(1, Phase::FinalMerge).io.bytes_written, 0);
+    }
+
+    // ---------------------------------------------------------------
+    // One block service on both substrates: the same bodies run against
+    // the all-local view (every rank's `views[r]` is the one shared
+    // storage) and against single-rank views over a loopback TCP mesh.
+    // ---------------------------------------------------------------
+
+    const P: usize = 3;
+
+    fn with_all_local_view(body: impl Fn(&[&ClusterStorage])) {
+        let all = ClusterStorage::new_mem(&MachineConfig::tiny(P));
+        body(&[&*all; P]);
+    }
+
+    /// A loopback mesh and every rank's view over its endpoint.
+    fn mesh_views() -> (Vec<TcpTransport>, Vec<MeshView>) {
+        let cfg = MachineConfig::tiny(P);
+        let mesh = demsort_net::tcp::loopback_mesh(P, Default::default()).expect("mesh");
+        let view = |tcp| {
+            let pool_blocks = cfg.min_pool_blocks();
+            ClusterStorage::over_mesh(tcp, &cfg, pool_blocks, mem_disks(&cfg), Tracer::off())
+        };
+        let views = mesh.iter().map(view).collect();
+        (mesh, views)
+    }
+
+    fn with_mesh_views(body: impl Fn(&[&ClusterStorage])) {
+        let (_mesh, views) = mesh_views();
+        body(&views.iter().map(|v| &**v).collect::<Vec<_>>());
+    }
+
+    /// What the block service promises, whoever serves: `views[r]` is
+    /// rank `r`'s view of the cluster.
+    fn conformance(views: &[&ClusterStorage]) {
+        let st = views[0].pe(0);
+        let (disks, block_bytes) = (st.disks() as u32, st.block_bytes());
+        let write = |rank: usize, tag: u8| {
+            let id = views[rank].pe(rank).alloc().alloc_striped();
+            let block = vec![tag; block_bytes].into_boxed_slice();
+            views[rank].pe(rank).engine().write_sync(id, block).expect("write own block");
+            id
+        };
+
+        // A fetch of an own or a peer's block returns the written bytes.
+        let own: Vec<BlockId> = (0..P).map(|r| write(r, r as u8 + 1)).collect();
+        for (me, view) in views.iter().enumerate() {
+            for (owner, &id) in own.iter().enumerate() {
+                let got = view.fetch_block(owner, id).expect("fetch");
+                assert_eq!(&*got, &vec![owner as u8 + 1; block_bytes][..], "{me} reads {owner}");
+            }
+        }
+
+        // Issued in schedule order, handed back in `ids` order.
+        let ids = [write(1, 10), write(1, 11), write(1, 12)];
+        for me in [0, 1] {
+            let fetches = views[me].fetch_blocks_scheduled(1, &ids, &[2, 0, 1]).expect("issue");
+            let tags: Vec<u8> = fetches.into_iter().map(|f| f.wait().expect("block")[0]).collect();
+            assert_eq!(tags, [10, 11, 12], "rank {me}");
+        }
+
+        // A store with hint `h` lands on disk `h % disks` at the owner
+        // and reads back from every rank; a short payload still stores
+        // (zero-padded to a block), one beyond a block is refused at
+        // the owner and fails on the requester. Classified by ownership.
+        let (full, short) = (vec![0xA5u8; block_bytes], vec![0x5Au8; block_bytes / 2 + 1]);
+        let long = vec![1u8; block_bytes + 1];
+        for (me, owner) in [(0, 0), (0, 1), (2, 1)] {
+            let hint = disks + 1;
+            let blocks = [(hint, &full[..]), (0, &short[..]), (0, &long[..])];
+            let (stores, target) = views[me].store_blocks(me, owner, &blocks).expect("issue");
+            let expect = if me == owner { StoreTarget::LocalDisk } else { StoreTarget::RemoteDisk };
+            assert_eq!(target, expect, "{me} stores into {owner}");
+            let mut acks: Vec<Result<BlockId>> = stores.into_iter().map(BlockStore::wait).collect();
+            let err = acks.pop().expect("three stores").expect_err("beyond a block");
+            assert!(matches!(&err, Error::Io(m) if m.contains("exceeds")), "{err}");
+            let ids: Vec<BlockId> = acks.into_iter().map(|a| a.expect("stored")).collect();
+            assert_eq!((ids[0].disk, ids[1].disk), (hint % disks, 0));
+            let mut padded = short.clone();
+            padded.resize(block_bytes, 0);
+            for (reader, view) in views.iter().enumerate() {
+                let got = view.fetch_block(owner, ids[0]).expect("read back");
+                assert_eq!(&*got, &full[..], "{reader} reads {me}'s store at {owner}");
+                let got = view.fetch_block(owner, ids[1]).expect("read back");
+                assert_eq!(&*got, &padded[..], "{reader} reads {me}'s short store at {owner}");
+            }
+        }
+
+        // A never-written slot fails on the requester with the owner's
+        // error text; a rank outside the cluster is a config error.
+        let hole = BlockId::new(0, 9_999);
+        for (me, owner) in [(0, 0), (0, 1), (2, 1)] {
+            let err = views[me].fetch_block(owner, hole).expect_err("never written");
+            assert!(matches!(&err, Error::Io(m) if m.contains("unwritten block d0:9999")), "{err}");
+        }
+        assert!(matches!(views[0].fetch_blocks(P, &[hole]), Err(Error::Config(_))));
+        assert!(matches!(views[0].store_blocks(0, P, &[(0, &full[..])]), Err(Error::Config(_))));
+
+        // Reads classify by ownership too, whatever the view holds.
+        for (me, owner) in [(1, 1), (0, 1)] {
+            let mut cache = BlockCache::new(4);
+            let expect = if me == owner { FetchSource::LocalDisk } else { FetchSource::RemoteDisk };
+            let (_, src) =
+                views[me].fetch_block_cached(me, owner, own[owner], &mut cache).expect("read");
+            assert_eq!(src, expect, "{me} reads {owner}");
+            let (_, src) =
+                views[me].fetch_block_cached(me, owner, own[owner], &mut cache).expect("read");
+            assert_eq!(src, FetchSource::Cache);
+        }
+    }
+
+    #[test]
+    fn all_local_view_conforms() {
+        with_all_local_view(conformance);
+    }
+
+    #[test]
+    fn mesh_views_conform() {
+        with_mesh_views(conformance);
+    }
+
+    /// A store served for a peer is staged in the *owner's* pool and
+    /// the buffer returns there when the write retires: the owner's
+    /// misses follow the in-flight window, not the number of blocks.
+    fn served_stores_recycle_through_the_owners_pool(views: &[&ClusterStorage]) {
+        const WINDOW: usize = 4;
+        const BATCHES: usize = 16;
+        let block = vec![0xEEu8; views[1].pe(1).block_bytes()];
+        let batch: Vec<(u32, &[u8])> = (0..WINDOW).map(|i| (i as u32, &block[..])).collect();
+        for _ in 0..BATCHES {
+            let (stores, _) = views[0].store_blocks(0, 1, &batch).expect("issue");
+            for s in stores {
+                s.wait().expect("stored");
+            }
+        }
+        let c = views[1].pe(1).pool().counters();
+        assert!(c.hits > 0 && c.recycled > 0, "{c:?}");
+        assert!(c.misses <= 2 * WINDOW as u64, "{} stores, {c:?}", WINDOW * BATCHES);
+        assert_eq!(c.copied_bytes, (WINDOW * BATCHES * block.len()) as u64, "one staging copy");
+    }
+
+    #[test]
+    fn served_stores_recycle_on_both_substrates() {
+        with_all_local_view(served_stores_recycle_through_the_owners_pool);
+        with_mesh_views(served_stores_recycle_through_the_owners_pool);
+    }
+
+    #[test]
+    fn dropping_a_mesh_view_answers_peers_with_an_error_and_frees_the_endpoint() {
+        let (mut mesh, mut views) = mesh_views();
+        let id = views[2].pe(2).alloc().alloc_striped();
+        let block = vec![9u8; views[2].pe(2).block_bytes()];
+        views[2].pe(2).engine().write_sync(id, block.clone().into_boxed_slice()).expect("write");
+        assert_eq!(&*views[0].fetch_block(2, id).expect("served"), &block[..]);
+        // Rank 2's view goes (its job ended, or failed) while its
+        // endpoint is still up: peers get an error reply at once.
+        drop(views.pop());
+        let err = views[0].fetch_block(2, id).expect_err("no longer served");
+        assert!(matches!(&err, Error::Io(m) if m.contains("no block handler")), "{err}");
+        let (mut stores, _) = views[0].store_blocks(0, 2, &[(0, &block[..])]).expect("issue");
+        let err = stores.pop().expect("one store").wait().expect_err("no longer served");
+        assert!(matches!(&err, Error::Io(m) if m.contains("no store handler")), "{err}");
+        // With the view gone nothing else holds the endpoint: dropping
+        // the last handle closes its sockets, which its peers notice.
+        drop(mesh.pop());
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while !mesh[0].dead_peers()[2] {
+            assert!(std::time::Instant::now() < deadline, "rank 2's endpoint leaked");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
     }
 }

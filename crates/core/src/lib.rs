@@ -49,8 +49,8 @@ pub mod validate;
 
 pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
 pub use ctx::{
-    BlockCache, BlockFetch, BlockStore, ClusterStorage, FetchSource, PendingBlock, PendingStore,
-    RemoteBlockService, StoreTarget,
+    BlockCache, BlockFetch, BlockStore, ClusterStorage, FetchSource, MeshView, RemoteBlockService,
+    StoreTarget,
 };
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;

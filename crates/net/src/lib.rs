@@ -25,10 +25,12 @@
 //!   and per-socket timeouts so dead peers surface as errors. This
 //!   plays the role of MVAPICH's network device on the paper's
 //!   cluster; remote block reads (selection probes, striped-sequence
-//!   reconstruction) ride the out-of-band **block service**
-//!   ([`tcp::TcpTransport::fetch_blocks`]) — batched, pipelined,
-//!   id-matched request/reply frames served by the owner's reader
-//!   thread, the moral equivalent of the RDMA gets the paper assumes.
+//!   reconstruction) and writes (run replication) ride the out-of-band
+//!   **block service** ([`tcp::TcpTransport::fetch_blocks`],
+//!   [`tcp::TcpTransport::store_blocks`]) — one batched, pipelined,
+//!   id-matched request/reply exchange served by the owner's reader
+//!   thread, the moral equivalent of the RDMA gets and puts the paper
+//!   assumes.
 //!
 //! Because metering happens in the facade, the message/byte counters of
 //! a job are **identical across transports** — the in-process cluster

@@ -231,6 +231,14 @@ pub fn decode_job(buf: &[u8]) -> Result<JobConfig> {
 // Progress frame codec (worker -> launcher live status)
 // -------------------------------------------------------------------
 
+/// Decode a [`Phase`] from its wire tag, [`Phase::index`].
+fn phase_from_tag(tag: u8) -> Result<Phase> {
+    Phase::ALL
+        .get(tag as usize)
+        .copied()
+        .ok_or_else(|| Error::comm(format!("unknown phase tag {tag}")))
+}
+
 /// Encode a [`ProgressFrame`]: `[rank][phase][batch][batches][bytes]`.
 ///
 /// Workers stream these over the coordinator control connection while
@@ -249,10 +257,7 @@ pub fn encode_progress(f: &ProgressFrame) -> Vec<u8> {
 pub fn decode_progress(buf: &[u8]) -> Result<ProgressFrame> {
     let mut r = WireReader::new(buf);
     let rank = r.u32()? as usize;
-    let tag = r.u8()? as usize;
-    let phase = *Phase::ALL
-        .get(tag)
-        .ok_or_else(|| Error::comm(format!("unknown phase tag {tag} in progress frame")))?;
+    let phase = phase_from_tag(r.u8()?)?;
     let frame = ProgressFrame { rank, phase, batch: r.u64()?, batches: r.u64()?, bytes: r.u64()? };
     if r.remaining() != 0 {
         return Err(Error::comm(format!(
@@ -264,115 +269,116 @@ pub fn decode_progress(buf: &[u8]) -> Result<ProgressFrame> {
 }
 
 // -------------------------------------------------------------------
-// Block-store frame codecs (the write half of the block service)
+// Block-service frames (one request, one response, reads and writes)
 // -------------------------------------------------------------------
 
-/// Outcome of one remote block store, as carried by a response frame:
-/// the address the serving rank assigned (`Ok`) or its error message.
-pub type StoreReply = std::result::Result<(u32, u32), String>;
-
-/// Encode a block-store request payload: `[id][disk_hint][data]`.
-///
-/// `id` matches the response to the request (the store protocol is
-/// pipelined, like fetches); `disk_hint` asks the serving rank to place
-/// the copy on the same local disk index the original occupies, so a
-/// replica preserves the owner's striping. The data must be the last
-/// field — [`decode_store_req`] rejects any length mismatch.
-pub fn encode_store_req(id: u64, disk_hint: u32, data: &[u8]) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(id).u32(disk_hint).u32(data.len() as u32);
-    let mut buf = w.finish();
-    buf.extend_from_slice(data);
-    buf
+/// What a block-service request asks the owning rank to do.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub enum BlockOp {
+    /// Read the block at `(disk, slot)`; the request carries no payload
+    /// and the response body is the block.
+    Fetch,
+    /// Store the payload on disk `disk` (a placement hint — the owner's
+    /// allocator assigns the slot, `slot` is unused); the response body
+    /// is the assigned `[disk: u32][slot: u32]`.
+    Store,
 }
 
-/// Decode a block-store request payload into `(id, disk_hint, data)`.
+/// Header of a block-service request frame:
+/// `[id: u64][op: u8][disk: u32][slot: u32][len: u32]`, followed by
+/// `len` payload bytes. `id` matches the response to the request
+/// (requests are pipelined and answered in any order).
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct BlockReq {
+    pub id: u64,
+    pub op: BlockOp,
+    pub disk: u32,
+    pub slot: u32,
+    /// Payload bytes following the header.
+    pub len: u32,
+}
+
+impl BlockReq {
+    /// Encoded header size.
+    pub const BYTES: usize = 21;
+
+    /// The header bytes (the payload is gather-written after them).
+    pub fn encode(&self) -> [u8; Self::BYTES] {
+        let mut h = [0u8; Self::BYTES];
+        h[..8].copy_from_slice(&self.id.to_le_bytes());
+        h[8] = match self.op {
+            BlockOp::Fetch => 0,
+            BlockOp::Store => 1,
+        };
+        h[9..13].copy_from_slice(&self.disk.to_le_bytes());
+        h[13..17].copy_from_slice(&self.slot.to_le_bytes());
+        h[17..21].copy_from_slice(&self.len.to_le_bytes());
+        h
+    }
+
+    /// Decode a header whose frame carries `carried` bytes after it.
+    ///
+    /// # Errors
+    /// [`Error::Comm`] if the header is truncated, the operation is
+    /// unknown, a fetch carries a payload, or the claimed payload
+    /// length is not exactly what the frame carries — an oversized
+    /// claim must fail before any allocation, and trailing garbage is
+    /// a protocol violation, not padding.
+    pub fn decode(header: &[u8], carried: usize) -> Result<Self> {
+        let mut r = WireReader::new(header);
+        let id = r.u64()?;
+        let op = match r.u8()? {
+            0 => BlockOp::Fetch,
+            1 => BlockOp::Store,
+            other => return Err(Error::comm(format!("unknown block operation {other}"))),
+        };
+        let (disk, slot, len) = (r.u32()?, r.u32()?, r.u32()?);
+        if len as usize != carried {
+            return Err(Error::comm(format!(
+                "block request claims {len} payload bytes but carries {carried}"
+            )));
+        }
+        if op == BlockOp::Fetch && len != 0 {
+            return Err(Error::comm(format!("block fetch request carries a {len}-byte payload")));
+        }
+        Ok(Self { id, op, disk, slot, len })
+    }
+}
+
+/// Size of a block-service response prefix: `[id: u64][status: u8]`.
+/// The body follows — the block or store address on success, the
+/// owner's error text (UTF-8) otherwise.
+pub const BLOCK_RESP_PREFIX: usize = 9;
+
+/// Encode a block-service response prefix.
+pub fn encode_block_resp(id: u64, ok: bool) -> [u8; BLOCK_RESP_PREFIX] {
+    let mut p = [0u8; BLOCK_RESP_PREFIX];
+    p[..8].copy_from_slice(&id.to_le_bytes());
+    p[8] = !ok as u8;
+    p
+}
+
+/// Decode a block-service response prefix into `(id, ok)`.
 ///
 /// # Errors
-/// [`Error::Comm`] if the frame is truncated or the embedded data
-/// length does not match the bytes actually present — an oversized
-/// claim must fail before any allocation, and trailing garbage is a
-/// protocol violation, not padding.
-pub fn decode_store_req(buf: &[u8]) -> Result<(u64, u32, &[u8])> {
-    let mut r = WireReader::new(buf);
+/// [`Error::Comm`] on truncation or an unknown status byte.
+pub fn decode_block_resp(prefix: &[u8]) -> Result<(u64, bool)> {
+    let mut r = WireReader::new(prefix);
     let id = r.u64()?;
-    let disk_hint = r.u32()?;
-    let len = r.u32()? as usize;
-    if r.remaining() != len {
-        return Err(Error::comm(format!(
-            "store request claims {len} data bytes but carries {}",
-            r.remaining()
-        )));
+    match r.u8()? {
+        0 => Ok((id, true)),
+        1 => Ok((id, false)),
+        other => Err(Error::comm(format!("unknown block response status {other}"))),
     }
-    Ok((id, disk_hint, &buf[buf.len() - len..]))
-}
-
-/// Encode a block-store response payload: `[id][status]` followed by
-/// the assigned `[disk][slot]` (status 0) or an error string.
-pub fn encode_store_resp(id: u64, reply: &StoreReply) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u64(id);
-    match reply {
-        Ok((disk, slot)) => {
-            w.u8(0).u32(*disk).u32(*slot);
-        }
-        Err(msg) => {
-            w.u8(1).string(msg);
-        }
-    }
-    w.finish()
-}
-
-/// Decode a block-store response payload into `(id, reply)`.
-///
-/// # Errors
-/// [`Error::Comm`] on truncation, an unknown status byte, or trailing
-/// garbage after a well-formed reply.
-pub fn decode_store_resp(buf: &[u8]) -> Result<(u64, StoreReply)> {
-    let mut r = WireReader::new(buf);
-    let id = r.u64()?;
-    let reply = match r.u8()? {
-        0 => Ok((r.u32()?, r.u32()?)),
-        1 => Err(r.string()?),
-        other => {
-            return Err(Error::comm(format!("unknown store response status {other}")));
-        }
-    };
-    if r.remaining() != 0 {
-        return Err(Error::comm(format!(
-            "store response carries {} trailing bytes",
-            r.remaining()
-        )));
-    }
-    Ok((id, reply))
 }
 
 // -------------------------------------------------------------------
 // Counter codecs (worker -> launcher report)
 // -------------------------------------------------------------------
 
-fn phase_tag(p: Phase) -> u8 {
-    match p {
-        Phase::RunFormation => 0,
-        Phase::MultiwaySelection => 1,
-        Phase::AllToAll => 2,
-        Phase::FinalMerge => 3,
-    }
-}
-
-fn phase_from_tag(t: u8) -> Result<Phase> {
-    match t {
-        0 => Ok(Phase::RunFormation),
-        1 => Ok(Phase::MultiwaySelection),
-        2 => Ok(Phase::AllToAll),
-        3 => Ok(Phase::FinalMerge),
-        _ => Err(Error::comm(format!("unknown phase tag {t}"))),
-    }
-}
-
 /// Encode one phase's stats.
 pub fn encode_phase_stats(w: &mut WireWriter, phase: Phase, s: &PhaseStats) {
-    w.u8(phase_tag(phase));
+    w.u8(phase.index() as u8);
     w.u64(s.io.bytes_read)
         .u64(s.io.bytes_written)
         .u64(s.io.blocks_read)
@@ -441,9 +447,10 @@ impl RankReport {
     }
 }
 
-/// Upper bound of one encoded phase entry (tag + 13 × u64) — used to
-/// sanity-bound decoded phase counts against the actual payload size.
-const PHASE_WIRE_BYTES: usize = 1 + 13 * 8;
+/// Size of one encoded phase entry (tag + 14 × u64, pinned against
+/// [`encode_phase_stats`] by a test) — bounds a decoded phase count by
+/// what the payload can actually hold.
+const PHASE_WIRE_BYTES: usize = 1 + 14 * 8;
 
 /// Encode a [`RankReport`].
 pub fn encode_rank_report(rep: &RankReport) -> Vec<u8> {
@@ -625,44 +632,71 @@ mod tests {
         assert!(matches!(err, Error::Comm(_)), "{err}");
     }
 
+    /// A store request frame as the wire carries it: header, payload.
+    fn store_frame(id: u64, disk: u32, data: &[u8]) -> Vec<u8> {
+        let req = BlockReq { id, op: BlockOp::Store, disk, slot: 0, len: data.len() as u32 };
+        [&req.encode()[..], data].concat()
+    }
+
+    /// Decode a request frame the way the transport's reader does: the
+    /// header first, checked against what the frame carries after it.
+    fn decode_frame(frame: &[u8]) -> Result<(BlockReq, &[u8])> {
+        let (header, payload) = frame.split_at(frame.len().min(BlockReq::BYTES));
+        Ok((BlockReq::decode(header, payload.len())?, payload))
+    }
+
     #[test]
     fn store_frames_roundtrip() {
         let data = vec![7u8; 256];
-        let frame = encode_store_req(42, 1, &data);
-        let (id, hint, body) = decode_store_req(&frame).expect("decode");
-        assert_eq!((id, hint), (42, 1));
+        let frame = store_frame(42, 1, &data);
+        let (req, body) = decode_frame(&frame).expect("decode");
+        assert_eq!((req.id, req.op, req.disk, req.len), (42, BlockOp::Store, 1, 256));
         assert_eq!(body, &data[..]);
 
-        let ok: StoreReply = Ok((1, 99));
-        assert_eq!(decode_store_resp(&encode_store_resp(7, &ok)).expect("decode"), (7, ok));
-        let err: StoreReply = Err("disk full".into());
-        assert_eq!(decode_store_resp(&encode_store_resp(8, &err)).expect("decode"), (8, err));
+        let fetch = BlockReq { id: 43, op: BlockOp::Fetch, disk: 2, slot: 99, len: 0 };
+        assert_eq!(decode_frame(&fetch.encode()).expect("decode"), (fetch, &[][..]));
+
+        assert_eq!(decode_block_resp(&encode_block_resp(7, true)).expect("decode"), (7, true));
+        assert_eq!(decode_block_resp(&encode_block_resp(8, false)).expect("decode"), (8, false));
     }
 
     #[test]
     fn store_req_length_must_match_exactly() {
         // Oversized claim: says 100 bytes, carries 3.
-        let mut w = WireWriter::new();
-        w.u64(1).u32(0).u32(100);
-        let mut buf = w.finish();
-        buf.extend_from_slice(&[1, 2, 3]);
-        assert!(matches!(decode_store_req(&buf), Err(Error::Comm(_))));
-        // Trailing garbage after a well-formed response.
-        let mut buf = encode_store_resp(1, &Ok((0, 0)));
+        let mut buf = store_frame(1, 0, &[0u8; 100]);
+        buf.truncate(BlockReq::BYTES + 3);
+        assert!(matches!(decode_frame(&buf), Err(Error::Comm(_))));
+        // Trailing garbage after the claimed payload.
+        let mut buf = store_frame(1, 0, &[1, 2, 3]);
         buf.push(0xFF);
-        assert!(matches!(decode_store_resp(&buf), Err(Error::Comm(_))));
-        // Unknown status byte.
-        let mut w = WireWriter::new();
-        w.u64(1).u8(9);
-        assert!(matches!(decode_store_resp(&w.finish()), Err(Error::Comm(_))));
+        assert!(matches!(decode_frame(&buf), Err(Error::Comm(_))));
+        // A fetch carries no payload, whatever its length field says.
+        let mut fetch = BlockReq { id: 1, op: BlockOp::Fetch, disk: 0, slot: 0, len: 4 };
+        assert!(matches!(BlockReq::decode(&fetch.encode(), 4), Err(Error::Comm(_))));
+        fetch.len = 0;
+        assert!(matches!(BlockReq::decode(&fetch.encode(), 4), Err(Error::Comm(_))));
+        // Unknown operation and unknown status byte.
+        let mut header = fetch.encode();
+        header[8] = 9;
+        assert!(matches!(BlockReq::decode(&header, 0), Err(Error::Comm(_))));
+        let mut prefix = encode_block_resp(1, true);
+        prefix[8] = 9;
+        assert!(matches!(decode_block_resp(&prefix), Err(Error::Comm(_))));
     }
 
     #[test]
     fn every_phase_tag_roundtrips() {
         for p in Phase::ALL {
-            assert_eq!(phase_from_tag(phase_tag(p)).expect("tag"), p);
+            assert_eq!(phase_from_tag(p.index() as u8).expect("tag"), p);
         }
         assert!(phase_from_tag(9).is_err());
+    }
+
+    #[test]
+    fn phase_entry_size_matches_the_encoder() {
+        let mut w = WireWriter::new();
+        encode_phase_stats(&mut w, Phase::AllToAll, &PhaseStats::default());
+        assert_eq!(w.finish().len(), PHASE_WIRE_BYTES);
     }
 
     mod codec_error_paths {
@@ -763,21 +797,21 @@ mod tests {
     }
 
     mod store_frame_paths {
-        //! Satellite of the write-capable block service PR: error paths
-        //! of the store frames, matching the fetch-frame suite above.
-        //! Truncated, oversized, and garbage frames must decode to
-        //! `Error::Comm` — never panic, never allocate on a claimed
-        //! (rather than actual) length.
+        //! Error paths of the block-service frames, matching the
+        //! control-frame suite above. Truncated, oversized, and garbage
+        //! frames must decode to `Error::Comm` — never panic, never
+        //! allocate on a claimed (rather than actual) length.
         use super::super::*;
+        use super::{decode_frame, store_frame};
         use proptest::prelude::*;
 
         proptest! {
-            /// Arbitrary byte soup: the store decoders return, they
-            /// never panic.
+            /// Arbitrary byte soup: the block-service decoders return,
+            /// they never panic.
             #[test]
             fn garbage_never_panics(bytes in prop::collection::vec(0u8..=255, 0..256)) {
-                let _ = decode_store_req(&bytes);
-                let _ = decode_store_resp(&bytes);
+                let _ = decode_frame(&bytes);
+                let _ = decode_block_resp(&bytes);
             }
 
             /// Round trip over arbitrary ids, hints and payloads.
@@ -787,30 +821,27 @@ mod tests {
                 hint in 0u32..=u32::MAX,
                 data in prop::collection::vec(0u8..=255, 0..512),
             ) {
-                let frame = encode_store_req(id, hint, &data);
-                let (i, h, d) = decode_store_req(&frame).expect("roundtrip");
-                prop_assert_eq!((i, h, d), (id, hint, &data[..]));
+                let frame = store_frame(id, hint, &data);
+                let (req, d) = decode_frame(&frame).expect("roundtrip");
+                prop_assert_eq!((req.id, req.op, req.disk, d), (id, BlockOp::Store, hint, &data[..]));
             }
 
             /// Every strict prefix of a valid request is `Error::Comm`
-            /// (the trailing-data length check also catches cuts inside
-            /// the payload).
+            /// (the payload length check also catches cuts inside the
+            /// payload).
             #[test]
             fn truncated_store_req_is_comm_error(cut in 0usize..10_000) {
-                let full = encode_store_req(9, 2, &[5u8; 64]);
+                let full = store_frame(9, 2, &[5u8; 64]);
                 let cut = cut % full.len(); // strict prefix
-                let err = decode_store_req(&full[..cut]).expect_err("truncated");
+                let err = decode_frame(&full[..cut]).expect_err("truncated");
                 prop_assert!(matches!(err, Error::Comm(_)), "{err}");
             }
 
-            /// Every strict prefix of a valid response is `Error::Comm`.
+            /// Every strict prefix of a response prefix is `Error::Comm`.
             #[test]
-            fn truncated_store_resp_is_comm_error(cut in 0usize..10_000, ok in 0u8..=1) {
-                let reply: StoreReply =
-                    if ok == 1 { Ok((3, 77)) } else { Err("backend failed".into()) };
-                let full = encode_store_resp(11, &reply);
-                let cut = cut % full.len(); // strict prefix
-                let err = decode_store_resp(&full[..cut]).expect_err("truncated");
+            fn truncated_store_resp_is_comm_error(cut in 0usize..BLOCK_RESP_PREFIX, ok in 0u8..=1) {
+                let full = encode_block_resp(11, ok == 1);
+                let err = decode_block_resp(&full[..cut]).expect_err("truncated");
                 prop_assert!(matches!(err, Error::Comm(_)), "{err}");
             }
 
@@ -819,12 +850,9 @@ mod tests {
             /// `Error::Comm` before any allocation of the claimed size.
             #[test]
             fn oversized_store_claim_is_comm_error(claim in 1u32..=u32::MAX, carry in 0usize..64) {
-                let mut w = WireWriter::new();
-                w.u64(0).u32(0).u32(claim);
-                let mut buf = w.finish();
+                let req = BlockReq { id: 0, op: BlockOp::Store, disk: 0, slot: 0, len: claim };
                 let carry = carry.min(claim as usize - 1);
-                buf.extend(std::iter::repeat_n(0u8, carry));
-                let err = decode_store_req(&buf).expect_err("oversized claim");
+                let err = BlockReq::decode(&req.encode(), carry).expect_err("oversized claim");
                 prop_assert!(matches!(err, Error::Comm(_)), "{err}");
             }
 
@@ -832,14 +860,13 @@ mod tests {
             /// to *something* or fails cleanly — never a panic.
             #[test]
             fn store_bitflips_never_panic(pos in 0usize..10_000, flip in 1u8..=255) {
-                let mut req = encode_store_req(3, 1, &[9u8; 32]);
+                let mut req = store_frame(3, 1, &[9u8; 32]);
                 let pos_req = pos % req.len();
                 req[pos_req] ^= flip;
-                let _ = decode_store_req(&req);
-                let mut resp = encode_store_resp(3, &Err("x".into()));
-                let pos_resp = pos % resp.len();
-                resp[pos_resp] ^= flip;
-                let _ = decode_store_resp(&resp);
+                let _ = decode_frame(&req);
+                let mut resp = encode_block_resp(3, false);
+                resp[pos % BLOCK_RESP_PREFIX] ^= flip;
+                let _ = decode_block_resp(&resp);
             }
         }
     }
