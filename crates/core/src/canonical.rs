@@ -77,6 +77,7 @@ pub fn canonical_mergesort<R: Record + Ord>(
     let dir = build_directory(comm, formed.local)?;
     let runs = dir.num_runs();
     rec.finish_phase(Phase::RunFormation, st.counters(), comm.counters());
+    tr.mem();
     tr.end(span, pev(Phase::RunFormation));
 
     // ---- Single-run shortcut: the sort was internal ----
@@ -102,6 +103,7 @@ pub fn canonical_mergesort<R: Record + Ord>(
     rec.add_comm(sel_stats.comm());
     let all_splitters = exchange_splitters(comm, &splitters)?;
     rec.finish_phase(Phase::MultiwaySelection, st.counters(), comm.counters());
+    tr.mem();
     tr.end(span, pev(Phase::MultiwaySelection));
 
     // ---- Phase 2b: external all-to-all ----
@@ -109,6 +111,7 @@ pub fn canonical_mergesort<R: Record + Ord>(
     let span = tr.begin(pev(Phase::AllToAll));
     let outcome = external_alltoall::<R>(comm, st, cfg, &dir, &all_splitters)?;
     rec.finish_phase(Phase::AllToAll, st.counters(), comm.counters());
+    tr.mem();
     tr.end(span, pev(Phase::AllToAll));
 
     // ---- Phase 3: final local merge ----
@@ -120,6 +123,7 @@ pub fn canonical_mergesort<R: Record + Ord>(
         st.free_block(b);
     }
     rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
+    tr.mem();
     tr.end(span, pev(Phase::FinalMerge));
 
     Ok(PeOutcome {

@@ -72,6 +72,9 @@ pub fn run_rank_job(
 
     let total = file_records::<R>(input)?;
     let local = ingest_file_shard::<R>(st, input, rank, p, total)?;
+    // Memory after each file edge here, after each phase in the sorts:
+    // the journal says where the peak was set.
+    comm.tracer().mem();
     let (elems, runs, phases) = match job.algorithm {
         SortAlgo::Canonical => {
             // Rank `r`'s output is global ranks `⌊r·n/p⌋ ..`, so the
@@ -91,6 +94,7 @@ pub fn run_rank_job(
         }
     };
 
+    comm.tracer().mem();
     // Checkpoint the buffer-pool counters: in steady state the journal
     // shows hits far above misses (diagnostics only — the split is
     // timing-dependent, never an identity surface).

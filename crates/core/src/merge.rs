@@ -130,14 +130,40 @@ pub fn merge_k<T: Ord + Copy>(seqs: &[&[T]]) -> Vec<T> {
 
 /// Merge `k` sorted slices, appending to `out` (reuses its capacity).
 pub fn merge_k_into<T: Ord + Copy>(seqs: &[&[T]], out: &mut Vec<T>) {
-    match seqs.len() {
-        0 => return,
-        1 => {
-            out.extend_from_slice(seqs[0]);
-            return;
+    if let [only] = seqs {
+        out.extend_from_slice(only);
+        return;
+    }
+    let pushed = merge_k_each(seqs, |x| {
+        out.push(x);
+        Ok(())
+    });
+    debug_assert!(pushed.is_ok(), "pushing to a Vec cannot fail");
+}
+
+/// Merge `k` sorted slices, handing each element to `emit` in merged
+/// order — the merge under [`merge_k_into`], for a consumer that is
+/// not a vector (a run writer encoding each record where it will be
+/// written from). Stops at, and returns, `emit`'s first error.
+pub fn merge_k_each<T: Ord + Copy>(
+    seqs: &[&[T]],
+    mut emit: impl FnMut(T) -> demsort_types::Result<()>,
+) -> demsort_types::Result<()> {
+    if let [a, b] = seqs {
+        // Two-way fast path (no tree overhead).
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            // `<=` keeps source order on ties (source 0 first),
+            // matching the loser tree's tie-break.
+            if a[i] <= b[j] {
+                emit(a[i])?;
+                i += 1;
+            } else {
+                emit(b[j])?;
+                j += 1;
+            }
         }
-        2 => return merge_2_into(seqs[0], seqs[1], out),
-        _ => {}
+        return a[i..].iter().chain(&b[j..]).try_for_each(|&x| emit(x));
     }
     let mut pos = vec![0usize; seqs.len()];
     let heads: Vec<Option<T>> = seqs.iter().map(|s| s.first().copied()).collect();
@@ -145,8 +171,9 @@ pub fn merge_k_into<T: Ord + Copy>(seqs: &[&[T]], out: &mut Vec<T>) {
     while let Some(w) = lt.winner() {
         pos[w] += 1;
         let next = seqs[w].get(pos[w]).copied();
-        out.push(lt.replace_winner(next));
+        emit(lt.replace_winner(next))?;
     }
+    Ok(())
 }
 
 /// Merge the leading run of each sorted slice that satisfies `below`
@@ -421,24 +448,6 @@ fn merge_k_into_uninit<T: Ord + Copy>(seqs: &[&[T]], slot: &mut [std::mem::Maybe
     }
 }
 
-/// Two-way merge fast path (no tree overhead).
-fn merge_2_into<T: Ord + Copy>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        // `<=` keeps source order on ties (source 0 first), matching
-        // the loser tree's tie-break.
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 /// An iterator that merges `k` sorted iterators (streaming — used when
 /// sources are decoded lazily from disk blocks).
 pub struct MergeIter<T, I> {
@@ -517,6 +526,31 @@ mod tests {
         let a = [1u32, 3, 5, 7];
         let b = [2u32, 3, 6];
         assert_eq!(merge_k(&[&a, &b]), vec![1, 2, 3, 3, 5, 6, 7]);
+    }
+
+    #[test]
+    fn merge_each_emits_merged_order_and_stops_at_the_first_error() {
+        let (a, b, c) = ([1u32, 4, 7], [2u32, 5, 8], [3u32, 6, 9]);
+        for seqs in [&[&a[..], &b[..]][..], &[&a[..], &b[..], &c[..]][..]] {
+            let mut seen = Vec::new();
+            merge_k_each(seqs, |x| {
+                seen.push(x);
+                Ok(())
+            })
+            .expect("merge");
+            assert_eq!(seen, merge_k(seqs));
+
+            let mut taken = 0;
+            let err = merge_k_each(seqs, |_| {
+                taken += 1;
+                if taken == 3 {
+                    return Err(demsort_types::Error::io("sink full"));
+                }
+                Ok(())
+            });
+            assert!(matches!(err, Err(demsort_types::Error::Io(_))));
+            assert_eq!(taken, 3, "nothing is emitted past the error");
+        }
     }
 
     #[test]

@@ -18,12 +18,28 @@
 //!
 //! The output is *canonical*: PE `i` ends up with the elements of
 //! global ranks `⌊i·N/P⌋ .. ⌊(i+1)·N/P⌋`.
+//!
+//! Steps 2–4 are one kernel, [`Exchange::run`], and it is a stream: a
+//! record is copied once on its way out (encoded into the message that
+//! carries it) and once on its way in (merged into the caller's
+//! [`RecordSink`] — for run formation the block it is written to disk
+//! from). The piece a PE keeps is never encoded: it is merged from
+//! `data` where it lies. A received piece is merged from the message
+//! buffer it arrived in where the record type's layout allows
+//! ([`Record::view_slice`]), and decoded into a buffer the kernel keeps
+//! between calls where it does not. Nothing run-sized is allocated per
+//! call except the outgoing messages. With `cores > 1` the merge runs
+//! on several threads into an arena the kernel keeps, and the sink
+//! takes that as one slab. [`parallel_sort`] and
+//! [`parallel_sort_presorted`] wrap the kernel for callers that want
+//! the result as a vector.
 
 use crate::distselect::dist_split;
-use crate::merge::{merge_cpu, par_merge_k_into};
+use crate::merge::{merge_cpu, merge_k_each, par_merge_k_into};
+use crate::recio::RecordSink;
 use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
-use demsort_types::{CpuCounters, Record, Result};
+use demsort_types::{CpuCounters, Error, Record, Result};
 
 /// Sort `data` across all PEs of `comm`; returns this PE's canonical
 /// slice of the global sorted order plus CPU counters.
@@ -43,9 +59,7 @@ pub fn parallel_sort<R: Record + Ord>(
     parallel_sort_presorted(comm, data, cores, cpu)
 }
 
-/// [`parallel_sort`] for data that is already locally sorted (used by
-/// the single-run sort-on-arrival optimization of Section IV-E, where
-/// blocks are sorted as they arrive from disk and merged afterwards).
+/// [`parallel_sort`] for data that is already locally sorted.
 ///
 /// `cpu` carries the counters of however the local sort was achieved;
 /// the splitter/exchange/merge counters are added to it. The final
@@ -57,83 +71,180 @@ pub fn parallel_sort_presorted<R: Record + Ord>(
     comm: &Communicator,
     data: Vec<R>,
     cores: usize,
-    mut cpu: CpuCounters,
+    cpu: CpuCounters,
 ) -> Result<(Vec<R>, CpuCounters)> {
-    debug_assert!(data.windows(2).all(|w| w[0] <= w[1]), "input must be locally sorted");
     if comm.size() == 1 {
         return Ok((data, cpu));
     }
+    let mut out = Vec::with_capacity(data.len());
+    let exchange_cpu = Exchange::new().run(comm, &data, cores, &mut out)?;
+    Ok((out, cpu.merge(&exchange_cpu)))
+}
 
-    // Exact equal-size splitters over the P distributed sorted runs.
-    let cuts = dist_split(comm, &data, comm.size())?;
+/// The exchange kernel (steps 2–4 above) and the two buffers it keeps
+/// between calls, so that a loop over runs or merge batches allocates
+/// them once. Both stay empty for a record type with a zero-copy view
+/// merged on one core.
+pub struct Exchange<R> {
+    /// The received pieces, decoded back to back in source order —
+    /// only for record types without [`Record::view_slice`].
+    decoded: Vec<R>,
+    /// Output of the multi-threaded merge (`cores > 1`).
+    merged: Vec<R>,
+}
 
-    // Exchange the pieces: piece p of every PE goes to PE p.
-    let msgs: Vec<Vec<u8>> = cuts
-        .windows(2)
-        .map(|w| {
-            let piece = &data[w[0]..w[1]];
-            let mut buf = vec![0u8; piece.len() * R::BYTES];
-            R::encode_slice(piece, &mut buf);
-            buf
-        })
-        .collect();
-    let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
-    drop(data);
+impl<R: Record + Ord> Default for Exchange<R> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-    // Merge the P sorted pieces (they arrive indexed by source rank,
-    // which is exactly the canonical (key, pe) tie-break order).
-    let pieces: Vec<Vec<R>> = received
-        .into_iter()
-        .map(|buf| {
-            let mut v = Vec::new();
-            R::decode_slice(&buf, &mut v);
-            v
-        })
-        .collect();
-    let views: Vec<&[R]> = pieces.iter().map(|p| p.as_slice()).collect();
-    let total: usize = views.iter().map(|v| v.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    let pm = par_merge_k_into(&views, cores, &mut out);
+impl<R: Record + Ord> Exchange<R> {
+    /// A kernel with empty buffers.
+    pub fn new() -> Self {
+        Self { decoded: Vec::new(), merged: Vec::new() }
+    }
 
-    cpu = cpu.merge(&merge_cpu(out.len() as u64, comm.size()));
-    cpu.split_probes += pm.split_probes;
-    Ok((out, cpu))
+    /// Redistribute the locally sorted `data` of all PEs canonically:
+    /// this PE's slice of the global order goes to `sink`, in order.
+    /// Collective. Returns the CPU counters of the merge (and of its
+    /// thread split); the splitter selection's traffic is on `comm`.
+    ///
+    /// Equal keys come out in source-rank order — the canonical
+    /// (key, PE) tie-break the splitters were chosen under.
+    ///
+    /// # Errors
+    /// [`Error::Comm`] if a peer dies during the splitter selection or
+    /// the exchange, or sends a message that is not whole records;
+    /// whatever `sink` fails with.
+    pub fn run(
+        &mut self,
+        comm: &Communicator,
+        data: &[R],
+        cores: usize,
+        sink: &mut impl RecordSink<R>,
+    ) -> Result<CpuCounters> {
+        debug_assert!(data.windows(2).all(|w| w[0] <= w[1]), "input must be locally sorted");
+        let (me, p) = (comm.rank(), comm.size());
+        if p == 1 {
+            sink.emit_all(data)?;
+            return Ok(CpuCounters::default());
+        }
+
+        // Exact equal-size splitters over the P distributed sorted runs.
+        let cuts = dist_split(comm, data, p)?;
+
+        // Piece `dst` of every PE goes to PE `dst`; the piece this PE
+        // keeps stays in `data`.
+        let msgs: Vec<Vec<u8>> = (0..p)
+            .map(|dst| {
+                let piece = if dst == me { &[][..] } else { &data[cuts[dst]..cuts[dst + 1]] };
+                let mut buf = vec![0u8; piece.len() * R::BYTES];
+                R::encode_slice(piece, &mut buf);
+                buf
+            })
+            .collect();
+        let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
+
+        // The P sorted pieces, indexed by source rank: views into the
+        // message buffers where the layout allows, decoded otherwise.
+        self.decoded.clear();
+        let mut decoded_at = vec![0..0; p];
+        for (src, buf) in received.iter().enumerate() {
+            if !buf.len().is_multiple_of(R::BYTES) {
+                return Err(Error::comm(format!(
+                    "rank {me}: rank {src} sent {} bytes, not whole {}-byte records",
+                    buf.len(),
+                    R::BYTES
+                )));
+            }
+            if R::view_slice(buf).is_none() {
+                let at = self.decoded.len();
+                R::decode_slice(buf, &mut self.decoded);
+                decoded_at[src] = at..self.decoded.len();
+            }
+        }
+        let pieces: Vec<&[R]> = (0..p)
+            .map(|src| {
+                if src == me {
+                    return &data[cuts[me]..cuts[me + 1]];
+                }
+                R::view_slice(&received[src]).unwrap_or(&self.decoded[decoded_at[src].clone()])
+            })
+            .collect();
+
+        // Merge them (source order is exactly the canonical (key, PE)
+        // tie-break order) into the sink.
+        let total: usize = pieces.iter().map(|v| v.len()).sum();
+        let mut cpu = merge_cpu(total as u64, p);
+        if cores > 1 {
+            self.merged.clear();
+            cpu.split_probes += par_merge_k_into(&pieces, cores, &mut self.merged).split_probes;
+            sink.emit_all(&self.merged)?;
+        } else {
+            merge_k_each(&pieces, |rec| sink.emit(rec))?;
+        }
+        Ok(cpu)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use demsort_net::run_cluster;
-    use demsort_types::Element16;
-    use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use demsort_types::{Element16, Key10, Record100};
+    use demsort_workloads::{
+        checksum_elements, checksum_records, generate_pe_input, Fingerprint, InputSpec,
+    };
 
-    /// Run a parallel sort and verify the three output properties:
-    /// locally sorted, globally ordered across PEs, and a permutation
-    /// of the input.
-    fn check_psort(spec: InputSpec, p: usize, local_n: usize) {
-        let outputs = run_cluster(p, move |c| {
-            let data = generate_pe_input(spec, 99, c.rank(), p, local_n);
-            let (out, _) = parallel_sort(&c, data, 2).expect("sort");
-            out
-        });
+    /// The 100-byte record that sorts where `e` does: the kernel then
+    /// merges it from a view of the message it arrived in, where an
+    /// [`Element16`] (no such view) is decoded first.
+    fn wide(e: Element16) -> Record100 {
+        let (mut key, mut payload) = ([0u8; 10], [0u8; 90]);
+        key[..8].copy_from_slice(&e.key.to_be_bytes());
+        payload[..8].copy_from_slice(&e.payload.to_be_bytes());
+        Record100::new(Key10(key), payload)
+    }
 
-        let mut reference = generate_all(spec, 99, p, local_n);
+    /// Run a parallel sort of `input(rank)` on `p` PEs — through the
+    /// streaming merge (`cores = 1`) and through the arena
+    /// (`cores = 2`) — and verify the three output properties: locally
+    /// sorted, globally ordered across PEs, and a permutation of the
+    /// input.
+    fn check_psort_of<R: Record + Ord + std::fmt::Debug>(
+        what: &str,
+        p: usize,
+        input: impl Fn(usize) -> Vec<R> + Copy + Send + Sync,
+        checksum: fn(&[R]) -> Fingerprint,
+    ) {
+        let all: Vec<R> = (0..p).flat_map(input).collect();
+        let mut reference = all.clone();
         reference.sort_unstable();
-
-        // Balanced canonical sizes.
-        let n = (p * local_n) as u64;
-        for (pe, out) in outputs.iter().enumerate() {
-            let expect = demsort_types::ranks::owned_len(pe, p, n);
-            assert_eq!(out.len() as u64, expect, "PE {pe} size");
+        for cores in [1, 2] {
+            let outputs = run_cluster(p, move |c| {
+                let (out, _) = parallel_sort(&c, input(c.rank()), cores).expect("sort");
+                out
+            });
+            // Balanced canonical sizes.
+            for (pe, out) in outputs.iter().enumerate() {
+                let expect = demsort_types::ranks::owned_len(pe, p, all.len() as u64);
+                assert_eq!(out.len() as u64, expect, "PE {pe} size ({what}, P={p})");
+            }
+            // Concatenation equals the sequential reference sort.
+            let concat: Vec<R> = outputs.concat();
+            assert_eq!(concat, reference, "global order ({what}, P={p}, cores={cores})");
+            assert_eq!(checksum(&concat), checksum(&all), "permutation ({what}, P={p})");
         }
-        // Concatenation equals the sequential reference sort.
-        let concat: Vec<Element16> = outputs.concat();
-        assert_eq!(concat, reference, "global order ({spec:?}, P={p})");
-        assert_eq!(
-            checksum_elements(&concat),
-            checksum_elements(&generate_all(spec, 99, p, local_n)),
-            "permutation"
-        );
+    }
+
+    /// [`check_psort_of`] on `local_n` generated elements per PE, as
+    /// both record types.
+    fn check_psort(spec: InputSpec, p: usize, local_n: usize) {
+        let what = format!("{spec:?}");
+        let gen = move |rank| generate_pe_input(spec, 99, rank, p, local_n);
+        check_psort_of(&what, p, gen, checksum_elements);
+        check_psort_of(&what, p, move |r| gen(r).into_iter().map(wide).collect(), checksum_records);
     }
 
     #[test]
@@ -157,6 +268,103 @@ mod tests {
         check_psort(InputSpec::Uniform, 4, 1);
         check_psort(InputSpec::Uniform, 3, 0);
         check_psort(InputSpec::Uniform, 2, 2);
+    }
+
+    #[test]
+    fn both_record_types_at_every_cluster_size() {
+        for p in [1, 2, 3, 5] {
+            check_psort(InputSpec::Uniform, p, 257);
+            // All keys equal: the splitters cut inside one tie.
+            check_psort(InputSpec::Constant, p, 120);
+            // Globally sorted: every piece but the one a PE keeps is
+            // empty.
+            check_psort(InputSpec::Sorted, p, 90);
+        }
+    }
+
+    #[test]
+    fn one_pe_holds_everything() {
+        // Every piece the other PEs send is empty, and they receive
+        // all they end up with.
+        for p in [2, 3, 5] {
+            let skewed = move |rank: usize| {
+                generate_pe_input(InputSpec::Uniform, 5, rank, p, if rank == 1 { 403 } else { 0 })
+            };
+            check_psort_of("one PE holds everything", p, skewed, checksum_elements);
+            check_psort_of(
+                "one PE holds everything",
+                p,
+                move |r| skewed(r).into_iter().map(wide).collect(),
+                checksum_records,
+            );
+        }
+    }
+
+    /// An element ordered by its key alone, so that where equal keys
+    /// end up shows the order the merge took them in.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    struct ByKey(Element16);
+
+    impl PartialOrd for ByKey {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for ByKey {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.key.cmp(&other.0.key)
+        }
+    }
+
+    impl Record for ByKey {
+        type Key = u64;
+        const BYTES: usize = Element16::BYTES;
+
+        fn key(&self) -> u64 {
+            self.0.key
+        }
+
+        fn encode(&self, out: &mut [u8]) {
+            self.0.encode(out);
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            ByKey(Element16::decode(buf))
+        }
+
+        fn with_key(key: u64) -> Self {
+            ByKey(Element16::with_key(key))
+        }
+    }
+
+    #[test]
+    fn equal_keys_come_out_in_source_rank_order() {
+        // Three keys, many ties; the payload is (source rank, position
+        // there). Canonical order is (key, PE), and within a PE the
+        // order the input had.
+        for (p, cores) in [(2, 1), (3, 1), (5, 1), (3, 2)] {
+            let local_n = 64u64;
+            let outputs = run_cluster(p, move |c| {
+                let rank = c.rank() as u64;
+                let data: Vec<ByKey> = (0..local_n)
+                    .map(|i| ByKey(Element16::new(i * 3 / local_n, rank * local_n + i)))
+                    .collect();
+                let (mut out, mut sink) = (Vec::new(), Vec::new());
+                let mut exchange = Exchange::new();
+                // Twice through one kernel: its buffers are reused.
+                for out in [&mut out, &mut sink] {
+                    exchange.run(&c, &data, cores, out).expect("exchange");
+                }
+                assert_eq!(out, sink, "a reused kernel gives the same slice");
+                out
+            });
+            let concat: Vec<Element16> = outputs.concat().into_iter().map(|r| r.0).collect();
+            let mut expect = concat.clone();
+            expect.sort_unstable(); // by (key, payload) = (key, source rank, position)
+            assert_eq!(concat, expect, "P={p}, cores={cores}");
+            assert_eq!(concat.len() as u64, p as u64 * local_n);
+        }
     }
 
     #[test]

@@ -8,7 +8,15 @@
 //! its random probes, and the all-to-all needs to cut runs at arbitrary
 //! element boundaries.
 //!
-//! [`RecordRunWriter`] additionally collects, while writing:
+//! [`RecordRunWriter`] is where a merge's output becomes blocks: each
+//! record (or slab of records) is encoded once, straight into the
+//! pooled block its write is issued from — there is no record-typed
+//! staging buffer in between — and a bounded write-behind window of
+//! such blocks is in flight, so whoever feeds the writer (the exchange
+//! merge of run formation, the final merge) is paced by the disks
+//! instead of queueing a run. It is a [`RecordSink`], the interface the
+//! exchange kernel ([`crate::psort`]) emits into. While writing it
+//! additionally collects:
 //! * a **sample** of every `K`-th record (Section IV-A: "during run
 //!   formation, we store every K-th element of the sorted run as a
 //!   sample"), and
@@ -44,17 +52,58 @@ pub struct Sample<R> {
     pub rec: R,
 }
 
-/// Streaming writer of a record-aligned sorted run.
+/// Where sorted records go as a merge produces them, one at a time or
+/// a slab at a time: a [`RecordRunWriter`], which encodes them into
+/// the block they are written from, or a `Vec` for a caller that needs
+/// the records in memory (the striped sort re-blocks them across PEs).
+pub trait RecordSink<R> {
+    /// Take the next record.
+    fn emit(&mut self, rec: R) -> Result<()>;
+
+    /// Take the next `recs.len()` records.
+    fn emit_all(&mut self, recs: &[R]) -> Result<()>;
+}
+
+impl<R: Copy> RecordSink<R> for Vec<R> {
+    fn emit(&mut self, rec: R) -> Result<()> {
+        self.push(rec);
+        Ok(())
+    }
+
+    fn emit_all(&mut self, recs: &[R]) -> Result<()> {
+        self.extend_from_slice(recs);
+        Ok(())
+    }
+}
+
+impl<R: Record> RecordSink<R> for RecordRunWriter<'_, R> {
+    fn emit(&mut self, rec: R) -> Result<()> {
+        self.push(rec)
+    }
+
+    fn emit_all(&mut self, recs: &[R]) -> Result<()> {
+        self.push_all(recs)
+    }
+}
+
+/// Streaming writer of a record-aligned sorted run. Every record is
+/// encoded once, into the pooled block its write is issued from; at
+/// most `window` such writes are in flight, and a push that would
+/// exceed that waits for the oldest.
 pub struct RecordRunWriter<'a, R: Record> {
     inner: RunWriter<'a>,
     st: &'a PeStorage,
-    buf: Vec<R>,
+    /// The block being filled.
+    block: Box<[u8]>,
+    /// Records encoded into `block` so far.
+    fill: usize,
     rpb: usize,
     elems: u64,
-    sample_every: usize,
+    sample_every: u64,
+    /// Position of the next record to sample (`u64::MAX`: none).
+    next_sample: u64,
     samples: Vec<Sample<R>>,
     block_first_keys: Vec<R::Key>,
-    block_bytes: usize,
 }
 
 impl<'a, R: Record> RecordRunWriter<'a, R> {
@@ -63,59 +112,66 @@ impl<'a, R: Record> RecordRunWriter<'a, R> {
         Self::with_window(st, sample_every, demsort_storage::striping::DEFAULT_WRITE_BEHIND)
     }
 
-    /// Start a run with an explicit write-behind window (in blocks).
-    /// Run formation uses an unbounded window so a whole slice can be
-    /// queued without blocking, overlapping the next run's sort.
+    /// Start a run with an explicit write-behind window, in blocks
+    /// (at least one per disk). Run formation passes a share of the
+    /// PE's memory, so a run's last writes retire under the next run's
+    /// sort without a run's worth of them ever being queued.
     pub fn with_window(st: &'a PeStorage, sample_every: usize, window: usize) -> Self {
-        let rpb = records_per_block::<R>(st.block_bytes());
         Self {
             inner: RunWriter::with_window(st, window.max(st.disks())),
             st,
-            buf: Vec::with_capacity(rpb),
-            rpb,
+            block: st.pool().get(),
+            fill: 0,
+            rpb: records_per_block::<R>(st.block_bytes()),
             elems: 0,
-            sample_every,
+            sample_every: sample_every as u64,
+            next_sample: if sample_every > 0 { 0 } else { u64::MAX },
             samples: Vec::new(),
             block_first_keys: Vec::new(),
-            block_bytes: st.block_bytes(),
         }
     }
 
     /// Append one record.
     pub fn push(&mut self, rec: R) -> Result<()> {
-        if self.sample_every > 0 && self.elems.is_multiple_of(self.sample_every as u64) {
-            self.samples.push(Sample { pos: self.elems, rec });
-        }
-        if self.buf.is_empty() {
-            self.block_first_keys.push(rec.key());
-        }
-        self.buf.push(rec);
-        self.elems += 1;
-        if self.buf.len() == self.rpb {
-            self.flush_block()?;
-        }
-        Ok(())
+        self.push_all(std::slice::from_ref(&rec))
     }
 
     /// Append a slice of records.
-    pub fn push_all(&mut self, recs: &[R]) -> Result<()> {
-        for &r in recs {
-            self.push(r)?;
+    pub fn push_all(&mut self, mut recs: &[R]) -> Result<()> {
+        while !recs.is_empty() {
+            let (head, rest) = recs.split_at((self.rpb - self.fill).min(recs.len()));
+            if self.fill == 0 {
+                self.block_first_keys.push(head[0].key());
+            }
+            let end = self.elems + head.len() as u64;
+            while self.next_sample < end {
+                let rec = head[(self.next_sample - self.elems) as usize];
+                self.samples.push(Sample { pos: self.next_sample, rec });
+                self.next_sample += self.sample_every;
+            }
+            R::encode_slice(head, &mut self.block[self.fill * R::BYTES..]);
+            self.fill += head.len();
+            self.elems = end;
+            if self.fill == self.rpb {
+                self.flush_block()?;
+            }
+            recs = rest;
         }
         Ok(())
     }
 
     fn flush_block(&mut self) -> Result<()> {
-        // Encode straight into a pooled block (recycled once its write
-        // retires) instead of cloning a scratch buffer per block.
         // Recycled buffers keep their previous contents, so only the
         // tail past the encoded records needs zeroing.
-        let mut block = self.st.pool().get();
-        R::encode_slice(&self.buf, &mut block);
-        block[self.buf.len() * R::BYTES..].fill(0);
-        self.st.pool().add_copied((self.buf.len() * R::BYTES) as u64);
-        self.buf.clear();
-        self.inner.push_block(block)
+        let bytes = self.fill * R::BYTES;
+        self.block[bytes..].fill(0);
+        self.st.pool().add_copied(bytes as u64);
+        self.fill = 0;
+        // Issue first: a write this retires hands its buffer to the
+        // pool, where the next block comes from.
+        self.inner.push_block(std::mem::take(&mut self.block))?;
+        self.block = self.st.pool().get();
+        Ok(())
     }
 
     /// Records written so far.
@@ -125,13 +181,14 @@ impl<'a, R: Record> RecordRunWriter<'a, R> {
 
     /// Finish the run; returns the completed [`FinishedRun`].
     pub fn finish(mut self) -> Result<FinishedRun<R>> {
-        if !self.buf.is_empty() {
+        if self.fill > 0 {
             self.flush_block()?;
         }
+        self.st.pool().put(std::mem::take(&mut self.block));
         let mut run = self.inner.finish()?;
         // The writer zero-pads partial tails; logical length is in
         // elements, so normalize the byte length to the aligned layout.
-        run.bytes = run.blocks.len() as u64 * self.block_bytes as u64;
+        run.bytes = run.blocks.len() as u64 * self.st.block_bytes() as u64;
         Ok(FinishedRun {
             run,
             elems: self.elems,

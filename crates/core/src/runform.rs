@@ -17,9 +17,23 @@
 //!   as a sample to warm-start multiway selection (Section IV-A).
 //! * **Overlapping** — "While run `i` is globally sorted internally, we
 //!   first write the (already sorted) run `i−1` before fetching the
-//!   data for run `i+1`." The async engine makes this real: writes of
-//!   slice `i−1` and reads of run `i+1` are queued (in that order, so
-//!   writes get disk priority) before the sort of run `i` starts.
+//!   data for run `i+1`." The async engine makes this real, and the
+//!   writes need no run-sized buffer to wait in: the reads of run `j+1`
+//!   are queued before the sort of run `j` starts; the writes of run
+//!   `j` are issued by its merge, block by block as the exchange
+//!   kernel ([`crate::psort::Exchange`]) emits into the run's writer,
+//!   with at most a share of `m` of them in flight
+//!   ([`WRITE_WINDOW_DIV`]); the last of them retire under the sort of
+//!   run `j+1`, after which the writer is collected. Input slots are
+//!   freed when their read is *issued*, so a write may be given a slot
+//!   whose read has not run yet — the per-disk FIFO queues put it
+//!   behind that read.
+//! * **One arena** — a run's local records are decoded into, sorted in
+//!   and merged from one vector of `m` bytes that every run reuses, and
+//!   each read buffer goes back to the pool as soon as it is decoded:
+//!   between the in-node sort and the disk queue a record is copied
+//!   twice (into the message that carries it, out of it into its
+//!   block), or once if it stays on this PE.
 //! * **Single-run special case** — if everything fits in memory
 //!   (`R = 1`), each block is sorted immediately after it arrives while
 //!   the disk fetches the rest, and the sorted blocks are merged at the
@@ -28,7 +42,7 @@
 //!   writes reuse them.
 
 use crate::merge::{merge_work, par_merge_k_into};
-use crate::psort::{parallel_sort, parallel_sort_presorted};
+use crate::psort::Exchange;
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter};
 use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
@@ -54,6 +68,13 @@ pub struct RunFormOutcome<R: Record> {
     /// CPU work done in this phase.
     pub cpu: CpuCounters,
 }
+
+/// A run's writer may have `m/B / WRITE_WINDOW_DIV` block writes in
+/// flight (never fewer than one per disk): enough that the merge
+/// feeding it seldom waits for a disk, and a named share of `m` — the
+/// write-behind term of a PE's memory, beside the arena, the prefetched
+/// group and the exchange's messages.
+pub const WRITE_WINDOW_DIV: usize = 4;
 
 /// Form all runs. Collective; returns this PE's slices.
 pub fn form_runs<R: Record + Ord>(
@@ -88,58 +109,48 @@ pub fn form_runs<R: Record + Ord>(
 
     let mut cpu_total = CpuCounters::default();
     let mut finished: Vec<FinishedRun<R>> = Vec::with_capacity(num_runs);
-    // Slice of the previous run, not yet written (overlap mode defers
-    // it so its writes can be queued ahead of the next run's reads).
-    let mut to_write: Option<Vec<R>> = None;
-    // Writer whose async writes are in flight under the current sort.
+    // Every run's local records in turn: decoded into, sorted in and
+    // merged from this one vector (a group is at most `bpr` full
+    // blocks plus the tail).
+    let mut arena: Vec<R> = Vec::with_capacity(bpr.min(full_blocks) * rpb + tail_elems);
+    let mut exchange = Exchange::new();
+    let window = bpr / WRITE_WINDOW_DIV;
+    // The previous run's writer, its last `window` writes in flight.
     let mut writing: Option<RecordRunWriter<'_, R>> = None;
+    let single_run = num_runs == 1 && cfg.algo.overlap;
 
     // Prefetch the first run's blocks.
     let mut pending = issue_group_reads(st, &input, &order, 0, bpr, rpb, full_blocks, tail_elems);
 
     for j in 0..num_runs {
         // Fetch + decode (or sort-on-arrival) run j's local data.
-        let single_run = num_runs == 1 && cfg.algo.overlap;
-        let (data, arrive_cpu) = collect_group::<R>(pending, single_run, cores)?;
+        let arrive_cpu = collect_group(st, pending, &mut arena, single_run, cores)?;
         cpu_total = cpu_total.merge(&arrive_cpu);
 
-        // The paper's overlap schedule: while run j is globally sorted,
-        // "we first write the (already sorted) run j−1 before fetching
-        // the data for run j+1" — queue slice j−1's writes, then run
-        // j+1's reads (FIFO disk queues give the writes priority), and
-        // only then start the sort, which overlaps both.
-        if let Some(recs) = to_write.take() {
-            let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, recs.len());
-            w.push_all(&recs)?;
-            writing = Some(w);
-        }
+        // The overlap schedule: run j+1's reads are queued before run
+        // j is sorted, and run j−1's last writes are still retiring.
         pending = issue_group_reads(st, &input, &order, j + 1, bpr, rpb, full_blocks, tail_elems);
-
-        // Globally sort run j (CPU + communication, overlapping disk).
-        let (slice, sort_cpu) = if single_run {
-            parallel_sort_presorted(comm, data, cores, CpuCounters::default())?
-        } else {
-            parallel_sort(comm, data, cores)?
-        };
-        cpu_total = cpu_total.merge(&sort_cpu);
-
-        // Slice j−1's writes had the whole sort to retire; collect them.
+        if !single_run {
+            cpu_total = cpu_total.merge(&sort_in_node(&mut arena, cores));
+        }
+        // Those writes had the sort to retire in: collect them before
+        // run j's merge starts issuing its own.
         if let Some(w) = writing.take() {
             finished.push(w.finish()?);
         }
 
+        // Globally sort run j: splitters, one exchange, and the P-way
+        // merge straight into the run's writer.
+        let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, window);
+        cpu_total = cpu_total.merge(&exchange.run(comm, &arena, cores, &mut w)?);
         if cfg.algo.overlap {
-            to_write = Some(slice); // defer writing slice j to overlap run j+1
+            writing = Some(w);
         } else {
-            let mut w = RecordRunWriter::new(st, cfg.algo.sample_every);
-            w.push_all(&slice)?;
             finished.push(w.finish()?);
             st.engine().drain()?;
         }
     }
-    if let Some(recs) = to_write.take() {
-        let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, recs.len());
-        w.push_all(&recs)?;
+    if let Some(w) = writing.take() {
         finished.push(w.finish()?);
     }
     debug_assert!(pending.is_empty(), "no reads may remain after the last run");
@@ -181,21 +192,26 @@ fn issue_group_reads(
     pending
 }
 
-/// Wait for a group's blocks and decode them; in the single-run special
-/// case, sort each block as it arrives and merge at the end.
+/// Wait for a group's blocks and decode them into `arena` (cleared
+/// first), handing each read buffer back to the pool; in the
+/// single-run special case, sort each block as it arrives and merge at
+/// the end.
 fn collect_group<R: Record + Ord>(
+    st: &PeStorage,
     pending: Vec<PendingBlock>,
+    arena: &mut Vec<R>,
     sort_on_arrival: bool,
     cores: usize,
-) -> Result<(Vec<R>, CpuCounters)> {
+) -> Result<CpuCounters> {
     let mut cpu = CpuCounters::default();
+    arena.clear();
     if !sort_on_arrival {
-        let mut data = Vec::new();
         for (h, valid) in pending {
             let buf = h.wait()?;
-            R::decode_slice(&buf[..valid * R::BYTES], &mut data);
+            R::decode_slice(&buf[..valid * R::BYTES], arena);
+            st.pool().put(buf);
         }
-        return Ok((data, cpu));
+        return Ok(cpu);
     }
     // Single-run case: each block is sorted the moment it arrives
     // ("immediately after a block is read from disk, it is sorted,
@@ -205,17 +221,17 @@ fn collect_group<R: Record + Ord>(
         let buf = h.wait()?;
         let mut recs = Vec::with_capacity(valid);
         R::decode_slice(&buf[..valid * R::BYTES], &mut recs);
+        st.pool().put(buf);
         cpu = cpu.merge(&sort_in_node(&mut recs, cores));
         sorted_blocks.push(recs);
     }
     let views: Vec<&[R]> = sorted_blocks.iter().map(|b| b.as_slice()).collect();
     let total: usize = views.iter().map(|v| v.len()).sum();
-    let mut data = Vec::with_capacity(total);
-    let pm = par_merge_k_into(&views, cores, &mut data);
+    let pm = par_merge_k_into(&views, cores, arena);
     cpu.elements_merged += total as u64;
     cpu.merge_work += merge_work(total as u64, views.len());
     cpu.split_probes += pm.split_probes;
-    Ok((data, cpu))
+    Ok(cpu)
 }
 
 /// Write a PE's input records to its local disks (experiment setup;
@@ -374,6 +390,44 @@ mod tests {
                 high <= input_blocks + input_blocks / 2 + 4,
                 "high water {high} vs input {input_blocks}"
             );
+        }
+    }
+
+    #[test]
+    fn block_buffers_recycle_across_runs() {
+        // Six runs of 64 blocks per PE. What run formation keeps in
+        // flight is one prefetched group plus the writer's window, and
+        // that — not the 384 blocks read — is what it may allocate:
+        // every read buffer goes back to the pool once decoded, every
+        // written one once retired. (Twice the working set leaves room
+        // for a run whose reads were slower than its sort, so that the
+        // retiring writer's buffers met a pool that was still full.)
+        let machine = MachineConfig {
+            pes: 2,
+            disks_per_pe: 2,
+            block_bytes: 4 << 10,
+            mem_bytes_per_pe: 256 << 10,
+            cores_per_pe: 1,
+        };
+        let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid config");
+        let (p, bpr) = (cfg.machine.pes, cfg.machine.mem_blocks_per_pe());
+        let local_n = 6 * bpr * records_per_block::<Element16>(cfg.machine.block_bytes);
+        let storage = ClusterStorage::new_mem(&cfg.machine);
+        let (storage, cfg) = (&storage, &cfg);
+        let pools = run_cluster(p, move |c| {
+            let st = storage.pe(c.rank());
+            let recs = generate_pe_input(InputSpec::Uniform, 11, c.rank(), p, local_n);
+            let input = ingest_input(st, &recs).expect("ingest");
+            let before = st.pool().counters();
+            let out = form_runs::<Element16>(&c, st, cfg, input, 1).expect("form runs");
+            assert_eq!(out.local.len(), 6);
+            let after = st.pool().counters();
+            (after.hits - before.hits, after.misses - before.misses)
+        });
+        for (hits, misses) in pools {
+            let in_flight = (bpr + bpr / WRITE_WINDOW_DIV) as u64;
+            assert!(misses <= 2 * in_flight, "{misses} misses for {in_flight} blocks in flight");
+            assert!(hits > 4 * misses, "{hits} hits, {misses} misses");
         }
     }
 

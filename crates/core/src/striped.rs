@@ -20,13 +20,14 @@
 //!   of the previous batch) into a loser tree, and the merged prefix
 //!   that is provably complete — smaller than every not-yet-merged
 //!   block's first key — is redistributed canonically with one
-//!   splitter-based exchange ([`parallel_sort_presorted`]: exact
-//!   splitters, one all-to-all, a `P`-way merge) and written out
-//!   striped. The rest stays buffered per run for the next batch (at
-//!   most `B` elements per run remain unmerged, so carry-over is
-//!   bounded). Merging costs `O(n log R)` comparisons per pass instead
-//!   of the `O(n log n)` per batch that full batch sorting would pay —
-//!   the internal-work bound that dominates throughput at scale.
+//!   splitter-based exchange ([`Exchange::run`]: exact splitters, one
+//!   all-to-all, a `P`-way merge into an arena every batch reuses) and
+//!   written out striped. The rest stays buffered per run for the
+//!   next batch (at most `B` elements per run remain unmerged, so
+//!   carry-over is bounded). Merging costs `O(n log R)` comparisons
+//!   per pass instead of the `O(n log n)` per batch that full batch
+//!   sorting would pay — the internal-work bound that dominates
+//!   throughput at scale.
 //!
 //! The result is a globally striped sorted sequence: block `g` of the
 //! output holds elements `g·rpb ..`, on disk `g mod D` — emitted
@@ -49,9 +50,10 @@
 use crate::ctx::{BlockFetch, ClusterStorage, PhaseRecorder};
 use crate::job::run_in_process;
 use crate::merge::{merge_cpu, par_merge_k_below_traced_with_min, par_merge_k_traced_with_min};
-use crate::psort::{parallel_sort, parallel_sort_presorted};
+use crate::psort::Exchange;
 use crate::recio::records_per_block;
 use crate::runform::{ingest_input, LocalInput};
+use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{duality_issue_order, BlockId, PeStorage};
 use demsort_types::wire::RankReport;
@@ -279,11 +281,18 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
     let num_runs = comm.allreduce_max(local_groups as u64)?.max(1) as usize;
 
     let mut runs: Vec<StripedRun<R::Key>> = Vec::with_capacity(num_runs);
+    // Two arenas every run reuses: its local records (decoded into,
+    // sorted in), and its canonical slice (merged into by the
+    // exchange, re-blocked from by the striped write) — about as many
+    // records as it put in, within a block when the shards are equal.
+    let mut data: Vec<R> = Vec::with_capacity(bpr.min(full_blocks) * rpb + tail);
+    let mut canon: Vec<R> = Vec::with_capacity(data.capacity());
+    let mut exchange = Exchange::new();
     for j in 0..num_runs {
         tr.progress(Phase::RunFormation, j as u64, num_runs as u64);
         let lo = (j * bpr).min(full_blocks);
         let hi = ((j + 1) * bpr).min(full_blocks);
-        let mut data: Vec<R> = Vec::with_capacity((hi - lo + 1) * rpb);
+        data.clear();
         let mut handles = Vec::new();
         for b in lo..hi {
             handles.push((st.engine().read(input.run.blocks[b]), rpb));
@@ -301,13 +310,17 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
             st.pool().add_copied((valid * R::BYTES) as u64);
             st.pool().put(buf);
         }
-        let (sorted, sort_cpu) = parallel_sort(comm, data, cores)?;
+        canon.clear();
+        let sort_cpu =
+            sort_in_node(&mut data, cores).merge(&exchange.run(comm, &data, cores, &mut canon)?);
         cpu = cpu.merge(&sort_cpu);
         rec.add_cpu(sort_cpu);
         // The run is canonically distributed in memory; write it
         // striped over all disks (one more communication).
-        runs.push(write_striped::<R>(comm, st, cfg, &view, &sorted, 0)?);
+        runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
     }
+    // The merge passes bring their own arenas.
+    drop((data, canon, exchange));
     // ---- Run replication (replication factor f > 0) ----
     if f > 0 {
         for run in &mut runs {
@@ -315,6 +328,7 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
         }
     }
     rec.finish_phase(Phase::RunFormation, st.counters(), comm.counters());
+    tr.mem();
     tr.end(span, pev(Phase::RunFormation));
 
     if let Some(hook) = hooks.as_ref().and_then(|h| h.on_merge_start.as_ref()) {
@@ -408,6 +422,7 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
         // `num_runs` is a collective maximum, so every rank records the
         // same phase set (the report shapes stay comparable).
         rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
+        tr.mem();
     }
     tr.end(merge_span, pev(Phase::FinalMerge));
 
@@ -813,6 +828,11 @@ fn merge_striped_group<R: Record + Ord>(
     // (the run is globally sorted), so appending fetched blocks in
     // prediction order keeps each source sorted.
     let mut sources: Vec<Vec<R>> = vec![Vec::new(); k];
+    // Two arenas every batch reuses: the merged prefix this PE emits,
+    // and its canonical slice of the emitted set after the exchange.
+    let mut emit: Vec<R> = Vec::new();
+    let mut canon: Vec<R> = Vec::new();
+    let mut exchange = Exchange::new();
     let mut out_pieces: Vec<StripedRun<R::Key>> = Vec::new();
     let mut stripe_off = 0u64;
     let ev_issued = |batch: usize| TraceEv::MergeIssued {
@@ -897,7 +917,7 @@ fn merge_striped_group<R: Record + Ord>(
         // ranges into disjoint slices of the emit buffer), each range
         // journalled as a `merge_par` span; output and cuts are
         // byte-identical to `cores = 1`.
-        let mut emit: Vec<R> = Vec::new();
+        emit.clear();
         let views: Vec<&[R]> = sources.iter().map(|s| s.as_slice()).collect();
         let span_begin = |thread, threads, len, total| {
             tracer.begin(TraceEv::MergePar {
@@ -968,9 +988,8 @@ fn merge_striped_group<R: Record + Ord>(
         // exchange (selection + all-to-all + P-way merge — no local
         // sort) makes it canonically distributed for the striped
         // write.
-        let (canon, exchange_cpu) =
-            parallel_sort_presorted(comm, emit, cores, CpuCounters::default())?;
-        cpu = cpu.merge(&exchange_cpu);
+        canon.clear();
+        cpu = cpu.merge(&exchange.run(comm, &emit, cores, &mut canon)?);
 
         let piece = write_striped::<R>(comm, st, cfg, view, &canon, stripe_off)?;
         stripe_off += piece.blocks.len() as u64;

@@ -10,6 +10,13 @@
 //! reassembles on the receiver. The default limit is the real MPI
 //! `i32` barrier; tests use tiny limits to exercise multi-round
 //! reassembly.
+//!
+//! When the largest message anywhere fits one round — every exchange
+//! the binaries make, a run piece being at most `m` — nothing is split
+//! or reassembled: the message vectors go to
+//! [`Communicator::alltoallv`] as they are, so over the in-process mesh
+//! the receiver holds the very allocation the sender filled, and over
+//! TCP the payload is written to the socket from it.
 
 use crate::comm::Communicator;
 use demsort_types::Result;
@@ -38,6 +45,9 @@ pub fn chunked_alltoallv(
     let local_max = msgs.iter().map(Vec::len).max().unwrap_or(0) as u64;
     let global_max = comm.allreduce_max(local_max)? as usize;
     let rounds = global_max.div_ceil(limit).max(1);
+    if rounds == 1 {
+        return comm.alltoallv(msgs);
+    }
 
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
     let mut offsets = vec![0usize; p];
@@ -112,6 +122,28 @@ mod tests {
             run_cluster(2, |c| chunked_alltoallv(&c, vec![Vec::new(); 2], 8).expect("alltoallv"));
         for r in results {
             assert!(r.iter().all(|m| m.is_empty()));
+        }
+    }
+
+    #[test]
+    fn single_round_hands_the_buffers_over_untouched() {
+        // One round suffices: over the in-process mesh every buffer
+        // must arrive at the address it was sent from — not a copy of
+        // it — the one a rank sends to itself included.
+        for p in [1usize, 2, 3] {
+            let results = run_cluster(p, move |c| {
+                let msgs: Vec<Vec<u8>> = (0..p).map(|j| payload(c.rank(), j, 40 + j)).collect();
+                let sent: Vec<usize> = msgs.iter().map(|m| m.as_ptr() as usize).collect();
+                let out = chunked_alltoallv(&c, msgs, MPI_VOLUME_LIMIT).expect("alltoallv");
+                let got: Vec<usize> = out.iter().map(|m| m.as_ptr() as usize).collect();
+                (sent, got, out)
+            });
+            for (me, (_, got, out)) in results.iter().enumerate() {
+                for src in 0..p {
+                    assert_eq!(out[src], payload(src, me, 40 + me), "P={p}: {src} -> {me}");
+                    assert_eq!(got[src], results[src].0[me], "P={p}: {src} -> {me} was copied");
+                }
+            }
         }
     }
 

@@ -116,6 +116,16 @@ pub trait Record: Copy + Send + Sync + 'static {
             out.push(Self::decode(chunk));
         }
     }
+
+    /// View `buf` as the records it encodes, without copying — for
+    /// types whose in-memory layout *is* the wire format at every
+    /// address (no alignment, no padding, no invalid bit pattern).
+    /// `None` when the type has no such layout, the default, or when
+    /// `buf` is not a whole number of records; the caller then decodes
+    /// with [`decode_slice`](Self::decode_slice).
+    fn view_slice(_buf: &[u8]) -> Option<&[Self]> {
+        None
+    }
 }
 
 /// The paper's 16-byte element: 64-bit key plus 64-bit payload.
@@ -348,6 +358,22 @@ impl Record for Record100 {
             out.set_len(len + n);
         }
     }
+
+    /// A buffer of whole encoded records is a `[Record100]` wherever
+    /// it starts.
+    fn view_slice(buf: &[u8]) -> Option<&[Self]> {
+        if !buf.len().is_multiple_of(Self::BYTES) {
+            return None;
+        }
+        // SAFETY: Record100 is repr(C) of [u8; 10] + [u8; 90] — size
+        // 100, alignment 1 (both asserted at compile time), every byte
+        // pattern valid — so any `buf.len() / 100` whole records' worth
+        // of initialized bytes is a valid `[Record100]` at any address;
+        // the view borrows `buf` and lives no longer than it.
+        Some(unsafe {
+            std::slice::from_raw_parts(buf.as_ptr().cast::<Self>(), buf.len() / Self::BYTES)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -440,6 +466,16 @@ mod tests {
         buf.chunks_exact(R::BYTES).map(R::decode).collect()
     }
 
+    /// A full 100-byte record from a seed, so that every byte position
+    /// (key and payload) varies across cases.
+    fn record100_from(seed: u64) -> Record100 {
+        let mut bytes = [0u8; 100];
+        for (i, b) in bytes.iter_mut().enumerate() {
+            *b = (seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64) >> 24) as u8;
+        }
+        Record100::decode(&bytes)
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -473,21 +509,7 @@ mod tests {
             raw in prop::collection::vec(0u64..=u64::MAX, 0..40),
             slack in 0usize..100,
         ) {
-            // Expand each seed into a full 100-byte record so every
-            // byte position (key and payload) varies across cases.
-            let recs: Vec<Record100> = raw
-                .iter()
-                .map(|&seed| {
-                    let mut bytes = [0u8; 100];
-                    for (i, b) in bytes.iter_mut().enumerate() {
-                        *b = (seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(i as u64)
-                            >> 24) as u8;
-                    }
-                    Record100::decode(&bytes)
-                })
-                .collect();
+            let recs: Vec<Record100> = raw.iter().map(|&seed| record100_from(seed)).collect();
             let reference = encode_each(&recs);
             let mut slab = vec![0u8; reference.len() + slack];
             Record100::encode_slice(&recs, &mut slab);
@@ -496,6 +518,29 @@ mod tests {
             Record100::decode_slice(&reference, &mut out);
             prop_assert_eq!(&out[..], &recs[..]);
             prop_assert_eq!(decode_each::<Record100>(&reference), recs);
+        }
+
+        /// The zero-copy view of an encoded slab is the records that
+        /// were encoded, wherever in its backing buffer the slab starts
+        /// (a received message carries no alignment); a length that is
+        /// not whole records has no view. `Element16` — aligned, and
+        /// little-endian only on the wire — never has one.
+        #[test]
+        fn record100_view_matches_decode_at_any_offset(
+            raw in prop::collection::vec(0u64..=u64::MAX, 0..40),
+            offset in 0usize..128,
+            ragged in 1usize..100,
+        ) {
+            let recs: Vec<Record100> = raw.iter().map(|&seed| record100_from(seed)).collect();
+            let bytes = recs.len() * Record100::BYTES;
+            let mut backing = vec![0xA5u8; offset + bytes + ragged];
+            Record100::encode_slice(&recs, &mut backing[offset..offset + bytes]);
+            let view = Record100::view_slice(&backing[offset..offset + bytes]);
+            prop_assert_eq!(view, Some(&recs[..]));
+            prop_assert!(Record100::view_slice(&backing[offset..offset + bytes + ragged]).is_none());
+
+            let elems: Vec<Element16> = raw.iter().map(|&k| Element16::new(k, !k)).collect();
+            prop_assert!(Element16::view_slice(&encode_each(&elems)).is_none());
         }
     }
 }

@@ -122,6 +122,16 @@ pub enum TraceEv {
         /// Bytes memcpy'd on non-zero-copy paths.
         copied_bytes: u64,
     },
+    /// The process's resident set at a checkpoint — the end of a phase
+    /// or of a file edge — so a journal says in which phase the peak
+    /// was set (event; [`Tracer::mem`]). All ranks of an in-process
+    /// cluster share one process and report the same numbers.
+    Mem {
+        /// Peak resident set so far (`VmHWM`), KiB.
+        hwm_kb: u64,
+        /// Resident set now (`VmRSS`), KiB.
+        rss_kb: u64,
+    },
     /// The failure detector declared a peer dead (event).
     PeerDead {
         /// The dead peer's rank.
@@ -146,6 +156,7 @@ impl TraceEv {
             TraceEv::MergeEmitted { .. } => "merge_emitted",
             TraceEv::MergePar { .. } => "merge_par",
             TraceEv::PoolStats { .. } => "pool",
+            TraceEv::Mem { .. } => "mem",
             TraceEv::PeerDead { .. } => "peer_dead",
             TraceEv::EpochAdvance { .. } => "epoch_advance",
         }
@@ -177,6 +188,7 @@ impl TraceEv {
                      discarded={discarded} copied={copied_bytes}B"
                 )
             }
+            TraceEv::Mem { hwm_kb, rss_kb } => format!("mem peak={hwm_kb}KiB now={rss_kb}KiB"),
             TraceEv::PeerDead { peer } => format!("peer {peer} declared dead"),
             TraceEv::EpochAdvance { epoch } => format!("epoch -> {epoch}"),
         }
@@ -214,6 +226,10 @@ impl TraceEv {
                 out.push(("recycled".into(), Json::Uint(*recycled)));
                 out.push(("discarded".into(), Json::Uint(*discarded)));
                 out.push(("copied_bytes".into(), Json::Uint(*copied_bytes)));
+            }
+            TraceEv::Mem { hwm_kb, rss_kb } => {
+                out.push(("hwm_kb".into(), Json::Uint(*hwm_kb)));
+                out.push(("rss_kb".into(), Json::Uint(*rss_kb)));
             }
             TraceEv::PeerDead { peer } => out.push(("peer".into(), u(*peer))),
             TraceEv::EpochAdvance { epoch } => out.push(("epoch".into(), Json::Uint(*epoch))),
@@ -271,6 +287,7 @@ impl TraceEv {
                 discarded: num("discarded")?,
                 copied_bytes: num("copied_bytes")?,
             },
+            "mem" => TraceEv::Mem { hwm_kb: num("hwm_kb")?, rss_kb: num("rss_kb")? },
             "peer_dead" => TraceEv::PeerDead { peer: us("peer")? },
             "epoch_advance" => TraceEv::EpochAdvance { epoch: num("epoch")? },
             other => return Err(Error::validation(format!("unknown trace event kind {other:?}"))),
@@ -493,6 +510,23 @@ impl Tracer {
     /// [`Tracer::add_bytes`]).
     pub fn instant(&self, ev: TraceEv) {
         self.emit(TraceOp::Instant, ev);
+    }
+
+    /// Record the process's resident set, now and at its peak so far
+    /// ([`TraceEv::Mem`]), where the platform reports them in
+    /// `/proc/self/status`; elsewhere, and when off, nothing.
+    pub fn mem(&self) {
+        if !self.enabled() {
+            return;
+        }
+        let Ok(status) = std::fs::read_to_string("/proc/self/status") else { return };
+        let kb = |field: &str| {
+            let line = status.lines().find_map(|l| l.strip_prefix(field))?;
+            line.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+        };
+        if let (Some(hwm_kb), Some(rss_kb)) = (kb("VmHWM:"), kb("VmRSS:")) {
+            self.instant(TraceEv::Mem { hwm_kb, rss_kb });
+        }
     }
 
     /// Add to the bytes-moved meter included in progress frames.
@@ -737,6 +771,7 @@ mod tests {
                 discarded: 2,
                 copied_bytes: 4096,
             },
+            TraceEv::Mem { hwm_kb: 36_512, rss_kb: 30_208 },
             TraceEv::PeerDead { peer: 2 },
             TraceEv::EpochAdvance { epoch: 7 },
         ]
@@ -778,6 +813,34 @@ mod tests {
         validate_rank_journal(&recs).expect("valid journal");
         assert_eq!(recs[0].op, TraceOp::Begin(sp));
         assert_eq!(recs[2].op, TraceOp::End(sp));
+    }
+
+    #[test]
+    fn mem_events_are_instants_a_journal_may_hold_anywhere() {
+        let t = Tracer::to_buffer(1);
+        let sp = t.begin(TraceEv::Phase { phase: Phase::RunFormation });
+        t.mem();
+        t.end(sp, TraceEv::Phase { phase: Phase::RunFormation });
+        t.mem();
+        let recs = t.drain();
+        validate_rank_journal(&recs).expect("valid journal");
+        let mems: Vec<(u64, u64)> = recs
+            .iter()
+            .filter_map(|r| match (&r.ev, r.op) {
+                (TraceEv::Mem { hwm_kb, rss_kb }, TraceOp::Instant) => Some((*hwm_kb, *rss_kb)),
+                _ => None,
+            })
+            .collect();
+        // Where the platform has no /proc/self/status nothing is
+        // recorded; where it has, the peak never falls and is never
+        // below the present.
+        if std::path::Path::new("/proc/self/status").exists() {
+            assert_eq!(mems.len(), 2);
+            assert!(mems[0].0 <= mems[1].0);
+            assert!(mems.iter().all(|&(hwm, rss)| hwm >= rss && rss > 0));
+        } else {
+            assert!(mems.is_empty());
+        }
     }
 
     #[test]
