@@ -122,8 +122,15 @@ impl SourceFile {
 
     /// Mark tokens under `#[cfg(test)]`-gated items and `mod test*`
     /// bodies. A gated item extends to its closing `}` (or a `;` for
-    /// body-less items); nesting is handled by brace depth.
+    /// body-less items); nesting is handled by brace depth. A `mod
+    /// test*` body may also be a file of its own (`mod tests;` beside
+    /// `tests.rs`): such a file is test code as a whole.
     fn mark_test_regions(&mut self) {
+        let stem = self.path.rsplit('/').next().and_then(|f| f.strip_suffix(".rs"));
+        if stem.is_some_and(|s| s == "tests" || s.starts_with("test_")) {
+            self.is_test.fill(true);
+            return;
+        }
         let code = self.code_indices();
         let mut depth: i64 = 0; // brace depth
         let mut pb: i64 = 0; // paren + bracket depth
@@ -326,6 +333,21 @@ mod tests {
         assert_eq!(flag("in_tests"), Some(true));
         assert_eq!(flag("helper"), Some(true));
         assert_eq!(flag("prod_after"), Some(false), "scan must continue past the test mod");
+    }
+
+    #[test]
+    fn a_test_module_in_a_file_of_its_own_is_test_code() {
+        let src = "use super::*;\nfn helper() { x.unwrap(); }\n";
+        for (path, test) in [
+            ("crates/x/src/striped/tests.rs", true),
+            ("crates/x/src/test_util.rs", true),
+            ("crates/x/src/striped/merge.rs", false),
+            ("crates/x/src/contests.rs", false),
+        ] {
+            let f = SourceFile::parse(path, src);
+            assert!(f.is_test.iter().all(|&t| t == test), "{path}");
+            assert_eq!(f.fns[0].is_test, test, "{path}");
+        }
     }
 
     #[test]

@@ -34,7 +34,8 @@ use crate::recio::records_per_block;
 use crate::rundir::{slice_run, RunDirectory};
 use demsort_net::{chunked_alltoallv, decode_u64s, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, PeStorage, Run, RunWriter};
-use demsort_types::{Record, Result, SortConfig};
+use demsort_types::wire::{from_peer, WireReader, WireWriter};
+use demsort_types::{Error, Record, Result, SortConfig};
 
 /// One sorted piece of a run on local disk after redistribution.
 #[derive(Clone, Debug)]
@@ -252,8 +253,9 @@ pub fn external_alltoall<R: Record + Ord>(
                 continue;
             }
             sources[src] = true;
-            for (run, elems, payload) in parse_submessage::<R>(&buf) {
-                debug_assert!(elems > 0, "empty pieces are never assembled");
+            let pieces = parse_submessage::<R>(&buf, nruns)
+                .map_err(|e| from_peer(me, src, "all-to-all submessage", e))?;
+            for (run, elems, payload) in pieces {
                 streams[run][src].push(write_fragment::<R>(st, payload, elems)?);
             }
         }
@@ -351,37 +353,50 @@ fn assemble_submessage<R: Record>(
         return Ok(Vec::new()); // nothing this round: send no bytes at all
     }
     let payload_bytes: usize = payloads.iter().map(|p| p.len() * R::BYTES).sum();
-    let mut out = Vec::with_capacity(4 + pieces.len() * 12 + payload_bytes);
-    out.extend_from_slice(&(pieces.len() as u32).to_le_bytes());
-    for (run, elems) in &pieces {
-        out.extend_from_slice(&run.to_le_bytes());
-        out.extend_from_slice(&elems.to_le_bytes());
+    let mut out = WireWriter::with_capacity(4 + pieces.len() * 12 + payload_bytes);
+    out.u32(pieces.len() as u32);
+    for &(run, elems) in &pieces {
+        out.u32(run).u64(elems);
     }
-    let data_start = out.len();
-    out.resize(data_start + payload_bytes, 0);
-    let mut off = data_start;
     for recs in &payloads {
-        R::encode_slice(recs, &mut out[off..off + recs.len() * R::BYTES]);
-        off += recs.len() * R::BYTES;
+        R::encode_slice(recs, out.raw(recs.len() * R::BYTES));
     }
-    Ok(out)
+    Ok(out.finish())
 }
 
-/// Parse a submessage into `(run, elems, payload)` pieces.
-fn parse_submessage<R: Record>(buf: &[u8]) -> Vec<(usize, u64, &[u8])> {
-    let count = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes")) as usize;
-    let mut pieces = Vec::with_capacity(count);
-    let mut hdr = 4;
-    let mut data = 4 + count * 12;
-    for _ in 0..count {
-        let run = u32::from_le_bytes(buf[hdr..hdr + 4].try_into().expect("4 bytes")) as usize;
-        let elems = u64::from_le_bytes(buf[hdr + 4..hdr + 12].try_into().expect("8 bytes"));
-        let bytes = elems as usize * R::BYTES;
-        pieces.push((run, elems, &buf[data..data + bytes]));
-        hdr += 12;
-        data += bytes;
+/// Parse a peer's submessage into `(run, elems, payload)` pieces. Every
+/// piece must name one of the `nruns` runs and carry records, and the
+/// header must account for exactly the payload that follows it.
+fn parse_submessage<R: Record>(buf: &[u8], nruns: usize) -> Result<Vec<(usize, u64, &[u8])>> {
+    let mut r = WireReader::new(buf);
+    let count = r.field("piece count").u32()? as usize;
+    if count > r.remaining() / 12 {
+        return Err(Error::comm(format!(
+            "piece count {count} but only {} bytes follow",
+            r.remaining()
+        )));
     }
-    pieces
+    let mut header = Vec::with_capacity(count);
+    for _ in 0..count {
+        let run = r.field("run").u32()? as usize;
+        let elems = r.field("elems").u64()?;
+        if run >= nruns {
+            return Err(Error::comm(format!("run {run} of {nruns}")));
+        }
+        // A piece is at most the message it came in.
+        if elems == 0 || elems > (buf.len() / R::BYTES) as u64 {
+            return Err(Error::comm(format!("elems {elems} in a {}-byte message", buf.len())));
+        }
+        header.push((run, elems));
+    }
+    let mut pieces = Vec::with_capacity(count);
+    for (run, elems) in header {
+        pieces.push((run, elems, r.field("records").raw(elems as usize * R::BYTES)?));
+    }
+    if r.remaining() > 0 {
+        return Err(Error::comm(format!("{} bytes past the last piece", r.remaining())));
+    }
+    Ok(pieces)
 }
 
 /// Write a received piece as a fresh block-aligned fragment.
@@ -583,7 +598,7 @@ mod tests {
         };
         let mut segs = vec![Segment { run: 0, start: 5, end: 25, cursor: 5 }];
         let msg = assemble_submessage::<Element16>(st, &dir, 0, &mut segs, 12).expect("assemble");
-        let pieces = parse_submessage::<Element16>(&msg);
+        let pieces = parse_submessage::<Element16>(&msg, 1).expect("valid");
         assert_eq!(pieces.len(), 1);
         let (run, elems, payload) = pieces[0];
         assert_eq!((run, elems), (0, 12));
@@ -591,5 +606,22 @@ mod tests {
         Element16::decode_slice(payload, &mut decoded);
         assert_eq!(decoded, recs[5..17], "quota-limited piece from the cursor");
         assert_eq!(segs[0].cursor, 17);
+
+        // What a peer sends is checked, not indexed: every strict
+        // prefix and one out-of-range value per field is an error.
+        for cut in 0..msg.len() {
+            let short = parse_submessage::<Element16>(&msg[..cut], 1);
+            assert!(matches!(short, Err(Error::Comm(_))), "cut {cut}");
+        }
+        let with = |at: usize, value: u32| {
+            let mut bad = msg.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            parse_submessage::<Element16>(&bad, 1).expect_err("out of range").to_string()
+        };
+        assert!(with(0, 1000).contains("piece count"));
+        assert!(with(4, 1).contains("run 1 of 1"));
+        assert!(with(8, 0).contains("elems 0"));
+        assert!(with(8, 11).contains("past the last piece"));
+        assert!(with(8, 13).contains("records"));
     }
 }

@@ -27,7 +27,6 @@ use crate::recio::FinishedRun;
 use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::Communicator;
-use demsort_types::trace::TraceEv;
 use demsort_types::wire::RankReport;
 use demsort_types::{ranks, Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
@@ -64,21 +63,14 @@ pub fn canonical_mergesort<R: Record + Ord>(
     let me = comm.rank();
     let st = storage.pe(me);
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
-    // Phase spans delimit the same intervals the recorder attributes
-    // counters to, so the journal and the phase table line up.
-    let tr = comm.tracer().clone();
-    let pev = |p: Phase| TraceEv::Phase { phase: p };
 
     // ---- Phase 1: run formation ----
-    tr.progress(Phase::RunFormation, 0, 1);
-    let span = tr.begin(pev(Phase::RunFormation));
-    let formed = form_runs::<R>(comm, st, cfg, input, cores)?;
-    rec.add_cpu(formed.cpu);
-    let dir = build_directory(comm, formed.local)?;
+    let dir = rec.phase(Phase::RunFormation, comm, st, |rec| {
+        let formed = form_runs::<R>(comm, st, cfg, input, cores)?;
+        rec.add_cpu(formed.cpu);
+        build_directory(comm, formed.local)
+    })?;
     let runs = dir.num_runs();
-    rec.finish_phase(Phase::RunFormation, st.counters(), comm.counters());
-    tr.mem();
-    tr.end(span, pev(Phase::RunFormation));
 
     // ---- Single-run shortcut: the sort was internal ----
     if runs == 1 {
@@ -94,44 +86,36 @@ pub fn canonical_mergesort<R: Record + Ord>(
     }
 
     // ---- Phase 2a: multiway selection ----
-    tr.progress(Phase::MultiwaySelection, 0, 1);
-    let span = tr.begin(pev(Phase::MultiwaySelection));
-    let n = dir.total_elems();
-    let my_rank_boundary = ranks::owned_range(me, comm.size(), n).start;
-    let (splitters, sel_stats) =
-        select_rank_external(storage, me, &dir, my_rank_boundary, &cfg.algo)?;
-    rec.add_comm(sel_stats.comm());
-    let all_splitters = exchange_splitters(comm, &splitters)?;
-    rec.finish_phase(Phase::MultiwaySelection, st.counters(), comm.counters());
-    tr.mem();
-    tr.end(span, pev(Phase::MultiwaySelection));
+    let (all_splitters, sel_stats) = rec.phase(Phase::MultiwaySelection, comm, st, |rec| {
+        let my_rank_boundary = ranks::owned_range(me, comm.size(), dir.total_elems()).start;
+        let (splitters, sel_stats) =
+            select_rank_external(storage, me, &dir, my_rank_boundary, &cfg.algo)?;
+        rec.add_comm(sel_stats.comm());
+        Ok((exchange_splitters(comm, &splitters)?, sel_stats))
+    })?;
 
     // ---- Phase 2b: external all-to-all ----
-    tr.progress(Phase::AllToAll, 0, 1);
-    let span = tr.begin(pev(Phase::AllToAll));
-    let outcome = external_alltoall::<R>(comm, st, cfg, &dir, &all_splitters)?;
-    rec.finish_phase(Phase::AllToAll, st.counters(), comm.counters());
-    tr.mem();
-    tr.end(span, pev(Phase::AllToAll));
+    let outcome = rec.phase(Phase::AllToAll, comm, st, |_| {
+        external_alltoall::<R>(comm, st, cfg, &dir, &all_splitters)
+    })?;
 
     // ---- Phase 3: final local merge ----
-    tr.progress(Phase::FinalMerge, 0, 1);
-    let span = tr.begin(pev(Phase::FinalMerge));
-    let (output, merge_cpu) = final_merge::<R>(st, outcome.merge_inputs, cores)?;
-    rec.add_cpu(merge_cpu);
-    for b in outcome.stragglers {
-        st.free_block(b);
-    }
-    rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
-    tr.mem();
-    tr.end(span, pev(Phase::FinalMerge));
+    let (subops, sources_seen) = (outcome.subops, outcome.sources_seen);
+    let output = rec.phase(Phase::FinalMerge, comm, st, |rec| {
+        let (output, merge_cpu) = final_merge::<R>(st, outcome.merge_inputs, cores)?;
+        rec.add_cpu(merge_cpu);
+        for b in outcome.stragglers {
+            st.free_block(b);
+        }
+        Ok(output)
+    })?;
 
     Ok(PeOutcome {
         output,
         phases: rec.into_stats(),
         selection: sel_stats,
-        alltoall_subops: outcome.subops,
-        sources_seen: outcome.sources_seen,
+        alltoall_subops: subops,
+        sources_seen,
         runs,
     })
 }

@@ -24,7 +24,7 @@
 //! requester as communication.
 
 use demsort_net::tcp::{TcpTransport, WireFetch, WireStore};
-use demsort_net::Transport as _;
+use demsort_net::{Communicator, Transport as _};
 use demsort_storage::{Backend, BlockId, DiskModel, IoHandle, MemBackend, PeStorage};
 use demsort_types::trace::TraceEv;
 use demsort_types::{
@@ -630,6 +630,31 @@ impl PhaseRecorder {
         self.stats.push((phase, stats));
     }
 
+    /// Run `body` as one phase of the sort — the scope both drivers
+    /// open their phases through, so the journal's phase spans delimit
+    /// the intervals the counters are attributed to. Reports progress,
+    /// opens the phase span on `comm`'s tracer and runs `body` with the
+    /// recorder (for its CPU and out-of-band traffic); on success
+    /// closes the recorder phase against `st`'s and `comm`'s counters,
+    /// journals a `mem` instant and ends the span. On error the span
+    /// stays open: an unclosed phase is what a post-mortem reads.
+    pub fn phase<T>(
+        &mut self,
+        phase: Phase,
+        comm: &Communicator,
+        st: &PeStorage,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let tr = comm.tracer();
+        tr.progress(phase, 0, 1);
+        let span = tr.begin(TraceEv::Phase { phase });
+        let out = body(self)?;
+        self.finish_phase(phase, st.counters(), comm.counters());
+        tr.mem();
+        tr.end(span, TraceEv::Phase { phase });
+        Ok(out)
+    }
+
     /// This PE's rank.
     pub fn rank(&self) -> usize {
         self.rank
@@ -894,6 +919,45 @@ mod tests {
         assert_eq!(stats[0].1.cpu.elements_sorted, 10);
         assert_eq!(stats[1].1.io.bytes_read, 50, "second phase gets only its delta");
         assert_eq!(stats[1].1.comm.bytes_recv, 55, "probe traffic counted");
+    }
+
+    #[test]
+    fn phase_scope_brackets_the_body_and_leaves_a_failed_phase_open() {
+        use demsort_types::trace::TraceOp;
+        let mut comm = demsort_net::build_mesh(1).pop().expect("one rank");
+        let tracer = Tracer::to_buffer(0);
+        comm.set_tracer(tracer.clone());
+        let cs = ClusterStorage::new_mem(&MachineConfig::tiny(1));
+        let st = cs.pe(0);
+        let mut rec = PhaseRecorder::new(0, st.counters(), comm.counters());
+
+        let got = rec.phase(Phase::RunFormation, &comm, st, |rec| {
+            rec.add_cpu(CpuCounters { elements_sorted: 3, ..Default::default() });
+            Ok(7)
+        });
+        assert_eq!(got, Ok(7));
+        let failed: Result<()> =
+            rec.phase(Phase::FinalMerge, &comm, st, |_| Err(Error::comm("peer died")));
+        assert_eq!(failed, Err(Error::comm("peer died")));
+
+        let stats = rec.into_stats();
+        assert_eq!(stats.len(), 1, "a failed phase records nothing");
+        assert_eq!(stats[0].0, Phase::RunFormation);
+        assert_eq!(stats[0].1.cpu.elements_sorted, 3);
+        let spans: Vec<(bool, Phase)> = tracer
+            .drain()
+            .into_iter()
+            .filter_map(|r| match (r.op, r.ev) {
+                (TraceOp::Begin(_), TraceEv::Phase { phase }) => Some((true, phase)),
+                (TraceOp::End(_), TraceEv::Phase { phase }) => Some((false, phase)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            spans,
+            [(true, Phase::RunFormation), (false, Phase::RunFormation), (true, Phase::FinalMerge)],
+            "the failed phase's span stays open for the post-mortem"
+        );
     }
 
     #[test]

@@ -6,18 +6,25 @@
 //! (Section III), together with every algorithmic building block the
 //! paper describes:
 //!
-//! * [`merge`] — k-way merging with a loser tree;
+//! * [`merge`] — k-way merging with a loser tree, its in-node parallel
+//!   form, and the carry-merge kernel both sorts' batch merges use;
 //! * [`seqsort`] — in-node (multi-core) sorting;
 //! * [`selection`] — exact multiway selection (Section IV-A);
 //! * [`psort`] — distributed internal parallel mergesort (Section IV-B);
-//! * [`runform`] — randomized, overlapped run formation (Section IV-E);
+//! * [`runform`] — randomized, overlapped run formation (Section IV-E),
+//!   and the group reader both sorts' run formation starts from;
 //! * [`extselect`] — external multiway selection with sampling and
 //!   block caching (Section IV-A, Appendix B);
 //! * [`alltoall`] — the memory-bounded external all-to-all
 //!   (Section IV-C);
 //! * [`localmerge`] — the phase-3 local multiway merge;
 //! * [`canonical`] — the CANONICALMERGESORT driver (Figure 1);
-//! * [`striped`] — mergesort with global striping (Section III);
+//! * [`striped`] — mergesort with global striping (Section III): the
+//!   driver over its striped runs, its merge passes and its rank-failure
+//!   recovery, a submodule each;
+//! * [`ctx`] — each PE's view of the cluster's storage (the block
+//!   service), phase accounting, and the phase scope both drivers open
+//!   their phases through;
 //! * [`fileio`] — the file edges: streamed shard ingest, streamed
 //!   output;
 //! * [`job`] — the rank program (ingest → sort → write-out) every
@@ -36,7 +43,6 @@ pub mod fileio;
 pub mod job;
 pub mod localmerge;
 pub mod merge;
-pub mod pipeline;
 pub mod psort;
 pub mod recio;
 pub mod replacement;

@@ -14,7 +14,7 @@
 //! read-ahead plus write-behind windows.
 
 use crate::alltoall::{MergeFragment, MergeInput};
-use crate::merge::{merge_cpu, par_merge_k_below_into, par_merge_k_into, LoserTree};
+use crate::merge::{merge_cpu, CarryMerge, LoserTree};
 use crate::recio::{ChainedReader, FinishedRun, RecordRunReader, RecordRunWriter};
 use demsort_storage::PeStorage;
 use demsort_types::{CpuCounters, Record, Result};
@@ -98,24 +98,25 @@ pub fn merge_into<R: Record + Ord>(
 
     // Batched parallel path: keep a few blocks per chain buffered plus
     // one lookahead record, merge everything strictly below the
-    // smallest lookahead key with the in-node parallel merge, repeat.
-    // Ties with the threshold stay buffered until the threshold moves
-    // past them (same carry rule as the striped batch merge), which
+    // smallest lookahead key with the in-node parallel merge, repeat —
+    // the carry rule of the striped batch merge ([`CarryMerge`]): ties
+    // with the threshold stay buffered until it moves past them, which
     // keeps the emitted order identical to the streaming tree's.
     let rpb = (st.block_bytes() / R::BYTES).max(1);
     let mut target = rpb * 4;
-    let mut bufs: Vec<Vec<R>> = (0..k).map(|_| Vec::new()).collect();
+    let mut carry = CarryMerge::<R>::new(k);
+    let mut emit: Vec<R> = Vec::new();
     let mut ahead: Vec<Option<R>> = Vec::with_capacity(k);
     for c in chains.iter_mut() {
         ahead.push(c.next_rec()?);
     }
     let mut split_probes = 0u64;
     loop {
-        for i in 0..k {
-            while bufs[i].len() < target {
+        for (i, buf) in carry.sources.iter_mut().enumerate() {
+            while buf.len() < target {
                 match ahead[i].take() {
                     Some(r) => {
-                        bufs[i].push(r);
+                        buf.push(r);
                         ahead[i] = chains[i].next_rec()?;
                     }
                     None => break,
@@ -123,20 +124,15 @@ pub fn merge_into<R: Record + Ord>(
             }
         }
         let threshold: Option<R::Key> = ahead.iter().flatten().map(Record::key).min();
-        let views: Vec<&[R]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let mut emit: Vec<R> = Vec::new();
-        let pm = match &threshold {
-            Some(t) => par_merge_k_below_into(&views, |x| x.key() < *t, cores, &mut emit),
-            None => par_merge_k_into(&views, cores, &mut emit),
-        };
-        drop(views);
-        split_probes += pm.split_probes;
-        for (buf, cut) in bufs.iter_mut().zip(pm.cuts) {
-            // verify: allow(L2, Vec::drain removing the merged prefix — not the fallible IoEngine::drain)
-            buf.drain(..cut);
-        }
-        let emitted = emit.len();
-        for rec in emit.drain(..) {
+        split_probes += carry.emit_below(
+            threshold.map(|t| move |x: &R| x.key() < t),
+            cores,
+            0,
+            &mut emit,
+            |_, _, _, _| 0,
+            |_, _, _, _, _| {},
+        );
+        for &rec in &emit {
             deliver(rec)?;
         }
         if threshold.is_none() {
@@ -145,7 +141,7 @@ pub fn merge_into<R: Record + Ord>(
         // A run of threshold ties can fill every live buffer without
         // any record strictly below it; widen the window until the
         // tying chains drain and the threshold moves on.
-        if emitted == 0 {
+        if emit.is_empty() {
             target *= 2;
         }
     }

@@ -176,32 +176,11 @@ pub fn merge_k_each<T: Ord + Copy>(
     Ok(())
 }
 
-/// Merge the leading run of each sorted slice that satisfies `below`
-/// (a monotone "still under the bound" predicate — true for a prefix
-/// of every slice, false after) into `out`, returning the per-source
-/// cut positions. The suffixes at and beyond the bound are untouched:
-/// this is the batch step of the striped merge, where everything
-/// smaller than the next unmerged block's first key can be emitted
-/// and the rest stays buffered per run.
-///
-/// Comparison cost is `prefix_total · ⌈log2 k⌉` plus one binary search
-/// per source for the cuts.
-pub fn merge_k_below_into<T: Ord + Copy>(
-    seqs: &[&[T]],
-    below: impl Fn(&T) -> bool,
-    out: &mut Vec<T>,
-) -> Vec<usize> {
-    let cuts: Vec<usize> = seqs.iter().map(|s| s.partition_point(|x| below(x))).collect();
-    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
-    merge_k_into(&prefixes, out);
-    cuts
-}
-
 /// Outcome of an in-node parallel k-way merge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParMerge {
-    /// Per-source consumed positions (the prefix cut of each source,
-    /// same meaning as the return of [`merge_k_below_into`]).
+    /// Per-source consumed positions: the cut under the bound, or the
+    /// source's length when there was none.
     pub cuts: Vec<usize>,
     /// Selection probes spent splitting the sources into per-thread
     /// ranges (0 when the merge collapsed to one thread).
@@ -228,99 +207,22 @@ pub fn par_merge_k_into<T: Ord + Copy + Send + Sync>(
     cores: usize,
     out: &mut Vec<T>,
 ) -> ParMerge {
-    par_merge_k_traced(seqs, cores, out, |_, _, _, _| 0, |_, _, _, _, _| {})
+    let all = None::<fn(&T) -> bool>;
+    par_merge_k_traced(seqs, all, cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
 }
 
-/// [`par_merge_k_into`] with an explicit per-thread minimum (see
-/// [`PAR_MERGE_MIN_PER_THREAD`]; 0 selects the auto policy, tests pass
-/// 1 to force parallelism on small inputs).
-pub fn par_merge_k_into_with_min<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
-    cores: usize,
-    min_per_thread: usize,
-    out: &mut Vec<T>,
-) -> ParMerge {
-    par_merge_k_traced_with_min(
-        seqs,
-        cores,
-        min_per_thread,
-        out,
-        |_, _, _, _| 0,
-        |_, _, _, _, _| {},
-    )
-}
-
-/// [`merge_k_below_into`] on up to `cores` threads (see
-/// [`par_merge_k_into`]); returns the per-source cuts in
-/// [`ParMerge::cuts`].
+/// [`par_merge_k_into`] of the leading run of each sorted slice that
+/// satisfies `below` — a monotone "still under the bound" predicate,
+/// true for a prefix of every slice and false after. The suffixes at and
+/// beyond the bound are untouched; [`ParMerge::cuts`] says where they
+/// start (one binary search per source).
 pub fn par_merge_k_below_into<T: Ord + Copy + Send + Sync>(
     seqs: &[&[T]],
     below: impl Fn(&T) -> bool,
     cores: usize,
     out: &mut Vec<T>,
 ) -> ParMerge {
-    par_merge_k_below_traced(seqs, below, cores, out, |_, _, _, _| 0, |_, _, _, _, _| {})
-}
-
-/// [`par_merge_k_below_into`] with an explicit per-thread minimum.
-pub fn par_merge_k_below_into_with_min<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
-    below: impl Fn(&T) -> bool,
-    cores: usize,
-    min_per_thread: usize,
-    out: &mut Vec<T>,
-) -> ParMerge {
-    let cuts: Vec<usize> = seqs.iter().map(|s| s.partition_point(|x| below(x))).collect();
-    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
-    let mut pm = par_merge_k_traced_with_min(
-        &prefixes,
-        cores,
-        min_per_thread,
-        out,
-        |_, _, _, _| 0,
-        |_, _, _, _, _| {},
-    );
-    pm.cuts = cuts;
-    pm
-}
-
-/// [`par_merge_k_below_into`] with per-thread span hooks (the striped
-/// merge journals each range as a `merge_par` trace span): `begin` runs
-/// on the merging thread right before its range merge as
-/// `begin(thread, threads, len, total)` and returns an id; `end` runs
-/// right after with the same arguments plus that id. The single-thread
-/// collapse still fires one `(0, 1, total, total)` pair, so a traced
-/// merge always journals a complete thread set.
-pub fn par_merge_k_below_traced<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
-    below: impl Fn(&T) -> bool,
-    cores: usize,
-    out: &mut Vec<T>,
-    begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
-    end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-) -> ParMerge {
-    let cuts: Vec<usize> = seqs.iter().map(|s| s.partition_point(|x| below(x))).collect();
-    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
-    let mut pm = par_merge_k_traced(&prefixes, cores, out, begin, end);
-    pm.cuts = cuts;
-    pm
-}
-
-/// [`par_merge_k_below_traced`] with an explicit per-thread minimum.
-pub fn par_merge_k_below_traced_with_min<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
-    below: impl Fn(&T) -> bool,
-    cores: usize,
-    min_per_thread: usize,
-    out: &mut Vec<T>,
-    begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
-    end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-) -> ParMerge {
-    let cuts: Vec<usize> = seqs.iter().map(|s| s.partition_point(|x| below(x))).collect();
-    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
-    let mut pm = par_merge_k_traced_with_min(&prefixes, cores, min_per_thread, out, begin, end);
-    pm.cuts = cuts;
-    pm
+    par_merge_k_traced(seqs, Some(below), cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
 }
 
 /// Minimum records per merge thread before the parallel merge engages.
@@ -330,44 +232,51 @@ pub fn par_merge_k_below_traced_with_min<T: Ord + Copy + Send + Sync>(
 /// small batches (a memory-bounded striped merge at smoke scale) that
 /// overhead dwarfs the merge itself and made `cores=8` slower than
 /// `cores=1`; below this floor per thread, the extra threads cannot win.
-/// The auto policy (`min_per_thread == 0` on the `_with_min` variants,
-/// and every default entry point) scales the thread count down to
-/// `total / PAR_MERGE_MIN_PER_THREAD` (collapsing to the sequential
-/// path, with zero split probes, when that is 1) and additionally caps
-/// it at the host's available parallelism — a configured `cores` above
-/// what the machine can actually run in parallel only time-slices the
-/// same comparisons and can never win. An explicit `min_per_thread ≥ 1`
-/// is manual scheduling: the floor is taken literally and the host cap
-/// does not apply (tests pass 1 to force fan-out on any host).
+/// The auto policy (`min_per_thread == 0` of [`par_merge_k_traced`],
+/// which is what the two plain entry points pass) scales the thread
+/// count down to `total / PAR_MERGE_MIN_PER_THREAD` (collapsing to the
+/// sequential path, with zero split probes, when that is 1) and
+/// additionally caps it at the host's available parallelism — a
+/// configured `cores` above what the machine can actually run in
+/// parallel only time-slices the same comparisons and can never win. An
+/// explicit `min_per_thread ≥ 1` is manual scheduling: the floor is
+/// taken literally and the host cap does not apply (tests pass 1 to
+/// force fan-out on any host).
 pub const PAR_MERGE_MIN_PER_THREAD: usize = 8192;
 
-/// [`par_merge_k_into`] with per-thread span hooks.
+/// The parallel merge under [`par_merge_k_into`] and
+/// [`par_merge_k_below_into`], with everything they fix left open:
+///
+/// * `below` — the bound of [`par_merge_k_below_into`], or `None` for
+///   all of every source. This is the one place a batch is cut.
+/// * `min_per_thread` — at most `total / min_per_thread` threads are
+///   used (at least one), so a too-small batch takes the sequential path
+///   with zero split probes. `0` selects the auto policy
+///   ([`PAR_MERGE_MIN_PER_THREAD`] plus the host-parallelism cap); an
+///   explicit minimum is taken literally with no host cap.
+/// * `begin` / `end` — per-thread span hooks (the striped merge journals
+///   each range as a `merge_par` trace span): `begin` runs on the
+///   merging thread right before its range merge as
+///   `begin(thread, threads, len, total)` and returns an id; `end` runs
+///   right after with the same arguments plus that id. The
+///   single-thread collapse still fires one `(0, 1, total, total)` pair,
+///   so a traced merge always journals a complete thread set.
 pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
     seqs: &[&[T]],
-    cores: usize,
-    out: &mut Vec<T>,
-    begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
-    end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-) -> ParMerge {
-    par_merge_k_traced_with_min(seqs, cores, 0, out, begin, end)
-}
-
-/// [`par_merge_k_traced`] with an explicit per-thread minimum: at most
-/// `total / min_per_thread` threads are used (at least one), so a
-/// too-small batch takes the sequential path with zero split probes.
-/// `min_per_thread == 0` selects the auto policy
-/// ([`PAR_MERGE_MIN_PER_THREAD`] plus the host-parallelism cap); an
-/// explicit minimum is taken literally with no host cap.
-pub fn par_merge_k_traced_with_min<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
+    below: Option<impl Fn(&T) -> bool>,
     cores: usize,
     min_per_thread: usize,
     out: &mut Vec<T>,
     begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
     end: impl Fn(u64, usize, usize, usize, usize) + Sync,
 ) -> ParMerge {
-    let total: usize = seqs.iter().map(|s| s.len()).sum();
-    let full: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
+    let cuts: Vec<usize> = match below {
+        Some(below) => seqs.iter().map(|s| s.partition_point(|x| below(x))).collect(),
+        None => seqs.iter().map(|s| s.len()).collect(),
+    };
+    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
+    let seqs = prefixes.as_slice();
+    let total: usize = cuts.iter().sum();
     let host_cap = match min_per_thread {
         0 => std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()),
         _ => usize::MAX,
@@ -381,7 +290,7 @@ pub fn par_merge_k_traced_with_min<T: Ord + Copy + Send + Sync>(
         let id = begin(0, 1, total, total);
         merge_k_into(seqs, out);
         end(id, 0, 1, total, total);
-        return ParMerge { cuts: full, split_probes: 0, range_lens: vec![total] };
+        return ParMerge { cuts, split_probes: 0, range_lens: vec![total] };
     }
 
     // Exact splitters at the cores − 1 balanced global ranks. In-memory
@@ -417,7 +326,54 @@ pub fn par_merge_k_traced_with_min<T: Ord + Copy + Send + Sync>(
         // each task fills its slot completely).
         unsafe { out.set_len(base + total) };
     }
-    ParMerge { cuts: full, split_probes, range_lens }
+    ParMerge { cuts, split_probes, range_lens }
+}
+
+/// The carry-merge step both sorts' batch merges are made of: one
+/// sorted buffer per run that the caller appends to as blocks arrive,
+/// and [`CarryMerge::emit_below`], which merges everything under a
+/// bound out of them and keeps the rest — each run's *carry* — for the
+/// next round.
+pub struct CarryMerge<T> {
+    /// The buffers. A run's records must be appended in the run's
+    /// order, so that every buffer stays sorted.
+    pub sources: Vec<Vec<T>>,
+}
+
+impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
+    /// `k` empty buffers.
+    pub fn new(k: usize) -> Self {
+        Self { sources: (0..k).map(|_| Vec::new()).collect() }
+    }
+
+    /// Merge the prefix of every buffer that satisfies `below` into
+    /// `arena` (cleared first) on up to `cores` threads, and remove it
+    /// from the buffers; `None` merges everything. Returns the split
+    /// probes spent ([`ParMerge::split_probes`]); `min_per_thread` and
+    /// the span hooks are [`par_merge_k_traced`]'s.
+    ///
+    /// With a strict bound (`key < threshold`) records *equal* to the
+    /// threshold are held back until a later threshold passes them, so
+    /// the rounds' outputs concatenate to exactly the merge of
+    /// everything ever appended, in the loser tree's (key, run) order.
+    pub fn emit_below(
+        &mut self,
+        below: Option<impl Fn(&T) -> bool>,
+        cores: usize,
+        min_per_thread: usize,
+        arena: &mut Vec<T>,
+        begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
+        end: impl Fn(u64, usize, usize, usize, usize) + Sync,
+    ) -> u64 {
+        arena.clear();
+        let views: Vec<&[T]> = self.sources.iter().map(|s| s.as_slice()).collect();
+        let pm = par_merge_k_traced(&views, below, cores, min_per_thread, arena, begin, end);
+        for (s, cut) in self.sources.iter_mut().zip(pm.cuts) {
+            // verify: allow(L2, Vec::drain removing the merged prefix — not the fallible IoEngine::drain)
+            s.drain(..cut);
+        }
+        pm.split_probes
+    }
 }
 
 /// [`merge_k_into`] writing into an uninitialized output slice (one
@@ -503,6 +459,16 @@ mod tests {
     fn sorted(mut v: Vec<u32>) -> Vec<u32> {
         v.sort_unstable();
         v
+    }
+
+    /// The cut-then-merge kernel on one thread: the sequential reference
+    /// the multi-threaded runs are compared against.
+    fn merge_k_below_into<T: Ord + Copy + Send + Sync>(
+        seqs: &[&[T]],
+        below: impl Fn(&T) -> bool,
+        out: &mut Vec<T>,
+    ) -> Vec<usize> {
+        par_merge_k_below_into(seqs, below, 1, out).cuts
     }
 
     #[test]
@@ -671,7 +637,9 @@ mod tests {
         let mut out = Vec::new();
         let pm = par_merge_k_traced(
             &[&[1u32, 3][..], &[2u32][..]],
+            None::<fn(&u32) -> bool>,
             8,
+            0,
             &mut out,
             |t, n, len, total| {
                 assert_eq!((t, n, len, total), (0, 1, 3, 3));
@@ -696,8 +664,9 @@ mod tests {
         let refs: Vec<&[u32]> = seqs.iter().map(|s| s.as_slice()).collect();
         let opened = Mutex::new(Vec::new());
         let mut out = Vec::new();
-        let pm = par_merge_k_traced_with_min(
+        let pm = par_merge_k_traced(
             &refs,
+            None::<fn(&u32) -> bool>,
             4,
             1,
             &mut out,
@@ -734,7 +703,9 @@ mod tests {
             let mut seq_out = Vec::new();
             let seq_cuts = merge_k_below_into(&refs, below, &mut seq_out);
             let mut par_out = Vec::new();
-            let pm = par_merge_k_below_into_with_min(&refs, below, cores, 1, &mut par_out);
+            let pm = par_merge_k_traced(
+                &refs, Some(below), cores, 1, &mut par_out, |_, _, _, _| 0, |_, _, _, _, _| {},
+            );
             prop_assert_eq!(&par_out, &seq_out);
             prop_assert_eq!(&pm.cuts, &seq_cuts);
             prop_assert_eq!(pm.range_lens.iter().sum::<usize>(), seq_out.len());
@@ -788,6 +759,107 @@ mod tests {
                 merge_k_into(&pieces, &mut cat);
             }
             prop_assert_eq!(cat, merge_k(&views));
+        }
+    }
+
+    /// A key with the (source, position) it came from, compared by the
+    /// key alone: where equal keys end up shows the order they were
+    /// merged in ([`Tagged::all`] tells them apart).
+    #[derive(Copy, Clone, Debug)]
+    struct Tagged(u32, usize, usize);
+
+    impl Tagged {
+        fn all(v: &[Tagged]) -> Vec<(u32, usize, usize)> {
+            v.iter().map(|t| (t.0, t.1, t.2)).collect()
+        }
+    }
+
+    impl PartialEq for Tagged {
+        fn eq(&self, o: &Self) -> bool {
+            self.0 == o.0
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(o))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+            self.0.cmp(&o.0)
+        }
+    }
+
+    proptest! {
+        /// The carry rule, for both sorts at once: sorted sources fed in
+        /// arbitrary chunks, each round cut under a threshold that never
+        /// decreases and never exceeds a record still to be fed. The
+        /// rounds concatenate to the merge of everything, ties
+        /// included; nothing at or above a round's threshold leaves in
+        /// that round; and four threads emit what one does.
+        #[test]
+        fn carry_merge_rounds_concatenate_to_the_full_merge(
+            seqs in prop::collection::vec(prop::collection::vec(0u32..40, 0..40), 1..6),
+            chunks in prop::collection::vec(0usize..9, 1..24),
+            slack in prop::collection::vec(0u32..4, 1..24),
+        ) {
+            let sources: Vec<Vec<Tagged>> = seqs
+                .iter()
+                .cloned()
+                .map(sorted)
+                .enumerate()
+                .map(|(s, keys)| {
+                    keys.into_iter().enumerate().map(|(i, k)| Tagged(k, s, i)).collect()
+                })
+                .collect();
+            let k = sources.len();
+            let refs: Vec<&[Tagged]> = sources.iter().map(|s| s.as_slice()).collect();
+            let expect = Tagged::all(&merge_k(&refs));
+
+            let mut outputs = Vec::new();
+            for cores in [1, 4] {
+                let mut carry = CarryMerge::new(k);
+                let mut fed = vec![0usize; k];
+                let (mut out, mut arena) = (Vec::new(), vec![Tagged(0, 0, 0)]);
+                let mut floor = 0u32;
+                for round in 0.. {
+                    for (i, src) in sources.iter().enumerate() {
+                        // Some source always advances, so the rounds end.
+                        let take = chunks[(round * k + i) % chunks.len()] + usize::from(i == round % k);
+                        let to = (fed[i] + take).min(src.len());
+                        carry.sources[i].extend_from_slice(&src[fed[i]..to]);
+                        fed[i] = to;
+                    }
+                    let unfed = sources.iter().zip(&fed).filter_map(|(s, &f)| s.get(f)).map(|e| e.0);
+                    let threshold =
+                        unfed.min().map(|m| m.saturating_sub(slack[round % slack.len()]).max(floor));
+                    carry.emit_below(
+                        threshold.map(|t| move |x: &Tagged| x.0 < t),
+                        cores,
+                        1,
+                        &mut arena,
+                        |_, _, _, _| 0,
+                        |_, _, _, _, _| {},
+                    );
+                    out.extend_from_slice(&arena);
+                    match threshold {
+                        Some(t) => {
+                            prop_assert!(arena.iter().all(|x| x.0 < t), "emitted at or above {t}");
+                            prop_assert!(carry.sources.iter().flatten().all(|x| x.0 >= t));
+                            floor = t;
+                        }
+                        None => break,
+                    }
+                }
+                prop_assert!(carry.sources.iter().all(Vec::is_empty), "unbounded round drains");
+                prop_assert_eq!(&Tagged::all(&out), &expect, "cores = {}", cores);
+                outputs.push(Tagged::all(&out));
+            }
+            prop_assert_eq!(&outputs[0], &outputs[1]);
         }
     }
 

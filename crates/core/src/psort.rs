@@ -30,9 +30,8 @@
 //! between calls where it does not. Nothing run-sized is allocated per
 //! call except the outgoing messages. With `cores > 1` the merge runs
 //! on several threads into an arena the kernel keeps, and the sink
-//! takes that as one slab. [`parallel_sort`] and
-//! [`parallel_sort_presorted`] wrap the kernel for callers that want
-//! the result as a vector.
+//! takes that as one slab. [`parallel_sort`] wraps the kernel for
+//! callers that want the result as a vector.
 
 use crate::distselect::dist_split;
 use crate::merge::{merge_cpu, merge_k_each, par_merge_k_into};
@@ -56,23 +55,6 @@ pub fn parallel_sort<R: Record + Ord>(
     cores: usize,
 ) -> Result<(Vec<R>, CpuCounters)> {
     let cpu = sort_in_node(&mut data, cores);
-    parallel_sort_presorted(comm, data, cores, cpu)
-}
-
-/// [`parallel_sort`] for data that is already locally sorted.
-///
-/// `cpu` carries the counters of however the local sort was achieved;
-/// the splitter/exchange/merge counters are added to it. The final
-/// P-way merge of the received pieces runs on up to `cores` threads.
-///
-/// # Errors
-/// See [`parallel_sort`].
-pub fn parallel_sort_presorted<R: Record + Ord>(
-    comm: &Communicator,
-    data: Vec<R>,
-    cores: usize,
-    cpu: CpuCounters,
-) -> Result<(Vec<R>, CpuCounters)> {
     if comm.size() == 1 {
         return Ok((data, cpu));
     }

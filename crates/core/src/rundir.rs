@@ -18,7 +18,8 @@
 use crate::recio::{FinishedRun, Sample};
 use demsort_net::Communicator;
 use demsort_storage::{BlockId, Run};
-use demsort_types::{Record, Result};
+use demsort_types::wire::{from_peer, WireReader, WireWriter};
+use demsort_types::{Error, Record, Result};
 
 /// Per-PE slice metadata of one run, as seen by every PE.
 #[derive(Clone, Debug, Default)]
@@ -83,8 +84,8 @@ impl<R: Record> RunDirectory<R> {
 /// (one entry per run, possibly empty slices).
 ///
 /// # Errors
-/// [`Error::Comm`](demsort_types::Error) if the metadata allgather of
-/// any run fails (dead or silent peer).
+/// [`Error::Comm`] if the metadata allgather of any run fails (dead or
+/// silent peer) or a peer's slice metadata does not decode.
 pub fn build_directory<R: Record + Ord>(
     comm: &Communicator,
     local: Vec<FinishedRun<R>>,
@@ -96,8 +97,9 @@ pub fn build_directory<R: Record + Ord>(
         let gathered = comm.allgather(encode_slice_meta(fr))?;
         let mut slices = Vec::with_capacity(p);
         let mut per_pe_samples = Vec::with_capacity(p);
-        for buf in &gathered {
-            let (meta, samples) = decode_slice_meta::<R>(buf);
+        for (src, buf) in gathered.iter().enumerate() {
+            let (meta, samples) = decode_slice_meta::<R>(buf)
+                .map_err(|e| from_peer(comm.rank(), src, "run directory slice", e))?;
             slices.push(meta);
             per_pe_samples.push(samples);
         }
@@ -118,45 +120,52 @@ pub fn build_directory<R: Record + Ord>(
     Ok(RunDirectory { runs, local })
 }
 
+/// One PE's slice of one run as the directory allgather carries it:
+/// `elems`, the block and sample counts, the block ids, then each
+/// sample's slice-local position and record.
 fn encode_slice_meta<R: Record>(fr: &FinishedRun<R>) -> Vec<u8> {
-    let mut out =
-        Vec::with_capacity(16 + fr.run.blocks.len() * 8 + fr.samples.len() * (8 + R::BYTES));
-    out.extend_from_slice(&fr.elems.to_le_bytes());
-    out.extend_from_slice(&(fr.run.blocks.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(fr.samples.len() as u32).to_le_bytes());
+    let mut w =
+        WireWriter::with_capacity(16 + fr.run.blocks.len() * 8 + fr.samples.len() * (8 + R::BYTES));
+    w.u64(fr.elems).u32(fr.run.blocks.len() as u32).u32(fr.samples.len() as u32);
     for b in &fr.run.blocks {
-        out.extend_from_slice(&b.disk.to_le_bytes());
-        out.extend_from_slice(&b.slot.to_le_bytes());
+        w.u32(b.disk).u32(b.slot);
     }
-    let mut rec_buf = vec![0u8; R::BYTES];
     for s in &fr.samples {
-        out.extend_from_slice(&s.pos.to_le_bytes());
-        s.rec.encode(&mut rec_buf);
-        out.extend_from_slice(&rec_buf);
+        w.u64(s.pos);
+        s.rec.encode(w.raw(R::BYTES));
     }
-    out
+    w.finish()
 }
 
-fn decode_slice_meta<R: Record>(buf: &[u8]) -> (SliceMeta, Vec<Sample<R>>) {
-    let elems = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-    let nblocks = u32::from_le_bytes(buf[8..12].try_into().expect("4 bytes")) as usize;
-    let nsamples = u32::from_le_bytes(buf[12..16].try_into().expect("4 bytes")) as usize;
-    let mut pos = 16;
+/// Decode a peer's [`encode_slice_meta`] message. The two counts must
+/// account for exactly the bytes that follow (so neither can make this
+/// rank allocate more than the message it already holds), and every
+/// sample must lie inside the slice.
+fn decode_slice_meta<R: Record>(buf: &[u8]) -> Result<(SliceMeta, Vec<Sample<R>>)> {
+    let mut r = WireReader::new(buf);
+    let elems = r.field("elems").u64()?;
+    let nblocks = r.field("nblocks").u32()? as usize;
+    let nsamples = r.field("nsamples").u32()? as usize;
+    if nblocks * 8 + nsamples * (8 + R::BYTES) != r.remaining() {
+        return Err(Error::comm(format!(
+            "nblocks {nblocks} and nsamples {nsamples} do not describe the {} bytes that follow",
+            r.remaining()
+        )));
+    }
     let mut blocks = Vec::with_capacity(nblocks);
     for _ in 0..nblocks {
-        let disk = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-        let slot = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        blocks.push(BlockId::new(disk, slot));
-        pos += 8;
+        let disk = r.field("block disk").u32()?;
+        blocks.push(BlockId::new(disk, r.field("block slot").u32()?));
     }
     let mut samples = Vec::with_capacity(nsamples);
     for _ in 0..nsamples {
-        let spos = u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"));
-        let rec = R::decode(&buf[pos + 8..pos + 8 + R::BYTES]);
-        samples.push(Sample { pos: spos, rec });
-        pos += 8 + R::BYTES;
+        let pos = r.field("sample pos").u64()?;
+        if pos >= elems {
+            return Err(Error::comm(format!("sample pos {pos} in a slice of {elems} elems")));
+        }
+        samples.push(Sample { pos, rec: R::decode(r.field("sample").raw(R::BYTES)?) });
     }
-    (SliceMeta { elems, blocks }, samples)
+    Ok((SliceMeta { elems, blocks }, samples))
 }
 
 /// The run a [`SliceMeta`] describes (for constructing readers over a
@@ -190,10 +199,59 @@ mod tests {
     fn meta_encode_decode_roundtrip() {
         let fr = finished(1, 11);
         let buf = encode_slice_meta(&fr);
-        let (meta, samples) = decode_slice_meta::<Element16>(&buf);
+        let (meta, samples) = decode_slice_meta::<Element16>(&buf).expect("valid");
         assert_eq!(meta.elems, 11);
         assert_eq!(meta.blocks, fr.run.blocks);
         assert_eq!(samples, fr.samples);
+    }
+
+    #[test]
+    fn slice_meta_rejects_short_frames_and_out_of_range_fields() {
+        let buf = encode_slice_meta(&finished(1, 11));
+        for cut in 0..buf.len() {
+            let err = decode_slice_meta::<Element16>(&buf[..cut]).expect_err("strict prefix");
+            assert!(matches!(err, Error::Comm(_)), "cut {cut}: {err}");
+        }
+        let mut long = buf.clone();
+        long.push(0);
+        assert!(decode_slice_meta::<Element16>(&long).is_err(), "trailing bytes");
+        // One out-of-range value per field: `elems` below a sample's
+        // position, a block count and a sample count the frame does not
+        // hold.
+        for (at, value, field) in [(0, 8u32, "sample pos"), (8, 4, "nblocks"), (12, 2, "nsamples")]
+        {
+            let mut bad = buf.clone();
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let err = decode_slice_meta::<Element16>(&bad).expect_err(field);
+            assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn slice_meta_round_trips(
+            elems in 0u64..200,
+            slots in proptest::collection::vec(0u32..u32::MAX, 0..12),
+            every in 1u64..9,
+        ) {
+            let fr = FinishedRun {
+                run: Run {
+                    blocks: slots.iter().map(|&s| BlockId::new(s % 3, s)).collect(),
+                    bytes: slots.len() as u64 * 64,
+                },
+                elems,
+                samples: (0..elems)
+                    .step_by(every as usize)
+                    .map(|p| Sample { pos: p, rec: Element16::new(p * 7, p) })
+                    .collect(),
+                block_first_keys: Vec::new(),
+            };
+            let (meta, samples) =
+                decode_slice_meta::<Element16>(&encode_slice_meta(&fr)).expect("valid");
+            proptest::prop_assert_eq!(meta.elems, fr.elems);
+            proptest::prop_assert_eq!(meta.blocks, fr.run.blocks);
+            proptest::prop_assert_eq!(samples, fr.samples);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! * **In-place** — input blocks are freed as they are read; slice
 //!   writes reuse them.
 
-use crate::merge::{merge_work, par_merge_k_into};
+use crate::merge::{merge_cpu, par_merge_k_into};
 use crate::psort::Exchange;
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter};
 use crate::seqsort::sort_in_node;
@@ -76,6 +76,101 @@ pub struct RunFormOutcome<R: Record> {
 /// group and the exchange's messages.
 pub const WRITE_WINDOW_DIV: usize = 4;
 
+/// One in-flight block read: handle plus the number of valid records.
+pub type PendingBlock = (demsort_storage::IoHandle, usize);
+
+/// Reads a PE's input one run's worth at a time — the front both sorts'
+/// run formation starts from. Group `j` is blocks `j·m/B .. (j+1)·m/B`
+/// of the block order (the seeded shuffle, or the order the input has);
+/// the partial tail block, if any, joins the last group that has full
+/// blocks (group 0 when there are none). Groups past the last are
+/// empty: a PE with less input than its peers still takes part in their
+/// runs.
+pub struct GroupReader<'a> {
+    st: &'a PeStorage,
+    input: LocalInput,
+    /// The full blocks' indices into `input.run.blocks`, in read order.
+    order: Vec<usize>,
+    /// Blocks per group (`m/B`).
+    bpr: usize,
+    /// Records per full block, and in the tail block (0: no tail).
+    rpb: usize,
+    tail: usize,
+}
+
+impl<'a> GroupReader<'a> {
+    /// A reader over `input` (records of `R`) on `st`, its full blocks
+    /// shuffled by `shuffle_seed` or, with `None`, in input order.
+    pub fn new<R: Record>(
+        st: &'a PeStorage,
+        cfg: &SortConfig,
+        input: LocalInput,
+        shuffle_seed: Option<u64>,
+    ) -> Self {
+        let rpb = records_per_block::<R>(st.block_bytes());
+        let full_blocks = (input.elems / rpb as u64) as usize;
+        let tail = (input.elems % rpb as u64) as usize;
+        debug_assert_eq!(
+            input.run.blocks.len(),
+            full_blocks + usize::from(tail > 0),
+            "input run must be record-aligned"
+        );
+        let mut order: Vec<usize> = (0..full_blocks).collect();
+        if let Some(seed) = shuffle_seed {
+            order.shuffle(&mut StdRng::seed_from_u64(seed));
+        }
+        Self { st, input, order, bpr: cfg.machine.mem_blocks_per_pe().max(1), rpb, tail }
+    }
+
+    /// Groups that hold any of this PE's input; the cluster forms the
+    /// maximum of these over all PEs (at least one run).
+    pub fn local_groups(&self) -> usize {
+        self.order.len().div_ceil(self.bpr).max(usize::from(self.tail > 0))
+    }
+
+    /// Records in the largest group — what the arena
+    /// [`GroupReader::collect`] fills has to hold.
+    pub fn max_group_records(&self) -> usize {
+        self.bpr.min(self.order.len()) * self.rpb + self.tail
+    }
+
+    /// Issue the asynchronous reads of group `j`, freeing each block's
+    /// slot as its read is queued (in place: a write may be given the
+    /// slot, and the disk's FIFO queue puts it behind the read).
+    pub fn issue(&self, j: usize) -> Vec<PendingBlock> {
+        let full_blocks = self.order.len();
+        let lo = (j * self.bpr).min(full_blocks);
+        let hi = ((j + 1) * self.bpr).min(full_blocks);
+        let mut pending = Vec::with_capacity(hi - lo + 1);
+        let mut read = |id, valid| {
+            pending.push((self.st.engine().read(id), valid));
+            self.st.alloc().free(id);
+        };
+        for &b in &self.order[lo..hi] {
+            read(self.input.run.blocks[b], self.rpb);
+        }
+        // The partial tail block joins the last group that has room — i.e.
+        // the group covering the final full blocks (or group 0 if none).
+        let is_last_group = hi == full_blocks && (lo < hi || full_blocks == 0);
+        if self.tail > 0 && is_last_group && j * self.bpr <= full_blocks {
+            read(*self.input.run.blocks.last().expect("tail block exists"), self.tail);
+        }
+        pending
+    }
+
+    /// Wait for a group's blocks and decode them into `arena` (cleared
+    /// first), handing each read buffer back to the pool.
+    pub fn collect<R: Record>(&self, pending: Vec<PendingBlock>, arena: &mut Vec<R>) -> Result<()> {
+        arena.clear();
+        for (h, valid) in pending {
+            let buf = h.wait()?;
+            R::decode_slice(&buf[..valid * R::BYTES], arena);
+            self.st.pool().put(buf);
+        }
+        Ok(())
+    }
+}
+
 /// Form all runs. Collective; returns this PE's slices.
 pub fn form_runs<R: Record + Ord>(
     comm: &Communicator,
@@ -84,52 +179,37 @@ pub fn form_runs<R: Record + Ord>(
     input: LocalInput,
     cores: usize,
 ) -> Result<RunFormOutcome<R>> {
-    let rpb = records_per_block::<R>(st.block_bytes());
-    let full_blocks = (input.elems / rpb as u64) as usize;
-    let tail_elems = (input.elems % rpb as u64) as usize;
-    debug_assert_eq!(
-        input.run.blocks.len(),
-        full_blocks + usize::from(tail_elems > 0),
-        "input run must be record-aligned"
-    );
-
-    // Randomized (or identity) assignment of local blocks to runs.
-    let mut order: Vec<usize> = (0..full_blocks).collect();
-    if cfg.algo.randomize {
-        let mut rng =
-            StdRng::seed_from_u64(cfg.algo.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37_79B9));
-        order.shuffle(&mut rng);
-    }
-
-    // Group into runs of `m/B` blocks; the partial tail block (if any)
-    // joins the last group.
-    let bpr = cfg.machine.mem_blocks_per_pe().max(1);
-    let local_groups = full_blocks.div_ceil(bpr).max(usize::from(tail_elems > 0));
-    let num_runs = comm.allreduce_max(local_groups as u64)?.max(1) as usize;
+    // Randomized (or identity) assignment of local blocks to runs of
+    // `m/B` blocks.
+    let seed = cfg.algo.seed ^ (comm.rank() as u64).wrapping_mul(0x9E37_79B9);
+    let groups = GroupReader::new::<R>(st, cfg, input, cfg.algo.randomize.then_some(seed));
+    let num_runs = comm.allreduce_max(groups.local_groups() as u64)?.max(1) as usize;
 
     let mut cpu_total = CpuCounters::default();
     let mut finished: Vec<FinishedRun<R>> = Vec::with_capacity(num_runs);
     // Every run's local records in turn: decoded into, sorted in and
-    // merged from this one vector (a group is at most `bpr` full
-    // blocks plus the tail).
-    let mut arena: Vec<R> = Vec::with_capacity(bpr.min(full_blocks) * rpb + tail_elems);
+    // merged from this one vector.
+    let mut arena: Vec<R> = Vec::with_capacity(groups.max_group_records());
     let mut exchange = Exchange::new();
-    let window = bpr / WRITE_WINDOW_DIV;
+    let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
     // The previous run's writer, its last `window` writes in flight.
     let mut writing: Option<RecordRunWriter<'_, R>> = None;
     let single_run = num_runs == 1 && cfg.algo.overlap;
 
     // Prefetch the first run's blocks.
-    let mut pending = issue_group_reads(st, &input, &order, 0, bpr, rpb, full_blocks, tail_elems);
+    let mut pending = groups.issue(0);
 
     for j in 0..num_runs {
         // Fetch + decode (or sort-on-arrival) run j's local data.
-        let arrive_cpu = collect_group(st, pending, &mut arena, single_run, cores)?;
-        cpu_total = cpu_total.merge(&arrive_cpu);
+        if single_run {
+            cpu_total = cpu_total.merge(&collect_sorting(st, pending, &mut arena, cores)?);
+        } else {
+            groups.collect(pending, &mut arena)?;
+        }
 
         // The overlap schedule: run j+1's reads are queued before run
         // j is sorted, and run j−1's last writes are still retiring.
-        pending = issue_group_reads(st, &input, &order, j + 1, bpr, rpb, full_blocks, tail_elems);
+        pending = groups.issue(j + 1);
         if !single_run {
             cpu_total = cpu_total.merge(&sort_in_node(&mut arena, cores));
         }
@@ -158,64 +238,18 @@ pub fn form_runs<R: Record + Ord>(
     Ok(RunFormOutcome { local: finished, cpu: cpu_total })
 }
 
-/// One in-flight block read: handle plus the number of valid records.
-type PendingBlock = (demsort_storage::IoHandle, usize);
-
-/// Issue async reads (freeing blocks — in-place) for group `j`.
-#[allow(clippy::too_many_arguments)]
-fn issue_group_reads(
-    st: &PeStorage,
-    input: &LocalInput,
-    order: &[usize],
-    j: usize,
-    bpr: usize,
-    rpb: usize,
-    full_blocks: usize,
-    tail_elems: usize,
-) -> Vec<PendingBlock> {
-    let lo = (j * bpr).min(full_blocks);
-    let hi = ((j + 1) * bpr).min(full_blocks);
-    let mut pending = Vec::with_capacity(hi - lo + 1);
-    for &b in &order[lo..hi] {
-        let id = input.run.blocks[b];
-        pending.push((st.engine().read(id), rpb));
-        st.alloc().free(id); // block slot reusable once the read retires
-    }
-    // The partial tail block joins the last group that has room — i.e.
-    // the group covering the final full blocks (or group 0 if none).
-    let is_last_group = hi == full_blocks && (lo < hi || full_blocks == 0);
-    if tail_elems > 0 && is_last_group && j * bpr <= full_blocks {
-        let id = *input.run.blocks.last().expect("tail block exists");
-        pending.push((st.engine().read(id), tail_elems));
-        st.alloc().free(id);
-    }
-    pending
-}
-
-/// Wait for a group's blocks and decode them into `arena` (cleared
-/// first), handing each read buffer back to the pool; in the
-/// single-run special case, sort each block as it arrives and merge at
-/// the end.
-fn collect_group<R: Record + Ord>(
+/// The single-run special case of [`GroupReader::collect`]: each block
+/// is sorted the moment it arrives ("immediately after a block is read
+/// from disk, it is sorted, while the disk is busy with subsequent
+/// blocks"), and the sorted blocks are merged into `arena` at the end.
+fn collect_sorting<R: Record + Ord>(
     st: &PeStorage,
     pending: Vec<PendingBlock>,
     arena: &mut Vec<R>,
-    sort_on_arrival: bool,
     cores: usize,
 ) -> Result<CpuCounters> {
     let mut cpu = CpuCounters::default();
     arena.clear();
-    if !sort_on_arrival {
-        for (h, valid) in pending {
-            let buf = h.wait()?;
-            R::decode_slice(&buf[..valid * R::BYTES], arena);
-            st.pool().put(buf);
-        }
-        return Ok(cpu);
-    }
-    // Single-run case: each block is sorted the moment it arrives
-    // ("immediately after a block is read from disk, it is sorted,
-    // while the disk is busy with subsequent blocks").
     let mut sorted_blocks: Vec<Vec<R>> = Vec::with_capacity(pending.len());
     for (h, valid) in pending {
         let buf = h.wait()?;
@@ -226,12 +260,8 @@ fn collect_group<R: Record + Ord>(
         sorted_blocks.push(recs);
     }
     let views: Vec<&[R]> = sorted_blocks.iter().map(|b| b.as_slice()).collect();
-    let total: usize = views.iter().map(|v| v.len()).sum();
-    let pm = par_merge_k_into(&views, cores, arena);
-    cpu.elements_merged += total as u64;
-    cpu.merge_work += merge_work(total as u64, views.len());
-    cpu.split_probes += pm.split_probes;
-    Ok(cpu)
+    cpu.split_probes += par_merge_k_into(&views, cores, arena).split_probes;
+    Ok(cpu.merge(&merge_cpu(arena.len() as u64, views.len())))
 }
 
 /// Write a PE's input records to its local disks (experiment setup;
@@ -339,6 +369,66 @@ mod tests {
     fn empty_input() {
         let cfg = config(2, true, true);
         check_runs(InputSpec::Uniform, &cfg, 0);
+    }
+
+    #[test]
+    fn group_reader_issues_every_block_once_and_the_tail_last() {
+        // The one reader under both sorts, over every shape of local
+        // input: canonical drives it shuffled, striped in input order,
+        // and either may be asked for more groups than it has (a peer
+        // with more input sets the run count).
+        let cfg = config(1, false, true);
+        let bpr = cfg.machine.mem_blocks_per_pe();
+        let rpb = records_per_block::<Element16>(cfg.machine.block_bytes);
+        for full_blocks in [0, 1, bpr - 1, bpr, bpr + 1, 3 * bpr] {
+            for (tail, extra_runs, seed) in [0, 7]
+                .into_iter()
+                .flat_map(|t| [0, 2].map(|x| (t, x)))
+                .flat_map(|(t, x)| [None, Some(5)].map(|seed| (t, x, seed)))
+            {
+                let what = format!("{full_blocks} blocks + {tail}, +{extra_runs} runs, {seed:?}");
+                let storage = ClusterStorage::new_mem(&cfg.machine);
+                let st = storage.pe(0);
+                let n = full_blocks * rpb + tail;
+                let recs: Vec<Element16> = (0..n as u64).map(|i| Element16::new(i, i)).collect();
+                let input = ingest_input(st, &recs).expect("ingest");
+                let groups = GroupReader::new::<Element16>(st, &cfg, input, seed);
+                let local = groups.local_groups();
+                assert_eq!(local, full_blocks.div_ceil(bpr).max(usize::from(tail > 0)), "{what}");
+                assert!(groups.max_group_records() <= bpr * rpb + tail, "{what}");
+
+                let mut arena: Vec<Element16> = Vec::new();
+                let mut read_in_order = Vec::with_capacity(n);
+                let (mut last_nonempty, mut tail_group) = (0, None);
+                for j in 0..local + extra_runs {
+                    groups.collect(groups.issue(j), &mut arena).expect("collect");
+                    assert!(arena.len() <= groups.max_group_records(), "{what}: group {j}");
+                    assert_eq!(arena.is_empty(), j >= local, "{what}: group {j}");
+                    if !arena.is_empty() {
+                        last_nonempty = j;
+                    }
+                    if arena.iter().any(|r| r.key as usize >= full_blocks * rpb) {
+                        assert_eq!(tail_group.replace(j), None, "{what}: tail read twice");
+                    }
+                    read_in_order.extend_from_slice(&arena);
+                }
+                assert_eq!(tail_group, (tail > 0).then_some(last_nonempty), "{what}");
+                assert_eq!(st.alloc().in_use(), 0, "{what}: every slot freed at issue");
+                if seed.is_none() {
+                    assert_eq!(read_in_order, recs, "{what}: input order");
+                }
+                // Whole blocks, each exactly once.
+                let mut starts: Vec<u64> =
+                    read_in_order.chunks(rpb).map(|block| block[0].key).collect();
+                assert!(read_in_order
+                    .chunks(rpb)
+                    .all(|block| block.windows(2).all(|w| w[0].key + 1 == w[1].key)));
+                starts.sort_unstable();
+                let expect: Vec<u64> =
+                    (0..n.div_ceil(rpb) as u64).map(|b| b * rpb as u64).collect();
+                assert_eq!(starts, expect, "{what}: every block once");
+            }
+        }
     }
 
     #[test]

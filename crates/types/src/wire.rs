@@ -25,6 +25,11 @@ impl WireWriter {
         Self::default()
     }
 
+    /// Start with an empty buffer that holds `bytes` without growing.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self { buf: Vec::with_capacity(bytes) }
+    }
+
     /// The encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -67,6 +72,15 @@ impl WireWriter {
         self.buf.extend_from_slice(b);
         self
     }
+
+    /// Append `n` zero bytes with no prefix and hand them out to be
+    /// filled in place — a record payload is encoded where it is sent
+    /// from. The reader's twin is [`WireReader::raw`].
+    pub fn raw(&mut self, n: usize) -> &mut [u8] {
+        let at = self.buf.len();
+        self.buf.resize(at + n, 0);
+        &mut self.buf[at..]
+    }
 }
 
 /// Cursor-based decoder over a byte slice. Every read is
@@ -75,12 +89,21 @@ impl WireWriter {
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// What the next reads are reads of ([`WireReader::field`]).
+    field: &'static str,
 }
 
 impl<'a> WireReader<'a> {
     /// Read from the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self { buf, pos: 0, field: "" }
+    }
+
+    /// Name the field the following reads belong to, so that a
+    /// truncation is reported as a truncation *of that field*.
+    pub fn field(&mut self, name: &'static str) -> &mut Self {
+        self.field = name;
+        self
     }
 
     /// Bytes not yet consumed.
@@ -90,8 +113,10 @@ impl<'a> WireReader<'a> {
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
+            let field = if self.field.is_empty() { "" } else { " for " };
             return Err(Error::comm(format!(
-                "truncated control frame: wanted {n} bytes at offset {}, have {}",
+                "truncated control frame: wanted {n} bytes{field}{} at offset {}, have {}",
+                self.field,
                 self.pos,
                 self.remaining()
             )));
@@ -131,6 +156,22 @@ impl<'a> WireReader<'a> {
         let len = self.u32()? as usize;
         Ok(self.take(len)?.to_vec())
     }
+
+    /// The next `n` bytes, borrowed from the frame (no prefix, no
+    /// copy): a record payload is decoded or merged where it arrived.
+    pub fn raw(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.take(n)
+    }
+}
+
+/// The error a rank reports for a peer's message it could not decode:
+/// `err` (a truncation naming its field, or a range check) prefixed
+/// with the receiving rank `me`, the sending rank `src` and what the
+/// message was. Bytes that arrive from a peer are checked, never
+/// indexed — a bad frame fails the collective, it does not panic a rank.
+pub fn from_peer(me: usize, src: usize, what: &str, err: Error) -> Error {
+    let (Error::Config(why) | Error::Io(why) | Error::Comm(why) | Error::Validation(why)) = err;
+    Error::comm(format!("rank {me}: bad {what} from rank {src}: {why}"))
 }
 
 // -------------------------------------------------------------------
@@ -522,6 +563,27 @@ mod tests {
         assert!(matches!(r.string(), Err(Error::Comm(_))));
         let mut r = WireReader::new(&[1, 2]);
         assert!(r.u64().is_err());
+    }
+
+    #[test]
+    fn raw_payloads_are_borrowed_and_a_truncation_names_its_field() {
+        let mut w = WireWriter::with_capacity(8);
+        w.u32(3);
+        w.raw(3).copy_from_slice(b"abc");
+        let buf = w.finish();
+        let mut r = WireReader::new(&buf);
+        let n = r.field("count").u32().expect("count") as usize;
+        let payload = r.field("records").raw(n).expect("payload");
+        assert_eq!(payload, b"abc");
+        assert!(std::ptr::eq(payload.as_ptr(), buf[4..].as_ptr()), "no copy");
+        let err = r.raw(1).expect_err("nothing left");
+        assert!(err.to_string().contains("for records"), "{err}");
+        let err = from_peer(2, 5, "striped piece", err);
+        let text = err.to_string();
+        assert!(matches!(err, Error::Comm(_)));
+        assert!(
+            text.contains("rank 2") && text.contains("rank 5") && text.contains("striped piece")
+        );
     }
 
     #[test]
