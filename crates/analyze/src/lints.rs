@@ -87,6 +87,11 @@ const FALLIBLE_METHODS: &[&str] = &[
     "read_sync",
     "write_sync",
     "drain",
+    // Block and record readers
+    "next_rec",
+    "read_to_vec",
+    "read_records",
+    "read_run",
 ];
 
 /// Statement-leading keywords that disqualify the bare-drop pattern.

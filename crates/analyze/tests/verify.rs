@@ -46,9 +46,15 @@ fn l1_scope_is_limited_to_the_fault_tolerant_crates() {
 #[test]
 fn l2_fixture_flags_all_three_discard_forms() {
     let report = run_fixture("crates/core/src/l2_bad.rs", include_str!("fixtures/l2_bad.rs"));
-    // `let _ =` (4), `.ok();` (5), bare drop (6); the `?`-propagated
-    // and argument-consumed calls on lines 10–11 are fine.
-    assert_eq!(denies(&report), [("L2", 4), ("L2", 5), ("L2", 6)], "{:?}", report.findings);
+    // `let _ =` (4), `.ok();` (5), bare drops (6, 7 — a record read);
+    // the `?`-propagated and argument-consumed calls on lines 11–12 are
+    // fine.
+    assert_eq!(
+        denies(&report),
+        [("L2", 4), ("L2", 5), ("L2", 6), ("L2", 7)],
+        "{:?}",
+        report.findings
+    );
     assert!(report.findings.iter().all(|f| f.lint == "L2"));
 }
 

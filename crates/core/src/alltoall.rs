@@ -4,7 +4,9 @@
 //! range it must own. Data already in place stays on disk untouched
 //! (this is why Figure 5's all-to-all I/O volume is tiny for random
 //! input); everything else is read, shipped, and written to fresh local
-//! blocks.
+//! blocks. A record is never decoded on the way: the sender copies its
+//! bytes once from the blocks the record reader prefetches into the
+//! message, the receiver once from the message into a fragment block.
 //!
 //! Two problems relative to a plain `MPI_Alltoallv` (quoting the
 //! paper):
@@ -30,12 +32,13 @@
 //! received fragments reuse them.
 
 use crate::extselect::RunSplitters;
-use crate::recio::records_per_block;
+use crate::recio::{records_per_block, RecordRunReader};
 use crate::rundir::{slice_run, RunDirectory};
-use demsort_net::{chunked_alltoallv, decode_u64s, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
+use demsort_net::{chunked_alltoallv, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, PeStorage, Run, RunWriter};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
 use demsort_types::{Error, Record, Result, SortConfig};
+use std::ops::Range;
 
 /// One sorted piece of a run on local disk after redistribution.
 #[derive(Clone, Debug)]
@@ -61,11 +64,14 @@ pub enum MergeFragment {
 }
 
 impl MergeFragment {
-    /// Records this fragment contributes.
-    pub fn elems(&self) -> u64 {
+    /// The fragment as a record range `(run, elems, start..end)`, the
+    /// form [`RecordRunReader::chain`] reads.
+    pub(crate) fn range(&self) -> (&Run, u64, Range<u64>) {
         match self {
-            MergeFragment::Received { elems, .. } => *elems,
-            MergeFragment::Retained { start, end, .. } => end - start,
+            MergeFragment::Received { run, elems } => (run, *elems, 0..*elems),
+            MergeFragment::Retained { run, slice_elems, start, end } => {
+                (run, *slice_elems, *start..*end)
+            }
         }
     }
 }
@@ -81,7 +87,7 @@ pub struct MergeInput {
 impl MergeInput {
     /// Total records across fragments.
     pub fn elems(&self) -> u64 {
-        self.fragments.iter().map(|f| f.elems()).sum()
+        self.fragments.iter().map(|f| f.range().2).map(|r| r.end - r.start).sum()
     }
 }
 
@@ -105,12 +111,29 @@ pub struct AllToAllOutcome {
 ///
 /// # Errors
 /// [`Error::Comm`](demsort_types::Error) if the allgather fails or a
-/// peer's splitter message is malformed.
+/// peer's splitter message is not one position per run.
 pub fn exchange_splitters(comm: &Communicator, mine: &RunSplitters) -> Result<Vec<RunSplitters>> {
-    comm.allgather(encode_u64s(&mine.positions))?
-        .into_iter()
-        .map(|buf| Ok(RunSplitters { positions: decode_u64s(&buf)? }))
+    let gathered = comm.allgather(encode_u64s(&mine.positions))?;
+    let nruns = mine.positions.len();
+    gathered
+        .iter()
+        .enumerate()
+        .map(|(src, buf)| {
+            decode_splitters(buf, nruns)
+                .map_err(|e| from_peer(comm.rank(), src, "splitter vector", e))
+        })
         .collect()
+}
+
+/// A peer's splitter vector: exactly `nruns` positions.
+fn decode_splitters(buf: &[u8], nruns: usize) -> Result<RunSplitters> {
+    let mut r = WireReader::new(buf);
+    let positions =
+        (0..nruns).map(|_| r.field("splitter position").u64()).collect::<Result<_>>()?;
+    if r.remaining() > 0 {
+        return Err(Error::comm(format!("{} bytes past {nruns} positions", r.remaining())));
+    }
+    Ok(RunSplitters { positions })
 }
 
 /// Per-destination send state for one run: the local range to ship and
@@ -313,8 +336,10 @@ fn region_frontier(segments: &[Vec<Segment>], j: usize, lo: u64, hi: u64) -> u64
 }
 
 /// Build one suboperation's message for a destination: header
-/// `[count, (run, elems)*]` then the concatenated encoded records,
+/// `[count, (run, elems)*]` then the concatenated record bytes,
 /// consuming the destination's segments (runs in order) up to `quota`.
+/// Each piece's bytes are copied once, undecoded, from the blocks the
+/// record reader prefetches straight into the message.
 fn assemble_submessage<R: Record>(
     st: &PeStorage,
     dir: &RunDirectory<R>,
@@ -322,44 +347,34 @@ fn assemble_submessage<R: Record>(
     segments: &mut [Segment],
     quota: u64,
 ) -> Result<Vec<u8>> {
-    let mut pieces: Vec<(u32, u64)> = Vec::new();
-    let mut payloads: Vec<Vec<R>> = Vec::new();
+    // (run, records) per piece, in segment order.
+    let mut pieces: Vec<(usize, Range<u64>)> = Vec::new();
     let mut left = quota;
     for seg in segments.iter_mut() {
-        if left == 0 {
-            break;
-        }
         let take = seg.remaining().min(left);
-        if take == 0 {
-            continue;
+        if take > 0 {
+            pieces.push((seg.run, seg.cursor..seg.cursor + take));
+            seg.cursor += take;
+            left -= take;
         }
-        let slice = &dir.runs[seg.run].slices[me];
-        let recs = crate::recio::RecordRunReader::<R>::with_range(
-            st,
-            slice_run(slice, st.block_bytes()),
-            slice.elems,
-            seg.cursor,
-            seg.cursor + take,
-            false, // recycling is handled by the monotone frontier
-        )
-        .read_to_vec()?;
-        pieces.push((seg.run as u32, take));
-        payloads.push(recs);
-        seg.cursor += take;
-        left -= take;
     }
 
     if pieces.is_empty() {
         return Ok(Vec::new()); // nothing this round: send no bytes at all
     }
-    let payload_bytes: usize = payloads.iter().map(|p| p.len() * R::BYTES).sum();
+    let payload_bytes = (quota - left) as usize * R::BYTES;
     let mut out = WireWriter::with_capacity(4 + pieces.len() * 12 + payload_bytes);
     out.u32(pieces.len() as u32);
-    for &(run, elems) in &pieces {
-        out.u32(run).u64(elems);
+    for (run, recs) in &pieces {
+        out.u32(*run as u32).u64(recs.end - recs.start);
     }
-    for recs in &payloads {
-        R::encode_slice(recs, out.raw(recs.len() * R::BYTES));
+    for (run, recs) in pieces {
+        let slice = &dir.runs[run].slices[me];
+        let run = slice_run(slice, st.block_bytes());
+        let bytes = out.raw((recs.end - recs.start) as usize * R::BYTES);
+        // Recycling is handled by the monotone frontier, not the reader.
+        RecordRunReader::<R>::with_range(st, run, slice.elems, recs.start, recs.end, false)
+            .copy_into(bytes)?;
     }
     Ok(out.finish())
 }
@@ -428,28 +443,32 @@ mod tests {
     use crate::rundir::build_directory;
     use crate::runform::{form_runs, ingest_input};
     use demsort_net::run_cluster;
-    use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig};
+    use demsort_types::{ranks, AlgoConfig, Element16, Key10, MachineConfig, Record100};
     use demsort_workloads::{generate_pe_input, InputSpec};
     use std::sync::Arc;
 
-    /// Form runs, select exact boundaries, run the all-to-all, and
-    /// return (storage, per-PE outcomes, per-PE expected run pieces).
+    /// Form runs of `wide(input)` on `machine`, select exact boundaries,
+    /// run the all-to-all, and return (storage, per-PE outcomes, per-PE
+    /// expected run pieces, per-PE bytes the all-to-all copied).
     #[allow(clippy::type_complexity)]
-    fn exchange(
-        p: usize,
+    fn exchange<R: Record + Ord>(
+        machine: MachineConfig,
         local_n: usize,
         spec: InputSpec,
         algo: AlgoConfig,
-    ) -> (Arc<ClusterStorage>, Vec<AllToAllOutcome>, Vec<Vec<Vec<Element16>>>) {
-        let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
+        wide: fn(Element16) -> R,
+    ) -> (Arc<ClusterStorage>, Vec<AllToAllOutcome>, Vec<Vec<Vec<R>>>, Vec<u64>) {
+        let p = machine.pes;
+        let cfg = SortConfig::new(machine, algo).expect("valid");
         let storage = ClusterStorage::new_mem(&cfg.machine);
         let storage_ref = &storage;
         let cfg2 = cfg.clone();
         let results = run_cluster(p, move |c| {
             let st = storage_ref.pe(c.rank());
-            let recs = generate_pe_input(spec, 13, c.rank(), p, local_n);
+            let recs: Vec<R> =
+                generate_pe_input(spec, 13, c.rank(), p, local_n).into_iter().map(wide).collect();
             let input = ingest_input(st, &recs).expect("ingest");
-            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1).expect("form");
+            let out = form_runs::<R>(&c, st, &cfg2, input, 1).expect("form");
             let dir = build_directory(&c, out.local).expect("directory");
             let n = dir.total_elems();
             let r = ranks::owned_range(c.rank(), p, n).start;
@@ -459,13 +478,13 @@ mod tests {
             // Reference: decode each run fully (before the exchange
             // frees blocks) and slice at the splitter positions.
             let nruns = dir.num_runs();
-            let mut expected: Vec<Vec<Element16>> = Vec::with_capacity(nruns);
+            let mut expected: Vec<Vec<R>> = Vec::with_capacity(nruns);
             for j in 0..nruns {
                 let meta = &dir.runs[j];
-                let mut whole: Vec<Element16> = Vec::new();
+                let mut whole: Vec<R> = Vec::new();
                 for (pe, slice) in meta.slices.iter().enumerate() {
                     whole.extend(
-                        read_records::<Element16>(
+                        read_records::<R>(
                             storage_ref.pe(pe),
                             &slice_run(slice, st.block_bytes()),
                             slice.elems,
@@ -481,47 +500,37 @@ mod tests {
                 };
                 expected.push(whole[lo..hi].to_vec());
             }
-            let outcome =
-                external_alltoall::<Element16>(&c, st, &cfg2, &dir, &all).expect("alltoall");
-            (outcome, expected)
+            // Peers read this PE's slices for their references too.
+            c.barrier().expect("references read");
+            let copied = st.pool().counters().copied_bytes;
+            let outcome = external_alltoall::<R>(&c, st, &cfg2, &dir, &all).expect("alltoall");
+            (outcome, expected, st.pool().counters().copied_bytes - copied)
         });
-        let (outcomes, expected) = results.into_iter().unzip();
-        (storage, outcomes, expected)
+        let mut outcomes = Vec::new();
+        let mut expected = Vec::new();
+        let mut copied = Vec::new();
+        for (o, e, c) in results {
+            outcomes.push(o);
+            expected.push(e);
+            copied.push(c);
+        }
+        (storage, outcomes, expected, copied)
     }
 
-    /// Decode a merge input's fragments back into records.
-    fn decode_input(st: &demsort_storage::PeStorage, mi: &MergeInput) -> Vec<Element16> {
-        let mut out = Vec::new();
-        for f in &mi.fragments {
-            match f {
-                MergeFragment::Received { run, elems } => {
-                    out.extend(read_records::<Element16>(st, run, *elems).expect("read"));
-                }
-                MergeFragment::Retained { run, slice_elems, start, end } => {
-                    out.extend(
-                        RecordRunReader::<Element16>::with_range(
-                            st,
-                            run.clone(),
-                            *slice_elems,
-                            *start,
-                            *end,
-                            false,
-                        )
-                        .read_to_vec()
-                        .expect("read range"),
-                    );
-                }
-            }
-        }
-        out
+    /// A merge input's fragments read back as one chain.
+    fn decode_input<R: Record>(st: &demsort_storage::PeStorage, mi: &MergeInput) -> Vec<R> {
+        RecordRunReader::<R>::chain(st, mi.fragments.iter().map(MergeFragment::range), false)
+            .read_to_vec()
+            .expect("read fragments")
     }
 
     fn check(p: usize, local_n: usize, spec: InputSpec, algo: AlgoConfig) {
-        let (storage, outcomes, expected) = exchange(p, local_n, spec, algo);
+        let (storage, outcomes, expected, _) =
+            exchange(MachineConfig::tiny(p), local_n, spec, algo, |e| e);
         for (pe, (o, expect)) in outcomes.iter().zip(&expected).enumerate() {
             assert_eq!(o.merge_inputs.len(), expect.len(), "one input per run");
             for (j, (mi, want)) in o.merge_inputs.iter().zip(expect).enumerate() {
-                let got = decode_input(storage.pe(pe), mi);
+                let got: Vec<Element16> = decode_input(storage.pe(pe), mi);
                 assert_eq!(got.len(), want.len(), "PE {pe} run {j} piece size ({spec:?})");
                 assert_eq!(&got, want, "PE {pe} run {j} piece content");
                 assert!(
@@ -552,8 +561,8 @@ mod tests {
     #[test]
     fn tiny_memory_budget_forces_many_suboperations() {
         let algo = AlgoConfig { alltoall_mem_fraction: 0.05, ..AlgoConfig::default() };
-        let (_, outcomes, _) =
-            exchange(3, 900, InputSpec::Banded { block_elems: 16 }, algo.clone());
+        let worst = InputSpec::Banded { block_elems: 16 };
+        let (_, outcomes, _, _) = exchange(MachineConfig::tiny(3), 900, worst, algo.clone(), |e| e);
         assert!(
             outcomes.iter().any(|o| o.subops > 1),
             "5% memory budget must split the exchange: {:?}",
@@ -567,14 +576,99 @@ mod tests {
     fn randomization_shrinks_sources_seen() {
         let worst = InputSpec::Banded { block_elems: 16 };
         let sources = |randomize: bool| {
-            let (_, outcomes, _) =
-                exchange(4, 1024, worst, AlgoConfig { randomize, ..AlgoConfig::default() });
+            let algo = AlgoConfig { randomize, ..AlgoConfig::default() };
+            let (_, outcomes, _, _) = exchange(MachineConfig::tiny(4), 1024, worst, algo, |e| e);
             outcomes.iter().map(|o| o.sources_seen).max().unwrap_or(0)
         };
         // Without randomization, the banded worst case makes everyone
         // receive from everyone; P' is what the paper's O(R·P') space
         // overhead scales with.
         assert!(sources(false) >= 3, "worst case spreads sources");
+    }
+
+    /// The 100-byte record that sorts where `e` does.
+    fn wide(e: Element16) -> Record100 {
+        let (mut key, mut payload) = ([0u8; 10], [0u8; 90]);
+        key[..8].copy_from_slice(&e.key.to_be_bytes());
+        payload[..8].copy_from_slice(&e.payload.to_be_bytes());
+        Record100::new(Key10(key), payload)
+    }
+
+    /// The all-to-all ships record bytes as they lie in the blocks: the
+    /// fragments a PE ends with hold exactly the bytes of its global
+    /// run ranges, and the phase copies each record it moves twice —
+    /// once out of a sent block into the message, once out of the
+    /// received message into a fragment block — and meters both.
+    fn check_bytes<R: Record + Ord>(p: usize, spec: InputSpec, wide: fn(Element16) -> R) {
+        let machine = MachineConfig::tiny(p);
+        let (storage, outcomes, expected, copied) =
+            exchange(machine, 300, spec, AlgoConfig::default(), wide);
+        let mut moved = 0;
+        for (pe, o) in outcomes.iter().enumerate() {
+            let case = format!("P={p} {} {spec:?} PE {pe}", R::BYTES);
+            for (mi, want) in o.merge_inputs.iter().zip(&expected[pe]) {
+                let mut got = vec![0u8; want.len() * R::BYTES];
+                RecordRunReader::<R>::chain(
+                    storage.pe(pe),
+                    mi.fragments.iter().map(|f| f.range()),
+                    false,
+                )
+                .copy_into(&mut got)
+                .expect("read fragments");
+                let mut sent = vec![0u8; got.len()];
+                R::encode_slice(want, &mut sent);
+                assert!(got == sent, "{case}: fragment bytes");
+            }
+            let (mut shipped, mut received) = (0, 0);
+            for f in o.merge_inputs.iter().flat_map(|mi| &mi.fragments) {
+                match f {
+                    MergeFragment::Received { elems, .. } => received += elems,
+                    MergeFragment::Retained { slice_elems, start, end, .. } => {
+                        shipped += slice_elems - (end - start)
+                    }
+                }
+            }
+            assert_eq!(copied[pe], (shipped + received) * R::BYTES as u64, "{case}: copied bytes");
+            moved += shipped;
+        }
+        assert!(moved > 0, "P={p} {spec:?}: nothing moved");
+    }
+
+    #[test]
+    fn ships_record_bytes_with_one_metered_copy() {
+        for p in [2, 3] {
+            for spec in [InputSpec::Uniform, InputSpec::Banded { block_elems: 16 }] {
+                check_bytes(p, spec, |e| e);
+            }
+            for spec in [InputSpec::Uniform, InputSpec::Banded { block_elems: 2 }] {
+                check_bytes(p, spec, wide);
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_splitters_rejects_malformed_vectors() {
+        let mine = RunSplitters { positions: vec![3, 5] };
+        let good = encode_u64s(&mine.positions);
+        // The empty message, every other strict prefix, one run too many.
+        let mut bad: Vec<(Vec<u8>, &str)> =
+            (0..good.len()).map(|cut| (good[..cut].to_vec(), "splitter position")).collect();
+        bad.push((encode_u64s(&[3, 5, 7]), "8 bytes past 2 positions"));
+        for (msg, why) in &bad {
+            let mine = &mine;
+            let results = run_cluster(2, move |c| {
+                if c.rank() == 1 {
+                    c.allgather(msg.clone()).expect("peer sends");
+                    return None;
+                }
+                Some(exchange_splitters(&c, mine))
+            });
+            let err = results[0].clone().expect("rank 0").expect_err("malformed vector");
+            let text = err.to_string();
+            assert!(matches!(err, Error::Comm(_)), "{text}");
+            assert!(text.contains("rank 0: bad splitter vector from rank 1"), "{text}");
+            assert!(text.contains(why), "{} bytes: {text}", msg.len());
+        }
     }
 
     #[test]

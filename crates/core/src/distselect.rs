@@ -24,6 +24,7 @@
 //! and is the same convention as [`crate::selection`].
 
 use demsort_net::Communicator;
+use demsort_types::wire::{from_peer, WireReader};
 use demsort_types::{Error, Record, Result};
 
 /// Number of elements of `local` (this PE's sorted sequence) that fall
@@ -139,32 +140,28 @@ fn weighted_median<R: Record + Ord>(
     }
     let gathered = comm.allgather(msg)?;
 
-    let mut cands: Vec<(R::Key, usize, u64)> = gathered
-        .iter()
-        .enumerate()
-        .filter_map(|(pe, m)| {
-            let w = u64::from_le_bytes(m[..8].try_into().expect("8-byte weight"));
-            (w > 0).then(|| (R::decode(&m[8..]).key(), pe, w))
-        })
-        .collect();
-    if cands.is_empty() {
-        return Ok(None);
-    }
-    cands.sort_by_key(|a| (a.0, a.1));
-    let total: u64 = cands.iter().map(|c| c.2).sum();
-    let mut acc = 0u64;
-    for (k, pe, w) in &cands {
-        acc += w;
-        if acc * 2 >= total {
-            return Ok(Some((*k, *pe)));
+    let mut cands: Vec<(R::Key, usize, u64)> = Vec::with_capacity(gathered.len());
+    for (pe, m) in gathered.iter().enumerate() {
+        let bad = |e: Error| from_peer(comm.rank(), pe, "pivot candidate", e);
+        let mut r = WireReader::new(m);
+        let w = r.field("weight").u64().map_err(bad)?;
+        let rec = r.field("candidate").raw(R::BYTES).map_err(bad)?;
+        if w > 0 {
+            cands.push((R::decode(rec).key(), pe, w));
         }
     }
-    // The final iteration has `acc == total`, and `2 · total ≥ total`
-    // always holds, so the loop returns before reaching here. Fall
-    // back to the largest candidate rather than asserting, keeping
-    // core panic-free.
-    let (k, pe, _) = cands.last().expect("candidates checked non-empty above");
-    Ok(Some((*k, *pe)))
+    cands.sort_by_key(|a| (a.0, a.1));
+    // The first candidate whose prefix weight reaches half the total;
+    // the last one always does, so only an empty list gives `None`.
+    let total: u64 = cands.iter().map(|c| c.2).sum();
+    let mut acc = 0u64;
+    Ok(cands
+        .into_iter()
+        .find(|&(_, _, w)| {
+            acc += w;
+            acc * 2 >= total
+        })
+        .map(|(k, pe, _)| (k, pe)))
 }
 
 #[cfg(test)]
@@ -269,6 +266,30 @@ mod tests {
         for part in 0..5 {
             let size: usize = all_cuts.iter().map(|cuts| cuts[part + 1] - cuts[part]).sum();
             assert_eq!(size, 200, "part {part}");
+        }
+    }
+
+    #[test]
+    fn weighted_median_rejects_short_candidates() {
+        // Rank 1 sends the empty message or a strict prefix of its
+        // `[weight][record]` candidate instead of the whole.
+        let mut whole = 7u64.to_le_bytes().to_vec();
+        whole.extend_from_slice(&[0u8; Element16::BYTES]);
+        for cut in 0..whole.len() {
+            let msg = &whole[..cut];
+            let results = run_cluster(2, move |c| {
+                if c.rank() == 1 {
+                    c.allgather(msg.to_vec()).expect("peer sends");
+                    return None;
+                }
+                Some(weighted_median(&c, Some(Element16::new(4, 0)), 3))
+            });
+            let err = results[0].clone().expect("rank 0").expect_err("short candidate");
+            let text = err.to_string();
+            assert!(matches!(err, Error::Comm(_)), "{text}");
+            assert!(text.contains("rank 0: bad pivot candidate from rank 1"), "{text}");
+            let field = if cut < 8 { "weight" } else { "candidate" };
+            assert!(text.contains(field), "cut {cut}: {text}");
         }
     }
 

@@ -14,11 +14,13 @@
 //!   records, so everything downstream (the seeded block shuffle, the
 //!   runs, every counter, the output bytes) is unchanged.
 //! * **output** ([`write_run_to_file`], [`write_striped_blocks_to_file`])
-//!   streams blocks through [`RunReader`] read-ahead and writes each
-//!   block's valid bytes at its offset in the shared, pre-sized output
-//!   file — contiguous blocks coalesce into one vectored write — then
-//!   returns the buffers to the pool. Ranks write disjoint ranges, so
-//!   they need no ordering among themselves.
+//!   reads the rank's blocks ahead through the storage layer's one
+//!   block reader ([`MergePrefetcher`], naive order, at least one read
+//!   per disk in flight) and writes each block's valid bytes at its
+//!   offset in the shared, pre-sized output file — contiguous blocks
+//!   coalesce into one vectored write — then returns the buffers to the
+//!   pool. Ranks write disjoint ranges, so they need no ordering among
+//!   themselves.
 //!
 //! Either edge moves at least [`MIN_SYSCALL_BYTES`] per system call
 //! (up to the end of a contiguous range) however small the blocks are.
@@ -31,7 +33,8 @@
 use crate::recio::{records_per_block, FinishedRun};
 use crate::runform::LocalInput;
 use crate::striped::StripedRun;
-use demsort_storage::{BlockId, PeStorage, Run, RunReader, RunWriter};
+use demsort_storage::striping::DEFAULT_READAHEAD;
+use demsort_storage::{BlockId, MergePrefetcher, PeStorage, RunWriter};
 use demsort_types::fio::{self, Stopped};
 use demsort_types::{ranks, Error, Record, Result};
 use std::fs::File;
@@ -175,8 +178,8 @@ pub fn ingest_file_shard<R: Record>(
 
 /// Stream blocks of `st` into the output file: `blocks` yields, per
 /// block, its id, the file offset of its first byte, and how many
-/// leading bytes of it are valid. Reads run ahead through
-/// [`RunReader`]; blocks contiguous in the file are held (at most
+/// leading bytes of it are valid. Reads run ahead through the
+/// [`MergePrefetcher`]; blocks contiguous in the file are held (at most
 /// ~[`MIN_SYSCALL_BYTES`] of them) and go out in one vectored write.
 fn write_blocks_to_file(
     st: &PeStorage,
@@ -190,8 +193,7 @@ fn write_blocks_to_file(
     let (ids, spans): (Vec<BlockId>, Vec<(u64, usize)>) =
         blocks.filter(|&(_, _, valid)| valid > 0).map(|(id, at, valid)| (id, (at, valid))).unzip();
     let mut file = RankFile::open_output(path, rank, file_bytes)?;
-    let bytes = (ids.len() * st.block_bytes()) as u64;
-    let mut reader = RunReader::new(st, Run { blocks: ids, bytes });
+    let mut reader = MergePrefetcher::naive(st, ids, DEFAULT_READAHEAD.max(st.disks()), false);
 
     // Held blocks cover file bytes `start .. start + held_bytes`.
     let mut held: Vec<(Box<[u8]>, usize)> = Vec::new();
@@ -207,10 +209,9 @@ fn write_blocks_to_file(
         }
         Ok(())
     };
-    for (at, valid) in spans {
-        let Some((block, _)) = reader.next_block()? else {
-            return Err(Error::io(format!("rank {rank}: output run ended before byte {at}")));
-        };
+    // The reader yields exactly one block per span.
+    let mut spans = spans.into_iter();
+    while let (Some(block), Some((at, valid))) = (reader.next()?, spans.next()) {
         if at != start + held_bytes as u64 || held_bytes >= MIN_SYSCALL_BYTES {
             flush(&mut held, start)?;
             (start, held_bytes) = (at, 0);

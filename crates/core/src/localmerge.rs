@@ -4,18 +4,19 @@
 //! read and written once, no communication is involved in this phase.
 //! The internal computation amounts to `O(N/P · log R)`."
 //!
-//! Each run contributes one sorted stream (the concatenation of its
-//! redistribution fragments, [`crate::alltoall::MergeInput`]); an
-//! `R`-way loser tree merges the streams into the PE's final output
-//! run. Input blocks are recycled the moment their last record has
-//! been read ("blocks that are read to internal buffers are
-//! deallocated from disk immediately, so there are always blocks
+//! Each run contributes one sorted stream: its redistribution fragments
+//! ([`crate::alltoall::MergeInput`]) read as one
+//! [`RecordRunReader::chain`], so the next fragment's blocks are read
+//! ahead while the previous one drains. An `R`-way loser tree merges the
+//! streams into the PE's final output run. Input blocks are recycled the
+//! moment they have been read ("blocks that are read to internal buffers
+//! are deallocated from disk immediately, so there are always blocks
 //! available for writing the output") — peak extra space is the
 //! read-ahead plus write-behind windows.
 
 use crate::alltoall::{MergeFragment, MergeInput};
 use crate::merge::{merge_cpu, CarryMerge, LoserTree};
-use crate::recio::{ChainedReader, FinishedRun, RecordRunReader, RecordRunWriter};
+use crate::recio::{FinishedRun, RecordRunReader, RecordRunWriter};
 use demsort_storage::PeStorage;
 use demsort_types::{CpuCounters, Record, Result};
 
@@ -55,32 +56,11 @@ pub fn merge_into<R: Record + Ord>(
     let total: u64 = inputs.iter().map(MergeInput::elems).sum();
     let k = inputs.len();
 
-    // One chained reader per run; fragments are consumed in order and
-    // recycled as they drain.
-    let mut chains: Vec<ChainedReader<'_, R>> = inputs
+    // One reader per run, chaining its fragments in order; each block
+    // is read once and recycled as it drains.
+    let mut chains: Vec<RecordRunReader<'_, R>> = inputs
         .iter()
-        .map(|mi| {
-            let parts = mi
-                .fragments
-                .iter()
-                .map(|f| match f {
-                    MergeFragment::Received { run, elems } => {
-                        RecordRunReader::<R>::with_range(st, run.clone(), *elems, 0, *elems, true)
-                    }
-                    MergeFragment::Retained { run, slice_elems, start, end } => {
-                        RecordRunReader::<R>::with_range(
-                            st,
-                            run.clone(),
-                            *slice_elems,
-                            *start,
-                            *end,
-                            true,
-                        )
-                    }
-                })
-                .collect();
-            ChainedReader::new(parts)
-        })
+        .map(|mi| RecordRunReader::chain(st, mi.fragments.iter().map(MergeFragment::range), true))
         .collect();
 
     if cores <= 1 {

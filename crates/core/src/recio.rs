@@ -22,10 +22,16 @@
 //!   sample"), and
 //! * the **first key of every block** — the prediction sequence of
 //!   Section III / \[11\].
+//!
+//! [`RecordRunReader`] is the way back: one or a chain of record ranges
+//! read through the storage layer's one block reader
+//! ([`MergePrefetcher`]) and decoded a block at a time — or, for the
+//! all-to-all, copied out as bytes without decoding.
 
-use demsort_storage::{PeStorage, Run, RunWriter};
-use demsort_types::{Record, Result};
+use demsort_storage::{MergePrefetcher, PeStorage, Run, RunWriter};
+use demsort_types::{Error, Record, Result};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Records per (full) block for record type `R`.
 ///
@@ -218,27 +224,23 @@ impl<R: Record> FinishedRun<R> {
     }
 }
 
-/// Streaming reader over an element range of a record-aligned run,
-/// with bounded read-ahead; optionally frees blocks once fully
-/// consumed (in-place operation).
+/// Streaming reader of record ranges of record-aligned runs: a decode
+/// view over one [`MergePrefetcher`], which reads the ranges' blocks in
+/// order with `max(D, 2)` reads in flight; optionally frees each block
+/// once it has been read (in-place operation).
 pub struct RecordRunReader<'a, R: Record> {
     st: &'a PeStorage,
-    run: Run,
-    rpb: usize,
-    /// Next element to deliver (absolute index within the run).
-    next_elem: u64,
-    /// One past the last element to deliver.
-    end_elem: u64,
+    blocks: MergePrefetcher<'a>,
+    /// The nonempty record ranges still to read, in order; `blocks`
+    /// holds exactly their blocks.
+    ranges: VecDeque<Range<u64>>,
+    rpb: u64,
     /// Decoded records of the current block.
     current: Vec<R>,
     /// Position within `current`.
-    current_pos: usize,
-    /// In-flight block reads (block index, handle).
-    pending: VecDeque<(usize, demsort_storage::IoHandle)>,
-    next_issue_block: usize,
-    end_block: usize,
-    readahead: usize,
-    free_after_read: bool,
+    pos: usize,
+    /// Records still to deliver.
+    remaining: u64,
 }
 
 impl<'a, R: Record> RecordRunReader<'a, R> {
@@ -248,8 +250,8 @@ impl<'a, R: Record> RecordRunReader<'a, R> {
     }
 
     /// Read records `start..end` of the run; `free_after_read` recycles
-    /// each block after its last needed record has been delivered
-    /// (including boundary blocks that also hold out-of-range records).
+    /// each block once it has been read (including boundary blocks that
+    /// also hold out-of-range records).
     pub fn with_range(
         st: &'a PeStorage,
         run: Run,
@@ -258,65 +260,97 @@ impl<'a, R: Record> RecordRunReader<'a, R> {
         end: u64,
         free_after_read: bool,
     ) -> Self {
-        assert!(start <= end && end <= elems, "range {start}..{end} out of 0..{elems}");
-        let rpb = records_per_block::<R>(st.block_bytes());
-        let start_block = (start / rpb as u64) as usize;
-        let end_block = (end.div_ceil(rpb as u64) as usize).min(run.blocks.len());
-        Self {
-            st,
-            run,
-            rpb,
-            next_elem: start,
-            end_elem: end,
-            current: Vec::with_capacity(rpb),
-            current_pos: 0,
-            pending: VecDeque::new(),
-            next_issue_block: start_block,
-            end_block,
-            readahead: st.disks().max(2),
-            free_after_read,
-        }
+        Self::chain(st, [(&run, elems, start..end)], free_after_read)
     }
 
-    fn top_up(&mut self) {
-        while self.pending.len() < self.readahead && self.next_issue_block < self.end_block {
-            let id = self.run.blocks[self.next_issue_block];
-            self.pending.push_back((self.next_issue_block, self.st.engine().read(id)));
-            self.next_issue_block += 1;
+    /// Read several `(run, elems, start..end)` ranges as one stream,
+    /// in order — the final merge's chain of one run's fragments. The
+    /// next range's blocks are read ahead while the previous one
+    /// drains; an empty range reads no block.
+    pub fn chain<'r>(
+        st: &'a PeStorage,
+        parts: impl IntoIterator<Item = (&'r Run, u64, Range<u64>)>,
+        free_after_read: bool,
+    ) -> Self {
+        Self::with_budget(st, parts, free_after_read, st.disks().max(2))
+    }
+
+    /// [`chain`](Self::chain) with `budget` reads in flight.
+    fn with_budget<'r>(
+        st: &'a PeStorage,
+        parts: impl IntoIterator<Item = (&'r Run, u64, Range<u64>)>,
+        free_after_read: bool,
+        budget: usize,
+    ) -> Self {
+        let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+        let (mut ids, mut ranges, mut remaining) = (Vec::new(), VecDeque::new(), 0);
+        for (run, elems, range) in parts {
+            assert!(
+                range.start <= range.end && range.end <= elems,
+                "range {range:?} out of 0..{elems}"
+            );
+            remaining += range.end - range.start;
+            if range.is_empty() {
+                continue;
+            }
+            let (first, last) = ((range.start / rpb) as usize, range.end.div_ceil(rpb) as usize);
+            ids.extend(run.blocks.iter().take(last).skip(first));
+            ranges.push_back(range);
+            if run.blocks.len() < last {
+                break; // a run short of blocks: reading fails when it gets there
+            }
+        }
+        Self {
+            st,
+            blocks: MergePrefetcher::naive(st, ids, budget, free_after_read),
+            ranges,
+            rpb,
+            current: Vec::with_capacity(rpb as usize),
+            pos: 0,
+            remaining,
         }
     }
 
     /// Remaining records in the range.
     pub fn remaining(&self) -> u64 {
-        self.end_elem - self.next_elem
+        self.remaining
+    }
+
+    /// Read the next block and hand `take` the bytes of its in-range
+    /// records and the emptied decode buffer; then meter those bytes as
+    /// copied and return the block to the pool. An error if the runs
+    /// hold fewer blocks than the ranges need.
+    fn take_block(&mut self, take: impl FnOnce(&[u8], &mut Vec<R>)) -> Result<()> {
+        let (Some(block), Some(range)) = (self.blocks.next()?, self.ranges.front_mut()) else {
+            return Err(Error::io("record range runs past the blocks of its run"));
+        };
+        // The block holds records `first..first + rpb` of its run.
+        let first = range.start / self.rpb * self.rpb;
+        let end = range.end.min(first + self.rpb);
+        let bytes = (range.start - first) as usize * R::BYTES..(end - first) as usize * R::BYTES;
+        range.start = end;
+        if range.is_empty() {
+            self.ranges.pop_front();
+        }
+        self.current.clear();
+        take(&block[bytes.clone()], &mut self.current);
+        self.st.pool().add_copied(bytes.len() as u64);
+        self.st.pool().put(block);
+        Ok(())
     }
 
     /// Deliver the next record, or `None` at the end of the range.
     pub fn next_rec(&mut self) -> Result<Option<R>> {
-        if self.next_elem >= self.end_elem {
+        if self.remaining == 0 {
             return Ok(None);
         }
-        if self.current_pos >= self.current.len() {
-            self.top_up();
-            let (block_idx, h) = self.pending.pop_front().expect("blocks cover the range");
-            let data = h.wait()?;
-            self.current.clear();
-            // Valid records in this block, clipped to the range.
-            let block_start = block_idx as u64 * self.rpb as u64;
-            let in_block = (self.end_elem.min((block_idx as u64 + 1) * self.rpb as u64)
-                - block_start) as usize;
-            R::decode_slice(&data[..in_block * R::BYTES], &mut self.current);
-            self.st.pool().add_copied((in_block * R::BYTES) as u64);
-            self.st.pool().put(data);
-            self.current_pos = (self.next_elem - block_start) as usize;
-            if self.free_after_read {
-                self.st.free_block(self.run.blocks[block_idx]);
-            }
-            self.top_up();
+        if self.pos == self.current.len() {
+            self.take_block(R::decode_slice)?;
+            self.pos = 0;
         }
-        let rec = self.current[self.current_pos];
-        self.current_pos += 1;
-        self.next_elem += 1;
+        let rec = self.current[self.pos];
+        self.pos += 1;
+        self.remaining -= 1;
         Ok(Some(rec))
     }
 
@@ -328,35 +362,21 @@ impl<'a, R: Record> RecordRunReader<'a, R> {
         }
         Ok(out)
     }
-}
 
-/// A reader chaining several sorted fragments into one sorted stream
-/// (used by the final merge: per run, the received-from-lower pieces,
-/// the retained local range, then the received-from-higher pieces).
-pub struct ChainedReader<'a, R: Record> {
-    parts: VecDeque<RecordRunReader<'a, R>>,
-}
-
-impl<'a, R: Record> ChainedReader<'a, R> {
-    /// Chain `parts` in order.
-    pub fn new(parts: Vec<RecordRunReader<'a, R>>) -> Self {
-        Self { parts: parts.into() }
-    }
-
-    /// Total remaining records.
-    pub fn remaining(&self) -> u64 {
-        self.parts.iter().map(|p| p.remaining()).sum()
-    }
-
-    /// Next record across the chain.
-    pub fn next_rec(&mut self) -> Result<Option<R>> {
-        while let Some(front) = self.parts.front_mut() {
-            if let Some(r) = front.next_rec()? {
-                return Ok(Some(r));
-            }
-            self.parts.pop_front();
+    /// Copy the range's record bytes, undecoded, into `out` (exactly
+    /// `remaining() · R::BYTES` bytes) — one metered copy out of each
+    /// block. The reader must not have delivered a record yet.
+    pub(crate) fn copy_into(mut self, out: &mut [u8]) -> Result<()> {
+        debug_assert_eq!(out.len() as u64, self.remaining * R::BYTES as u64);
+        debug_assert!(self.current.is_empty(), "records already decoded");
+        let mut at = 0;
+        while at < out.len() {
+            self.take_block(|bytes, _| {
+                out[at..at + bytes.len()].copy_from_slice(bytes);
+                at += bytes.len();
+            })?;
         }
-        Ok(None)
+        Ok(())
     }
 }
 
@@ -369,14 +389,14 @@ pub fn write_records<R: Record>(st: &PeStorage, recs: &[R]) -> Result<FinishedRu
 
 /// Convenience: read a whole record run back.
 pub fn read_records<R: Record>(st: &PeStorage, run: &Run, elems: u64) -> Result<Vec<R>> {
-    RecordRunReader::<R>::new(st, run.clone(), elems).read_to_vec()
+    RecordRunReader::<R>::chain(st, [(run, elems, 0..elems)], false).read_to_vec()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use demsort_storage::{DiskModel, MemBackend};
-    use demsort_types::{Element16, Record100};
+    use demsort_types::{BufferPool, Element16, Record100};
     use std::sync::Arc;
 
     fn storage(block: usize) -> PeStorage {
@@ -429,55 +449,158 @@ mod tests {
         assert_eq!(fr.block_first_keys, vec![0, 12, 24]);
     }
 
+    /// A row of the reader table: a chain of `(records in a fresh run,
+    /// range read from it)` parts, read with `budget` reads in flight.
+    #[derive(Clone, Debug)]
+    struct Case {
+        parts: Vec<(u64, Range<u64>)>,
+        free: bool,
+        budget: usize,
+    }
+
+    fn case(parts: &[(u64, Range<u64>)], free: bool, budget: usize) -> Case {
+        Case { parts: parts.to_vec(), free, budget }
+    }
+
+    fn element(v: u64) -> Element16 {
+        Element16::new(v * 3, v)
+    }
+
+    fn record100(v: u64) -> Record100 {
+        let (mut key, mut payload) = ([0u8; 10], [0u8; 90]);
+        key[2..].copy_from_slice(&v.to_be_bytes());
+        payload[..8].copy_from_slice(&v.to_le_bytes());
+        Record100::new(demsort_types::Key10(key), payload)
+    }
+
+    /// Read `case` through the one reader on fresh storage with
+    /// `block`-byte blocks — once decoding (`read_to_vec`), once copying
+    /// bytes (`copy_into`) — and check what the reader promises: the
+    /// reference records and bytes, exactly the touched blocks freed
+    /// (or none), and at most `budget + 2` pool misses on a fresh pool
+    /// (reads in flight plus the block being drained).
+    fn check_reads<R: Record + PartialEq + std::fmt::Debug>(
+        block: usize,
+        case: &Case,
+        make: fn(u64) -> R,
+    ) {
+        const DISKS: usize = 3;
+        let rpb = records_per_block::<R>(block) as u64;
+        let value = |j: usize, i: u64| make(j as u64 * 1000 + i);
+        let want: Vec<R> = case
+            .parts
+            .iter()
+            .enumerate()
+            .flat_map(|(j, (_, range))| range.clone().map(move |i| value(j, i)))
+            .collect();
+        let touched: u64 = case
+            .parts
+            .iter()
+            .filter(|(_, range)| !range.is_empty())
+            .map(|(_, range)| range.end.div_ceil(rpb) - range.start / rpb)
+            .sum();
+        for copy in [false, true] {
+            let backend = Arc::new(MemBackend::new(DISKS));
+            let pool = BufferPool::new(block, 64);
+            let st = PeStorage::with_backend_pool(DISKS, block, DiskModel::paper(), backend, pool);
+            let runs: Vec<FinishedRun<R>> = case
+                .parts
+                .iter()
+                .enumerate()
+                .map(|(j, &(n, _))| {
+                    let recs: Vec<R> = (0..n).map(|i| value(j, i)).collect();
+                    write_records(&st, &recs).expect("write")
+                })
+                .collect();
+            // A fresh pool: from here on every buffer not yet returned
+            // is a miss.
+            drop((0..st.pool().available()).map(|_| st.pool().get()).collect::<Vec<_>>());
+            let (in_use, misses) = (st.alloc().in_use(), st.pool().counters().misses);
+
+            let parts = runs.iter().zip(&case.parts).map(|(fr, (n, r))| (&fr.run, *n, r.clone()));
+            let mut reader = RecordRunReader::<R>::with_budget(&st, parts, case.free, case.budget);
+            assert_eq!(reader.remaining(), want.len() as u64, "{case:?}");
+            if copy {
+                let mut bytes = vec![0u8; want.len() * R::BYTES];
+                reader.copy_into(&mut bytes).expect("copy");
+                let mut expect = vec![0u8; bytes.len()];
+                R::encode_slice(&want, &mut expect);
+                assert!(bytes == expect, "copied bytes differ: {case:?}");
+            } else {
+                assert_eq!(reader.read_to_vec().expect("read"), want, "{case:?}");
+                assert_eq!(reader.next_rec().expect("end"), None, "{case:?}");
+            }
+            let freed = if case.free { touched as usize } else { 0 };
+            assert_eq!(st.alloc().in_use(), in_use - freed, "blocks freed: {case:?}");
+            let missed = st.pool().counters().misses - misses;
+            assert!(missed <= case.budget as u64 + 2, "{missed} misses: {case:?}");
+        }
+    }
+
+    /// Every reader of the workspace is this one: run lengths around
+    /// the block size, empty / whole / aligned / boundary-straddling
+    /// ranges, chains of 0–3 of them, free-after-read on and off,
+    /// budgets 1, 2, D and 2·D, both record kinds.
+    #[test]
+    fn one_reader_table() {
+        fn table(rpb: u64) -> Vec<Case> {
+            let singles: Vec<(u64, Range<u64>)> = [0, 1, rpb - 1, rpb, rpb + 1, 5 * rpb + 3]
+                .into_iter()
+                .flat_map(|n| {
+                    let aligned_end = n / rpb * rpb;
+                    let aligned_start = if aligned_end >= 2 * rpb { rpb } else { 0 };
+                    let inner = n.min(1)..n.saturating_sub(1).max(n.min(1));
+                    [0..n, n / 2..n / 2, aligned_start..aligned_end, (rpb - 1).min(n)..n, inner]
+                        .map(|range| (n, range))
+                })
+                .collect();
+            let k = singles.len();
+            let chains =
+                std::iter::once(Vec::new())
+                    .chain((0..k).map(|i| vec![singles[i].clone()]))
+                    .chain((0..k).map(|i| vec![singles[i].clone(), singles[(i + 7) % k].clone()]))
+                    .chain((0..k).map(|i| {
+                        [i, (i + 11) % k, (i + 13) % k].map(|i| singles[i].clone()).to_vec()
+                    }));
+            let mut cases = Vec::new();
+            for parts in chains {
+                for free in [false, true] {
+                    for budget in [1, 2, 3, 6] {
+                        cases.push(case(&parts, free, budget));
+                    }
+                }
+            }
+            cases
+        }
+        for c in table(4) {
+            check_reads(64, &c, element);
+        }
+        for c in table(2) {
+            check_reads(256, &c, record100);
+        }
+        // The two former run-reader cases: six blocks read with a budget
+        // of 2 and freed as they go; a hundred blocks, one read at a time.
+        check_reads(64, &case(&[(24, 0..24)], true, 2), element);
+        check_reads(64, &case(&[(400, 0..400)], false, 1), element);
+    }
+
     #[test]
     fn range_reads_with_offsets() {
-        let st = storage(64);
-        let recs = elements(20);
-        let fr = write_records(&st, &recs).expect("write");
-        for (start, end) in [(0u64, 20u64), (3, 17), (4, 8), (7, 7), (19, 20), (0, 1)] {
-            let got = RecordRunReader::<Element16>::with_range(
-                &st,
-                fr.run.clone(),
-                fr.elems,
-                start,
-                end,
-                false,
-            )
-            .read_to_vec()
-            .expect("read");
-            assert_eq!(got, recs[start as usize..end as usize], "range {start}..{end}");
+        for range in [0..20, 3..17, 4..8, 7..7, 19..20, 0..1] {
+            check_reads(64, &case(&[(20, range)], false, 2), element);
         }
     }
 
     #[test]
     fn free_after_read_recycles_exactly_range_blocks() {
-        let st = storage(64);
-        let fr = write_records(&st, &elements(16)).expect("write"); // 4 blocks
-        assert_eq!(st.alloc().in_use(), 4);
-        // Read elements 5..11 → blocks 1 and 2 are touched and freed.
-        let got = RecordRunReader::<Element16>::with_range(&st, fr.run.clone(), 16, 5, 11, true)
-            .read_to_vec()
-            .expect("read");
-        assert_eq!(got.len(), 6);
-        assert_eq!(st.alloc().in_use(), 2, "two boundary-range blocks freed");
+        // Of 16 records in 4 blocks, 5..11 touches blocks 1 and 2: the
+        // table checks that exactly those two are freed.
+        check_reads(64, &case(&[(16, 5..11)], true, 2), element);
     }
 
     #[test]
     fn chained_reader_concatenates() {
-        let st = storage(64);
-        let a = write_records(&st, &elements(6)).expect("write a");
-        let b = write_records(&st, &(6..10).map(|i| Element16::new(i * 3, i)).collect::<Vec<_>>())
-            .expect("write b");
-        let mut chain = ChainedReader::new(vec![
-            RecordRunReader::<Element16>::new(&st, a.run, a.elems),
-            RecordRunReader::<Element16>::new(&st, b.run, b.elems),
-        ]);
-        assert_eq!(chain.remaining(), 10);
-        let mut out = Vec::new();
-        while let Some(r) = chain.next_rec().expect("read") {
-            out.push(r);
-        }
-        assert_eq!(out, elements(10));
+        check_reads(64, &case(&[(6, 0..6), (4, 0..4)], false, 2), element);
     }
 
     #[test]
@@ -486,8 +609,17 @@ mod tests {
         let fr = write_records::<Element16>(&st, &[]).expect("write");
         assert_eq!(fr.elems, 0);
         assert!(read_records::<Element16>(&st, &fr.run, 0).expect("read").is_empty());
-        let mut chain = ChainedReader::<Element16>::new(vec![]);
-        assert!(chain.next_rec().expect("read").is_none());
+        check_reads(64, &case(&[(0, 0..0)], true, 2), element);
+        check_reads(64, &case(&[], false, 2), element);
+    }
+
+    #[test]
+    fn range_past_the_blocks_is_an_error() {
+        let st = storage(64);
+        let fr = write_records(&st, &elements(6)).expect("write"); // 2 blocks
+        let mut reader = RecordRunReader::<Element16>::with_range(&st, fr.run, 12, 0, 12, false);
+        let err = reader.read_to_vec().expect_err("a run of 12 records needs 3 blocks");
+        assert!(matches!(err, Error::Io(_)), "{err}");
     }
 
     #[test]

@@ -16,7 +16,8 @@
 use crate::recio::{FinishedRun, RecordRunReader};
 use demsort_net::Communicator;
 use demsort_storage::PeStorage;
-use demsort_types::{Record, Result};
+use demsort_types::wire::{from_peer, WireReader};
+use demsort_types::{Error, Record, Result};
 
 /// Order-independent record-stream fingerprint.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -122,18 +123,16 @@ pub fn validate_output<R: Record + Ord>(
     let gathered = comm.allgather(msg)?;
     let mut boundaries_ordered = true;
     let mut prev_last: Option<R::Key> = None;
-    for buf in &gathered {
-        if buf[0] == 0 {
-            continue;
+    for (src, buf) in gathered.iter().enumerate() {
+        let bad = |e: Error| from_peer(comm.rank(), src, "output boundary", e);
+        let mut r = WireReader::new(buf);
+        let nonempty = r.field("nonempty flag").bool().map_err(bad)?;
+        let first = r.field("first record").raw(R::BYTES).map_err(bad)?;
+        let last = r.field("last record").raw(R::BYTES).map_err(bad)?;
+        if nonempty {
+            boundaries_ordered &= prev_last.is_none_or(|pl| pl <= R::decode(first).key());
+            prev_last = Some(R::decode(last).key());
         }
-        let f = R::decode(&buf[1..1 + R::BYTES]).key();
-        let l = R::decode(&buf[1 + R::BYTES..]).key();
-        if let Some(pl) = prev_last {
-            if pl > f {
-                boundaries_ordered = false;
-            }
-        }
-        prev_last = Some(l);
     }
 
     Ok(ValidationReport {
@@ -256,6 +255,41 @@ mod tests {
         });
         assert!(reports[0].locally_sorted);
         assert!(!reports[0].boundaries_ordered);
+    }
+
+    #[test]
+    fn boundary_allgather_rejects_short_messages() {
+        // Rank 1 sends the empty message or a strict prefix of its
+        // `[nonempty][first][last]` boundary instead of the whole.
+        let cfg = MachineConfig::tiny(2);
+        let whole = [1u8; 1 + 2 * Element16::BYTES];
+        for cut in 0..whole.len() {
+            let msg = &whole[..cut];
+            let results = run_cluster(2, move |c| {
+                if c.rank() == 1 {
+                    c.allgather(msg.to_vec()).expect("peer sends");
+                    return None;
+                }
+                let st = demsort_storage::PeStorage::with_backend(
+                    cfg.disks_per_pe,
+                    cfg.block_bytes,
+                    DiskModel::paper(),
+                    Arc::new(MemBackend::new(cfg.disks_per_pe)),
+                );
+                let fr = write_records(&st, &[Element16::new(1, 0)]).expect("write");
+                Some(validate_output::<Element16>(&c, &st, &fr))
+            });
+            let err = results[0].clone().expect("rank 0").expect_err("short boundary");
+            let text = err.to_string();
+            assert!(matches!(err, Error::Comm(_)), "{text}");
+            assert!(text.contains("rank 0: bad output boundary from rank 1"), "{text}");
+            let field = match cut {
+                0 => "nonempty flag",
+                c if c <= Element16::BYTES => "first record",
+                _ => "last record",
+            };
+            assert!(text.contains(field), "cut {cut}: {text}");
+        }
     }
 
     #[test]

@@ -16,10 +16,13 @@
 //!   futures-style [`IoHandle`]s; this is what makes I/O overlap real.
 //! * [`alloc`] — per-disk free-list allocation with a high-water mark,
 //!   enabling the paper's (nearly) in-place operation.
-//! * [`striping`] — [`PeStorage`] facade plus streaming [`RunWriter`] /
-//!   [`RunReader`] with write-behind / read-ahead over RAID-0 striping.
-//! * [`prefetch`] — prediction-sequence prefetching with both naive and
-//!   duality-optimal schedules (Appendix A of the paper, \[13\]).
+//! * [`striping`] — [`PeStorage`] facade plus the streaming
+//!   [`RunWriter`] with write-behind over RAID-0 striping.
+//! * [`prefetch`] — the one block reader, [`MergePrefetcher`]: a block
+//!   sequence read ahead under a buffer budget in naive or
+//!   duality-optimal order (Appendix A of the paper, \[13\]). Every
+//!   sequential local read — [`read_run`], the record reader, the
+//!   output file edge — goes through it.
 
 pub mod alloc;
 pub mod backend;
@@ -37,6 +40,4 @@ pub use engine::{IoEngine, IoHandle};
 pub use prefetch::{
     duality_issue_order, naive_issue_order, simulate_schedule, MergePrefetcher, ScheduleSim,
 };
-pub use striping::{
-    check_run, free_run, read_run, write_run, PeStorage, Run, RunReader, RunWriter,
-};
+pub use striping::{check_run, free_run, read_run, write_run, PeStorage, Run, RunWriter};

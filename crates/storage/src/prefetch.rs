@@ -1,8 +1,10 @@
-//! Prefetching for multiway merging.
+//! The block reader: prefetching a known block sequence under a buffer
+//! budget.
 //!
 //! During a merge pass the order in which blocks are needed is known in
 //! advance from the *prediction sequence* (the smallest key in each
-//! block, Section III / \[11\]). Two schedules are provided:
+//! block, Section III / \[11\]); a sequential read knows it trivially.
+//! Two schedules are provided:
 //!
 //! * [`naive_issue_order`] — fetch blocks simply in consumption order
 //!   (works well for random inputs, \[11\]);
@@ -13,7 +15,10 @@
 //!   disks busy even for adversarial disk layouts.
 //!
 //! [`MergePrefetcher`] executes a schedule against a [`PeStorage`],
-//! bounding resident-plus-in-flight blocks by the buffer budget, and
+//! bounding in-flight blocks by the buffer budget. It is the reader of
+//! every sequential local read: [`read_run`](crate::read_run), the
+//! record reader of `demsort-core` (final merge, all-to-all, output
+//! validation) and the output file edge all drive it in naive order.
 //! [`simulate_schedule`] evaluates a schedule analytically (parallel
 //! I/O steps, consumer stalls) for tests and the ablation bench.
 
@@ -140,15 +145,20 @@ pub fn simulate_schedule(seq: &[BlockId], issue_order: &[usize], buffers: usize)
 }
 
 /// Online prefetcher: issues reads per a schedule, bounded by a buffer
-/// budget, and yields blocks in consumption order.
+/// budget, and yields blocks in consumption order. Each call of
+/// [`next`](Self::next) tops the reads in flight up to the budget,
+/// waits for the next block in order, frees its slot if asked to, and
+/// tops up again before handing the block over.
 pub struct MergePrefetcher<'a> {
     st: &'a PeStorage,
     seq: Vec<BlockId>,
-    issue_order: Vec<usize>,
-    handles: Vec<Option<IoHandle>>,
+    /// The order reads are issued in, as positions in `seq` (`None`:
+    /// consumption order); a permutation either way.
+    issue_order: Option<Vec<usize>>,
+    /// The reads in flight, at most `buffers`, by position in `seq`.
+    in_flight: VecDeque<(usize, IoHandle)>,
     next_issue: usize,
     next_deliver: usize,
-    outstanding: usize,
     buffers: usize,
     free_after_read: bool,
 }
@@ -157,23 +167,21 @@ impl<'a> MergePrefetcher<'a> {
     /// Prefetch `seq` from `st` following `issue_order`, keeping at most
     /// `buffers` blocks issued-but-undelivered. If `free_after_read`,
     /// each block is recycled as soon as it is delivered.
-    pub fn new(
+    fn new(
         st: &'a PeStorage,
         seq: Vec<BlockId>,
-        issue_order: Vec<usize>,
+        issue_order: Option<Vec<usize>>,
         buffers: usize,
         free_after_read: bool,
     ) -> Self {
-        assert_eq!(seq.len(), issue_order.len());
-        let n = seq.len();
+        debug_assert!(issue_order.as_ref().is_none_or(|order| order.len() == seq.len()));
         Self {
             st,
             seq,
             issue_order,
-            handles: (0..n).map(|_| None).collect(),
+            in_flight: VecDeque::new(),
             next_issue: 0,
             next_deliver: 0,
-            outstanding: 0,
             buffers: buffers.max(1),
             free_after_read,
         }
@@ -181,24 +189,20 @@ impl<'a> MergePrefetcher<'a> {
 
     /// Convenience: naive schedule.
     pub fn naive(st: &'a PeStorage, seq: Vec<BlockId>, buffers: usize, free: bool) -> Self {
-        let order = naive_issue_order(&seq);
-        Self::new(st, seq, order, buffers, free)
+        Self::new(st, seq, None, buffers, free)
     }
 
     /// Convenience: duality-optimal schedule.
     pub fn optimal(st: &'a PeStorage, seq: Vec<BlockId>, buffers: usize, free: bool) -> Self {
         let order = duality_issue_order(&seq, buffers);
-        Self::new(st, seq, order, buffers, free)
+        Self::new(st, seq, Some(order), buffers, free)
     }
 
     fn top_up(&mut self) {
-        while self.next_issue < self.seq.len() && self.outstanding < self.buffers {
-            let idx = self.issue_order[self.next_issue];
+        while self.in_flight.len() < self.buffers && self.next_issue < self.seq.len() {
+            let idx = self.issue_order.as_ref().map_or(self.next_issue, |o| o[self.next_issue]);
+            self.in_flight.push_back((idx, self.st.engine().read(self.seq[idx])));
             self.next_issue += 1;
-            if self.handles[idx].is_none() {
-                self.handles[idx] = Some(self.st.engine().read(self.seq[idx]));
-                self.outstanding += 1;
-            }
         }
     }
 
@@ -212,21 +216,18 @@ impl<'a> MergePrefetcher<'a> {
     /// `Result<Option<..>>`.)
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Box<[u8]>>> {
-        if self.next_deliver >= self.seq.len() {
-            return Ok(None);
-        }
         self.top_up();
         let idx = self.next_deliver;
-        // Defensive fallback: if the schedule failed to cover this block
-        // yet (can only happen with an inconsistent custom order), fetch
-        // it directly rather than deadlock.
-        if self.handles[idx].is_none() {
-            self.handles[idx] = Some(self.st.engine().read(self.seq[idx]));
-            self.outstanding += 1;
-        }
-        let h = self.handles[idx].take().expect("issued above");
+        // Both schedules issue block `idx` before `buffers` blocks
+        // consumed after it are in flight (the duality order holds at
+        // most `buffers - 1` of them ahead of it), so after a top-up
+        // the next block's read is issued unless the sequence is done.
+        let pos = self.in_flight.iter().position(|&(i, _)| i == idx);
+        let Some((_, h)) = pos.and_then(|at| self.in_flight.remove(at)) else {
+            debug_assert_eq!(idx, self.seq.len(), "block {idx} not issued");
+            return Ok(None);
+        };
         let data = h.wait()?;
-        self.outstanding -= 1;
         self.next_deliver += 1;
         if self.free_after_read {
             self.st.free_block(self.seq[idx]);
@@ -399,6 +400,36 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, seq.len());
+    }
+
+    #[test]
+    fn duality_order_has_the_next_block_in_flight_at_any_budget() {
+        // No fallback read: the next block's read must be in flight
+        // after every top-up, on random layouts, whatever the budget.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        for budget in [1, 2, 3, 5, 8] {
+            let st = storage(3, 8);
+            let mut next_slot = [0u32; 3];
+            let seq: Vec<BlockId> = (0..60)
+                .map(|_| {
+                    let d = rng.gen_range(0..3u32);
+                    next_slot[d as usize] += 1;
+                    BlockId::new(d, next_slot[d as usize] - 1)
+                })
+                .collect();
+            for (i, id) in seq.iter().enumerate() {
+                st.engine().write_sync(*id, vec![i as u8; 8].into_boxed_slice()).expect("write");
+            }
+            let mut pf = MergePrefetcher::optimal(&st, seq.clone(), budget, false);
+            for i in 0..seq.len() {
+                let block = pf.next().expect("read").expect("block in flight");
+                assert_eq!(block[0] as usize, i, "budget {budget}");
+                let next = i + 1 == seq.len() || pf.in_flight.iter().any(|&(j, _)| j == i + 1);
+                assert!(next, "budget {budget}: block {} not in flight", i + 1);
+            }
+            assert!(pf.next().expect("read").is_none());
+        }
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Per-PE storage facade and striped sequential runs.
 //!
 //! [`PeStorage`] bundles the async engine, the block allocator, and the
-//! backend for one PE. [`RunWriter`]/[`RunReader`] stream byte
-//! sequences ("runs") as blocks striped round-robin over the PE's local
-//! disks, with configurable write-behind and read-ahead windows — the
-//! overlap machinery of Section IV-E.
+//! backend for one PE. [`RunWriter`] streams a byte sequence (a "run")
+//! as blocks striped round-robin over the PE's local disks with a
+//! write-behind window, and [`read_run`] reads one back through the
+//! [`MergePrefetcher`] — the overlap machinery of Section IV-E.
 
 use crate::alloc::BlockAllocator;
 use crate::backend::{Backend, MemBackend};
 use crate::block::BlockId;
 use crate::disk::DiskModel;
 use crate::engine::{IoEngine, IoHandle};
+use crate::prefetch::MergePrefetcher;
 use demsort_types::{BufferPool, Error, IoCounters, MachineConfig, Result};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -18,7 +19,8 @@ use std::sync::Arc;
 /// Default number of outstanding writes for [`RunWriter`] (one per disk
 /// keeps all spindles busy, paper: "We maintain D buffer blocks").
 pub const DEFAULT_WRITE_BEHIND: usize = 4;
-/// Default read-ahead depth for [`RunReader`].
+/// Default read-ahead depth of a sequential byte read ([`read_run`], the
+/// output file edge), at least one block per disk.
 pub const DEFAULT_READAHEAD: usize = 4;
 
 /// All storage state owned by one PE.
@@ -134,13 +136,6 @@ impl Run {
     pub fn is_empty(&self) -> bool {
         self.bytes == 0
     }
-
-    /// Bytes of valid data in block `i` given block size `b`.
-    pub fn valid_bytes_in(&self, i: usize, b: usize) -> usize {
-        let start = (i * b) as u64;
-        debug_assert!(start < self.bytes || (self.bytes == 0 && i == 0));
-        ((self.bytes - start).min(b as u64)) as usize
-    }
 }
 
 /// Streaming run writer: buffers into one block at a time, issues async
@@ -248,85 +243,21 @@ impl<'a> RunWriter<'a> {
     }
 }
 
-/// Streaming run reader with read-ahead; optionally frees blocks as
-/// they are consumed (in-place mode).
-pub struct RunReader<'a> {
-    st: &'a PeStorage,
-    run: Run,
-    next_issue: usize,
-    next_take: usize,
-    pending: VecDeque<IoHandle>,
-    readahead: usize,
-    free_after_read: bool,
-}
-
-impl<'a> RunReader<'a> {
-    /// Read `run` sequentially from `st`.
-    pub fn new(st: &'a PeStorage, run: Run) -> Self {
-        Self::with_options(st, run, DEFAULT_READAHEAD.max(st.disks()), false)
-    }
-
-    /// Full-control constructor: `readahead` outstanding reads,
-    /// `free_after_read` recycles each block once consumed.
-    pub fn with_options(
-        st: &'a PeStorage,
-        run: Run,
-        readahead: usize,
-        free_after_read: bool,
-    ) -> Self {
-        Self {
-            st,
-            run,
-            next_issue: 0,
-            next_take: 0,
-            pending: VecDeque::new(),
-            readahead: readahead.max(1),
-            free_after_read,
-        }
-    }
-
-    fn top_up(&mut self) {
-        while self.pending.len() < self.readahead && self.next_issue < self.run.blocks.len() {
-            let id = self.run.blocks[self.next_issue];
-            self.pending.push_back(self.st.engine.read(id));
-            self.next_issue += 1;
-        }
-    }
-
-    /// Next block and the count of valid bytes in it, or `None` at end.
-    pub fn next_block(&mut self) -> Result<Option<(Box<[u8]>, usize)>> {
-        self.top_up();
-        let Some(h) = self.pending.pop_front() else {
-            return Ok(None);
-        };
-        let data = h.wait()?;
-        let idx = self.next_take;
-        self.next_take += 1;
-        let valid = self.run.valid_bytes_in(idx, self.st.block_bytes());
-        if self.free_after_read {
-            self.st.free_block(self.run.blocks[idx]);
-        }
-        self.top_up();
-        Ok(Some((data, valid)))
-    }
-
-    /// Read the whole remaining run into one buffer (valid bytes only).
-    /// Block buffers are recycled into the PE's pool as they drain;
-    /// the bytes copied out are charged to the pool's copy meter.
-    pub fn read_to_end(&mut self) -> Result<Vec<u8>> {
-        let mut out = Vec::with_capacity(self.run.bytes as usize);
-        while let Some((block, valid)) = self.next_block()? {
-            out.extend_from_slice(&block[..valid]);
-            self.st.pool().add_copied(valid as u64);
-            self.st.pool().put(block);
-        }
-        Ok(out)
-    }
-}
-
-/// Read an arbitrary run fully (convenience for tests and small data).
+/// Read an arbitrary run fully (valid bytes only) through the
+/// [`MergePrefetcher`] in naive order. Block buffers are recycled into
+/// the PE's pool as they drain; the bytes copied out are charged to the
+/// pool's copy meter.
 pub fn read_run(st: &PeStorage, run: &Run) -> Result<Vec<u8>> {
-    RunReader::new(st, run.clone()).read_to_end()
+    let readahead = DEFAULT_READAHEAD.max(st.disks());
+    let mut blocks = MergePrefetcher::naive(st, run.blocks.clone(), readahead, false);
+    let mut out = Vec::with_capacity(run.bytes as usize);
+    while let Some(block) = blocks.next()? {
+        let valid = (run.bytes - out.len() as u64).min(block.len() as u64) as usize;
+        out.extend_from_slice(&block[..valid]);
+        st.pool().add_copied(valid as u64);
+        st.pool().put(block);
+    }
+    Ok(out)
 }
 
 /// Write `data` as a new run (convenience).
@@ -414,10 +345,11 @@ mod tests {
         let st = storage(2, 32);
         let run = write_run(&st, &[3u8; 32 * 6]).expect("write");
         assert_eq!(st.alloc().in_use(), 6);
-        let mut r = RunReader::with_options(&st, run, 2, true);
+        // The block reader with a budget of 2, freeing as it reads.
+        let mut r = MergePrefetcher::naive(&st, run.blocks, 2, true);
         let mut total = 0;
-        while let Some((_, valid)) = r.next_block().expect("read") {
-            total += valid;
+        while let Some(block) = r.next().expect("read") {
+            total += block.len();
         }
         assert_eq!(total, 32 * 6);
         assert_eq!(st.alloc().in_use(), 0, "all blocks recycled");
@@ -430,8 +362,13 @@ mod tests {
         let mut w = RunWriter::with_window(&st, 1);
         w.push(&data).expect("write");
         let run = w.finish().expect("finish");
-        let mut r = RunReader::with_options(&st, run, 1, false);
-        assert_eq!(r.read_to_end().expect("read"), data);
+        // The block reader with a budget of 1: one read in flight.
+        let mut r = MergePrefetcher::naive(&st, run.blocks, 1, false);
+        let mut got = Vec::new();
+        while let Some(block) = r.next().expect("read") {
+            got.extend_from_slice(&block);
+        }
+        assert_eq!(got, data);
     }
 
     #[test]
