@@ -83,7 +83,7 @@ use demsort_types::wire::{
 };
 use demsort_types::{
     AlgoConfig, Error, JobConfig, MachineConfig, ProgressFrame, Record as _, Record100, Result,
-    SortAlgo, SortConfig, SortReport, Tracer,
+    SortAlgo, SortReport, Tracer,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -161,18 +161,7 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
     if tag != TAG_ASSIGN {
         return Err(Error::comm(format!("expected ASSIGN, got tag {tag}")));
     }
-    let mut r = WireReader::new(&body);
-    let rank = r.u32()? as usize;
-    let p = r.u32()? as usize;
-    let mut addrs = Vec::with_capacity(p);
-    for _ in 0..p {
-        let a = r.string()?;
-        addrs.push(
-            a.parse::<SocketAddr>()
-                .map_err(|e| Error::comm(format!("bad mesh address {a}: {e}")))?,
-        );
-    }
-    let job = decode_job(&r.bytes()?)?;
+    let (rank, addrs, job) = decode_assign(&body)?;
 
     // With tracing on, the journal goes to the shared trace directory
     // and coarse progress frames ride this control connection back to
@@ -245,9 +234,7 @@ pub fn run_rank(
     // This rank's view of the cluster: its storage, the mesh for its
     // peers' blocks, and its own blocks served to them until the view
     // drops — on every way out of this function.
-    let pool_blocks = job.algo.effective_pool_blocks(&job.machine);
-    let storage =
-        ClusterStorage::over_mesh(&tcp, &job.machine, pool_blocks, backend, tracer.clone());
+    let storage = ClusterStorage::over_mesh(&tcp, &job.machine, backend, tracer.clone());
 
     // The rank program — the same body the in-process cluster runs.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
@@ -650,7 +637,7 @@ pub fn summarize_outcomes(job: &JobConfig, outcomes: Vec<RankOutcome>) -> Result
         return Err(Error::comm(parts.join("; ")));
     }
 
-    let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
+    let cfg = job.validate()?;
     let report = cluster_report(&cfg, Record100::BYTES, &per_rank);
     Ok(LaunchOutcome { report, per_rank })
 }
@@ -800,15 +787,54 @@ fn rendezvous(
 
     let encoded_job = encode_job(job);
     for (rank, conn) in ctl.conns.iter_mut().enumerate() {
-        let mut w = WireWriter::new();
-        w.u32(rank as u32).u32(p as u32);
-        for a in &mesh_addrs {
-            w.string(a);
-        }
-        w.bytes(&encoded_job);
-        write_msg(conn, TAG_ASSIGN, &w.finish())?;
+        write_msg(conn, TAG_ASSIGN, &encode_assign(rank, &mesh_addrs, &encoded_job))?;
     }
     Ok(())
+}
+
+/// The ASSIGN body the coordinator sends each worker:
+/// `[rank u32][p u32]`, `p` mesh addresses, then the encoded job.
+fn encode_assign(rank: usize, mesh_addrs: &[String], encoded_job: &[u8]) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u32(rank as u32).u32(mesh_addrs.len() as u32);
+    for a in mesh_addrs {
+        w.string(a);
+    }
+    w.bytes(encoded_job);
+    w.finish()
+}
+
+/// Decode an ASSIGN body into the worker's rank, the mesh address
+/// table and the job. The coordinator's bytes are checked, never
+/// trusted: every address takes at least its 4-byte length, so a count
+/// the body cannot hold fails before anything is allocated for it.
+///
+/// # Errors
+/// [`Error::Comm`] on truncation, an impossible address count, a bad
+/// address, a bad job, or trailing bytes.
+fn decode_assign(body: &[u8]) -> Result<(usize, Vec<SocketAddr>, JobConfig)> {
+    let mut r = WireReader::new(body);
+    let rank = r.field("rank").u32()? as usize;
+    let p = r.field("rank count").u32()? as usize;
+    if p > r.remaining() / 4 {
+        return Err(Error::comm(format!(
+            "ASSIGN claims {p} mesh addresses but only {} bytes follow",
+            r.remaining()
+        )));
+    }
+    let mut addrs = Vec::with_capacity(p);
+    for _ in 0..p {
+        let a = r.field("mesh address").string()?;
+        addrs.push(
+            a.parse::<SocketAddr>()
+                .map_err(|e| Error::comm(format!("bad mesh address {a}: {e}")))?,
+        );
+    }
+    let job = decode_job(&r.field("job").bytes()?)?;
+    if r.remaining() != 0 {
+        return Err(Error::comm(format!("ASSIGN carries {} trailing bytes", r.remaining())));
+    }
+    Ok((rank, addrs, job))
 }
 
 // -------------------------------------------------------------------
@@ -844,12 +870,6 @@ pub struct TcpJobCli {
     /// Intra-rank merge/sort threads (`--cores`). Defaults to the
     /// host's parallelism split evenly across the local ranks.
     pub cores: Option<usize>,
-    /// Block-buffer pool capacity in blocks (`--pool-blocks`): how many
-    /// recycled block buffers each rank's data plane keeps. `0` (the
-    /// default) derives the capacity from the memory budget
-    /// ([`MachineConfig::mem_blocks_per_pe`]); explicit values below
-    /// the prefetch+carry minimum are rejected at job validation.
-    pub pool_blocks: usize,
     /// Explicit worker binary path (`--worker-bin`).
     pub worker_bin: Option<String>,
     /// Trace directory (`--trace DIR`): when set, every rank appends a
@@ -874,7 +894,6 @@ impl Default for TcpJobCli {
             algorithm: SortAlgo::Canonical,
             replication: 0,
             cores: None,
-            pool_blocks: 0,
             worker_bin: None,
             trace_dir: None,
             scratch: None,
@@ -896,8 +915,6 @@ impl TcpJobCli {
          default 0)\n  \
          --cores C         merge/sort threads per rank (default: host parallelism / local \
          ranks)\n  \
-         --pool-blocks N   block-buffer pool capacity per rank in blocks (default: derived \
-         from --mem-mib)\n  \
          --worker-bin PATH explicit demsort-worker binary\n  \
          --trace DIR       write per-rank JSONL event journals under DIR and stream live \
          progress\n  \
@@ -929,7 +946,6 @@ impl TcpJobCli {
             }
             "--replication" => self.replication = cli_parse(bin, &next(flag), "replication"),
             "--cores" => self.cores = Some(cli_parse(bin, &next(flag), "cores")),
-            "--pool-blocks" => self.pool_blocks = cli_parse(bin, &next(flag), "pool-blocks"),
             "--worker-bin" => self.worker_bin = Some(next(flag)),
             "--trace" => self.trace_dir = Some(next(flag)),
             "--scratch" => self.scratch = Some(next(flag)),
@@ -962,7 +978,6 @@ impl TcpJobCli {
             algo.seed = s;
         }
         algo.replication = self.replication;
-        algo.pool_blocks = self.pool_blocks;
         JobConfig {
             input: input.to_string(),
             output: output.to_string(),
@@ -982,7 +997,7 @@ impl TcpJobCli {
     pub fn checked_job(&self, bin: &str, input: &str, output: &str) -> JobConfig {
         let job = self.job(input, output);
         job.validate()
-            .and_then(|()| probe_scratch(&job))
+            .and_then(|_| probe_scratch(&job))
             .unwrap_or_else(|e| cli_die(bin, &e.to_string()));
         job
     }
@@ -1233,8 +1248,6 @@ mod tests {
             "1",
             "--cores",
             "2",
-            "--pool-blocks",
-            "12",
             "--scratch",
             "/mnt/fast/scr",
         ]
@@ -1254,8 +1267,6 @@ mod tests {
         assert_eq!(job.algorithm, SortAlgo::Striped);
         assert_eq!(job.algo.replication, 1);
         assert_eq!(job.machine.cores_per_pe, 2, "--cores overrides the derived default");
-        assert_eq!(job.algo.pool_blocks, 12, "--pool-blocks reaches the algo config");
-        assert_eq!(job.algo.effective_pool_blocks(&job.machine), 12);
         assert_eq!(job.scratch, "/mnt/fast/scr", "--scratch names another device");
         // Without --scratch the blocks go next to the output; there is
         // no spelling that keeps them in memory.
@@ -1264,5 +1275,41 @@ mod tests {
         let derived = TcpJobCli { ranks: 3, ..TcpJobCli::default() }.machine().cores_per_pe;
         let host = std::thread::available_parallelism().map_or(1, |c| c.get());
         assert_eq!(derived, (host / 3).max(1));
+    }
+
+    #[test]
+    fn every_help_flag_is_a_shared_flag() {
+        let flags: Vec<&str> = TcpJobCli::FLAG_HELP
+            .split_whitespace()
+            .filter_map(|w| w.trim_end_matches(|c: char| !c.is_alphanumeric()).strip_prefix("--"))
+            .collect();
+        assert!(flags.len() >= 12, "{flags:?}");
+        for flag in flags {
+            let value = if flag == "algo" { "striped" } else { "1" };
+            let mut args = std::iter::once(value.to_string());
+            assert!(
+                TcpJobCli::default().try_flag("test", &format!("--{flag}"), &mut args),
+                "--{flag} is in the help text but not parsed"
+            );
+        }
+    }
+
+    #[test]
+    fn assign_decode_rejects_malformed_bodies() {
+        let job = TcpJobCli { ranks: 2, ..TcpJobCli::default() }.job("in.dat", "out.dat");
+        let addrs = ["127.0.0.1:4000".to_string(), "127.0.0.1:4001".to_string()];
+        let body = encode_assign(1, &addrs, &encode_job(&job));
+        let (rank, got, decoded) = decode_assign(&body).expect("valid body");
+        assert_eq!((rank, got.len(), decoded.machine), (1, 2, job.machine));
+
+        let mut huge = WireWriter::new();
+        huge.u32(0).u32(u32::MAX);
+        let huge = huge.finish();
+        let trailing = [&body[..], &[0]].concat();
+        let bad = (0..body.len()).map(|n| &body[..n]).chain([&huge[..], &trailing[..]]);
+        for b in bad {
+            let err = decode_assign(b).expect_err("malformed ASSIGN body");
+            assert!(matches!(err, Error::Comm(_)), "{} bytes: {err}", b.len());
+        }
     }
 }

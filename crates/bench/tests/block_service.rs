@@ -28,9 +28,8 @@ const SEED: u64 = 11;
 
 /// A worker's view over `tcp`, as `procs::run_rank` builds it.
 fn single_rank_storage(cfg: &SortConfig, tcp: &TcpTransport) -> MeshView {
-    let pool_blocks = cfg.algo.effective_pool_blocks(&cfg.machine);
     let disks = Arc::new(MemBackend::new(cfg.machine.disks_per_pe));
-    ClusterStorage::over_mesh(tcp, &cfg.machine, pool_blocks, disks, Tracer::off())
+    ClusterStorage::over_mesh(tcp, &cfg.machine, disks, Tracer::off())
 }
 
 #[test]

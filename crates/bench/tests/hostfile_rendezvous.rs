@@ -128,7 +128,7 @@ fn hostfile_worker_takes_the_shared_job_flags() {
     let trace = tmp_path("striped-trace");
     let trace_dir = trace.to_string_lossy().into_owned();
     let flags = ["--mem-mib", "1", "--block-kib", "16", "--disks", "2", "--algo", "striped"];
-    let striped = [&flags[..], &["--pool-blocks", "8", "--trace", &trace_dir]].concat();
+    let striped = [&flags[..], &["--trace", &trace_dir]].concat();
     if sort_over_hostfile("striped", &striped) {
         for rank in 0..RANKS {
             let journal = std::fs::read_to_string(trace.join(format!("rank{rank}.jsonl")))
@@ -138,10 +138,11 @@ fn hostfile_worker_takes_the_shared_job_flags() {
         let _ = std::fs::remove_dir_all(&trace);
     }
 
-    // `--pool-blocks N` reaches the job: a capacity below the
-    // prefetch+carry minimum (6 blocks on 2 disks) fails the job's
-    // validation (exit 1), where a flag the worker does not know is a
-    // usage error (exit 2).
+    // `--replication` and `--algo` reach the job: replication on the
+    // canonical sort of a one-rank cluster fails the job's validation
+    // (exit 1), where a flag the worker does not know — `--pool-blocks`
+    // among them, the pool is sized from `--mem-mib` — is a usage error
+    // (exit 2).
     let port = reserve_port("127.0.0.1").expect("loopback port");
     let hostfile = tmp_path("flags-hosts");
     std::fs::write(&hostfile, format!("127.0.0.1:{port}\n")).expect("write hostfile");
@@ -154,11 +155,13 @@ fn hostfile_worker_takes_the_shared_job_flags() {
             .output()
             .expect("run worker")
     };
-    let rejected = worker(&["--pool-blocks", "1"]);
+    let rejected = worker(&["--replication", "1", "--algo", "canonical"]);
     assert_eq!(rejected.status.code(), Some(1), "{rejected:?}");
-    assert!(String::from_utf8_lossy(&rejected.stderr).contains("pool_blocks 1"), "{rejected:?}");
-    let unknown = worker(&["--bogus"]);
-    assert_eq!(unknown.status.code(), Some(2), "{unknown:?}");
-    assert!(String::from_utf8_lossy(&unknown.stderr).contains("--bogus"), "{unknown:?}");
+    assert!(String::from_utf8_lossy(&rejected.stderr).contains("replication"), "{rejected:?}");
+    for flag in ["--bogus", "--pool-blocks"] {
+        let unknown = worker(&[flag, "8"]);
+        assert_eq!(unknown.status.code(), Some(2), "{unknown:?}");
+        assert!(String::from_utf8_lossy(&unknown.stderr).contains(flag), "{unknown:?}");
+    }
     let _ = std::fs::remove_file(&hostfile);
 }

@@ -65,20 +65,16 @@ fn striped_in_process_on(
 ) -> SortReport {
     let cfg = SortConfig::new(machine, algo).expect("valid");
     let input_path = input.to_path_buf();
-    let outcome = striped_sort_cluster::<Record100, _>(
-        &cfg,
-        move |pe, p| {
-            let shard = demsort_types::ranks::owned_range(pe, p, RECORDS as u64);
-            let mut f = std::fs::File::open(&input_path).expect("open input");
-            f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64)).expect("seek");
-            let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-            f.read_exact(&mut bytes).expect("read shard");
-            let mut recs = Vec::new();
-            Record100::decode_slice(&bytes, &mut recs);
-            recs
-        },
-        None,
-    )
+    let outcome = striped_sort_cluster::<Record100, _>(&cfg, move |pe, p| {
+        let shard = demsort_types::ranks::owned_range(pe, p, RECORDS as u64);
+        let mut f = std::fs::File::open(&input_path).expect("open input");
+        f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64)).expect("seek");
+        let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
+        f.read_exact(&mut bytes).expect("read shard");
+        let mut recs = Vec::new();
+        Record100::decode_slice(&bytes, &mut recs);
+        recs
+    })
     .expect("in-process striped sort");
 
     // Output through the block service in global block order — the
@@ -287,7 +283,7 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
 }
 
 /// Buffer-pool steady state: the data plane warms its pool up and then
-/// recycles. With a pool sized to the working set (`--pool-blocks 64`),
+/// recycles. With a pool sized to the working set (64 blocks),
 /// doubling the sorted volume must roughly double the hit count (more
 /// blocks through the same buffers) while misses — which track peak
 /// in-flight buffers, not data volume — grow sublinearly and the miss
@@ -295,16 +291,15 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
 #[test]
 fn buffer_pool_misses_plateau_after_warmup() {
     let totals = |records: usize| {
-        let algo = AlgoConfig { pool_blocks: 64, ..AlgoConfig::default() };
-        let cfg = SortConfig::new(test_machine(), algo).expect("valid");
-        let outcome = striped_sort_cluster::<Record100, _>(
-            &cfg,
-            move |pe, p| {
-                let shard = demsort_types::ranks::owned_range(pe, p, records as u64);
-                gensort_records(7, shard.start, (shard.end - shard.start) as usize)
-            },
-            None,
-        )
+        // The pool is `max(m/B, 2D + 2)`: 31 disks lift it from 16 to
+        // 64 blocks while `m`, and so the runs, stay the test machine's.
+        let machine = MachineConfig { disks_per_pe: 31, ..test_machine() };
+        assert_eq!(machine.pool_blocks(), 64);
+        let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+        let outcome = striped_sort_cluster::<Record100, _>(&cfg, move |pe, p| {
+            let shard = demsort_types::ranks::owned_range(pe, p, records as u64);
+            gensort_records(7, shard.start, (shard.end - shard.start) as usize)
+        })
         .expect("in-process striped sort");
         outcome
             .per_pe

@@ -195,9 +195,7 @@ pub fn external_alltoall<R: Record + Ord>(
     // Choose k so one suboperation's send volume fits the memory budget.
     let send_elems: u64 =
         segments.iter().map(|s| s.iter().map(Segment::remaining).sum::<u64>()).sum();
-    let budget = ((cfg.machine.mem_bytes_per_pe as f64 * cfg.algo.alltoall_mem_fraction)
-        / R::BYTES as f64)
-        .max(1.0) as u64;
+    let budget = (cfg.machine.alltoall_budget_bytes() / R::BYTES as u64).max(1);
     let k_local = send_elems.div_ceil(budget).max(1);
     let k = comm.allreduce_max(k_local)? as usize;
 
@@ -525,8 +523,11 @@ mod tests {
     }
 
     fn check(p: usize, local_n: usize, spec: InputSpec, algo: AlgoConfig) {
-        let (storage, outcomes, expected, _) =
-            exchange(MachineConfig::tiny(p), local_n, spec, algo, |e| e);
+        check_on(MachineConfig::tiny(p), local_n, spec, algo);
+    }
+
+    fn check_on(machine: MachineConfig, local_n: usize, spec: InputSpec, algo: AlgoConfig) {
+        let (storage, outcomes, expected, _) = exchange(machine, local_n, spec, algo, |e| e);
         for (pe, (o, expect)) in outcomes.iter().zip(&expected).enumerate() {
             assert_eq!(o.merge_inputs.len(), expect.len(), "one input per run");
             for (j, (mi, want)) in o.merge_inputs.iter().zip(expect).enumerate() {
@@ -560,16 +561,19 @@ mod tests {
 
     #[test]
     fn tiny_memory_budget_forces_many_suboperations() {
-        let algo = AlgoConfig { alltoall_mem_fraction: 0.05, ..AlgoConfig::default() };
+        // The smallest memory the machine accepts, 4 blocks per PE: the
+        // exchange's budget is 512 bytes, 32 records.
+        let machine = MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(3) };
         let worst = InputSpec::Banded { block_elems: 16 };
-        let (_, outcomes, _, _) = exchange(MachineConfig::tiny(3), 900, worst, algo.clone(), |e| e);
+        let algo = AlgoConfig::default;
+        let (_, outcomes, _, _) = exchange(machine.clone(), 900, worst, algo(), |e| e);
         assert!(
             outcomes.iter().any(|o| o.subops > 1),
-            "5% memory budget must split the exchange: {:?}",
+            "a 4-block memory budget must split the exchange: {:?}",
             outcomes.iter().map(|o| o.subops).collect::<Vec<_>>()
         );
         // Correctness under the multi-suboperation path.
-        check(3, 900, InputSpec::Banded { block_elems: 16 }, algo);
+        check_on(machine, 900, worst, algo());
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //! storage engine's `IoHandle` (so callers overlap remote I/O with
 //! computation), and the transferred bytes are charged to the
 //! requester as communication.
+//!
+//! Every view builds a PE's storage the same way (`pe_storage`): the
+//! paper's disk model over the PE's backend and a buffer pool of
+//! [`MachineConfig::pool_blocks`] blocks, a size the machine decides —
+//! no constructor takes it as a setting except
+//! [`ClusterStorage::new_mem_sized`].
 
 use demsort_net::tcp::{TcpTransport, WireFetch, WireStore};
 use demsort_net::{Communicator, Transport as _};
@@ -209,41 +215,25 @@ fn pe_storage(cfg: &MachineConfig, pool_blocks: usize, backend: Arc<dyn Backend>
 impl ClusterStorage {
     /// In-memory storage for `cfg.pes` PEs (the experiment default).
     pub fn new_mem(cfg: &MachineConfig) -> Arc<Self> {
-        Self::with_backends(cfg, |c| Arc::new(MemBackend::new(c.disks_per_pe)))
+        Self::new_mem_sized(cfg, cfg.pool_blocks())
     }
 
-    /// [`ClusterStorage::new_mem`] with an explicit per-PE block-buffer
-    /// pool capacity — what generator-fed sorts use to honor
-    /// [`demsort_types::AlgoConfig::pool_blocks`]; `new_mem` itself
-    /// always applies the auto policy.
+    /// [`ClusterStorage::new_mem`] with a per-PE block-buffer pool of
+    /// `pool_blocks`.
     pub fn new_mem_sized(cfg: &MachineConfig, pool_blocks: usize) -> Arc<Self> {
-        let mem = |_| Arc::new(MemBackend::new(cfg.disks_per_pe)) as Arc<dyn Backend>;
-        Self::with_rank_backends(cfg, pool_blocks, (0..cfg.pes).map(mem).collect())
+        let mem = |_| pe_storage(cfg, pool_blocks, Arc::new(MemBackend::new(cfg.disks_per_pe)));
+        Self::all_local((0..cfg.pes).map(mem).collect())
     }
 
-    /// Storage with a custom backend per PE (files, fault injection).
-    pub fn with_backends(
-        cfg: &MachineConfig,
-        mut make: impl FnMut(&MachineConfig) -> Arc<dyn Backend>,
-    ) -> Arc<Self> {
-        // Each PE gets a buffer pool sized to its memory budget (the
-        // auto policy of `AlgoConfig::effective_pool_blocks`), so the
-        // steady-state data plane recycles instead of allocating.
-        let pool_blocks = cfg.mem_blocks_per_pe().max(cfg.min_pool_blocks());
-        Self::with_rank_backends(cfg, pool_blocks, (0..cfg.pes).map(|_| make(cfg)).collect())
-    }
-
-    /// Storage over `backends[rank]` for every rank of the cluster,
-    /// each PE with a block-buffer pool of `pool_blocks` — how a file
-    /// job's storage is assembled from
+    /// Storage over `backends[rank]` for every rank of the cluster (files,
+    /// fault injection) — how a file job's storage is assembled from
     /// [`rank_backend`](crate::job::rank_backend).
-    pub fn with_rank_backends(
-        cfg: &MachineConfig,
-        pool_blocks: usize,
-        backends: Vec<Arc<dyn Backend>>,
-    ) -> Arc<Self> {
-        let pes: Vec<PeStorage> =
-            backends.into_iter().map(|backend| pe_storage(cfg, pool_blocks, backend)).collect();
+    pub fn with_backends(cfg: &MachineConfig, backends: Vec<Arc<dyn Backend>>) -> Arc<Self> {
+        let pe = |backend| pe_storage(cfg, cfg.pool_blocks(), backend);
+        Self::all_local(backends.into_iter().map(pe).collect())
+    }
+
+    fn all_local(pes: Vec<PeStorage>) -> Arc<Self> {
         Arc::new(Self { size: pes.len(), base_rank: 0, pes, remote: None, tracer: Tracer::off() })
     }
 
@@ -253,7 +243,7 @@ impl ClusterStorage {
     /// `tracer` as a [`TraceEv::Fetch`] / [`TraceEv::Store`] instant
     /// carrying the owning rank and locality, and the moved bytes feed
     /// the tracer's progress byte meter ([`Tracer::off`] for neither).
-    pub fn single_traced(
+    fn single_traced(
         rank: usize,
         size: usize,
         storage: PeStorage,
@@ -275,12 +265,11 @@ impl ClusterStorage {
     pub fn over_mesh(
         mesh: &TcpTransport,
         cfg: &MachineConfig,
-        pool_blocks: usize,
         backend: Arc<dyn Backend>,
         tracer: Tracer,
     ) -> MeshView {
         let rank = mesh.rank();
-        let disks = pe_storage(cfg, pool_blocks, backend);
+        let disks = pe_storage(cfg, cfg.pool_blocks(), backend);
         mesh.set_buffer_pool(disks.pool().clone());
         let storage = Self::single_traced(rank, mesh.size(), disks, Box::new(mesh.clone()), tracer);
         let served = Arc::clone(&storage);
@@ -728,7 +717,7 @@ mod tests {
 
     fn one_rank_view(rank: usize, size: usize) -> (Arc<ClusterStorage>, BlockId) {
         let cfg = MachineConfig::tiny(size);
-        let st = pe_storage(&cfg, cfg.min_pool_blocks(), mem_disks(&cfg));
+        let st = pe_storage(&cfg, cfg.pool_blocks(), mem_disks(&cfg));
         let id = st.alloc().alloc_striped();
         st.engine()
             .write_sync(id, vec![7u8; cfg.block_bytes].into_boxed_slice())
@@ -761,7 +750,7 @@ mod tests {
     #[test]
     fn traced_view_journals_block_service_traffic() {
         let cfg = MachineConfig::tiny(3);
-        let st = pe_storage(&cfg, cfg.min_pool_blocks(), mem_disks(&cfg));
+        let st = pe_storage(&cfg, cfg.pool_blocks(), mem_disks(&cfg));
         let id = st.alloc().alloc_striped();
         st.engine()
             .write_sync(id, vec![7u8; cfg.block_bytes].into_boxed_slice())
@@ -997,10 +986,7 @@ mod tests {
     fn mesh_views() -> (Vec<TcpTransport>, Vec<MeshView>) {
         let cfg = MachineConfig::tiny(P);
         let mesh = demsort_net::tcp::loopback_mesh(P, Default::default()).expect("mesh");
-        let view = |tcp| {
-            let pool_blocks = cfg.min_pool_blocks();
-            ClusterStorage::over_mesh(tcp, &cfg, pool_blocks, mem_disks(&cfg), Tracer::off())
-        };
+        let view = |tcp| ClusterStorage::over_mesh(tcp, &cfg, mem_disks(&cfg), Tracer::off());
         let views = mesh.iter().map(view).collect();
         (mesh, views)
     }

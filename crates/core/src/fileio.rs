@@ -395,7 +395,7 @@ mod tests {
                 (encode(&out), o.report)
             }
             SortAlgo::Striped => {
-                let o = striped_sort_cluster::<Record100, _>(cfg, gen, None).expect("sort");
+                let o = striped_sort_cluster::<Record100, _>(cfg, gen).expect("sort");
                 let out = read_striped::<Record100>(&o.storage, &o.per_pe[0].output)
                     .expect("read output");
                 (encode(&out), o.report)

@@ -33,7 +33,7 @@ use crate::ctx::{assemble_report, ClusterStorage};
 use crate::fileio::{
     file_records, ingest_file_shard, write_run_to_file, write_striped_blocks_to_file,
 };
-use crate::striped::{striped_mergesort_resilient, ResilientHooks};
+use crate::striped::{striped_mergesort, ResilientHooks};
 use demsort_net::{run_cluster, Communicator};
 use demsort_storage::{Backend, FileBackend, MemBackend};
 use demsort_types::wire::RankReport;
@@ -66,7 +66,7 @@ pub fn run_rank_job(
     type R = Record100;
     let (rank, p) = (comm.rank(), comm.size());
     let st = storage.pe(rank);
-    let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
+    let cfg = job.validate()?;
     let cores = cfg.machine.cores_per_pe;
     let (input, output) = (Path::new(&job.input), Path::new(&job.output));
 
@@ -87,8 +87,7 @@ pub fn run_rank_job(
             (o.output.elems, o.runs, o.phases)
         }
         SortAlgo::Striped => {
-            let o =
-                striped_mergesort_resilient::<R>(comm, storage, &cfg, local, cores, None, hooks)?;
+            let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks)?;
             let elems = write_striped_blocks_to_file(st, &o.output, R::BYTES, output, rank)?;
             (elems, o.runs, o.phases)
         }
@@ -239,8 +238,7 @@ where
     T: Send,
     F: Fn(Communicator, &ClusterStorage) -> Result<(RankReport, T)> + Send + Sync,
 {
-    let storage =
-        ClusterStorage::new_mem_sized(&cfg.machine, cfg.algo.effective_pool_blocks(&cfg.machine));
+    let storage = ClusterStorage::new_mem(&cfg.machine);
     let (report, extras) = run_on(&storage, cfg, element_bytes, rank_body)?;
     Ok((report, extras, storage))
 }
@@ -264,17 +262,13 @@ where
 
 /// The in-process cluster's storage for `job`: every rank's disks from
 /// [`rank_backend`], and the guards that keep their files.
-fn local_job_storage(
-    job: &JobConfig,
-    cfg: &SortConfig,
-) -> Result<(Arc<ClusterStorage>, Vec<ScratchGuard>)> {
-    let (backends, guards) = (0..cfg.machine.pes)
+fn local_job_storage(job: &JobConfig) -> Result<(Arc<ClusterStorage>, Vec<ScratchGuard>)> {
+    let (backends, guards) = (0..job.machine.pes)
         .map(|rank| rank_backend(job, rank))
         .collect::<Result<Vec<_>>>()?
         .into_iter()
         .unzip();
-    let pool_blocks = cfg.algo.effective_pool_blocks(&cfg.machine);
-    Ok((ClusterStorage::with_rank_backends(&cfg.machine, pool_blocks, backends), guards))
+    Ok((ClusterStorage::with_backends(&job.machine, backends), guards))
 }
 
 /// Every PE thread runs [`run_rank_job`] for `job` on `storage`,
@@ -295,9 +289,8 @@ fn run_job_on(job: &JobConfig, cfg: &SortConfig, storage: &ClusterStorage) -> Re
 /// finished — so it may be the input file. The job's scratch files are
 /// gone when this returns, whether it returns a report or an error.
 pub fn run_job_local(job: &JobConfig) -> Result<SortReport> {
-    job.validate()?;
-    let cfg = SortConfig::new(job.machine.clone(), job.algo.clone())?;
-    let (storage, _scratch) = local_job_storage(job, &cfg)?;
+    let cfg = job.validate()?;
+    let (storage, _scratch) = local_job_storage(job)?;
     run_job_on(job, &cfg, &storage)
 }
 
@@ -473,8 +466,8 @@ mod tests {
             Record100::encode_slice(&recs, &mut bytes);
             std::fs::write(&job.input, &bytes).expect("write input");
 
-            let cfg = SortConfig::new(job.machine.clone(), job.algo.clone()).expect("config");
-            let (storage, guards) = local_job_storage(&job, &cfg).expect("storage");
+            let cfg = job.validate().expect("config");
+            let (storage, guards) = local_job_storage(&job).expect("storage");
             let report = run_job_on(&job, &cfg, &storage).expect("sort");
             assert!(report.runs > 5, "{algorithm}: an external sort, {} runs", report.runs);
 

@@ -65,6 +65,6 @@ pub use psort::parallel_sort;
 pub use selection::{multiway_select, SelectionResult};
 pub use seqsort::sort_in_node;
 pub use striped::{
-    read_striped, read_striped_blocks, striped_mergesort, striped_mergesort_resilient,
-    striped_sort_cluster, ResilientHooks, StripedClusterOutcome,
+    read_striped, read_striped_blocks, striped_mergesort, striped_sort_cluster, ResilientHooks,
+    StripedClusterOutcome,
 };

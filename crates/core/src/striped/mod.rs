@@ -10,16 +10,20 @@
 //!   group reader ([`GroupReader`], in input order), in-node sort and
 //!   exchange kernel — with a different sink: the sorted run is written
 //!   striped (`runs`), so its data is exchanged once more.
-//! * **Merging** (`merge`): passes of up to `k_max` runs, each group
-//!   merged batch by batch in prediction-sequence order through the
-//!   carry-merge kernel the canonical final merge uses
+//! * **Merging** (`merge`): passes of up to `M/B` runs, a fan-in the
+//!   machine decides
+//!   ([`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)),
+//!   each group merged batch by batch in prediction-sequence order
+//!   through the carry-merge kernel the canonical final merge uses
 //!   ([`crate::merge::CarryMerge`]).
 //! * **Recovery** (`recovery`): replicas stored at run formation let the
 //!   survivors of a rank's death regroup and re-merge.
 //!
-//! This module is the driver — two [`PhaseRecorder::phase`] scopes, the
-//! second only when there is more than one run — with the outcome types
-//! and the in-process convenience driver.
+//! This module holds the sort itself, [`striped_mergesort`] — one entry
+//! point with or without recovery hooks, two [`PhaseRecorder::phase`]
+//! scopes, the second only when there is more than one run — with the
+//! outcome types and the in-process convenience runner
+//! ([`striped_sort_cluster`]).
 
 mod merge;
 mod recovery;
@@ -75,7 +79,9 @@ pub struct StripedOutcome<R: Record> {
 }
 
 /// Sort `input` into a globally striped output (Section III).
-/// Collective. `k_max` bounds the merge fan-in (`None` = `M/B`).
+/// Collective. Each merge pass merges up to
+/// [`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)
+/// runs (`M/B`).
 ///
 /// `input` must reside on this rank's own storage
 /// (`storage.pe(comm.rank())`); cross-rank block access — none during
@@ -83,23 +89,8 @@ pub struct StripedOutcome<R: Record> {
 /// `storage`'s block service, so the identical call works on the
 /// in-process cluster and on a multi-process single-rank view.
 ///
-/// Equivalent to [`striped_mergesort_resilient`] with no hooks: a
-/// rank failure surfaces as [`Error::Comm`] instead of triggering
-/// recovery.
-pub fn striped_mergesort<R: Record + Ord>(
-    comm: &Communicator,
-    storage: &ClusterStorage,
-    cfg: &SortConfig,
-    input: LocalInput,
-    cores: usize,
-    k_max: Option<usize>,
-) -> Result<StripedOutcome<R>> {
-    striped_mergesort_resilient::<R>(comm, storage, cfg, input, cores, k_max, None)
-}
-
-/// [`striped_mergesort`] with rank-failure recovery.
-///
-/// With [`AlgoConfig::replication`]` = f > 0`, run formation stores
+/// Without `hooks` a rank failure surfaces as [`Error::Comm`]. With
+/// [`AlgoConfig::replication`]` = f > 0`, run formation stores
 /// `f` replicas of every formed run block on the owner's buddy ranks,
 /// and the merge retains consumed initial-run blocks instead of
 /// freeing them. If a merge attempt then fails with [`Error::Comm`] and
@@ -112,9 +103,9 @@ pub fn striped_mergesort<R: Record + Ord>(
 /// folded into the same phase. One recovery attempt is made; a second
 /// failure surfaces as the error it is.
 ///
-/// With `f = 0` (the default) the data path is byte-for-byte the
-/// non-resilient sort: no stores, no retained blocks, no extra
-/// collectives, identical counters.
+/// With `f = 0` (the default) the data path is the same with or
+/// without hooks: no stores, no retained blocks, no extra collectives,
+/// identical counters.
 ///
 /// Degraded completion trades space for survival: blocks retained for
 /// a recovery that did happen are not reclaimed afterwards (the
@@ -122,19 +113,17 @@ pub fn striped_mergesort<R: Record + Ord>(
 /// names only surviving ranks.
 ///
 /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
-pub fn striped_mergesort_resilient<R: Record + Ord>(
+pub fn striped_mergesort<R: Record + Ord>(
     comm: &Communicator,
     storage: &ClusterStorage,
     cfg: &SortConfig,
     input: LocalInput,
     cores: usize,
-    k_max: Option<usize>,
     mut hooks: Option<ResilientHooks<'_>>,
 ) -> Result<StripedOutcome<R>> {
     let me = comm.rank();
     let p = comm.size();
     let st = storage.pe(me);
-    let k_max = k_max.unwrap_or(cfg.machine.mem_blocks_per_pe() * cfg.machine.pes).max(2);
     let f = cfg.algo.replication;
     let mut cpu = CpuCounters::default();
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
@@ -198,7 +187,7 @@ pub fn striped_mergesort_resilient<R: Record + Ord>(
                 storage,
                 cfg,
                 cores,
-                k_max,
+                k_max: cfg.machine.merge_fan_in(),
                 free_consumed: f == 0,
                 tracer: tr,
             };
@@ -272,11 +261,7 @@ pub struct StripedClusterOutcome<R: Record> {
 /// `gen(pe, p)`, run the striped mergesort, and aggregate the report —
 /// the striped sibling of
 /// [`sort_cluster`](crate::canonical::sort_cluster).
-pub fn striped_sort_cluster<R, G>(
-    cfg: &SortConfig,
-    gen: G,
-    k_max: Option<usize>,
-) -> Result<StripedClusterOutcome<R>>
+pub fn striped_sort_cluster<R, G>(cfg: &SortConfig, gen: G) -> Result<StripedClusterOutcome<R>>
 where
     R: Record + Ord,
     G: Fn(usize, usize) -> Vec<R> + Send + Sync,
@@ -285,7 +270,7 @@ where
         let (rank, p) = (comm.rank(), comm.size());
         let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
         let cores = cfg.machine.cores_per_pe;
-        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, k_max)?;
+        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, None)?;
         // The striped output is global; a rank's share of it is the
         // records in the blocks it owns.
         let blocks = o.output.owners.iter().zip(&o.output.counts);

@@ -2,8 +2,7 @@
 //! block on its owner's buddy ranks at run formation, and [`regroup`]
 //! turns a merge attempt that failed with [`Error::Comm`] into what the
 //! survivors re-merge with — see
-//! [`striped_mergesort_resilient`](super::striped_mergesort_resilient)
-//! for the contract.
+//! [`striped_mergesort`](super::striped_mergesort) for the contract.
 
 use super::runs::{RankView, StripedRun};
 use crate::ctx::{ClusterStorage, PhaseRecorder};
@@ -19,10 +18,10 @@ use std::time::{Duration, Instant};
 pub type SubgroupFn<'a> = Box<dyn FnMut(&[usize]) -> Result<Communicator> + 'a>;
 
 /// Failure-recovery callbacks for
-/// [`striped_mergesort_resilient`](super::striped_mergesort_resilient).
-/// The sort itself is transport-agnostic; these hooks supply the three
-/// things only the harness knows: who died, how the survivors regroup,
-/// and (for tests) a seam to abandon a rank at a deterministic point.
+/// [`striped_mergesort`](super::striped_mergesort). The sort itself is
+/// transport-agnostic; these hooks supply the three things only the
+/// harness knows: who died, how the survivors regroup, and (for tests) a
+/// seam to abandon a rank at a deterministic point.
 pub struct ResilientHooks<'a> {
     /// Failure-detector snapshot: `dead[r]` is true once rank `r` is
     /// known dead (e.g. [`Transport::dead_peers`]). Polled after a

@@ -5,18 +5,22 @@ use demsort_storage::BlockId;
 use demsort_types::{AlgoConfig, Element16, MachineConfig, TraceEv, Tracer};
 use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
 
+/// `tiny(2)` at the smallest memory the machine accepts, 4 blocks per
+/// PE: the derived fan-in `P·m/B` is 8, so 1200 records per PE (19
+/// runs) need several merge groups and passes.
+fn low_fan_in() -> MachineConfig {
+    MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(2) }
+}
+
 fn sort_striped(
-    p: usize,
+    machine: MachineConfig,
     local_n: usize,
     spec: InputSpec,
-    k_max: Option<usize>,
 ) -> (Vec<Element16>, Vec<StripedOutcome<Element16>>, std::sync::Arc<ClusterStorage>) {
-    let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let outcome = striped_sort_cluster::<Element16, _>(
-        &cfg,
-        |pe, p| generate_pe_input(spec, 21, pe, p, local_n),
-        k_max,
-    )
+    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+    let outcome = striped_sort_cluster::<Element16, _>(&cfg, |pe, p| {
+        generate_pe_input(spec, 21, pe, p, local_n)
+    })
     .expect("sort");
     let got = read_striped::<Element16>(&outcome.storage, &outcome.per_pe[0].output).expect("read");
     (got, outcome.per_pe, outcome.storage)
@@ -26,12 +30,12 @@ fn sort_striped(
 /// communicator: returns each rank's outcome alongside its drained
 /// journal, so tests pin the merge interleaving from the trace.
 fn sort_striped_traced(
-    p: usize,
+    machine: MachineConfig,
     local_n: usize,
     spec: InputSpec,
-    k_max: Option<usize>,
 ) -> Vec<(StripedOutcome<Element16>, Vec<demsort_types::TraceRecord>)> {
-    let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
+    let p = machine.pes;
+    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
     let storage = ClusterStorage::new_mem(&cfg.machine);
     let storage_ref = &storage;
     let results: Vec<Result<(StripedOutcome<Element16>, Vec<demsort_types::TraceRecord>)>> =
@@ -46,15 +50,16 @@ fn sort_striped_traced(
                 &cfg,
                 input,
                 cfg.machine.cores_per_pe,
-                k_max,
+                None,
             )?;
             Ok((o, tracer.drain()))
         });
     results.into_iter().map(|r| r.expect("traced sort")).collect()
 }
 
-fn check(p: usize, local_n: usize, spec: InputSpec, k_max: Option<usize>) {
-    let (got, outcomes, _storage) = sort_striped(p, local_n, spec, k_max);
+fn check(machine: MachineConfig, local_n: usize, spec: InputSpec) {
+    let p = machine.pes;
+    let (got, outcomes, _storage) = sort_striped(machine, local_n, spec);
     let mut reference = generate_all(spec, 21, p, local_n);
     let checksum_in = checksum_elements(&reference);
     reference.sort_unstable();
@@ -71,31 +76,31 @@ fn check(p: usize, local_n: usize, spec: InputSpec, k_max: Option<usize>) {
 
 #[test]
 fn sorts_single_run_case() {
-    check(2, 200, InputSpec::Uniform, None);
+    check(MachineConfig::tiny(2), 200, InputSpec::Uniform);
 }
 
 #[test]
 fn sorts_multi_run_single_pass() {
-    check(3, 700, InputSpec::Uniform, None);
+    check(MachineConfig::tiny(3), 700, InputSpec::Uniform);
 }
 
 #[test]
 fn sorts_adversarial_inputs() {
-    check(2, 600, InputSpec::ReverseSorted, None);
-    check(2, 600, InputSpec::Constant, None);
-    check(2, 600, InputSpec::Banded { block_elems: 16 }, None);
+    check(MachineConfig::tiny(2), 600, InputSpec::ReverseSorted);
+    check(MachineConfig::tiny(2), 600, InputSpec::Constant);
+    check(MachineConfig::tiny(2), 600, InputSpec::Banded { block_elems: 16 });
 }
 
 #[test]
 fn multi_pass_merging_with_tiny_fanin() {
-    let (_, outcomes, _) = sort_striped(2, 1200, InputSpec::Uniform, Some(2));
-    assert!(outcomes[0].passes >= 2, "fan-in 2 over ≥3 runs needs ≥2 passes");
-    check(2, 1200, InputSpec::Uniform, Some(2));
+    let (_, outcomes, _) = sort_striped(low_fan_in(), 1200, InputSpec::Uniform);
+    assert!(outcomes[0].passes >= 2, "fan-in 8 over 19 runs needs ≥2 passes");
+    check(low_fan_in(), 1200, InputSpec::Uniform);
 }
 
 #[test]
 fn blocks_stripe_over_all_pes() {
-    let (_, outcomes, _) = sort_striped(3, 900, InputSpec::Uniform, None);
+    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(3), 900, InputSpec::Uniform);
     let owners = &outcomes[0].output.owners;
     for pe in 0..3u32 {
         assert!(owners.contains(&pe), "every PE owns output blocks");
@@ -105,7 +110,7 @@ fn blocks_stripe_over_all_pes() {
 #[test]
 fn phases_cover_run_formation_and_merging() {
     // External case: both phases recorded, counters attributed.
-    let (_, outcomes, _) = sort_striped(2, 700, InputSpec::Uniform, None);
+    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(2), 700, InputSpec::Uniform);
     for o in &outcomes {
         assert!(o.passes >= 1, "external case must merge");
         let phases: Vec<Phase> = o.phases.iter().map(|(p, _)| *p).collect();
@@ -114,7 +119,7 @@ fn phases_cover_run_formation_and_merging() {
         assert!(o.phases[1].1.io.bytes_read > 0, "merge reads in phase 2");
     }
     // Single-run case: only run formation.
-    let (_, outcomes, _) = sort_striped(2, 200, InputSpec::Uniform, None);
+    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(2), 200, InputSpec::Uniform);
     for o in &outcomes {
         assert_eq!(o.passes, 0);
         let phases: Vec<Phase> = o.phases.iter().map(|(p, _)| *p).collect();
@@ -130,7 +135,7 @@ fn merge_phase_merges_instead_of_sorting() {
     // (the seed re-sorted every batch: ~n·log n per batch).
     let p = 2;
     let local_n = 700;
-    let (_, outcomes, _) = sort_striped(p, local_n, InputSpec::Uniform, None);
+    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(p), local_n, InputSpec::Uniform);
     assert_eq!(outcomes[0].passes, 1, "config must give a single merge pass");
     let runs = outcomes[0].runs;
     let n = (p * local_n) as u64;
@@ -158,7 +163,7 @@ fn next_batch_fetches_issued_before_current_batch_emits() {
     // Multi-batch single-pass merge: the trace must show batch
     // b+1's fetches handed to the block service before batch b's
     // piece is written — the fetch/merge overlap of Section IV-E.
-    for (o, recs) in &sort_striped_traced(2, 1200, InputSpec::Uniform, None) {
+    for (o, recs) in &sort_striped_traced(MachineConfig::tiny(2), 1200, InputSpec::Uniform) {
         assert_eq!(o.passes, 1);
         let evs: Vec<TraceEv> = recs.iter().map(|r| r.ev.clone()).collect();
         let batches = evs.iter().filter(|e| matches!(e, TraceEv::MergeEmitted { .. })).count();
@@ -181,7 +186,7 @@ fn multi_piece_output_stripes_evenly_over_disks() {
     // each piece continues the round-robin striping where the
     // previous left off, so per-disk block counts differ by ≤ 1.
     let p = 2;
-    let traced = sort_striped_traced(p, 1200, InputSpec::Uniform, None);
+    let traced = sort_striped_traced(MachineConfig::tiny(p), 1200, InputSpec::Uniform);
     let (o, recs) = &traced[0];
     let pieces = recs.iter().filter(|r| matches!(r.ev, TraceEv::MergeEmitted { .. })).count();
     assert!(pieces >= 2, "test must cover a multi-piece run, got {pieces} piece(s)");
@@ -197,13 +202,13 @@ fn multi_piece_output_stripes_evenly_over_disks() {
 
 #[test]
 fn merge_events_carry_pass_and_group_context() {
-    // Fan-in 2 over ≥3 runs: several merge groups and passes emit
+    // Fan-in 8 over 19 runs: several merge groups and passes emit
     // batches whose local indices restart at 0. The pass/group
     // tags must keep the trace unambiguous — batch 0 of every
     // (pass, group) appears exactly once.
-    let traced = sort_striped_traced(2, 1200, InputSpec::Uniform, Some(2));
+    let traced = sort_striped_traced(low_fan_in(), 1200, InputSpec::Uniform);
     let (o, recs) = &traced[0];
-    assert!(o.passes >= 2, "fan-in 2 over ≥3 runs needs ≥2 passes");
+    assert!(o.passes >= 2, "fan-in 8 over 19 runs needs ≥2 passes");
     let passes_seen: std::collections::BTreeSet<usize> = recs
         .iter()
         .filter_map(|r| match &r.ev {
@@ -346,10 +351,10 @@ fn replication_off_and_on_produce_identical_output() {
     let p = 3;
     let gen = |pe: usize, p: usize| generate_pe_input(InputSpec::Uniform, 21, pe, p, 700);
     let plain_cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen, None).expect("sort");
+    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen).expect("sort");
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
     let repl_cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-    let repl = striped_sort_cluster::<Element16, _>(&repl_cfg, gen, None).expect("sort");
+    let repl = striped_sort_cluster::<Element16, _>(&repl_cfg, gen).expect("sort");
     let a = read_striped::<Element16>(&plain.storage, &plain.per_pe[0].output).expect("read");
     let b = read_striped::<Element16>(&repl.storage, &repl.per_pe[0].output).expect("read");
     assert_eq!(a, b, "replication must not perturb the sorted output");
@@ -373,7 +378,7 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
 
     // Reference: the same input sorted undisturbed.
     let plain_cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen, None).expect("sort");
+    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen).expect("sort");
     let want = read_striped::<Element16>(&plain.storage, &plain.per_pe[0].output).expect("read");
 
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
@@ -414,13 +419,12 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
             }),
             on_merge_start: Some(Box::new(move |rank| rank != victim)),
         };
-        striped_mergesort_resilient::<Element16>(
+        striped_mergesort::<Element16>(
             &comm,
             storage_ref,
             cfg_ref,
             input,
             cfg_ref.machine.cores_per_pe,
-            None,
             Some(hooks),
         )
     });
@@ -452,11 +456,9 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
 #[test]
 fn cluster_driver_report_aggregates_striped_phases() {
     let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).expect("valid");
-    let outcome = striped_sort_cluster::<Element16, _>(
-        &cfg,
-        |pe, p| generate_pe_input(InputSpec::Uniform, 21, pe, p, 700),
-        None,
-    )
+    let outcome = striped_sort_cluster::<Element16, _>(&cfg, |pe, p| {
+        generate_pe_input(InputSpec::Uniform, 21, pe, p, 700)
+    })
     .expect("sort");
     assert_eq!(outcome.report.elements, 2 * 700);
     assert_eq!(outcome.report.pes, 2);
@@ -504,8 +506,7 @@ fn replica_buffers_recycle_across_runs() {
             subgroup: Box::new(|_| Err(Error::comm("no regroup in this test"))),
             on_merge_start: Some(Box::new(|_| false)),
         };
-        let stopped =
-            striped_mergesort_resilient::<Element16>(&c, storage, cfg, input, 1, None, Some(hooks));
+        let stopped = striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks));
         assert!(stopped.is_err(), "abandoned at merge start");
         st.pool().counters().misses - before.misses
     });

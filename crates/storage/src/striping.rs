@@ -31,18 +31,11 @@ pub struct PeStorage {
 }
 
 impl PeStorage {
-    /// In-memory storage shaped by `cfg` (the default for experiments).
-    /// The buffer pool is sized to the PE's memory budget in blocks.
+    /// In-memory storage shaped by `cfg` (the default for experiments),
+    /// with a buffer pool of [`MachineConfig::pool_blocks`].
     pub fn new_mem(cfg: &MachineConfig) -> Self {
-        Self::new_mem_with_pool_blocks(cfg, cfg.mem_blocks_per_pe())
-    }
-
-    /// In-memory storage with an explicit pool capacity (the resolved
-    /// `pool_blocks` of a validated config); clamped to the machine's
-    /// prefetch+carry minimum.
-    pub fn new_mem_with_pool_blocks(cfg: &MachineConfig, pool_blocks: usize) -> Self {
         let backend: Arc<dyn Backend> = Arc::new(MemBackend::new(cfg.disks_per_pe));
-        let pool = BufferPool::new(cfg.block_bytes, pool_blocks.max(cfg.min_pool_blocks()));
+        let pool = BufferPool::new(cfg.block_bytes, cfg.pool_blocks());
         Self::with_backend_pool(
             cfg.disks_per_pe,
             cfg.block_bytes,

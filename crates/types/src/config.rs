@@ -16,6 +16,10 @@
 
 use crate::error::{Error, Result};
 
+/// The share of `m` the external all-to-all may use for its in-memory
+/// sub-operations ([`MachineConfig::alltoall_budget_bytes`]).
+const ALLTOALL_MEM_FRACTION: f64 = 0.5;
+
 /// Static description of the (simulated) cluster a sort runs on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MachineConfig {
@@ -79,11 +83,27 @@ impl MachineConfig {
         self.mem_bytes_per_pe / self.block_bytes
     }
 
-    /// Smallest viable block-buffer pool: double-buffered prefetch on
-    /// every disk plus a carry block and one spare. A pool below this
-    /// thrashes (every steady-state `get` misses), so configs reject it.
-    pub fn min_pool_blocks(&self) -> usize {
-        2 * self.disks_per_pe + 2
+    /// Capacity of each PE's recycled block-buffer pool: the memory
+    /// budget in blocks (`m/B`), but never below double-buffered
+    /// prefetch on every disk plus a carry block and one spare — a
+    /// smaller pool thrashes (every steady-state `get` misses). The pool
+    /// bounds steady-state allocation only; it never changes what is
+    /// read, written or sent.
+    pub fn pool_blocks(&self) -> usize {
+        self.mem_blocks_per_pe().max(2 * self.disks_per_pe + 2)
+    }
+
+    /// Bytes one sub-operation of the external all-to-all may send: its
+    /// share of `m` (Section IV-C picks the sub-operation count `k` so
+    /// the send volume fits).
+    pub fn alltoall_budget_bytes(&self) -> u64 {
+        (self.mem_bytes_per_pe as f64 * ALLTOALL_MEM_FRACTION) as u64
+    }
+
+    /// Runs merged per pass of the striped sort: `M/B`, the blocks of
+    /// global memory, and at least 2.
+    pub fn merge_fan_in(&self) -> usize {
+        (self.mem_blocks_per_pe() * self.pes).max(2)
     }
 
     /// Check the configuration is internally consistent.
@@ -133,9 +153,6 @@ pub struct AlgoConfig {
     /// Seed for all pseudo-randomness (block shuffling, tie breaking);
     /// experiments are reproducible given the seed.
     pub seed: u64,
-    /// Fraction of local memory the external all-to-all may use for its
-    /// in-memory sub-operations (Section IV-C picks `k` accordingly).
-    pub alltoall_mem_fraction: f64,
     /// Number of extra copies kept of every formed run's blocks
     /// (striped sort only). Copy `i` of a block owned by rank `o` lives
     /// on the deterministic buddy rank `(o + i) mod P`, written through
@@ -147,13 +164,6 @@ pub struct AlgoConfig {
     /// cost of retaining run blocks until the sort completes (the
     /// in-place space bound grows by one run copy per replica).
     pub replication: usize,
-    /// Capacity of the recycled block-buffer pool, in blocks. `0`
-    /// (the default) derives the capacity from the machine's memory
-    /// budget ([`MachineConfig::mem_blocks_per_pe`]); an explicit value
-    /// below [`MachineConfig::min_pool_blocks`] is rejected at config
-    /// validation. The pool bounds steady-state allocation only — it
-    /// never changes what is read, written, or sent.
-    pub pool_blocks: usize,
     /// Minimum records each merge thread must receive before the batch
     /// merge fans out; batches below `2 ×` this take the sequential
     /// path (no split probes). `0` (the default) uses the engine's
@@ -174,45 +184,17 @@ impl Default for AlgoConfig {
             selection_cache_blocks: 16,
             overlap: true,
             seed: 0x5EED_CAFE,
-            alltoall_mem_fraction: 0.5,
             replication: 0,
-            pool_blocks: 0,
             par_merge_min_per_thread: 0,
         }
     }
 }
 
 impl AlgoConfig {
-    /// Validate parameter ranges.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.alltoall_mem_fraction > 0.0 && self.alltoall_mem_fraction <= 1.0) {
-            return Err(Error::config("alltoall_mem_fraction must be in (0, 1]"));
-        }
-        Ok(())
-    }
-
-    /// The pool capacity this config yields on `machine`: the explicit
-    /// [`pool_blocks`](Self::pool_blocks), or the memory budget in
-    /// blocks when auto (`0`), never below the prefetch+carry minimum.
+    /// The pool capacity on `machine`: [`MachineConfig::pool_blocks`].
     pub fn effective_pool_blocks(&self, machine: &MachineConfig) -> usize {
-        let blocks =
-            if self.pool_blocks == 0 { machine.mem_blocks_per_pe() } else { self.pool_blocks };
-        blocks.max(machine.min_pool_blocks())
+        machine.pool_blocks()
     }
-}
-
-/// Reject an explicit pool capacity below the machine's prefetch+carry
-/// minimum (`0` = auto is always fine).
-fn validate_pool_blocks(algo: &AlgoConfig, machine: &MachineConfig) -> Result<()> {
-    if algo.pool_blocks != 0 && algo.pool_blocks < machine.min_pool_blocks() {
-        return Err(Error::config(format!(
-            "pool_blocks {} is below the prefetch+carry minimum of {} \
-             (2 per disk for double-buffered prefetch, plus carry and spare)",
-            algo.pool_blocks,
-            machine.min_pool_blocks()
-        )));
-    }
-    Ok(())
 }
 
 /// Complete configuration for one sorting job.
@@ -230,8 +212,6 @@ impl SortConfig {
     /// live on, so `replication < pes`).
     pub fn new(machine: MachineConfig, algo: AlgoConfig) -> Result<Self> {
         machine.validate()?;
-        algo.validate()?;
-        validate_pool_blocks(&algo, &machine)?;
         if algo.replication >= machine.pes {
             return Err(Error::config(format!(
                 "replication factor {} needs {} distinct ranks but the machine has only {} PEs",
@@ -330,21 +310,11 @@ pub struct JobConfig {
 }
 
 impl JobConfig {
-    /// Validate the embedded configs (including cross-field
-    /// constraints: replication needs `replication < pes` spare ranks
-    /// and is only implemented for the striped sort).
-    pub fn validate(&self) -> Result<()> {
-        self.machine.validate()?;
-        self.algo.validate()?;
-        validate_pool_blocks(&self.algo, &self.machine)?;
-        if self.algo.replication >= self.machine.pes {
-            return Err(Error::config(format!(
-                "replication factor {} needs {} distinct ranks but the job has only {} PEs",
-                self.algo.replication,
-                self.algo.replication + 1,
-                self.machine.pes
-            )));
-        }
+    /// Validate the job and return its [`SortConfig`]: the checks of
+    /// [`SortConfig::new`] plus the job's own — replication is only
+    /// implemented for the striped sort, and the timeout must be > 0.
+    pub fn validate(&self) -> Result<SortConfig> {
+        let cfg = SortConfig::new(self.machine.clone(), self.algo.clone())?;
         if self.algo.replication > 0 && self.algorithm != SortAlgo::Striped {
             return Err(Error::config(
                 "run replication requires the striped algorithm (--algo striped)",
@@ -353,7 +323,7 @@ impl JobConfig {
         if self.read_timeout_ms == 0 {
             return Err(Error::config("read_timeout_ms must be > 0"));
         }
-        Ok(())
+        Ok(cfg)
     }
 }
 
@@ -452,44 +422,56 @@ mod tests {
         assert!(matches!(err, Error::Config(m) if m.contains("striped")), "wrong error");
     }
 
+    /// The sizes the machine decides — pool capacity, the all-to-all's
+    /// budget (in bytes and in records of both kinds) and the striped
+    /// fan-in — equal what the retired `pool_blocks = 0`,
+    /// `alltoall_mem_fraction = 0.5` and `k_max = None` settings gave,
+    /// written out here as they were computed.
     #[test]
-    fn pool_blocks_below_minimum_is_a_config_error() {
-        let machine = MachineConfig::tiny(2); // 2 disks -> minimum 6
-        assert_eq!(machine.min_pool_blocks(), 6);
-        let algo = AlgoConfig { pool_blocks: 5, ..AlgoConfig::default() };
-        let err = SortConfig::new(machine.clone(), algo.clone()).expect_err("too small");
-        assert!(matches!(err, Error::Config(m) if m.contains("pool_blocks")), "wrong error");
-        let mut job = JobConfig {
-            input: "in".into(),
-            output: "out".into(),
-            machine: machine.clone(),
-            algo,
-            algorithm: SortAlgo::Striped,
-            read_timeout_ms: 1000,
-            trace_dir: String::new(),
-            scratch: String::new(),
+    fn derived_sizes_equal_the_retired_defaults() {
+        let bench = |block_kib: usize, mem_mib: usize| MachineConfig {
+            pes: 2,
+            disks_per_pe: 4,
+            block_bytes: block_kib << 10,
+            mem_bytes_per_pe: mem_mib << 20,
+            cores_per_pe: 1,
         };
-        assert!(matches!(job.validate(), Err(Error::Config(m)) if m.contains("pool_blocks")));
-        job.algo.pool_blocks = 6;
-        job.validate().expect("at the minimum is fine");
-        job.algo.pool_blocks = 0;
-        job.validate().expect("auto is always fine");
-        // Auto derives from the memory budget; explicit values pass through.
+        let machines = [
+            ("tiny(2)", MachineConfig::tiny(2)),
+            ("small(4)", MachineConfig::small(4)),
+            ("paper(8)", MachineConfig::paper(8)),
+            ("canon_local", bench(32, 4)),
+            ("striped_tcp", bench(32, 4)),
+            ("striped_tcp_repl", bench(32, 4)),
+            ("canon_tcp_small_rev", bench(4, 1)),
+        ];
+        for (name, m) in machines {
+            let pool = m.mem_blocks_per_pe().max(2 * m.disks_per_pe + 2);
+            assert_eq!(m.pool_blocks(), pool, "{name}: pool capacity");
+            assert_eq!(AlgoConfig::default().effective_pool_blocks(&m), pool, "{name}");
+            let budget_bytes = (m.mem_bytes_per_pe as f64 * 0.5) as u64;
+            assert_eq!(m.alltoall_budget_bytes(), budget_bytes, "{name}: all-to-all budget");
+            for record_bytes in [16u64, 100] {
+                let records = ((m.mem_bytes_per_pe as f64 * 0.5) / record_bytes as f64).max(1.0);
+                assert_eq!(
+                    (m.alltoall_budget_bytes() / record_bytes).max(1),
+                    records as u64,
+                    "{name}: all-to-all budget in {record_bytes}-byte records"
+                );
+            }
+            let fan_in = (m.mem_blocks_per_pe() * m.pes).max(2);
+            assert_eq!(m.merge_fan_in(), fan_in, "{name}: striped fan-in");
+        }
+        // The values themselves, for the record.
+        let tiny = MachineConfig::tiny(2);
         assert_eq!(
-            job.algo.effective_pool_blocks(&machine),
-            machine.mem_blocks_per_pe().max(machine.min_pool_blocks())
+            (tiny.pool_blocks(), tiny.alltoall_budget_bytes(), tiny.merge_fan_in()),
+            (16, 2048, 32)
         );
-        job.algo.pool_blocks = 9;
-        assert_eq!(job.algo.effective_pool_blocks(&machine), 9);
-    }
-
-    #[test]
-    fn alltoall_fraction_validated() {
-        let mut a = AlgoConfig { alltoall_mem_fraction: 0.0, ..AlgoConfig::default() };
-        assert!(a.validate().is_err());
-        a.alltoall_mem_fraction = 1.5;
-        assert!(a.validate().is_err());
-        a.alltoall_mem_fraction = 1.0;
-        assert!(a.validate().is_ok());
+        let rev = bench(4, 1);
+        assert_eq!(
+            (rev.pool_blocks(), rev.alltoall_budget_bytes(), rev.merge_fan_in()),
+            (256, 512 << 10, 512)
+        );
     }
 }

@@ -92,7 +92,9 @@ impl IoCounters {
         self.bytes_read + self.bytes_written
     }
 
-    /// Counter-wise sum; busy time takes the max (parallel disks).
+    /// Counter-wise sum. Busy time sums too: merging accumulates
+    /// sequential intervals (phases, runs) of the same disks, so their
+    /// busiest-disk times add up.
     pub fn merge(&self, other: &Self) -> Self {
         Self {
             bytes_read: self.bytes_read + other.bytes_read,
@@ -310,6 +312,7 @@ mod tests {
         assert_eq!(d.bytes_written, 40);
         assert_eq!(d.max_disk_busy_ns, 15);
         assert_eq!(a.merge(&d).bytes_total(), b.bytes_total());
+        assert_eq!(a.merge(&d).max_disk_busy_ns, 25, "busy time of sequential intervals sums");
     }
 
     #[test]

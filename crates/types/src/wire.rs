@@ -50,11 +50,6 @@ impl WireWriter {
         self
     }
 
-    pub fn f64(&mut self, x: f64) -> &mut Self {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-        self
-    }
-
     pub fn bool(&mut self, x: bool) -> &mut Self {
         self.u8(x as u8)
     }
@@ -138,10 +133,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
     }
 
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
     pub fn bool(&mut self) -> Result<bool> {
         Ok(self.u8()? != 0)
     }
@@ -205,9 +196,7 @@ pub fn encode_algo(w: &mut WireWriter, a: &AlgoConfig) {
         .u64(a.selection_cache_blocks as u64)
         .bool(a.overlap)
         .u64(a.seed)
-        .f64(a.alltoall_mem_fraction)
         .u64(a.replication as u64)
-        .u64(a.pool_blocks as u64)
         .u64(a.par_merge_min_per_thread as u64);
 }
 
@@ -219,9 +208,7 @@ pub fn decode_algo(r: &mut WireReader<'_>) -> Result<AlgoConfig> {
         selection_cache_blocks: r.u64()? as usize,
         overlap: r.bool()?,
         seed: r.u64()?,
-        alltoall_mem_fraction: r.f64()?,
         replication: r.u64()? as usize,
-        pool_blocks: r.u64()? as usize,
         par_merge_min_per_thread: r.u64()? as usize,
     })
 }
@@ -254,9 +241,13 @@ pub fn encode_job(job: &JobConfig) -> Vec<u8> {
 }
 
 /// Decode a [`JobConfig`].
+///
+/// # Errors
+/// [`Error::Comm`] on truncation, an unknown algorithm tag, or trailing
+/// garbage.
 pub fn decode_job(buf: &[u8]) -> Result<JobConfig> {
     let mut r = WireReader::new(buf);
-    Ok(JobConfig {
+    let job = JobConfig {
         input: r.string()?,
         output: r.string()?,
         machine: decode_machine(&mut r)?,
@@ -265,7 +256,11 @@ pub fn decode_job(buf: &[u8]) -> Result<JobConfig> {
         read_timeout_ms: r.u64()?,
         trace_dir: r.string()?,
         scratch: r.string()?,
-    })
+    };
+    if r.remaining() != 0 {
+        return Err(Error::comm(format!("job carries {} trailing bytes", r.remaining())));
+    }
+    Ok(job)
 }
 
 // -------------------------------------------------------------------
@@ -541,13 +536,12 @@ mod tests {
     #[test]
     fn primitives_roundtrip() {
         let mut w = WireWriter::new();
-        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX).f64(0.5).bool(true).string("héllo").bytes(&[1, 2]);
+        w.u8(7).u32(0xDEAD_BEEF).u64(u64::MAX).bool(true).string("héllo").bytes(&[1, 2]);
         let buf = w.finish();
         let mut r = WireReader::new(&buf);
         assert_eq!(r.u8().expect("u8"), 7);
         assert_eq!(r.u32().expect("u32"), 0xDEAD_BEEF);
         assert_eq!(r.u64().expect("u64"), u64::MAX);
-        assert_eq!(r.f64().expect("f64"), 0.5);
         assert!(r.bool().expect("bool"));
         assert_eq!(r.string().expect("string"), "héllo");
         assert_eq!(r.bytes().expect("bytes"), vec![1, 2]);
@@ -596,7 +590,6 @@ mod tests {
                 seed: 42,
                 sample_every: 7,
                 replication: 1,
-                pool_blocks: 32,
                 par_merge_min_per_thread: 3,
                 ..AlgoConfig::default()
             },

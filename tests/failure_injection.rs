@@ -16,11 +16,9 @@ use std::sync::Arc;
 /// harness cannot imitate gracefully.)
 fn faulty_cluster(fail_at: u64) -> (Arc<ClusterStorage>, SortConfig) {
     let machine = MachineConfig::tiny(1);
-    let storage = ClusterStorage::with_backends(&machine, |m| {
-        let b: Arc<dyn Backend> =
-            Arc::new(FaultInjectingBackend::new(MemBackend::new(m.disks_per_pe), fail_at));
-        b
-    });
+    let faulty: Arc<dyn Backend> =
+        Arc::new(FaultInjectingBackend::new(MemBackend::new(machine.disks_per_pe), fail_at));
+    let storage = ClusterStorage::with_backends(&machine, vec![faulty]);
     let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
     (storage, cfg)
 }
