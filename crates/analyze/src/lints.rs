@@ -54,7 +54,8 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// name because the analyzer is token-level; the list holds the
 /// `Result`-returning surface of:
 /// `Transport`/`Communicator` (net), `ClusterStorage`/`BlockFetch`/
-/// `BlockStore` (core::ctx), and `IoEngine`/`IoHandle` (storage).
+/// `BlockStore` (core::ctx), `IoEngine`/`IoHandle` and `RunWriter`
+/// (storage), and the readers and `fileio::OutputFile` (core).
 const FALLIBLE_METHODS: &[&str] = &[
     // Transport + Communicator
     "send",
@@ -83,10 +84,16 @@ const FALLIBLE_METHODS: &[&str] = &[
     "fetch_block_cached",
     "store_blocks",
     "wait",
-    // IoEngine
+    // IoEngine (a dropped handle loses the I/O and its error)
     "read_sync",
     "write_sync",
     "drain",
+    "read_at",
+    "write_at",
+    // Run writers and the output file
+    "push_issued",
+    "open",
+    "canonical_part",
     // Block and record readers
     "next_rec",
     "read_to_vec",

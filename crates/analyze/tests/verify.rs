@@ -46,12 +46,12 @@ fn l1_scope_is_limited_to_the_fault_tolerant_crates() {
 #[test]
 fn l2_fixture_flags_all_three_discard_forms() {
     let report = run_fixture("crates/core/src/l2_bad.rs", include_str!("fixtures/l2_bad.rs"));
-    // `let _ =` (4), `.ok();` (5), bare drops (6, 7 — a record read);
-    // the `?`-propagated and argument-consumed calls on lines 11–12 are
-    // fine.
+    // `let _ =` (4), `.ok();` (5), bare drops (6, 7 — a record read, 8 —
+    // a file write whose handle is dropped); the `?`-propagated and
+    // argument-consumed calls on lines 12–13 are fine.
     assert_eq!(
         denies(&report),
-        [("L2", 4), ("L2", 5), ("L2", 6), ("L2", 7)],
+        [("L2", 4), ("L2", 5), ("L2", 6), ("L2", 7), ("L2", 8)],
         "{:?}",
         report.findings
     );

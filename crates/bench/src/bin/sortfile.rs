@@ -10,13 +10,14 @@
 //! The file is split evenly over `P` PEs and sorted; OUTPUT is
 //! globally sorted either way. `--mem-mib` is the memory each PE sorts
 //! with, so a file larger than `P × M` takes the external path: several
-//! runs, ≈ 4 N of block I/O. That I/O is real: the file edges stream —
-//! each PE reads its shard into pooled blocks and writes its part of
-//! OUTPUT from them in `O(window · B)` memory, all PEs at once — and
-//! the disks behind the sort are files, `DIR/rank<K>/disk_<D>.bin`
-//! under `--scratch DIR` (default `OUTPUT.scratch`; about the input's
-//! size, removed when the sort ends), so the process's memory follows
-//! `--mem-mib`, not the file.
+//! runs, ≈ 4 N of block I/O. That I/O is real, and it is all of the
+//! file I/O: run formation reads each PE's shard where it lies in
+//! INPUT, the last pass writes each PE's part where it belongs in
+//! OUTPUT (which may be INPUT), and the disks the runs live on between
+//! them are files, `DIR/rank<K>/disk_<D>.bin` under `--scratch DIR`
+//! (default `OUTPUT.scratch`; about the input's size, removed when the
+//! sort ends), so the process's memory follows `--mem-mib`, not the
+//! file.
 //!
 //! `--algo` selects the paper's algorithm: `canonical`
 //! (CANONICALMERGESORT, Section IV — per-PE outputs concatenate into

@@ -18,9 +18,9 @@
 //! endpoint's block channel for its peers' blocks, its own blocks
 //! served to them for as long as the view lives), recovery hooks wired
 //! to the transport's failure detector — and hands them to
-//! [`run_rank_job`], which streams the rank's shard of the input onto
-//! its disks, sorts, and streams the blocks it ends up owning into its
-//! byte ranges of the shared output file. A block a peer asks for, or
+//! [`run_rank_job`], which sorts the rank's shard of the input, read
+//! where it lies, and writes the blocks it ends up owning into its byte
+//! ranges of the shared output file in the sort's last pass. A block a peer asks for, or
 //! sends here to be stored (run replication), is served on that peer's
 //! reader thread by the same two functions of `demsort_core::ctx` that
 //! serve the in-process cluster, out of this rank's buffer pool. Any
@@ -664,8 +664,8 @@ pub fn launch_workers_env(
 
     // The output is truncated before the workers read the input, so
     // sorting a file onto itself would destroy the data silently —
-    // reject it (the in-process driver tolerates in-place use only
-    // because it creates the output after the sort).
+    // reject it (the in-process driver tolerates in-place use because
+    // its ranks open the output only in the sort's last pass).
     if same_file(&job.input, &job.output) {
         return Err(Error::config(format!(
             "output {} is the input file; TCP mode pre-sizes (truncates) the output before \

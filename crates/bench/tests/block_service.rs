@@ -44,7 +44,7 @@ fn probe_counters_identical_across_local_and_tcp_transports() {
         let st = st_ref.pe(c.rank());
         let recs = generate_pe_input(InputSpec::Uniform, SEED, c.rank(), P, LOCAL_N);
         let input = ingest_input(st, &recs).expect("ingest");
-        let out = form_runs::<Element16>(&c, st, &cfg2, input, 1).expect("form");
+        let out = form_runs::<Element16>(&c, st, &cfg2, input, 1, None).expect("form");
         let dir = build_directory(&c, out.local).expect("directory");
         let r = ranks::owned_range(c.rank(), P, dir.total_elems()).start;
         let (_, stats) =
@@ -70,7 +70,8 @@ fn probe_counters_identical_across_local_and_tcp_transports() {
                     let st = storage.pe(rank);
                     let recs = generate_pe_input(InputSpec::Uniform, SEED, rank, P, LOCAL_N);
                     let input = ingest_input(st, &recs).expect("ingest");
-                    let out = form_runs::<Element16>(&comm, st, cfg3, input, 1).expect("form");
+                    let out =
+                        form_runs::<Element16>(&comm, st, cfg3, input, 1, None).expect("form");
                     let dir = build_directory(&comm, out.local).expect("directory");
                     let r = ranks::owned_range(rank, P, dir.total_elems()).start;
                     let (_, stats) =
@@ -104,9 +105,10 @@ fn read_striped_reconstructs_from_one_rank_over_tcp() {
                     let st = storage.pe(rank);
                     let recs = generate_pe_input(InputSpec::Uniform, SEED, rank, P, LOCAL_N);
                     let input = ingest_input(st, &recs).expect("ingest");
-                    let outcome =
-                        striped_mergesort::<Element16>(&comm, &storage, cfg_ref, input, 1, None)
-                            .expect("striped sort");
+                    let outcome = striped_mergesort::<Element16>(
+                        &comm, &storage, cfg_ref, input, 1, None, None,
+                    )
+                    .expect("striped sort");
                     // Rank 0 alone reconstructs the whole striped run:
                     // ~2/3 of the blocks live on peers and arrive
                     // through the block service while those peers sit

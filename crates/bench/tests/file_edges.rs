@@ -1,11 +1,14 @@
 //! The shipping `sortfile` binary is an external sort: its memory is
-//! set by `--mem-mib`, not by the file. The file edges stream (before
-//! they did, each PE held its shard as bytes and as records at ingest
-//! and the whole output as records at the end), and the blocks between
-//! them live in files under the scratch directory (before they did,
+//! set by `--mem-mib`, not by the file, and its file I/O is the paper's
+//! two passes. Run formation reads the input where it lies, the last
+//! pass writes the output where it belongs, and the runs between them
+//! live in files under the scratch directory (before they did,
 //! in-memory "disks" held the data set once).
 //!
-//! Peak RSS comes from `wait4(2)`, declared by hand for 64-bit Linux.
+//! Peak RSS comes from `wait4(2)`, declared by hand for 64-bit Linux;
+//! bytes moved by system calls from `/proc/self/io`, which counts the
+//! children this process has reaped. The tests spawn one sort at a time
+//! (`ONE_CHILD`), so neither reads the other's child.
 
 #![cfg(all(target_os = "linux", target_pointer_width = "64"))]
 
@@ -13,7 +16,11 @@ use demsort_types::{Record as _, Record100};
 use demsort_workloads::gensort_records;
 use std::io::Write;
 use std::path::Path;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
+use std::sync::Mutex;
+
+/// Held while a test writes its input and runs its sort.
+static ONE_CHILD: Mutex<()> = Mutex::new(());
 
 /// `struct rusage` of 64-bit Linux: two timevals and fourteen longs,
 /// the first of which is the peak resident set in KiB.
@@ -41,43 +48,111 @@ fn reap_with_rusage(child: std::process::Child) -> (i32, RUsage) {
     (status, ru)
 }
 
+/// Write `records` gensort records to `dir/in.dat`.
+fn write_input(dir: &Path, records: usize) {
+    const SLICE: usize = 10_000;
+    // Generated in slices: a child's `ru_maxrss` starts from the RSS of
+    // the process that forked it, so this process must stay small.
+    let input = std::fs::File::create(dir.join("in.dat")).expect("create input");
+    let mut f = std::io::BufWriter::new(input);
+    let mut bytes = vec![0u8; SLICE * Record100::BYTES];
+    for first in (0..records).step_by(SLICE) {
+        Record100::encode_slice(&gensort_records(3, first as u64, SLICE), &mut bytes);
+        f.write_all(&bytes).expect("write input");
+    }
+    f.flush().expect("flush input");
+}
+
+/// Start `sortfile --pes 2 --cores 1 <args> dir/in.dat dir/out.dat`.
+fn spawn_sortfile(dir: &Path, args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_sortfile"))
+        .args(["--pes", "2", "--cores", "1"])
+        .args(args)
+        .arg(dir.join("in.dat"))
+        .arg(dir.join("out.dat"))
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn sortfile")
+}
+
 /// Sort `records` gensort records with `sortfile --pes 2` at the given
 /// memory per PE and block size, and return the process's peak RSS in
 /// bytes.
 fn sortfile_peak_rss(dir: &Path, records: usize, mem_mib: usize, block_kib: usize) -> usize {
-    const SLICE: usize = 10_000;
-    let (input, output) = (dir.join("in.dat"), dir.join("out.dat"));
-    // Generated in slices: a child's `ru_maxrss` starts from the RSS of
-    // the process that forked it, so this process must stay small.
-    {
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&input).expect("create input"));
-        let mut bytes = vec![0u8; SLICE * Record100::BYTES];
-        for first in (0..records).step_by(SLICE) {
-            Record100::encode_slice(&gensort_records(3, first as u64, SLICE), &mut bytes);
-            f.write_all(&bytes).expect("write input");
-        }
-        f.flush().expect("flush input");
-    }
-
-    let child = Command::new(env!("CARGO_BIN_EXE_sortfile"))
-        .args(["--pes", "2", "--cores", "1"])
-        .args(["--mem-mib", &mem_mib.to_string(), "--block-kib", &block_kib.to_string()])
-        .arg(&input)
-        .arg(&output)
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn sortfile");
+    write_input(dir, records);
+    let (mem, block) = (mem_mib.to_string(), block_kib.to_string());
+    let child = spawn_sortfile(dir, &["--mem-mib", &mem, "--block-kib", &block]);
     let (status, ru) = reap_with_rusage(child);
     assert_eq!(status, 0, "sortfile failed");
     let input_bytes = (records * Record100::BYTES) as u64;
-    assert_eq!(std::fs::metadata(&output).expect("stat output").len(), input_bytes);
+    assert_eq!(std::fs::metadata(dir.join("out.dat")).expect("stat output").len(), input_bytes);
     ru.maxrss_kb as usize * 1024
+}
+
+/// A directory of one test's own, removed on drop.
+struct TestDir(std::path::PathBuf);
+
+impl TestDir {
+    fn new(name: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("demsort-file-edges-{}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        Self(dir)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// `rchar + wchar` of this process: bytes its read- and write-family
+/// system calls moved, whatever the page cache made of them, counting
+/// the children it has reaped. `None` where the kernel keeps no
+/// per-task I/O accounting.
+fn syscall_bytes() -> Option<u64> {
+    let io = std::fs::read_to_string("/proc/self/io").ok()?;
+    let field =
+        |name: &str| io.lines().find_map(|l| l.strip_prefix(name)?.trim().parse::<u64>().ok());
+    Some(field("rchar:")? + field("wchar:")?)
+}
+
+#[test]
+fn sortfile_reads_and_writes_each_record_twice() {
+    // Ten runs on two PEs: run formation reads the input (N) and writes
+    // the runs (N), the final merge reads the runs (N) and writes the
+    // output (N), and the all-to-all (canonical) and the block padding
+    // add a few percent. Before run formation read the input where it
+    // lies and the last pass wrote the output where it belongs, each
+    // end was copied once more through the scratch files: 8.03 N for
+    // canonical and 8.02 N for striped at `--mem-mib 4 --block-kib 32`,
+    // and 8.07 N / 8.05 N at this test's shape, which now reads 4.05 N /
+    // 4.01 N.
+    const RECORDS: usize = 200_000;
+    let _one = ONE_CHILD.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TestDir::new("io");
+    write_input(&dir.0, RECORDS);
+    let n = (RECORDS * Record100::BYTES) as f64;
+    for algo in ["canonical", "striped"] {
+        let Some(before) = syscall_bytes() else {
+            eprintln!("no /proc/self/io on this kernel; file I/O not measured");
+            return;
+        };
+        let args = ["--transport", "local", "--algo", algo, "--mem-mib", "1", "--block-kib", "16"];
+        let (status, _) = reap_with_rusage(spawn_sortfile(&dir.0, &args));
+        assert_eq!(status, 0, "sortfile --algo {algo} failed");
+        let moved = syscall_bytes().expect("/proc/self/io") - before;
+        let over_n = moved as f64 / n;
+        assert!(over_n <= 4.2, "{algo}: {over_n:.3} N of file I/O ({moved} B)");
+    }
 }
 
 #[test]
 fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
-    let dir = std::env::temp_dir().join(format!("demsort-file-edges-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let _one = ONE_CHILD.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TestDir::new("rss");
+    let dir = &dir.0;
     // P·m = 2 MiB of sorting memory against 20 MB and 80 MB of input.
     // The blocks live in `out.dat.scratch/`, so the peak is the same at
     // both sizes and below either input. (16 KiB blocks keep R·B under
@@ -96,8 +171,8 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // budget-enforcement PR's: charge those four to `m` instead of
     // adding them to it.
     const LIMIT: usize = 20 << 20;
-    let small = sortfile_peak_rss(&dir, 200_000, 1, 16);
-    let large = sortfile_peak_rss(&dir, 800_000, 1, 16);
+    let small = sortfile_peak_rss(dir, 200_000, 1, 16);
+    let large = sortfile_peak_rss(dir, 800_000, 1, 16);
     for (peak, input_mb) in [(small, 20), (large, 80)] {
         assert!(peak < LIMIT, "peak RSS {peak} B for a {input_mb} MB input (limit {LIMIT} B)");
     }
@@ -109,7 +184,6 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // The benchmark's shape, P·m = 8 MiB: 29–30 MB (it was 57 MB, 7 ×
     // P·m), so the constant holds where memory, not the process's
     // fixed costs, is most of the peak.
-    let budget_8_mib = sortfile_peak_rss(&dir, 800_000, 4, 32);
+    let budget_8_mib = sortfile_peak_rss(dir, 800_000, 4, 32);
     assert!(budget_8_mib < 44 << 20, "peak RSS {budget_8_mib} B at --mem-mib 4 (limit 44 MiB)");
-    let _ = std::fs::remove_dir_all(&dir);
 }

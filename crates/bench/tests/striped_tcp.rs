@@ -332,8 +332,8 @@ fn buffer_pool_misses_plateau_after_warmup() {
 #[test]
 fn sort_file_matches_the_materialising_striped_run() {
     // `striped_in_process` above loads whole shards and reads the
-    // output back as one record vector; the streaming file edges
-    // behind `sort_file` must leave the same bytes and counters.
+    // output back as one record vector; the direct file edges behind
+    // `sort_file` must leave the same bytes and counters.
     let input = tmp_path("sf-input.dat");
     let out_ref = tmp_path("sf-out-ref.dat");
     let out = tmp_path("sf-out.dat");

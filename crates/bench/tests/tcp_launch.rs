@@ -201,7 +201,7 @@ fn launch_surfaces_worker_failure() {
 #[test]
 fn sort_file_matches_the_materialising_in_process_run() {
     // `sort_in_process` above loads whole shards and writes the output
-    // record by record; the streaming file edges behind `sort_file`
+    // record by record; the direct file edges behind `sort_file`
     // must leave the same bytes and move the same volumes.
     let input = tmp_path("sf-input.dat");
     let out_ref = tmp_path("sf-out-ref.dat");

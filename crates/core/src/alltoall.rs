@@ -466,7 +466,7 @@ mod tests {
             let recs: Vec<R> =
                 generate_pe_input(spec, 13, c.rank(), p, local_n).into_iter().map(wide).collect();
             let input = ingest_input(st, &recs).expect("ingest");
-            let out = form_runs::<R>(&c, st, &cfg2, input, 1).expect("form");
+            let out = form_runs::<R>(&c, st, &cfg2, input, 1, None).expect("form");
             let dir = build_directory(&c, out.local).expect("directory");
             let n = dir.total_elems();
             let r = ranks::owned_range(c.rank(), p, n).start;

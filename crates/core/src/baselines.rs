@@ -12,12 +12,12 @@
 
 use crate::alltoall::{MergeFragment, MergeInput};
 use crate::localmerge::final_merge;
-use crate::recio::{records_per_block, FinishedRun, RecordRunReader, RecordRunWriter};
+use crate::recio::{records_per_block, FinishedRun, RecordRunReader, RecordRunWriter, RunDest};
 use crate::runform::LocalInput;
 use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::PeStorage;
-use demsort_types::{Key, Phase, PhaseStats, Record, Result, SortConfig};
+use demsort_types::{Error, Key, Phase, PhaseStats, Record, Result, SortConfig};
 
 /// Outcome of the NOW-Sort baseline on one PE.
 pub struct NowSortOutcome<R: Record> {
@@ -55,16 +55,13 @@ pub fn nowsort<R: Record + Ord>(
     let mut rec = crate::ctx::PhaseRecorder::new(me, st.counters(), comm.counters());
 
     // ---- Phase 1: stream, partition, exchange, form runs ----
-    let mut reader = RecordRunReader::<R>::with_range(
-        st,
-        input.run.clone(),
-        input.elems,
-        0,
-        input.elems,
-        true, // in-place: input recycled as it streams out
-    );
+    let LocalInput::Blocks { run, elems } = input else {
+        return Err(Error::config("the NOW-Sort baseline reads its input from the PE's disks"));
+    };
+    // In place: the input is recycled as it streams out.
+    let mut reader = RecordRunReader::<R>::with_range(st, run, elems, 0, elems, true);
     let rounds = {
-        let local = input.elems.div_ceil(chunk_elems as u64);
+        let local = elems.div_ceil(chunk_elems as u64);
         comm.allreduce_max(local)?.max(1)
     };
     let mut local_runs: Vec<FinishedRun<R>> = Vec::new();
@@ -111,7 +108,7 @@ pub fn nowsort<R: Record + Ord>(
             fragments: vec![MergeFragment::Received { run: fr.run, elems: fr.elems }],
         })
         .collect();
-    let (output, merge_cpu) = final_merge::<R>(st, inputs, cores)?;
+    let (output, merge_cpu) = final_merge::<R>(st, inputs, cores, RunDest::Scratch)?;
     rec.add_cpu(merge_cpu);
     rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
 

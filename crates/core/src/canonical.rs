@@ -17,13 +17,19 @@
 //! formation output *is* the final output and phases 2–4 are skipped
 //! ("the sort is merely internal and only 2 I/Os per block of elements
 //! are needed").
+//!
+//! The last pass — the final merge, or run formation when `R = 1` —
+//! writes this PE's part of the output: to its disks, or in a file job
+//! ([`canonical_mergesort_to`]) straight into the output file at the
+//! part's offset.
 
 use crate::alltoall::{exchange_splitters, external_alltoall};
 use crate::ctx::{ClusterStorage, PhaseRecorder};
 use crate::extselect::{select_rank_external, SelectionStats};
+use crate::fileio::OutputFile;
 use crate::job::run_in_process;
 use crate::localmerge::final_merge;
-use crate::recio::FinishedRun;
+use crate::recio::{FinishedRun, RunDest};
 use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::Communicator;
@@ -34,7 +40,9 @@ use std::sync::Arc;
 /// Per-PE result of a canonical mergesort.
 pub struct PeOutcome<R: Record> {
     /// The PE's final output: the elements of global ranks
-    /// `⌊i·N/P⌋ .. ⌊(i+1)·N/P⌋`, sorted, striped over its local disks.
+    /// `⌊i·N/P⌋ .. ⌊(i+1)·N/P⌋`, sorted, striped over its local disks
+    /// (or written into the output file, its blocks
+    /// [`BlockId::in_file`](demsort_storage::BlockId::in_file)).
     pub output: FinishedRun<R>,
     /// Per-phase measured counters.
     pub phases: Vec<(Phase, PhaseStats)>,
@@ -60,13 +68,26 @@ pub fn canonical_mergesort<R: Record + Ord>(
     input: LocalInput,
     cores: usize,
 ) -> Result<PeOutcome<R>> {
+    canonical_mergesort_to(comm, storage, cfg, input, cores, None)
+}
+
+/// [`canonical_mergesort`] whose last pass writes this PE's output part
+/// into `output` (`None`: onto its disks, as [`canonical_mergesort`]).
+pub fn canonical_mergesort_to<R: Record + Ord>(
+    comm: &Communicator,
+    storage: &ClusterStorage,
+    cfg: &SortConfig,
+    input: LocalInput,
+    cores: usize,
+    output: Option<OutputFile<'_>>,
+) -> Result<PeOutcome<R>> {
     let me = comm.rank();
     let st = storage.pe(me);
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
 
     // ---- Phase 1: run formation ----
     let dir = rec.phase(Phase::RunFormation, comm, st, |rec| {
-        let formed = form_runs::<R>(comm, st, cfg, input, cores)?;
+        let formed = form_runs::<R>(comm, st, cfg, input, cores, output)?;
         rec.add_cpu(formed.cpu);
         build_directory(comm, formed.local)
     })?;
@@ -102,7 +123,14 @@ pub fn canonical_mergesort<R: Record + Ord>(
     // ---- Phase 3: final local merge ----
     let (subops, sources_seen) = (outcome.subops, outcome.sources_seen);
     let output = rec.phase(Phase::FinalMerge, comm, st, |rec| {
-        let (output, merge_cpu) = final_merge::<R>(st, outcome.merge_inputs, cores)?;
+        // Every rank finished run formation — its input reads among
+        // it — before the all-to-all's collectives, so the output may be
+        // the input file.
+        let dest = match output {
+            Some(out) => out.canonical_part::<R>(me, comm.size())?,
+            None => RunDest::Scratch,
+        };
+        let (output, merge_cpu) = final_merge::<R>(st, outcome.merge_inputs, cores, dest)?;
         rec.add_cpu(merge_cpu);
         for b in outcome.stragglers {
             st.free_block(b);

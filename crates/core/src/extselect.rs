@@ -278,7 +278,7 @@ mod tests {
             let st = st_ref.pe(c.rank());
             let recs = generate_pe_input(InputSpec::Uniform, 11, c.rank(), p, local_n);
             let input = ingest_input(st, &recs).expect("ingest");
-            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1).expect("form");
+            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1, None).expect("form");
             crate::rundir::build_directory(&c, out.local).expect("directory")
         });
         // Decode every run (globally) for reference.

@@ -1,119 +1,28 @@
-//! The file edges of a sort: shard of a record file → on-disk
-//! [`LocalInput`], finished run → byte range of the output file.
+//! The file edges of a sort: where a rank's shard of the input lies,
+//! and where its part of the output goes.
 //!
-//! Both edges are block-granular and stream through the PE's pooled
-//! block buffers, so their memory is `O(window · B)` whatever the
-//! shard size, and neither decodes a record:
+//! Neither edge copies the data. The input is a
+//! [`LocalInput::Extent`] over the rank's shard ([`input_shard`]): run
+//! formation's group reader reads it straight from the file, a block
+//! per engine request. The output is an [`OutputFile`] that the sort's
+//! last pass opens and writes into, each block at its final byte
+//! offset — the canonical sort's part at `owned_range(rank).start`
+//! ([`OutputFile::canonical_part`]), the striped sort's blocks at their
+//! global stripe offsets. Between the two a record is read twice and
+//! written twice, as in the paper: the two passes are the sort's only
+//! file I/O.
 //!
-//! * **ingest** ([`ingest_file_shard`]) reads the rank's contiguous
-//!   shard straight into pooled blocks — one vectored read fills
-//!   several blocks at once — and hands them to a [`RunWriter`]. The
-//!   block layout (`rpb · R::BYTES` record bytes, zeroed tail) and the
-//!   allocation order are exactly those of
-//!   [`ingest_input`](crate::runform::ingest_input) on the decoded
-//!   records, so everything downstream (the seeded block shuffle, the
-//!   runs, every counter, the output bytes) is unchanged.
-//! * **output** ([`write_run_to_file`], [`write_striped_blocks_to_file`])
-//!   reads the rank's blocks ahead through the storage layer's one
-//!   block reader ([`MergePrefetcher`], naive order, at least one read
-//!   per disk in flight) and writes each block's valid bytes at its
-//!   offset in the shared, pre-sized output file — contiguous blocks
-//!   coalesce into one vectored write — then returns the buffers to the
-//!   pool. Ranks write disjoint ranges, so they need no ordering among
-//!   themselves.
-//!
-//! Either edge moves at least [`MIN_SYSCALL_BYTES`] per system call
-//! (up to the end of a contiguous range) however small the blocks are.
-//! Every failure is an [`Error::Io`] naming the file, the rank and the
-//! byte offset.
-//!
-//! The rank program that runs between the edges is
+//! Every failure is an [`Error::Io`] naming the rank, the file and the
+//! byte offset. The rank program that drives the edges is
 //! [`run_rank_job`](crate::job::run_rank_job).
 
-use crate::recio::{records_per_block, FinishedRun};
+use crate::recio::RunDest;
 use crate::runform::LocalInput;
-use crate::striped::StripedRun;
-use demsort_storage::striping::DEFAULT_READAHEAD;
-use demsort_storage::{BlockId, MergePrefetcher, PeStorage, RunWriter};
-use demsort_types::fio::{self, Stopped};
+use demsort_storage::EdgeFile;
 use demsort_types::{ranks, Error, Record, Result};
 use std::fs::File;
-use std::io::{IoSlice, IoSliceMut, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-
-/// Fewest bytes an edge moves per read/write system call, short of the
-/// end of a contiguous range: per-call overhead is paid per 256 KiB,
-/// not per block.
-pub const MIN_SYSCALL_BYTES: usize = 256 << 10;
-
-/// One rank's private descriptor on a shared file. It tracks the
-/// descriptor's position so sequential access never seeks and every
-/// error can name the byte it happened at.
-struct RankFile<'a> {
-    file: File,
-    path: &'a Path,
-    rank: usize,
-    pos: u64,
-}
-
-impl<'a> RankFile<'a> {
-    fn open_input(path: &'a Path, rank: usize) -> Result<Self> {
-        let file = File::open(path)
-            .map_err(|e| Error::io(format!("rank {rank}: open {}: {e}", path.display())))?;
-        Ok(Self { file, path, rank, pos: 0 })
-    }
-
-    /// Create-or-open the shared output and size it to `len` bytes.
-    /// Every rank does this and none truncates: all set the same
-    /// length and write only inside it, so sizing needs no ordering
-    /// against peers' writes (and no rank has to go first).
-    fn open_output(path: &'a Path, rank: usize, len: u64) -> Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(|e| Error::io(format!("rank {rank}: open {}: {e}", path.display())))?;
-        file.set_len(len).map_err(|e| {
-            Error::io(format!("rank {rank}: size {} to {len} bytes: {e}", path.display()))
-        })?;
-        Ok(Self { file, path, rank, pos: 0 })
-    }
-
-    /// The failure of `op` that stopped `stopped.done` bytes past the
-    /// descriptor's position.
-    fn fail(&self, op: &str, stopped: Stopped) -> Error {
-        let at = stopped.describe(op, self.path.display(), self.pos);
-        Error::io(format!("rank {}: {at}", self.rank))
-    }
-
-    fn seek(&mut self, at: u64) -> Result<()> {
-        if self.pos != at {
-            self.file
-                .seek(SeekFrom::Start(at))
-                .map_err(|cause| self.fail("seek", Stopped { done: 0, cause }))?;
-            self.pos = at;
-        }
-        Ok(())
-    }
-
-    /// Fill every buffer from the current position: a file that ends
-    /// early is an error.
-    fn read_exact_vectored(&mut self, bufs: &mut [IoSliceMut<'_>]) -> Result<()> {
-        let moved = fio::read_exact(bufs, |bufs, _| (&self.file).read_vectored(bufs))
-            .map_err(|stopped| self.fail("read", stopped))?;
-        self.pos += moved;
-        Ok(())
-    }
-
-    /// Write every buffer at the current position.
-    fn write_all_vectored(&mut self, bufs: &mut [IoSlice<'_>]) -> Result<()> {
-        let moved = fio::write_all(bufs, |bufs, _| (&self.file).write_vectored(bufs))
-            .map_err(|stopped| self.fail("write", stopped))?;
-        self.pos += moved;
-        Ok(())
-    }
-}
+use std::sync::Arc;
 
 /// Number of records in the file at `path`, which must consist of
 /// whole `R` records.
@@ -131,142 +40,62 @@ pub fn file_records<R: Record>(path: &Path) -> Result<u64> {
     Ok(len / R::BYTES as u64)
 }
 
-/// Put rank `rank`'s shard (records `⌊rank·n/p⌋ .. ⌊(rank+1)·n/p⌋` of
-/// the `total_records` in `path`) on `st`'s disks, in the block layout
-/// of [`ingest_input`](crate::runform::ingest_input).
-pub fn ingest_file_shard<R: Record>(
-    st: &PeStorage,
+/// Rank `rank`'s shard of the `total_records` in `path` — records
+/// `⌊rank·n/p⌋ .. ⌊(rank+1)·n/p⌋` — as the extent run formation reads
+/// where it lies.
+pub fn input_shard<R: Record>(
     path: &Path,
     rank: usize,
     p: usize,
     total_records: u64,
 ) -> Result<LocalInput> {
+    let file = File::open(path)
+        .map_err(|e| Error::io(format!("rank {rank}: open {}: {e}", path.display())))?;
     let shard = ranks::owned_range(rank, p, total_records);
-    let elems = shard.end - shard.start;
-    let rpb = records_per_block::<R>(st.block_bytes()) as u64;
-    let chunk_blocks = MIN_SYSCALL_BYTES.div_ceil(rpb as usize * R::BYTES) as u64;
+    Ok(LocalInput::Extent {
+        file: Arc::new(EdgeFile::new(file, path, rank)),
+        offset: shard.start * R::BYTES as u64,
+        elems: shard.end - shard.start,
+    })
+}
 
-    let mut file = RankFile::open_input(path, rank)?;
-    file.seek(shard.start * R::BYTES as u64)?;
-    let mut writer = RunWriter::new(st);
-    let mut chunk: Vec<Box<[u8]>> = Vec::with_capacity(chunk_blocks as usize);
-    let mut remaining = elems;
-    while remaining > 0 {
-        let chunk_elems = remaining.min(chunk_blocks * rpb);
-        chunk.extend((0..chunk_elems.div_ceil(rpb)).map(|_| st.pool().get()));
-        // Block `i` of the chunk takes the next `valid(i)` bytes of the
-        // shard; recycled buffers keep old contents, so the tail past
-        // them is zeroed (as `RecordRunWriter` does).
-        let valid = |i: usize| (chunk_elems - i as u64 * rpb).min(rpb) as usize * R::BYTES;
-        let mut bufs: Vec<IoSliceMut<'_>> = chunk
-            .iter_mut()
-            .enumerate()
-            .map(|(i, block)| {
-                let (records, tail) = block.split_at_mut(valid(i));
-                tail.fill(0);
-                IoSliceMut::new(records)
-            })
-            .collect();
-        file.read_exact_vectored(&mut bufs)?;
-        for block in chunk.drain(..) {
-            writer.push_block(block)?;
-        }
-        remaining -= chunk_elems;
+/// A job's output file, as a sort's last pass writes it: `records`
+/// records at `path`, which may be the input file.
+#[derive(Clone, Copy, Debug)]
+pub struct OutputFile<'a> {
+    /// Where the output goes.
+    pub path: &'a Path,
+    /// How many records it holds.
+    pub records: u64,
+}
+
+impl OutputFile<'_> {
+    /// Create or open the file and size it to its records (of `R`).
+    /// Every rank does this when its last pass starts, and none
+    /// truncates: all set the same length and write only inside it, so
+    /// sizing needs no ordering against peers' writes, and an output
+    /// that is the input keeps its bytes until they are overwritten.
+    pub fn open<R: Record>(&self, rank: usize) -> Result<Arc<EdgeFile>> {
+        let (path, len) = (self.path, self.records * R::BYTES as u64);
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(path)
+            .map_err(|e| Error::io(format!("rank {rank}: open {}: {e}", path.display())))?;
+        file.set_len(len).map_err(|e| {
+            Error::io(format!("rank {rank}: size {} to {len} bytes: {e}", path.display()))
+        })?;
+        Ok(Arc::new(EdgeFile::new(file, path, rank)))
     }
-    Ok(LocalInput { run: writer.finish()?, elems })
-}
 
-/// Stream blocks of `st` into the output file: `blocks` yields, per
-/// block, its id, the file offset of its first byte, and how many
-/// leading bytes of it are valid. Reads run ahead through the
-/// [`MergePrefetcher`]; blocks contiguous in the file are held (at most
-/// ~[`MIN_SYSCALL_BYTES`] of them) and go out in one vectored write.
-fn write_blocks_to_file(
-    st: &PeStorage,
-    blocks: impl Iterator<Item = (BlockId, u64, usize)>,
-    path: &Path,
-    rank: usize,
-    file_bytes: u64,
-) -> Result<()> {
-    // Empty blocks are dropped: a vectored write of only empty slices
-    // returns 0, which reads as a failed write.
-    let (ids, spans): (Vec<BlockId>, Vec<(u64, usize)>) =
-        blocks.filter(|&(_, _, valid)| valid > 0).map(|(id, at, valid)| (id, (at, valid))).unzip();
-    let mut file = RankFile::open_output(path, rank, file_bytes)?;
-    let mut reader = MergePrefetcher::naive(st, ids, DEFAULT_READAHEAD.max(st.disks()), false);
-
-    // Held blocks cover file bytes `start .. start + held_bytes`.
-    let mut held: Vec<(Box<[u8]>, usize)> = Vec::new();
-    let (mut start, mut held_bytes) = (0u64, 0usize);
-    let mut flush = |held: &mut Vec<(Box<[u8]>, usize)>, start: u64| -> Result<()> {
-        file.seek(start)?;
-        let mut bufs: Vec<IoSlice<'_>> =
-            held.iter().map(|(block, valid)| IoSlice::new(&block[..*valid])).collect();
-        file.write_all_vectored(&mut bufs)?;
-        drop(bufs);
-        for (block, _) in held.drain(..) {
-            st.pool().put(block);
-        }
-        Ok(())
-    };
-    // The reader yields exactly one block per span.
-    let mut spans = spans.into_iter();
-    while let (Some(block), Some((at, valid))) = (reader.next()?, spans.next()) {
-        if at != start + held_bytes as u64 || held_bytes >= MIN_SYSCALL_BYTES {
-            flush(&mut held, start)?;
-            (start, held_bytes) = (at, 0);
-        }
-        held.push((block, valid));
-        held_bytes += valid;
+    /// Where rank `rank` of `p` writes its part of a canonically
+    /// distributed output — records `⌊rank·n/p⌋ ..`, from their byte
+    /// offset on — with the file opened.
+    pub fn canonical_part<R: Record>(&self, rank: usize, p: usize) -> Result<RunDest> {
+        let first = ranks::owned_range(rank, p, self.records).start;
+        Ok(RunDest::File { file: self.open::<R>(rank)?, at: first * R::BYTES as u64 })
     }
-    flush(&mut held, start)
-}
-
-/// Write a finished record run (`rpb` records per block, the last
-/// block possibly partial) as one contiguous byte range of the
-/// `file_bytes`-long output file, starting at byte `at`.
-pub fn write_run_to_file<R: Record>(
-    st: &PeStorage,
-    out: &FinishedRun<R>,
-    path: &Path,
-    rank: usize,
-    file_bytes: u64,
-    at: u64,
-) -> Result<()> {
-    let rpb = records_per_block::<R>(st.block_bytes()) as u64;
-    let blocks = out.run.blocks.iter().enumerate().map(|(i, &id)| {
-        let first = i as u64 * rpb;
-        let valid = out.elems.saturating_sub(first).min(rpb) as usize * R::BYTES;
-        (id, at + first * R::BYTES as u64, valid)
-    });
-    write_blocks_to_file(st, blocks, path, rank, file_bytes)
-}
-
-/// Write the blocks rank `rank` owns of a globally striped run into
-/// the output file; returns how many records that was. Block `g`
-/// starts at the record offset given by the prefix sum of the
-/// directory's counts (interior blocks of stitched merge output can be
-/// partial), and the directory is global, so the ranks' writes tile
-/// the file without further communication.
-pub fn write_striped_blocks_to_file<K>(
-    st: &PeStorage,
-    run: &StripedRun<K>,
-    record_bytes: usize,
-    path: &Path,
-    rank: usize,
-) -> Result<u64> {
-    let mut owned_elems = 0u64;
-    let mut first = 0u64;
-    let blocks = run.blocks.iter().enumerate().filter_map(|(g, &id)| {
-        let at = first * record_bytes as u64;
-        first += run.counts[g] as u64;
-        (run.owners[g] as usize == rank).then(|| {
-            owned_elems += run.counts[g] as u64;
-            (id, at, run.counts[g] as usize * record_bytes)
-        })
-    });
-    write_blocks_to_file(st, blocks, path, rank, run.elems * record_bytes as u64)?;
-    Ok(owned_elems)
 }
 
 #[cfg(test)]
@@ -274,10 +103,10 @@ mod tests {
     use super::*;
     use crate::canonical::sort_cluster;
     use crate::job::{run_job_local, sort_file};
-    use crate::recio::read_records;
-    use crate::runform::ingest_input;
+    use crate::recio::{read_records, records_per_block};
+    use crate::runform::{ingest_input, GroupReader};
     use crate::striped::{read_striped, striped_sort_cluster};
-    use demsort_storage::read_run;
+    use demsort_storage::PeStorage;
     use demsort_types::trace::{read_journal, validate_rank_journal};
     use demsort_types::{
         AlgoConfig, JobConfig, MachineConfig, Record100, SortAlgo, SortConfig, SortReport, TraceEv,
@@ -338,38 +167,6 @@ mod tests {
     fn shard_of(recs: &[Record100], pe: usize, p: usize) -> &[Record100] {
         let r = ranks::owned_range(pe, p, recs.len() as u64);
         &recs[r.start as usize..r.end as usize]
-    }
-
-    #[test]
-    fn file_ingest_lays_out_blocks_like_record_ingest() {
-        let scratch = Scratch::new("ingest");
-        let path = scratch.file("in.dat");
-        for p in [1, 2, 3] {
-            for block_bytes in [4 << 10, 32 << 10] {
-                let m = machine(p, block_bytes);
-                for n in record_counts(&m) {
-                    let recs = gensort_records(11, 0, n);
-                    std::fs::write(&path, encode(&recs)).expect("write input");
-                    let total = file_records::<Record100>(&path).expect("stat");
-                    assert_eq!(total, n as u64);
-                    for pe in 0..p {
-                        let (from_file, from_recs) =
-                            (PeStorage::new_mem(&m), PeStorage::new_mem(&m));
-                        let a = ingest_file_shard::<Record100>(&from_file, &path, pe, p, total)
-                            .expect("file ingest");
-                        let b = ingest_input(&from_recs, shard_of(&recs, pe, p)).expect("ingest");
-                        let case = format!("P={p} B={block_bytes} N={n} pe={pe}");
-                        assert_eq!(a.elems, b.elems, "{case}");
-                        assert_eq!(a.run, b.run, "{case}");
-                        assert_eq!(
-                            read_run(&from_file, &a.run).expect("read"),
-                            read_run(&from_recs, &b.run).expect("read"),
-                            "{case}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     /// The materialising reference of `sort_file`: shards as record
@@ -473,15 +270,79 @@ mod tests {
     }
 
     #[test]
+    fn file_ingest_lays_out_blocks_like_record_ingest() {
+        // Every rank's shard of the file, read where it lies, gives run
+        // formation the same records in the same groups — shuffled or in
+        // input order — as ingesting the rank's decoded records.
+        let scratch = Scratch::new("ingest");
+        let input = scratch.file("in.dat");
+        for p in [1, 2, 3] {
+            for block_bytes in [4 << 10, 32 << 10] {
+                let m = machine(p, block_bytes);
+                let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
+                for n in record_counts(&m) {
+                    let recs = gensort_records(3, 0, n);
+                    std::fs::write(&input, encode(&recs)).expect("write input");
+                    let total = file_records::<Record100>(&input).expect("measure input");
+                    for rank in 0..p {
+                        for seed in [None, Some(11)] {
+                            let case = format!("P={p} B={block_bytes} N={n} rank {rank} {seed:?}");
+                            let groups_of = |st: &PeStorage, input: LocalInput| {
+                                let groups = GroupReader::new::<Record100>(st, &cfg, input, seed);
+                                let mut arena = Vec::new();
+                                let read: Vec<Vec<Record100>> = (0..groups.local_groups())
+                                    .map(|j| {
+                                        groups.collect(groups.issue(j), &mut arena).expect("read");
+                                        arena.clone()
+                                    })
+                                    .collect();
+                                assert_eq!(st.alloc().in_use(), 0, "{case}: slots freed");
+                                read
+                            };
+                            let (st_file, st_recs) = (
+                                PeStorage::new_mem(&cfg.machine),
+                                PeStorage::new_mem(&cfg.machine),
+                            );
+                            let extent =
+                                input_shard::<Record100>(&input, rank, p, total).expect("shard");
+                            let ingested =
+                                ingest_input(&st_recs, shard_of(&recs, rank, p)).expect("ingest");
+                            assert_eq!(extent.elems(), ingested.elems(), "{case}");
+                            let (from_file, from_recs) =
+                                (groups_of(&st_file, extent), groups_of(&st_recs, ingested));
+                            assert!(from_file == from_recs, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn sort_file_may_overwrite_its_input() {
+        // Each sort's last pass writes the output: run formation when
+        // there is one run, else the final merge (canonical) or the one
+        // merge group (striped; after a pass to the disks when the runs
+        // exceed the fan-in). A canonical rank writes over its own
+        // shard, a striped rank over its peers' shards too.
         let scratch = Scratch::new("inplace");
         let path = scratch.file("data.dat");
-        let cfg = SortConfig::new(machine(2, 4 << 10), AlgoConfig::default()).expect("config");
-        let recs = gensort_records(9, 0, 1500);
-        std::fs::write(&path, encode(&recs)).expect("write input");
-        sort_file(&cfg, SortAlgo::Canonical, &path, &path).expect("sort in place");
-        let (want, _) = sort_materialised(&cfg, SortAlgo::Canonical, &recs);
-        assert!(std::fs::read(&path).expect("read") == want);
+        let m = machine(2, 4 << 10);
+        let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
+        let run = m.pes * m.mem_blocks_per_pe() * records_per_block::<Record100>(m.block_bytes);
+        let fan_in = m.merge_fan_in();
+        for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
+            for runs in [1, 3, fan_in + 2] {
+                let n = (runs - 1) * run + run / 2 + 7;
+                let recs = gensort_records(9, 0, n);
+                std::fs::write(&path, encode(&recs)).expect("write input");
+                let report = sort_file(&cfg, algo, &path, &path).expect("sort in place");
+                let (want, _) = sort_materialised(&cfg, algo, &recs);
+                let case = format!("{algo}, {n} records");
+                assert_eq!(report.runs, runs, "{case}");
+                assert!(std::fs::read(&path).expect("read") == want, "{case}");
+            }
+        }
     }
 
     #[test]
@@ -511,68 +372,16 @@ mod tests {
         }
 
         // An input that shrank after it was measured: rank 1's shard
-        // ends early.
+        // ends early, and run formation's read of it fails where it does.
         let st = PeStorage::new_mem(&cfg.machine);
-        let err = ingest_file_shard::<Record100>(&st, &input, 1, 2, 400).expect_err("short input");
+        let shard = input_shard::<Record100>(&input, 1, 2, 400).expect("open input");
+        let groups = GroupReader::new::<Record100>(&st, &cfg, shard, None);
+        let err = groups.collect::<Record100>(groups.issue(0), &mut Vec::new());
         let want = format!("rank 1: read {} at byte 30000", input.display());
-        assert!(matches!(&err, Error::Io(m) if m.starts_with(&want)), "{err}");
+        assert!(matches!(&err, Err(Error::Io(m)) if m.starts_with(&want)), "{err:?}");
 
         // Not whole records.
         std::fs::write(&input, [0u8; 150]).expect("write ragged input");
         assert!(matches!(file_records::<Record100>(&input), Err(Error::Config(_))));
-    }
-
-    /// Read or write system calls this thread has made, from the
-    /// kernel's per-task I/O accounting (`None` where it is not built
-    /// in).
-    fn thread_syscalls(field: &str) -> Option<u64> {
-        let io = std::fs::read_to_string("/proc/thread-self/io").ok()?;
-        io.lines().find_map(|l| l.strip_prefix(field)?.trim().parse().ok())
-    }
-
-    /// How many `field` system calls `f` makes on this thread. Reading
-    /// the counter costs a few reads itself, so an empty interval is
-    /// measured first and taken off.
-    fn count_syscalls(field: &str, f: impl FnOnce()) -> Option<u64> {
-        let a = thread_syscalls(field)?;
-        let b = thread_syscalls(field)?;
-        f();
-        let c = thread_syscalls(field)?;
-        Some((c - b) - (b - a))
-    }
-
-    #[test]
-    fn small_blocks_still_move_256_kib_per_syscall() {
-        let scratch = Scratch::new("syscalls");
-        let (input, output) = (scratch.file("in.dat"), scratch.file("out.dat"));
-        let recs = gensort_records(3, 0, 30_000);
-        let bytes = recs.len() * Record100::BYTES;
-        std::fs::write(&input, encode(&recs)).expect("write input");
-        // 4 KiB blocks hold 40 records: 750 blocks, 12 calls' worth.
-        let st = PeStorage::new_mem(&machine(1, 4 << 10));
-        let allowed = bytes.div_ceil(MIN_SYSCALL_BYTES) as u64;
-
-        let mut local = None;
-        let reads = count_syscalls("syscr:", || {
-            let n = recs.len() as u64;
-            local = Some(ingest_file_shard::<Record100>(&st, &input, 0, 1, n).expect("ingest"));
-        });
-        let local = local.expect("ingested");
-        let run = FinishedRun::<Record100> {
-            run: local.run,
-            elems: local.elems,
-            samples: Vec::new(),
-            block_first_keys: Vec::new(),
-        };
-        let writes = count_syscalls("syscw:", || {
-            write_run_to_file(&st, &run, &output, 0, bytes as u64, 0).expect("output")
-        });
-        assert!(std::fs::read(&output).expect("read") == encode(&recs));
-        let (Some(reads), Some(writes)) = (reads, writes) else {
-            eprintln!("no per-thread I/O accounting on this kernel; calls not counted");
-            return;
-        };
-        assert!(reads <= allowed, "{reads} reads for {bytes} bytes, {allowed} allowed");
-        assert!(writes <= allowed, "{writes} writes for {bytes} bytes, {allowed} allowed");
     }
 }

@@ -1,11 +1,11 @@
 //! The rank program: what every rank of a file-to-file sort runs,
 //! whatever it runs on.
 //!
-//! DEMSort is one SPMD program. [`run_rank_job`] is its body — stream
-//! this rank's shard of the input onto its disks, sort, stream this
-//! rank's part of the output — and the paper's two algorithms differ
-//! only in the middle step (Sections III–IV). A substrate's whole job
-//! is to build `(comm, storage, hooks)` and call it:
+//! DEMSort is one SPMD program. [`run_rank_job`] is its body — sort
+//! this rank's shard of the input, read where it lies, into this rank's
+//! part of the output, written where it belongs — and the paper's two
+//! algorithms differ only in how (Sections III–IV). A substrate's whole
+//! job is to build `(comm, storage, hooks)` and call it:
 //!
 //! * the in-process cluster ([`run_job_local`], under [`sort_file`] and
 //!   `sortfile --transport local`): one thread per PE over the channel
@@ -28,11 +28,9 @@
 //! memory), and [`cluster_report`] turns the ranks' reports into the
 //! cluster's on either substrate.
 
-use crate::canonical::canonical_mergesort;
+use crate::canonical::canonical_mergesort_to;
 use crate::ctx::{assemble_report, ClusterStorage};
-use crate::fileio::{
-    file_records, ingest_file_shard, write_run_to_file, write_striped_blocks_to_file,
-};
+use crate::fileio::{file_records, input_shard, OutputFile};
 use crate::striped::{striped_mergesort, ResilientHooks};
 use demsort_net::{run_cluster, Communicator};
 use demsort_storage::{Backend, FileBackend, MemBackend};
@@ -45,18 +43,19 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Run this rank's share of `job` (collective): ingest its shard of
-/// the input file, sort with `job.algorithm`, write its part of the
-/// output file, and report its counters.
+/// Run this rank's share of `job` (collective): sort its shard of the
+/// input file with `job.algorithm` into its part of the output file,
+/// and report its counters.
 ///
 /// `storage.pe(comm.rank())` must be this rank's own storage. `hooks`
 /// are the substrate's rank-failure recovery callbacks; only the
 /// striped sort recovers, so the canonical sort ignores them.
 ///
-/// A rank writes its output as soon as its own sort returns. Every
-/// peer has ingested its shard by then — either sort opens with a
-/// collective — so the output may be the input file where the
-/// substrate leaves it intact until then.
+/// Run formation reads the shard straight from the input, and the
+/// sort's last pass writes straight into the output, which each rank
+/// opens and sizes when that pass starts: after a collective by which
+/// every rank has waited its last input read. So the output may be the
+/// input file where the substrate leaves it intact until then.
 pub fn run_rank_job(
     job: &JobConfig,
     comm: &Communicator,
@@ -68,32 +67,25 @@ pub fn run_rank_job(
     let st = storage.pe(rank);
     let cfg = job.validate()?;
     let cores = cfg.machine.cores_per_pe;
-    let (input, output) = (Path::new(&job.input), Path::new(&job.output));
 
+    let input = Path::new(&job.input);
     let total = file_records::<R>(input)?;
-    let local = ingest_file_shard::<R>(st, input, rank, p, total)?;
-    // Memory after each file edge here, after each phase in the sorts:
-    // the journal says where the peak was set.
-    comm.tracer().mem();
+    let local = input_shard::<R>(input, rank, p, total)?;
+    let output = Some(OutputFile { path: Path::new(&job.output), records: total });
     let (elems, runs, phases) = match job.algorithm {
         SortAlgo::Canonical => {
             // Rank `r`'s output is global ranks `⌊r·n/p⌋ ..`, so the
             // outputs concatenate at the shard boundaries.
-            let o = canonical_mergesort::<R>(comm, storage, &cfg, local, cores)?;
-            let own = ranks::owned_range(rank, p, total);
-            debug_assert_eq!(o.output.elems, own.end - own.start);
-            let (len, at) = (total * R::BYTES as u64, own.start * R::BYTES as u64);
-            write_run_to_file(st, &o.output, output, rank, len, at)?;
+            let o = canonical_mergesort_to::<R>(comm, storage, &cfg, local, cores, output)?;
+            debug_assert_eq!(o.output.elems, ranks::owned_len(rank, p, total));
             (o.output.elems, o.runs, o.phases)
         }
         SortAlgo::Striped => {
-            let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks)?;
-            let elems = write_striped_blocks_to_file(st, &o.output, R::BYTES, output, rank)?;
-            (elems, o.runs, o.phases)
+            let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks, output)?;
+            (o.output.owned_elems(rank), o.runs, o.phases)
         }
     };
 
-    comm.tracer().mem();
     // Checkpoint the buffer-pool counters: in steady state the journal
     // shows hits far above misses (diagnostics only — the split is
     // timing-dependent, never an identity surface).
@@ -285,9 +277,10 @@ fn run_job_on(job: &JobConfig, cfg: &SortConfig, storage: &ClusterStorage) -> Re
 
 /// Run `job` on the in-process cluster: every PE thread is one rank of
 /// [`run_rank_job`] on the disks [`rank_backend`] gives it. The output
-/// is created, or overwritten in place, only by ranks whose sort has
-/// finished — so it may be the input file. The job's scratch files are
-/// gone when this returns, whether it returns a report or an error.
+/// is created, or overwritten in place, only by ranks in their last
+/// pass, when every rank has finished reading the input — so it may be
+/// the input file. The job's scratch files are gone when this returns,
+/// whether it returns a report or an error.
 pub fn run_job_local(job: &JobConfig) -> Result<SortReport> {
     let cfg = job.validate()?;
     let (storage, _scratch) = local_job_storage(job)?;
@@ -299,10 +292,10 @@ pub fn run_job_local(job: &JobConfig) -> Result<SortReport> {
 /// [`run_job_local`] for callers that hold a [`SortConfig`] and paths
 /// rather than a [`JobConfig`].
 ///
-/// The data set lives in files while it is sorted — the file edges
-/// stream in `O(window · B)` memory per PE and the blocks between them
-/// sit in `<output>.scratch/` ([`default_scratch`]; about `N` bytes at
-/// the peak, removed before this returns) — so memory follows
+/// The data set lives in files while it is sorted — read from `input`
+/// where it lies, written into `output` where it belongs, and the runs
+/// between them in `<output>.scratch/` ([`default_scratch`]; about `N`
+/// bytes at the peak, removed before this returns) — so memory follows
 /// `cfg.machine.mem_bytes_per_pe`, not the file size.
 pub fn sort_file(
     cfg: &SortConfig,
@@ -472,9 +465,11 @@ mod tests {
             assert!(report.runs > 5, "{algorithm}: an external sort, {} runs", report.runs);
 
             // The sort has returned and the guards are alive: the files
-            // are as large as they ever were. In-place slot reuse keeps
-            // that at one copy of the data plus block padding, although
-            // ≈ 4 N went through them.
+            // are as large as they ever were. They held the runs only —
+            // the input was read where it lies and the output written
+            // where it belongs — and in-place slot reuse keeps that at
+            // one copy of the data plus block padding, although both
+            // passes went through them.
             let disk_files = (0..machine.pes).flat_map(|rank| {
                 let dir = rank_scratch_dir(&job.scratch, rank);
                 (0..machine.disks_per_pe).map(move |d| dir.join(format!("disk_{d}.bin")))
@@ -482,12 +477,14 @@ mod tests {
             let on_disk: u64 =
                 disk_files.map(|f| std::fs::metadata(&f).expect("stat disk file").len()).sum();
             let n = bytes.len() as u64;
-            assert!(on_disk >= n, "{algorithm}: the data set was on disk ({on_disk} B of {n} B)");
+            assert!(on_disk >= n, "{algorithm}: the runs were on disk ({on_disk} B of {n} B)");
             assert!(on_disk * 10 <= n * 11, "{algorithm}: {on_disk} B of scratch for {n} B");
 
             drop(guards);
             assert!(!Path::new(&job.scratch).exists(), "{algorithm}: scratch removed");
-            assert_eq!(std::fs::read(&job.output).expect("output").len(), bytes.len());
+            let sorted = std::fs::read(&job.output).expect("output");
+            assert_eq!(sorted.len(), bytes.len(), "{algorithm}: the output is whole");
+            assert!(sorted.chunks(Record100::BYTES).is_sorted_by_key(|r| &r[..10]), "{algorithm}");
         }
     }
 

@@ -25,11 +25,11 @@
 //! * [`ctx`] — each PE's view of the cluster's storage (the block
 //!   service), phase accounting, and the phase scope both drivers open
 //!   their phases through;
-//! * [`fileio`] — the file edges: streamed shard ingest, streamed
-//!   output;
-//! * [`job`] — the rank program (ingest → sort → write-out) every
-//!   substrate runs, the in-process harness, and the one-call local
-//!   file sort;
+//! * [`fileio`] — the file edges: the input shard run formation reads
+//!   where it lies, the output file the last pass writes into;
+//! * [`job`] — the rank program (input shard → sort → output part)
+//!   every substrate runs, the in-process harness, and the one-call
+//!   local file sort;
 //! * [`baselines`] — comparison algorithms (NOW-Sort-style);
 //! * [`validate`] — distributed output validation.
 

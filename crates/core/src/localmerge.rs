@@ -8,20 +8,22 @@
 //! ([`crate::alltoall::MergeInput`]) read as one
 //! [`RecordRunReader::chain`], so the next fragment's blocks are read
 //! ahead while the previous one drains. An `R`-way loser tree merges the
-//! streams into the PE's final output run. Input blocks are recycled the
-//! moment they have been read ("blocks that are read to internal buffers
-//! are deallocated from disk immediately, so there are always blocks
-//! available for writing the output") — peak extra space is the
-//! read-ahead plus write-behind windows.
+//! streams into the PE's final output run — on its disks, or in a file
+//! job straight into the output file ([`RunDest`]). Input blocks are
+//! recycled the moment they have been read ("blocks that are read to
+//! internal buffers are deallocated from disk immediately, so there are
+//! always blocks available for writing the output") — peak extra space
+//! is the read-ahead plus write-behind windows.
 
 use crate::alltoall::{MergeFragment, MergeInput};
 use crate::merge::{merge_cpu, CarryMerge, LoserTree};
-use crate::recio::{FinishedRun, RecordRunReader, RecordRunWriter};
+use crate::recio::{FinishedRun, RecordRunReader, RecordRunWriter, RunDest};
+use demsort_storage::striping::DEFAULT_WRITE_BEHIND;
 use demsort_storage::PeStorage;
 use demsort_types::{CpuCounters, Record, Result};
 
-/// Merge the per-run fragment chains into the final output run, using
-/// up to `cores` threads for the batch merges.
+/// Merge the per-run fragment chains into the final output run at
+/// `dest`, using up to `cores` threads for the batch merges.
 ///
 /// Returns the output run (with prediction keys, no samples) and the
 /// CPU counters of the merge.
@@ -29,8 +31,9 @@ pub fn final_merge<R: Record + Ord>(
     st: &PeStorage,
     inputs: Vec<MergeInput>,
     cores: usize,
+    dest: RunDest,
 ) -> Result<(FinishedRun<R>, CpuCounters)> {
-    let mut writer = RecordRunWriter::<R>::new(st, 0);
+    let mut writer = RecordRunWriter::<R>::with_window(st, 0, DEFAULT_WRITE_BEHIND, dest);
     let (total, cpu) = merge_into::<R>(st, inputs, cores, |rec| writer.push(rec))?;
     let out = writer.finish()?;
     debug_assert_eq!(out.elems, total, "merge must preserve the element count");
@@ -178,7 +181,7 @@ mod tests {
                 fragments: vec![MergeFragment::Received { run: f1.run, elems: f1.elems }],
             },
         ];
-        let (out, cpu) = final_merge::<Element16>(&st, inputs, 1).expect("merge");
+        let (out, cpu) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
         assert_eq!(out.elems, 80);
         assert_eq!(cpu.elements_merged, 80);
         assert_eq!(cpu.merge_work, 80, "2-way merge: 1 comparison per element");
@@ -201,7 +204,7 @@ mod tests {
             MergeInput { fragments: vec![MergeFragment::Received { run: a.run, elems: a.elems }] },
             MergeInput { fragments: vec![MergeFragment::Received { run: b.run, elems: b.elems }] },
         ];
-        let (out, _) = final_merge::<Element16>(&st, inputs, 1).expect("merge");
+        let (out, _) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
         // Inputs freed, output allocated: net usage unchanged.
         assert_eq!(st.alloc().in_use(), before, "inputs recycled into output");
         // Peak stays within input + windows (not input + full output).
@@ -217,13 +220,14 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let st = storage(64);
-        let (out, _) = final_merge::<Element16>(&st, Vec::new(), 1).expect("merge");
+        let (out, _) =
+            final_merge::<Element16>(&st, Vec::new(), 1, RunDest::Scratch).expect("merge");
         assert_eq!(out.elems, 0);
 
         let a = write_records(&st, &elems(0..5, 1)).expect("write");
         let inputs =
             vec![MergeInput { fragments: vec![MergeFragment::Received { run: a.run, elems: 5 }] }];
-        let (out, _) = final_merge::<Element16>(&st, inputs, 1).expect("merge");
+        let (out, _) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
         assert_eq!(out.elems, 5);
         let got = crate::recio::read_records::<Element16>(&st, &out.run, 5).expect("read");
         assert_eq!(got, elems(0..5, 1));

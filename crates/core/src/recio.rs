@@ -14,9 +14,11 @@
 //! staging buffer in between — and a bounded write-behind window of
 //! such blocks is in flight, so whoever feeds the writer (the exchange
 //! merge of run formation, the final merge) is paced by the disks
-//! instead of queueing a run. It is a [`RecordSink`], the interface the
-//! exchange kernel ([`crate::psort`]) emits into. While writing it
-//! additionally collects:
+//! instead of queueing a run. Its [`RunDest`] is a new run on the PE's
+//! disks, or — in a file job's last pass — the output file itself,
+//! where block `i` lands at its final byte offset. It is a
+//! [`RecordSink`], the interface the exchange kernel ([`crate::psort`])
+//! emits into. While writing it additionally collects:
 //! * a **sample** of every `K`-th record (Section IV-A: "during run
 //!   formation, we store every K-th element of the sorted run as a
 //!   sample"), and
@@ -28,10 +30,11 @@
 //! ([`MergePrefetcher`]) and decoded a block at a time — or, for the
 //! all-to-all, copied out as bytes without decoding.
 
-use demsort_storage::{MergePrefetcher, PeStorage, Run, RunWriter};
+use demsort_storage::{BlockId, EdgeFile, MergePrefetcher, PeStorage, Run, RunWriter};
 use demsort_types::{Error, Record, Result};
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Records per (full) block for record type `R`.
 ///
@@ -92,12 +95,29 @@ impl<R: Record> RecordSink<R> for RecordRunWriter<'_, R> {
     }
 }
 
+/// Where a [`RecordRunWriter`]'s blocks go.
+#[derive(Debug)]
+pub enum RunDest {
+    /// A new run on the PE's disks.
+    Scratch,
+    /// A job's output file: block `i` at byte `at + i·rpb·R::BYTES`,
+    /// its valid bytes only. The run's block list records each block
+    /// as [`BlockId::in_file`].
+    File {
+        /// The output file.
+        file: Arc<EdgeFile>,
+        /// Byte offset of the run's first record.
+        at: u64,
+    },
+}
+
 /// Streaming writer of a record-aligned sorted run. Every record is
 /// encoded once, into the pooled block its write is issued from; at
 /// most `window` such writes are in flight, and a push that would
 /// exceed that waits for the oldest.
 pub struct RecordRunWriter<'a, R: Record> {
     inner: RunWriter<'a>,
+    dest: RunDest,
     st: &'a PeStorage,
     /// The block being filled.
     block: Box<[u8]>,
@@ -115,16 +135,23 @@ pub struct RecordRunWriter<'a, R: Record> {
 impl<'a, R: Record> RecordRunWriter<'a, R> {
     /// Start a run on `st`; `sample_every = 0` disables sampling.
     pub fn new(st: &'a PeStorage, sample_every: usize) -> Self {
-        Self::with_window(st, sample_every, demsort_storage::striping::DEFAULT_WRITE_BEHIND)
+        let window = demsort_storage::striping::DEFAULT_WRITE_BEHIND;
+        Self::with_window(st, sample_every, window, RunDest::Scratch)
     }
 
-    /// Start a run with an explicit write-behind window, in blocks
-    /// (at least one per disk). Run formation passes a share of the
-    /// PE's memory, so a run's last writes retire under the next run's
-    /// sort without a run's worth of them ever being queued.
-    pub fn with_window(st: &'a PeStorage, sample_every: usize, window: usize) -> Self {
+    /// Start a run to `dest` with an explicit write-behind window, in
+    /// blocks (at least one per disk). Run formation passes a share of
+    /// the PE's memory, so a run's last writes retire under the next
+    /// run's sort without a run's worth of them ever being queued.
+    pub fn with_window(
+        st: &'a PeStorage,
+        sample_every: usize,
+        window: usize,
+        dest: RunDest,
+    ) -> Self {
         Self {
             inner: RunWriter::with_window(st, window.max(st.disks())),
+            dest,
             st,
             block: st.pool().get(),
             fill: 0,
@@ -175,7 +202,18 @@ impl<'a, R: Record> RecordRunWriter<'a, R> {
         self.fill = 0;
         // Issue first: a write this retires hands its buffer to the
         // pool, where the next block comes from.
-        self.inner.push_block(std::mem::take(&mut self.block))?;
+        let block = std::mem::take(&mut self.block);
+        match &self.dest {
+            RunDest::Scratch => self.inner.push_block(block)?,
+            RunDest::File { file, at } => {
+                // The block's first record is record `first` of the run.
+                let first = self.elems - (bytes / R::BYTES) as u64;
+                let disk = (first / self.rpb as u64) as usize % self.st.disks();
+                let offset = at + first * R::BYTES as u64;
+                let write = self.st.engine().write_at(disk, file, offset, block, bytes);
+                self.inner.push_issued(BlockId::in_file(disk as u32), write)?;
+            }
+        }
         self.block = self.st.pool().get();
         Ok(())
     }

@@ -39,25 +39,55 @@
 //!   the disk fetches the rest, and the sorted blocks are merged at the
 //!   end instead of sorting from scratch.
 //! * **In-place** — input blocks are freed as they are read; slice
-//!   writes reuse them.
+//!   writes reuse them. A file job has none to free: its input is read
+//!   where it lies in the input file ([`LocalInput::Extent`]), and the
+//!   one run of a job that fits in memory is written straight into the
+//!   output file.
 
+use crate::fileio::OutputFile;
 use crate::merge::{merge_cpu, par_merge_k_into};
 use crate::psort::Exchange;
-use crate::recio::{records_per_block, FinishedRun, RecordRunWriter};
+use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
 use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
-use demsort_storage::{PeStorage, Run};
+use demsort_storage::{EdgeFile, PeStorage, Run};
 use demsort_types::{CpuCounters, Record, Result, SortConfig};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
+use std::sync::Arc;
 
-/// This PE's on-disk input: a run of `elems` records.
+/// This PE's input — `elems` records — and where run formation reads
+/// it from.
 #[derive(Clone, Debug)]
-pub struct LocalInput {
-    /// Input blocks (record-aligned layout).
-    pub run: Run,
+pub enum LocalInput {
+    /// A record run on this PE's disks ([`ingest_input`]); each block's
+    /// slot is freed as its read is issued.
+    Blocks {
+        /// The blocks (record-aligned layout).
+        run: Run,
+        /// Number of records.
+        elems: u64,
+    },
+    /// Records from byte `offset` of a file on: a rank's shard of a
+    /// job's input, read where it lies
+    /// ([`input_shard`](crate::fileio::input_shard)).
+    Extent {
+        /// The input file.
+        file: Arc<EdgeFile>,
+        /// Byte offset of the first record.
+        offset: u64,
+        /// Number of records.
+        elems: u64,
+    },
+}
+
+impl LocalInput {
     /// Number of records.
-    pub elems: u64,
+    pub fn elems(&self) -> u64 {
+        match self {
+            LocalInput::Blocks { elems, .. } | LocalInput::Extent { elems, .. } => *elems,
+        }
+    }
 }
 
 /// Result of run formation on one PE.
@@ -80,22 +110,23 @@ pub const WRITE_WINDOW_DIV: usize = 4;
 pub type PendingBlock = (demsort_storage::IoHandle, usize);
 
 /// Reads a PE's input one run's worth at a time — the front both sorts'
-/// run formation starts from. Group `j` is blocks `j·m/B .. (j+1)·m/B`
-/// of the block order (the seeded shuffle, or the order the input has);
-/// the partial tail block, if any, joins the last group that has full
-/// blocks (group 0 when there are none). Groups past the last are
-/// empty: a PE with less input than its peers still takes part in their
-/// runs.
+/// run formation starts from. Block `b` of the input holds records
+/// `b·rpb ..`; group `j` is blocks `j·m/B .. (j+1)·m/B` of the block
+/// order (the seeded shuffle, or the order the input has); the partial
+/// tail block, if any, joins the last group that has full blocks (group
+/// 0 when there are none). Groups past the last are empty: a PE with
+/// less input than its peers still takes part in their runs.
 pub struct GroupReader<'a> {
     st: &'a PeStorage,
     input: LocalInput,
-    /// The full blocks' indices into `input.run.blocks`, in read order.
+    /// The full blocks' indices, in read order.
     order: Vec<usize>,
     /// Blocks per group (`m/B`).
     bpr: usize,
     /// Records per full block, and in the tail block (0: no tail).
     rpb: usize,
     tail: usize,
+    record_bytes: usize,
 }
 
 impl<'a> GroupReader<'a> {
@@ -108,18 +139,18 @@ impl<'a> GroupReader<'a> {
         shuffle_seed: Option<u64>,
     ) -> Self {
         let rpb = records_per_block::<R>(st.block_bytes());
-        let full_blocks = (input.elems / rpb as u64) as usize;
-        let tail = (input.elems % rpb as u64) as usize;
-        debug_assert_eq!(
-            input.run.blocks.len(),
-            full_blocks + usize::from(tail > 0),
-            "input run must be record-aligned"
-        );
+        let full_blocks = (input.elems() / rpb as u64) as usize;
+        let tail = (input.elems() % rpb as u64) as usize;
+        if let LocalInput::Blocks { run, .. } = &input {
+            let blocks = full_blocks + usize::from(tail > 0);
+            debug_assert_eq!(run.blocks.len(), blocks, "input run must be record-aligned");
+        }
         let mut order: Vec<usize> = (0..full_blocks).collect();
         if let Some(seed) = shuffle_seed {
             order.shuffle(&mut StdRng::seed_from_u64(seed));
         }
-        Self { st, input, order, bpr: cfg.machine.mem_blocks_per_pe().max(1), rpb, tail }
+        let bpr = cfg.machine.mem_blocks_per_pe().max(1);
+        Self { st, input, order, bpr, rpb, tail, record_bytes: R::BYTES }
     }
 
     /// Groups that hold any of this PE's input; the cluster forms the
@@ -134,26 +165,41 @@ impl<'a> GroupReader<'a> {
         self.bpr.min(self.order.len()) * self.rpb + self.tail
     }
 
-    /// Issue the asynchronous reads of group `j`, freeing each block's
-    /// slot as its read is queued (in place: a write may be given the
-    /// slot, and the disk's FIFO queue puts it behind the read).
+    /// Issue the asynchronous reads of group `j`. The one place either
+    /// sort reads its input: a block on this PE's disks has its slot
+    /// freed as its read is queued (in place: a write may be given the
+    /// slot, and the disk's FIFO queue puts it behind the read); block
+    /// `b` of a file extent is read where it lies, on disk queue
+    /// `b mod D`.
     pub fn issue(&self, j: usize) -> Vec<PendingBlock> {
         let full_blocks = self.order.len();
         let lo = (j * self.bpr).min(full_blocks);
         let hi = ((j + 1) * self.bpr).min(full_blocks);
         let mut pending = Vec::with_capacity(hi - lo + 1);
-        let mut read = |id, valid| {
-            pending.push((self.st.engine().read(id), valid));
-            self.st.alloc().free(id);
+        let mut read = |b: usize, valid: usize| {
+            let handle = match &self.input {
+                LocalInput::Blocks { run, .. } => {
+                    let id = run.blocks[b];
+                    let handle = self.st.engine().read(id);
+                    self.st.alloc().free(id);
+                    handle
+                }
+                LocalInput::Extent { file, offset, .. } => {
+                    let at = offset + b as u64 * (self.rpb * self.record_bytes) as u64;
+                    let len = valid * self.record_bytes;
+                    self.st.engine().read_at(b % self.st.disks(), file, at, len)
+                }
+            };
+            pending.push((handle, valid));
         };
         for &b in &self.order[lo..hi] {
-            read(self.input.run.blocks[b], self.rpb);
+            read(b, self.rpb);
         }
         // The partial tail block joins the last group that has room — i.e.
         // the group covering the final full blocks (or group 0 if none).
         let is_last_group = hi == full_blocks && (lo < hi || full_blocks == 0);
         if self.tail > 0 && is_last_group && j * self.bpr <= full_blocks {
-            read(*self.input.run.blocks.last().expect("tail block exists"), self.tail);
+            read(full_blocks, self.tail);
         }
         pending
     }
@@ -171,13 +217,17 @@ impl<'a> GroupReader<'a> {
     }
 }
 
-/// Form all runs. Collective; returns this PE's slices.
+/// Form all runs. Collective; returns this PE's slices. With `output`,
+/// a sort of one run writes it there (this rank's part, at
+/// `owned_range(rank).start`) instead of to the PE's disks: it is the
+/// sort's last pass.
 pub fn form_runs<R: Record + Ord>(
     comm: &Communicator,
     st: &PeStorage,
     cfg: &SortConfig,
     input: LocalInput,
     cores: usize,
+    output: Option<OutputFile<'_>>,
 ) -> Result<RunFormOutcome<R>> {
     // Randomized (or identity) assignment of local blocks to runs of
     // `m/B` blocks.
@@ -220,8 +270,16 @@ pub fn form_runs<R: Record + Ord>(
         }
 
         // Globally sort run j: splitters, one exchange, and the P-way
-        // merge straight into the run's writer.
-        let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, window);
+        // merge straight into the run's writer. The only run's writer is
+        // the output file's. This rank's part of it is its own shard,
+        // whose reads `collect` has waited, and no rank writes before the
+        // run's exchange, which each enters with its own reads waited —
+        // so the output may be the input.
+        let dest = match output {
+            Some(out) if num_runs == 1 => out.canonical_part::<R>(comm.rank(), comm.size())?,
+            _ => RunDest::Scratch,
+        };
+        let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, window, dest);
         cpu_total = cpu_total.merge(&exchange.run(comm, &arena, cores, &mut w)?);
         if cfg.algo.overlap {
             writing = Some(w);
@@ -268,7 +326,7 @@ fn collect_sorting<R: Record + Ord>(
 /// not part of the measured sort).
 pub fn ingest_input<R: Record>(st: &PeStorage, recs: &[R]) -> Result<LocalInput> {
     let fr = crate::recio::write_records(st, recs)?;
-    Ok(LocalInput { run: fr.run, elems: fr.elems })
+    Ok(LocalInput::Blocks { run: fr.run, elems: fr.elems })
 }
 
 #[cfg(test)]
@@ -300,7 +358,7 @@ mod tests {
             let st = storage.pe(c.rank());
             let recs = generate_pe_input(spec, 7, c.rank(), p, local_n);
             let input = ingest_input(st, &recs).expect("ingest");
-            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1).expect("form runs");
+            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1, None).expect("form runs");
             out.local
                 .into_iter()
                 .map(|fr| {
@@ -374,61 +432,88 @@ mod tests {
     #[test]
     fn group_reader_issues_every_block_once_and_the_tail_last() {
         // The one reader under both sorts, over every shape of local
-        // input: canonical drives it shuffled, striped in input order,
-        // and either may be asked for more groups than it has (a peer
-        // with more input sets the run count).
+        // input and both sources — blocks on the PE's disks, and the
+        // records in place at an offset of a file: canonical drives it
+        // shuffled, striped in input order, and either may be asked for
+        // more groups than it has (a peer with more input sets the run
+        // count). Both sources give the same records in the same groups.
+        const PREFIX: usize = 3;
         let cfg = config(1, false, true);
         let bpr = cfg.machine.mem_blocks_per_pe();
         let rpb = records_per_block::<Element16>(cfg.machine.block_bytes);
+        let path = std::env::temp_dir().join(format!("demsort-groups-{}", std::process::id()));
         for full_blocks in [0, 1, bpr - 1, bpr, bpr + 1, 3 * bpr] {
             for (tail, extra_runs, seed) in [0, 7]
                 .into_iter()
                 .flat_map(|t| [0, 2].map(|x| (t, x)))
                 .flat_map(|(t, x)| [None, Some(5)].map(|seed| (t, x, seed)))
             {
-                let what = format!("{full_blocks} blocks + {tail}, +{extra_runs} runs, {seed:?}");
-                let storage = ClusterStorage::new_mem(&cfg.machine);
-                let st = storage.pe(0);
                 let n = full_blocks * rpb + tail;
                 let recs: Vec<Element16> = (0..n as u64).map(|i| Element16::new(i, i)).collect();
-                let input = ingest_input(st, &recs).expect("ingest");
-                let groups = GroupReader::new::<Element16>(st, &cfg, input, seed);
-                let local = groups.local_groups();
-                assert_eq!(local, full_blocks.div_ceil(bpr).max(usize::from(tail > 0)), "{what}");
-                assert!(groups.max_group_records() <= bpr * rpb + tail, "{what}");
+                let mut bytes = vec![0xEE; (PREFIX + n) * Element16::BYTES];
+                Element16::encode_slice(&recs, &mut bytes[PREFIX * Element16::BYTES..]);
+                std::fs::write(&path, &bytes).expect("write input file");
+                let mut by_source = Vec::new();
+                for in_file in [false, true] {
+                    let what = format!(
+                        "{full_blocks} blocks + {tail}, +{extra_runs} runs, {seed:?}, file {in_file}"
+                    );
+                    let storage = ClusterStorage::new_mem(&cfg.machine);
+                    let st = storage.pe(0);
+                    let input = if in_file {
+                        let file = std::fs::File::open(&path).expect("open input file");
+                        let file = Arc::new(EdgeFile::new(file, &path, 0));
+                        let offset = (PREFIX * Element16::BYTES) as u64;
+                        LocalInput::Extent { file, offset, elems: n as u64 }
+                    } else {
+                        ingest_input(st, &recs).expect("ingest")
+                    };
+                    let groups = GroupReader::new::<Element16>(st, &cfg, input, seed);
+                    let local = groups.local_groups();
+                    assert_eq!(
+                        local,
+                        full_blocks.div_ceil(bpr).max(usize::from(tail > 0)),
+                        "{what}"
+                    );
+                    assert!(groups.max_group_records() <= bpr * rpb + tail, "{what}");
 
-                let mut arena: Vec<Element16> = Vec::new();
-                let mut read_in_order = Vec::with_capacity(n);
-                let (mut last_nonempty, mut tail_group) = (0, None);
-                for j in 0..local + extra_runs {
-                    groups.collect(groups.issue(j), &mut arena).expect("collect");
-                    assert!(arena.len() <= groups.max_group_records(), "{what}: group {j}");
-                    assert_eq!(arena.is_empty(), j >= local, "{what}: group {j}");
-                    if !arena.is_empty() {
-                        last_nonempty = j;
+                    let mut arena: Vec<Element16> = Vec::new();
+                    let mut read = Vec::with_capacity(local + extra_runs);
+                    let (mut last_nonempty, mut tail_group) = (0, None);
+                    for j in 0..local + extra_runs {
+                        groups.collect(groups.issue(j), &mut arena).expect("collect");
+                        assert!(arena.len() <= groups.max_group_records(), "{what}: group {j}");
+                        assert_eq!(arena.is_empty(), j >= local, "{what}: group {j}");
+                        if !arena.is_empty() {
+                            last_nonempty = j;
+                        }
+                        if arena.iter().any(|r| r.key as usize >= full_blocks * rpb) {
+                            assert_eq!(tail_group.replace(j), None, "{what}: tail read twice");
+                        }
+                        read.push(arena.clone());
                     }
-                    if arena.iter().any(|r| r.key as usize >= full_blocks * rpb) {
-                        assert_eq!(tail_group.replace(j), None, "{what}: tail read twice");
+                    assert_eq!(tail_group, (tail > 0).then_some(last_nonempty), "{what}");
+                    assert_eq!(st.alloc().in_use(), 0, "{what}: every slot freed at issue");
+                    let read_in_order: Vec<Element16> = read.concat();
+                    if seed.is_none() {
+                        assert_eq!(read_in_order, recs, "{what}: input order");
                     }
-                    read_in_order.extend_from_slice(&arena);
+                    // Whole blocks, each exactly once.
+                    let mut starts: Vec<u64> =
+                        read_in_order.chunks(rpb).map(|block| block[0].key).collect();
+                    assert!(read_in_order
+                        .chunks(rpb)
+                        .all(|block| block.windows(2).all(|w| w[0].key + 1 == w[1].key)));
+                    starts.sort_unstable();
+                    let expect: Vec<u64> =
+                        (0..n.div_ceil(rpb) as u64).map(|b| b * rpb as u64).collect();
+                    assert_eq!(starts, expect, "{what}: every block once");
+                    by_source.push(read);
                 }
-                assert_eq!(tail_group, (tail > 0).then_some(last_nonempty), "{what}");
-                assert_eq!(st.alloc().in_use(), 0, "{what}: every slot freed at issue");
-                if seed.is_none() {
-                    assert_eq!(read_in_order, recs, "{what}: input order");
-                }
-                // Whole blocks, each exactly once.
-                let mut starts: Vec<u64> =
-                    read_in_order.chunks(rpb).map(|block| block[0].key).collect();
-                assert!(read_in_order
-                    .chunks(rpb)
-                    .all(|block| block.windows(2).all(|w| w[0].key + 1 == w[1].key)));
-                starts.sort_unstable();
-                let expect: Vec<u64> =
-                    (0..n.div_ceil(rpb) as u64).map(|b| b * rpb as u64).collect();
-                assert_eq!(starts, expect, "{what}: every block once");
+                assert_eq!(by_source[0], by_source[1], "{full_blocks} blocks + {tail}, {seed:?}");
             }
         }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -467,7 +552,7 @@ mod tests {
             let recs = generate_pe_input(InputSpec::Uniform, 3, c.rank(), p, 640);
             let input = ingest_input(st, &recs).expect("ingest");
             let blocks_input = st.alloc().in_use();
-            form_runs::<Element16>(&c, st, &cfg2, input, 1).expect("form");
+            form_runs::<Element16>(&c, st, &cfg2, input, 1, None).expect("form");
             (blocks_input, st.alloc().in_use(), st.alloc().high_water())
         });
         for (input_blocks, in_use, high) in high_waters {
@@ -509,7 +594,7 @@ mod tests {
             let recs = generate_pe_input(InputSpec::Uniform, 11, c.rank(), p, local_n);
             let input = ingest_input(st, &recs).expect("ingest");
             let before = st.pool().counters();
-            let out = form_runs::<Element16>(&c, st, cfg, input, 1).expect("form runs");
+            let out = form_runs::<Element16>(&c, st, cfg, input, 1, None).expect("form runs");
             assert_eq!(out.local.len(), 6);
             let after = st.pool().counters();
             (after.hits - before.hits, after.misses - before.misses)

@@ -31,12 +31,14 @@
 
 use super::runs::{write_striped, RankView, StripedRun};
 use crate::ctx::{BlockFetch, ClusterStorage};
+use crate::fileio::OutputFile;
 use crate::merge::{merge_cpu, CarryMerge};
 use crate::psort::Exchange;
 use crate::recio::records_per_block;
 use demsort_net::Communicator;
-use demsort_storage::{duality_issue_order, BlockId};
+use demsort_storage::{duality_issue_order, BlockId, EdgeFile};
 use demsort_types::{CpuCounters, Phase, Record, Result, SortConfig, TraceEv, Tracer};
+use std::sync::Arc;
 
 /// One merge attempt: what every pass and group of it shares.
 pub(super) struct MergeJob<'a> {
@@ -53,6 +55,8 @@ pub(super) struct MergeJob<'a> {
     /// can re-merge them.
     pub free_consumed: bool,
     pub tracer: &'a Tracer,
+    /// Where the last pass writes, if not to the disks.
+    pub output: Option<OutputFile<'a>>,
 }
 
 impl MergeJob<'_> {
@@ -66,9 +70,18 @@ impl MergeJob<'_> {
         let mut passes = 0;
         let mut cpu = CpuCounters::default();
         while runs.len() > 1 {
+            // A pass of one group is the last: it writes the output
+            // file, if there is one. Every rank waited its last input
+            // read before its last run's exchange, so the output may be
+            // the input.
+            let out = match self.output {
+                Some(out) if runs.len() <= self.k_max => Some(out.open::<R>(self.view.my_global)?),
+                _ => None,
+            };
             let mut next: Vec<StripedRun<R::Key>> = Vec::new();
             for (group_idx, group) in runs.chunks(self.k_max).enumerate() {
-                let (merged, pass_cpu) = self.merge_group::<R>(group, passes, group_idx)?;
+                let (merged, pass_cpu) =
+                    self.merge_group::<R>(group, passes, group_idx, out.as_ref())?;
                 cpu = cpu.merge(&pass_cpu);
                 next.push(merged);
             }
@@ -79,13 +92,14 @@ impl MergeJob<'_> {
     }
 
     /// Merge one group of striped runs into a new striped run, batch by
-    /// batch; the journalled events are tagged with `pass` and
-    /// `group_idx`.
+    /// batch — on the disks, or into `out`; the journalled events are
+    /// tagged with `pass` and `group_idx`.
     fn merge_group<R: Record + Ord>(
         &self,
         group: &[StripedRun<R::Key>],
         pass: usize,
         group_idx: usize,
+        out: Option<&Arc<EdgeFile>>,
     ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
         let Self { comm, storage, cfg, view, cores, tracer, .. } = *self;
         let me = view.my_global;
@@ -279,8 +293,8 @@ impl MergeJob<'_> {
             // striping at the block count so far, so block t of the
             // stitched run is on disk t mod D exactly as if it had been
             // written in one piece.
-            let piece =
-                write_striped::<R>(comm, st, cfg, view, &canon, merged.blocks.len() as u64)?;
+            let (offset, to_file) = (merged.blocks.len() as u64, out.map(|f| (f, merged.elems)));
+            let piece = write_striped::<R>(comm, st, cfg, view, &canon, offset, to_file)?;
             merged.owners.extend(piece.owners);
             merged.blocks.extend(piece.blocks);
             merged.first_keys.extend(piece.first_keys);

@@ -20,10 +20,13 @@
 //!   survivors of a rank's death regroup and re-merge.
 //!
 //! This module holds the sort itself, [`striped_mergesort`] — one entry
-//! point with or without recovery hooks, two [`PhaseRecorder::phase`]
-//! scopes, the second only when there is more than one run — with the
-//! outcome types and the in-process convenience runner
-//! ([`striped_sort_cluster`]).
+//! point with or without recovery hooks and an output file, two
+//! [`PhaseRecorder::phase`] scopes, the second only when there is more
+//! than one run — with the outcome types and the in-process convenience
+//! runner ([`striped_sort_cluster`]). The last pass — the one merge
+//! group, or run formation when there is one run — writes into the
+//! output file when there is one: each owner puts its blocks at their
+//! global stripe offsets.
 
 mod merge;
 mod recovery;
@@ -35,6 +38,7 @@ pub use recovery::{ResilientHooks, SubgroupFn};
 pub use runs::{read_striped, read_striped_blocks, StripedRun};
 
 use crate::ctx::{ClusterStorage, PhaseRecorder};
+use crate::fileio::OutputFile;
 use crate::job::run_in_process;
 use crate::psort::Exchange;
 use crate::runform::{ingest_input, GroupReader, LocalInput};
@@ -90,9 +94,10 @@ pub struct StripedOutcome<R: Record> {
 /// in-process cluster and on a multi-process single-rank view.
 ///
 /// Without `hooks` a rank failure surfaces as [`Error::Comm`]. With
-/// [`AlgoConfig::replication`]` = f > 0`, run formation stores
-/// `f` replicas of every formed run block on the owner's buddy ranks,
-/// and the merge retains consumed initial-run blocks instead of
+/// [`AlgoConfig::replication`]` = f > 0` and more than one run (the
+/// replicas serve the merge), run formation stores `f` replicas of
+/// every formed run block on the owner's buddy ranks, and the merge
+/// retains consumed initial-run blocks instead of
 /// freeing them. If a merge attempt then fails with [`Error::Comm`] and
 /// `hooks` are provided, the survivors regroup (dead set, subgroup,
 /// membership agreement, replica remap) and re-run the merge from the
@@ -112,6 +117,11 @@ pub struct StripedOutcome<R: Record> {
 /// allocator high-water mark reflects that), and the output directory
 /// names only surviving ranks.
 ///
+/// With `output`, the last pass writes the sorted sequence into that
+/// file instead of onto the disks (a degraded re-merge rewrites every
+/// byte of it), and the outcome's directory lists its blocks as
+/// [`BlockId::in_file`](demsort_storage::BlockId::in_file).
+///
 /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
 pub fn striped_mergesort<R: Record + Ord>(
     comm: &Communicator,
@@ -120,6 +130,7 @@ pub fn striped_mergesort<R: Record + Ord>(
     input: LocalInput,
     cores: usize,
     mut hooks: Option<ResilientHooks<'_>>,
+    output: Option<OutputFile<'_>>,
 ) -> Result<StripedOutcome<R>> {
     let me = comm.rank();
     let p = comm.size();
@@ -154,12 +165,21 @@ pub fn striped_mergesort<R: Record + Ord>(
             cpu = cpu.merge(&sort_cpu);
             rec.add_cpu(sort_cpu);
             // The run is canonically distributed in memory; write it
-            // striped over all disks (one more communication).
-            runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
+            // striped over all disks (one more communication) — or, as
+            // the only run, into the output file: every rank waited its
+            // reads before this run's exchange.
+            let out = match output {
+                Some(out) if num_runs == 1 => Some(out.open::<R>(me)?),
+                _ => None,
+            };
+            let to_file = out.as_ref().map(|f| (f, 0));
+            runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0, to_file)?);
         }
         // The merge passes bring their own arenas.
         drop((data, canon, exchange));
-        if f > 0 {
+        // A single run has no merge to recover, and may already be the
+        // output file.
+        if f > 0 && num_runs > 1 {
             for run in &mut runs {
                 replicate_run::<R::Key>(comm, storage, f, run, rec)?;
             }
@@ -190,6 +210,7 @@ pub fn striped_mergesort<R: Record + Ord>(
                 k_max: cfg.machine.merge_fan_in(),
                 free_consumed: f == 0,
                 tracer: tr,
+                output,
             };
             // With replication on, keep the initial run directories:
             // they are what a recovery re-merges (with dead owners
@@ -270,12 +291,8 @@ where
         let (rank, p) = (comm.rank(), comm.size());
         let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
         let cores = cfg.machine.cores_per_pe;
-        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, None)?;
-        // The striped output is global; a rank's share of it is the
-        // records in the blocks it owns.
-        let blocks = o.output.owners.iter().zip(&o.output.counts);
-        let elems =
-            blocks.filter(|&(&owner, _)| owner as usize == rank).map(|(_, &n)| n as u64).sum();
+        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, None, None)?;
+        let elems = o.output.owned_elems(rank);
         let report =
             RankReport { rank, elems, runs: o.runs, phases: o.phases.clone(), error: None };
         Ok((report, o))

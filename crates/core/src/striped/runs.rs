@@ -17,10 +17,11 @@
 use crate::ctx::{BlockFetch, ClusterStorage};
 use crate::recio::records_per_block;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
-use demsort_storage::{BlockId, PeStorage};
+use demsort_storage::{BlockId, EdgeFile, PeStorage};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
 use demsort_types::{Error, Record, Result, SortConfig};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A globally striped sorted sequence: block `g` lives on PE
 /// `owners[g]` at `blocks[g]`, holding records
@@ -31,7 +32,8 @@ pub struct StripedRun<K> {
     /// Owning PE per global block (**global** rank — stable across
     /// survivor renumbering during rank-failure recovery).
     pub owners: Vec<u32>,
-    /// Local block id per global block.
+    /// Local block id per global block ([`BlockId::in_file`] for a run
+    /// written into the output file).
     pub blocks: Vec<BlockId>,
     /// Prediction sequence: first key per global block.
     pub first_keys: Vec<K>,
@@ -62,6 +64,13 @@ impl<K> StripedRun<K> {
             replicas: Vec::new(),
             elems: 0,
         }
+    }
+
+    /// Records in the blocks global rank `rank` owns: its share of the
+    /// run.
+    pub fn owned_elems(&self, rank: usize) -> u64 {
+        let blocks = self.owners.iter().zip(&self.counts);
+        blocks.filter(|&(&owner, _)| owner as usize == rank).map(|(_, &n)| n as u64).sum()
     }
 }
 
@@ -218,6 +227,13 @@ fn decode_directory<R: Record>(
 /// `D` is the disk count of the *participating* ranks
 /// (`view.globals`): a degraded re-merge stripes over the survivors'
 /// disks only, and the directory records their global ranks.
+///
+/// With `to_file = Some((file, base))` the sequence is part of the
+/// sort's output and its first record is record `base` of the output
+/// file: each owner writes block `g` at record `base + g·rpb` of `file`
+/// on the disk queue the block would have had, instead of to a slot.
+/// The offsets are global, so the ranks' writes tile the file without
+/// further communication.
 pub(super) fn write_striped<R: Record>(
     comm: &Communicator,
     st: &PeStorage,
@@ -225,6 +241,7 @@ pub(super) fn write_striped<R: Record>(
     view: &RankView,
     local: &[R],
     stripe_offset: u64,
+    to_file: Option<(&Arc<EdgeFile>, u64)>,
 ) -> Result<StripedRun<R::Key>> {
     let (me, p) = (comm.rank(), comm.size());
     let dpp = cfg.machine.disks_per_pe;
@@ -279,8 +296,8 @@ pub(super) fn write_striped<R: Record>(
     }
     st.pool().add_copied(assembled_bytes);
 
-    // Write assembled blocks to the designated local disk and collect
-    // the directory entries.
+    // Write assembled blocks to the designated local disk (or at their
+    // place in the output file) and collect the directory entries.
     let mut entries: Vec<DirEntry<R::Key>> = Vec::with_capacity(mine.len());
     let mut pending = Vec::with_capacity(mine.len());
     for (g, (data, count)) in mine {
@@ -290,9 +307,21 @@ pub(super) fn write_striped<R: Record>(
                 "rank {me}: striped block {g} arrived with {count} of its {expect} records"
             )));
         }
-        let id = st.alloc().alloc_on(to.disk(g) % dpp);
+        let disk = to.disk(g) % dpp;
         let first_key = R::decode(&data[..R::BYTES]).key();
-        pending.push(st.engine().write(id, data.into_boxed_slice()));
+        let data = data.into_boxed_slice();
+        let id = match to_file {
+            None => {
+                let id = st.alloc().alloc_on(disk);
+                pending.push(st.engine().write(id, data));
+                id
+            }
+            Some((file, base)) => {
+                let at = (base + g * rpb as u64) * R::BYTES as u64;
+                pending.push(st.engine().write_at(disk, file, at, data, count * R::BYTES));
+                BlockId::in_file(disk as u32)
+            }
+        };
         entries.push(DirEntry { g, id, count: expect as u32, first_key });
     }
     for h in pending {
@@ -351,9 +380,9 @@ const READ_STRIPED_WINDOW: usize = 64;
 /// per-owner batches, bounded by a fixed in-flight window — memory
 /// stays O(window · B) regardless of the run size. Each callback
 /// receives one block's valid bytes (`counts[g] · record_bytes` of raw
-/// encoded records). The engine under [`read_striped`]; the binaries
-/// write files rank by rank instead
-/// ([`crate::fileio::write_striped_blocks_to_file`]).
+/// encoded records). The engine under [`read_striped`]; in a file job
+/// the last pass's owners write their blocks into the output file
+/// instead, and nothing reads the output back.
 pub fn read_striped_blocks<K>(
     storage: &ClusterStorage,
     run: &StripedRun<K>,

@@ -51,6 +51,7 @@ fn sort_striped_traced(
                 input,
                 cfg.machine.cores_per_pe,
                 None,
+                None,
             )?;
             Ok((o, tracer.drain()))
         });
@@ -265,6 +266,7 @@ fn parallel_batch_merge_is_byte_identical_and_journals_thread_ranges() {
                     input,
                     cores,
                     None,
+                    None,
                 )?;
                 Ok((o, tracer.drain()))
             });
@@ -426,6 +428,7 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
             input,
             cfg_ref.machine.cores_per_pe,
             Some(hooks),
+            None,
         )
     });
 
@@ -506,7 +509,7 @@ fn replica_buffers_recycle_across_runs() {
             subgroup: Box::new(|_| Err(Error::comm("no regroup in this test"))),
             on_merge_start: Some(Box::new(|_| false)),
         };
-        let stopped = striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks));
+        let stopped = striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks), None);
         assert!(stopped.is_err(), "abandoned at merge start");
         st.pool().counters().misses - before.misses
     });

@@ -24,6 +24,14 @@ impl BlockId {
     pub const fn new(disk: u32, slot: u32) -> Self {
         Self { disk, slot }
     }
+
+    /// What a run's block list records for a block written into a job's
+    /// output file instead of a slot: the disk queue that wrote it, and
+    /// no slot — reading it back is an error, not another block.
+    #[inline]
+    pub const fn in_file(disk: u32) -> Self {
+        Self::new(disk, u32::MAX)
+    }
 }
 
 impl std::fmt::Display for BlockId {

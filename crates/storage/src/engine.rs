@@ -10,15 +10,49 @@
 //! Timing is accounted, not slept: each operation charges its modeled
 //! service time ([`DiskModel`]) to the disk's busy-time counter, which
 //! the cost model later reads.
+//!
+//! Beside the backend's slots a queue also serves an [`EdgeFile`] — a
+//! job's input or output, read or written at a byte offset with
+//! `pread`/`pwrite` into and out of pooled blocks. Each such request is
+//! the block operation it stands for: a read fills one block (its tail
+//! past the valid bytes zeroed) and a write moves one block's valid
+//! bytes, and either is metered as one block of `B` bytes, so the
+//! counters do not tell a file edge from a slot.
 
 use crate::backend::Backend;
 use crate::block::BlockId;
 use crate::disk::{DiskModel, DiskStats};
 use crossbeam::channel::{unbounded, Sender};
-use demsort_types::{BufferPool, IoCounters, Result};
+use demsort_types::fio::{self, Stopped};
+use demsort_types::{BufferPool, Error, IoCounters, Result};
 use parking_lot::{Condvar, Mutex};
+use std::fs::File;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+
+/// A file outside the PE's disks that the engine reads or writes at
+/// byte offsets: a job's input or its output, shared by the ranks.
+/// Every failure names the rank, the path, the byte offset and the OS
+/// error (`rank 1: read in.dat at byte 30000: short read: end of
+/// file`).
+#[derive(Debug)]
+pub struct EdgeFile {
+    file: File,
+    path: PathBuf,
+    rank: usize,
+}
+
+impl EdgeFile {
+    /// `file`, which rank `rank` opened at `path`.
+    pub fn new(file: File, path: &Path, rank: usize) -> Self {
+        Self { file, path: path.to_path_buf(), rank }
+    }
+
+    fn fail(&self, op: &str, stopped: Stopped, at: u64) -> Error {
+        Error::io(format!("rank {}: {}", self.rank, stopped.describe(op, self.path.display(), at)))
+    }
+}
 
 enum Request {
     Read {
@@ -27,6 +61,22 @@ enum Request {
     },
     Write {
         slot: u64,
+        data: Box<[u8]>,
+        state: Arc<HandleState>,
+    },
+    /// Read `len` bytes at byte `at` of `file` into `buf`.
+    ReadAt {
+        file: Arc<EdgeFile>,
+        at: u64,
+        len: usize,
+        buf: Box<[u8]>,
+        state: Arc<HandleState>,
+    },
+    /// Write the first `len` bytes of `data` at byte `at` of `file`.
+    WriteAt {
+        file: Arc<EdgeFile>,
+        at: u64,
+        len: usize,
         data: Box<[u8]>,
         state: Arc<HandleState>,
     },
@@ -164,6 +214,28 @@ impl IoEngine {
                                     );
                                     state.complete(res.map(|()| data));
                                 }
+                                Request::ReadAt { file, at, len, mut buf, state } => {
+                                    let (valid, tail) = buf.split_at_mut(len);
+                                    tail.fill(0);
+                                    let res = fio::read_exact_at(&file.file, valid, at)
+                                        .map_err(|s| file.fail("read", s, at));
+                                    let slot = at / block_bytes as u64;
+                                    stats[disk].record_read(
+                                        block_bytes,
+                                        model.service_ns_at(block_bytes, slot),
+                                    );
+                                    state.complete(res.map(|()| buf));
+                                }
+                                Request::WriteAt { file, at, len, data, state } => {
+                                    let res = fio::write_all_at(&file.file, &data[..len], at)
+                                        .map_err(|s| file.fail("write", s, at));
+                                    let slot = at / block_bytes as u64;
+                                    stats[disk].record_write(
+                                        block_bytes,
+                                        model.service_ns_at(block_bytes, slot),
+                                    );
+                                    state.complete(res.map(|()| data));
+                                }
                                 Request::Fence { state } => {
                                     state.complete(Ok(Vec::new().into_boxed_slice()));
                                 }
@@ -194,26 +266,53 @@ impl IoEngine {
         self.queues.len()
     }
 
-    /// Enqueue an asynchronous read of `id`.
-    pub fn read(&self, id: BlockId) -> IoHandle {
+    /// Queue the request `make` builds on disk `disk`'s queue.
+    fn submit(&self, disk: usize, make: impl FnOnce(Arc<HandleState>) -> Request) -> IoHandle {
         let state = HandleState::new();
         let handle = IoHandle { state: Arc::clone(&state) };
-        self.queues[id.disk as usize]
-            .send(Request::Read { slot: id.slot as u64, state })
-            .expect("disk worker alive");
+        self.queues[disk].send(make(state)).expect("disk worker alive");
         handle
+    }
+
+    /// Enqueue an asynchronous read of `id`.
+    pub fn read(&self, id: BlockId) -> IoHandle {
+        self.submit(id.disk as usize, |state| Request::Read { slot: id.slot as u64, state })
     }
 
     /// Enqueue an asynchronous write of `data` to `id`.
     /// `data.len()` must equal the block size.
     pub fn write(&self, id: BlockId, data: Box<[u8]>) -> IoHandle {
         assert_eq!(data.len(), self.block_bytes, "write must be exactly one block");
-        let state = HandleState::new();
-        let handle = IoHandle { state: Arc::clone(&state) };
-        self.queues[id.disk as usize]
-            .send(Request::Write { slot: id.slot as u64, data, state })
-            .expect("disk worker alive");
-        handle
+        self.submit(id.disk as usize, |state| Request::Write { slot: id.slot as u64, data, state })
+    }
+
+    /// Enqueue a read of `len` bytes (at most one block) from byte `at`
+    /// of `file` on disk `disk`'s queue, into a pooled block whose tail
+    /// past `len` is zeroed. A file that ends before `at + len` is an
+    /// error, not zeros. Metered as one block read.
+    pub fn read_at(&self, disk: usize, file: &Arc<EdgeFile>, at: u64, len: usize) -> IoHandle {
+        assert!(len <= self.block_bytes, "a file read fills at most one block");
+        // The block is drawn on the caller's thread, which consumes and
+        // frees it: a pool miss allocates there, not in the disk worker.
+        let (file, buf) = (Arc::clone(file), self.pool.get());
+        self.submit(disk, |state| Request::ReadAt { file, at, len, buf, state })
+    }
+
+    /// Enqueue a write of the first `len` bytes of `data` (exactly one
+    /// block) to byte `at` of `file` on disk `disk`'s queue. Metered as
+    /// one block write; the handle hands `data` back.
+    pub fn write_at(
+        &self,
+        disk: usize,
+        file: &Arc<EdgeFile>,
+        at: u64,
+        data: Box<[u8]>,
+        len: usize,
+    ) -> IoHandle {
+        assert_eq!(data.len(), self.block_bytes, "write must be exactly one block");
+        assert!(len <= data.len(), "a file write moves at most one block");
+        let file = Arc::clone(file);
+        self.submit(disk, |state| Request::WriteAt { file, at, len, data, state })
     }
 
     /// Synchronous read convenience.
@@ -229,16 +328,8 @@ impl IoEngine {
     /// Wait until all requests enqueued so far have been serviced
     /// (FIFO queues make a per-disk fence sufficient).
     pub fn drain(&self) -> Result<()> {
-        let fences: Vec<IoHandle> = self
-            .queues
-            .iter()
-            .map(|q| {
-                let state = HandleState::new();
-                let handle = IoHandle { state: Arc::clone(&state) };
-                q.send(Request::Fence { state }).expect("disk worker alive");
-                handle
-            })
-            .collect();
+        let fences: Vec<IoHandle> =
+            (0..self.disks()).map(|d| self.submit(d, |state| Request::Fence { state })).collect();
         for f in fences {
             f.wait()?;
         }
@@ -385,6 +476,40 @@ mod tests {
         let c = e.pool().counters();
         assert_eq!(c.misses, misses_after_first, "second read must reuse the returned buffer");
         assert!(c.hits >= 1);
+    }
+
+    #[test]
+    fn file_requests_move_valid_bytes_and_meter_whole_blocks() {
+        let path = std::env::temp_dir().join(format!("demsort-engine-edge-{}", std::process::id()));
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .expect("create");
+        let file = Arc::new(EdgeFile::new(file, &path, 3));
+        let e = engine(2, 32);
+        let back = e.write_at(1, &file, 7, vec![0xAB; 32].into_boxed_slice(), 20).wait();
+        assert_eq!(&back.expect("write")[..], &[0xAB; 32], "the block comes back");
+        assert_eq!(std::fs::metadata(&path).expect("stat").len(), 27, "valid bytes only");
+
+        // A recycled buffer keeps stale bytes; the tail past the read is
+        // zeroed anyway.
+        e.pool().put(vec![0xEE; 32].into_boxed_slice());
+        let block = e.read_at(0, &file, 7, 20).wait().expect("read");
+        assert_eq!((&block[..20], &block[20..]), (&[0xAB; 20][..], &[0u8; 12][..]));
+        let c = e.counters();
+        assert_eq!(
+            (c.bytes_read, c.bytes_written, c.blocks_read, c.blocks_written),
+            (32, 32, 1, 1)
+        );
+
+        // A file that ends early is an error naming rank, path and byte.
+        let err = e.read_at(1, &file, 17, 20).wait().expect_err("file ends at byte 27");
+        let want = format!("rank 3: read {} at byte 27: short read", path.display());
+        assert!(matches!(&err, Error::Io(m) if m.starts_with(&want)), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

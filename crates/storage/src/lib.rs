@@ -14,6 +14,8 @@
 //!   paper) and per-disk statistics. Time is *accounted, not slept*.
 //! * [`engine`] — one worker thread per disk, FIFO request queues,
 //!   futures-style [`IoHandle`]s; this is what makes I/O overlap real.
+//!   The same queues read a job's input and write its output
+//!   ([`EdgeFile`]) at byte offsets, one block per request.
 //! * [`alloc`] — per-disk free-list allocation with a high-water mark,
 //!   enabling the paper's (nearly) in-place operation.
 //! * [`striping`] — [`PeStorage`] facade plus the streaming
@@ -21,8 +23,8 @@
 //! * [`prefetch`] — the one block reader, [`MergePrefetcher`]: a block
 //!   sequence read ahead under a buffer budget in naive or
 //!   duality-optimal order (Appendix A of the paper, \[13\]). Every
-//!   sequential local read — [`read_run`], the record reader, the
-//!   output file edge — goes through it.
+//!   sequential local read — [`read_run`], the record reader — goes
+//!   through it.
 
 pub mod alloc;
 pub mod backend;
@@ -36,7 +38,7 @@ pub use alloc::BlockAllocator;
 pub use backend::{Backend, FaultInjectingBackend, FileBackend, MemBackend};
 pub use block::{alloc_buf, BlockId};
 pub use disk::{DiskModel, DiskStats, DiskStatsSnapshot};
-pub use engine::{IoEngine, IoHandle};
+pub use engine::{EdgeFile, IoEngine, IoHandle};
 pub use prefetch::{
     duality_issue_order, naive_issue_order, simulate_schedule, MergePrefetcher, ScheduleSim,
 };

@@ -16,9 +16,9 @@
 //!
 //! [`MergePrefetcher`] executes a schedule against a [`PeStorage`],
 //! bounding in-flight blocks by the buffer budget. It is the reader of
-//! every sequential local read: [`read_run`](crate::read_run), the
+//! every sequential local read: [`read_run`](crate::read_run) and the
 //! record reader of `demsort-core` (final merge, all-to-all, output
-//! validation) and the output file edge all drive it in naive order.
+//! validation) drive it in naive order.
 //! [`simulate_schedule`] evaluates a schedule analytically (parallel
 //! I/O steps, consumer stalls) for tests and the ablation bench.
 

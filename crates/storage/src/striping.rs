@@ -19,8 +19,8 @@ use std::sync::Arc;
 /// Default number of outstanding writes for [`RunWriter`] (one per disk
 /// keeps all spindles busy, paper: "We maintain D buffer blocks").
 pub const DEFAULT_WRITE_BEHIND: usize = 4;
-/// Default read-ahead depth of a sequential byte read ([`read_run`], the
-/// output file edge), at least one block per disk.
+/// Default read-ahead depth of a sequential byte read ([`read_run`]), at
+/// least one block per disk.
 pub const DEFAULT_READAHEAD: usize = 4;
 
 /// All storage state owned by one PE.
@@ -177,9 +177,7 @@ impl<'a> RunWriter<'a> {
         self.buf.resize(b, 0); // zero-pad a partial tail block
         let data = std::mem::replace(&mut self.buf, self.st.pool().get_vec()).into_boxed_slice();
         let id = self.st.alloc.alloc_striped();
-        self.blocks.push(id);
-        self.pending.push_back(self.st.engine.write(id, data));
-        self.retire_until(self.write_behind.saturating_sub(1))
+        self.push_issued(id, self.st.engine.write(id, data))
     }
 
     /// Append bytes to the run.
@@ -207,12 +205,19 @@ impl<'a> RunWriter<'a> {
         if self.buf.is_empty() {
             self.bytes += b as u64;
             let id = self.st.alloc.alloc_striped();
-            self.blocks.push(id);
-            self.pending.push_back(self.st.engine.write(id, data));
-            self.retire_until(self.write_behind.saturating_sub(1))
+            self.push_issued(id, self.st.engine.write(id, data))
         } else {
             self.push(&data)
         }
+    }
+
+    /// Append a block whose write the caller issued itself, named `id`
+    /// in the run, to the write-behind window; its bytes are the
+    /// caller's to count.
+    pub fn push_issued(&mut self, id: BlockId, write: IoHandle) -> Result<()> {
+        self.blocks.push(id);
+        self.pending.push_back(write);
+        self.retire_until(self.write_behind.saturating_sub(1))
     }
 
     /// Bytes appended so far.

@@ -3,15 +3,16 @@
 //!
 //! [`write_all`] and [`read_exact`] own the retry-on-`EINTR`,
 //! advance-the-slices and zero-means-stuck logic once; the caller
-//! supplies the one system call (vectored at a descriptor's position,
-//! positioned, or into a buffered socket). A transfer that stops early
+//! supplies the one system call (positioned, or into a buffered
+//! socket). A transfer that stops early
 //! comes back as a [`Stopped`] saying how many bytes had moved and why,
 //! and [`Stopped::describe`] is the one text shape of a failed file
 //! transfer: operation, target, byte offset, then the short transfer or
 //! the OS error by name.
 //!
 //! [`write_all_at`] / [`read_exact_at`] are the positioned
-//! (`pwrite`/`pread`) single-buffer forms the storage backend uses.
+//! (`pwrite`/`pread`) single-buffer forms the storage layer uses, for
+//! its disks' slots and for a job's input and output files.
 
 use std::fmt::Display;
 use std::fs::File;

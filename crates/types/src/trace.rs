@@ -122,9 +122,9 @@ pub enum TraceEv {
         /// Bytes memcpy'd on non-zero-copy paths.
         copied_bytes: u64,
     },
-    /// The process's resident set at a checkpoint — the end of a phase
-    /// or of a file edge — so a journal says in which phase the peak
-    /// was set (event; [`Tracer::mem`]). All ranks of an in-process
+    /// The process's resident set at a checkpoint — the end of a
+    /// phase — so a journal says in which phase the peak was set
+    /// (event; [`Tracer::mem`]). All ranks of an in-process
     /// cluster share one process and report the same numbers.
     Mem {
         /// Peak resident set so far (`VmHWM`), KiB.

@@ -277,7 +277,8 @@ fn striped_and_canonical_agree() {
         let st = storage_ref.pe(c.rank());
         let recs = generate_pe_input(InputSpec::Uniform, 21, c.rank(), p, local_n);
         let input = ingest_input(st, &recs).expect("ingest");
-        striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None).expect("striped")
+        striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None, None)
+            .expect("striped")
     });
     let striped_all = read_striped::<Element16>(&storage, &outcomes[0].output).expect("read");
 
