@@ -22,7 +22,8 @@
 //! `--algo` selects the paper's algorithm: `canonical`
 //! (CANONICALMERGESORT, Section IV — per-PE outputs concatenate into
 //! OUTPUT) or `striped` (mergesort with global striping, Section III —
-//! the globally striped blocks interleave into OUTPUT).
+//! runs striped over all disks, each merge batch's per-rank parts
+//! written one after the other into OUTPUT).
 //!
 //! `--transport` selects the cluster substrate. Both build the same
 //! `JobConfig` from the same flags (`demsort_bench::procs::TcpJobCli`,

@@ -1,23 +1,23 @@
 //! Striped-mergesort multi-process acceptance test: `sortfile --algo
 //! striped --transport tcp`'s code path (4 real `demsort-worker`
-//! processes over a loopback TCP mesh, each writing its own globally
-//! striped blocks into the shared output) must produce
-//! **byte-identical** output and **identical per-rank, per-phase comm
-//! and I/O counters** to the in-process striped run of the same
-//! gensort input.
+//! processes over a loopback TCP mesh, each writing its part of the
+//! last pass into the shared output) must produce **byte-identical**
+//! output and **identical per-rank, per-phase comm, I/O and CPU
+//! counters** to the same file job on the in-process cluster
+//! (`run_job_local`, what `sortfile --transport local` runs).
 //!
 //! Unlike the canonical algorithm, the striped sort has no selection
 //! probes, so even the per-phase I/O attribution is deterministic —
 //! the comparison is exact on every counter.
 
 use demsort_bench::procs::launch;
-use demsort_core::job::default_scratch;
+use demsort_core::job::{default_scratch, run_job_local};
 use demsort_core::merge::merge_work;
 use demsort_core::striped::{read_striped, striped_sort_cluster};
 use demsort_core::validate::hash_record;
 use demsort_types::{
-    AlgoConfig, JobConfig, MachineConfig, Phase, Record as _, Record100, SortAlgo, SortConfig,
-    SortReport,
+    AlgoConfig, CpuCounters, JobConfig, MachineConfig, Phase, PhaseStats, Record as _, Record100,
+    SortAlgo, SortConfig, SortReport,
 };
 use demsort_workloads::gensort_records;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -28,7 +28,7 @@ const RANKS: usize = 4;
 
 fn test_machine() -> MachineConfig {
     // Tiny blocks and memory force several runs per rank, so the merge
-    // phase (batch fetches + re-striping) really runs.
+    // phase (batch fetches, exchanges and the file write) really runs.
     MachineConfig {
         pes: RANKS,
         disks_per_pe: 2,
@@ -52,18 +52,59 @@ fn write_gensort_input(path: &Path) {
     f.flush().expect("flush");
 }
 
-/// The in-process reference: `sortfile --algo striped` in miniature.
-fn striped_in_process(input: &Path, output: &Path) -> SortReport {
-    striped_in_process_on(input, output, test_machine(), AlgoConfig::default())
+/// `sortfile --algo striped` from `input` to `output` on `machine`.
+fn striped_job(input: &Path, output: &Path, machine: MachineConfig, algo: AlgoConfig) -> JobConfig {
+    JobConfig {
+        input: input.to_string_lossy().into_owned(),
+        output: output.to_string_lossy().into_owned(),
+        machine,
+        algo,
+        algorithm: SortAlgo::Striped,
+        read_timeout_ms: 60_000,
+        trace_dir: String::new(),
+        scratch: default_scratch(&output.to_string_lossy()),
+    }
 }
 
-fn striped_in_process_on(
-    input: &Path,
-    output: &Path,
-    machine: MachineConfig,
-    algo: AlgoConfig,
-) -> SortReport {
-    let cfg = SortConfig::new(machine, algo).expect("valid");
+/// The same job as 4 real worker processes over loopback TCP, and on
+/// the in-process cluster (`sortfile --transport local`) into
+/// `out_local`: the two reports.
+fn on_both_transports(job: &JobConfig, out_local: &Path) -> (SortReport, SortReport) {
+    let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
+    let tcp = launch(job, &worker).expect("striped tcp launch");
+    assert_eq!(tcp.per_rank.len(), RANKS);
+    let rank_sum: u64 = tcp.per_rank.iter().map(|r| r.elems).sum();
+    assert_eq!(rank_sum, RECORDS as u64, "the ranks' parts of the output cover N");
+    let local = JobConfig {
+        output: out_local.to_string_lossy().into_owned(),
+        scratch: default_scratch(&out_local.to_string_lossy()),
+        ..job.clone()
+    };
+    (tcp.report, run_job_local(&local).expect("in-process striped job"))
+}
+
+/// Every deterministic counter of two runs of one job agrees, per rank
+/// and per phase: comm, I/O and the CPU work counters (host wall time
+/// excluded). The striped algorithm issues no cross-rank probes during
+/// the sort, so every counter's phase attribution is deterministic and
+/// the transport must be completely invisible.
+fn assert_same_counters(tcp: &SortReport, local: &SortReport) {
+    let work = |c: &CpuCounters| CpuCounters { host_wall_ns: 0, ..*c };
+    for pe in 0..RANKS {
+        for phase in Phase::ALL {
+            let (t, l) = (tcp.get(pe, phase), local.get(pe, phase));
+            assert_eq!(t.comm, l.comm, "comm counters (pe {pe}, {phase})");
+            assert_eq!(t.io, l.io, "io counters (pe {pe}, {phase})");
+            assert_eq!(work(&t.cpu), work(&l.cpu), "cpu counters (pe {pe}, {phase})");
+        }
+    }
+}
+
+/// The materialising reference of `sort_file`: whole shards in, the
+/// output left striped over the disks and read back as one record
+/// vector, written to `output`.
+fn striped_materialised(input: &Path, output: &Path) -> SortReport {
+    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
     let input_path = input.to_path_buf();
     let outcome = striped_sort_cluster::<Record100, _>(&cfg, move |pe, p| {
         let shard = demsort_types::ranks::owned_range(pe, p, RECORDS as u64);
@@ -77,8 +118,7 @@ fn striped_in_process_on(
     })
     .expect("in-process striped sort");
 
-    // Output through the block service in global block order — the
-    // same byte sequence the workers assemble from disjoint ranges.
+    // Output through the block service in global block order.
     let recs = read_striped::<Record100>(&outcome.storage, &outcome.per_pe[0].output)
         .expect("read striped output");
     let mut out = std::io::BufWriter::new(std::fs::File::create(output).expect("create output"));
@@ -98,28 +138,11 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
     let out_local = tmp_path("out-local.dat");
     write_gensort_input(&input);
 
-    // --- multi-process run: real worker processes over loopback TCP ---
-    let job = JobConfig {
-        input: input.to_string_lossy().into_owned(),
-        output: out_tcp.to_string_lossy().into_owned(),
-        machine: test_machine(),
-        algo: AlgoConfig::default(),
-        algorithm: SortAlgo::Striped,
-        read_timeout_ms: 60_000,
-        trace_dir: String::new(),
-        scratch: default_scratch(&out_tcp.to_string_lossy()),
-    };
-    let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
-    let tcp = launch(&job, &worker).expect("striped tcp launch");
-    assert_eq!(tcp.per_rank.len(), RANKS);
-    assert!(tcp.report.runs > 1, "test must exercise the merge phase (R > 1)");
-    let rank_sum: u64 = tcp.per_rank.iter().map(|r| r.elems).sum();
-    assert_eq!(rank_sum, RECORDS as u64, "ranks own disjoint striped blocks covering N");
+    let job = striped_job(&input, &out_tcp, test_machine(), AlgoConfig::default());
+    let (tcp, local) = on_both_transports(&job, &out_local);
+    assert!(tcp.runs > 1, "test must exercise the merge phase (R > 1)");
 
-    // --- in-process reference run ---
-    let local_report = striped_in_process(&input, &out_local);
-
-    // Byte-identical striped output.
+    // Byte-identical output.
     let tcp_bytes = std::fs::read(&out_tcp).expect("read tcp output");
     let local_bytes = std::fs::read(&out_local).expect("read local output");
     assert_eq!(tcp_bytes.len(), RECORDS * Record100::BYTES);
@@ -147,35 +170,11 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
     Record100::encode_slice(&reference, &mut ref_bytes);
     assert_eq!(tcp_bytes, ref_bytes, "striped output must equal the canonical sorted order");
 
-    // Identical counters, per rank, per phase — comm, I/O, AND the
-    // deterministic CPU work counters (host wall time is excluded).
-    // The striped algorithm issues no cross-rank probes during the
-    // sort, so every counter's phase attribution is deterministic and
-    // the transport must be completely invisible.
-    for pe in 0..RANKS {
-        for phase in Phase::ALL {
-            let t = tcp.report.get(pe, phase);
-            let l = local_report.get(pe, phase);
-            assert_eq!(t.comm, l.comm, "comm counters (pe {pe}, {phase})");
-            assert_eq!(t.io, l.io, "io counters (pe {pe}, {phase})");
-            for (name, f) in [
-                (
-                    "elements_sorted",
-                    (|c| c.elements_sorted) as fn(&demsort_types::CpuCounters) -> u64,
-                ),
-                ("sort_work", |c| c.sort_work),
-                ("elements_merged", |c| c.elements_merged),
-                ("merge_work", |c| c.merge_work),
-                ("split_probes", |c| c.split_probes),
-            ] {
-                assert_eq!(f(&t.cpu), f(&l.cpu), "cpu {name} (pe {pe}, {phase})");
-            }
-        }
-    }
+    assert_same_counters(&tcp, &local);
     // The striped phases really were recorded.
     for pe in 0..RANKS {
-        assert!(tcp.report.get(pe, Phase::RunFormation).io.bytes_written > 0, "pe {pe} phase 1");
-        assert!(tcp.report.get(pe, Phase::FinalMerge).io.bytes_read > 0, "pe {pe} merge phase");
+        assert!(tcp.get(pe, Phase::RunFormation).io.bytes_written > 0, "pe {pe} phase 1");
+        assert!(tcp.get(pe, Phase::FinalMerge).io.bytes_read > 0, "pe {pe} merge phase");
     }
 
     // Merge-phase CPU regression (on both transports): batches are
@@ -185,7 +184,7 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
     // merge, strictly below the seed's ~n·log2(batch) sort cost per
     // batch.
     let n = RECORDS as u64;
-    for (name, report) in [("tcp", &tcp.report), ("local", &local_report)] {
+    for (name, report) in [("tcp", &tcp), ("local", &local)] {
         let sort_work = report.phase_total(Phase::FinalMerge, |s| s.cpu.sort_work);
         let merge_total = report.phase_total(Phase::FinalMerge, |s| s.cpu.merge_work);
         assert_eq!(sort_work, 0, "{name}: merge phase must not sort");
@@ -217,7 +216,8 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     write_gensort_input(&input);
 
     // cores = 1 in-process run: the sequential baseline.
-    let seq_report = striped_in_process(&input, &out_seq);
+    let seq_job = striped_job(&input, &out_seq, test_machine(), AlgoConfig::default());
+    let seq_report = run_job_local(&seq_job).expect("cores = 1 job");
 
     // cores = 4 on both transports. Batches at this scale sit below
     // the engine's per-thread minimum, so the run pins
@@ -225,19 +225,8 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     // wire-encoded) to keep the multi-thread fan-out under test.
     let machine4 = MachineConfig { cores_per_pe: 4, ..test_machine() };
     let algo4 = AlgoConfig { par_merge_min_per_thread: 1, ..AlgoConfig::default() };
-    let job = JobConfig {
-        input: input.to_string_lossy().into_owned(),
-        output: out_tcp.to_string_lossy().into_owned(),
-        machine: machine4.clone(),
-        algo: algo4.clone(),
-        algorithm: SortAlgo::Striped,
-        read_timeout_ms: 60_000,
-        trace_dir: String::new(),
-        scratch: default_scratch(&out_tcp.to_string_lossy()),
-    };
-    let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
-    let tcp = launch(&job, &worker).expect("striped tcp launch (cores = 4)");
-    let local_report = striped_in_process_on(&input, &out_local, machine4, algo4);
+    let job = striped_job(&input, &out_tcp, machine4, algo4);
+    let (tcp, local) = on_both_transports(&job, &out_local);
 
     let seq_bytes = std::fs::read(&out_seq).expect("read cores=1 output");
     assert_eq!(seq_bytes.len(), RECORDS * Record100::BYTES);
@@ -245,14 +234,15 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     let local_bytes = std::fs::read(&out_local).expect("read local output");
     assert_eq!(tcp_bytes, seq_bytes, "cores=4 tcp output must equal the cores=1 output");
     assert_eq!(local_bytes, seq_bytes, "cores=4 local output must equal the cores=1 output");
+    assert_same_counters(&tcp, &local);
 
     // Splitting the batch across threads must not change the total
     // comparison charge: per-thread merges sum to the sequential
     // n·(⌈log2 R⌉ + ⌈log2 P⌉) bound, and batches are still never
     // re-sorted.
     let n = RECORDS as u64;
-    assert!(tcp.report.runs > 1, "test must exercise the merge phase (R > 1)");
-    for (name, report) in [("seq", &seq_report), ("tcp", &tcp.report), ("local", &local_report)] {
+    assert!(tcp.runs > 1, "test must exercise the merge phase (R > 1)");
+    for (name, report) in [("seq", &seq_report), ("tcp", &tcp), ("local", &local)] {
         assert_eq!(
             report.phase_total(Phase::FinalMerge, |s| s.cpu.sort_work),
             0,
@@ -270,12 +260,7 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     // function of the batch shapes, so it is transport-invariant.
     let probes = |r: &SortReport| r.phase_total(Phase::FinalMerge, |s| s.cpu.split_probes);
     assert_eq!(probes(&seq_report), 0, "cores=1 performs no split selection");
-    assert!(probes(&tcp.report) > 0, "cores=4 must split batches across threads");
-    assert_eq!(
-        probes(&tcp.report),
-        probes(&local_report),
-        "split selection must be deterministic across transports"
-    );
+    assert!(probes(&tcp) > 0, "cores=4 must split batches across threads");
 
     for p in [&input, &out_seq, &out_tcp, &out_local] {
         let _ = std::fs::remove_file(p);
@@ -331,14 +316,16 @@ fn buffer_pool_misses_plateau_after_warmup() {
 
 #[test]
 fn sort_file_matches_the_materialising_striped_run() {
-    // `striped_in_process` above loads whole shards and reads the
-    // output back as one record vector; the direct file edges behind
-    // `sort_file` must leave the same bytes and counters.
+    // `striped_materialised` above loads whole shards, leaves the
+    // output striped over the disks and reads it back as one record
+    // vector; the direct file edges behind `sort_file` must leave the
+    // same bytes, move the same blocks, and form the same runs. Their
+    // last pass writes the file without striping it, so it sends less.
     let input = tmp_path("sf-input.dat");
     let out_ref = tmp_path("sf-out-ref.dat");
     let out = tmp_path("sf-out.dat");
     write_gensort_input(&input);
-    let reference = striped_in_process(&input, &out_ref);
+    let reference = striped_materialised(&input, &out_ref);
     let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
     let report = demsort_core::sort_file(&cfg, SortAlgo::Striped, &input, &out).expect("sort");
 
@@ -348,13 +335,30 @@ fn sort_file_matches_the_materialising_striped_run() {
         "sort_file output must be byte-identical to the materialising run"
     );
     assert_eq!(report.runs, reference.runs);
-    for pe in 0..RANKS {
-        for phase in Phase::ALL {
-            let (got, want) = (report.get(pe, phase), reference.get(pe, phase));
-            assert_eq!(got.comm, want.comm, "comm counters (pe {pe}, {phase})");
-            assert_eq!(got.io, want.io, "io counters (pe {pe}, {phase})");
-        }
+    assert!(report.runs > 1, "an external sort");
+    let io_total = |r: &SortReport, f: fn(&PhaseStats) -> u64| -> u64 {
+        Phase::ALL.iter().map(|&ph| r.phase_total(ph, f)).sum()
+    };
+    for (name, f) in [
+        ("bytes_written", (|s| s.io.bytes_written) as fn(&PhaseStats) -> u64),
+        ("blocks_written", |s| s.io.blocks_written),
+        ("bytes_read", |s| s.io.bytes_read),
+    ] {
+        assert_eq!(io_total(&report, f), io_total(&reference, f), "{name}");
     }
+    for pe in 0..RANKS {
+        let (got, want) =
+            (report.get(pe, Phase::RunFormation), reference.get(pe, Phase::RunFormation));
+        assert_eq!(got.comm, want.comm, "run formation comm counters (pe {pe})");
+        assert_eq!(got.io, want.io, "run formation io counters (pe {pe})");
+    }
+    let sent = |r: &SortReport| r.phase_total(Phase::FinalMerge, |s| s.comm.bytes_sent);
+    assert!(sent(&report) < sent(&reference), "{} ≥ {}", sent(&report), sent(&reference));
+    // Where the last pass striped the file too, the file job sent what
+    // the materialising run does, 5.955 N with these 1 KiB blocks; it
+    // now sends 4.773 N.
+    let (got, want) = (report.comm_volume_over_n(), reference.comm_volume_over_n());
+    assert!(got <= want - 0.4, "communication {want} N -> {got} N");
     for p in [&input, &out_ref, &out] {
         let _ = std::fs::remove_file(p);
     }

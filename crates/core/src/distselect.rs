@@ -98,9 +98,24 @@ pub fn dist_select_rank<R: Record + Ord>(
     Err(Error::validation(format!("distributed selection did not converge in {max_rounds} rounds")))
 }
 
-/// Split the distributed sequence into `parts` equal pieces: returns the
-/// `parts + 1` local cut positions for this PE (monotone, covering
-/// `0..local.len()`).
+/// The global rank at which part `i` of `parts` starts when `total`
+/// elements are split into equal parts whose boundaries fall on
+/// multiples of `grain`: `⌊⌊i·total/parts⌋ / grain⌋·grain`, and `total`
+/// for `i = parts`. With `grain = 1` these are the canonical
+/// boundaries `⌊i·total/parts⌋`; with a block's worth of records every
+/// part but the last is whole blocks.
+pub fn split_rank(i: usize, parts: usize, total: u64, grain: u64) -> u64 {
+    if i >= parts {
+        return total;
+    }
+    let r = (i as u128 * total as u128 / parts as u128) as u64;
+    r / grain * grain
+}
+
+/// Split the distributed sequence into `parts` pieces at the global
+/// ranks [`split_rank`] gives for `grain`: returns the `parts + 1`
+/// local cut positions for this PE (monotone, covering
+/// `0..local.len()`) and the global element count.
 ///
 /// # Errors
 /// [`Error::Comm`](demsort_types::Error) on the first failed collective
@@ -109,18 +124,18 @@ pub fn dist_split<R: Record + Ord>(
     comm: &Communicator,
     local: &[R],
     parts: usize,
-) -> Result<Vec<usize>> {
-    assert!(parts > 0);
+    grain: u64,
+) -> Result<(Vec<usize>, u64)> {
+    assert!(parts > 0 && grain > 0);
     let total = comm.allreduce_sum(local.len() as u64)?;
     let mut cuts = Vec::with_capacity(parts + 1);
     cuts.push(0);
     for p in 1..parts {
-        let r = (p as u128 * total as u128 / parts as u128) as u64;
-        cuts.push(dist_select_rank(comm, local, r)?);
+        cuts.push(dist_select_rank(comm, local, split_rank(p, parts, total, grain))?);
     }
     cuts.push(local.len());
     debug_assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "cuts must be monotone: {cuts:?}");
-    Ok(cuts)
+    Ok((cuts, total))
 }
 
 /// Weighted median of one candidate record per PE.
@@ -261,7 +276,7 @@ mod tests {
         let locals = sorted_locals(5, 200, 23);
         let locals_ref = &locals;
         let all_cuts =
-            run_cluster(5, move |c| dist_split(&c, &locals_ref[c.rank()], 5).expect("split"));
+            run_cluster(5, move |c| dist_split(&c, &locals_ref[c.rank()], 5, 1).expect("split").0);
         // Every part has global size 200.
         for part in 0..5 {
             let size: usize = all_cuts.iter().map(|cuts| cuts[part + 1] - cuts[part]).sum();

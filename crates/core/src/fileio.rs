@@ -7,10 +7,11 @@
 //! per engine request. The output is an [`OutputFile`] that the sort's
 //! last pass opens and writes into, each block at its final byte
 //! offset — the canonical sort's part at `owned_range(rank).start`
-//! ([`OutputFile::canonical_part`]), the striped sort's blocks at their
-//! global stripe offsets. Between the two a record is read twice and
-//! written twice, as in the paper: the two passes are the sort's only
-//! file I/O.
+//! ([`OutputFile::canonical_part`]), the striped sort's part of each
+//! batch at the batch's offset plus the part's block-aligned start (no
+//! striping: a file has no disks). Between the two a record is read
+//! twice and written twice, as in the paper: the two passes are the
+//! sort's only file I/O.
 //!
 //! Every failure is an [`Error::Io`] naming the rank, the file and the
 //! byte offset. The rank program that drives the edges is
@@ -109,7 +110,8 @@ mod tests {
     use demsort_storage::PeStorage;
     use demsort_types::trace::{read_journal, validate_rank_journal};
     use demsort_types::{
-        AlgoConfig, JobConfig, MachineConfig, Record100, SortAlgo, SortConfig, SortReport, TraceEv,
+        AlgoConfig, JobConfig, MachineConfig, Phase, PhaseStats, Record100, SortAlgo, SortConfig,
+        SortReport, TraceEv,
     };
     use demsort_workloads::gensort_records;
     use std::path::PathBuf;
@@ -200,6 +202,47 @@ mod tests {
         }
     }
 
+    /// A job's I/O totals over all PEs and phases: bytes written, blocks
+    /// written, bytes read.
+    fn io_totals(r: &SortReport) -> (u64, u64, u64) {
+        let total = |f: fn(&PhaseStats) -> u64| -> u64 {
+            Phase::ALL.iter().map(|&ph| r.phase_total(ph, f)).sum()
+        };
+        (total(|s| s.io.bytes_written), total(|s| s.io.blocks_written), total(|s| s.io.bytes_read))
+    }
+
+    /// A striped file job against the materialising run, whose last pass
+    /// stripes the output over the disks: with several runs the same run
+    /// formation, PE by PE; and a last pass that sends less, because it
+    /// exchanges each batch once instead of exchanging and striping it.
+    /// With `large` (two PEs, batches of many blocks) striping would move
+    /// about half the data, so the file job sends at least 0.4 N less.
+    /// Where the last pass striped the file too, the file job sent what
+    /// the materialising run does: 1.036 N (one run) and 2.071 N (3.5
+    /// runs) on the `large` rows; it now sends 0.504 N and 1.535 N.
+    fn striped_saves_the_last_striping(
+        got: &SortReport,
+        want: &SortReport,
+        large: bool,
+        case: &str,
+    ) {
+        let last = if got.runs > 1 {
+            for pe in 0..got.pes {
+                let (g, w) = (got.get(pe, Phase::RunFormation), want.get(pe, Phase::RunFormation));
+                assert_eq!((g.comm, g.io), (w.comm, w.io), "{case}: run formation of PE {pe}");
+            }
+            Phase::FinalMerge
+        } else {
+            Phase::RunFormation
+        };
+        let sent = |r: &SortReport| r.phase_total(last, |s| s.comm.bytes_sent);
+        if got.pes > 1 {
+            assert!(sent(got) < sent(want), "{case}: {} ≥ {} bytes sent", sent(got), sent(want));
+        }
+        let (g, w) = (got.comm_volume_over_n(), want.comm_volume_over_n());
+        assert!(!large || g <= w - 0.4, "{case}: communication {w} N -> {g} N");
+    }
+
     /// A rank's journal of a traced job validates and carries phase
     /// spans and exactly one pool checkpoint.
     fn check_journal(path: &Path, case: &str) {
@@ -215,53 +258,72 @@ mod tests {
     fn sort_file_matches_the_materialising_sort() {
         let scratch = Scratch::new("sort");
         let (input, output) = (scratch.file("in.dat"), scratch.file("out.dat"));
+        // Every edge of the block layout at the smallest memory; and two
+        // PEs with 64 blocks of memory, one run and several, where the
+        // batches are long enough that striping them would move half the
+        // data (`large`).
+        let mut cases: Vec<(MachineConfig, Vec<usize>, bool)> = Vec::new();
+        for p in [1, 2, 3] {
+            for block_bytes in [4 << 10, 32 << 10] {
+                let m = machine(p, block_bytes);
+                let counts = record_counts(&m).to_vec();
+                cases.push((m, counts, false));
+            }
+        }
+        let wide = MachineConfig { mem_bytes_per_pe: 64 * (4 << 10), ..machine(2, 4 << 10) };
+        let run = wide.pes * wide.mem_blocks_per_pe() * records_per_block::<Record100>(4 << 10);
+        cases.push((wide, vec![run - 7, 3 * run + run / 2], true));
         for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
-            for p in [1, 2, 3] {
-                for block_bytes in [4 << 10, 32 << 10] {
-                    let m = machine(p, block_bytes);
-                    let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
-                    for n in record_counts(&m) {
-                        let recs = gensort_records(5, 0, n);
-                        std::fs::write(&input, encode(&recs)).expect("write input");
-                        // Stale bytes past the new length must not survive.
-                        std::fs::write(&output, vec![0xAA; n * Record100::BYTES + 777])
-                            .expect("write stale output");
-                        let report = sort_file(&cfg, algo, &input, &output).expect("sort_file");
-                        let (want, want_report) = sort_materialised(&cfg, algo, &recs);
-                        let case = format!("{algo} P={p} B={block_bytes} N={n}");
-                        assert!(std::fs::read(&output).expect("read output") == want, "{case}");
-                        assert_eq!(report.elements, n as u64, "{case}");
-                        assert_eq!(report.runs, want_report.runs, "{case}");
-                        assert_eq!(
-                            report.io_volume_over_n().to_bits(),
-                            want_report.io_volume_over_n().to_bits(),
-                            "{case}"
-                        );
-                        assert_eq!(
+            for (m, counts, large) in &cases {
+                let (p, block_bytes) = (m.pes, m.block_bytes);
+                let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
+                for &n in counts {
+                    let recs = gensort_records(5, 0, n);
+                    std::fs::write(&input, encode(&recs)).expect("write input");
+                    // Stale bytes past the new length must not survive.
+                    std::fs::write(&output, vec![0xAA; n * Record100::BYTES + 777])
+                        .expect("write stale output");
+                    let report = sort_file(&cfg, algo, &input, &output).expect("sort_file");
+                    let (want, want_report) = sort_materialised(&cfg, algo, &recs);
+                    let case = format!("{algo} P={p} B={block_bytes} N={n}");
+                    assert!(std::fs::read(&output).expect("read output") == want, "{case}");
+                    assert_eq!(report.elements, n as u64, "{case}");
+                    assert_eq!(report.runs, want_report.runs, "{case}");
+                    assert_eq!(io_totals(&report), io_totals(&want_report), "{case}");
+                    assert_eq!(
+                        report.io_volume_over_n().to_bits(),
+                        want_report.io_volume_over_n().to_bits(),
+                        "{case}"
+                    );
+                    match algo {
+                        SortAlgo::Canonical => assert_eq!(
                             report.comm_volume_over_n().to_bits(),
                             want_report.comm_volume_over_n().to_bits(),
                             "{case}"
-                        );
-                        if report.runs > 1 {
-                            // The external case once more, traced and
-                            // with the disks in memory: same bytes, and
-                            // a worker's journal per rank.
-                            let trace = scratch.file("trace");
-                            let job = JobConfig {
-                                input: input.to_string_lossy().into_owned(),
-                                output: output.to_string_lossy().into_owned(),
-                                machine: m.clone(),
-                                algo: AlgoConfig::default(),
-                                algorithm: algo,
-                                read_timeout_ms: 1000,
-                                trace_dir: trace.to_string_lossy().into_owned(),
-                                scratch: String::new(),
-                            };
-                            run_job_local(&job).expect("traced job");
-                            assert!(std::fs::read(&output).expect("read output") == want, "{case}");
-                            for rank in 0..p {
-                                check_journal(&trace.join(format!("rank{rank}.jsonl")), &case);
-                            }
+                        ),
+                        SortAlgo::Striped => {
+                            striped_saves_the_last_striping(&report, &want_report, *large, &case)
+                        }
+                    }
+                    if report.runs > 1 {
+                        // The external case once more, traced and
+                        // with the disks in memory: same bytes, and
+                        // a worker's journal per rank.
+                        let trace = scratch.file("trace");
+                        let job = JobConfig {
+                            input: input.to_string_lossy().into_owned(),
+                            output: output.to_string_lossy().into_owned(),
+                            machine: m.clone(),
+                            algo: AlgoConfig::default(),
+                            algorithm: algo,
+                            read_timeout_ms: 1000,
+                            trace_dir: trace.to_string_lossy().into_owned(),
+                            scratch: String::new(),
+                        };
+                        run_job_local(&job).expect("traced job");
+                        assert!(std::fs::read(&output).expect("read output") == want, "{case}");
+                        for rank in 0..p {
+                            check_journal(&trace.join(format!("rank{rank}.jsonl")), &case);
                         }
                     }
                 }

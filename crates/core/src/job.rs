@@ -81,6 +81,7 @@ pub fn run_rank_job(
             (o.output.elems, o.runs, o.phases)
         }
         SortAlgo::Striped => {
+            // The records this rank wrote into the output.
             let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks, output)?;
             (o.output.owned_elems(rank), o.runs, o.phases)
         }

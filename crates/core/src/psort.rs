@@ -32,13 +32,28 @@
 //! on several threads into an arena the kernel keeps, and the sink
 //! takes that as one slab. [`parallel_sort`] wraps the kernel for
 //! callers that want the result as a vector.
+//!
+//! [`Exchange::run_aligned`] moves the parts' boundaries down to
+//! multiples of a grain — a block's worth of records when the striped
+//! sort writes its last pass into the output file — and tells each PE
+//! where its part starts before the first record reaches its sink.
 
-use crate::distselect::dist_split;
+use crate::distselect::{dist_split, split_rank};
 use crate::merge::{merge_cpu, merge_k_each, par_merge_k_into};
 use crate::recio::RecordSink;
 use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_types::{CpuCounters, Error, Record, Result};
+
+/// What one PE receives of an exchanged sequence: the global ranks from
+/// `start` on, of `total` records in all.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Part {
+    /// Global rank of the first record this PE receives.
+    pub start: u64,
+    /// Records in the whole sequence, over all PEs.
+    pub total: u64,
+}
 
 /// Sort `data` across all PEs of `comm`; returns this PE's canonical
 /// slice of the global sorted order plus CPU counters.
@@ -106,15 +121,60 @@ impl<R: Record + Ord> Exchange<R> {
         cores: usize,
         sink: &mut impl RecordSink<R>,
     ) -> Result<CpuCounters> {
+        let (cuts, _) = Self::split(comm, data, 1)?;
+        self.deliver(comm, data, &cuts, cores, sink)
+    }
+
+    /// [`run`](Self::run) with the parts' boundaries on multiples of
+    /// `grain` ([`split_rank`]): PE `i` receives global ranks
+    /// `a_i .. a_{i+1}`, `a_i = ⌊⌊i·n/P⌋ / grain⌋·grain`, so with a
+    /// block's worth of records every part but the last PE's is whole
+    /// blocks. The sink is made by `open` once the split has told this PE
+    /// its [`Part`], and handed back with it.
+    ///
+    /// # Errors
+    /// As [`run`](Self::run), and whatever `open` fails with.
+    pub fn run_aligned<S: RecordSink<R>>(
+        &mut self,
+        comm: &Communicator,
+        data: &[R],
+        cores: usize,
+        grain: u64,
+        open: impl FnOnce(Part) -> Result<S>,
+    ) -> Result<(CpuCounters, Part, S)> {
+        let (cuts, total) = Self::split(comm, data, grain)?;
+        let part = Part { start: split_rank(comm.rank(), comm.size(), total, grain), total };
+        let mut sink = open(part)?;
+        let cpu = self.deliver(comm, data, &cuts, cores, &mut sink)?;
+        Ok((cpu, part, sink))
+    }
+
+    /// This PE's cut positions in `data` and the global element count
+    /// (one PE: all of it, with no communication).
+    fn split(comm: &Communicator, data: &[R], grain: u64) -> Result<(Vec<usize>, u64)> {
         debug_assert!(data.windows(2).all(|w| w[0] <= w[1]), "input must be locally sorted");
+        match comm.size() {
+            1 => Ok((vec![0, data.len()], data.len() as u64)),
+            p => dist_split(comm, data, p, grain),
+        }
+    }
+
+    /// Steps 3 and 4: send piece `dst` of `data` (between `cuts[dst]`
+    /// and `cuts[dst + 1]`) to PE `dst` and merge what arrives into
+    /// `sink`.
+    fn deliver(
+        &mut self,
+        comm: &Communicator,
+        data: &[R],
+        cuts: &[usize],
+        cores: usize,
+        sink: &mut impl RecordSink<R>,
+    ) -> Result<CpuCounters> {
         let (me, p) = (comm.rank(), comm.size());
         if p == 1 {
             sink.emit_all(data)?;
             return Ok(CpuCounters::default());
         }
-
-        // Exact equal-size splitters over the P distributed sorted runs.
-        let cuts = dist_split(comm, data, p)?;
 
         // Piece `dst` of every PE goes to PE `dst`; the piece this PE
         // keeps stays in `data`.
@@ -174,10 +234,11 @@ impl<R: Record + Ord> Exchange<R> {
 mod tests {
     use super::*;
     use demsort_net::run_cluster;
-    use demsort_types::{Element16, Key10, Record100};
+    use demsort_types::{ranks, Element16, Key10, Record100};
     use demsort_workloads::{
-        checksum_elements, checksum_records, generate_pe_input, Fingerprint, InputSpec,
+        checksum_elements, checksum_records, generate_pe_input, splitmix64, Fingerprint, InputSpec,
     };
+    use proptest::prelude::*;
 
     /// The 100-byte record that sorts where `e` does: the kernel then
     /// merges it from a view of the message it arrived in, where an
@@ -346,6 +407,64 @@ mod tests {
             expect.sort_unstable(); // by (key, payload) = (key, source rank, position)
             assert_eq!(concat, expect, "P={p}, cores={cores}");
             assert_eq!(concat.len() as u64, p as u64 * local_n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// With grain `g`, every part starts on a multiple of `g` (only
+        /// the last PE's end need not), each PE's part is sorted and
+        /// follows its predecessor's, the parts together are the input,
+        /// and `g = 1` gives the canonical boundaries `⌊i·n/P⌋`.
+        #[test]
+        fn aligned_exchange_cuts_on_the_grain(
+            sizes in prop::collection::vec(0usize..90, 1..5),
+            key_range in 1u64..60,
+            grain in 1u64..12,
+            cores in 1usize..3,
+            seed in 0u64..1000,
+        ) {
+            let p = sizes.len();
+            // Payloads grow with (PE, position), so the canonical
+            // (key, PE) order is the (key, payload) order.
+            let locals: Vec<Vec<Element16>> = sizes
+                .iter()
+                .enumerate()
+                .map(|(pe, &n)| {
+                    let mut v: Vec<Element16> = (0..n as u64)
+                        .map(|i| {
+                            let gid = pe as u64 * 1000 + i;
+                            Element16::new(splitmix64(seed ^ gid) % key_range, gid)
+                        })
+                        .collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect();
+            let mut reference: Vec<Element16> = locals.concat();
+            reference.sort_unstable();
+            let total = reference.len() as u64;
+            let locals_ref = &locals;
+            let parts = run_cluster(p, move |c| {
+                let mine = &locals_ref[c.rank()];
+                let (_, part, out) = Exchange::new()
+                    .run_aligned(&c, mine, cores, grain, |_| Ok(Vec::new()))
+                    .expect("exchange");
+                (part, out)
+            });
+            let mut start = 0u64;
+            for (i, (part, out)) in parts.iter().enumerate() {
+                prop_assert_eq!(*part, Part { start, total });
+                prop_assert_eq!(start, split_rank(i, p, total, grain));
+                prop_assert_eq!(start % grain, 0);
+                if grain == 1 {
+                    prop_assert_eq!(start, ranks::owned_range(i, p, total).start);
+                }
+                prop_assert!(out.windows(2).all(|w| w[0] <= w[1]), "PE {} unsorted", i);
+                start += out.len() as u64;
+            }
+            let concat: Vec<Element16> = parts.into_iter().flat_map(|(_, out)| out).collect();
+            prop_assert_eq!(concat, reference);
         }
     }
 

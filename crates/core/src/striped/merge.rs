@@ -11,11 +11,14 @@
 //! batch) into the shared carry-merge kernel
 //! ([`CarryMerge`]), and the merged prefix that is provably complete —
 //! smaller than every not-yet-merged block's first key — is
-//! redistributed canonically with one splitter-based exchange
-//! ([`Exchange::run`]: exact splitters, one all-to-all, a `P`-way merge
-//! into an arena every batch reuses) and written out striped. The rest
-//! stays buffered per run for the next batch (at most `B` elements per
-//! run remain unmerged, so carry-over is bounded). Merging costs
+//! redistributed with one splitter-based exchange ([`Exchange`]: exact
+//! splitters, one all-to-all, a `P`-way merge) and written out: striped
+//! over the disks ([`write_striped`], a second communication) for a run
+//! a later pass reads, or — in a file job's last pass — straight into
+//! the output file, the exchange's cuts on block boundaries
+//! ([`FileOutput`]). The rest stays buffered per run for the next batch
+//! (at most `B` elements per run remain unmerged, so carry-over is
+//! bounded). Merging costs
 //! `O(n log R)` comparisons per pass instead of the `O(n log n)` per
 //! batch that full batch sorting would pay — the internal-work bound
 //! that dominates throughput at scale.
@@ -29,16 +32,15 @@
 //! [`TraceEv::MergeIssued`] / [`TraceEv::MergeEmitted`] events), so the
 //! reads overlap the merge and the exchange.
 
-use super::runs::{write_striped, RankView, StripedRun};
+use super::runs::{write_striped, FileOutput, RankView, StripedOutput, StripedRun};
 use crate::ctx::{BlockFetch, ClusterStorage};
 use crate::fileio::OutputFile;
 use crate::merge::{merge_cpu, CarryMerge};
 use crate::psort::Exchange;
 use crate::recio::records_per_block;
 use demsort_net::Communicator;
-use demsort_storage::{duality_issue_order, BlockId, EdgeFile};
-use demsort_types::{CpuCounters, Phase, Record, Result, SortConfig, TraceEv, Tracer};
-use std::sync::Arc;
+use demsort_storage::{duality_issue_order, BlockId};
+use demsort_types::{CpuCounters, Error, Phase, Record, Result, SortConfig, TraceEv, Tracer};
 
 /// One merge attempt: what every pass and group of it shares.
 pub(super) struct MergeJob<'a> {
@@ -60,47 +62,97 @@ pub(super) struct MergeJob<'a> {
 }
 
 impl MergeJob<'_> {
-    /// Run the merge passes over `runs` until one run remains.
-    /// Collective over `comm`. Returns the final run, the pass count,
-    /// and the merge CPU counters.
+    /// Run the merge passes over `runs` (more than one) until one run
+    /// remains. Collective over `comm`. Returns the output, the pass
+    /// count, and the merge CPU counters.
     pub fn run<R: Record + Ord>(
         &self,
         mut runs: Vec<StripedRun<R::Key>>,
-    ) -> Result<(StripedRun<R::Key>, usize, CpuCounters)> {
+    ) -> Result<(StripedOutput<R::Key>, usize, CpuCounters)> {
         let mut passes = 0;
         let mut cpu = CpuCounters::default();
-        while runs.len() > 1 {
-            // A pass of one group is the last: it writes the output
-            // file, if there is one. Every rank waited its last input
-            // read before its last run's exchange, so the output may be
-            // the input.
-            let out = match self.output {
-                Some(out) if runs.len() <= self.k_max => Some(out.open::<R>(self.view.my_global)?),
-                _ => None,
-            };
+        // A pass of several groups writes its runs back to the disks.
+        while runs.len() > self.k_max {
             let mut next: Vec<StripedRun<R::Key>> = Vec::new();
             for (group_idx, group) in runs.chunks(self.k_max).enumerate() {
-                let (merged, pass_cpu) =
-                    self.merge_group::<R>(group, passes, group_idx, out.as_ref())?;
+                let (merged, pass_cpu) = self.merge_to_disks::<R>(group, passes, group_idx)?;
                 cpu = cpu.merge(&pass_cpu);
                 next.push(merged);
             }
             passes += 1;
             runs = next;
         }
-        Ok((runs.into_iter().next().unwrap_or_else(StripedRun::empty), passes, cpu))
+        // A pass of one group is the last: it writes the output file, if
+        // there is one. Every rank waited its last input read before its
+        // last run's exchange, so the output may be the input.
+        let (output, last_cpu) = match self.output {
+            Some(out) => {
+                let me = self.view.my_global;
+                let (st, mut file) = (self.storage.pe(me), FileOutput::new(out.open::<R>(me)?));
+                let mut exchange = Exchange::new();
+                let last_cpu = self.merge_group::<R>(&runs, passes, 0, |emit| {
+                    file.append(self.comm, st, self.cfg, &mut exchange, emit, self.cores)
+                })?;
+                (file.finish(), last_cpu)
+            }
+            None => {
+                let (merged, last_cpu) = self.merge_to_disks::<R>(&runs, passes, 0)?;
+                (StripedOutput::Disks(merged), last_cpu)
+            }
+        };
+        Ok((output, passes + 1, cpu.merge(&last_cpu)))
     }
 
-    /// Merge one group of striped runs into a new striped run, batch by
-    /// batch — on the disks, or into `out`; the journalled events are
-    /// tagged with `pass` and `group_idx`.
+    /// Merge one group of striped runs into a new striped run on the
+    /// disks: each batch's emitted prefix is made canonical by one
+    /// exchange and striped by a second ([`write_striped`]).
+    fn merge_to_disks<R: Record + Ord>(
+        &self,
+        group: &[StripedRun<R::Key>],
+        pass: usize,
+        group_idx: usize,
+    ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
+        let Self { comm, storage, cfg, view, cores, .. } = *self;
+        let st = storage.pe(view.my_global);
+        // The PE's canonical slice of each batch, in an arena every
+        // batch reuses.
+        let mut canon: Vec<R> = Vec::new();
+        let mut exchange = Exchange::new();
+        let mut merged = StripedRun::<R::Key>::empty();
+        let cpu = self.merge_group::<R>(group, pass, group_idx, |emit| {
+            canon.clear();
+            let cpu = exchange.run(comm, emit, cores, &mut canon)?;
+            // Stitch the piece onto the run. Pieces are emitted in
+            // globally increasing key order, so their concatenation is
+            // the merged run, and each piece continues the round-robin
+            // striping at the block count so far, so block t of the
+            // stitched run is on disk t mod D exactly as if it had been
+            // written in one piece.
+            let offset = merged.blocks.len() as u64;
+            let piece = write_striped::<R>(comm, st, cfg, view, &canon, offset)?;
+            merged.owners.extend(piece.owners);
+            merged.blocks.extend(piece.blocks);
+            merged.first_keys.extend(piece.first_keys);
+            merged.counts.extend(piece.counts);
+            merged.elems += piece.elems;
+            Ok(cpu)
+        })?;
+        Ok((merged, cpu))
+    }
+
+    /// Merge one group of striped runs batch by batch, handing each
+    /// batch's emitted prefix — locally sorted, and no smaller than what
+    /// any PE emitted in an earlier batch — to `deliver` (collective:
+    /// every PE calls it for every batch), which returns the CPU
+    /// counters of its exchange.
+    /// The journalled events are tagged with `pass` and `group_idx`.
     fn merge_group<R: Record + Ord>(
         &self,
         group: &[StripedRun<R::Key>],
         pass: usize,
         group_idx: usize,
-        out: Option<&Arc<EdgeFile>>,
-    ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
+        mut deliver: impl FnMut(&[R]) -> Result<CpuCounters>,
+    ) -> Result<CpuCounters> {
         let Self { comm, storage, cfg, view, cores, tracer, .. } = *self;
         let me = view.my_global;
         let st = storage.pe(me);
@@ -158,35 +210,29 @@ impl MergeJob<'_> {
         // appending fetched blocks in prediction order keeps each source
         // sorted.
         let mut carry = CarryMerge::<R>::new(k);
-        // Two arenas every batch reuses: the merged prefix this PE emits,
-        // and its canonical slice of the emitted set after the exchange.
+        // The merged prefix this PE emits, in an arena every batch reuses.
         let mut emit: Vec<R> = Vec::new();
-        let mut canon: Vec<R> = Vec::new();
-        let mut exchange = Exchange::new();
-        let mut merged = StripedRun::<R::Key>::empty();
         let ev_issued = |batch: usize| TraceEv::MergeIssued {
             pass,
             group: group_idx,
             batch,
             batches: total_batches,
         };
-        let mut pending = if total_batches > 0 {
+        // The batch issued one iteration ahead (none past the last).
+        let mut pending = Vec::new();
+        if total_batches > 0 {
             tracer.instant(ev_issued(0));
-            Some(issue_batch(0)?)
-        } else {
-            None
-        };
+            pending = issue_batch(0)?;
+        }
         for b in 0..total_batches {
-            let current = pending.take().expect("batch issued one iteration ahead");
+            let current = std::mem::take(&mut pending);
             // Overlap: hand batch b+1's reads to the block service before
             // merging batch b, so the disks prefetch while the CPUs merge
             // and the network exchanges.
-            pending = if b + 1 < total_batches {
+            if b + 1 < total_batches {
                 tracer.instant(ev_issued(b + 1));
-                Some(issue_batch(b + 1)?)
-            } else {
-                None
-            };
+                pending = issue_batch(b + 1)?;
+            }
 
             // Wait the fetches in issue order (the transport requires it)
             // and decode each block onto its run's source. A consumed slot
@@ -268,38 +314,28 @@ impl MergeJob<'_> {
                 // carry beyond it is at most one block per run. Elements
                 // *equal* to the threshold legitimately accumulate (the
                 // cut is strict, so ties wait until the threshold moves
-                // past them — constant-key input carries them all).
+                // past them — constant-key input carries them all). The
+                // first keys came from the run's directory, which peers
+                // sent: a directory that does not match its blocks is an
+                // error, and not one a regroup would cure.
                 for (r, s) in carry.sources.iter().enumerate() {
                     let above = s.len() - s.partition_point(|x| x.key() <= *t);
-                    assert!(
-                        above <= rpb,
-                        "run {r} of group {group_idx} (pass {pass}): {above} carried records \
-                         above the batch threshold exceed one block ({rpb})"
-                    );
+                    if above > rpb {
+                        return Err(Error::validation(format!(
+                            "rank {me}: merge pass {pass}, group {group_idx}, run {r}: \
+                             {above} carried records above the batch threshold exceed one \
+                             block ({rpb}); the run directory's first keys do not match \
+                             its blocks"
+                        )));
+                    }
                 }
             }
             cpu = cpu.merge(&merge_cpu(emit.len() as u64, k));
 
             // The emitted set is locally sorted; one exact-splitter
             // exchange (selection + all-to-all + P-way merge — no local
-            // sort) makes it canonically distributed for the striped
-            // write.
-            canon.clear();
-            cpu = cpu.merge(&exchange.run(comm, &emit, cores, &mut canon)?);
-
-            // Stitch the piece onto the run. Pieces are emitted in
-            // globally increasing key order, so their concatenation is
-            // the merged run, and each piece continues the round-robin
-            // striping at the block count so far, so block t of the
-            // stitched run is on disk t mod D exactly as if it had been
-            // written in one piece.
-            let (offset, to_file) = (merged.blocks.len() as u64, out.map(|f| (f, merged.elems)));
-            let piece = write_striped::<R>(comm, st, cfg, view, &canon, offset, to_file)?;
-            merged.owners.extend(piece.owners);
-            merged.blocks.extend(piece.blocks);
-            merged.first_keys.extend(piece.first_keys);
-            merged.counts.extend(piece.counts);
-            merged.elems += piece.elems;
+            // sort) takes it where it is written.
+            cpu = cpu.merge(&deliver(&emit)?);
             tracer.instant(TraceEv::MergeEmitted {
                 pass,
                 group: group_idx,
@@ -312,6 +348,6 @@ impl MergeJob<'_> {
             carry.sources.iter().all(Vec::is_empty),
             "the final batch has no threshold and must drain every carry tail"
         );
-        Ok((merged, cpu))
+        Ok(cpu)
     }
 }

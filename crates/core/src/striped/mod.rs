@@ -1,10 +1,10 @@
 //! Mergesort with global striping (Section III).
 //!
-//! The I/O-optimal sibling of CANONICALMERGESORT: runs and output are
-//! striped over *all* `D` disks of the cluster ("subsequent blocks are
-//! allocated on subsequent disks"), which makes every read and write
-//! perfectly parallel but costs a communication for each of them —
-//! "we need 4–5 communications for two passes of sorting".
+//! The I/O-optimal sibling of CANONICALMERGESORT: runs are striped over
+//! *all* `D` disks of the cluster ("subsequent blocks are allocated on
+//! subsequent disks"), which makes every read and write perfectly
+//! parallel but costs a communication for each write — "we need 4–5
+//! communications for two passes of sorting".
 //!
 //! * **Run formation** is phase 1 of the canonical algorithm — the same
 //!   group reader ([`GroupReader`], in input order), in-node sort and
@@ -15,18 +15,23 @@
 //!   ([`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)),
 //!   each group merged batch by batch in prediction-sequence order
 //!   through the carry-merge kernel the canonical final merge uses
-//!   ([`crate::merge::CarryMerge`]).
+//!   ([`crate::merge::CarryMerge`]); each batch is exchanged, and
+//!   striped like a run.
 //! * **Recovery** (`recovery`): replicas stored at run formation let the
 //!   survivors of a rank's death regroup and re-merge.
+//!
+//! A file job's output file has no disks to stripe over, so its last
+//! pass — the one merge group, or run formation when there is one run —
+//! exchanges each batch once, with cuts on block boundaries, and every
+//! rank writes its part at its place in the file ([`StripedOutput::File`]).
+//! A two-pass file job therefore communicates its data three times: run
+//! formation's exchange and striping, then the last pass's one exchange.
 //!
 //! This module holds the sort itself, [`striped_mergesort`] — one entry
 //! point with or without recovery hooks and an output file, two
 //! [`PhaseRecorder::phase`] scopes, the second only when there is more
 //! than one run — with the outcome types and the in-process convenience
-//! runner ([`striped_sort_cluster`]). The last pass — the one merge
-//! group, or run formation when there is one run — writes into the
-//! output file when there is one: each owner puts its blocks at their
-//! global stripe offsets.
+//! runner ([`striped_sort_cluster`]).
 
 mod merge;
 mod recovery;
@@ -35,7 +40,7 @@ mod runs;
 mod tests;
 
 pub use recovery::{ResilientHooks, SubgroupFn};
-pub use runs::{read_striped, read_striped_blocks, StripedRun};
+pub use runs::{read_striped, read_striped_blocks, StripedOutput, StripedRun};
 
 use crate::ctx::{ClusterStorage, PhaseRecorder};
 use crate::fileio::OutputFile;
@@ -50,13 +55,14 @@ use demsort_types::{
 };
 use merge::MergeJob;
 use recovery::{regroup, replicate_run};
-use runs::{write_striped, RankView};
+use runs::{write_striped, FileOutput, RankView};
 use std::sync::Arc;
 
 /// Outcome of the striped sort on one PE.
 pub struct StripedOutcome<R: Record> {
-    /// The globally striped sorted output (identical on every PE).
-    pub output: StripedRun<R::Key>,
+    /// The sorted output: striped over the disks (the directory
+    /// identical on every PE), or in the job's output file.
+    pub output: StripedOutput<R::Key>,
     /// Number of initial runs.
     pub runs: usize,
     /// Number of merge passes (0 if a single run sufficed).
@@ -118,9 +124,10 @@ pub struct StripedOutcome<R: Record> {
 /// names only surviving ranks.
 ///
 /// With `output`, the last pass writes the sorted sequence into that
-/// file instead of onto the disks (a degraded re-merge rewrites every
-/// byte of it), and the outcome's directory lists its blocks as
-/// [`BlockId::in_file`](demsort_storage::BlockId::in_file).
+/// file instead of onto the disks — one exchange per batch whose cuts
+/// fall on block boundaries, each rank writing its part at its place,
+/// and no striping — and the outcome is [`StripedOutput::File`]. A
+/// degraded re-merge cuts over the survivors and rewrites every byte.
 ///
 /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
 pub fn striped_mergesort<R: Record + Ord>(
@@ -144,51 +151,62 @@ pub fn striped_mergesort<R: Record + Ord>(
     let tr = comm.tracer();
 
     // ---- Run formation with striped writes (and replication) ----
-    let mut runs = rec.phase(Phase::RunFormation, comm, st, |rec| {
+    let (num_runs, mut runs, only_run) = rec.phase(Phase::RunFormation, comm, st, |rec| {
         let groups = GroupReader::new::<R>(st, cfg, input, None);
+        // A collective maximum, so every rank records the same phase set
+        // (the report shapes stay comparable).
         let num_runs = comm.allreduce_max(groups.local_groups() as u64)?.max(1) as usize;
+        // The only run is the sort's last pass: with an output file, it
+        // goes there.
+        let to_file = output.filter(|_| num_runs == 1);
         let mut runs: Vec<StripedRun<R::Key>> = Vec::with_capacity(num_runs);
         // Two arenas every run reuses: its local records (decoded into,
-        // sorted in), and its canonical slice (merged into by the
-        // exchange, re-blocked from by the striped write) — about as many
-        // records as it put in, within a block when the shards are equal.
+        // sorted in), and — for a run striped over the disks — its
+        // canonical slice (merged into by the exchange, re-blocked from
+        // by the striped write), about as many records as it put in,
+        // within a block when the shards are equal.
         let mut data: Vec<R> = Vec::with_capacity(groups.max_group_records());
-        let mut canon: Vec<R> = Vec::with_capacity(data.capacity());
+        let mut canon: Vec<R> =
+            Vec::with_capacity(if to_file.is_some() { 0 } else { data.capacity() });
         let mut exchange = Exchange::new();
+        let mut only_run = None;
         for j in 0..num_runs {
             tr.progress(Phase::RunFormation, j as u64, num_runs as u64);
             groups.collect(groups.issue(j), &mut data)?;
             st.pool().add_copied((data.len() * R::BYTES) as u64);
-            canon.clear();
-            let sort_cpu = sort_in_node(&mut data, cores)
-                .merge(&exchange.run(comm, &data, cores, &mut canon)?);
+            let mut sort_cpu = sort_in_node(&mut data, cores);
+            match to_file {
+                // Into the output file, this rank's part at its place: no
+                // rank writes before the run's exchange, which each enters
+                // with its own reads waited, so the output may be the
+                // input.
+                Some(out) => {
+                    let mut file = FileOutput::new(out.open::<R>(me)?);
+                    sort_cpu =
+                        sort_cpu.merge(&file.append(comm, st, cfg, &mut exchange, &data, cores)?);
+                    only_run = Some(file.finish());
+                }
+                // Canonically distributed in memory, then striped over
+                // all disks (one more communication).
+                None => {
+                    canon.clear();
+                    sort_cpu = sort_cpu.merge(&exchange.run(comm, &data, cores, &mut canon)?);
+                    runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
+                }
+            }
             cpu = cpu.merge(&sort_cpu);
             rec.add_cpu(sort_cpu);
-            // The run is canonically distributed in memory; write it
-            // striped over all disks (one more communication) — or, as
-            // the only run, into the output file: every rank waited its
-            // reads before this run's exchange.
-            let out = match output {
-                Some(out) if num_runs == 1 => Some(out.open::<R>(me)?),
-                _ => None,
-            };
-            let to_file = out.as_ref().map(|f| (f, 0));
-            runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0, to_file)?);
         }
         // The merge passes bring their own arenas.
         drop((data, canon, exchange));
-        // A single run has no merge to recover, and may already be the
-        // output file.
+        // A single run has no merge to recover.
         if f > 0 && num_runs > 1 {
             for run in &mut runs {
                 replicate_run::<R::Key>(comm, storage, f, run, rec)?;
             }
         }
-        Ok(runs)
+        Ok((num_runs, runs, only_run))
     })?;
-    // A collective maximum, so every rank records the same phase set
-    // (the report shapes stay comparable).
-    let num_runs = runs.len();
 
     if let Some(hook) = hooks.as_ref().and_then(|h| h.on_merge_start.as_ref()) {
         if !hook(me) {
@@ -253,7 +271,8 @@ pub fn striped_mergesort<R: Record + Ord>(
             Ok((output, passes))
         })?
     } else {
-        (runs.pop().unwrap_or_else(StripedRun::empty), 0)
+        let on_disks = || StripedOutput::Disks(runs.pop().unwrap_or_else(StripedRun::empty));
+        (only_run.unwrap_or_else(on_disks), 0)
     };
 
     Ok(StripedOutcome {

@@ -1,25 +1,31 @@
-//! Striped runs: the directory, the striped write, and the readers.
+//! Striped runs: the directory, the two writers, and the readers.
 //!
-//! A run (or the output) is a globally striped sorted sequence: block
-//! `g` holds elements `g·rpb ..` on disk `g mod D` — "subsequent blocks
-//! are allocated on subsequent disks". Pieces a merge emits continue
-//! the round-robin striping where the previous piece left off, so the
-//! per-disk block counts of a stitched run differ by at most one.
+//! A run (or the output of a sort that keeps it on the disks) is a
+//! globally striped sorted sequence: block `g` holds elements `g·rpb ..`
+//! on disk `g mod D` — "subsequent blocks are allocated on subsequent
+//! disks". Pieces a merge emits continue the round-robin striping where
+//! the previous piece left off, so the per-disk block counts of a
+//! stitched run differ by at most one.
 //!
-//! [`write_striped`] is the one writer (run formation and every merge
-//! batch call it); [`read_striped_blocks`] reconstructs a run from *any
-//! single rank* — blocks owned by peers are fetched over the wire in
-//! pipelined per-owner batches. Both of the writer's messages come from
+//! [`write_striped`] writes every run that goes back to the disks (run
+//! formation and every merge batch of a pass that is not a file job's
+//! last); [`FileOutput`] is the last pass's write when there is an
+//! output file, which has no disks to stripe over.
+//! [`read_striped_blocks`] reconstructs a run from *any single rank* —
+//! blocks owned by peers are fetched over the wire in pipelined
+//! per-owner batches. Both of the striped writer's messages come from
 //! peers, so both are decoded with checks ([`decode_pieces`],
 //! [`decode_directory`]): a truncated or out-of-range frame is an
 //! [`Error::Comm`](demsort_types::Error) naming sender and field.
 
 use crate::ctx::{BlockFetch, ClusterStorage};
-use crate::recio::records_per_block;
+use crate::psort::{Exchange, Part};
+use crate::recio::{records_per_block, RecordRunWriter, RunDest};
+use crate::runform::WRITE_WINDOW_DIV;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, EdgeFile, PeStorage};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
-use demsort_types::{Error, Record, Result, SortConfig};
+use demsort_types::{CpuCounters, Error, Record, Result, SortConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -32,8 +38,8 @@ pub struct StripedRun<K> {
     /// Owning PE per global block (**global** rank — stable across
     /// survivor renumbering during rank-failure recovery).
     pub owners: Vec<u32>,
-    /// Local block id per global block ([`BlockId::in_file`] for a run
-    /// written into the output file).
+    /// Local block id per global block: a slot on one of the owner's
+    /// disks.
     pub blocks: Vec<BlockId>,
     /// Prediction sequence: first key per global block.
     pub first_keys: Vec<K>,
@@ -71,6 +77,39 @@ impl<K> StripedRun<K> {
     pub fn owned_elems(&self, rank: usize) -> u64 {
         let blocks = self.owners.iter().zip(&self.counts);
         blocks.filter(|&(&owner, _)| owner as usize == rank).map(|(_, &n)| n as u64).sum()
+    }
+}
+
+/// Where a striped sort's output is.
+#[derive(Clone, Debug)]
+pub enum StripedOutput<K> {
+    /// A striped run over the cluster's disks, its directory identical
+    /// on every PE.
+    Disks(StripedRun<K>),
+    /// A job's output file, which has no disks to stripe over and so no
+    /// directory.
+    File {
+        /// Records this PE wrote into it.
+        written: u64,
+    },
+}
+
+impl<K> StripedOutput<K> {
+    /// Records this PE, global rank `rank`, holds of the output: its
+    /// share of the striped run, or what it wrote into the file.
+    pub fn owned_elems(&self, rank: usize) -> u64 {
+        match self {
+            StripedOutput::Disks(run) => run.owned_elems(rank),
+            StripedOutput::File { written } => *written,
+        }
+    }
+
+    /// The striped run, when the output is on the disks.
+    pub fn disks(&self) -> Option<&StripedRun<K>> {
+        match self {
+            StripedOutput::Disks(run) => Some(run),
+            StripedOutput::File { .. } => None,
+        }
     }
 }
 
@@ -228,12 +267,10 @@ fn decode_directory<R: Record>(
 /// (`view.globals`): a degraded re-merge stripes over the survivors'
 /// disks only, and the directory records their global ranks.
 ///
-/// With `to_file = Some((file, base))` the sequence is part of the
-/// sort's output and its first record is record `base` of the output
-/// file: each owner writes block `g` at record `base + g·rpb` of `file`
-/// on the disk queue the block would have had, instead of to a slot.
-/// The offsets are global, so the ranks' writes tile the file without
-/// further communication.
+/// Striping costs a communication: every block's pieces go to its
+/// owner, and the directory is allgathered. Only runs that go back to
+/// the disks pay it; a file job's last pass writes through a
+/// [`FileOutput`] instead.
 pub(super) fn write_striped<R: Record>(
     comm: &Communicator,
     st: &PeStorage,
@@ -241,7 +278,6 @@ pub(super) fn write_striped<R: Record>(
     view: &RankView,
     local: &[R],
     stripe_offset: u64,
-    to_file: Option<(&Arc<EdgeFile>, u64)>,
 ) -> Result<StripedRun<R::Key>> {
     let (me, p) = (comm.rank(), comm.size());
     let dpp = cfg.machine.disks_per_pe;
@@ -296,8 +332,8 @@ pub(super) fn write_striped<R: Record>(
     }
     st.pool().add_copied(assembled_bytes);
 
-    // Write assembled blocks to the designated local disk (or at their
-    // place in the output file) and collect the directory entries.
+    // Write assembled blocks to the designated local disk and collect
+    // the directory entries.
     let mut entries: Vec<DirEntry<R::Key>> = Vec::with_capacity(mine.len());
     let mut pending = Vec::with_capacity(mine.len());
     for (g, (data, count)) in mine {
@@ -307,21 +343,9 @@ pub(super) fn write_striped<R: Record>(
                 "rank {me}: striped block {g} arrived with {count} of its {expect} records"
             )));
         }
-        let disk = to.disk(g) % dpp;
         let first_key = R::decode(&data[..R::BYTES]).key();
-        let data = data.into_boxed_slice();
-        let id = match to_file {
-            None => {
-                let id = st.alloc().alloc_on(disk);
-                pending.push(st.engine().write(id, data));
-                id
-            }
-            Some((file, base)) => {
-                let at = (base + g * rpb as u64) * R::BYTES as u64;
-                pending.push(st.engine().write_at(disk, file, at, data, count * R::BYTES));
-                BlockId::in_file(disk as u32)
-            }
-        };
+        let id = st.alloc().alloc_on(to.disk(g) % dpp);
+        pending.push(st.engine().write(id, data.into_boxed_slice()));
         entries.push(DirEntry { g, id, count: expect as u32, first_key });
     }
     for h in pending {
@@ -367,6 +391,58 @@ pub(super) fn write_striped<R: Record>(
     Ok(run)
 }
 
+/// A job's output file as a striped sort's last pass fills it, one
+/// sorted batch after the other.
+pub(super) struct FileOutput {
+    file: Arc<EdgeFile>,
+    /// Records all PEs have written so far: where the next batch starts.
+    base: u64,
+    /// Records this PE has written.
+    written: u64,
+}
+
+impl FileOutput {
+    pub fn new(file: Arc<EdgeFile>) -> Self {
+        Self { file, base: 0, written: 0 }
+    }
+
+    /// Append the next batch — the locally sorted `data` of all PEs —
+    /// with one exchange whose cuts fall on block boundaries
+    /// ([`Exchange::run_aligned`]), this PE's part written straight into
+    /// the file at its place. Every part but the last PE's is whole
+    /// blocks, so the blocks and their byte offsets are those of the
+    /// striped layout: `⌈n/rpb⌉` block writes over all PEs, block `i` of
+    /// a part on disk queue `i mod D`, at most `m/B / WRITE_WINDOW_DIV`
+    /// in flight, all retired before this returns. Collective; returns
+    /// the exchange's CPU counters.
+    pub fn append<R: Record + Ord>(
+        &mut self,
+        comm: &Communicator,
+        st: &PeStorage,
+        cfg: &SortConfig,
+        exchange: &mut Exchange<R>,
+        data: &[R],
+        cores: usize,
+    ) -> Result<CpuCounters> {
+        let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+        let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
+        let (file, base) = (&self.file, self.base);
+        let (cpu, part, writer) = exchange.run_aligned(comm, data, cores, rpb, |part: Part| {
+            let at = (base + part.start) * R::BYTES as u64;
+            let dest = RunDest::File { file: Arc::clone(file), at };
+            Ok(RecordRunWriter::<R>::with_window(st, 0, window, dest))
+        })?;
+        self.written += writer.finish()?.elems;
+        self.base += part.total;
+        Ok(cpu)
+    }
+
+    /// The output: what this PE wrote.
+    pub fn finish<K>(self) -> StripedOutput<K> {
+        StripedOutput::File { written: self.written }
+    }
+}
+
 /// How many blocks the striped streaming readers keep
 /// issued-but-unconsumed: deep enough to pipeline fetches across every
 /// owner's disks, shallow enough that in-flight response buffers stay
@@ -380,9 +456,8 @@ const READ_STRIPED_WINDOW: usize = 64;
 /// per-owner batches, bounded by a fixed in-flight window — memory
 /// stays O(window · B) regardless of the run size. Each callback
 /// receives one block's valid bytes (`counts[g] · record_bytes` of raw
-/// encoded records). The engine under [`read_striped`]; in a file job
-/// the last pass's owners write their blocks into the output file
-/// instead, and nothing reads the output back.
+/// encoded records). The engine under [`read_striped`]; a file job's
+/// output is in the file, and nothing reads it back.
 pub fn read_striped_blocks<K>(
     storage: &ClusterStorage,
     run: &StripedRun<K>,
@@ -420,14 +495,21 @@ pub fn read_striped_blocks<K>(
     Ok(())
 }
 
-/// Read a striped run back as one vector — [`read_striped_blocks`]
-/// decoded into records (test/validation convenience; callers that
-/// stream to a file should use the block form directly to keep memory
-/// bounded).
+/// Read a striped sort's output back from the disks as one vector —
+/// [`read_striped_blocks`] decoded into records (test/validation
+/// convenience; callers that stream to a file should use the block
+/// form directly to keep memory bounded).
+///
+/// # Errors
+/// [`Error::Config`] for an output written into a file, which has no
+/// directory to read; what a block read fails with.
 pub fn read_striped<R: Record>(
     storage: &ClusterStorage,
-    run: &StripedRun<R::Key>,
+    output: &StripedOutput<R::Key>,
 ) -> Result<Vec<R>> {
+    let run = output.disks().ok_or_else(|| {
+        Error::config("the sorted output was written into a file, not striped over the disks")
+    })?;
     let mut out = Vec::with_capacity(run.elems as usize);
     read_striped_blocks(storage, run, R::BYTES, |bytes| {
         R::decode_slice(bytes, &mut out);

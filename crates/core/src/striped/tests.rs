@@ -12,6 +12,11 @@ fn low_fan_in() -> MachineConfig {
     MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(2) }
 }
 
+/// The striped run a sort without an output file leaves on the disks.
+fn on_disks(o: &StripedOutcome<Element16>) -> &StripedRun<u64> {
+    o.output.disks().expect("no output file: the output is striped over the disks")
+}
+
 fn sort_striped(
     machine: MachineConfig,
     local_n: usize,
@@ -70,8 +75,8 @@ fn check(machine: MachineConfig, local_n: usize, spec: InputSpec) {
     assert_eq!(checksum_elements(&got), checksum_in, "permutation");
     // Output directory identical on all PEs.
     for o in &outcomes {
-        assert_eq!(o.output.elems, outcomes[0].output.elems);
-        assert_eq!(o.output.blocks.len(), outcomes[0].output.blocks.len());
+        assert_eq!(on_disks(o).elems, on_disks(&outcomes[0]).elems);
+        assert_eq!(on_disks(o).blocks.len(), on_disks(&outcomes[0]).blocks.len());
     }
 }
 
@@ -102,7 +107,7 @@ fn multi_pass_merging_with_tiny_fanin() {
 #[test]
 fn blocks_stripe_over_all_pes() {
     let (_, outcomes, _) = sort_striped(MachineConfig::tiny(3), 900, InputSpec::Uniform);
-    let owners = &outcomes[0].output.owners;
+    let owners = &on_disks(&outcomes[0]).owners;
     for pe in 0..3u32 {
         assert!(owners.contains(&pe), "every PE owns output blocks");
     }
@@ -194,8 +199,9 @@ fn multi_piece_output_stripes_evenly_over_disks() {
     let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
     let dpp = cfg.machine.disks_per_pe;
     let mut per_disk = vec![0u64; cfg.machine.total_disks()];
-    for (g, id) in o.output.blocks.iter().enumerate() {
-        per_disk[o.output.owners[g] as usize * dpp + id.disk as usize] += 1;
+    let run = on_disks(o);
+    for (g, id) in run.blocks.iter().enumerate() {
+        per_disk[run.owners[g] as usize * dpp + id.disk as usize] += 1;
     }
     let (min, max) = (per_disk.iter().min().expect("disks"), per_disk.iter().max().expect("disks"));
     assert!(max - min <= 1, "stitched run must stripe evenly over all disks, got {per_disk:?}");
@@ -383,77 +389,156 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
     let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen).expect("sort");
     let want = read_striped::<Element16>(&plain.storage, &plain.per_pe[0].output).expect("read");
 
+    let mut want_bytes = vec![0u8; want.len() * Element16::BYTES];
+    Element16::encode_slice(&want, &mut want_bytes);
+    let path =
+        std::env::temp_dir().join(format!("demsort-striped-degraded-{}.dat", std::process::id()));
+
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
     let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-    let storage = ClusterStorage::new_mem(&cfg.machine);
-    // Pre-built survivor endpoints: the in-process stand-in for
-    // the epoch cut + subgroup regroup the TCP harness performs
-    // (rank `victim` dies, so {0, 1, 3} renumber as {0, 1, 2}).
-    let spare: Mutex<Vec<Option<Communicator>>> =
-        Mutex::new(build_mesh(p - 1).into_iter().map(Some).collect());
+    // On the disks, and into an output file whose stale bytes every
+    // survivor's part of the re-merge overwrites.
+    for to_file in [false, true] {
+        std::fs::write(&path, vec![0xAA; want_bytes.len()]).expect("stale output");
+        let output = to_file.then(|| OutputFile { path: &path, records: want.len() as u64 });
+        let storage = ClusterStorage::new_mem(&cfg.machine);
+        // Pre-built survivor endpoints: the in-process stand-in for
+        // the epoch cut + subgroup regroup the TCP harness performs
+        // (rank `victim` dies, so {0, 1, 3} renumber as {0, 1, 2}).
+        let spare: Mutex<Vec<Option<Communicator>>> =
+            Mutex::new(build_mesh(p - 1).into_iter().map(Some).collect());
 
-    // The main mesh carries a receive timeout: a survivor that
-    // abandons a collective mid-round keeps its channels alive, so
-    // without a timeout its ring neighbour would block forever
-    // (the TCP transport's read timeout plays this role on the
-    // real cluster).
-    let comms: Vec<Communicator> =
-        LocalTransport::mesh_with_timeout(p, std::time::Duration::from_secs(2))
-            .into_iter()
-            .map(|t| Communicator::new(Box::new(t)))
-            .collect();
-    let (storage_ref, cfg_ref, spare_ref) = (&storage, &cfg, &spare);
-    let results: Vec<Result<StripedOutcome<Element16>>> = run_cluster_over(comms, move |comm| {
-        let me = comm.rank();
-        let input = ingest_input(storage_ref.pe(me), &gen(me, p))?;
-        let hooks = ResilientHooks {
-            dead_set: Box::new(move || {
-                let mut dead = vec![false; p];
-                dead[victim] = true;
-                dead
-            }),
-            subgroup: Box::new(move |members: &[usize]| {
-                assert_eq!(members, [0, 1, 3], "survivor membership");
-                let idx = members.iter().position(|&r| r == me).expect("survivor");
-                Ok(spare_ref.lock().expect("spare mesh")[idx]
-                    .take()
-                    .expect("subgroup built once per survivor"))
-            }),
-            on_merge_start: Some(Box::new(move |rank| rank != victim)),
-        };
-        striped_mergesort::<Element16>(
-            &comm,
-            storage_ref,
-            cfg_ref,
-            input,
-            cfg_ref.machine.cores_per_pe,
-            Some(hooks),
-            None,
-        )
-    });
+        // The main mesh carries a receive timeout: a survivor that
+        // abandons a collective mid-round keeps its channels alive, so
+        // without a timeout its ring neighbour would block forever
+        // (the TCP transport's read timeout plays this role on the
+        // real cluster).
+        let comms: Vec<Communicator> =
+            LocalTransport::mesh_with_timeout(p, std::time::Duration::from_secs(2))
+                .into_iter()
+                .map(|t| Communicator::new(Box::new(t)))
+                .collect();
+        let (storage_ref, cfg_ref, spare_ref) = (&storage, &cfg, &spare);
+        let results: Vec<Result<StripedOutcome<Element16>>> =
+            run_cluster_over(comms, move |comm| {
+                let me = comm.rank();
+                let input = ingest_input(storage_ref.pe(me), &gen(me, p))?;
+                let hooks = ResilientHooks {
+                    dead_set: Box::new(move || {
+                        let mut dead = vec![false; p];
+                        dead[victim] = true;
+                        dead
+                    }),
+                    subgroup: Box::new(move |members: &[usize]| {
+                        assert_eq!(members, [0, 1, 3], "survivor membership");
+                        let idx = members.iter().position(|&r| r == me).expect("survivor");
+                        Ok(spare_ref.lock().expect("spare mesh")[idx]
+                            .take()
+                            .expect("subgroup built once per survivor"))
+                    }),
+                    on_merge_start: Some(Box::new(move |rank| rank != victim)),
+                };
+                striped_mergesort::<Element16>(
+                    &comm,
+                    storage_ref,
+                    cfg_ref,
+                    input,
+                    cfg_ref.machine.cores_per_pe,
+                    Some(hooks),
+                    output,
+                )
+            });
 
-    // The victim abandoned; every survivor finished degraded.
-    assert!(results[victim].is_err(), "victim must abandon at merge start");
-    let mut survivors = Vec::new();
-    for (r, res) in results.into_iter().enumerate() {
-        if r == victim {
+        // The victim abandoned; every survivor finished degraded.
+        assert!(results[victim].is_err(), "victim must abandon at merge start");
+        let mut survivors = Vec::new();
+        for (r, res) in results.into_iter().enumerate() {
+            if r == victim {
+                continue;
+            }
+            let o = res.unwrap_or_else(|e| panic!("survivor {r} must finish degraded: {e}"));
+            survivors.push(o);
+        }
+        if to_file {
+            // The three renumbered survivors wrote the whole file between
+            // them, byte-identical to the undisturbed sort.
+            let written: u64 = survivors
+                .iter()
+                .map(|o| match o.output {
+                    StripedOutput::File { written } => written,
+                    StripedOutput::Disks(_) => panic!("the output must be in the file"),
+                })
+                .sum();
+            assert_eq!(written, want.len() as u64, "the survivors write every record");
+            let got = std::fs::read(&path).expect("read degraded output");
+            assert!(got == want_bytes, "the degraded file must equal the undisturbed output");
             continue;
         }
-        let o = res.unwrap_or_else(|e| panic!("survivor {r} must finish degraded: {e}"));
-        assert!(
-            o.output.owners.iter().all(|&own| own as usize != victim),
-            "no output block may live on the dead rank"
-        );
-        survivors.push(o);
+        for o in &survivors {
+            assert!(
+                on_disks(o).owners.iter().all(|&own| own as usize != victim),
+                "no output block may live on the dead rank"
+            );
+            assert_eq!(on_disks(o).blocks.len(), on_disks(&survivors[0]).blocks.len());
+            assert_eq!(on_disks(o).elems, on_disks(&survivors[0]).elems);
+        }
+        // Degraded output: byte-identical record stream to the
+        // undisturbed sort.
+        let got = read_striped::<Element16>(&storage, &survivors[0].output).expect("read");
+        assert_eq!(got, want, "degraded completion must reproduce the undisturbed output");
     }
-    for o in &survivors {
-        assert_eq!(o.output.blocks.len(), survivors[0].output.blocks.len());
-        assert_eq!(o.output.elems, survivors[0].output.elems);
-    }
-    // Degraded output: byte-identical record stream to the
-    // undisturbed sort.
-    let got = read_striped::<Element16>(&storage, &survivors[0].output).expect("read");
-    assert_eq!(got, want, "degraded completion must reproduce the undisturbed output");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn first_keys_that_lie_are_an_error_not_a_panic() {
+    // One run of three full blocks with keys from 1000 on. Its
+    // directory — which peers send — may claim first keys 0, 1, 2: then
+    // the first batch (two blocks) merges nothing below the claimed
+    // threshold 2 and would carry two blocks above it, more than a
+    // directory that matches its blocks ever lets through.
+    let machine = MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(1) };
+    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+    let storage = ClusterStorage::new_mem(&cfg.machine);
+    let rpb = crate::recio::records_per_block::<Element16>(cfg.machine.block_bytes);
+    let recs: Vec<Element16> = (0..3 * rpb as u64).map(|i| Element16::new(1000 + i, i)).collect();
+    let blocks = crate::recio::write_records(storage.pe(0), &recs).expect("write").run.blocks;
+    let merge = |first_keys: Vec<u64>| {
+        let run = StripedRun {
+            owners: vec![0; 3],
+            blocks: blocks.clone(),
+            first_keys,
+            counts: vec![rpb as u32; 3],
+            replicas: Vec::new(),
+            elems: recs.len() as u64,
+        };
+        let (storage, cfg) = (&storage, &cfg);
+        run_cluster(1, move |comm| {
+            let view = RankView::identity(0, 1);
+            let job = MergeJob {
+                comm: &comm,
+                view: &view,
+                storage,
+                cfg,
+                cores: 1,
+                k_max: cfg.machine.merge_fan_in(),
+                free_consumed: false,
+                tracer: comm.tracer(),
+                output: None,
+            };
+            job.run::<Element16>(vec![run.clone(), StripedRun::empty()]).map(|(out, ..)| out)
+        })
+        .remove(0)
+    };
+
+    let truthful = merge(recs.iter().step_by(rpb).map(|r| r.key).collect()).expect("merge");
+    let got = read_striped::<Element16>(&storage, &truthful).expect("read");
+    assert_eq!(got, recs, "a directory that matches its blocks merges");
+
+    let err = merge(vec![0, 1, 2]).map(|_| ()).expect_err("lying first keys");
+    let text = err.to_string();
+    assert!(matches!(err, Error::Validation(_)), "{text}");
+    assert!(text.contains("rank 0: merge pass 0, group 0, run 0: 32 carried records"), "{text}");
 }
 
 #[test]
@@ -466,11 +551,13 @@ fn cluster_driver_report_aggregates_striped_phases() {
     assert_eq!(outcome.report.elements, 2 * 700);
     assert_eq!(outcome.report.pes, 2);
     assert!(outcome.report.runs > 1, "external case");
-    // Striped I/O: 2 passes = ~4N plus the re-striping writes.
+    // Striped I/O: two passes, each record read and written once per
+    // pass.
     let io_over_n = outcome.report.io_volume_over_n();
     assert!(io_over_n > 3.0, "two-pass external I/O, got {io_over_n}");
-    // Striping costs communication on every pass ("4-5
-    // communications for two passes").
+    // With no output file the merged output goes back to the disks, so
+    // both passes stripe and exchange ("4-5 communications for two
+    // passes"); a file job's last pass does not stripe.
     assert!(outcome.report.comm_volume_over_n() > 1.0);
 }
 

@@ -27,7 +27,10 @@ impl BlockId {
 
     /// What a run's block list records for a block written into a job's
     /// output file instead of a slot: the disk queue that wrote it, and
-    /// no slot — reading it back is an error, not another block.
+    /// no slot — reading it back is an error, not another block. Only
+    /// the canonical sort lists such blocks, so that its run directory's
+    /// messages keep their size; the striped sort's file output has no
+    /// directory.
     #[inline]
     pub const fn in_file(disk: u32) -> Self {
         Self::new(disk, u32::MAX)

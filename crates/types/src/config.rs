@@ -238,7 +238,8 @@ pub enum SortAlgo {
     #[default]
     Canonical,
     /// Mergesort with global striping (Section III) — the I/O-optimal
-    /// variant; every pass re-stripes the data over all disks.
+    /// variant; every pass re-stripes the data over all disks, except a
+    /// file job's last, which writes the output file unstriped.
     Striped,
 }
 
@@ -278,7 +279,7 @@ impl std::fmt::Display for SortAlgo {
 /// workers read disjoint shards of the input and write disjoint byte
 /// ranges of the output, so the sorted result appears in place
 /// (canonical mode concatenates per-rank slices; striped mode
-/// interleaves each rank's globally striped blocks).
+/// concatenates each merge batch's per-rank parts, batch after batch).
 #[derive(Clone, Debug)]
 pub struct JobConfig {
     /// Path of the input file (whole 100-byte SortBenchmark records).
