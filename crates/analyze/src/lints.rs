@@ -142,8 +142,7 @@ const L5_ALLOWED_FILES: &[&str] = &[
     "crates/core/src/seqsort.rs",
     "crates/core/src/psort.rs",
     "crates/core/src/runform.rs",
-    "crates/core/src/localmerge.rs",
-    "crates/core/src/striped/merge.rs",
+    "crates/core/src/batchmerge.rs",
 ];
 
 /// Lines a `SAFETY:` comment may end above the `unsafe` token it

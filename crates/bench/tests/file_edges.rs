@@ -156,9 +156,8 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // P·m = 2 MiB of sorting memory against 20 MB and 80 MB of input.
     // The blocks live in `out.dat.scratch/`, so the peak is the same at
     // both sizes and below either input. (16 KiB blocks keep R·B under
-    // m at both sizes: the final merge holds a few blocks of every run,
-    // a term the pass scheduler of the budget-enforcement PR is to
-    // bound; this pair is about N.)
+    // m at both sizes — the final merge carries up to a block of every
+    // run — so this pair is about N; the 64 KiB pair below is about R.)
     //
     // It is not yet P·m. Run formation sets the peak, and what it holds
     // per PE is named now: the arena the run is sorted in (m), the next
@@ -179,6 +178,20 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     assert!(
         small.abs_diff(large) < 8 << 20,
         "peak RSS must not follow the input: {small} B at 20 MB, {large} B at 80 MB"
+    );
+
+    // The default 64 KiB blocks, R = 10 and R = 39: the final merge
+    // reads all runs through one window of 2·D blocks, so what still
+    // grows with R is the block of every run it must hold before it can
+    // emit past that block's keys — P·29·B = 3.6 MiB more at R = 39 —
+    // and allocator slack on top. The peaks are 10.2 and 15.6 MiB in a
+    // release build (11.4 and 17.1 in a debug one); when every run's
+    // fragment chain read ahead on its own they were 11.9 and 33.0 MiB.
+    let r_10 = sortfile_peak_rss(dir, 200_000, 1, 64);
+    let r_39 = sortfile_peak_rss(dir, 800_000, 1, 64);
+    assert!(
+        r_10.abs_diff(r_39) < 8 << 20,
+        "peak RSS must not follow the run count: {r_10} B at R = 10, {r_39} B at R = 39"
     );
 
     // The benchmark's shape, P·m = 8 MiB: 29–30 MB (it was 57 MB, 7 ×

@@ -21,81 +21,89 @@
 //!   participating data of run `i` before switching to run `i + 1`."
 //!
 //! The receiver writes each received piece as a *fragment* — a fresh
-//! block-aligned mini-run per `(run, source, suboperation)`. Fragment
-//! tails are partially filled blocks, the paper's `O(R·P')` space/I/O
-//! overhead ("these partially filled blocks have to be written out to
-//! disk"); `P'` stays small under randomization, which is exactly the
-//! effect Figure 5 measures.
+//! block-aligned mini-run per `(run, source, suboperation)`, with the
+//! first key of each block, decoded as the block is written, so the
+//! final merge can read every fragment by the prediction sequence.
+//! Fragment tails are partially filled blocks, the paper's `O(R·P')`
+//! space/I/O overhead ("these partially filled blocks have to be
+//! written out to disk"); `P'` stays small under randomization, which
+//! is exactly the effect Figure 5 measures.
 //!
 //! In-place operation: sent blocks are recycled as soon as every
 //! element they hold has been shipped (monotone per-run cursors), so
 //! received fragments reuse them.
 
 use crate::extselect::RunSplitters;
-use crate::recio::{records_per_block, RecordRunReader};
+use crate::recio::{records_per_block, FinishedRun, RecordRunReader};
 use crate::rundir::{slice_run, RunDirectory};
 use demsort_net::{chunked_alltoallv, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
-use demsort_storage::{BlockId, PeStorage, Run, RunWriter};
+use demsort_storage::{BlockId, PeStorage, RunWriter};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
 use demsort_types::{Error, Record, Result, SortConfig};
 use std::ops::Range;
 
-/// One sorted piece of a run on local disk after redistribution.
+/// One sorted piece of a run on local disk after redistribution — a
+/// received piece, or the range of this PE's own slice it keeps.
 #[derive(Clone, Debug)]
-pub enum MergeFragment {
-    /// Freshly written fragment (from a received piece).
-    Received {
-        /// The fragment's blocks.
-        run: Run,
-        /// Records in the fragment.
-        elems: u64,
-    },
-    /// A still-on-disk range of this PE's original slice.
-    Retained {
-        /// The original slice's blocks.
-        run: Run,
-        /// Total records in the slice.
-        slice_elems: u64,
-        /// First retained record.
-        start: u64,
-        /// One past the last retained record.
-        end: u64,
-    },
+pub struct MergeFragment<K> {
+    /// The blocks it lies in, in run order, and their first keys.
+    pub blocks: Vec<BlockId>,
+    pub first_keys: Vec<K>,
+    /// Its records, counted from the first block's first.
+    pub records: Range<u64>,
 }
 
-impl MergeFragment {
-    /// The fragment as a record range `(run, elems, start..end)`, the
-    /// form [`RecordRunReader::chain`] reads.
-    pub(crate) fn range(&self) -> (&Run, u64, Range<u64>) {
-        match self {
-            MergeFragment::Received { run, elems } => (run, *elems, 0..*elems),
-            MergeFragment::Retained { run, slice_elems, start, end } => {
-                (run, *slice_elems, *start..*end)
-            }
-        }
+impl<K: Copy> MergeFragment<K> {
+    /// Records in the piece.
+    pub fn elems(&self) -> u64 {
+        self.records.end - self.records.start
+    }
+
+    /// Each block holding records of the piece, its first key and those
+    /// records, for blocks of `rpb` records.
+    pub(crate) fn touched(
+        &self,
+        rpb: u64,
+    ) -> impl Iterator<Item = (BlockId, K, Range<usize>)> + '_ {
+        let blocks = self.blocks.iter().zip(&self.first_keys).enumerate();
+        blocks.filter_map(move |(i, (&id, &key))| {
+            let at = i as u64 * rpb;
+            let (lo, hi) = (self.records.start.max(at), self.records.end.min(at + rpb));
+            (lo < hi).then(|| (id, key, (lo - at) as usize..(hi - at) as usize))
+        })
     }
 }
 
 /// Phase-3 input for one run: fragments whose concatenation is this
 /// PE's sorted piece of the run.
-#[derive(Clone, Debug, Default)]
-pub struct MergeInput {
+#[derive(Clone, Debug)]
+pub struct MergeInput<K> {
     /// Fragments in run order.
-    pub fragments: Vec<MergeFragment>,
+    pub fragments: Vec<MergeFragment<K>>,
 }
 
-impl MergeInput {
+impl<K: Copy> MergeInput<K> {
+    /// A whole run as one fragment.
+    pub fn whole<R: Record<Key = K>>(fr: FinishedRun<R>) -> Self {
+        let fragment = MergeFragment {
+            blocks: fr.run.blocks,
+            first_keys: fr.block_first_keys,
+            records: 0..fr.elems,
+        };
+        Self { fragments: vec![fragment] }
+    }
+
     /// Total records across fragments.
     pub fn elems(&self) -> u64 {
-        self.fragments.iter().map(|f| f.range().2).map(|r| r.end - r.start).sum()
+        self.fragments.iter().map(MergeFragment::elems).sum()
     }
 }
 
 /// Result of the external all-to-all on one PE.
-#[derive(Clone, Debug, Default)]
-pub struct AllToAllOutcome {
+#[derive(Clone, Debug)]
+pub struct AllToAllOutcome<K> {
     /// Per run, the fragments to merge in phase 3.
-    pub merge_inputs: Vec<MergeInput>,
+    pub merge_inputs: Vec<MergeInput<K>>,
     /// Slice blocks neither shipped-and-recycled nor covered by a
     /// retained range (empty-retained boundary blocks); the driver
     /// frees them after phase 3.
@@ -163,7 +171,7 @@ pub fn external_alltoall<R: Record + Ord>(
     cfg: &SortConfig,
     dir: &RunDirectory<R>,
     all_splitters: &[RunSplitters],
-) -> Result<AllToAllOutcome> {
+) -> Result<AllToAllOutcome<R::Key>> {
     let p = comm.size();
     let me = comm.rank();
     let nruns = dir.num_runs();
@@ -224,7 +232,7 @@ pub fn external_alltoall<R: Record + Ord>(
     // everything from source q precedes everything from source q+1 (a
     // run is globally sorted across PE slices), so the phase-3 chain is
     // the source-major concatenation.
-    let mut streams: Vec<Vec<Vec<MergeFragment>>> = vec![vec![Vec::new(); p]; nruns];
+    let mut streams: Vec<Vec<Vec<MergeFragment<R::Key>>>> = vec![vec![Vec::new(); p]; nruns];
     let mut sources = vec![false; p];
 
     for _subop in 0..k {
@@ -287,17 +295,21 @@ pub fn external_alltoall<R: Record + Ord>(
     let mut merge_inputs = Vec::with_capacity(nruns);
     let mut stragglers = Vec::new();
     for j in 0..nruns {
-        let meta = &dir.runs[j];
-        let slice = &meta.slices[me];
+        let local = &dir.local[j];
         let (lo, hi) = retained[j];
         let mut fragments = Vec::new();
         for (src, frags) in streams[j].iter_mut().enumerate() {
-            if src == me {
-                fragments.push(MergeFragment::Retained {
-                    run: slice_run(slice, st.block_bytes()),
-                    slice_elems: slice.elems,
-                    start: lo,
-                    end: hi,
+            if src == me && lo < hi {
+                // A range that starts mid-block keeps its block's first
+                // key, a lower bound, and the merge's carry bound holds:
+                // the fragments before it come from lower ranks' slices,
+                // whose records are ≤ every record of this slice.
+                let (first, last) = ((lo / rpb) as usize, hi.div_ceil(rpb) as usize);
+                let base = first as u64 * rpb;
+                fragments.push(MergeFragment {
+                    blocks: local.run.blocks[first..last].to_vec(),
+                    first_keys: local.block_first_keys[first..last].to_vec(),
+                    records: lo - base..hi - base,
                 });
             }
             fragments.append(frags);
@@ -306,8 +318,8 @@ pub fn external_alltoall<R: Record + Ord>(
 
         // With an empty retained range, the block straddling the lo
         // boundary is freed by neither region nor the phase-3 reader.
-        if lo == hi && lo % rpb != 0 && ((lo / rpb) as usize) < slice.blocks.len() {
-            stragglers.push(slice.blocks[(lo / rpb) as usize]);
+        if lo == hi && lo % rpb != 0 && ((lo / rpb) as usize) < local.run.blocks.len() {
+            stragglers.push(local.run.blocks[(lo / rpb) as usize]);
         }
     }
 
@@ -371,7 +383,7 @@ fn assemble_submessage<R: Record>(
         let run = slice_run(slice, st.block_bytes());
         let bytes = out.raw((recs.end - recs.start) as usize * R::BYTES);
         // Recycling is handled by the monotone frontier, not the reader.
-        RecordRunReader::<R>::with_range(st, run, slice.elems, recs.start, recs.end, false)
+        RecordRunReader::<R>::with_range(st, &run, slice.elems, recs.start, recs.end, false)
             .copy_into(bytes)?;
     }
     Ok(out.finish())
@@ -412,12 +424,18 @@ fn parse_submessage<R: Record>(buf: &[u8], nruns: usize) -> Result<Vec<(usize, u
     Ok(pieces)
 }
 
-/// Write a received piece as a fresh block-aligned fragment.
-fn write_fragment<R: Record>(st: &PeStorage, payload: &[u8], elems: u64) -> Result<MergeFragment> {
-    let block_bytes = st.block_bytes();
-    let rpb = records_per_block::<R>(block_bytes);
+/// Write a received piece as a fresh block-aligned fragment, noting the
+/// first key of every block.
+fn write_fragment<R: Record>(
+    st: &PeStorage,
+    payload: &[u8],
+    elems: u64,
+) -> Result<MergeFragment<R::Key>> {
+    let rpb = records_per_block::<R>(st.block_bytes());
     let mut w = RunWriter::new(st);
+    let mut first_keys = Vec::with_capacity(payload.len().div_ceil(rpb * R::BYTES));
     for chunk in payload.chunks(rpb * R::BYTES) {
+        first_keys.push(R::decode(&chunk[..R::BYTES]).key());
         // Stage each block in a pooled buffer (recycled once its write
         // retires); recycled buffers keep stale bytes, so zero the tail
         // past the chunk.
@@ -427,9 +445,7 @@ fn write_fragment<R: Record>(st: &PeStorage, payload: &[u8], elems: u64) -> Resu
         st.pool().add_copied(chunk.len() as u64);
         w.push_block(block)?;
     }
-    let mut run = w.finish()?;
-    run.bytes = run.blocks.len() as u64 * block_bytes as u64;
-    Ok(MergeFragment::Received { run, elems })
+    Ok(MergeFragment { blocks: w.finish()?.blocks, first_keys, records: 0..elems })
 }
 
 #[cfg(test)]
@@ -445,17 +461,27 @@ mod tests {
     use demsort_workloads::{generate_pe_input, InputSpec};
     use std::sync::Arc;
 
+    /// What one PE ends the all-to-all with: its outcome, its expected
+    /// run pieces, the bytes the phase copied, and the records of its
+    /// own slices it shipped and kept.
+    struct Exchanged<R: Record> {
+        outcome: AllToAllOutcome<R::Key>,
+        expected: Vec<Vec<R>>,
+        copied: u64,
+        shipped: u64,
+        kept: u64,
+    }
+
     /// Form runs of `wide(input)` on `machine`, select exact boundaries,
-    /// run the all-to-all, and return (storage, per-PE outcomes, per-PE
-    /// expected run pieces, per-PE bytes the all-to-all copied).
-    #[allow(clippy::type_complexity)]
+    /// run the all-to-all, and return the storage and what every PE
+    /// ends with.
     fn exchange<R: Record + Ord>(
         machine: MachineConfig,
         local_n: usize,
         spec: InputSpec,
         algo: AlgoConfig,
         wide: fn(Element16) -> R,
-    ) -> (Arc<ClusterStorage>, Vec<AllToAllOutcome>, Vec<Vec<Vec<R>>>, Vec<u64>) {
+    ) -> (Arc<ClusterStorage>, Vec<Exchanged<R>>) {
         let p = machine.pes;
         let cfg = SortConfig::new(machine, algo).expect("valid");
         let storage = ClusterStorage::new_mem(&cfg.machine);
@@ -474,9 +500,11 @@ mod tests {
                 select_rank_external(storage_ref, c.rank(), &dir, r, &cfg2.algo).expect("select");
             let all = exchange_splitters(&c, &mine).expect("exchange");
             // Reference: decode each run fully (before the exchange
-            // frees blocks) and slice at the splitter positions.
+            // frees blocks) and slice at the splitter positions; what of
+            // it lies in this PE's own slice stays.
             let nruns = dir.num_runs();
             let mut expected: Vec<Vec<R>> = Vec::with_capacity(nruns);
+            let (mut shipped, mut kept) = (0, 0);
             for j in 0..nruns {
                 let meta = &dir.runs[j];
                 let mut whole: Vec<R> = Vec::new();
@@ -497,29 +525,46 @@ mod tests {
                     whole.len()
                 };
                 expected.push(whole[lo..hi].to_vec());
+                let meta = &dir.runs[j];
+                let (off, len) = (meta.offsets[c.rank()], meta.slices[c.rank()].elems);
+                let stays = (hi as u64).min(off + len).saturating_sub((lo as u64).max(off));
+                shipped += len - stays;
+                kept += stays;
             }
             // Peers read this PE's slices for their references too.
             c.barrier().expect("references read");
             let copied = st.pool().counters().copied_bytes;
             let outcome = external_alltoall::<R>(&c, st, &cfg2, &dir, &all).expect("alltoall");
-            (outcome, expected, st.pool().counters().copied_bytes - copied)
+            let copied = st.pool().counters().copied_bytes - copied;
+            Exchanged { outcome, expected, copied, shipped, kept }
         });
-        let mut outcomes = Vec::new();
-        let mut expected = Vec::new();
-        let mut copied = Vec::new();
-        for (o, e, c) in results {
-            outcomes.push(o);
-            expected.push(e);
-            copied.push(c);
-        }
-        (storage, outcomes, expected, copied)
+        (storage, results)
     }
 
-    /// A merge input's fragments read back as one chain.
-    fn decode_input<R: Record>(st: &demsort_storage::PeStorage, mi: &MergeInput) -> Vec<R> {
-        RecordRunReader::<R>::chain(st, mi.fragments.iter().map(MergeFragment::range), false)
-            .read_to_vec()
-            .expect("read fragments")
+    /// A fragment's records, read back on their own.
+    fn fragment_reader<'a, R: Record>(
+        st: &'a demsort_storage::PeStorage,
+        f: &MergeFragment<R::Key>,
+    ) -> RecordRunReader<'a, R> {
+        let run = demsort_storage::Run { blocks: f.blocks.clone(), bytes: 0 };
+        RecordRunReader::with_range(st, &run, f.records.end, f.records.start, f.records.end, false)
+    }
+
+    /// A merge input's fragments read back one after the other; each
+    /// fragment's first keys are its blocks'.
+    fn decode_input<R: Record>(st: &demsort_storage::PeStorage, mi: &MergeInput<R::Key>) -> Vec<R> {
+        let rpb = records_per_block::<R>(st.block_bytes());
+        let mut recs = Vec::new();
+        for f in &mi.fragments {
+            let run = demsort_storage::Run { blocks: f.blocks.clone(), bytes: 0 };
+            let all = f.blocks.len() as u64 * rpb as u64;
+            let mut whole = RecordRunReader::<R>::with_range(st, &run, all, 0, all, false);
+            let keys: Vec<R::Key> =
+                whole.read_to_vec().expect("read blocks").iter().step_by(rpb).map(R::key).collect();
+            assert_eq!(keys, f.first_keys, "first keys of {:?}", f.blocks);
+            recs.extend(fragment_reader::<R>(st, f).read_to_vec().expect("read fragment"));
+        }
+        recs
     }
 
     fn check(p: usize, local_n: usize, spec: InputSpec, algo: AlgoConfig) {
@@ -527,10 +572,10 @@ mod tests {
     }
 
     fn check_on(machine: MachineConfig, local_n: usize, spec: InputSpec, algo: AlgoConfig) {
-        let (storage, outcomes, expected, _) = exchange(machine, local_n, spec, algo, |e| e);
-        for (pe, (o, expect)) in outcomes.iter().zip(&expected).enumerate() {
-            assert_eq!(o.merge_inputs.len(), expect.len(), "one input per run");
-            for (j, (mi, want)) in o.merge_inputs.iter().zip(expect).enumerate() {
+        let (storage, pes) = exchange(machine, local_n, spec, algo, |e| e);
+        for (pe, x) in pes.iter().enumerate() {
+            assert_eq!(x.outcome.merge_inputs.len(), x.expected.len(), "one input per run");
+            for (j, (mi, want)) in x.outcome.merge_inputs.iter().zip(&x.expected).enumerate() {
                 let got: Vec<Element16> = decode_input(storage.pe(pe), mi);
                 assert_eq!(got.len(), want.len(), "PE {pe} run {j} piece size ({spec:?})");
                 assert_eq!(&got, want, "PE {pe} run {j} piece content");
@@ -566,11 +611,11 @@ mod tests {
         let machine = MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(3) };
         let worst = InputSpec::Banded { block_elems: 16 };
         let algo = AlgoConfig::default;
-        let (_, outcomes, _, _) = exchange(machine.clone(), 900, worst, algo(), |e| e);
+        let (_, pes) = exchange(machine.clone(), 900, worst, algo(), |e| e);
         assert!(
-            outcomes.iter().any(|o| o.subops > 1),
+            pes.iter().any(|x| x.outcome.subops > 1),
             "a 4-block memory budget must split the exchange: {:?}",
-            outcomes.iter().map(|o| o.subops).collect::<Vec<_>>()
+            pes.iter().map(|x| x.outcome.subops).collect::<Vec<_>>()
         );
         // Correctness under the multi-suboperation path.
         check_on(machine, 900, worst, algo());
@@ -581,8 +626,8 @@ mod tests {
         let worst = InputSpec::Banded { block_elems: 16 };
         let sources = |randomize: bool| {
             let algo = AlgoConfig { randomize, ..AlgoConfig::default() };
-            let (_, outcomes, _, _) = exchange(MachineConfig::tiny(4), 1024, worst, algo, |e| e);
-            outcomes.iter().map(|o| o.sources_seen).max().unwrap_or(0)
+            let (_, pes) = exchange(MachineConfig::tiny(4), 1024, worst, algo, |e| e);
+            pes.iter().map(|x| x.outcome.sources_seen).max().unwrap_or(0)
         };
         // Without randomization, the banded worst case makes everyone
         // receive from everyone; P' is what the paper's O(R·P') space
@@ -605,35 +650,29 @@ mod tests {
     /// received message into a fragment block — and meters both.
     fn check_bytes<R: Record + Ord>(p: usize, spec: InputSpec, wide: fn(Element16) -> R) {
         let machine = MachineConfig::tiny(p);
-        let (storage, outcomes, expected, copied) =
-            exchange(machine, 300, spec, AlgoConfig::default(), wide);
+        let (storage, pes) = exchange(machine, 300, spec, AlgoConfig::default(), wide);
         let mut moved = 0;
-        for (pe, o) in outcomes.iter().enumerate() {
+        for (pe, x) in pes.iter().enumerate() {
             let case = format!("P={p} {} {spec:?} PE {pe}", R::BYTES);
-            for (mi, want) in o.merge_inputs.iter().zip(&expected[pe]) {
+            let mut held = 0;
+            for (mi, want) in x.outcome.merge_inputs.iter().zip(&x.expected) {
                 let mut got = vec![0u8; want.len() * R::BYTES];
-                RecordRunReader::<R>::chain(
-                    storage.pe(pe),
-                    mi.fragments.iter().map(|f| f.range()),
-                    false,
-                )
-                .copy_into(&mut got)
-                .expect("read fragments");
+                let mut at = 0;
+                for f in &mi.fragments {
+                    let bytes = &mut got[at..at + f.elems() as usize * R::BYTES];
+                    fragment_reader::<R>(storage.pe(pe), f).copy_into(bytes).expect("read");
+                    at += bytes.len();
+                }
+                assert_eq!(at, got.len(), "{case}: fragment lengths");
                 let mut sent = vec![0u8; got.len()];
                 R::encode_slice(want, &mut sent);
                 assert!(got == sent, "{case}: fragment bytes");
+                held += mi.elems();
             }
-            let (mut shipped, mut received) = (0, 0);
-            for f in o.merge_inputs.iter().flat_map(|mi| &mi.fragments) {
-                match f {
-                    MergeFragment::Received { elems, .. } => received += elems,
-                    MergeFragment::Retained { slice_elems, start, end, .. } => {
-                        shipped += slice_elems - (end - start)
-                    }
-                }
-            }
-            assert_eq!(copied[pe], (shipped + received) * R::BYTES as u64, "{case}: copied bytes");
-            moved += shipped;
+            let received = held - x.kept;
+            let want = (x.shipped + received) * R::BYTES as u64;
+            assert_eq!(x.copied, want, "{case}: copied bytes");
+            moved += x.shipped;
         }
         assert!(moved > 0, "P={p} {spec:?}: nothing moved");
     }
@@ -648,6 +687,23 @@ mod tests {
                 check_bytes(p, spec, wide);
             }
         }
+    }
+
+    #[test]
+    fn touched_blocks_carry_the_fragment_records() {
+        // Four blocks of 4 records; the fragment is records 3..13 of them.
+        let f = MergeFragment {
+            blocks: (0..4).map(|s| BlockId::new(0, s)).collect(),
+            first_keys: vec![10u64, 20, 30, 40],
+            records: 3..13,
+        };
+        let got: Vec<(u32, u64, Range<usize>)> =
+            f.touched(4).map(|(id, key, recs)| (id.slot, key, recs)).collect();
+        assert_eq!(got, vec![(0, 10, 3..4), (1, 20, 0..4), (2, 30, 0..4), (3, 40, 0..1)]);
+        assert_eq!(f.elems(), 10);
+        // A range that ends on a block boundary touches no block past it.
+        let f = MergeFragment { records: 4..8, ..f };
+        assert_eq!(f.touched(4).map(|(id, ..)| id.slot).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

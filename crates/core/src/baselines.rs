@@ -10,7 +10,7 @@
 //! it via *exact* splitting — is what the `baseline-skew` experiment
 //! shows.
 
-use crate::alltoall::{MergeFragment, MergeInput};
+use crate::alltoall::MergeInput;
 use crate::localmerge::final_merge;
 use crate::recio::{records_per_block, FinishedRun, RecordRunReader, RecordRunWriter, RunDest};
 use crate::runform::LocalInput;
@@ -59,7 +59,7 @@ pub fn nowsort<R: Record + Ord>(
         return Err(Error::config("the NOW-Sort baseline reads its input from the PE's disks"));
     };
     // In place: the input is recycled as it streams out.
-    let mut reader = RecordRunReader::<R>::with_range(st, run, elems, 0, elems, true);
+    let mut reader = RecordRunReader::<R>::with_range(st, &run, elems, 0, elems, true);
     let rounds = {
         let local = elems.div_ceil(chunk_elems as u64);
         comm.allreduce_max(local)?.max(1)
@@ -102,13 +102,9 @@ pub fn nowsort<R: Record + Ord>(
     rec.finish_phase(Phase::RunFormation, st.counters(), comm.counters());
 
     // ---- Phase 2: local multiway merge of the received runs ----
-    let inputs: Vec<MergeInput> = local_runs
-        .into_iter()
-        .map(|fr| MergeInput {
-            fragments: vec![MergeFragment::Received { run: fr.run, elems: fr.elems }],
-        })
-        .collect();
-    let (output, merge_cpu) = final_merge::<R>(st, inputs, cores, RunDest::Scratch)?;
+    let inputs = local_runs.into_iter().map(MergeInput::whole).collect();
+    let (output, merge_cpu) =
+        final_merge::<R>(comm, st, &cfg.algo, inputs, cores, RunDest::Scratch)?;
     rec.add_cpu(merge_cpu);
     rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
 

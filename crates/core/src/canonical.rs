@@ -11,7 +11,9 @@
 //! 3. **All-to-all** ([`crate::alltoall`]) — the memory-bounded
 //!    external redistribution; data already in place stays put.
 //! 4. **Final merge** ([`crate::localmerge`]) — the local `R`-way
-//!    merge into the canonical output.
+//!    merge into the canonical output: the striped sort's batch loop
+//!    ([`crate::batchmerge`]) over the PE's own blocks in prediction
+//!    order, a window of `2·D` blocks read ahead whatever `R` is.
 //!
 //! If everything fits into the cumulative memory (`R = 1`), the run
 //! formation output *is* the final output and phases 2–4 are skipped
@@ -34,7 +36,7 @@ use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::Communicator;
 use demsort_types::wire::RankReport;
-use demsort_types::{ranks, Phase, PhaseStats, Record, Result, SortConfig};
+use demsort_types::{ranks, Error, Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
 
 /// Per-PE result of a canonical mergesort.
@@ -95,7 +97,9 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
 
     // ---- Single-run shortcut: the sort was internal ----
     if runs == 1 {
-        let output = dir.local.into_iter().next().expect("one run");
+        let Some(output) = dir.local.into_iter().next() else {
+            return Err(Error::validation(format!("rank {me}: one run but no local slice of it")));
+        };
         return Ok(PeOutcome {
             output,
             phases: rec.into_stats(),
@@ -120,6 +124,10 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
         external_alltoall::<R>(comm, st, cfg, &dir, &all_splitters)
     })?;
 
+    // The directory — every run's samples among it — has served
+    // selection and the all-to-all; the final merge reuses its memory.
+    drop(dir);
+
     // ---- Phase 3: final local merge ----
     let (subops, sources_seen) = (outcome.subops, outcome.sources_seen);
     let output = rec.phase(Phase::FinalMerge, comm, st, |rec| {
@@ -130,7 +138,8 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
             Some(out) => out.canonical_part::<R>(me, comm.size())?,
             None => RunDest::Scratch,
         };
-        let (output, merge_cpu) = final_merge::<R>(st, outcome.merge_inputs, cores, dest)?;
+        let inputs = outcome.merge_inputs;
+        let (output, merge_cpu) = final_merge::<R>(comm, st, &cfg.algo, inputs, cores, dest)?;
         rec.add_cpu(merge_cpu);
         for b in outcome.stragglers {
             st.free_block(b);

@@ -8,6 +8,9 @@
 //!
 //! * [`merge`] — k-way merging with a loser tree, its in-node parallel
 //!   form, and the carry-merge kernel both sorts' batch merges use;
+//! * [`batchmerge`] — the one batch merge loop: a group's blocks in
+//!   prediction order, read through a block source, merged into a sink
+//!   (Section III);
 //! * [`seqsort`] — in-node (multi-core) sorting;
 //! * [`selection`] — exact multiway selection (Section IV-A);
 //! * [`psort`] — distributed internal parallel mergesort (Section IV-B);
@@ -17,7 +20,8 @@
 //!   block caching (Section IV-A, Appendix B);
 //! * [`alltoall`] — the memory-bounded external all-to-all
 //!   (Section IV-C);
-//! * [`localmerge`] — the phase-3 local multiway merge;
+//! * [`localmerge`] — the phase-3 local multiway merge: the batch loop
+//!   over the PE's own disks, into its output run;
 //! * [`canonical`] — the CANONICALMERGESORT driver (Figure 1);
 //! * [`striped`] — mergesort with global striping (Section III): the
 //!   driver over its striped runs, its merge passes and its rank-failure
@@ -35,6 +39,7 @@
 
 pub mod alltoall;
 pub mod baselines;
+pub mod batchmerge;
 pub mod canonical;
 pub mod ctx;
 pub mod distselect;
@@ -60,7 +65,7 @@ pub use ctx::{
 };
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;
-pub use merge::{merge_k, par_merge_k_below_into, par_merge_k_into, LoserTree, ParMerge};
+pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};
 pub use psort::parallel_sort;
 pub use selection::{multiway_select, SelectionResult};
 pub use seqsort::sort_in_node;

@@ -4,142 +4,122 @@
 //! read and written once, no communication is involved in this phase.
 //! The internal computation amounts to `O(N/P · log R)`."
 //!
-//! Each run contributes one sorted stream: its redistribution fragments
-//! ([`crate::alltoall::MergeInput`]) read as one
-//! [`RecordRunReader::chain`], so the next fragment's blocks are read
-//! ahead while the previous one drains. An `R`-way loser tree merges the
-//! streams into the PE's final output run — on its disks, or in a file
-//! job straight into the output file ([`RunDest`]). Input blocks are
-//! recycled the moment they have been read ("blocks that are read to
-//! internal buffers are deallocated from disk immediately, so there are
-//! always blocks available for writing the output") — peak extra space
-//! is the read-ahead plus write-behind windows.
+//! It is the striped sort's batch loop ([`merge_batches`]) over the
+//! PE's own disks: every fragment carries its blocks' first keys, so
+//! the blocks of all `R` runs form one prediction sequence, which one
+//! [`MergePrefetcher`] reads in the duality-optimal order (Appendix A)
+//! with [`WINDOW_PER_DISK`]` · D` reads in flight, whatever `R` is, and
+//! frees as it reads ("blocks that are read to internal buffers are
+//! deallocated from disk immediately"). The merged records go to the
+//! output run — on the PE's disks, or in a file job into the output
+//! file ([`RunDest`]).
 
-use crate::alltoall::{MergeFragment, MergeInput};
-use crate::merge::{merge_cpu, CarryMerge, LoserTree};
-use crate::recio::{FinishedRun, RecordRunReader, RecordRunWriter, RunDest};
+use crate::alltoall::MergeInput;
+use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, BlockSource, InputBlock};
+use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
+use demsort_net::Communicator;
 use demsort_storage::striping::DEFAULT_WRITE_BEHIND;
-use demsort_storage::PeStorage;
-use demsort_types::{CpuCounters, Record, Result};
+use demsort_storage::{MergePrefetcher, PeStorage};
+use demsort_types::{AlgoConfig, CpuCounters, Error, Record, Result};
 
-/// Merge the per-run fragment chains into the final output run at
-/// `dest`, using up to `cores` threads for the batch merges.
+/// Blocks read ahead per disk, and merged per batch. The merge has no
+/// collective to amortise, so its batch is the read-ahead window: two
+/// blocks per disk keep every disk busy with one batch while the one
+/// before it merges.
+pub const WINDOW_PER_DISK: usize = 2;
+
+/// A local merge's block source: one prefetcher over the whole
+/// prediction sequence keeps its window in flight across batches.
+impl<K> BlockSource<K> for MergePrefetcher<'_> {
+    fn issue(&mut self, _: &[InputBlock<K>]) -> Result<()> {
+        Ok(())
+    }
+
+    fn wait(
+        &mut self,
+        batch: &[InputBlock<K>],
+        mut take: impl FnMut(usize, Box<[u8]>),
+    ) -> Result<()> {
+        for i in 0..batch.len() {
+            let block =
+                self.next()?.ok_or_else(|| Error::io("final merge read past its blocks"))?;
+            take(i, block);
+        }
+        Ok(())
+    }
+}
+
+/// Merge the per-run fragment chains on `comm`'s PE into the final
+/// output run at `dest`, on up to `cores` threads (at least
+/// `algo.par_merge_min_per_thread` records each).
 ///
 /// Returns the output run (with prediction keys, no samples) and the
 /// CPU counters of the merge.
 pub fn final_merge<R: Record + Ord>(
+    comm: &Communicator,
     st: &PeStorage,
-    inputs: Vec<MergeInput>,
+    algo: &AlgoConfig,
+    inputs: Vec<MergeInput<R::Key>>,
     cores: usize,
     dest: RunDest,
 ) -> Result<(FinishedRun<R>, CpuCounters)> {
+    let rank = comm.rank();
+    let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+    let mut blocks = Vec::new();
+    for (run, input) in inputs.iter().enumerate() {
+        for f in &input.fragments {
+            blocks.extend(f.touched(rpb).map(|(id, first_key, records)| InputBlock {
+                run,
+                first_key,
+                owner: rank,
+                id,
+                records,
+            }));
+        }
+    }
+    prediction_order(&mut blocks);
+    let window = WINDOW_PER_DISK * st.disks();
+    let ids = blocks.iter().map(|b| b.id).collect();
+    let mut source = MergePrefetcher::optimal(st, ids, window, true);
+    let how = BatchMerge {
+        st,
+        rank,
+        runs: inputs.len(),
+        batch_blocks: window,
+        // The merged prefix goes to the writer a window at a time, so
+        // the merge holds its carries — a block per run — and no second
+        // copy of them.
+        emit_limit: window * rpb as usize,
+        cores,
+        min_per_thread: algo.par_merge_min_per_thread,
+        tracer: comm.tracer(),
+        pass: 0,
+        group: 0,
+    };
     let mut writer = RecordRunWriter::<R>::with_window(st, 0, DEFAULT_WRITE_BEHIND, dest);
-    let (total, cpu) = merge_into::<R>(st, inputs, cores, |rec| writer.push(rec))?;
+    let cpu = merge_batches::<R>(&how, &blocks, &mut source, |emit| {
+        writer.push_all(emit)?;
+        Ok(CpuCounters::default())
+    })?;
     let out = writer.finish()?;
-    debug_assert_eq!(out.elems, total, "merge must preserve the element count");
+    debug_assert_eq!(
+        out.elems,
+        inputs.iter().map(MergeInput::elems).sum::<u64>(),
+        "the merge must preserve the element count"
+    );
     Ok((out, cpu))
-}
-
-/// Merge the fragment chains, delivering each record in sorted order to
-/// `deliver` instead of writing a run — the pipelined-sorting hook
-/// (Section VII: "the output is not written to disk but fed into a
-/// postprocessor that requires its input in sorted order").
-///
-/// With `cores = 1` the merge streams record-at-a-time through a loser
-/// tree; with more cores it buffers a few blocks per chain and merges
-/// each batch with the in-node parallel merge (strictly below the
-/// smallest unread key, like the striped batch merge), delivering the
-/// same records in the same order either way.
-pub fn merge_into<R: Record + Ord>(
-    st: &PeStorage,
-    inputs: Vec<MergeInput>,
-    cores: usize,
-    mut deliver: impl FnMut(R) -> Result<()>,
-) -> Result<(u64, CpuCounters)> {
-    let total: u64 = inputs.iter().map(MergeInput::elems).sum();
-    let k = inputs.len();
-
-    // One reader per run, chaining its fragments in order; each block
-    // is read once and recycled as it drains.
-    let mut chains: Vec<RecordRunReader<'_, R>> = inputs
-        .iter()
-        .map(|mi| RecordRunReader::chain(st, mi.fragments.iter().map(MergeFragment::range), true))
-        .collect();
-
-    if cores <= 1 {
-        let mut heads = Vec::with_capacity(k);
-        for c in chains.iter_mut() {
-            heads.push(c.next_rec()?);
-        }
-        let mut tree = LoserTree::new(heads);
-        while let Some(w) = tree.winner() {
-            let next = chains[w].next_rec()?;
-            deliver(tree.replace_winner(next))?;
-        }
-        return Ok((total, merge_cpu(total, k)));
-    }
-
-    // Batched parallel path: keep a few blocks per chain buffered plus
-    // one lookahead record, merge everything strictly below the
-    // smallest lookahead key with the in-node parallel merge, repeat —
-    // the carry rule of the striped batch merge ([`CarryMerge`]): ties
-    // with the threshold stay buffered until it moves past them, which
-    // keeps the emitted order identical to the streaming tree's.
-    let rpb = (st.block_bytes() / R::BYTES).max(1);
-    let mut target = rpb * 4;
-    let mut carry = CarryMerge::<R>::new(k);
-    let mut emit: Vec<R> = Vec::new();
-    let mut ahead: Vec<Option<R>> = Vec::with_capacity(k);
-    for c in chains.iter_mut() {
-        ahead.push(c.next_rec()?);
-    }
-    let mut split_probes = 0u64;
-    loop {
-        for (i, buf) in carry.sources.iter_mut().enumerate() {
-            while buf.len() < target {
-                match ahead[i].take() {
-                    Some(r) => {
-                        buf.push(r);
-                        ahead[i] = chains[i].next_rec()?;
-                    }
-                    None => break,
-                }
-            }
-        }
-        let threshold: Option<R::Key> = ahead.iter().flatten().map(Record::key).min();
-        split_probes += carry.emit_below(
-            threshold.map(|t| move |x: &R| x.key() < t),
-            cores,
-            0,
-            &mut emit,
-            |_, _, _, _| 0,
-            |_, _, _, _, _| {},
-        );
-        for &rec in &emit {
-            deliver(rec)?;
-        }
-        if threshold.is_none() {
-            break;
-        }
-        // A run of threshold ties can fill every live buffer without
-        // any record strictly below it; widen the window until the
-        // tying chains drain and the threshold moves on.
-        if emit.is_empty() {
-            target *= 2;
-        }
-    }
-
-    let mut cpu = merge_cpu(total, k);
-    cpu.split_probes = split_probes;
-    Ok((total, cpu))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alltoall::MergeFragment;
+    use crate::merge::{merge_k, merge_work};
     use crate::recio::write_records;
+    use demsort_net::run_cluster;
     use demsort_storage::{DiskModel, MemBackend, PeStorage};
-    use demsort_types::Element16;
+    use demsort_types::{BufferPool, Element16};
+    use std::ops::Range;
     use std::sync::Arc;
 
     fn storage(block: usize) -> PeStorage {
@@ -150,12 +130,41 @@ mod tests {
         range.map(|i| Element16::new(i * stride, i)).collect()
     }
 
+    /// Records `range` of `fr`, a run of 64-byte blocks, as a fragment:
+    /// the blocks the range touches, their first keys, and the range
+    /// counted from the first.
+    fn fragment(fr: &FinishedRun<Element16>, range: Range<u64>) -> MergeFragment<u64> {
+        const RPB: u64 = 4;
+        let (first, last) = ((range.start / RPB) as usize, range.end.div_ceil(RPB) as usize);
+        let base = first as u64 * RPB;
+        MergeFragment {
+            blocks: fr.run.blocks[first..last].to_vec(),
+            first_keys: fr.block_first_keys[first..last].to_vec(),
+            records: range.start - base..range.end - base,
+        }
+    }
+
+    /// Run `final_merge` on a one-PE cluster.
+    fn merge(
+        st: &PeStorage,
+        inputs: Vec<MergeInput<u64>>,
+        cores: usize,
+        min_per_thread: usize,
+    ) -> (FinishedRun<Element16>, CpuCounters) {
+        let algo = AlgoConfig { par_merge_min_per_thread: min_per_thread, ..AlgoConfig::default() };
+        let run = |comm: Communicator| {
+            final_merge::<Element16>(&comm, st, &algo, inputs.clone(), cores, RunDest::Scratch)
+        };
+        run_cluster(1, run).remove(0).expect("merge")
+    }
+
     #[test]
     fn merges_fragmented_runs() {
         let st = storage(64);
-        // Run 0: two received fragments + a retained middle range.
+        // Run 0: two received fragments + a retained middle range that
+        // starts and ends mid-block.
         let f0a = write_records(&st, &elems(0..10, 3)).expect("write");
-        let retained_store = write_records(&st, &elems(10..30, 3)).expect("write");
+        let slice = write_records(&st, &elems(8..32, 3)).expect("write");
         let f0c = write_records(&st, &elems(30..40, 3)).expect("write");
         // Run 1: a single received fragment interleaving with run 0.
         let f1 = write_records(
@@ -167,21 +176,14 @@ mod tests {
         let inputs = vec![
             MergeInput {
                 fragments: vec![
-                    MergeFragment::Received { run: f0a.run, elems: f0a.elems },
-                    MergeFragment::Retained {
-                        run: retained_store.run,
-                        slice_elems: retained_store.elems,
-                        start: 0,
-                        end: retained_store.elems,
-                    },
-                    MergeFragment::Received { run: f0c.run, elems: f0c.elems },
+                    fragment(&f0a, 0..10),
+                    fragment(&slice, 2..22),
+                    fragment(&f0c, 0..10),
                 ],
             },
-            MergeInput {
-                fragments: vec![MergeFragment::Received { run: f1.run, elems: f1.elems }],
-            },
+            MergeInput::whole(f1),
         ];
-        let (out, cpu) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
+        let (out, cpu) = merge(&st, inputs, 1, 0);
         assert_eq!(out.elems, 80);
         assert_eq!(cpu.elements_merged, 80);
         assert_eq!(cpu.merge_work, 80, "2-way merge: 1 comparison per element");
@@ -200,11 +202,8 @@ mod tests {
         let a = write_records(&st, &elems(0..64, 2)).expect("write");
         let b = write_records(&st, &elems(0..64, 3)).expect("write");
         let before = st.alloc().in_use();
-        let inputs = vec![
-            MergeInput { fragments: vec![MergeFragment::Received { run: a.run, elems: a.elems }] },
-            MergeInput { fragments: vec![MergeFragment::Received { run: b.run, elems: b.elems }] },
-        ];
-        let (out, _) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
+        let inputs = vec![MergeInput::whole(a), MergeInput::whole(b)];
+        let (out, _) = merge(&st, inputs, 1, 0);
         // Inputs freed, output allocated: net usage unchanged.
         assert_eq!(st.alloc().in_use(), before, "inputs recycled into output");
         // Peak stays within input + windows (not input + full output).
@@ -220,14 +219,11 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let st = storage(64);
-        let (out, _) =
-            final_merge::<Element16>(&st, Vec::new(), 1, RunDest::Scratch).expect("merge");
+        let (out, _) = merge(&st, Vec::new(), 1, 0);
         assert_eq!(out.elems, 0);
 
         let a = write_records(&st, &elems(0..5, 1)).expect("write");
-        let inputs =
-            vec![MergeInput { fragments: vec![MergeFragment::Received { run: a.run, elems: 5 }] }];
-        let (out, _) = final_merge::<Element16>(&st, inputs, 1, RunDest::Scratch).expect("merge");
+        let (out, _) = merge(&st, vec![MergeInput::whole(a)], 1, 0);
         assert_eq!(out.elems, 5);
         let got = crate::recio::read_records::<Element16>(&st, &out.run, 5).expect("read");
         assert_eq!(got, elems(0..5, 1));
@@ -235,43 +231,103 @@ mod tests {
 
     #[test]
     fn parallel_merge_matches_streaming_merge() {
-        // Small blocks force many refill rounds; heavy duplicates (key
-        // mod 7) exercise the threshold-tie carry of the batched path.
+        // Small blocks force many batches; heavy duplicates (key mod 7)
+        // exercise the threshold-tie carry; retained ranges start and
+        // end mid-block; one run is empty. Forced fan-out
+        // (`par_merge_min_per_thread` 1) splits every batch at 4 cores.
         let run = |cores: usize| {
             let st = storage(64);
-            let runs: Vec<_> = (0..3)
-                .map(|r| {
-                    let mut recs: Vec<Element16> = (0..500u64)
-                        .map(|i| Element16::new((i * 3 + r) % 7, r * 1000 + i))
-                        .collect();
-                    recs.sort_unstable();
-                    write_records(&st, &recs).expect("write")
-                })
-                .collect();
-            let inputs: Vec<MergeInput> = runs
-                .into_iter()
-                .map(|f| MergeInput {
-                    fragments: vec![MergeFragment::Received { run: f.run, elems: f.elems }],
-                })
-                .collect();
-            let mut got = Vec::new();
-            let (total, cpu) = merge_into::<Element16>(&st, inputs, cores, |rec| {
-                got.push(rec);
-                Ok(())
-            })
-            .expect("merge");
-            assert_eq!(total, 1500);
+            let mut inputs = Vec::new();
+            let mut pieces = Vec::new();
+            for r in 0..4u64 {
+                let mut recs: Vec<Element16> =
+                    (0..500u64).map(|i| Element16::new((i * 3 + r) % 7, r * 1000 + i)).collect();
+                recs.sort_unstable();
+                let fr = write_records(&st, &recs).expect("write");
+                let range = match r {
+                    0 => 0..500,
+                    1 => 3..497,
+                    2 => 130..131,
+                    _ => 0..0,
+                };
+                pieces.push(recs[range.start as usize..range.end as usize].to_vec());
+                let fragments =
+                    if range.is_empty() { Vec::new() } else { vec![fragment(&fr, range)] };
+                inputs.push(MergeInput { fragments });
+            }
+            let (out, cpu) = merge(&st, inputs, cores, 1);
+            let got =
+                crate::recio::read_records::<Element16>(&st, &out.run, out.elems).expect("read");
+            let refs: Vec<&[Element16]> = pieces.iter().map(Vec::as_slice).collect();
+            assert_eq!(got, merge_k(&refs), "cores {cores}: the loser tree's order");
+            let n = got.len() as u64;
+            assert_eq!(cpu.merge_work, merge_work(n, 4), "n · ⌈log2 R⌉ at cores {cores}");
             (got, cpu)
         };
         let (seq, seq_cpu) = run(1);
         let (par, par_cpu) = run(4);
         assert_eq!(par, seq, "parallel local merge must be byte-identical");
         assert_eq!(par_cpu.merge_work, seq_cpu.merge_work, "same n · ⌈log2 R⌉ charge");
-        assert_eq!(seq_cpu.split_probes, 0, "streaming path never splits");
-        assert_eq!(
-            par_cpu.split_probes, 0,
-            "batches this small sit below PAR_MERGE_MIN_PER_THREAD — the \
-             parallel path must fall back to the sequential merge, probe-free"
-        );
+        // One thread spends probes only on cutting a batch's prefix into
+        // window-sized pieces for the writer; forced fan-out splits every
+        // piece over the threads on top.
+        assert!(par_cpu.split_probes > seq_cpu.split_probes, "forced fan-out must split");
+    }
+
+    #[test]
+    fn first_keys_that_lie_are_an_error() {
+        // Two runs of three blocks. Claiming run 0's blocks start at 0,
+        // 1 and 2 puts them all in the first batch (D = 2: two blocks per
+        // disk, four per batch) under a bound of 2 that none of their
+        // records is below: three blocks carried above it.
+        let st = storage(64);
+        let a = write_records(&st, &elems(250..262, 1)).expect("write");
+        let b = write_records(&st, &elems(0..12, 1)).expect("write");
+        let mut lying = MergeInput::whole(a);
+        lying.fragments[0].first_keys = vec![0, 1, 2];
+        let algo = AlgoConfig::default();
+        let inputs = vec![lying, MergeInput::whole(b)];
+        let run = |comm: Communicator| {
+            final_merge::<Element16>(&comm, &st, &algo, inputs.clone(), 1, RunDest::Scratch)
+        };
+        let err = run_cluster(1, run).remove(0).map(|_| ()).expect_err("lying first keys");
+        let text = err.to_string();
+        assert!(matches!(err, Error::Validation(_)), "{text}");
+        assert!(text.contains("rank 0: merge pass 0, group 0, run 0: 12 carried"), "{text}");
+    }
+
+    /// The merge's pooled buffers are its read-ahead window and its
+    /// writer's, whatever the number of runs: a final merge of `r` runs
+    /// of ten blocks each misses a fresh pool at most
+    /// `WINDOW_PER_DISK · D + DEFAULT_WRITE_BEHIND + 2` times (reads in
+    /// flight, the block being decoded, writes in flight, the block
+    /// being filled) — 12 here at every R. When each run's fragment
+    /// chain read `max(D, 2)` blocks ahead on its own, the merge missed
+    /// 17, 125 and 606 times at R = 4, 40 and 200.
+    #[test]
+    fn read_buffers_do_not_grow_with_the_runs() {
+        const DISKS: usize = 3;
+        let block = 64; // 4 Element16 per block
+        let bound = (WINDOW_PER_DISK * DISKS + DEFAULT_WRITE_BEHIND.max(DISKS) + 2) as u64;
+        for runs in [4u64, 40, 200] {
+            let backend = Arc::new(MemBackend::new(DISKS));
+            let pool = BufferPool::new(block, 64);
+            let st = PeStorage::with_backend_pool(DISKS, block, DiskModel::paper(), backend, pool);
+            let inputs: Vec<MergeInput<u64>> = (0..runs)
+                .map(|r| {
+                    let recs: Vec<Element16> =
+                        (0..40).map(|i| Element16::new(i * runs + r, r)).collect();
+                    MergeInput::whole(write_records(&st, &recs).expect("write"))
+                })
+                .collect();
+            // A fresh pool: from here on every buffer not yet returned
+            // is a miss.
+            drop((0..st.pool().available()).map(|_| st.pool().get()).collect::<Vec<_>>());
+            let misses = st.pool().counters().misses;
+            let (out, _) = merge(&st, inputs, 1, 0);
+            assert_eq!(out.elems, 40 * runs);
+            let missed = st.pool().counters().misses - misses;
+            assert!(missed <= bound, "R = {runs}: {missed} pool misses, bound {bound}");
+        }
     }
 }

@@ -179,9 +179,6 @@ pub fn merge_k_each<T: Ord + Copy>(
 /// Outcome of an in-node parallel k-way merge.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParMerge {
-    /// Per-source consumed positions: the cut under the bound, or the
-    /// source's length when there was none.
-    pub cuts: Vec<usize>,
     /// Selection probes spent splitting the sources into per-thread
     /// ranges (0 when the merge collapsed to one thread).
     pub split_probes: u64,
@@ -207,22 +204,7 @@ pub fn par_merge_k_into<T: Ord + Copy + Send + Sync>(
     cores: usize,
     out: &mut Vec<T>,
 ) -> ParMerge {
-    let all = None::<fn(&T) -> bool>;
-    par_merge_k_traced(seqs, all, cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
-}
-
-/// [`par_merge_k_into`] of the leading run of each sorted slice that
-/// satisfies `below` — a monotone "still under the bound" predicate,
-/// true for a prefix of every slice and false after. The suffixes at and
-/// beyond the bound are untouched; [`ParMerge::cuts`] says where they
-/// start (one binary search per source).
-pub fn par_merge_k_below_into<T: Ord + Copy + Send + Sync>(
-    seqs: &[&[T]],
-    below: impl Fn(&T) -> bool,
-    cores: usize,
-    out: &mut Vec<T>,
-) -> ParMerge {
-    par_merge_k_traced(seqs, Some(below), cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
+    par_merge_k_traced(seqs, cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
 }
 
 /// Minimum records per merge thread before the parallel merge engages.
@@ -244,11 +226,22 @@ pub fn par_merge_k_below_into<T: Ord + Copy + Send + Sync>(
 /// force fan-out on any host).
 pub const PAR_MERGE_MIN_PER_THREAD: usize = 8192;
 
-/// The parallel merge under [`par_merge_k_into`] and
-/// [`par_merge_k_below_into`], with everything they fix left open:
+/// Threads [`par_merge_k_traced`] uses for `total` records on up to
+/// `cores`; a merge too small to split never asks the host.
+pub fn merge_threads(total: usize, cores: usize, min_per_thread: usize) -> usize {
+    let min = if min_per_thread == 0 { PAR_MERGE_MIN_PER_THREAD } else { min_per_thread };
+    let threads = (total / min).min(cores).min(total).max(1);
+    let host = || std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
+    if threads > 1 && min_per_thread == 0 {
+        threads.min(host())
+    } else {
+        threads
+    }
+}
+
+/// The parallel merge under [`par_merge_k_into`], with everything it
+/// fixes left open (a batch is cut before it, by [`CarryMerge`]):
 ///
-/// * `below` — the bound of [`par_merge_k_below_into`], or `None` for
-///   all of every source. This is the one place a batch is cut.
 /// * `min_per_thread` — at most `total / min_per_thread` threads are
 ///   used (at least one), so a too-small batch takes the sequential path
 ///   with zero split probes. `0` selects the auto policy
@@ -263,34 +256,19 @@ pub const PAR_MERGE_MIN_PER_THREAD: usize = 8192;
 ///   so a traced merge always journals a complete thread set.
 pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
     seqs: &[&[T]],
-    below: Option<impl Fn(&T) -> bool>,
     cores: usize,
     min_per_thread: usize,
     out: &mut Vec<T>,
     begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
     end: impl Fn(u64, usize, usize, usize, usize) + Sync,
 ) -> ParMerge {
-    let cuts: Vec<usize> = match below {
-        Some(below) => seqs.iter().map(|s| s.partition_point(|x| below(x))).collect(),
-        None => seqs.iter().map(|s| s.len()).collect(),
-    };
-    let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
-    let seqs = prefixes.as_slice();
-    let total: usize = cuts.iter().sum();
-    let host_cap = match min_per_thread {
-        0 => std::thread::available_parallelism().map_or(usize::MAX, |n| n.get()),
-        _ => usize::MAX,
-    };
-    let min = match min_per_thread {
-        0 => PAR_MERGE_MIN_PER_THREAD,
-        m => m,
-    };
-    let cores = (total / min).clamp(1, cores.max(1).min(host_cap)).min(total.max(1));
+    let total: usize = seqs.iter().map(|s| s.len()).sum();
+    let cores = merge_threads(total, cores, min_per_thread);
     if cores == 1 || total < 2 * cores {
         let id = begin(0, 1, total, total);
         merge_k_into(seqs, out);
         end(id, 0, 1, total, total);
-        return ParMerge { cuts, split_probes: 0, range_lens: vec![total] };
+        return ParMerge { split_probes: 0, range_lens: vec![total] };
     }
 
     // Exact splitters at the cores − 1 balanced global ranks. In-memory
@@ -326,53 +304,124 @@ pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
         // each task fills its slot completely).
         unsafe { out.set_len(base + total) };
     }
-    ParMerge { cuts, split_probes, range_lens }
+    ParMerge { split_probes, range_lens }
 }
 
 /// The carry-merge step both sorts' batch merges are made of: one
 /// sorted buffer per run that the caller appends to as blocks arrive,
-/// and [`CarryMerge::emit_below`], which merges everything under a
-/// bound out of them and keeps the rest — each run's *carry* — for the
-/// next round.
+/// and [`CarryMerge::emit_below`], which merges records under a bound
+/// out of them and keeps the rest — each run's *carry* — for the next
+/// round. A round advances a cursor per buffer, and a buffer drops its
+/// merged front once that is as long as its carry (each record moves at
+/// most once more), grows only by what is appended, and gives back more
+/// than its carry and its last round's appends need: it holds what a
+/// round holds, not its largest round ever.
 pub struct CarryMerge<T> {
-    /// The buffers. A run's records must be appended in the run's
-    /// order, so that every buffer stays sorted.
-    pub sources: Vec<Vec<T>>,
+    /// The buffers, each appended to in its run's order; the length of
+    /// each one's merged front; its length after the last round.
+    sources: Vec<Vec<T>>,
+    heads: Vec<usize>,
+    kept: Vec<usize>,
+    /// Merge threads at most, records per thread at least
+    /// ([`par_merge_k_traced`]).
+    cores: usize,
+    min_per_thread: usize,
 }
 
 impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
-    /// `k` empty buffers.
-    pub fn new(k: usize) -> Self {
-        Self { sources: (0..k).map(|_| Vec::new()).collect() }
+    /// `k` empty buffers, merged on up to `cores` threads of at least
+    /// `min_per_thread` records each (0: the auto policy).
+    pub fn new(k: usize, cores: usize, min_per_thread: usize) -> Self {
+        let (sources, heads, kept) = (vec![Vec::new(); k], vec![0; k], vec![0; k]);
+        Self { sources, heads, kept, cores, min_per_thread }
     }
 
-    /// Merge the prefix of every buffer that satisfies `below` into
-    /// `arena` (cleared first) on up to `cores` threads, and remove it
-    /// from the buffers; `None` merges everything. Returns the split
-    /// probes spent ([`ParMerge::split_probes`]); `min_per_thread` and
-    /// the span hooks are [`par_merge_k_traced`]'s.
+    fn compact(&mut self, r: usize) {
+        let (buf, head) = (&mut self.sources[r], &mut self.heads[r]);
+        if *head > 0 && 2 * *head >= buf.len() {
+            // verify: allow(L2, Vec::drain removing the merged front — not the fallible IoEngine::drain)
+            buf.drain(..*head);
+            self.kept[r] = self.kept[r].saturating_sub(*head);
+            *head = 0;
+        }
+    }
+
+    /// Buffer `r`, with room for `additional` more of run `r`'s records:
+    /// exactly, unless it already holds as many (a pile of ties grows
+    /// geometrically).
+    pub fn buffer(&mut self, r: usize, additional: usize) -> &mut Vec<T> {
+        self.compact(r);
+        let buf = &mut self.sources[r];
+        if buf.len() < additional {
+            buf.reserve_exact(additional);
+        }
+        buf
+    }
+
+    /// Every buffer, in run order, to append to (one thread each).
+    pub fn buffers(&mut self) -> impl Iterator<Item = &mut Vec<T>> {
+        (0..self.sources.len()).for_each(|r| self.compact(r));
+        self.sources.iter_mut()
+    }
+
+    /// Run `r`'s carry: its records not merged out yet.
+    pub fn carry(&self, r: usize) -> &[T] {
+        &self.sources[r][self.heads[r]..]
+    }
+
+    /// Whether every record appended has been merged out.
+    pub fn is_empty(&self) -> bool {
+        (0..self.sources.len()).all(|r| self.carry(r).is_empty())
+    }
+
+    /// Merge the `limit` smallest records of the buffers' prefixes that
+    /// satisfy `below` (`None`: all records) into `arena` (cleared
+    /// first) and remove them; a caller that gets `limit` back calls
+    /// again for the rest. Returns the selection probes spent on the cut
+    /// at `limit` and on splitting over threads; the span hooks are
+    /// [`par_merge_k_traced`]'s.
     ///
     /// With a strict bound (`key < threshold`) records *equal* to the
-    /// threshold are held back until a later threshold passes them, so
-    /// the rounds' outputs concatenate to exactly the merge of
-    /// everything ever appended, in the loser tree's (key, run) order.
+    /// threshold wait for a later one, so the rounds concatenate to the
+    /// merge of everything appended, in the loser tree's (key, run)
+    /// order — which the exact multiway selection at `limit` keeps.
+    ///
+    /// # Errors
+    /// None in practice: the selection probes memory.
     pub fn emit_below(
         &mut self,
         below: Option<impl Fn(&T) -> bool>,
-        cores: usize,
-        min_per_thread: usize,
+        limit: usize,
         arena: &mut Vec<T>,
         begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
         end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-    ) -> u64 {
+    ) -> demsort_types::Result<u64> {
         arena.clear();
-        let views: Vec<&[T]> = self.sources.iter().map(|s| s.as_slice()).collect();
-        let pm = par_merge_k_traced(&views, below, cores, min_per_thread, arena, begin, end);
-        for (s, cut) in self.sources.iter_mut().zip(pm.cuts) {
-            // verify: allow(L2, Vec::drain removing the merged prefix — not the fallible IoEngine::drain)
-            s.drain(..cut);
+        let mut views: Vec<&[T]> = (0..self.sources.len()).map(|r| self.carry(r)).collect();
+        if let Some(below) = &below {
+            views.iter_mut().for_each(|v| *v = &v[..v.partition_point(below)]);
         }
-        pm.split_probes
+        let mut probes = 0;
+        if views.iter().map(|v| v.len()).sum::<usize>() > limit {
+            let cut = crate::selection::multiway_select(&mut views.clone(), limit as u64)?;
+            probes += cut.probes;
+            views.iter_mut().zip(cut.positions).for_each(|(v, p)| *v = &v[..p]);
+        }
+        let cuts: Vec<usize> = views.iter().map(|v| v.len()).collect();
+        let (cores, min) = (self.cores, self.min_per_thread);
+        let pm = par_merge_k_traced(&views, cores, min, arena, begin, end);
+        for (r, cut) in cuts.into_iter().enumerate() {
+            let appended = self.sources[r].len() - self.kept[r];
+            self.heads[r] += cut;
+            self.compact(r);
+            let buf = &mut self.sources[r];
+            let room = buf.len() + appended;
+            if buf.capacity() > 2 * room {
+                buf.shrink_to(room);
+            }
+            self.kept[r] = buf.len();
+        }
+        Ok(probes + pm.split_probes)
     }
 }
 
@@ -401,31 +450,6 @@ fn merge_k_into_uninit<T: Ord + Copy>(seqs: &[&[T]], slot: &mut [std::mem::Maybe
             }
             debug_assert_eq!(filled, slot.len());
         }
-    }
-}
-
-/// An iterator that merges `k` sorted iterators (streaming — used when
-/// sources are decoded lazily from disk blocks).
-pub struct MergeIter<T, I> {
-    sources: Vec<I>,
-    tree: LoserTree<T>,
-}
-
-impl<T: Ord, I: Iterator<Item = T>> MergeIter<T, I> {
-    /// Build from sorted sources.
-    pub fn new(mut sources: Vec<I>) -> Self {
-        let heads: Vec<Option<T>> = sources.iter_mut().map(|s| s.next()).collect();
-        Self { sources, tree: LoserTree::new(heads) }
-    }
-}
-
-impl<T: Ord, I: Iterator<Item = T>> Iterator for MergeIter<T, I> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        let w = self.tree.winner()?;
-        let next = self.sources[w].next();
-        Some(self.tree.replace_winner(next))
     }
 }
 
@@ -461,14 +485,33 @@ mod tests {
         v
     }
 
-    /// The cut-then-merge kernel on one thread: the sequential reference
-    /// the multi-threaded runs are compared against.
+    /// Cut-then-merge through [`CarryMerge`] on `cores` threads (at
+    /// least one record each): the prefixes under `below` merged into
+    /// `out`, and the per-source cuts.
+    fn carry_below<T: Ord + Copy + Send + Sync>(
+        seqs: &[&[T]],
+        below: impl Fn(&T) -> bool,
+        cores: usize,
+        out: &mut Vec<T>,
+    ) -> Vec<usize> {
+        let mut carry = CarryMerge::new(seqs.len(), cores, 1);
+        for (r, s) in seqs.iter().enumerate() {
+            carry.buffer(r, s.len()).extend_from_slice(s);
+        }
+        carry
+            .emit_below(Some(below), usize::MAX, out, |_, _, _, _| 0, |_, _, _, _, _| {})
+            .expect("in memory");
+        seqs.iter().enumerate().map(|(r, s)| s.len() - carry.carry(r).len()).collect()
+    }
+
+    /// The sequential reference the multi-threaded runs are compared
+    /// against.
     fn merge_k_below_into<T: Ord + Copy + Send + Sync>(
         seqs: &[&[T]],
         below: impl Fn(&T) -> bool,
         out: &mut Vec<T>,
     ) -> Vec<usize> {
-        par_merge_k_below_into(seqs, below, 1, out).cuts
+        carry_below(seqs, below, 1, out)
     }
 
     #[test]
@@ -540,14 +583,6 @@ mod tests {
         let c = [E(1, 2)];
         let m = merge_k(&[&a, &b, &c]);
         assert_eq!(m, vec![E(1, 0), E(1, 1), E(1, 2), E(2, 0), E(2, 1)]);
-    }
-
-    #[test]
-    fn merge_iter_streams() {
-        let sources =
-            vec![vec![1u32, 5, 9].into_iter(), vec![2, 6].into_iter(), vec![3].into_iter()];
-        let merged: Vec<u32> = MergeIter::new(sources).collect();
-        assert_eq!(merged, vec![1, 2, 3, 5, 6, 9]);
     }
 
     #[test]
@@ -637,7 +672,6 @@ mod tests {
         let mut out = Vec::new();
         let pm = par_merge_k_traced(
             &[&[1u32, 3][..], &[2u32][..]],
-            None::<fn(&u32) -> bool>,
             8,
             0,
             &mut out,
@@ -666,7 +700,6 @@ mod tests {
         let mut out = Vec::new();
         let pm = par_merge_k_traced(
             &refs,
-            None::<fn(&u32) -> bool>,
             4,
             1,
             &mut out,
@@ -703,11 +736,13 @@ mod tests {
             let mut seq_out = Vec::new();
             let seq_cuts = merge_k_below_into(&refs, below, &mut seq_out);
             let mut par_out = Vec::new();
-            let pm = par_merge_k_traced(
-                &refs, Some(below), cores, 1, &mut par_out, |_, _, _, _| 0, |_, _, _, _, _| {},
-            );
+            let par_cuts = carry_below(&refs, below, cores, &mut par_out);
             prop_assert_eq!(&par_out, &seq_out);
-            prop_assert_eq!(&pm.cuts, &seq_cuts);
+            prop_assert_eq!(&par_cuts, &seq_cuts);
+            let prefixes: Vec<&[u32]> = refs.iter().zip(&seq_cuts).map(|(s, &c)| &s[..c]).collect();
+            let pm = par_merge_k_traced(
+                &prefixes, cores, 1, &mut par_out, |_, _, _, _| 0, |_, _, _, _, _| {},
+            );
             prop_assert_eq!(pm.range_lens.iter().sum::<usize>(), seq_out.len());
         }
 
@@ -800,12 +835,14 @@ mod tests {
         /// decreases and never exceeds a record still to be fed. The
         /// rounds concatenate to the merge of everything, ties
         /// included; nothing at or above a round's threshold leaves in
-        /// that round; and four threads emit what one does.
+        /// that round; four threads emit what one does; and a round
+        /// emitted `limit` records at a time emits the same.
         #[test]
         fn carry_merge_rounds_concatenate_to_the_full_merge(
             seqs in prop::collection::vec(prop::collection::vec(0u32..40, 0..40), 1..6),
             chunks in prop::collection::vec(0usize..9, 1..24),
             slack in prop::collection::vec(0u32..4, 1..24),
+            limit in prop::option::of(1usize..12),
         ) {
             let sources: Vec<Vec<Tagged>> = seqs
                 .iter()
@@ -822,7 +859,8 @@ mod tests {
 
             let mut outputs = Vec::new();
             for cores in [1, 4] {
-                let mut carry = CarryMerge::new(k);
+                let mut carry = CarryMerge::new(k, cores, 1);
+                let limit = limit.unwrap_or(usize::MAX);
                 let mut fed = vec![0usize; k];
                 let (mut out, mut arena) = (Vec::new(), vec![Tagged(0, 0, 0)]);
                 let mut floor = 0u32;
@@ -831,31 +869,38 @@ mod tests {
                         // Some source always advances, so the rounds end.
                         let take = chunks[(round * k + i) % chunks.len()] + usize::from(i == round % k);
                         let to = (fed[i] + take).min(src.len());
-                        carry.sources[i].extend_from_slice(&src[fed[i]..to]);
+                        carry.buffer(i, to - fed[i]).extend_from_slice(&src[fed[i]..to]);
                         fed[i] = to;
                     }
                     let unfed = sources.iter().zip(&fed).filter_map(|(s, &f)| s.get(f)).map(|e| e.0);
                     let threshold =
                         unfed.min().map(|m| m.saturating_sub(slack[round % slack.len()]).max(floor));
-                    carry.emit_below(
-                        threshold.map(|t| move |x: &Tagged| x.0 < t),
-                        cores,
-                        1,
-                        &mut arena,
-                        |_, _, _, _| 0,
-                        |_, _, _, _, _| {},
-                    );
-                    out.extend_from_slice(&arena);
+                    loop {
+                        carry.emit_below(
+                            threshold.map(|t| move |x: &Tagged| x.0 < t),
+                            limit,
+                            &mut arena,
+                            |_, _, _, _| 0,
+                            |_, _, _, _, _| {},
+                        ).expect("in memory");
+                        prop_assert!(arena.len() <= limit);
+                        if let Some(t) = threshold {
+                            prop_assert!(arena.iter().all(|x| x.0 < t), "emitted at or above {t}");
+                        }
+                        out.extend_from_slice(&arena);
+                        if arena.len() < limit {
+                            break;
+                        }
+                    }
                     match threshold {
                         Some(t) => {
-                            prop_assert!(arena.iter().all(|x| x.0 < t), "emitted at or above {t}");
-                            prop_assert!(carry.sources.iter().flatten().all(|x| x.0 >= t));
+                            prop_assert!((0..k).flat_map(|i| carry.carry(i)).all(|x| x.0 >= t));
                             floor = t;
                         }
                         None => break,
                     }
                 }
-                prop_assert!(carry.sources.iter().all(Vec::is_empty), "unbounded round drains");
+                prop_assert!(carry.is_empty(), "unbounded round drains");
                 prop_assert_eq!(&Tagged::all(&out), &expect, "cores = {}", cores);
                 outputs.push(Tagged::all(&out));
             }
@@ -899,15 +944,20 @@ mod tests {
             prop_assert_eq!(merged, expected);
         }
 
+        /// The streaming merge hands over exactly what the vector merge
+        /// builds, at every fan-in (the two-way fast path included).
         #[test]
-        fn merge_iter_equals_merge_k(seqs in prop::collection::vec(
+        fn merge_each_equals_merge_k(seqs in prop::collection::vec(
             prop::collection::vec(0u32..100, 0..30), 1..8)) {
             let sorted_seqs: Vec<Vec<u32>> = seqs.iter().cloned().map(sorted).collect();
             let refs: Vec<&[u32]> = sorted_seqs.iter().map(|s| s.as_slice()).collect();
-            let a = merge_k(&refs);
-            let b: Vec<u32> =
-                MergeIter::new(sorted_seqs.into_iter().map(|s| s.into_iter()).collect()).collect();
-            prop_assert_eq!(a, b);
+            let mut b = Vec::new();
+            merge_k_each(&refs, |x| {
+                b.push(x);
+                Ok(())
+            })
+            .expect("merge");
+            prop_assert_eq!(merge_k(&refs), b);
         }
 
         /// The loser tree agrees with a binary heap under arbitrary
@@ -957,8 +1007,6 @@ mod tests {
     fn merge_single_long_run_is_identity() {
         let run: Vec<u32> = (0..1000).map(|i| i * 3).collect();
         assert_eq!(merge_k(&[run.as_slice()]), run);
-        let streamed: Vec<u32> = MergeIter::new(vec![run.clone().into_iter()]).collect();
-        assert_eq!(streamed, run);
     }
 
     #[test]
@@ -971,18 +1019,14 @@ mod tests {
         let c = [4u32, 5, 6];
         let seqs: Vec<&[u32]> = vec![&[], &a, &[], &[], &b, &c, &[]];
         assert_eq!(merge_k(&seqs), vec![1, 2, 4, 4, 4, 5, 6, 9]);
-
-        let streamed: Vec<u32> =
-            MergeIter::new(seqs.iter().map(|s| s.iter().copied()).collect()).collect();
-        assert_eq!(streamed, merge_k(&seqs));
     }
 
     #[test]
-    fn merge_iter_zero_and_all_empty_sources() {
-        assert_eq!(MergeIter::<u32, std::vec::IntoIter<u32>>::new(Vec::new()).count(), 0);
-        let empties: Vec<std::vec::IntoIter<u32>> =
-            (0..5).map(|_| Vec::new().into_iter()).collect();
-        assert_eq!(MergeIter::new(empties).count(), 0);
+    fn merge_zero_and_all_empty_sources() {
+        assert!(merge_k::<u32>(&[]).is_empty());
+        let empties: Vec<&[u32]> = vec![&[]; 5];
+        assert!(merge_k(&empties).is_empty());
+        merge_k_each(&empties, |x| panic!("nothing to emit, got {x}")).expect("merge");
     }
 
     #[test]

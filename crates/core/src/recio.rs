@@ -25,14 +25,15 @@
 //! * the **first key of every block** — the prediction sequence of
 //!   Section III / \[11\].
 //!
-//! [`RecordRunReader`] is the way back: one or a chain of record ranges
-//! read through the storage layer's one block reader
-//! ([`MergePrefetcher`]) and decoded a block at a time — or, for the
-//! all-to-all, copied out as bytes without decoding.
+//! [`RecordRunReader`] is the way back for a sequential read: one
+//! record range read in order through the storage layer's one block
+//! reader ([`MergePrefetcher`]) and decoded a block at a time — or, for
+//! the all-to-all, copied out as bytes without decoding. A merge reads
+//! its runs by the prediction sequence instead
+//! ([`crate::batchmerge`]).
 
 use demsort_storage::{BlockId, EdgeFile, MergePrefetcher, PeStorage, Run, RunWriter};
 use demsort_types::{Error, Record, Result};
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -262,16 +263,15 @@ impl<R: Record> FinishedRun<R> {
     }
 }
 
-/// Streaming reader of record ranges of record-aligned runs: a decode
-/// view over one [`MergePrefetcher`], which reads the ranges' blocks in
+/// Streaming reader of a record range of a record-aligned run: a decode
+/// view over one [`MergePrefetcher`], which reads the range's blocks in
 /// order with `max(D, 2)` reads in flight; optionally frees each block
 /// once it has been read (in-place operation).
 pub struct RecordRunReader<'a, R: Record> {
     st: &'a PeStorage,
     blocks: MergePrefetcher<'a>,
-    /// The nonempty record ranges still to read, in order; `blocks`
-    /// holds exactly their blocks.
-    ranges: VecDeque<Range<u64>>,
+    /// The records still to read; `blocks` holds exactly their blocks.
+    range: Range<u64>,
     rpb: u64,
     /// Decoded records of the current block.
     current: Vec<R>,
@@ -283,7 +283,7 @@ pub struct RecordRunReader<'a, R: Record> {
 
 impl<'a, R: Record> RecordRunReader<'a, R> {
     /// Read the whole run (`elems` records) from `st`.
-    pub fn new(st: &'a PeStorage, run: Run, elems: u64) -> Self {
+    pub fn new(st: &'a PeStorage, run: &Run, elems: u64) -> Self {
         Self::with_range(st, run, elems, 0, elems, false)
     }
 
@@ -292,60 +292,42 @@ impl<'a, R: Record> RecordRunReader<'a, R> {
     /// also hold out-of-range records).
     pub fn with_range(
         st: &'a PeStorage,
-        run: Run,
+        run: &Run,
         elems: u64,
         start: u64,
         end: u64,
         free_after_read: bool,
     ) -> Self {
-        Self::chain(st, [(&run, elems, start..end)], free_after_read)
+        Self::with_budget(st, run, elems, start..end, free_after_read, st.disks().max(2))
     }
 
-    /// Read several `(run, elems, start..end)` ranges as one stream,
-    /// in order — the final merge's chain of one run's fragments. The
-    /// next range's blocks are read ahead while the previous one
-    /// drains; an empty range reads no block.
-    pub fn chain<'r>(
+    /// [`with_range`](Self::with_range) with `budget` reads in flight.
+    /// An empty range reads no block.
+    fn with_budget(
         st: &'a PeStorage,
-        parts: impl IntoIterator<Item = (&'r Run, u64, Range<u64>)>,
-        free_after_read: bool,
-    ) -> Self {
-        Self::with_budget(st, parts, free_after_read, st.disks().max(2))
-    }
-
-    /// [`chain`](Self::chain) with `budget` reads in flight.
-    fn with_budget<'r>(
-        st: &'a PeStorage,
-        parts: impl IntoIterator<Item = (&'r Run, u64, Range<u64>)>,
+        run: &Run,
+        elems: u64,
+        range: Range<u64>,
         free_after_read: bool,
         budget: usize,
     ) -> Self {
+        assert!(
+            range.start <= range.end && range.end <= elems,
+            "range {range:?} out of 0..{elems}"
+        );
         let rpb = records_per_block::<R>(st.block_bytes()) as u64;
-        let (mut ids, mut ranges, mut remaining) = (Vec::new(), VecDeque::new(), 0);
-        for (run, elems, range) in parts {
-            assert!(
-                range.start <= range.end && range.end <= elems,
-                "range {range:?} out of 0..{elems}"
-            );
-            remaining += range.end - range.start;
-            if range.is_empty() {
-                continue;
-            }
-            let (first, last) = ((range.start / rpb) as usize, range.end.div_ceil(rpb) as usize);
-            ids.extend(run.blocks.iter().take(last).skip(first));
-            ranges.push_back(range);
-            if run.blocks.len() < last {
-                break; // a run short of blocks: reading fails when it gets there
-            }
-        }
+        let (first, last) = ((range.start / rpb) as usize, range.end.div_ceil(rpb) as usize);
+        // A run short of blocks: reading fails when it gets there.
+        let ids = run.blocks.iter().take(last).skip(first).copied();
+        let ids = if range.is_empty() { Vec::new() } else { ids.collect() };
         Self {
             st,
             blocks: MergePrefetcher::naive(st, ids, budget, free_after_read),
-            ranges,
+            remaining: range.end - range.start,
+            range,
             rpb,
             current: Vec::with_capacity(rpb as usize),
             pos: 0,
-            remaining,
         }
     }
 
@@ -356,20 +338,18 @@ impl<'a, R: Record> RecordRunReader<'a, R> {
 
     /// Read the next block and hand `take` the bytes of its in-range
     /// records and the emptied decode buffer; then meter those bytes as
-    /// copied and return the block to the pool. An error if the runs
-    /// hold fewer blocks than the ranges need.
+    /// copied and return the block to the pool. An error if the run
+    /// holds fewer blocks than the range needs.
     fn take_block(&mut self, take: impl FnOnce(&[u8], &mut Vec<R>)) -> Result<()> {
-        let (Some(block), Some(range)) = (self.blocks.next()?, self.ranges.front_mut()) else {
+        let Some(block) = self.blocks.next()? else {
             return Err(Error::io("record range runs past the blocks of its run"));
         };
         // The block holds records `first..first + rpb` of its run.
+        let range = &mut self.range;
         let first = range.start / self.rpb * self.rpb;
         let end = range.end.min(first + self.rpb);
         let bytes = (range.start - first) as usize * R::BYTES..(end - first) as usize * R::BYTES;
         range.start = end;
-        if range.is_empty() {
-            self.ranges.pop_front();
-        }
         self.current.clear();
         take(&block[bytes.clone()], &mut self.current);
         self.st.pool().add_copied(bytes.len() as u64);
@@ -427,7 +407,7 @@ pub fn write_records<R: Record>(st: &PeStorage, recs: &[R]) -> Result<FinishedRu
 
 /// Convenience: read a whole record run back.
 pub fn read_records<R: Record>(st: &PeStorage, run: &Run, elems: u64) -> Result<Vec<R>> {
-    RecordRunReader::<R>::chain(st, [(run, elems, 0..elems)], false).read_to_vec()
+    RecordRunReader::<R>::new(st, run, elems).read_to_vec()
 }
 
 #[cfg(test)]
@@ -487,17 +467,18 @@ mod tests {
         assert_eq!(fr.block_first_keys, vec![0, 12, 24]);
     }
 
-    /// A row of the reader table: a chain of `(records in a fresh run,
-    /// range read from it)` parts, read with `budget` reads in flight.
+    /// A row of the reader table: the range read from a fresh run of
+    /// `n` records, with `budget` reads in flight.
     #[derive(Clone, Debug)]
     struct Case {
-        parts: Vec<(u64, Range<u64>)>,
+        n: u64,
+        range: Range<u64>,
         free: bool,
         budget: usize,
     }
 
-    fn case(parts: &[(u64, Range<u64>)], free: bool, budget: usize) -> Case {
-        Case { parts: parts.to_vec(), free, budget }
+    fn case(n: u64, range: Range<u64>, free: bool, budget: usize) -> Case {
+        Case { n, range, free, budget }
     }
 
     fn element(v: u64) -> Element16 {
@@ -524,39 +505,30 @@ mod tests {
     ) {
         const DISKS: usize = 3;
         let rpb = records_per_block::<R>(block) as u64;
-        let value = |j: usize, i: u64| make(j as u64 * 1000 + i);
-        let want: Vec<R> = case
-            .parts
-            .iter()
-            .enumerate()
-            .flat_map(|(j, (_, range))| range.clone().map(move |i| value(j, i)))
-            .collect();
-        let touched: u64 = case
-            .parts
-            .iter()
-            .filter(|(_, range)| !range.is_empty())
-            .map(|(_, range)| range.end.div_ceil(rpb) - range.start / rpb)
-            .sum();
+        let range = case.range.clone();
+        let want: Vec<R> = range.clone().map(make).collect();
+        let touched =
+            if range.is_empty() { 0 } else { range.end.div_ceil(rpb) - range.start / rpb };
         for copy in [false, true] {
             let backend = Arc::new(MemBackend::new(DISKS));
             let pool = BufferPool::new(block, 64);
             let st = PeStorage::with_backend_pool(DISKS, block, DiskModel::paper(), backend, pool);
-            let runs: Vec<FinishedRun<R>> = case
-                .parts
-                .iter()
-                .enumerate()
-                .map(|(j, &(n, _))| {
-                    let recs: Vec<R> = (0..n).map(|i| value(j, i)).collect();
-                    write_records(&st, &recs).expect("write")
-                })
-                .collect();
+            let recs: Vec<R> = (0..case.n).map(make).collect();
+            let fr = write_records(&st, &recs).expect("write");
             // A fresh pool: from here on every buffer not yet returned
             // is a miss.
             drop((0..st.pool().available()).map(|_| st.pool().get()).collect::<Vec<_>>());
             let (in_use, misses) = (st.alloc().in_use(), st.pool().counters().misses);
 
-            let parts = runs.iter().zip(&case.parts).map(|(fr, (n, r))| (&fr.run, *n, r.clone()));
-            let mut reader = RecordRunReader::<R>::with_budget(&st, parts, case.free, case.budget);
+            let (free, budget) = (case.free, case.budget);
+            let mut reader = RecordRunReader::<R>::with_budget(
+                &st,
+                &fr.run,
+                case.n,
+                range.clone(),
+                free,
+                budget,
+            );
             assert_eq!(reader.remaining(), want.len() as u64, "{case:?}");
             if copy {
                 let mut bytes = vec![0u8; want.len() * R::BYTES];
@@ -575,36 +547,25 @@ mod tests {
         }
     }
 
-    /// Every reader of the workspace is this one: run lengths around
-    /// the block size, empty / whole / aligned / boundary-straddling
-    /// ranges, chains of 0–3 of them, free-after-read on and off,
-    /// budgets 1, 2, D and 2·D, both record kinds.
+    /// Every sequential reader of the workspace is this one: run
+    /// lengths around the block size, empty / whole / aligned /
+    /// boundary-straddling ranges, free-after-read on and off, budgets
+    /// 1, 2, D and 2·D, both record kinds.
     #[test]
     fn one_reader_table() {
         fn table(rpb: u64) -> Vec<Case> {
-            let singles: Vec<(u64, Range<u64>)> = [0, 1, rpb - 1, rpb, rpb + 1, 5 * rpb + 3]
-                .into_iter()
-                .flat_map(|n| {
-                    let aligned_end = n / rpb * rpb;
-                    let aligned_start = if aligned_end >= 2 * rpb { rpb } else { 0 };
-                    let inner = n.min(1)..n.saturating_sub(1).max(n.min(1));
-                    [0..n, n / 2..n / 2, aligned_start..aligned_end, (rpb - 1).min(n)..n, inner]
-                        .map(|range| (n, range))
-                })
-                .collect();
-            let k = singles.len();
-            let chains =
-                std::iter::once(Vec::new())
-                    .chain((0..k).map(|i| vec![singles[i].clone()]))
-                    .chain((0..k).map(|i| vec![singles[i].clone(), singles[(i + 7) % k].clone()]))
-                    .chain((0..k).map(|i| {
-                        [i, (i + 11) % k, (i + 13) % k].map(|i| singles[i].clone()).to_vec()
-                    }));
             let mut cases = Vec::new();
-            for parts in chains {
-                for free in [false, true] {
-                    for budget in [1, 2, 3, 6] {
-                        cases.push(case(&parts, free, budget));
+            for n in [0, 1, rpb - 1, rpb, rpb + 1, 5 * rpb + 3] {
+                let aligned_end = n / rpb * rpb;
+                let aligned_start = if aligned_end >= 2 * rpb { rpb } else { 0 };
+                let inner = n.min(1)..n.saturating_sub(1).max(n.min(1));
+                for range in
+                    [0..n, n / 2..n / 2, aligned_start..aligned_end, (rpb - 1).min(n)..n, inner]
+                {
+                    for free in [false, true] {
+                        for budget in [1, 2, 3, 6] {
+                            cases.push(case(n, range.clone(), free, budget));
+                        }
                     }
                 }
             }
@@ -618,14 +579,14 @@ mod tests {
         }
         // The two former run-reader cases: six blocks read with a budget
         // of 2 and freed as they go; a hundred blocks, one read at a time.
-        check_reads(64, &case(&[(24, 0..24)], true, 2), element);
-        check_reads(64, &case(&[(400, 0..400)], false, 1), element);
+        check_reads(64, &case(24, 0..24, true, 2), element);
+        check_reads(64, &case(400, 0..400, false, 1), element);
     }
 
     #[test]
     fn range_reads_with_offsets() {
         for range in [0..20, 3..17, 4..8, 7..7, 19..20, 0..1] {
-            check_reads(64, &case(&[(20, range)], false, 2), element);
+            check_reads(64, &case(20, range, false, 2), element);
         }
     }
 
@@ -633,12 +594,7 @@ mod tests {
     fn free_after_read_recycles_exactly_range_blocks() {
         // Of 16 records in 4 blocks, 5..11 touches blocks 1 and 2: the
         // table checks that exactly those two are freed.
-        check_reads(64, &case(&[(16, 5..11)], true, 2), element);
-    }
-
-    #[test]
-    fn chained_reader_concatenates() {
-        check_reads(64, &case(&[(6, 0..6), (4, 0..4)], false, 2), element);
+        check_reads(64, &case(16, 5..11, true, 2), element);
     }
 
     #[test]
@@ -647,15 +603,15 @@ mod tests {
         let fr = write_records::<Element16>(&st, &[]).expect("write");
         assert_eq!(fr.elems, 0);
         assert!(read_records::<Element16>(&st, &fr.run, 0).expect("read").is_empty());
-        check_reads(64, &case(&[(0, 0..0)], true, 2), element);
-        check_reads(64, &case(&[], false, 2), element);
+        check_reads(64, &case(0, 0..0, true, 2), element);
+        check_reads(64, &case(7, 3..3, false, 2), element);
     }
 
     #[test]
     fn range_past_the_blocks_is_an_error() {
         let st = storage(64);
         let fr = write_records(&st, &elements(6)).expect("write"); // 2 blocks
-        let mut reader = RecordRunReader::<Element16>::with_range(&st, fr.run, 12, 0, 12, false);
+        let mut reader = RecordRunReader::<Element16>::with_range(&st, &fr.run, 12, 0, 12, false);
         let err = reader.read_to_vec().expect_err("a run of 12 records needs 3 blocks");
         assert!(matches!(err, Error::Io(_)), "{err}");
     }

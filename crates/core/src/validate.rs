@@ -94,7 +94,7 @@ pub fn validate_output<R: Record + Ord>(
     st: &PeStorage,
     output: &FinishedRun<R>,
 ) -> Result<ValidationReport> {
-    let mut reader = RecordRunReader::<R>::new(st, output.run.clone(), output.elems);
+    let mut reader = RecordRunReader::<R>::new(st, &output.run, output.elems);
     let mut fp = Fingerprint::default();
     let mut sorted = true;
     let mut first: Option<R> = None;
