@@ -6,12 +6,14 @@ use crate::table::{ratio, secs, Table};
 use crate::{run_canonical, worst_case, ExpScale};
 use demsort_core::baselines::nowsort;
 use demsort_core::canonical::{sort_cluster, ClusterOutcome};
+use demsort_core::fileio::OutputFile;
 use demsort_core::job::run_in_process;
 use demsort_core::runform::ingest_input;
 use demsort_core::striped::striped_mergesort;
 use demsort_types::wire::RankReport;
 use demsort_types::{
-    AlgoConfig, Element16, Phase, PhaseStats, Record, Record100, SortConfig, SortReport,
+    AlgoConfig, CpuCounters, Element16, Phase, PhaseStats, Record, Record100, SortConfig,
+    SortReport,
 };
 use demsort_workloads::{generate_pe_input, gensort_records, InputSpec};
 
@@ -332,30 +334,34 @@ pub fn striped_vs_canonical(scale: &ExpScale, pes_list: &[usize]) -> Table {
     t
 }
 
-/// Run the striped sort and collect a single-phase report (totals).
+/// Run the striped sort into a scratch output file (removed afterwards)
+/// and collect a single-phase report (totals).
 pub fn run_striped_report(scale: &ExpScale, pes: usize) -> SortReport {
     let cfg = SortConfig::new(scale.machine(pes), AlgoConfig::default()).expect("valid config");
     let local_n = scale.elems_per_pe();
-    let (report, _, _) = run_in_process(&cfg, Element16::BYTES, |c, storage| {
+    let path = std::env::temp_dir()
+        .join(format!("demsort-striped-report-{}-{pes}.dat", std::process::id()));
+    let output = OutputFile { path: &path, records: (pes * local_n) as u64 };
+    let sorted = run_in_process(&cfg, Element16::BYTES, |c, storage| {
         let st = storage.pe(c.rank());
         let recs =
             generate_pe_input(InputSpec::Uniform, 0xDE77_5047 ^ pes as u64, c.rank(), pes, local_n);
         let input = ingest_input(st, &recs)?;
         let io0 = st.counters();
         let comm0 = c.counters();
-        let out = striped_mergesort::<Element16>(&c, storage, &cfg, input, 1, None, None)?;
+        let out = striped_mergesort::<Element16>(&c, storage, &cfg, input, 1, None, output)?;
         // Attribute run formation and merging together; the comparison
         // table uses totals only.
         let totals = PhaseStats {
             io: st.counters().delta_since(&io0),
             comm: c.counters().delta_since(&comm0),
-            cpu: out.cpu,
+            cpu: out.phases.iter().fold(CpuCounters::default(), |acc, (_, s)| acc.merge(&s.cpu)),
         };
         let phases = vec![(Phase::RunFormation, totals)];
         Ok((RankReport { rank: c.rank(), elems: local_n as u64, runs: 0, phases, error: None }, ()))
-    })
-    .expect("striped");
-    report
+    });
+    let _ = std::fs::remove_file(&path);
+    sorted.expect("striped").0
 }
 
 /// NOW-Sort baseline vs CANONICALMERGESORT on uniform and skewed

@@ -11,16 +11,19 @@
 //! the comparison is exact on every counter.
 
 use demsort_bench::procs::launch;
-use demsort_core::job::{default_scratch, run_job_local};
+use demsort_core::fileio::OutputFile;
+use demsort_core::job::{default_scratch, run_in_process, run_job_local};
 use demsort_core::merge::merge_work;
-use demsort_core::striped::{read_striped, striped_sort_cluster};
+use demsort_core::runform::ingest_input;
+use demsort_core::striped::striped_mergesort;
 use demsort_core::validate::hash_record;
+use demsort_types::wire::RankReport;
 use demsort_types::{
-    AlgoConfig, CpuCounters, JobConfig, MachineConfig, Phase, PhaseStats, Record as _, Record100,
-    SortAlgo, SortConfig, SortReport,
+    AlgoConfig, CpuCounters, JobConfig, MachineConfig, Phase, PhaseStats, PoolCounters,
+    Record as _, Record100, SortAlgo, SortConfig, SortReport,
 };
 use demsort_workloads::gensort_records;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const RECORDS: usize = 3_000;
@@ -100,35 +103,39 @@ fn assert_same_counters(tcp: &SortReport, local: &SortReport) {
     }
 }
 
-/// The materialising reference of `sort_file`: whole shards in, the
-/// output left striped over the disks and read back as one record
-/// vector, written to `output`.
-fn striped_materialised(input: &Path, output: &Path) -> SortReport {
-    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
-    let input_path = input.to_path_buf();
-    let outcome = striped_sort_cluster::<Record100, _>(&cfg, move |pe, p| {
-        let shard = demsort_types::ranks::owned_range(pe, p, RECORDS as u64);
-        let mut f = std::fs::File::open(&input_path).expect("open input");
-        f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64)).expect("seek");
-        let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-        f.read_exact(&mut bytes).expect("read shard");
-        let mut recs = Vec::new();
-        Record100::decode_slice(&bytes, &mut recs);
-        recs
+/// Sort each rank's shard of `records` records — `shard(rank, p)`,
+/// loaded whole and ingested into blocks — with the striped sort on the
+/// in-process cluster into `output`: the report, and every rank's
+/// buffer-pool counters when its sort is done.
+fn striped_in_process(
+    cfg: &SortConfig,
+    records: u64,
+    shard: impl Fn(usize, usize) -> Vec<Record100> + Sync,
+    output: &Path,
+) -> (SortReport, Vec<PoolCounters>) {
+    let output = OutputFile { path: output, records };
+    let (report, pools, _) = run_in_process(cfg, Record100::BYTES, |comm, storage| {
+        let (rank, st) = (comm.rank(), storage.pe(comm.rank()));
+        let input = ingest_input(st, &shard(rank, comm.size()))?;
+        let o = striped_mergesort::<Record100>(&comm, storage, cfg, input, 1, None, output)?;
+        let (elems, runs, phases) = (o.written, o.runs, o.phases);
+        Ok((RankReport { rank, elems, runs, phases, error: None }, st.pool().counters()))
     })
     .expect("in-process striped sort");
+    (report, pools)
+}
 
-    // Output through the block service in global block order.
-    let recs = read_striped::<Record100>(&outcome.storage, &outcome.per_pe[0].output)
-        .expect("read striped output");
-    let mut out = std::io::BufWriter::new(std::fs::File::create(output).expect("create output"));
-    let mut buf = vec![0u8; Record100::BYTES];
-    for rec in &recs {
-        rec.encode(&mut buf);
-        out.write_all(&buf).expect("write");
-    }
-    out.flush().expect("flush");
-    outcome.report
+/// The materialising reference of `sort_file`: whole shards of `input`
+/// in, sorted into `output`.
+fn striped_materialised(input: &Path, output: &Path) -> SortReport {
+    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
+    let mut all = Vec::new();
+    Record100::decode_slice(&std::fs::read(input).expect("read input"), &mut all);
+    let shard = |pe, p| {
+        let shard = demsort_types::ranks::owned_range(pe, p, all.len() as u64);
+        all[shard.start as usize..shard.end as usize].to_vec()
+    };
+    striped_in_process(&cfg, all.len() as u64, shard, output).0
 }
 
 #[test]
@@ -275,21 +282,19 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
 /// *rate* falls: allocation pressure does not scale with N.
 #[test]
 fn buffer_pool_misses_plateau_after_warmup() {
+    let out = tmp_path("pool-out.dat");
     let totals = |records: usize| {
         // The pool is `max(m/B, 2D + 2)`: 31 disks lift it from 16 to
         // 64 blocks while `m`, and so the runs, stay the test machine's.
         let machine = MachineConfig { disks_per_pe: 31, ..test_machine() };
         assert_eq!(machine.pool_blocks(), 64);
         let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
-        let outcome = striped_sort_cluster::<Record100, _>(&cfg, move |pe, p| {
+        let shard = |pe, p| {
             let shard = demsort_types::ranks::owned_range(pe, p, records as u64);
             gensort_records(7, shard.start, (shard.end - shard.start) as usize)
-        })
-        .expect("in-process striped sort");
-        outcome
-            .per_pe
-            .iter()
-            .fold(demsort_types::PoolCounters::default(), |acc, o| acc.merge(&o.pool))
+        };
+        let (_, pools) = striped_in_process(&cfg, records as u64, shard, &out);
+        pools.iter().fold(PoolCounters::default(), |acc, c| acc.merge(c))
     };
     let warm = totals(RECORDS);
     let big = totals(2 * RECORDS);
@@ -307,20 +312,20 @@ fn buffer_pool_misses_plateau_after_warmup() {
          {warm:?} vs {big:?}"
     );
     // The miss rate itself falls as the sort grows: warmup amortises.
-    let rate = |c: &demsort_types::PoolCounters| c.misses as f64 / (c.hits + c.misses) as f64;
+    let rate = |c: &PoolCounters| c.misses as f64 / (c.hits + c.misses) as f64;
     assert!(
         rate(&big) < rate(&warm),
         "the miss rate must fall as warmup amortises: {warm:?} vs {big:?}"
     );
+    let _ = std::fs::remove_file(&out);
 }
 
 #[test]
 fn sort_file_matches_the_materialising_striped_run() {
-    // `striped_materialised` above loads whole shards, leaves the
-    // output striped over the disks and reads it back as one record
-    // vector; the direct file edges behind `sort_file` must leave the
-    // same bytes, move the same blocks, and form the same runs. Their
-    // last pass writes the file without striping it, so it sends less.
+    // `striped_materialised` above loads whole shards and ingests them
+    // into blocks; the direct file edges behind `sort_file` must leave
+    // the same bytes, move the same blocks, form the same runs and
+    // send the same messages.
     let input = tmp_path("sf-input.dat");
     let out_ref = tmp_path("sf-out-ref.dat");
     let out = tmp_path("sf-out.dat");
@@ -347,18 +352,12 @@ fn sort_file_matches_the_materialising_striped_run() {
         assert_eq!(io_total(&report, f), io_total(&reference, f), "{name}");
     }
     for pe in 0..RANKS {
-        let (got, want) =
-            (report.get(pe, Phase::RunFormation), reference.get(pe, Phase::RunFormation));
-        assert_eq!(got.comm, want.comm, "run formation comm counters (pe {pe})");
-        assert_eq!(got.io, want.io, "run formation io counters (pe {pe})");
+        for phase in Phase::ALL {
+            let (got, want) = (report.get(pe, phase), reference.get(pe, phase));
+            assert_eq!(got.comm, want.comm, "comm counters (pe {pe}, {phase})");
+            assert_eq!(got.io, want.io, "io counters (pe {pe}, {phase})");
+        }
     }
-    let sent = |r: &SortReport| r.phase_total(Phase::FinalMerge, |s| s.comm.bytes_sent);
-    assert!(sent(&report) < sent(&reference), "{} ≥ {}", sent(&report), sent(&reference));
-    // Where the last pass striped the file too, the file job sent what
-    // the materialising run does, 5.955 N with these 1 KiB blocks; it
-    // now sends 4.773 N.
-    let (got, want) = (report.comm_volume_over_n(), reference.comm_volume_over_n());
-    assert!(got <= want - 0.4, "communication {want} N -> {got} N");
     for p in [&input, &out_ref, &out] {
         let _ = std::fs::remove_file(p);
     }

@@ -121,9 +121,10 @@ mod tests {
     use crate::ctx::ClusterStorage;
     use crate::recio::read_records;
     use crate::runform::ingest_input;
+    use crate::validate::Fingerprint;
     use demsort_net::run_cluster;
     use demsort_types::{AlgoConfig, Element16, MachineConfig};
-    use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 
     fn run_nowsort(
         p: usize,
@@ -155,12 +156,12 @@ mod tests {
         let p = 4;
         let (got, outcomes) = run_nowsort(p, 800, InputSpec::Uniform);
         let mut reference = generate_all(InputSpec::Uniform, 31, p, 800);
-        let checksum_in = checksum_elements(&reference);
+        let checksum_in = Fingerprint::of_slice(&reference);
         reference.sort_unstable();
         let keys: Vec<u64> = got.iter().map(|e| e.key).collect();
         let ref_keys: Vec<u64> = reference.iter().map(|e| e.key).collect();
         assert_eq!(keys, ref_keys, "bucket concatenation is globally sorted");
-        assert_eq!(checksum_elements(&got), checksum_in);
+        assert_eq!(Fingerprint::of_slice(&got), checksum_in);
         assert!(
             outcomes[0].imbalance < 1.3,
             "uniform input is near-balanced: {}",

@@ -199,8 +199,9 @@ where
 mod tests {
     use super::*;
     use crate::recio::read_records;
+    use crate::validate::Fingerprint;
     use demsort_types::{AlgoConfig, Element16, MachineConfig};
-    use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 
     fn config(pes: usize) -> SortConfig {
         SortConfig::new(MachineConfig::tiny(pes), AlgoConfig::default()).expect("valid")
@@ -215,7 +216,7 @@ mod tests {
                 .expect("sort");
 
         let mut reference = generate_all(spec, 77, p, local_n);
-        let checksum_in = checksum_elements(&reference);
+        let checksum_in = Fingerprint::of_slice(&reference);
         reference.sort_unstable();
 
         let n = reference.len() as u64;
@@ -237,7 +238,7 @@ mod tests {
         let keys: Vec<u64> = concat.iter().map(|e| e.key).collect();
         let ref_keys: Vec<u64> = reference.iter().map(|e| e.key).collect();
         assert_eq!(keys, ref_keys, "global key order ({spec:?}, P={p})");
-        assert_eq!(checksum_elements(&concat), checksum_in, "permutation ({spec:?})");
+        assert_eq!(Fingerprint::of_slice(&concat), checksum_in, "permutation ({spec:?})");
         outcome
     }
 

@@ -103,12 +103,13 @@ impl OutputFile<'_> {
 mod tests {
     use super::*;
     use crate::canonical::sort_cluster;
-    use crate::job::{run_job_local, sort_file};
+    use crate::job::{run_in_process, run_job_local, sort_file};
     use crate::recio::{read_records, records_per_block};
     use crate::runform::{ingest_input, GroupReader};
-    use crate::striped::{read_striped, striped_sort_cluster};
+    use crate::striped::striped_mergesort;
     use demsort_storage::PeStorage;
     use demsort_types::trace::{read_journal, validate_rank_journal};
+    use demsort_types::wire::RankReport;
     use demsort_types::{
         AlgoConfig, JobConfig, MachineConfig, Phase, PhaseStats, Record100, SortAlgo, SortConfig,
         SortReport, TraceEv,
@@ -172,32 +173,42 @@ mod tests {
     }
 
     /// The materialising reference of `sort_file`: shards as record
-    /// vectors in, the whole output as records out, encoded one by one
-    /// — what `sortfile` did before the edges streamed.
+    /// vectors in, ingested into blocks; the canonical output read back
+    /// and encoded one by one, the striped output written into the file
+    /// `out` — what `sortfile` did before the edges streamed.
     fn sort_materialised(
         cfg: &SortConfig,
         algo: SortAlgo,
         recs: &[Record100],
+        out: &Path,
     ) -> (Vec<u8>, SortReport) {
-        let gen = |pe: usize, p: usize| shard_of(recs, pe, p).to_vec();
         match algo {
             SortAlgo::Canonical => {
+                let gen = |pe: usize, p: usize| shard_of(recs, pe, p).to_vec();
                 let o = sort_cluster::<Record100, _>(cfg, gen).expect("sort");
-                let mut out = Vec::new();
+                let mut sorted = Vec::new();
                 for (pe, pe_out) in o.per_pe.iter().enumerate() {
                     let run = &pe_out.output;
-                    out.extend(
+                    sorted.extend(
                         read_records::<Record100>(o.storage.pe(pe), &run.run, run.elems)
                             .expect("read output"),
                     );
                 }
-                (encode(&out), o.report)
+                (encode(&sorted), o.report)
             }
             SortAlgo::Striped => {
-                let o = striped_sort_cluster::<Record100, _>(cfg, gen).expect("sort");
-                let out = read_striped::<Record100>(&o.storage, &o.per_pe[0].output)
-                    .expect("read output");
-                (encode(&out), o.report)
+                let output = OutputFile { path: out, records: recs.len() as u64 };
+                let (report, ..) = run_in_process(cfg, Record100::BYTES, |comm, storage| {
+                    let (rank, p, cores) = (comm.rank(), comm.size(), cfg.machine.cores_per_pe);
+                    let input = ingest_input(storage.pe(rank), shard_of(recs, rank, p))?;
+                    let o = striped_mergesort::<Record100>(
+                        &comm, storage, cfg, input, cores, None, output,
+                    )?;
+                    let (elems, runs, phases) = (o.written, o.runs, o.phases);
+                    Ok((RankReport { rank, elems, runs, phases, error: None }, ()))
+                })
+                .expect("sort");
+                (std::fs::read(out).expect("read output"), report)
             }
         }
     }
@@ -209,38 +220,6 @@ mod tests {
             Phase::ALL.iter().map(|&ph| r.phase_total(ph, f)).sum()
         };
         (total(|s| s.io.bytes_written), total(|s| s.io.blocks_written), total(|s| s.io.bytes_read))
-    }
-
-    /// A striped file job against the materialising run, whose last pass
-    /// stripes the output over the disks: with several runs the same run
-    /// formation, PE by PE; and a last pass that sends less, because it
-    /// exchanges each batch once instead of exchanging and striping it.
-    /// With `large` (two PEs, batches of many blocks) striping would move
-    /// about half the data, so the file job sends at least 0.4 N less.
-    /// Where the last pass striped the file too, the file job sent what
-    /// the materialising run does: 1.036 N (one run) and 2.071 N (3.5
-    /// runs) on the `large` rows; it now sends 0.504 N and 1.535 N.
-    fn striped_saves_the_last_striping(
-        got: &SortReport,
-        want: &SortReport,
-        large: bool,
-        case: &str,
-    ) {
-        let last = if got.runs > 1 {
-            for pe in 0..got.pes {
-                let (g, w) = (got.get(pe, Phase::RunFormation), want.get(pe, Phase::RunFormation));
-                assert_eq!((g.comm, g.io), (w.comm, w.io), "{case}: run formation of PE {pe}");
-            }
-            Phase::FinalMerge
-        } else {
-            Phase::RunFormation
-        };
-        let sent = |r: &SortReport| r.phase_total(last, |s| s.comm.bytes_sent);
-        if got.pes > 1 {
-            assert!(sent(got) < sent(want), "{case}: {} ≥ {} bytes sent", sent(got), sent(want));
-        }
-        let (g, w) = (got.comm_volume_over_n(), want.comm_volume_over_n());
-        assert!(!large || g <= w - 0.4, "{case}: communication {w} N -> {g} N");
     }
 
     /// A rank's journal of a traced job validates and carries phase
@@ -258,23 +237,22 @@ mod tests {
     fn sort_file_matches_the_materialising_sort() {
         let scratch = Scratch::new("sort");
         let (input, output) = (scratch.file("in.dat"), scratch.file("out.dat"));
+        let reference = scratch.file("ref.dat");
         // Every edge of the block layout at the smallest memory; and two
         // PEs with 64 blocks of memory, one run and several, where the
-        // batches are long enough that striping them would move half the
-        // data (`large`).
-        let mut cases: Vec<(MachineConfig, Vec<usize>, bool)> = Vec::new();
+        // batches are many blocks long.
+        let mut cases: Vec<(MachineConfig, Vec<usize>)> = Vec::new();
         for p in [1, 2, 3] {
             for block_bytes in [4 << 10, 32 << 10] {
                 let m = machine(p, block_bytes);
-                let counts = record_counts(&m).to_vec();
-                cases.push((m, counts, false));
+                cases.push((m.clone(), record_counts(&m).to_vec()));
             }
         }
         let wide = MachineConfig { mem_bytes_per_pe: 64 * (4 << 10), ..machine(2, 4 << 10) };
         let run = wide.pes * wide.mem_blocks_per_pe() * records_per_block::<Record100>(4 << 10);
-        cases.push((wide, vec![run - 7, 3 * run + run / 2], true));
+        cases.push((wide, vec![run - 7, 3 * run + run / 2]));
         for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
-            for (m, counts, large) in &cases {
+            for (m, counts) in &cases {
                 let (p, block_bytes) = (m.pes, m.block_bytes);
                 let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
                 for &n in counts {
@@ -284,7 +262,7 @@ mod tests {
                     std::fs::write(&output, vec![0xAA; n * Record100::BYTES + 777])
                         .expect("write stale output");
                     let report = sort_file(&cfg, algo, &input, &output).expect("sort_file");
-                    let (want, want_report) = sort_materialised(&cfg, algo, &recs);
+                    let (want, want_report) = sort_materialised(&cfg, algo, &recs, &reference);
                     let case = format!("{algo} P={p} B={block_bytes} N={n}");
                     assert!(std::fs::read(&output).expect("read output") == want, "{case}");
                     assert_eq!(report.elements, n as u64, "{case}");
@@ -295,14 +273,17 @@ mod tests {
                         want_report.io_volume_over_n().to_bits(),
                         "{case}"
                     );
-                    match algo {
-                        SortAlgo::Canonical => assert_eq!(
-                            report.comm_volume_over_n().to_bits(),
-                            want_report.comm_volume_over_n().to_bits(),
-                            "{case}"
-                        ),
-                        SortAlgo::Striped => {
-                            striped_saves_the_last_striping(&report, &want_report, *large, &case)
+                    assert_eq!(
+                        report.comm_volume_over_n().to_bits(),
+                        want_report.comm_volume_over_n().to_bits(),
+                        "{case}"
+                    );
+                    if algo == SortAlgo::Striped {
+                        // No selection probes: every counter of every
+                        // rank's phases is the reference's.
+                        for (pe, ph) in (0..p).flat_map(|pe| Phase::ALL.map(|ph| (pe, ph))) {
+                            let (g, w) = (report.get(pe, ph), want_report.get(pe, ph));
+                            assert_eq!((g.comm, g.io), (w.comm, w.io), "{case}: PE {pe} {ph}");
                         }
                     }
                     if report.runs > 1 {
@@ -399,7 +380,7 @@ mod tests {
                 let recs = gensort_records(9, 0, n);
                 std::fs::write(&path, encode(&recs)).expect("write input");
                 let report = sort_file(&cfg, algo, &path, &path).expect("sort in place");
-                let (want, _) = sort_materialised(&cfg, algo, &recs);
+                let (want, _) = sort_materialised(&cfg, algo, &recs, &scratch.file("ref.dat"));
                 let case = format!("{algo}, {n} records");
                 assert_eq!(report.runs, runs, "{case}");
                 assert!(std::fs::read(&path).expect("read") == want, "{case}");

@@ -71,19 +71,19 @@ pub fn run_rank_job(
     let input = Path::new(&job.input);
     let total = file_records::<R>(input)?;
     let local = input_shard::<R>(input, rank, p, total)?;
-    let output = Some(OutputFile { path: Path::new(&job.output), records: total });
+    let output = OutputFile { path: Path::new(&job.output), records: total };
     let (elems, runs, phases) = match job.algorithm {
         SortAlgo::Canonical => {
             // Rank `r`'s output is global ranks `⌊r·n/p⌋ ..`, so the
             // outputs concatenate at the shard boundaries.
-            let o = canonical_mergesort_to::<R>(comm, storage, &cfg, local, cores, output)?;
+            let o = canonical_mergesort_to::<R>(comm, storage, &cfg, local, cores, Some(output))?;
             debug_assert_eq!(o.output.elems, ranks::owned_len(rank, p, total));
             (o.output.elems, o.runs, o.phases)
         }
         SortAlgo::Striped => {
             // The records this rank wrote into the output.
             let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks, output)?;
-            (o.output.owned_elems(rank), o.runs, o.phases)
+            (o.written, o.runs, o.phases)
         }
     };
 

@@ -24,8 +24,8 @@
 //!   over the PE's own disks, into its output run;
 //! * [`canonical`] — the CANONICALMERGESORT driver (Figure 1);
 //! * [`striped`] — mergesort with global striping (Section III): the
-//!   driver over its striped runs, its merge passes and its rank-failure
-//!   recovery, a submodule each;
+//!   driver, its striped runs and the output file's writer, its merge
+//!   passes and its rank-failure recovery, a submodule each;
 //! * [`ctx`] — each PE's view of the cluster's storage (the block
 //!   service), phase accounting, and the phase scope both drivers open
 //!   their phases through;
@@ -69,7 +69,4 @@ pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};
 pub use psort::parallel_sort;
 pub use selection::{multiway_select, SelectionResult};
 pub use seqsort::sort_in_node;
-pub use striped::{
-    read_striped, read_striped_blocks, striped_mergesort, striped_sort_cluster, ResilientHooks,
-    StripedClusterOutcome,
-};
+pub use striped::{striped_mergesort, ResilientHooks};

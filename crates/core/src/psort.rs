@@ -233,11 +233,10 @@ impl<R: Record + Ord> Exchange<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::validate::Fingerprint;
     use demsort_net::run_cluster;
     use demsort_types::{ranks, Element16, Key10, Record100};
-    use demsort_workloads::{
-        checksum_elements, checksum_records, generate_pe_input, splitmix64, Fingerprint, InputSpec,
-    };
+    use demsort_workloads::{generate_pe_input, splitmix64, InputSpec};
     use proptest::prelude::*;
 
     /// The 100-byte record that sorts where `e` does: the kernel then
@@ -259,7 +258,6 @@ mod tests {
         what: &str,
         p: usize,
         input: impl Fn(usize) -> Vec<R> + Copy + Send + Sync,
-        checksum: fn(&[R]) -> Fingerprint,
     ) {
         let all: Vec<R> = (0..p).flat_map(input).collect();
         let mut reference = all.clone();
@@ -277,7 +275,8 @@ mod tests {
             // Concatenation equals the sequential reference sort.
             let concat: Vec<R> = outputs.concat();
             assert_eq!(concat, reference, "global order ({what}, P={p}, cores={cores})");
-            assert_eq!(checksum(&concat), checksum(&all), "permutation ({what}, P={p})");
+            let (got, want) = (Fingerprint::of_slice(&concat), Fingerprint::of_slice(&all));
+            assert_eq!(got, want, "permutation ({what}, P={p})");
         }
     }
 
@@ -286,8 +285,8 @@ mod tests {
     fn check_psort(spec: InputSpec, p: usize, local_n: usize) {
         let what = format!("{spec:?}");
         let gen = move |rank| generate_pe_input(spec, 99, rank, p, local_n);
-        check_psort_of(&what, p, gen, checksum_elements);
-        check_psort_of(&what, p, move |r| gen(r).into_iter().map(wide).collect(), checksum_records);
+        check_psort_of(&what, p, gen);
+        check_psort_of(&what, p, move |r| gen(r).into_iter().map(wide).collect());
     }
 
     #[test]
@@ -333,13 +332,9 @@ mod tests {
             let skewed = move |rank: usize| {
                 generate_pe_input(InputSpec::Uniform, 5, rank, p, if rank == 1 { 403 } else { 0 })
             };
-            check_psort_of("one PE holds everything", p, skewed, checksum_elements);
-            check_psort_of(
-                "one PE holds everything",
-                p,
-                move |r| skewed(r).into_iter().map(wide).collect(),
-                checksum_records,
-            );
+            check_psort_of("one PE holds everything", p, skewed);
+            let wide_skewed = move |r| skewed(r).into_iter().map(wide).collect();
+            check_psort_of("one PE holds everything", p, wide_skewed);
         }
     }
 

@@ -334,9 +334,10 @@ mod tests {
     use super::*;
     use crate::ctx::ClusterStorage;
     use crate::recio::read_records;
+    use crate::validate::Fingerprint;
     use demsort_net::run_cluster;
     use demsort_types::{AlgoConfig, Element16, MachineConfig};
-    use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+    use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 
     fn config(pes: usize, randomize: bool, overlap: bool) -> SortConfig {
         let machine = MachineConfig::tiny(pes);
@@ -392,7 +393,7 @@ mod tests {
         }
         let input = generate_all(spec, 7, p, local_n);
         assert_eq!(all.len(), input.len());
-        assert_eq!(checksum_elements(&all), checksum_elements(&input), "permutation");
+        assert_eq!(Fingerprint::of_slice(&all), Fingerprint::of_slice(&input), "permutation");
     }
 
     #[test]

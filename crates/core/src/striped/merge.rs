@@ -12,8 +12,8 @@
 //! splitter-based exchange ([`Exchange`]: exact splitters, one
 //! all-to-all, a `P`-way merge) and written out: striped over the disks
 //! ([`write_striped`], a second communication) for a run a later pass
-//! reads, or — in a file job's last pass — straight into the output
-//! file, the exchange's cuts on block boundaries ([`FileOutput`]). The
+//! reads, or — in the last pass — straight into the output file, the
+//! exchange's cuts on block boundaries ([`FileOutput`]). The
 //! rest stays buffered per run for the next batch (at most `B`
 //! elements per run remain unmerged, so carry-over is bounded). Merging
 //! costs `O(n log R)` comparisons per pass instead of the `O(n log n)`
@@ -30,7 +30,7 @@
 //! [`TraceEv::MergeEmitted`](demsort_types::TraceEv::MergeEmitted)
 //! events), so the reads overlap the merge and the exchange.
 
-use super::runs::{write_striped, FileOutput, RankView, StripedOutput, StripedRun};
+use super::runs::{write_striped, FileOutput, RankView, StripedRun};
 use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, BlockSource, InputBlock};
 use crate::ctx::{BlockFetch, ClusterStorage};
 use crate::fileio::OutputFile;
@@ -55,18 +55,17 @@ pub(super) struct MergeJob<'a> {
     /// can re-merge them.
     pub free_consumed: bool,
     pub tracer: &'a Tracer,
-    /// Where the last pass writes, if not to the disks.
-    pub output: Option<OutputFile<'a>>,
 }
 
 impl MergeJob<'_> {
-    /// Run the merge passes over `runs` (more than one) until one run
-    /// remains. Collective over `comm`. Returns the output, the pass
-    /// count, and the merge CPU counters.
+    /// Run the merge passes over `runs` (more than one), the last into
+    /// `output`. Collective over `comm`. Returns the records this rank
+    /// wrote, the pass count, and the merge CPU counters.
     pub fn run<R: Record + Ord>(
         &self,
         mut runs: Vec<StripedRun<R::Key>>,
-    ) -> Result<(StripedOutput<R::Key>, usize, CpuCounters)> {
+        output: OutputFile<'_>,
+    ) -> Result<(u64, usize, CpuCounters)> {
         let mut passes = 0;
         let mut cpu = CpuCounters::default();
         // A pass of several groups writes its runs back to the disks.
@@ -80,31 +79,22 @@ impl MergeJob<'_> {
             passes += 1;
             runs = next;
         }
-        // A pass of one group is the last: it writes the output file, if
-        // there is one. Every rank waited its last input read before its
-        // last run's exchange, so the output may be the input.
-        let (output, last_cpu) = match self.output {
-            Some(out) => {
-                let me = self.view.my_global;
-                let (st, mut file) = (self.storage.pe(me), FileOutput::new(out.open::<R>(me)?));
-                let mut exchange = Exchange::new();
-                let last_cpu = self.merge_group::<R>(&runs, passes, 0, |emit| {
-                    file.append(self.comm, st, self.cfg, &mut exchange, emit, self.cores)
-                })?;
-                (file.finish(), last_cpu)
-            }
-            None => {
-                let (merged, last_cpu) = self.merge_to_disks::<R>(&runs, passes, 0)?;
-                (StripedOutput::Disks(merged), last_cpu)
-            }
-        };
-        Ok((output, passes + 1, cpu.merge(&last_cpu)))
+        // A pass of one group is the last: it writes the output file.
+        // Every rank waited its last input read before its last run's
+        // exchange, so the output may be the input.
+        let me = self.view.my_global;
+        let (st, mut file) = (self.storage.pe(me), FileOutput::new(output.open::<R>(me)?));
+        let mut exchange = Exchange::new();
+        let last_cpu = self.merge_group::<R>(&runs, passes, 0, |emit| {
+            file.append(self.comm, st, self.cfg, &mut exchange, emit, self.cores)
+        })?;
+        Ok((file.finish(), passes + 1, cpu.merge(&last_cpu)))
     }
 
     /// Merge one group of striped runs into a new striped run on the
     /// disks: each batch's emitted prefix is made canonical by one
     /// exchange and striped by a second ([`write_striped`]).
-    fn merge_to_disks<R: Record + Ord>(
+    pub(super) fn merge_to_disks<R: Record + Ord>(
         &self,
         group: &[StripedRun<R::Key>],
         pass: usize,

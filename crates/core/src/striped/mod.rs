@@ -20,18 +20,18 @@
 //! * **Recovery** (`recovery`): replicas stored at run formation let the
 //!   survivors of a rank's death regroup and re-merge.
 //!
-//! A file job's output file has no disks to stripe over, so its last
-//! pass — the one merge group, or run formation when there is one run —
-//! exchanges each batch once, with cuts on block boundaries, and every
-//! rank writes its part at its place in the file ([`StripedOutput::File`]).
-//! A two-pass file job therefore communicates its data three times: run
-//! formation's exchange and striping, then the last pass's one exchange.
+//! The output file has no disks to stripe over and is never read back,
+//! so the last pass — the one merge group, or run formation when there
+//! is one run — exchanges each batch once, with cuts on block
+//! boundaries, and every rank writes its part at its place in the file
+//! (`runs::FileOutput`). A two-pass sort therefore communicates its
+//! data three times: run formation's exchange and striping, then the
+//! last pass's one exchange.
 //!
 //! This module holds the sort itself, [`striped_mergesort`] — one entry
-//! point with or without recovery hooks and an output file, two
-//! [`PhaseRecorder::phase`] scopes, the second only when there is more
-//! than one run — with the outcome types and the in-process convenience
-//! runner ([`striped_sort_cluster`]).
+//! point with or without recovery hooks, two [`PhaseRecorder::phase`]
+//! scopes, the second only when there is more than one run — and its
+//! outcome type.
 
 mod merge;
 mod recovery;
@@ -40,35 +40,27 @@ mod runs;
 mod tests;
 
 pub use recovery::{ResilientHooks, SubgroupFn};
-pub use runs::{read_striped, read_striped_blocks, StripedOutput, StripedRun};
+pub use runs::StripedRun;
 
 use crate::ctx::{ClusterStorage, PhaseRecorder};
 use crate::fileio::OutputFile;
-use crate::job::run_in_process;
 use crate::psort::Exchange;
-use crate::runform::{ingest_input, GroupReader, LocalInput};
+use crate::runform::{GroupReader, LocalInput};
 use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
-use demsort_types::wire::RankReport;
-use demsort_types::{
-    CommCounters, CpuCounters, Error, Phase, PhaseStats, Record, Result, SortConfig, SortReport,
-};
+use demsort_types::{CommCounters, Error, Phase, PhaseStats, Record, Result, SortConfig};
 use merge::MergeJob;
 use recovery::{regroup, replicate_run};
 use runs::{write_striped, FileOutput, RankView};
-use std::sync::Arc;
 
 /// Outcome of the striped sort on one PE.
-pub struct StripedOutcome<R: Record> {
-    /// The sorted output: striped over the disks (the directory
-    /// identical on every PE), or in the job's output file.
-    pub output: StripedOutput<R::Key>,
+pub struct StripedOutcome {
+    /// Records this PE wrote into the output file.
+    pub written: u64,
     /// Number of initial runs.
     pub runs: usize,
     /// Number of merge passes (0 if a single run sufficed).
     pub passes: usize,
-    /// CPU counters for this PE.
-    pub cpu: CpuCounters,
     /// Per-phase measured counters: run formation (striped writes
     /// included), then — when merging happened — the merge passes
     /// under [`Phase::FinalMerge`].
@@ -81,21 +73,18 @@ pub struct StripedOutcome<R: Record> {
     /// next batch's reads are in flight while the current batch
     /// merges).
     pub phases: Vec<(Phase, PhaseStats)>,
-    /// Cumulative buffer-pool counters of this PE's data plane at the
-    /// end of the sort. Diagnostics only: the hit/miss split depends on
-    /// worker timing, so it is never part of the pinned identity
-    /// surface (unlike `cpu` and `phases`).
-    pub pool: demsort_types::PoolCounters,
 }
 
-/// Sort `input` into a globally striped output (Section III).
-/// Collective. Each merge pass merges up to
+/// Sort `input` into the job's output file with the striped mergesort
+/// (Section III). Collective. Each merge pass merges up to
 /// [`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)
-/// runs (`M/B`).
+/// runs (`M/B`), striping every run it writes over all disks, and the
+/// last pass writes the sorted sequence into `output` — one exchange
+/// per batch whose cuts fall on block boundaries, each rank writing its
+/// part at its place, and no striping.
 ///
 /// `input` must reside on this rank's own storage
-/// (`storage.pe(comm.rank())`); cross-rank block access — none during
-/// the sort itself, all of it in [`read_striped`] — goes through
+/// (`storage.pe(comm.rank())`); cross-rank block access goes through
 /// `storage`'s block service, so the identical call works on the
 /// in-process cluster and on a multi-process single-rank view.
 ///
@@ -107,7 +96,9 @@ pub struct StripedOutcome<R: Record> {
 /// freeing them. If a merge attempt then fails with [`Error::Comm`] and
 /// `hooks` are provided, the survivors regroup (dead set, subgroup,
 /// membership agreement, replica remap) and re-run the merge from the
-/// initial runs over the survivor communicator, completing degraded.
+/// initial runs over the survivor communicator, completing degraded:
+/// the re-merge stripes over the survivors' disks, cuts the output over
+/// the survivors and rewrites every byte of it.
 /// The failover is recorded in the [`Phase::FinalMerge`] counters:
 /// each replica rank charges one message and one block of send volume
 /// per block it re-serves, and the survivor communicator's traffic is
@@ -120,14 +111,7 @@ pub struct StripedOutcome<R: Record> {
 ///
 /// Degraded completion trades space for survival: blocks retained for
 /// a recovery that did happen are not reclaimed afterwards (the
-/// allocator high-water mark reflects that), and the output directory
-/// names only surviving ranks.
-///
-/// With `output`, the last pass writes the sorted sequence into that
-/// file instead of onto the disks — one exchange per batch whose cuts
-/// fall on block boundaries, each rank writing its part at its place,
-/// and no striping — and the outcome is [`StripedOutput::File`]. A
-/// degraded re-merge cuts over the survivors and rewrites every byte.
+/// allocator high-water mark reflects that).
 ///
 /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
 pub fn striped_mergesort<R: Record + Ord>(
@@ -137,13 +121,12 @@ pub fn striped_mergesort<R: Record + Ord>(
     input: LocalInput,
     cores: usize,
     mut hooks: Option<ResilientHooks<'_>>,
-    output: Option<OutputFile<'_>>,
-) -> Result<StripedOutcome<R>> {
+    output: OutputFile<'_>,
+) -> Result<StripedOutcome> {
     let me = comm.rank();
     let p = comm.size();
     let st = storage.pe(me);
     let f = cfg.algo.replication;
-    let mut cpu = CpuCounters::default();
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
     let view = RankView::identity(me, p);
     // The merge loop journals its fetch/merge interleaving through the
@@ -151,14 +134,14 @@ pub fn striped_mergesort<R: Record + Ord>(
     let tr = comm.tracer();
 
     // ---- Run formation with striped writes (and replication) ----
-    let (num_runs, mut runs, only_run) = rec.phase(Phase::RunFormation, comm, st, |rec| {
+    let (num_runs, mut runs, written) = rec.phase(Phase::RunFormation, comm, st, |rec| {
         let groups = GroupReader::new::<R>(st, cfg, input, None);
         // A collective maximum, so every rank records the same phase set
         // (the report shapes stay comparable).
         let num_runs = comm.allreduce_max(groups.local_groups() as u64)?.max(1) as usize;
-        // The only run is the sort's last pass: with an output file, it
-        // goes there.
-        let to_file = output.filter(|_| num_runs == 1);
+        // The only run is the sort's last pass: it goes into the output
+        // file.
+        let last_pass = num_runs == 1;
         let mut runs: Vec<StripedRun<R::Key>> = Vec::with_capacity(num_runs);
         // Two arenas every run reuses: its local records (decoded into,
         // sorted in), and — for a run striped over the disks — its
@@ -166,35 +149,30 @@ pub fn striped_mergesort<R: Record + Ord>(
         // by the striped write), about as many records as it put in,
         // within a block when the shards are equal.
         let mut data: Vec<R> = Vec::with_capacity(groups.max_group_records());
-        let mut canon: Vec<R> =
-            Vec::with_capacity(if to_file.is_some() { 0 } else { data.capacity() });
+        let mut canon: Vec<R> = Vec::with_capacity(if last_pass { 0 } else { data.capacity() });
         let mut exchange = Exchange::new();
-        let mut only_run = None;
+        let mut written = 0;
         for j in 0..num_runs {
             tr.progress(Phase::RunFormation, j as u64, num_runs as u64);
             groups.collect(groups.issue(j), &mut data)?;
             st.pool().add_copied((data.len() * R::BYTES) as u64);
             let mut sort_cpu = sort_in_node(&mut data, cores);
-            match to_file {
+            if last_pass {
                 // Into the output file, this rank's part at its place: no
                 // rank writes before the run's exchange, which each enters
                 // with its own reads waited, so the output may be the
                 // input.
-                Some(out) => {
-                    let mut file = FileOutput::new(out.open::<R>(me)?);
-                    sort_cpu =
-                        sort_cpu.merge(&file.append(comm, st, cfg, &mut exchange, &data, cores)?);
-                    only_run = Some(file.finish());
-                }
+                let mut file = FileOutput::new(output.open::<R>(me)?);
+                sort_cpu =
+                    sort_cpu.merge(&file.append(comm, st, cfg, &mut exchange, &data, cores)?);
+                written = file.finish();
+            } else {
                 // Canonically distributed in memory, then striped over
                 // all disks (one more communication).
-                None => {
-                    canon.clear();
-                    sort_cpu = sort_cpu.merge(&exchange.run(comm, &data, cores, &mut canon)?);
-                    runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
-                }
+                canon.clear();
+                sort_cpu = sort_cpu.merge(&exchange.run(comm, &data, cores, &mut canon)?);
+                runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
             }
-            cpu = cpu.merge(&sort_cpu);
             rec.add_cpu(sort_cpu);
         }
         // The merge passes bring their own arenas.
@@ -205,7 +183,7 @@ pub fn striped_mergesort<R: Record + Ord>(
                 replicate_run::<R::Key>(comm, storage, f, run, rec)?;
             }
         }
-        Ok((num_runs, runs, only_run))
+        Ok((num_runs, runs, written))
     })?;
 
     if let Some(hook) = hooks.as_ref().and_then(|h| h.on_merge_start.as_ref()) {
@@ -217,7 +195,9 @@ pub fn striped_mergesort<R: Record + Ord>(
     }
 
     // ---- Merge passes (one recovery attempt on rank death) ----
-    let (output, passes) = if num_runs > 1 {
+    let (written, passes) = if num_runs == 1 {
+        (written, 0)
+    } else {
         rec.phase(Phase::FinalMerge, comm, st, |rec| {
             let job = MergeJob {
                 comm,
@@ -228,14 +208,13 @@ pub fn striped_mergesort<R: Record + Ord>(
                 k_max: cfg.machine.merge_fan_in(),
                 free_consumed: f == 0,
                 tracer: tr,
-                output,
             };
             // With replication on, keep the initial run directories:
             // they are what a recovery re-merges (with dead owners
             // remapped to their replicas).
             let attempt = match hooks.as_mut().filter(|_| f > 0) {
-                None => job.run::<R>(std::mem::take(&mut runs)),
-                Some(hooks) => match job.run::<R>(runs.clone()) {
+                None => job.run::<R>(std::mem::take(&mut runs), output),
+                Some(hooks) => match job.run::<R>(runs.clone(), output) {
                     Err(err @ Error::Comm(_)) => {
                         let survivors = regroup(hooks, err, me, p, &runs)?;
                         // Each block this rank now re-serves for a dead
@@ -258,63 +237,18 @@ pub fn striped_mergesort<R: Record + Ord>(
                             free_consumed: false,
                             ..job
                         }
-                        .run::<R>(survivors.runs)?;
+                        .run::<R>(survivors.runs, output)?;
                         rec.add_comm(sub.counters());
                         Ok(done)
                     }
                     other => other,
                 },
             };
-            let (output, passes, merge_cpu) = attempt?;
-            cpu = cpu.merge(&merge_cpu);
+            let (written, passes, merge_cpu) = attempt?;
             rec.add_cpu(merge_cpu);
-            Ok((output, passes))
+            Ok((written, passes))
         })?
-    } else {
-        let on_disks = || StripedOutput::Disks(runs.pop().unwrap_or_else(StripedRun::empty));
-        (only_run.unwrap_or_else(on_disks), 0)
     };
 
-    Ok(StripedOutcome {
-        output,
-        runs: num_runs,
-        passes,
-        cpu,
-        phases: rec.into_stats(),
-        pool: st.pool().counters(),
-    })
-}
-
-/// Whole-cluster result of [`striped_sort_cluster`].
-pub struct StripedClusterOutcome<R: Record> {
-    /// Per-PE outcomes, indexed by rank.
-    pub per_pe: Vec<StripedOutcome<R>>,
-    /// The aggregated measured report.
-    pub report: SortReport,
-    /// The cluster storage (the striped output remains readable
-    /// through it via [`read_striped`]).
-    pub storage: Arc<ClusterStorage>,
-}
-
-/// Convenience driver for the in-process cluster
-/// ([`run_in_process`]): generate and ingest each PE's input via
-/// `gen(pe, p)`, run the striped mergesort, and aggregate the report —
-/// the striped sibling of
-/// [`sort_cluster`](crate::canonical::sort_cluster).
-pub fn striped_sort_cluster<R, G>(cfg: &SortConfig, gen: G) -> Result<StripedClusterOutcome<R>>
-where
-    R: Record + Ord,
-    G: Fn(usize, usize) -> Vec<R> + Send + Sync,
-{
-    let (report, per_pe, storage) = run_in_process(cfg, R::BYTES, |comm, storage| {
-        let (rank, p) = (comm.rank(), comm.size());
-        let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
-        let cores = cfg.machine.cores_per_pe;
-        let o = striped_mergesort::<R>(&comm, storage, cfg, input, cores, None, None)?;
-        let elems = o.output.owned_elems(rank);
-        let report =
-            RankReport { rank, elems, runs: o.runs, phases: o.phases.clone(), error: None };
-        Ok((report, o))
-    })?;
-    Ok(StripedClusterOutcome { per_pe, report, storage })
+    Ok(StripedOutcome { written, runs: num_runs, passes, phases: rec.into_stats() })
 }

@@ -1,24 +1,21 @@
-//! Striped runs: the directory, the two writers, and the readers.
+//! Striped runs: the directory and the two writers.
 //!
-//! A run (or the output of a sort that keeps it on the disks) is a
-//! globally striped sorted sequence: block `g` holds elements `g·rpb ..`
-//! on disk `g mod D` — "subsequent blocks are allocated on subsequent
-//! disks". Pieces a merge emits continue the round-robin striping where
-//! the previous piece left off, so the per-disk block counts of a
-//! stitched run differ by at most one.
+//! A run is a globally striped sorted sequence: block `g` holds
+//! elements `g·rpb ..` on disk `g mod D` — "subsequent blocks are
+//! allocated on subsequent disks" — so the next pass reads it back in
+//! parallel. Pieces a merge emits continue the round-robin striping
+//! where the previous piece left off, so the per-disk block counts of
+//! a stitched run differ by at most one.
 //!
 //! [`write_striped`] writes every run that goes back to the disks (run
-//! formation and every merge batch of a pass that is not a file job's
-//! last); [`FileOutput`] is the last pass's write when there is an
-//! output file, which has no disks to stripe over.
-//! [`read_striped_blocks`] reconstructs a run from *any single rank* —
-//! blocks owned by peers are fetched over the wire in pipelined
-//! per-owner batches. Both of the striped writer's messages come from
-//! peers, so both are decoded with checks ([`decode_pieces`],
-//! [`decode_directory`]): a truncated or out-of-range frame is an
-//! [`Error::Comm`](demsort_types::Error) naming sender and field.
+//! formation and every merge batch of a pass before the last);
+//! [`FileOutput`] is the last pass's write into the output file, which
+//! has no disks to stripe over and is never read back. Both of the
+//! striped writer's messages come from peers, so both are decoded with
+//! checks ([`decode_pieces`], [`decode_directory`]): a truncated or
+//! out-of-range frame is an [`Error::Comm`](demsort_types::Error)
+//! naming sender and field.
 
-use crate::ctx::{BlockFetch, ClusterStorage};
 use crate::psort::{Exchange, Part};
 use crate::recio::{records_per_block, RecordRunWriter, RunDest};
 use crate::runform::WRITE_WINDOW_DIV;
@@ -71,46 +68,6 @@ impl<K> StripedRun<K> {
             elems: 0,
         }
     }
-
-    /// Records in the blocks global rank `rank` owns: its share of the
-    /// run.
-    pub fn owned_elems(&self, rank: usize) -> u64 {
-        let blocks = self.owners.iter().zip(&self.counts);
-        blocks.filter(|&(&owner, _)| owner as usize == rank).map(|(_, &n)| n as u64).sum()
-    }
-}
-
-/// Where a striped sort's output is.
-#[derive(Clone, Debug)]
-pub enum StripedOutput<K> {
-    /// A striped run over the cluster's disks, its directory identical
-    /// on every PE.
-    Disks(StripedRun<K>),
-    /// A job's output file, which has no disks to stripe over and so no
-    /// directory.
-    File {
-        /// Records this PE wrote into it.
-        written: u64,
-    },
-}
-
-impl<K> StripedOutput<K> {
-    /// Records this PE, global rank `rank`, holds of the output: its
-    /// share of the striped run, or what it wrote into the file.
-    pub fn owned_elems(&self, rank: usize) -> u64 {
-        match self {
-            StripedOutput::Disks(run) => run.owned_elems(rank),
-            StripedOutput::File { written } => *written,
-        }
-    }
-
-    /// The striped run, when the output is on the disks.
-    pub fn disks(&self) -> Option<&StripedRun<K>> {
-        match self {
-            StripedOutput::Disks(run) => Some(run),
-            StripedOutput::File { .. } => None,
-        }
-    }
 }
 
 /// The rank mapping a merge runs under. In the common case it is the
@@ -118,7 +75,7 @@ impl<K> StripedOutput<K> {
 /// re-run the merge over a renumbered subgroup communicator, and this
 /// view translates between the subgroup's dense ranks (what `comm`
 /// speaks) and the global ranks recorded in run directories and used
-/// to address [`ClusterStorage`].
+/// to address [`ClusterStorage`](crate::ctx::ClusterStorage).
 pub(super) struct RankView {
     /// This rank's global rank (`storage.pe(my_global)` is ours).
     pub my_global: usize,
@@ -269,8 +226,8 @@ fn decode_directory<R: Record>(
 ///
 /// Striping costs a communication: every block's pieces go to its
 /// owner, and the directory is allgathered. Only runs that go back to
-/// the disks pay it; a file job's last pass writes through a
-/// [`FileOutput`] instead.
+/// the disks pay it; the last pass writes through a [`FileOutput`]
+/// instead.
 pub(super) fn write_striped<R: Record>(
     comm: &Communicator,
     st: &PeStorage,
@@ -437,85 +394,10 @@ impl FileOutput {
         Ok(cpu)
     }
 
-    /// The output: what this PE wrote.
-    pub fn finish<K>(self) -> StripedOutput<K> {
-        StripedOutput::File { written: self.written }
+    /// Records this PE wrote.
+    pub fn finish(self) -> u64 {
+        self.written
     }
-}
-
-/// How many blocks the striped streaming readers keep
-/// issued-but-unconsumed: deep enough to pipeline fetches across every
-/// owner's disks, shallow enough that in-flight response buffers stay
-/// O(window), not O(run).
-const READ_STRIPED_WINDOW: usize = 64;
-
-/// Stream a striped run's blocks in global order into `sink`, **from
-/// any single rank**: every block goes through the [`ClusterStorage`]
-/// block service, so blocks owned by peers are fetched over the
-/// transport. Reads are issued ahead of consumption as pipelined
-/// per-owner batches, bounded by a fixed in-flight window — memory
-/// stays O(window · B) regardless of the run size. Each callback
-/// receives one block's valid bytes (`counts[g] · record_bytes` of raw
-/// encoded records). The engine under [`read_striped`]; a file job's
-/// output is in the file, and nothing reads it back.
-pub fn read_striped_blocks<K>(
-    storage: &ClusterStorage,
-    run: &StripedRun<K>,
-    record_bytes: usize,
-    mut sink: impl FnMut(&[u8]) -> Result<()>,
-) -> Result<()> {
-    let n = run.blocks.len();
-    let mut pending: Vec<Option<BlockFetch>> = run.blocks.iter().map(|_| None).collect();
-    let mut issued = 0usize;
-    // Issue the next slice of global blocks as one batch per owner —
-    // remote owners see a handful of pipelined request frames behind
-    // one flush each, and all owners' fetches are in flight at once.
-    let issue_chunk = |from: usize, pending: &mut Vec<Option<BlockFetch>>| -> Result<usize> {
-        let to = (from + READ_STRIPED_WINDOW / 2).max(from + 1).min(n);
-        let mut by_owner: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for g in from..to {
-            by_owner.entry(run.owners[g]).or_default().push(g);
-        }
-        for (owner, gs) in &by_owner {
-            let ids: Vec<BlockId> = gs.iter().map(|&g| run.blocks[g]).collect();
-            let fetches = storage.fetch_blocks(*owner as usize, &ids)?;
-            for (&g, f) in gs.iter().zip(fetches) {
-                pending[g] = Some(f);
-            }
-        }
-        Ok(to)
-    };
-    for g in 0..n {
-        while issued < n && issued - g < READ_STRIPED_WINDOW {
-            issued = issue_chunk(issued, &mut pending)?;
-        }
-        let data = pending[g].take().expect("every block issued before consumption").wait()?;
-        sink(&data[..run.counts[g] as usize * record_bytes])?;
-    }
-    Ok(())
-}
-
-/// Read a striped sort's output back from the disks as one vector —
-/// [`read_striped_blocks`] decoded into records (test/validation
-/// convenience; callers that stream to a file should use the block
-/// form directly to keep memory bounded).
-///
-/// # Errors
-/// [`Error::Config`] for an output written into a file, which has no
-/// directory to read; what a block read fails with.
-pub fn read_striped<R: Record>(
-    storage: &ClusterStorage,
-    output: &StripedOutput<R::Key>,
-) -> Result<Vec<R>> {
-    let run = output.disks().ok_or_else(|| {
-        Error::config("the sorted output was written into a file, not striped over the disks")
-    })?;
-    let mut out = Vec::with_capacity(run.elems as usize);
-    read_striped_blocks(storage, run, R::BYTES, |bytes| {
-        R::decode_slice(bytes, &mut out);
-        Ok(())
-    })?;
-    Ok(out)
 }
 
 #[cfg(test)]

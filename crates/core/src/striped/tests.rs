@@ -1,9 +1,19 @@
+use super::merge::MergeJob;
 use super::recovery::remap_runs;
+use super::runs::{write_striped, RankView};
 use super::*;
+use crate::job::run_in_process;
+use crate::runform::ingest_input;
+use crate::validate::Fingerprint;
 use demsort_net::run_cluster;
 use demsort_storage::BlockId;
-use demsort_types::{AlgoConfig, Element16, MachineConfig, TraceEv, Tracer};
-use demsort_workloads::{checksum_elements, generate_all, generate_pe_input, InputSpec};
+use demsort_types::wire::RankReport;
+use demsort_types::{
+    AlgoConfig, Element16, MachineConfig, SortReport, TraceEv, TraceRecord, Tracer,
+};
+use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// `tiny(2)` at the smallest memory the machine accepts, 4 blocks per
 /// PE: the derived fan-in `P·m/B` is 8, so 1200 records per PE (19
@@ -12,72 +22,169 @@ fn low_fan_in() -> MachineConfig {
     MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(2) }
 }
 
-/// The striped run a sort without an output file leaves on the disks.
-fn on_disks(o: &StripedOutcome<Element16>) -> &StripedRun<u64> {
-    o.output.disks().expect("no output file: the output is striped over the disks")
+/// A fresh path for one sort's output file (tests run in parallel, so
+/// each sort takes its own).
+fn out_path() -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("demsort-striped-{}-{n}.dat", std::process::id()))
+}
+
+/// The records of an output file, which is removed.
+fn take_output(path: &Path) -> Vec<Element16> {
+    let bytes = std::fs::read(path).expect("read output");
+    let _ = std::fs::remove_file(path);
+    let mut recs = Vec::new();
+    Element16::decode_slice(&bytes, &mut recs);
+    recs
+}
+
+/// Sort `inputs[pe]` on each PE of the in-process cluster into an output
+/// file: the sorted records, the report and every PE's outcome.
+fn sort_into_file(
+    cfg: &SortConfig,
+    inputs: &[Vec<Element16>],
+) -> (Vec<Element16>, SortReport, Vec<StripedOutcome>) {
+    let path = out_path();
+    let records = inputs.iter().map(|i| i.len() as u64).sum();
+    let output = OutputFile { path: &path, records };
+    let (report, per_pe, _) = run_in_process(cfg, Element16::BYTES, |comm, storage| {
+        let rank = comm.rank();
+        let input = ingest_input(storage.pe(rank), &inputs[rank])?;
+        let cores = cfg.machine.cores_per_pe;
+        let o = striped_mergesort::<Element16>(&comm, storage, cfg, input, cores, None, output)?;
+        let phases = o.phases.clone();
+        Ok((RankReport { rank, elems: o.written, runs: o.runs, phases, error: None }, o))
+    })
+    .expect("sort");
+    (take_output(&path), report, per_pe)
+}
+
+/// Every PE's input of `spec` at seed 21.
+fn inputs(spec: InputSpec, p: usize, local_n: usize) -> Vec<Vec<Element16>> {
+    (0..p).map(|pe| generate_pe_input(spec, 21, pe, p, local_n)).collect()
 }
 
 fn sort_striped(
     machine: MachineConfig,
     local_n: usize,
     spec: InputSpec,
-) -> (Vec<Element16>, Vec<StripedOutcome<Element16>>, std::sync::Arc<ClusterStorage>) {
+) -> (Vec<Element16>, Vec<StripedOutcome>) {
     let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
-    let outcome = striped_sort_cluster::<Element16, _>(&cfg, |pe, p| {
-        generate_pe_input(spec, 21, pe, p, local_n)
-    })
-    .expect("sort");
-    let got = read_striped::<Element16>(&outcome.storage, &outcome.per_pe[0].output).expect("read");
-    (got, outcome.per_pe, outcome.storage)
+    let (got, _, per_pe) = sort_into_file(&cfg, &inputs(spec, cfg.machine.pes, local_n));
+    (got, per_pe)
 }
 
-/// [`sort_striped`] with a per-rank buffer tracer on the
-/// communicator: returns each rank's outcome alongside its drained
-/// journal, so tests pin the merge interleaving from the trace.
-fn sort_striped_traced(
-    machine: MachineConfig,
+/// A sort on `p` PEs of `cfg` with a per-rank buffer tracer on the
+/// communicator: the output file's records, and each rank's outcome
+/// alongside its drained journal, so tests pin the merge interleaving
+/// from the trace.
+fn sort_traced(
+    cfg: &SortConfig,
+    cores: usize,
     local_n: usize,
-    spec: InputSpec,
-) -> Vec<(StripedOutcome<Element16>, Vec<demsort_types::TraceRecord>)> {
-    let p = machine.pes;
-    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+) -> (Vec<Element16>, Vec<(StripedOutcome, Vec<TraceRecord>)>) {
+    let p = cfg.machine.pes;
+    let path = out_path();
+    let output = OutputFile { path: &path, records: (p * local_n) as u64 };
     let storage = ClusterStorage::new_mem(&cfg.machine);
     let storage_ref = &storage;
-    let results: Vec<Result<(StripedOutcome<Element16>, Vec<demsort_types::TraceRecord>)>> =
+    let results: Vec<Result<(StripedOutcome, Vec<TraceRecord>)>> =
         run_cluster(p, move |mut comm| {
             let tracer = Tracer::to_buffer(comm.rank());
             comm.set_tracer(tracer.clone());
             let st = storage_ref.pe(comm.rank());
-            let input = ingest_input(st, &generate_pe_input(spec, 21, comm.rank(), p, local_n))?;
+            let recs = generate_pe_input(InputSpec::Uniform, 21, comm.rank(), p, local_n);
+            let input = ingest_input(st, &recs)?;
             let o = striped_mergesort::<Element16>(
                 &comm,
                 storage_ref,
-                &cfg,
+                cfg,
                 input,
-                cfg.machine.cores_per_pe,
+                cores,
                 None,
-                None,
+                output,
             )?;
             Ok((o, tracer.drain()))
         });
-    results.into_iter().map(|r| r.expect("traced sort")).collect()
+    let per_pe = results.into_iter().map(|r| r.expect("traced sort")).collect();
+    (take_output(&path), per_pe)
+}
+
+fn sort_striped_traced(
+    machine: MachineConfig,
+    local_n: usize,
+) -> Vec<(StripedOutcome, Vec<TraceRecord>)> {
+    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+    sort_traced(&cfg, cfg.machine.cores_per_pe, local_n).1
+}
+
+/// Merge `runs` striped runs of `per_pe` records per PE each — run `j`
+/// the sorted uniform input of seed `j`, written by [`write_striped`] —
+/// back onto the disks with `MergeJob::merge_to_disks`: per rank, the
+/// merged run's directory and how many pieces the merge emitted.
+fn merged_on_disks(
+    machine: MachineConfig,
+    runs: u64,
+    per_pe: usize,
+) -> Vec<(StripedRun<u64>, usize)> {
+    let p = machine.pes;
+    let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
+    let storage = ClusterStorage::new_mem(&cfg.machine);
+    let (storage, cfg) = (&storage, &cfg);
+    let merged = run_cluster(p, move |mut comm| {
+        let tracer = Tracer::to_buffer(comm.rank());
+        comm.set_tracer(tracer.clone());
+        let (me, view) = (comm.rank(), RankView::identity(comm.rank(), p));
+        let st = storage.pe(me);
+        let group = (0..runs)
+            .map(|seed| {
+                let mut run = generate_all(InputSpec::Uniform, seed, p, per_pe);
+                run.sort_unstable();
+                let mine = demsort_types::ranks::owned_range(me, p, run.len() as u64);
+                let slice = &run[mine.start as usize..mine.end as usize];
+                write_striped::<Element16>(&comm, st, cfg, &view, slice, 0)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let job = MergeJob {
+            comm: &comm,
+            view: &view,
+            storage,
+            cfg,
+            cores: 1,
+            k_max: cfg.machine.merge_fan_in(),
+            free_consumed: true,
+            tracer: comm.tracer(),
+        };
+        let (run, _) = job.merge_to_disks::<Element16>(&group, 0, 0)?;
+        let emitted = |r: &TraceRecord| matches!(r.ev, TraceEv::MergeEmitted { .. });
+        Ok((run, tracer.drain().iter().filter(|r| emitted(r)).count()))
+    });
+    let merged: Vec<(StripedRun<u64>, usize)> =
+        merged.into_iter().map(|r: Result<_>| r.expect("merge to the disks")).collect();
+    // The directory is identical on every PE.
+    let (run0, _) = &merged[0];
+    assert_eq!(run0.elems, runs * (p * per_pe) as u64);
+    for (run, _) in &merged {
+        assert_eq!((&run.owners, &run.blocks), (&run0.owners, &run0.blocks));
+        assert_eq!((&run.first_keys, &run.counts), (&run0.first_keys, &run0.counts));
+    }
+    merged
 }
 
 fn check(machine: MachineConfig, local_n: usize, spec: InputSpec) {
     let p = machine.pes;
-    let (got, outcomes, _storage) = sort_striped(machine, local_n, spec);
+    let (got, outcomes) = sort_striped(machine, local_n, spec);
     let mut reference = generate_all(spec, 21, p, local_n);
-    let checksum_in = checksum_elements(&reference);
+    let checksum_in = Fingerprint::of_slice(&reference);
     reference.sort_unstable();
     let keys: Vec<u64> = got.iter().map(|e| e.key).collect();
     let ref_keys: Vec<u64> = reference.iter().map(|e| e.key).collect();
     assert_eq!(keys, ref_keys, "striped output keys ({spec:?}, P={p})");
-    assert_eq!(checksum_elements(&got), checksum_in, "permutation");
-    // Output directory identical on all PEs.
-    for o in &outcomes {
-        assert_eq!(on_disks(o).elems, on_disks(&outcomes[0]).elems);
-        assert_eq!(on_disks(o).blocks.len(), on_disks(&outcomes[0]).blocks.len());
-    }
+    assert_eq!(Fingerprint::of_slice(&got), checksum_in, "permutation");
+    // The PEs' parts of the file cover it.
+    let written: u64 = outcomes.iter().map(|o| o.written).sum();
+    assert_eq!(written, (p * local_n) as u64, "records written");
 }
 
 #[test]
@@ -99,24 +206,26 @@ fn sorts_adversarial_inputs() {
 
 #[test]
 fn multi_pass_merging_with_tiny_fanin() {
-    let (_, outcomes, _) = sort_striped(low_fan_in(), 1200, InputSpec::Uniform);
+    let (_, outcomes) = sort_striped(low_fan_in(), 1200, InputSpec::Uniform);
     assert!(outcomes[0].passes >= 2, "fan-in 8 over 19 runs needs ≥2 passes");
     check(low_fan_in(), 1200, InputSpec::Uniform);
 }
 
 #[test]
 fn blocks_stripe_over_all_pes() {
-    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(3), 900, InputSpec::Uniform);
-    let owners = &on_disks(&outcomes[0]).owners;
+    // A merge pass that writes back to the disks stripes its run over
+    // every PE's disks.
+    let merged = merged_on_disks(MachineConfig::tiny(3), 3, 300);
+    let owners = &merged[0].0.owners;
     for pe in 0..3u32 {
-        assert!(owners.contains(&pe), "every PE owns output blocks");
+        assert!(owners.contains(&pe), "every PE owns merged blocks");
     }
 }
 
 #[test]
 fn phases_cover_run_formation_and_merging() {
     // External case: both phases recorded, counters attributed.
-    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(2), 700, InputSpec::Uniform);
+    let (_, outcomes) = sort_striped(MachineConfig::tiny(2), 700, InputSpec::Uniform);
     for o in &outcomes {
         assert!(o.passes >= 1, "external case must merge");
         let phases: Vec<Phase> = o.phases.iter().map(|(p, _)| *p).collect();
@@ -125,7 +234,7 @@ fn phases_cover_run_formation_and_merging() {
         assert!(o.phases[1].1.io.bytes_read > 0, "merge reads in phase 2");
     }
     // Single-run case: only run formation.
-    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(2), 200, InputSpec::Uniform);
+    let (_, outcomes) = sort_striped(MachineConfig::tiny(2), 200, InputSpec::Uniform);
     for o in &outcomes {
         assert_eq!(o.passes, 0);
         let phases: Vec<Phase> = o.phases.iter().map(|(p, _)| *p).collect();
@@ -141,7 +250,7 @@ fn merge_phase_merges_instead_of_sorting() {
     // (the seed re-sorted every batch: ~n·log n per batch).
     let p = 2;
     let local_n = 700;
-    let (_, outcomes, _) = sort_striped(MachineConfig::tiny(p), local_n, InputSpec::Uniform);
+    let (_, outcomes) = sort_striped(MachineConfig::tiny(p), local_n, InputSpec::Uniform);
     assert_eq!(outcomes[0].passes, 1, "config must give a single merge pass");
     let runs = outcomes[0].runs;
     let n = (p * local_n) as u64;
@@ -169,7 +278,7 @@ fn next_batch_fetches_issued_before_current_batch_emits() {
     // Multi-batch single-pass merge: the trace must show batch
     // b+1's fetches handed to the block service before batch b's
     // piece is written — the fetch/merge overlap of Section IV-E.
-    for (o, recs) in &sort_striped_traced(MachineConfig::tiny(2), 1200, InputSpec::Uniform) {
+    for (o, recs) in &sort_striped_traced(MachineConfig::tiny(2), 1200) {
         assert_eq!(o.passes, 1);
         let evs: Vec<TraceEv> = recs.iter().map(|r| r.ev.clone()).collect();
         let batches = evs.iter().filter(|e| matches!(e, TraceEv::MergeEmitted { .. })).count();
@@ -188,18 +297,14 @@ fn next_batch_fetches_issued_before_current_batch_emits() {
 
 #[test]
 fn multi_piece_output_stripes_evenly_over_disks() {
-    // The merged output is stitched from several emitted pieces;
-    // each piece continues the round-robin striping where the
+    // A run merged back onto the disks is stitched from several emitted
+    // pieces; each piece continues the round-robin striping where the
     // previous left off, so per-disk block counts differ by ≤ 1.
-    let p = 2;
-    let traced = sort_striped_traced(MachineConfig::tiny(p), 1200, InputSpec::Uniform);
-    let (o, recs) = &traced[0];
-    let pieces = recs.iter().filter(|r| matches!(r.ev, TraceEv::MergeEmitted { .. })).count();
+    let machine = MachineConfig::tiny(2);
+    let dpp = machine.disks_per_pe;
+    let mut per_disk = vec![0u64; machine.total_disks()];
+    let (run, pieces) = merged_on_disks(machine, 3, 600).swap_remove(0);
     assert!(pieces >= 2, "test must cover a multi-piece run, got {pieces} piece(s)");
-    let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let dpp = cfg.machine.disks_per_pe;
-    let mut per_disk = vec![0u64; cfg.machine.total_disks()];
-    let run = on_disks(o);
     for (g, id) in run.blocks.iter().enumerate() {
         per_disk[run.owners[g] as usize * dpp + id.disk as usize] += 1;
     }
@@ -213,7 +318,7 @@ fn merge_events_carry_pass_and_group_context() {
     // batches whose local indices restart at 0. The pass/group
     // tags must keep the trace unambiguous — batch 0 of every
     // (pass, group) appears exactly once.
-    let traced = sort_striped_traced(low_fan_in(), 1200, InputSpec::Uniform);
+    let traced = sort_striped_traced(low_fan_in(), 1200);
     let (o, recs) = &traced[0];
     assert!(o.passes >= 2, "fan-in 8 over 19 runs needs ≥2 passes");
     let passes_seen: std::collections::BTreeSet<usize> = recs
@@ -253,37 +358,12 @@ fn parallel_batch_merge_is_byte_identical_and_journals_thread_ranges() {
         // meaningful at test scale.
         let algo = AlgoConfig { par_merge_min_per_thread: 1, ..AlgoConfig::default() };
         let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-        let storage = ClusterStorage::new_mem(&cfg.machine);
-        let storage_ref = &storage;
-        let cfg_ref = &cfg;
-        let results: Vec<Result<(StripedOutcome<Element16>, Vec<demsort_types::TraceRecord>)>> =
-            run_cluster(p, move |mut comm| {
-                let tracer = Tracer::to_buffer(comm.rank());
-                comm.set_tracer(tracer.clone());
-                let st = storage_ref.pe(comm.rank());
-                let input = ingest_input(
-                    st,
-                    &generate_pe_input(InputSpec::Uniform, 21, comm.rank(), p, local_n),
-                )?;
-                let o = striped_mergesort::<Element16>(
-                    &comm,
-                    storage_ref,
-                    cfg_ref,
-                    input,
-                    cores,
-                    None,
-                    None,
-                )?;
-                Ok((o, tracer.drain()))
-            });
-        let per_pe: Vec<_> = results.into_iter().map(|r| r.expect("sort")).collect();
-        let got = read_striped::<Element16>(&storage, &per_pe[0].0.output).expect("read");
-        (got, per_pe)
+        sort_traced(&cfg, cores, local_n)
     };
     let (seq, seq_pe) = run(1);
     let (par, par_pe) = run(4);
     assert_eq!(par, seq, "cores = 4 output must be byte-identical to cores = 1");
-    let merge_phase = |o: &StripedOutcome<Element16>| {
+    let merge_phase = |o: &StripedOutcome| {
         o.phases
             .iter()
             .find(|(ph, _)| *ph == Phase::FinalMerge)
@@ -357,18 +437,16 @@ fn remap_reroutes_dead_owner_blocks_to_first_live_replica() {
 #[test]
 fn replication_off_and_on_produce_identical_output() {
     let p = 3;
-    let gen = |pe: usize, p: usize| generate_pe_input(InputSpec::Uniform, 21, pe, p, 700);
+    let inputs = inputs(InputSpec::Uniform, p, 700);
     let plain_cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen).expect("sort");
+    let (a, _, plain) = sort_into_file(&plain_cfg, &inputs);
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
     let repl_cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-    let repl = striped_sort_cluster::<Element16, _>(&repl_cfg, gen).expect("sort");
-    let a = read_striped::<Element16>(&plain.storage, &plain.per_pe[0].output).expect("read");
-    let b = read_striped::<Element16>(&repl.storage, &repl.per_pe[0].output).expect("read");
+    let (b, _, repl) = sort_into_file(&repl_cfg, &inputs);
     assert_eq!(a, b, "replication must not perturb the sorted output");
     // The replica stores are charged as run-formation communication.
-    let sent = |o: &StripedClusterOutcome<Element16>| {
-        o.per_pe.iter().map(|o| o.phases[0].1.comm.bytes_sent).sum::<u64>()
+    let sent = |per_pe: &[StripedOutcome]| {
+        per_pe.iter().map(|o| o.phases[0].1.comm.bytes_sent).sum::<u64>()
     };
     assert!(
         sent(&repl) > sent(&plain),
@@ -382,112 +460,85 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
     use std::sync::Mutex;
     let p = 4;
     let victim = 2usize;
-    let gen = |pe: usize, p: usize| generate_pe_input(InputSpec::Uniform, 21, pe, p, 700);
+    let inputs = inputs(InputSpec::Uniform, p, 700);
 
     // Reference: the same input sorted undisturbed.
     let plain_cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-    let plain = striped_sort_cluster::<Element16, _>(&plain_cfg, gen).expect("sort");
-    let want = read_striped::<Element16>(&plain.storage, &plain.per_pe[0].output).expect("read");
-
+    let (want, _, _) = sort_into_file(&plain_cfg, &inputs);
     let mut want_bytes = vec![0u8; want.len() * Element16::BYTES];
     Element16::encode_slice(&want, &mut want_bytes);
-    let path =
-        std::env::temp_dir().join(format!("demsort-striped-degraded-{}.dat", std::process::id()));
 
     let algo = AlgoConfig { replication: 1, ..AlgoConfig::default() };
     let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-    // On the disks, and into an output file whose stale bytes every
-    // survivor's part of the re-merge overwrites.
-    for to_file in [false, true] {
-        std::fs::write(&path, vec![0xAA; want_bytes.len()]).expect("stale output");
-        let output = to_file.then(|| OutputFile { path: &path, records: want.len() as u64 });
-        let storage = ClusterStorage::new_mem(&cfg.machine);
-        // Pre-built survivor endpoints: the in-process stand-in for
-        // the epoch cut + subgroup regroup the TCP harness performs
-        // (rank `victim` dies, so {0, 1, 3} renumber as {0, 1, 2}).
-        let spare: Mutex<Vec<Option<Communicator>>> =
-            Mutex::new(build_mesh(p - 1).into_iter().map(Some).collect());
+    // An output file whose stale bytes every survivor's part of the
+    // re-merge overwrites.
+    let path = out_path();
+    std::fs::write(&path, vec![0xAA; want_bytes.len()]).expect("stale output");
+    let output = OutputFile { path: &path, records: want.len() as u64 };
+    let storage = ClusterStorage::new_mem(&cfg.machine);
+    // Pre-built survivor endpoints: the in-process stand-in for
+    // the epoch cut + subgroup regroup the TCP harness performs
+    // (rank `victim` dies, so {0, 1, 3} renumber as {0, 1, 2}).
+    let spare: Mutex<Vec<Option<Communicator>>> =
+        Mutex::new(build_mesh(p - 1).into_iter().map(Some).collect());
 
-        // The main mesh carries a receive timeout: a survivor that
-        // abandons a collective mid-round keeps its channels alive, so
-        // without a timeout its ring neighbour would block forever
-        // (the TCP transport's read timeout plays this role on the
-        // real cluster).
-        let comms: Vec<Communicator> =
-            LocalTransport::mesh_with_timeout(p, std::time::Duration::from_secs(2))
-                .into_iter()
-                .map(|t| Communicator::new(Box::new(t)))
-                .collect();
-        let (storage_ref, cfg_ref, spare_ref) = (&storage, &cfg, &spare);
-        let results: Vec<Result<StripedOutcome<Element16>>> =
-            run_cluster_over(comms, move |comm| {
-                let me = comm.rank();
-                let input = ingest_input(storage_ref.pe(me), &gen(me, p))?;
-                let hooks = ResilientHooks {
-                    dead_set: Box::new(move || {
-                        let mut dead = vec![false; p];
-                        dead[victim] = true;
-                        dead
-                    }),
-                    subgroup: Box::new(move |members: &[usize]| {
-                        assert_eq!(members, [0, 1, 3], "survivor membership");
-                        let idx = members.iter().position(|&r| r == me).expect("survivor");
-                        Ok(spare_ref.lock().expect("spare mesh")[idx]
-                            .take()
-                            .expect("subgroup built once per survivor"))
-                    }),
-                    on_merge_start: Some(Box::new(move |rank| rank != victim)),
-                };
-                striped_mergesort::<Element16>(
-                    &comm,
-                    storage_ref,
-                    cfg_ref,
-                    input,
-                    cfg_ref.machine.cores_per_pe,
-                    Some(hooks),
-                    output,
-                )
-            });
+    // The main mesh carries a receive timeout: a survivor that
+    // abandons a collective mid-round keeps its channels alive, so
+    // without a timeout its ring neighbour would block forever
+    // (the TCP transport's read timeout plays this role on the
+    // real cluster).
+    let comms: Vec<Communicator> =
+        LocalTransport::mesh_with_timeout(p, std::time::Duration::from_secs(2))
+            .into_iter()
+            .map(|t| Communicator::new(Box::new(t)))
+            .collect();
+    let (storage_ref, cfg_ref, spare_ref, inputs) = (&storage, &cfg, &spare, &inputs);
+    let results: Vec<Result<StripedOutcome>> = run_cluster_over(comms, move |comm| {
+        let me = comm.rank();
+        let input = ingest_input(storage_ref.pe(me), &inputs[me])?;
+        let hooks = ResilientHooks {
+            dead_set: Box::new(move || {
+                let mut dead = vec![false; p];
+                dead[victim] = true;
+                dead
+            }),
+            subgroup: Box::new(move |members: &[usize]| {
+                assert_eq!(members, [0, 1, 3], "survivor membership");
+                let idx = members.iter().position(|&r| r == me).expect("survivor");
+                Ok(spare_ref.lock().expect("spare mesh")[idx]
+                    .take()
+                    .expect("subgroup built once per survivor"))
+            }),
+            on_merge_start: Some(Box::new(move |rank| rank != victim)),
+        };
+        striped_mergesort::<Element16>(
+            &comm,
+            storage_ref,
+            cfg_ref,
+            input,
+            cfg_ref.machine.cores_per_pe,
+            Some(hooks),
+            output,
+        )
+    });
 
-        // The victim abandoned; every survivor finished degraded.
-        assert!(results[victim].is_err(), "victim must abandon at merge start");
-        let mut survivors = Vec::new();
-        for (r, res) in results.into_iter().enumerate() {
-            if r == victim {
-                continue;
-            }
-            let o = res.unwrap_or_else(|e| panic!("survivor {r} must finish degraded: {e}"));
-            survivors.push(o);
-        }
-        if to_file {
-            // The three renumbered survivors wrote the whole file between
-            // them, byte-identical to the undisturbed sort.
-            let written: u64 = survivors
-                .iter()
-                .map(|o| match o.output {
-                    StripedOutput::File { written } => written,
-                    StripedOutput::Disks(_) => panic!("the output must be in the file"),
-                })
-                .sum();
-            assert_eq!(written, want.len() as u64, "the survivors write every record");
-            let got = std::fs::read(&path).expect("read degraded output");
-            assert!(got == want_bytes, "the degraded file must equal the undisturbed output");
+    // The victim abandoned; every survivor finished degraded.
+    assert!(results[victim].is_err(), "victim must abandon at merge start");
+    let mut survivors = Vec::new();
+    for (r, res) in results.into_iter().enumerate() {
+        if r == victim {
             continue;
         }
-        for o in &survivors {
-            assert!(
-                on_disks(o).owners.iter().all(|&own| own as usize != victim),
-                "no output block may live on the dead rank"
-            );
-            assert_eq!(on_disks(o).blocks.len(), on_disks(&survivors[0]).blocks.len());
-            assert_eq!(on_disks(o).elems, on_disks(&survivors[0]).elems);
-        }
-        // Degraded output: byte-identical record stream to the
-        // undisturbed sort.
-        let got = read_striped::<Element16>(&storage, &survivors[0].output).expect("read");
-        assert_eq!(got, want, "degraded completion must reproduce the undisturbed output");
+        let o = res.unwrap_or_else(|e| panic!("survivor {r} must finish degraded: {e}"));
+        survivors.push(o);
     }
+    // The three renumbered survivors wrote the whole file between
+    // them, byte-identical to the undisturbed sort.
+    let written: u64 = survivors.iter().map(|o| o.written).sum();
+    assert_eq!(written, want.len() as u64, "the survivors write every record");
+    let got = std::fs::read(&path).expect("read degraded output");
     let _ = std::fs::remove_file(&path);
+    assert!(got == want_bytes, "the degraded file must equal the undisturbed output");
 }
 
 #[test]
@@ -503,6 +554,8 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
     let rpb = crate::recio::records_per_block::<Element16>(cfg.machine.block_bytes);
     let recs: Vec<Element16> = (0..3 * rpb as u64).map(|i| Element16::new(1000 + i, i)).collect();
     let blocks = crate::recio::write_records(storage.pe(0), &recs).expect("write").run.blocks;
+    let path = out_path();
+    let output = OutputFile { path: &path, records: recs.len() as u64 };
     let merge = |first_keys: Vec<u64>| {
         let run = StripedRun {
             owners: vec![0; 3],
@@ -524,18 +577,18 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
                 k_max: cfg.machine.merge_fan_in(),
                 free_consumed: false,
                 tracer: comm.tracer(),
-                output: None,
             };
-            job.run::<Element16>(vec![run.clone(), StripedRun::empty()]).map(|(out, ..)| out)
+            job.run::<Element16>(vec![run.clone(), StripedRun::empty()], output)
         })
         .remove(0)
     };
 
-    let truthful = merge(recs.iter().step_by(rpb).map(|r| r.key).collect()).expect("merge");
-    let got = read_striped::<Element16>(&storage, &truthful).expect("read");
-    assert_eq!(got, recs, "a directory that matches its blocks merges");
+    let truthful = merge(recs.iter().step_by(rpb).map(|r| r.key).collect());
+    assert_eq!(truthful.expect("merge").0, recs.len() as u64);
+    assert_eq!(take_output(&path), recs, "a directory that matches its blocks merges");
 
     let err = merge(vec![0, 1, 2]).map(|_| ()).expect_err("lying first keys");
+    let _ = std::fs::remove_file(&path);
     let text = err.to_string();
     assert!(matches!(err, Error::Validation(_)), "{text}");
     assert!(text.contains("rank 0: merge pass 0, group 0, run 0: 32 carried records"), "{text}");
@@ -544,21 +597,17 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
 #[test]
 fn cluster_driver_report_aggregates_striped_phases() {
     let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).expect("valid");
-    let outcome = striped_sort_cluster::<Element16, _>(&cfg, |pe, p| {
-        generate_pe_input(InputSpec::Uniform, 21, pe, p, 700)
-    })
-    .expect("sort");
-    assert_eq!(outcome.report.elements, 2 * 700);
-    assert_eq!(outcome.report.pes, 2);
-    assert!(outcome.report.runs > 1, "external case");
+    let (_, report, _) = sort_into_file(&cfg, &inputs(InputSpec::Uniform, 2, 700));
+    assert_eq!(report.elements, 2 * 700);
+    assert_eq!(report.pes, 2);
+    assert!(report.runs > 1, "external case");
     // Striped I/O: two passes, each record read and written once per
     // pass.
-    let io_over_n = outcome.report.io_volume_over_n();
+    let io_over_n = report.io_volume_over_n();
     assert!(io_over_n > 3.0, "two-pass external I/O, got {io_over_n}");
-    // With no output file the merged output goes back to the disks, so
-    // both passes stripe and exchange ("4-5 communications for two
-    // passes"); a file job's last pass does not stripe.
-    assert!(outcome.report.comm_volume_over_n() > 1.0);
+    // Run formation exchanges and stripes every run, and the last pass
+    // exchanges every batch once: three communications of the data.
+    assert!(report.comm_volume_over_n() > 1.0);
 }
 
 #[test]
@@ -596,7 +645,11 @@ fn replica_buffers_recycle_across_runs() {
             subgroup: Box::new(|_| Err(Error::comm("no regroup in this test"))),
             on_merge_start: Some(Box::new(|_| false)),
         };
-        let stopped = striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks), None);
+        // Twelve runs: the output is opened by the last merge, which
+        // never starts.
+        let output = OutputFile { path: Path::new("never-opened.dat"), records: 0 };
+        let stopped =
+            striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks), output);
         assert!(stopped.is_err(), "abandoned at merge start");
         st.pool().counters().misses - before.misses
     });

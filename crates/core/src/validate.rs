@@ -135,12 +135,13 @@ pub fn validate_output<R: Record + Ord>(
         }
     }
 
+    let count = comm.allreduce_sum(fp.count)?;
     Ok(ValidationReport {
-        elements: comm.allreduce_sum(fp.count)?,
+        elements: count,
         locally_sorted: comm.allreduce_and(sorted)?,
         boundaries_ordered,
         fingerprint: Fingerprint {
-            count: comm.allreduce_sum(fp.count)?,
+            count,
             sum: comm.allreduce_u64(fp.sum, |a, b| a.wrapping_add(b))?,
         },
     })
@@ -167,6 +168,41 @@ mod tests {
         c[5].payload ^= 1;
         assert_ne!(Fingerprint::of_slice(&a), Fingerprint::of_slice(&c));
         assert_ne!(Fingerprint::of_slice(&a), Fingerprint::of_slice(&a[..99]));
+    }
+
+    #[test]
+    fn checksum_detects_mutation_duplication_loss() {
+        let a: Vec<Element16> = (0..50).map(|i| Element16::new(i, i)).collect();
+        let base = Fingerprint::of_slice(&a);
+
+        let mut changed = a.clone();
+        changed[3].key ^= 1;
+        assert_ne!(Fingerprint::of_slice(&changed), base, "mutation");
+
+        let mut duped = a.clone();
+        duped[10] = duped[11];
+        assert_ne!(Fingerprint::of_slice(&duped), base, "duplication");
+
+        assert_ne!(Fingerprint::of_slice(&a[..49]), base, "loss");
+    }
+
+    #[test]
+    fn fingerprints_merge_like_concatenation() {
+        // What `validate_output`'s reductions compute from the PEs'
+        // parts is the fingerprint of the whole.
+        let a: Vec<Element16> = (0..30).map(|i| Element16::new(i, 0)).collect();
+        let (head, tail) = (Fingerprint::of_slice(&a[..13]), Fingerprint::of_slice(&a[13..]));
+        let merged =
+            Fingerprint { count: head.count + tail.count, sum: head.sum.wrapping_add(tail.sum) };
+        assert_eq!(Fingerprint::of_slice(&a), merged);
+    }
+
+    #[test]
+    fn record100_checksum_sensitive_to_payload() {
+        let a = demsort_workloads::gensort_record(0, 1);
+        let mut b = a;
+        b.payload[50] ^= 0xFF;
+        assert_ne!(Fingerprint::of_slice(&[a]), Fingerprint::of_slice(&[b]));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //!   stress inputs for the baselines and tests.
 //! * [`gensort`] — deterministic SortBenchmark-style 100-byte records
 //!   (10-byte key), our stand-in for `gensort` (Section VI).
-//! * [`validate`] — `valsort`-style checks: sortedness, counts, and an
-//!   order-independent permutation checksum.
+//! * [`validate`] — the streaming, `valsort`-style sortedness check.
 
 pub mod gen;
 pub mod gensort;
@@ -16,10 +15,10 @@ pub mod validate;
 
 pub use gen::{generate_all, generate_pe_input, InputSpec};
 pub use gensort::{gensort_record, gensort_records, record_index};
-pub use validate::{checksum_elements, checksum_records, Fingerprint, SortednessCheck};
+pub use validate::SortednessCheck;
 
 /// SplitMix64: tiny, high-quality 64-bit mixer used for deterministic
-/// record synthesis and order-independent checksums.
+/// record synthesis.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

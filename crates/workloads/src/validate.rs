@@ -1,71 +1,9 @@
-//! Output validation, in the spirit of the SortBenchmark's `valsort`.
-//!
-//! Three independent properties establish a correct sort:
-//!
-//! 1. **local sortedness** — each PE's output is non-decreasing;
-//! 2. **boundary order** — the last key of PE `i` ≤ first key of
-//!    PE `i+1` (canonical output format);
-//! 3. **permutation** — the multiset of records is unchanged, checked
-//!    with an order-independent checksum (sum of per-record hashes
-//!    modulo 2^64) plus exact counts.
+//! Output validation, in the spirit of the SortBenchmark's `valsort`:
+//! a streaming check that each PE's output is non-decreasing, which
+//! also hands out its last key for the boundary check between PEs.
+//! The permutation check is `demsort_core::validate::Fingerprint`.
 
-use crate::splitmix64;
-use demsort_types::{Element16, Key, Record, Record100};
-
-/// Order-independent checksum + count over a stream of element hashes.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct Fingerprint {
-    /// Number of records hashed.
-    pub count: u64,
-    /// Wrapping sum of record hashes (order independent).
-    pub sum: u64,
-}
-
-impl Fingerprint {
-    /// Absorb a record hash.
-    #[inline]
-    pub fn add(&mut self, h: u64) {
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(h);
-    }
-
-    /// Combine two fingerprints (disjoint streams).
-    pub fn merge(&self, other: &Self) -> Self {
-        Self { count: self.count + other.count, sum: self.sum.wrapping_add(other.sum) }
-    }
-}
-
-fn hash_element(e: &Element16) -> u64 {
-    splitmix64(e.key ^ splitmix64(e.payload))
-}
-
-fn hash_record100(r: &Record100) -> u64 {
-    let mut h = splitmix64(r.key.prefix64());
-    for chunk in r.payload.chunks(8) {
-        let mut b = [0u8; 8];
-        b[..chunk.len()].copy_from_slice(chunk);
-        h = splitmix64(h ^ u64::from_le_bytes(b));
-    }
-    h
-}
-
-/// Fingerprint of a slice of 16-byte elements.
-pub fn checksum_elements(elems: &[Element16]) -> Fingerprint {
-    let mut f = Fingerprint::default();
-    for e in elems {
-        f.add(hash_element(e));
-    }
-    f
-}
-
-/// Fingerprint of a slice of 100-byte records.
-pub fn checksum_records(recs: &[Record100]) -> Fingerprint {
-    let mut f = Fingerprint::default();
-    for r in recs {
-        f.add(hash_record100(r));
-    }
-    f
-}
+use demsort_types::Record;
 
 /// Streaming sortedness checker for one PE's output.
 #[derive(Debug)]
@@ -115,7 +53,7 @@ impl<R: Record + Ord> SortednessCheck<R> {
         self.violations
     }
 
-    /// First key (for cross-PE boundary checks), if any records seen.
+    /// Last key seen (for cross-PE boundary checks), if any records seen.
     pub fn last_key(&self) -> Option<R::Key> {
         self.last.as_ref().map(|r| r.key())
     }
@@ -129,39 +67,7 @@ impl<R: Record + Ord> SortednessCheck<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checksum_is_order_independent() {
-        let a: Vec<Element16> = (0..100).map(|i| Element16::new(i * 7, i)).collect();
-        let mut b = a.clone();
-        b.reverse();
-        assert_eq!(checksum_elements(&a), checksum_elements(&b));
-    }
-
-    #[test]
-    fn checksum_detects_mutation_duplication_loss() {
-        let a: Vec<Element16> = (0..50).map(|i| Element16::new(i, i)).collect();
-        let base = checksum_elements(&a);
-
-        let mut changed = a.clone();
-        changed[3].key ^= 1;
-        assert_ne!(checksum_elements(&changed), base, "mutation");
-
-        let mut duped = a.clone();
-        duped[10] = duped[11];
-        assert_ne!(checksum_elements(&duped), base, "duplication");
-
-        let dropped = &a[..49];
-        assert_ne!(checksum_elements(dropped), base, "loss");
-    }
-
-    #[test]
-    fn fingerprints_merge_like_concatenation() {
-        let a: Vec<Element16> = (0..30).map(|i| Element16::new(i, 0)).collect();
-        let whole = checksum_elements(&a);
-        let merged = checksum_elements(&a[..13]).merge(&checksum_elements(&a[13..]));
-        assert_eq!(whole, merged);
-    }
+    use demsort_types::Element16;
 
     #[test]
     fn sortedness_checker_counts_violations() {
@@ -177,17 +83,5 @@ mod tests {
         assert_eq!(c.count(), 5);
         assert!(!c.is_sorted());
         assert_eq!(c.last_key(), Some(5));
-    }
-
-    #[test]
-    fn record100_checksum_sensitive_to_payload() {
-        let a = gensort_like(1);
-        let mut b = a;
-        b.payload[50] ^= 0xFF;
-        assert_ne!(checksum_records(&[a]), checksum_records(&[b]));
-    }
-
-    fn gensort_like(i: u64) -> Record100 {
-        crate::gensort::gensort_record(0, i)
     }
 }

@@ -251,8 +251,9 @@ fn determinism_same_seed_same_output() {
 #[test]
 fn striped_and_canonical_agree() {
     use demsort::core::ctx::ClusterStorage;
+    use demsort::core::fileio::OutputFile;
     use demsort::core::runform::ingest_input;
-    use demsort::core::striped::{read_striped, striped_mergesort};
+    use demsort::core::striped::striped_mergesort;
 
     let p = 3;
     let local_n = 700usize;
@@ -270,17 +271,21 @@ fn striped_and_canonical_agree() {
         );
     }
 
+    let path = std::env::temp_dir().join(format!("demsort-e2e-striped-{}.dat", std::process::id()));
+    let output = OutputFile { path: &path, records: (p * local_n) as u64 };
     let storage = ClusterStorage::new_mem(&cfg.machine);
     let storage_ref = &storage;
     let cfg2 = cfg.clone();
-    let outcomes = run_cluster(p, move |c| {
+    run_cluster(p, move |c| {
         let st = storage_ref.pe(c.rank());
         let recs = generate_pe_input(InputSpec::Uniform, 21, c.rank(), p, local_n);
         let input = ingest_input(st, &recs).expect("ingest");
-        striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None, None)
+        striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None, output)
             .expect("striped")
     });
-    let striped_all = read_striped::<Element16>(&storage, &outcomes[0].output).expect("read");
+    let mut striped_all = Vec::new();
+    Element16::decode_slice(&std::fs::read(&path).expect("read"), &mut striped_all);
+    let _ = std::fs::remove_file(&path);
 
     let keys_c: Vec<u64> = canonical_all.iter().map(|e| e.key).collect();
     let keys_s: Vec<u64> = striped_all.iter().map(|e| e.key).collect();
