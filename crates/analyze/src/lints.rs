@@ -53,9 +53,10 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// Method/function names of the fallible cluster APIs (L2). Keyed by
 /// name because the analyzer is token-level; the list holds the
 /// `Result`-returning surface of:
-/// `Transport`/`Communicator` (net), `ClusterStorage`/`BlockFetch`/
-/// `BlockStore` (core::ctx), `IoEngine`/`IoHandle` and `RunWriter`
-/// (storage), and the readers and `fileio::OutputFile` (core).
+/// `Transport`/`Communicator` and the TCP block channel (net),
+/// `ClusterStorage`/`BlockFetch` (core::ctx), `IoEngine`/`IoHandle` and
+/// `RunWriter` (storage), and the readers and `fileio::OutputFile`
+/// (core).
 const FALLIBLE_METHODS: &[&str] = &[
     // Transport + Communicator
     "send",
@@ -77,7 +78,7 @@ const FALLIBLE_METHODS: &[&str] = &[
     "chunked_alltoallv",
     "advance_epoch",
     "drain_to_epoch",
-    // ClusterStorage + fetch/store handles
+    // ClusterStorage, fetch handles and the TCP block channel
     "fetch_block",
     "fetch_blocks",
     "fetch_blocks_scheduled",

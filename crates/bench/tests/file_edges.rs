@@ -76,12 +76,20 @@ fn spawn_sortfile(dir: &Path, args: &[&str]) -> Child {
 }
 
 /// Sort `records` gensort records with `sortfile --pes 2` at the given
-/// memory per PE and block size, and return the process's peak RSS in
-/// bytes.
-fn sortfile_peak_rss(dir: &Path, records: usize, mem_mib: usize, block_kib: usize) -> usize {
+/// memory per PE and block size, with `more` flags, and return the
+/// process's peak RSS in bytes.
+fn sortfile_peak_rss(
+    dir: &Path,
+    records: usize,
+    mem_mib: usize,
+    block_kib: usize,
+    more: &[&str],
+) -> usize {
     write_input(dir, records);
     let (mem, block) = (mem_mib.to_string(), block_kib.to_string());
-    let child = spawn_sortfile(dir, &["--mem-mib", &mem, "--block-kib", &block]);
+    let mut args = vec!["--mem-mib", &mem, "--block-kib", &block];
+    args.extend_from_slice(more);
+    let child = spawn_sortfile(dir, &args);
     let (status, ru) = reap_with_rusage(child);
     assert_eq!(status, 0, "sortfile failed");
     let input_bytes = (records * Record100::BYTES) as u64;
@@ -170,8 +178,8 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // budget-enforcement PR's: charge those four to `m` instead of
     // adding them to it.
     const LIMIT: usize = 20 << 20;
-    let small = sortfile_peak_rss(dir, 200_000, 1, 16);
-    let large = sortfile_peak_rss(dir, 800_000, 1, 16);
+    let small = sortfile_peak_rss(dir, 200_000, 1, 16, &[]);
+    let large = sortfile_peak_rss(dir, 800_000, 1, 16, &[]);
     for (peak, input_mb) in [(small, 20), (large, 80)] {
         assert!(peak < LIMIT, "peak RSS {peak} B for a {input_mb} MB input (limit {LIMIT} B)");
     }
@@ -187,8 +195,8 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // and allocator slack on top. The peaks are 10.2 and 15.6 MiB in a
     // release build (11.4 and 17.1 in a debug one); when every run's
     // fragment chain read ahead on its own they were 11.9 and 33.0 MiB.
-    let r_10 = sortfile_peak_rss(dir, 200_000, 1, 64);
-    let r_39 = sortfile_peak_rss(dir, 800_000, 1, 64);
+    let r_10 = sortfile_peak_rss(dir, 200_000, 1, 64, &[]);
+    let r_39 = sortfile_peak_rss(dir, 800_000, 1, 64, &[]);
     assert!(
         r_10.abs_diff(r_39) < 8 << 20,
         "peak RSS must not follow the run count: {r_10} B at R = 10, {r_39} B at R = 39"
@@ -197,6 +205,30 @@ fn sortfile_peak_rss_follows_the_memory_budget_not_the_input() {
     // The benchmark's shape, P·m = 8 MiB: 29–30 MB (it was 57 MB, 7 ×
     // P·m), so the constant holds where memory, not the process's
     // fixed costs, is most of the peak.
-    let budget_8_mib = sortfile_peak_rss(dir, 800_000, 4, 32);
+    let budget_8_mib = sortfile_peak_rss(dir, 800_000, 4, 32, &[]);
     assert!(budget_8_mib < 44 << 20, "peak RSS {budget_8_mib} B at --mem-mib 4 (limit 44 MiB)");
+}
+
+#[test]
+fn striped_sortfile_peak_rss_without_and_with_replicas() {
+    // `--algo striped` at the benchmark's shape, P·m = 8 MiB and 32 KiB
+    // blocks, 80 MB of input: R = 10, so run formation stripes every run
+    // over the disks and, with `--replication 1`, writes a replica of
+    // every block. Each run's exchange merges straight into the
+    // striping sink, whose one all-to-all carries the replicas too;
+    // before, the exchange filled a run-sized canonical arena, the
+    // striped write encoded all of it (this PE's own piece included)
+    // and assembled this PE's blocks in a map before writing them, and
+    // replication read every block back afterwards. Peaks measured on
+    // one host, two runs each: 41.5–42.4 MB before and 32.3–32.7 MB
+    // after in a release build, 43.6–43.7 MB before and 33.8–35.8 MB
+    // after in a debug one, with or without replicas. The bound lies
+    // between.
+    const LIMIT: usize = 38 << 20;
+    let _one = ONE_CHILD.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = TestDir::new("rss-striped");
+    for more in [&["--algo", "striped"][..], &["--algo", "striped", "--replication", "1"]] {
+        let peak = sortfile_peak_rss(&dir.0, 800_000, 4, 32, more);
+        assert!(peak < LIMIT, "peak RSS {peak} B for {more:?} (limit {LIMIT} B)");
+    }
 }

@@ -4,24 +4,25 @@
 //! storage; peers' storage is reachable through the
 //! **location-transparent block service** of [`ClusterStorage`] — the
 //! remote probes of external multiway selection (Section IV-A: "they
-//! have to request data from remote disks"), the cross-rank block
-//! reads of the globally striped algorithm (Section III) and the
-//! stores of run replication. In a real deployment those are
-//! one-block RDMA gets and puts / MPI request-reply pairs. The
+//! have to request data from remote disks") and the cross-rank block
+//! reads of the globally striped algorithm (Section III). In a real
+//! deployment those are one-block RDMA gets / MPI request-reply pairs.
+//! The
 //! in-process cluster holds every PE's storage in one
 //! [`ClusterStorage`], so a request reaches the owner's storage
 //! directly; the multi-process runtime gives each worker a single-rank
 //! view over its mesh endpoint ([`ClusterStorage::over_mesh`]) whose
 //! requests for peers' blocks cross the wire (the TCP transport's
 //! out-of-band block channel) and are served there by the owner's
-//! view. Either way the block is **served by one pair of functions**
-//! of this module (`serve_fetch` / `serve_store`): the I/O lands on the
-//! owning PE's disks (exactly where the paper's bottleneck analysis
-//! puts it) and is staged in the owner's buffer pool. Requests are
-//! asynchronous [`BlockFetch`] / [`BlockStore`] handles mirroring the
-//! storage engine's `IoHandle` (so callers overlap remote I/O with
+//! view. Either way the block is **served by one function** of this
+//! module (`serve_fetch`): the I/O lands on the owning PE's disks
+//! (exactly where the paper's bottleneck analysis puts it). Requests
+//! are asynchronous [`BlockFetch`] handles mirroring the storage
+//! engine's `IoHandle` (so callers overlap remote I/O with
 //! computation), and the transferred bytes are charged to the
-//! requester as communication.
+//! requester as communication. Blocks are written only by their own
+//! rank: a striped run's pieces and replicas reach their holders in the
+//! run's all-to-all.
 //!
 //! Every view builds a PE's storage the same way (`pe_storage`): the
 //! paper's disk model over the PE's backend and a buffer pool of
@@ -29,7 +30,7 @@
 //! no constructor takes it as a setting except
 //! [`ClusterStorage::new_mem_sized`].
 
-use demsort_net::tcp::{TcpTransport, WireFetch, WireStore};
+use demsort_net::tcp::{TcpTransport, WireFetch};
 use demsort_net::{Communicator, Transport as _};
 use demsort_storage::{Backend, BlockId, DiskModel, IoHandle, MemBackend, PeStorage};
 use demsort_types::trace::TraceEv;
@@ -40,8 +41,8 @@ use demsort_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Issues asynchronous batched reads and writes of blocks owned by a
-/// remote PE. The multi-process runtime's is the mesh endpoint itself
+/// Issues asynchronous batched reads of blocks owned by a remote PE.
+/// The multi-process runtime's is the mesh endpoint itself
 /// ([`TcpTransport`]'s block channel); tests substitute fakes. Requests
 /// are pipelined — all go out before any is waited on — and responses
 /// may complete in any order.
@@ -49,11 +50,6 @@ pub trait RemoteBlockService: Send + Sync {
     /// Issue reads of `ids` owned by rank `pe`; handles are returned
     /// in request order.
     fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>>;
-
-    /// Issue stores of `(disk_hint, data)` blocks into rank `pe`'s
-    /// storage; handles are returned in request order and resolve to
-    /// the address `pe`'s allocator assigned.
-    fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>>;
 }
 
 impl RemoteBlockService for TcpTransport {
@@ -61,11 +57,6 @@ impl RemoteBlockService for TcpTransport {
         let addrs: Vec<(u32, u32)> = ids.iter().map(|id| (id.disk, id.slot)).collect();
         let issued = TcpTransport::fetch_blocks(self, pe, &addrs)?;
         Ok(issued.into_iter().map(|f| BlockFetch(FetchState::Remote(f))).collect())
-    }
-
-    fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
-        let issued = TcpTransport::store_blocks(self, pe, blocks)?;
-        Ok(issued.into_iter().map(|s| BlockStore(StoreState::Remote(s))).collect())
     }
 }
 
@@ -96,86 +87,12 @@ impl BlockFetch {
     }
 }
 
-enum StoreState {
-    /// Written through a local engine: the address is already
-    /// assigned, the engine write is (possibly) still in flight, and
-    /// its staging buffer goes back to `pool` when it retires.
-    Local { id: BlockId, write: IoHandle, pool: BufferPool },
-    /// In flight on the wire; the serving rank assigns the address.
-    Remote(WireStore),
-    /// Already decided (a refused store, tests).
-    Ready(Result<BlockId>),
-}
-
-/// One pending block store through [`ClusterStorage::store_blocks`],
-/// local or remote — the write-side counterpart of [`BlockFetch`].
-/// Resolves to the [`BlockId`] the owning rank's allocator assigned.
-#[must_use = "a BlockStore must be waited on, or the write outcome is unknown"]
-pub struct BlockStore(StoreState);
-
-impl BlockStore {
-    /// An already-acknowledged store (tests).
-    pub fn ready(id: BlockId) -> Self {
-        Self(StoreState::Ready(Ok(id)))
-    }
-
-    /// Block until the write is durable at the owner; returns the
-    /// assigned address.
-    pub fn wait(self) -> Result<BlockId> {
-        match self.0 {
-            StoreState::Local { id, write, pool } => write.wait().map(|staged| {
-                pool.put(staged);
-                id
-            }),
-            StoreState::Remote(s) => s.wait().map(|(disk, slot)| BlockId::new(disk, slot)),
-            StoreState::Ready(outcome) => outcome,
-        }
-    }
-}
-
 /// Serve a read of block `id` out of `pe`'s storage — the one place a
 /// rank's block is read for somebody else, whether the request arrived
 /// by function call (in-process cluster) or over the wire. Serving
 /// journals nothing: the requester's view does.
 fn serve_fetch(pe: &PeStorage, id: BlockId) -> BlockFetch {
     BlockFetch(FetchState::Local(pe.engine().read(id)))
-}
-
-/// Serve a store of `data` into `pe`'s storage, the write-side twin of
-/// [`serve_fetch`]: `pe`'s allocator assigns the slot (it stays the
-/// single authority over its disks; `disk_hint` is folded into its disk
-/// range), the bytes are staged in a buffer of `pe`'s pool — the one
-/// copy, metered there — and the buffer returns to that pool when the
-/// write retires. A payload short of a block is zero-padded; one
-/// beyond a block is refused.
-fn serve_store(pe: &PeStorage, disk_hint: u32, data: &[u8]) -> BlockStore {
-    let pool = pe.pool();
-    if data.len() > pool.buf_bytes() {
-        return BlockStore(StoreState::Ready(Err(Error::io(format!(
-            "store of {} bytes exceeds the {}-byte block",
-            data.len(),
-            pool.buf_bytes()
-        )))));
-    }
-    let id = pe.alloc().alloc_on(disk_hint as usize % pe.disks());
-    let mut staged = pool.get();
-    staged[..data.len()].copy_from_slice(data);
-    staged[data.len()..].fill(0);
-    pool.add_copied(data.len() as u64);
-    BlockStore(StoreState::Local { id, write: pe.engine().write(id, staged), pool: pool.clone() })
-}
-
-/// Which path a [`ClusterStorage::store_blocks`] write took,
-/// classified by *ownership* (`owner != my_rank` is remote), not by
-/// deployment shape — in the in-process cluster a buddy's storage
-/// happens to share the address space, but the bytes still count as
-/// communication, exactly like [`FetchSource`] on the read side.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum StoreTarget {
-    /// The caller's own disks.
-    LocalDisk,
-    /// Another PE's disks (communication charged to the caller).
-    RemoteDisk,
 }
 
 /// The storage view of one participant in the cluster.
@@ -192,8 +109,8 @@ pub struct ClusterStorage {
     base_rank: usize,
     pes: Vec<PeStorage>,
     remote: Option<Box<dyn RemoteBlockService>>,
-    /// Journals block-service traffic ([`TraceEv::Fetch`] /
-    /// [`TraceEv::Store`]) and feeds the progress byte meter. Off
+    /// Journals block-service traffic ([`TraceEv::Fetch`]) and feeds
+    /// the progress byte meter. Off
     /// unless a single-rank view is given one. Journal writes bypass
     /// the metered storage path, so tracing never perturbs the
     /// counters.
@@ -239,9 +156,9 @@ impl ClusterStorage {
 
     /// Single-rank view: `rank`'s own storage plus a block service for
     /// its peers' blocks; `size` is the cluster size `P`. Every batch
-    /// of fetches and stores issued through the view is journalled to
-    /// `tracer` as a [`TraceEv::Fetch`] / [`TraceEv::Store`] instant
-    /// carrying the owning rank and locality, and the moved bytes feed
+    /// of fetches issued through the view is journalled to `tracer` as
+    /// a [`TraceEv::Fetch`] instant carrying the owning rank and
+    /// locality, and the moved bytes feed
     /// the tracer's progress byte meter ([`Tracer::off`] for neither).
     fn single_traced(
         rank: usize,
@@ -260,8 +177,8 @@ impl ClusterStorage {
     /// run), its buffer pool installed on the endpoint (wire frames
     /// recycle the buffers the disk path uses), the endpoint as the
     /// service for peers' blocks, and this rank's blocks served to
-    /// those peers — through the same `serve_fetch` / `serve_store` the
-    /// in-process cluster calls — for as long as the view lives.
+    /// those peers — through the same `serve_fetch` the in-process
+    /// cluster calls — for as long as the view lives.
     pub fn over_mesh(
         mesh: &TcpTransport,
         cfg: &MachineConfig,
@@ -276,11 +193,6 @@ impl ClusterStorage {
         mesh.set_block_handler(Arc::new(move |disk, slot| {
             let block = serve_fetch(served.pe(rank), BlockId::new(disk, slot)).wait();
             block.map(|b| b.into_vec()).map_err(|e| e.to_string())
-        }));
-        let served = Arc::clone(&storage);
-        mesh.set_store_handler(Arc::new(move |disk_hint, data| {
-            let id = serve_store(served.pe(rank), disk_hint, data).wait();
-            id.map(|id| (id.disk, id.slot)).map_err(|e| e.to_string())
         }));
         MeshView { storage, mesh: mesh.clone() }
     }
@@ -348,49 +260,6 @@ impl ClusterStorage {
             Route::Local(pe) => Ok(ids.iter().map(|&id| serve_fetch(pe, id)).collect()),
             Route::Remote(service) => service.fetch_blocks(rank, ids),
         }
-    }
-
-    /// Issue asynchronous stores of `(disk_hint, data)` blocks into PE
-    /// `owner`'s storage, local or remote — the **write half** of the
-    /// location-transparent block service (run replication rides
-    /// this). The owner's allocator assigns every address (hints are
-    /// folded into its disk range), so replicas land round-robin
-    /// across the buddy's disks without two writers ever colliding on
-    /// a slot. Handles come back in request order; all stores are
-    /// issued (and, for remote owners, pipelined on the wire behind
-    /// one flush) before any is waited on.
-    ///
-    /// The returned [`StoreTarget`] classifies the write by ownership
-    /// relative to `my_rank` — a cross-PE store is
-    /// [`StoreTarget::RemoteDisk`] even in the in-process cluster,
-    /// where the buddy's storage shares the address space: counters
-    /// must not depend on the deployment shape.
-    ///
-    /// # Errors
-    /// [`Error::Config`] for an out-of-range owner. Per-block failures
-    /// surface from each [`BlockStore::wait`].
-    pub fn store_blocks(
-        &self,
-        my_rank: usize,
-        owner: usize,
-        blocks: &[(u32, &[u8])],
-    ) -> Result<(Vec<BlockStore>, StoreTarget)> {
-        let route = self.route(owner)?;
-        let target =
-            if owner == my_rank { StoreTarget::LocalDisk } else { StoreTarget::RemoteDisk };
-        if self.tracer.enabled() && !blocks.is_empty() {
-            self.tracer.instant(TraceEv::Store {
-                owner,
-                blocks: blocks.len(),
-                remote: target == StoreTarget::RemoteDisk,
-            });
-            self.tracer.add_bytes(blocks.iter().map(|&(_, d)| d.len() as u64).sum());
-        }
-        let stores = match route {
-            Route::Local(pe) => blocks.iter().map(|&(hint, d)| serve_store(pe, hint, d)).collect(),
-            Route::Remote(service) => service.store_blocks(owner, blocks)?,
-        };
-        Ok((stores, target))
     }
 
     /// [`ClusterStorage::fetch_blocks`], but issue the reads in
@@ -500,7 +369,6 @@ impl std::ops::Deref for MeshView {
 impl Drop for MeshView {
     fn drop(&mut self) {
         self.mesh.clear_block_handler();
-        self.mesh.clear_store_handler();
     }
 }
 
@@ -689,8 +557,7 @@ mod tests {
     }
 
     /// Stands in for the peers: a fetch echoes the requested address
-    /// instead of real data, a store is acknowledged with a synthetic
-    /// address derived from the hint.
+    /// instead of real data.
     struct FakePeers;
 
     impl RemoteBlockService for FakePeers {
@@ -703,11 +570,6 @@ mod tests {
                     )
                 })
                 .collect())
-        }
-
-        fn store_blocks(&self, pe: usize, blocks: &[(u32, &[u8])]) -> Result<Vec<BlockStore>> {
-            let ack = |(i, &(hint, _))| BlockStore::ready(BlockId::new(hint + pe as u32, i as u32));
-            Ok(blocks.iter().enumerate().map(ack).collect())
         }
     }
 
@@ -759,55 +621,15 @@ mod tests {
         let cs = ClusterStorage::single_traced(1, 3, st, Box::new(FakePeers), tracer.clone());
         cs.fetch_block(1, id).expect("local fetch");
         cs.fetch_block(2, BlockId::new(0, 0)).expect("remote fetch");
-        let data = vec![0xC3u8; cs.pe(1).block_bytes()];
-        let (stores, _) = cs.store_blocks(1, 1, &[(0, data.as_slice())]).expect("local store");
-        for s in stores {
-            s.wait().expect("store lands");
-        }
         let evs: Vec<TraceEv> = tracer.drain().into_iter().map(|r| r.ev).collect();
         assert_eq!(
             evs,
             vec![
                 TraceEv::Fetch { owner: 1, blocks: 1, remote: false },
                 TraceEv::Fetch { owner: 2, blocks: 1, remote: true },
-                TraceEv::Store { owner: 1, blocks: 1, remote: false },
             ],
             "one instant per block-service batch, locality by ownership"
         );
-    }
-
-    #[test]
-    fn store_blocks_allocates_locally_and_classifies_by_owner() {
-        let (cs, _) = one_rank_view(1, 3);
-        let block_bytes = cs.pe(1).block_bytes();
-        let disks = cs.pe(1).disks();
-        let a = vec![0xA1u8; block_bytes];
-        let b = vec![0xB2u8; block_bytes];
-        // Store into the own rank: the local allocator assigns
-        // addresses on the hinted disks; ownership says LocalDisk.
-        let (stores, target) =
-            cs.store_blocks(1, 1, &[(0, a.as_slice()), (7, b.as_slice())]).expect("local stores");
-        assert_eq!(target, StoreTarget::LocalDisk);
-        let ids: Vec<BlockId> =
-            stores.into_iter().map(|s| s.wait().expect("local store")).collect();
-        assert_eq!(ids[0].disk, 0);
-        assert_eq!(ids[1].disk, (7 % disks) as u32);
-        assert_eq!(&cs.fetch_block(1, ids[0]).expect("read back")[..], &a[..]);
-        assert_eq!(&cs.fetch_block(1, ids[1]).expect("read back")[..], &b[..]);
-        // Out-of-range owners are clean config errors.
-        assert!(cs.store_blocks(1, 9, &[(0, a.as_slice())]).is_err());
-    }
-
-    #[test]
-    fn store_blocks_routes_remote_owners_through_the_service() {
-        let (cs, _) = one_rank_view(1, 3);
-        let data = vec![0u8; cs.pe(1).block_bytes()];
-        let (stores, target) = cs
-            .store_blocks(1, 2, &[(4, data.as_slice()), (5, data.as_slice())])
-            .expect("remote stores");
-        assert_eq!(target, StoreTarget::RemoteDisk);
-        let ids: Vec<BlockId> = stores.into_iter().map(|s| s.wait().expect("ack")).collect();
-        assert_eq!(ids, vec![BlockId::new(6, 0), BlockId::new(7, 1)]);
     }
 
     #[test]
@@ -1000,7 +822,7 @@ mod tests {
     /// rank `r`'s view of the cluster.
     fn conformance(views: &[&ClusterStorage]) {
         let st = views[0].pe(0);
-        let (disks, block_bytes) = (st.disks() as u32, st.block_bytes());
+        let block_bytes = st.block_bytes();
         let write = |rank: usize, tag: u8| {
             let id = views[rank].pe(rank).alloc().alloc_striped();
             let block = vec![tag; block_bytes].into_boxed_slice();
@@ -1025,33 +847,6 @@ mod tests {
             assert_eq!(tags, [10, 11, 12], "rank {me}");
         }
 
-        // A store with hint `h` lands on disk `h % disks` at the owner
-        // and reads back from every rank; a short payload still stores
-        // (zero-padded to a block), one beyond a block is refused at
-        // the owner and fails on the requester. Classified by ownership.
-        let (full, short) = (vec![0xA5u8; block_bytes], vec![0x5Au8; block_bytes / 2 + 1]);
-        let long = vec![1u8; block_bytes + 1];
-        for (me, owner) in [(0, 0), (0, 1), (2, 1)] {
-            let hint = disks + 1;
-            let blocks = [(hint, &full[..]), (0, &short[..]), (0, &long[..])];
-            let (stores, target) = views[me].store_blocks(me, owner, &blocks).expect("issue");
-            let expect = if me == owner { StoreTarget::LocalDisk } else { StoreTarget::RemoteDisk };
-            assert_eq!(target, expect, "{me} stores into {owner}");
-            let mut acks: Vec<Result<BlockId>> = stores.into_iter().map(BlockStore::wait).collect();
-            let err = acks.pop().expect("three stores").expect_err("beyond a block");
-            assert!(matches!(&err, Error::Io(m) if m.contains("exceeds")), "{err}");
-            let ids: Vec<BlockId> = acks.into_iter().map(|a| a.expect("stored")).collect();
-            assert_eq!((ids[0].disk, ids[1].disk), (hint % disks, 0));
-            let mut padded = short.clone();
-            padded.resize(block_bytes, 0);
-            for (reader, view) in views.iter().enumerate() {
-                let got = view.fetch_block(owner, ids[0]).expect("read back");
-                assert_eq!(&*got, &full[..], "{reader} reads {me}'s store at {owner}");
-                let got = view.fetch_block(owner, ids[1]).expect("read back");
-                assert_eq!(&*got, &padded[..], "{reader} reads {me}'s short store at {owner}");
-            }
-        }
-
         // A never-written slot fails on the requester with the owner's
         // error text; a rank outside the cluster is a config error.
         let hole = BlockId::new(0, 9_999);
@@ -1060,7 +855,6 @@ mod tests {
             assert!(matches!(&err, Error::Io(m) if m.contains("unwritten block d0:9999")), "{err}");
         }
         assert!(matches!(views[0].fetch_blocks(P, &[hole]), Err(Error::Config(_))));
-        assert!(matches!(views[0].store_blocks(0, P, &[(0, &full[..])]), Err(Error::Config(_))));
 
         // Reads classify by ownership too, whatever the view holds.
         for (me, owner) in [(1, 1), (0, 1)] {
@@ -1085,32 +879,6 @@ mod tests {
         with_mesh_views(conformance);
     }
 
-    /// A store served for a peer is staged in the *owner's* pool and
-    /// the buffer returns there when the write retires: the owner's
-    /// misses follow the in-flight window, not the number of blocks.
-    fn served_stores_recycle_through_the_owners_pool(views: &[&ClusterStorage]) {
-        const WINDOW: usize = 4;
-        const BATCHES: usize = 16;
-        let block = vec![0xEEu8; views[1].pe(1).block_bytes()];
-        let batch: Vec<(u32, &[u8])> = (0..WINDOW).map(|i| (i as u32, &block[..])).collect();
-        for _ in 0..BATCHES {
-            let (stores, _) = views[0].store_blocks(0, 1, &batch).expect("issue");
-            for s in stores {
-                s.wait().expect("stored");
-            }
-        }
-        let c = views[1].pe(1).pool().counters();
-        assert!(c.hits > 0 && c.recycled > 0, "{c:?}");
-        assert!(c.misses <= 2 * WINDOW as u64, "{} stores, {c:?}", WINDOW * BATCHES);
-        assert_eq!(c.copied_bytes, (WINDOW * BATCHES * block.len()) as u64, "one staging copy");
-    }
-
-    #[test]
-    fn served_stores_recycle_on_both_substrates() {
-        with_all_local_view(served_stores_recycle_through_the_owners_pool);
-        with_mesh_views(served_stores_recycle_through_the_owners_pool);
-    }
-
     #[test]
     fn dropping_a_mesh_view_answers_peers_with_an_error_and_frees_the_endpoint() {
         let (mut mesh, mut views) = mesh_views();
@@ -1123,9 +891,6 @@ mod tests {
         drop(views.pop());
         let err = views[0].fetch_block(2, id).expect_err("no longer served");
         assert!(matches!(&err, Error::Io(m) if m.contains("no block handler")), "{err}");
-        let (mut stores, _) = views[0].store_blocks(0, 2, &[(0, &block[..])]).expect("issue");
-        let err = stores.pop().expect("one store").wait().expect_err("no longer served");
-        assert!(matches!(&err, Error::Io(m) if m.contains("no store handler")), "{err}");
         // With the view gone nothing else holds the endpoint: dropping
         // the last handle closes its sockets, which its peers notice.
         drop(mesh.pop());

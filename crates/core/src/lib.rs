@@ -59,10 +59,7 @@ pub mod striped;
 pub mod validate;
 
 pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
-pub use ctx::{
-    BlockCache, BlockFetch, BlockStore, ClusterStorage, FetchSource, MeshView, RemoteBlockService,
-    StoreTarget,
-};
+pub use ctx::{BlockCache, BlockFetch, ClusterStorage, FetchSource, MeshView, RemoteBlockService};
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;
 pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};

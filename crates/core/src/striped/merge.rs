@@ -11,9 +11,10 @@
 //! not-yet-merged block's first key — is redistributed with one
 //! splitter-based exchange ([`Exchange`]: exact splitters, one
 //! all-to-all, a `P`-way merge) and written out: striped over the disks
-//! ([`write_striped`], a second communication) for a run a later pass
-//! reads, or — in the last pass — straight into the output file, the
-//! exchange's cuts on block boundaries ([`FileOutput`]). The
+//! for a run a later pass reads, the exchange merging straight into the
+//! striping sink and its all-to-all ([`DiskOutput`]), or — in the last
+//! pass — straight into the output file, the exchange's cuts on block
+//! boundaries ([`FileOutput`]). The
 //! rest stays buffered per run for the next batch (at most `B`
 //! elements per run remain unmerged, so carry-over is bounded). Merging
 //! costs `O(n log R)` comparisons per pass instead of the `O(n log n)`
@@ -30,7 +31,7 @@
 //! [`TraceEv::MergeEmitted`](demsort_types::TraceEv::MergeEmitted)
 //! events), so the reads overlap the merge and the exchange.
 
-use super::runs::{write_striped, FileOutput, RankView, StripedRun};
+use super::runs::{DiskOutput, FileOutput, RankView, StripedRun};
 use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, BlockSource, InputBlock};
 use crate::ctx::{BlockFetch, ClusterStorage};
 use crate::fileio::OutputFile;
@@ -92,8 +93,9 @@ impl MergeJob<'_> {
     }
 
     /// Merge one group of striped runs into a new striped run on the
-    /// disks: each batch's emitted prefix is made canonical by one
-    /// exchange and striped by a second ([`write_striped`]).
+    /// disks: each batch's emitted prefix is striped by one exchange
+    /// ([`DiskOutput`]). Pieces are emitted in globally increasing key
+    /// order, so their concatenation is the merged run.
     pub(super) fn merge_to_disks<R: Record + Ord>(
         &self,
         group: &[StripedRun<R::Key>],
@@ -102,30 +104,14 @@ impl MergeJob<'_> {
     ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
         let Self { comm, storage, cfg, view, cores, .. } = *self;
         let st = storage.pe(view.my_global);
-        // The PE's canonical slice of each batch, in an arena every
-        // batch reuses.
-        let mut canon: Vec<R> = Vec::new();
         let mut exchange = Exchange::new();
-        let mut merged = StripedRun::<R::Key>::empty();
+        // Merged runs are never replicated: a recovery re-merges the
+        // initial runs.
+        let mut merged = DiskOutput::new(view, 0);
         let cpu = self.merge_group::<R>(group, pass, group_idx, |emit| {
-            canon.clear();
-            let cpu = exchange.run(comm, emit, cores, &mut canon)?;
-            // Stitch the piece onto the run. Pieces are emitted in
-            // globally increasing key order, so their concatenation is
-            // the merged run, and each piece continues the round-robin
-            // striping at the block count so far, so block t of the
-            // stitched run is on disk t mod D exactly as if it had been
-            // written in one piece.
-            let offset = merged.blocks.len() as u64;
-            let piece = write_striped::<R>(comm, st, cfg, view, &canon, offset)?;
-            merged.owners.extend(piece.owners);
-            merged.blocks.extend(piece.blocks);
-            merged.first_keys.extend(piece.first_keys);
-            merged.counts.extend(piece.counts);
-            merged.elems += piece.elems;
-            Ok(cpu)
+            merged.append(comm, st, cfg, &mut exchange, emit, cores)
         })?;
-        Ok((merged, cpu))
+        Ok((merged.finish(), cpu))
     }
 
     /// Merge one group of striped runs batch by batch

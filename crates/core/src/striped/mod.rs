@@ -8,8 +8,10 @@
 //!
 //! * **Run formation** is phase 1 of the canonical algorithm — the same
 //!   group reader ([`GroupReader`], in input order), in-node sort and
-//!   exchange kernel — with a different sink: the sorted run is written
-//!   striped (`runs`), so its data is exchanged once more.
+//!   exchange kernel — with a different sink: the exchange merges the
+//!   run straight into a striping sink (`runs`), whose one all-to-all
+//!   sends every record to its block's owner — and, in a replicated
+//!   sort, to the owner's buddies — so its data is exchanged once more.
 //! * **Merging** (`merge`): passes of up to `M/B` runs, a fan-in the
 //!   machine decides
 //!   ([`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)),
@@ -17,8 +19,8 @@
 //!   through the carry-merge kernel the canonical final merge uses
 //!   ([`crate::merge::CarryMerge`]); each batch is exchanged, and
 //!   striped like a run.
-//! * **Recovery** (`recovery`): replicas stored at run formation let the
-//!   survivors of a rank's death regroup and re-merge.
+//! * **Recovery** (`recovery`): replicas written at run formation let
+//!   the survivors of a rank's death regroup and re-merge.
 //!
 //! The output file has no disks to stripe over and is never read back,
 //! so the last pass — the one merge group, or run formation when there
@@ -50,8 +52,8 @@ use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
 use demsort_types::{CommCounters, Error, Phase, PhaseStats, Record, Result, SortConfig};
 use merge::MergeJob;
-use recovery::{regroup, replicate_run};
-use runs::{write_striped, FileOutput, RankView};
+use recovery::regroup;
+use runs::{DiskOutput, FileOutput, RankView};
 
 /// Outcome of the striped sort on one PE.
 pub struct StripedOutcome {
@@ -90,13 +92,16 @@ pub struct StripedOutcome {
 ///
 /// Without `hooks` a rank failure surfaces as [`Error::Comm`]. With
 /// [`AlgoConfig::replication`]` = f > 0` and more than one run (the
-/// replicas serve the merge), run formation stores `f` replicas of
-/// every formed run block on the owner's buddy ranks, and the merge
-/// retains consumed initial-run blocks instead of
-/// freeing them. If a merge attempt then fails with [`Error::Comm`] and
-/// `hooks` are provided, the survivors regroup (dead set, subgroup,
-/// membership agreement, replica remap) and re-run the merge from the
-/// initial runs over the survivor communicator, completing degraded:
+/// replicas serve the merge), run formation writes `f` replicas of
+/// every formed run block on the owner's buddy ranks — the run's one
+/// striping all-to-all brings every holder its records, which adds
+/// `f·(P−1)/P` of the data to the communication and `f` times the runs
+/// to the writes, and reads nothing back — and the merge retains
+/// consumed initial-run blocks instead of freeing them. If a merge
+/// attempt then fails with [`Error::Comm`] and `hooks` are provided,
+/// the survivors regroup (dead set, subgroup, membership agreement,
+/// replica remap) and re-run the merge from the initial runs over the
+/// survivor communicator, completing degraded:
 /// the re-merge stripes over the survivors' disks, cuts the output over
 /// the survivors and rewrites every byte of it.
 /// The failover is recorded in the [`Phase::FinalMerge`] counters:
@@ -106,8 +111,8 @@ pub struct StripedOutcome {
 /// failure surfaces as the error it is.
 ///
 /// With `f = 0` (the default) the data path is the same with or
-/// without hooks: no stores, no retained blocks, no extra collectives,
-/// identical counters.
+/// without hooks: no replicas, no retained blocks, no extra
+/// collectives, identical counters.
 ///
 /// Degraded completion trades space for survival: blocks retained for
 /// a recovery that did happen are not reclaimed afterwards (the
@@ -133,7 +138,7 @@ pub fn striped_mergesort<R: Record + Ord>(
     // tracer the phase spans go to.
     let tr = comm.tracer();
 
-    // ---- Run formation with striped writes (and replication) ----
+    // ---- Run formation with striped writes (and replicas) ----
     let (num_runs, mut runs, written) = rec.phase(Phase::RunFormation, comm, st, |rec| {
         let groups = GroupReader::new::<R>(st, cfg, input, None);
         // A collective maximum, so every rank records the same phase set
@@ -143,13 +148,9 @@ pub fn striped_mergesort<R: Record + Ord>(
         // file.
         let last_pass = num_runs == 1;
         let mut runs: Vec<StripedRun<R::Key>> = Vec::with_capacity(num_runs);
-        // Two arenas every run reuses: its local records (decoded into,
-        // sorted in), and — for a run striped over the disks — its
-        // canonical slice (merged into by the exchange, re-blocked from
-        // by the striped write), about as many records as it put in,
-        // within a block when the shards are equal.
+        // Every run's local records: decoded into, sorted in, and merged
+        // from by the run's exchange.
         let mut data: Vec<R> = Vec::with_capacity(groups.max_group_records());
-        let mut canon: Vec<R> = Vec::with_capacity(if last_pass { 0 } else { data.capacity() });
         let mut exchange = Exchange::new();
         let mut written = 0;
         for j in 0..num_runs {
@@ -167,21 +168,14 @@ pub fn striped_mergesort<R: Record + Ord>(
                     sort_cpu.merge(&file.append(comm, st, cfg, &mut exchange, &data, cores)?);
                 written = file.finish();
             } else {
-                // Canonically distributed in memory, then striped over
-                // all disks (one more communication).
-                canon.clear();
-                sort_cpu = sort_cpu.merge(&exchange.run(comm, &data, cores, &mut canon)?);
-                runs.push(write_striped::<R>(comm, st, cfg, &view, &canon, 0)?);
+                // Striped over all disks by the run's one exchange, with
+                // the replicas a merge can fail over to.
+                let mut run = DiskOutput::new(&view, f);
+                sort_cpu =
+                    sort_cpu.merge(&run.append(comm, st, cfg, &mut exchange, &data, cores)?);
+                runs.push(run.finish());
             }
             rec.add_cpu(sort_cpu);
-        }
-        // The merge passes bring their own arenas.
-        drop((data, canon, exchange));
-        // A single run has no merge to recover.
-        if f > 0 && num_runs > 1 {
-            for run in &mut runs {
-                replicate_run::<R::Key>(comm, storage, f, run, rec)?;
-            }
         }
         Ok((num_runs, runs, written))
     })?;

@@ -1,29 +1,36 @@
-//! Striped runs: the directory and the two writers.
+//! Striped runs: the directory and the two outputs.
 //!
 //! A run is a globally striped sorted sequence: block `g` holds
 //! elements `g·rpb ..` on disk `g mod D` — "subsequent blocks are
 //! allocated on subsequent disks" — so the next pass reads it back in
 //! parallel. Pieces a merge emits continue the round-robin striping
 //! where the previous piece left off, so the per-disk block counts of
-//! a stitched run differ by at most one.
+//! a stitched run differ by at most one. A replicated sort's initial
+//! runs also keep `f` replicas of every block, on the owner's `f` buddy
+//! ranks.
 //!
-//! [`write_striped`] writes every run that goes back to the disks (run
-//! formation and every merge batch of a pass before the last);
-//! [`FileOutput`] is the last pass's write into the output file, which
-//! has no disks to stripe over and is never read back. Both of the
-//! striped writer's messages come from peers, so both are decoded with
-//! checks ([`decode_pieces`], [`decode_directory`]): a truncated or
-//! out-of-range frame is an [`Error::Comm`](demsort_types::Error)
-//! naming sender and field.
+//! [`DiskOutput`] writes every run that goes back to the disks (run
+//! formation and every merge batch of a pass before the last): the
+//! batch's exchange merges straight into a `StripeSink`, which sends
+//! each record once to every rank that holds a copy of its block —
+//! replicas included — in one all-to-all, and writes the copies this
+//! rank holds as their blocks fill. [`FileOutput`] is the last pass's
+//! write into the output file, which has no disks to stripe over and
+//! is never read back. Both of the sink's messages come from peers, so
+//! both are decoded with checks ([`decode_pieces`],
+//! [`decode_directory`]): a truncated or out-of-range frame is an
+//! [`Error::Comm`](demsort_types::Error) naming sender and field.
 
+use crate::distselect::split_rank;
 use crate::psort::{Exchange, Part};
-use crate::recio::{records_per_block, RecordRunWriter, RunDest};
+use crate::recio::{records_per_block, RecordRunWriter, RecordSink, RunDest};
 use crate::runform::WRITE_WINDOW_DIV;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
-use demsort_storage::{BlockId, EdgeFile, PeStorage};
+use demsort_storage::{BlockId, EdgeFile, PeStorage, RunWriter};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
 use demsort_types::{CpuCounters, Error, Record, Result, SortConfig};
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A globally striped sorted sequence: block `g` lives on PE
@@ -91,18 +98,29 @@ impl RankView {
 
 /// Where the blocks of one striped write go: block `g` on disk
 /// `(stripe_offset + g) mod D` of the participating ranks, `dpp` disks
-/// each.
+/// each, and its replicas on the owner's buddies.
 struct Striping {
     stripe_offset: u64,
     disks: u64,
     dpp: usize,
-    /// Blocks in the sequence being written.
-    blocks: u64,
+    /// Ranks striped over.
+    ranks: usize,
+    /// Replicas per block (`f`): copy `c ∈ 0..=f` of a block — the
+    /// block itself for `c = 0`, replica `c` otherwise — lives on the
+    /// owner's `c`-th buddy, rank `(owner + c) mod ranks`.
+    replicas: usize,
+    /// Records in the sequence being written.
+    elems: u64,
     /// Records per block.
     rpb: usize,
 }
 
 impl Striping {
+    /// Blocks in the sequence.
+    fn blocks(&self) -> u64 {
+        self.elems.div_ceil(self.rpb as u64)
+    }
+
     fn disk(&self, g: u64) -> usize {
         ((self.stripe_offset + g) % self.disks) as usize
     }
@@ -111,10 +129,27 @@ impl Striping {
     fn owner(&self, g: u64) -> usize {
         self.disk(g) / self.dpp
     }
+
+    /// The communicator rank that holds copy `c` of block `g`.
+    fn holder(&self, g: u64, c: usize) -> usize {
+        (self.owner(g) + c) % self.ranks
+    }
+
+    /// Which copy of block `g` rank `rank` holds, if any.
+    fn copy_on(&self, g: u64, rank: usize) -> Option<usize> {
+        let c = (rank + self.ranks - self.owner(g)) % self.ranks;
+        (c <= self.replicas).then_some(c)
+    }
+
+    /// Records in block `g`.
+    fn len(&self, g: u64) -> usize {
+        let rpb = self.rpb as u64;
+        (self.elems.min((g + 1) * rpb) - g * rpb) as usize
+    }
 }
 
-/// One sender's part of one block, as it arrives at the block's owner:
-/// `count` records from record `within` of block `g` on.
+/// One sender's part of one block, as it arrives at a rank that holds a
+/// copy of it: `count` records from record `within` of block `g` on.
 #[derive(Debug)]
 struct Piece<'a> {
     g: u64,
@@ -123,15 +158,20 @@ struct Piece<'a> {
     payload: &'a [u8],
 }
 
-/// Append the piece `recs`, which starts at record `within` of block
-/// `g`, to the message for the block's owner.
-fn encode_piece<R: Record>(w: &mut WireWriter, g: u64, within: usize, recs: &[R]) {
-    w.u64(g).u32(within as u32).u32(recs.len() as u32);
-    R::encode_slice(recs, w.raw(recs.len() * R::BYTES));
+/// Bytes of a piece's header: `g`, `within` and the record count.
+const PIECE_HEADER_BYTES: usize = 16;
+
+/// Append the piece `payload` — encoded records — which starts at
+/// record `within` of block `g`, to the message for a holder of the
+/// block.
+fn encode_piece(w: &mut WireWriter, g: u64, within: usize, rec_bytes: usize, payload: &[u8]) {
+    let count = payload.len() / rec_bytes;
+    w.u64(g).u32(within as u32).u32(count as u32).raw(payload.len()).copy_from_slice(payload);
 }
 
-/// The pieces in one rank's message to block owner `me`. A piece must
-/// lie inside one block that `me` stores, and carry what it announces.
+/// The pieces in one rank's message to rank `me`. A piece must lie
+/// inside one block of which `me` holds a copy, and carry what it
+/// announces.
 fn decode_pieces<'a>(
     buf: &'a [u8],
     rec_bytes: usize,
@@ -144,16 +184,16 @@ fn decode_pieces<'a>(
         let g = r.field("g").u64()?;
         let within = r.field("within").u32()? as usize;
         let count = r.field("count").u32()? as usize;
-        if g >= to.blocks || to.owner(g) != me {
+        if g >= to.blocks() || to.copy_on(g, me).is_none() {
             return Err(Error::comm(format!(
                 "g = {g} is not a block of this rank ({} blocks in the sequence)",
-                to.blocks
+                to.blocks()
             )));
         }
-        if count == 0 || within + count > to.rpb {
+        if count == 0 || within + count > to.len(g) {
             return Err(Error::comm(format!(
-                "within {within} + count {count} is not inside a block of {} records",
-                to.rpb
+                "within {within} + count {count} is not inside block {g} of {} records",
+                to.len(g)
             )));
         }
         pieces.push(Piece { g, within, payload: r.field("records").raw(count * rec_bytes)? });
@@ -161,41 +201,67 @@ fn decode_pieces<'a>(
     Ok(pieces)
 }
 
-/// What one rank contributes to a striped run's directory for one block
-/// it stored.
+/// What one rank contributes to a striped run's directory for one copy
+/// of a block it stored.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct DirEntry<K> {
     g: u64,
+    /// Which copy: 0 for the block, `c` for replica `c`.
+    copy: u16,
     id: BlockId,
     /// Valid records in the block.
     count: u32,
     first_key: K,
 }
 
-fn encode_dir_entry<R: Record>(w: &mut WireWriter, e: &DirEntry<R::Key>) {
-    w.u64(e.g).u32(e.id.disk).u32(e.id.slot).u32(e.count);
-    R::with_key(e.first_key).encode(w.raw(R::BYTES));
+/// Bytes of one directory entry: `g`, copy and disk, slot, count and
+/// the first key as a record.
+fn dir_entry_bytes<R: Record>() -> usize {
+    20 + R::BYTES
 }
 
-/// Rank `src`'s directory message: every entry a block `src` stores
-/// under `to`, on one of its disks, with a count a block can hold.
+/// `MachineConfig::validate` keeps `disks_per_pe` within the disk
+/// field's 16 bits; a disk past them is an error, never a wrapped or
+/// saturated number that would name another block.
+fn encode_dir_entry<R: Record>(w: &mut WireWriter, e: &DirEntry<R::Key>) -> Result<()> {
+    let disk = u16::try_from(e.id.disk)
+        .map_err(|_| Error::config(format!("disk {} does not fit the directory", e.id.disk)))?;
+    w.u64(e.g).u16(e.copy).u16(disk).u32(e.id.slot).u32(e.count);
+    R::with_key(e.first_key).encode(w.raw(R::BYTES));
+    Ok(())
+}
+
+/// Rank `src`'s directory message: every entry a copy of a block that
+/// `src` holds under `to`, on one of its disks, with a count a block
+/// can hold.
 fn decode_directory<R: Record>(
     buf: &[u8],
     to: &Striping,
     src: usize,
 ) -> Result<Vec<DirEntry<R::Key>>> {
     let mut r = WireReader::new(buf);
-    let mut entries = Vec::with_capacity(buf.len() / (20 + R::BYTES));
+    let mut entries = Vec::with_capacity(buf.len() / dir_entry_bytes::<R>());
     while r.remaining() > 0 {
         let g = r.field("g").u64()?;
-        let disk = r.field("disk").u32()?;
+        let copy = r.field("copy").u16()?;
+        let disk = r.field("disk").u16()?;
         let slot = r.field("slot").u32()?;
         let count = r.field("count").u32()?;
         let first_key = R::decode(r.field("first key").raw(R::BYTES)?).key();
-        if g >= to.blocks || to.owner(g) != src {
+        if g >= to.blocks() {
             return Err(Error::comm(format!(
-                "g = {g} is not a block of the sender ({} blocks in the sequence)",
-                to.blocks
+                "g = {g} is past the {} blocks in the sequence",
+                to.blocks()
+            )));
+        }
+        let c = copy as usize;
+        if c > to.replicas {
+            return Err(Error::comm(format!("copy {c} at replication {}", to.replicas)));
+        }
+        if to.holder(g, c) != src {
+            return Err(Error::comm(format!(
+                "g = {g} copy {c} lives on rank {}, not the sender",
+                to.holder(g, c)
             )));
         }
         if disk as usize >= to.dpp {
@@ -204,148 +270,318 @@ fn decode_directory<R: Record>(
         if count == 0 || count as usize > to.rpb {
             return Err(Error::comm(format!("count {count} of {} records per block", to.rpb)));
         }
-        entries.push(DirEntry { g, id: BlockId::new(disk, slot), count, first_key });
+        entries.push(DirEntry { g, copy, id: BlockId::new(disk.into(), slot), count, first_key });
     }
     Ok(entries)
 }
 
-/// Write a canonically distributed sorted sequence (each PE holds its
-/// `⌊i·n/P⌋..⌊(i+1)·n/P⌋` slice in memory) as a globally striped run.
-///
-/// `stripe_offset` (in blocks) rotates the round-robin disk
-/// assignment: block `g` of this sequence goes to disk
-/// `(stripe_offset + g) mod D`. The merge loop passes the running
-/// block count of the pieces emitted so far, so a stitched multi-piece
-/// run continues the striping where the previous piece left off
-/// instead of every piece resetting to disk 0 (which would skew the
-/// per-disk block counts).
-///
-/// `D` is the disk count of the *participating* ranks
-/// (`view.globals`): a degraded re-merge stripes over the survivors'
-/// disks only, and the directory records their global ranks.
-///
-/// Striping costs a communication: every block's pieces go to its
-/// owner, and the directory is allgathered. Only runs that go back to
-/// the disks pay it; the last pass writes through a [`FileOutput`]
-/// instead.
-pub(super) fn write_striped<R: Record>(
-    comm: &Communicator,
-    st: &PeStorage,
-    cfg: &SortConfig,
-    view: &RankView,
-    local: &[R],
-    stripe_offset: u64,
-) -> Result<StripedRun<R::Key>> {
-    let (me, p) = (comm.rank(), comm.size());
-    let dpp = cfg.machine.disks_per_pe;
-    let rpb = records_per_block::<R>(st.block_bytes());
+/// A striped run as the batches of a pass write it back onto the disks,
+/// one exchange each: the run's directory so far, which every rank
+/// holds.
+pub(super) struct DiskOutput<'a, K> {
+    view: &'a RankView,
+    /// Replicas per block ([`StripedRun::replicas`]).
+    replicas: usize,
+    run: StripedRun<K>,
+}
 
-    let n = comm.allreduce_sum(local.len() as u64)?;
-    let my_off = comm.exscan_sum(local.len() as u64)?;
-    let to = Striping {
-        stripe_offset,
-        disks: (dpp * view.globals.len()) as u64,
-        dpp,
-        blocks: n.div_ceil(rpb as u64),
-        rpb,
-    };
-
-    // Ship each overlapped piece of each global block to the block's
-    // owner: block g → disk ((off + g) mod D) → PE ((off + g) mod D)/dpp.
-    let mut msgs: Vec<WireWriter> = (0..p).map(|_| WireWriter::new()).collect();
-    let mut pos = 0usize;
-    while pos < local.len() {
-        let g = (my_off + pos as u64) / rpb as u64;
-        let within = ((my_off + pos as u64) % rpb as u64) as usize;
-        let take = (rpb - within).min(local.len() - pos);
-        encode_piece(&mut msgs[to.owner(g)], g, within, &local[pos..pos + take]);
-        pos += take;
+impl<'a, K: Copy> DiskOutput<'a, K> {
+    /// An empty run striped over `view`'s ranks, every block of which
+    /// gets `replicas` replicas.
+    pub fn new(view: &'a RankView, replicas: usize) -> Self {
+        Self { view, replicas, run: StripedRun::empty() }
     }
-    let msgs = msgs.into_iter().map(WireWriter::finish).collect();
-    let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
 
-    // Assemble my blocks (pieces of one block can come from two PEs).
-    let mut mine: BTreeMap<u64, (Vec<u8>, usize)> = BTreeMap::new();
-    let block_bytes = st.block_bytes();
-    let mut assembled_bytes = 0u64;
-    for (src, buf) in received.iter().enumerate() {
-        let pieces = decode_pieces(buf, R::BYTES, &to, me)
-            .map_err(|e| from_peer(me, src, "striped block piece", e))?;
-        for piece in pieces {
-            // Assemble into a pooled block: `get_vec` hands back an
-            // empty vec with one block of capacity, and resizing from
-            // zero zero-fills it, so partially covered tails stay
-            // deterministically padded.
-            let entry = mine.entry(piece.g).or_insert_with(|| {
-                let mut v = st.pool().get_vec();
-                v.resize(block_bytes, 0);
-                (v, 0)
-            });
-            let at = piece.within * R::BYTES;
-            entry.0[at..at + piece.payload.len()].copy_from_slice(piece.payload);
-            entry.1 += piece.payload.len() / R::BYTES;
-            assembled_bytes += piece.payload.len() as u64;
+    /// Append the next batch — the locally sorted `data` of all PEs —
+    /// with one exchange ([`Exchange::run_aligned`] at grain 1, which
+    /// tells this PE the global rank of its first record) that merges
+    /// into a `StripeSink`: every record goes once to each rank that
+    /// holds a copy of its block, this PE's copies are written as their
+    /// blocks fill (at most `m/B / WRITE_WINDOW_DIV` in flight, all
+    /// retired before this returns), and the directory is allgathered.
+    ///
+    /// The batch continues the round-robin striping at the block count
+    /// so far, so block `t` of a stitched run is on disk `t mod D`
+    /// exactly as if it had been written in one piece. `D` is the disk
+    /// count of the *participating* ranks (`view.globals`): a degraded
+    /// re-merge stripes over the survivors' disks only, and the
+    /// directory records their global ranks. Collective; returns the
+    /// exchange's CPU counters.
+    pub fn append<R: Record<Key = K> + Ord>(
+        &mut self,
+        comm: &Communicator,
+        st: &PeStorage,
+        cfg: &SortConfig,
+        exchange: &mut Exchange<R>,
+        data: &[R],
+        cores: usize,
+    ) -> Result<CpuCounters> {
+        let dpp = cfg.machine.disks_per_pe;
+        let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
+        let (view, replicas, stripe_offset) =
+            (self.view, self.replicas, self.run.blocks.len() as u64);
+        let (cpu, _, sink) = exchange.run_aligned(comm, data, cores, 1, |part: Part| {
+            let to = Striping {
+                stripe_offset,
+                disks: (dpp * view.globals.len()) as u64,
+                dpp,
+                ranks: comm.size(),
+                replicas,
+                elems: part.total,
+                rpb: records_per_block::<R>(st.block_bytes()),
+            };
+            let end = split_rank(comm.rank() + 1, comm.size(), part.total, 1);
+            Ok(StripeSink::open(comm, st, view, to, part.start..end, window))
+        })?;
+        let piece = sink.finish()?;
+        let run = &mut self.run;
+        run.owners.extend(piece.owners);
+        run.blocks.extend(piece.blocks);
+        run.first_keys.extend(piece.first_keys);
+        run.counts.extend(piece.counts);
+        run.replicas.extend(piece.replicas);
+        run.elems += piece.elems;
+        Ok(cpu)
+    }
+
+    /// The whole run's directory.
+    pub fn finish(self) -> StripedRun<K> {
+        self.run
+    }
+}
+
+/// The sink a striped write's exchange merges into. It encodes this
+/// PE's records block by block; a block's records go into a message
+/// for each other rank that holds a copy of the block, and the pooled
+/// buffer they were encoded into becomes this rank's copy, if it holds
+/// one. A copy is written as soon as it is whole; one whose block
+/// straddles two PEs' parts waits for the other records, which arrive
+/// in [`StripeSink::finish`]'s one all-to-all.
+struct StripeSink<'a, R: Record> {
+    comm: &'a Communicator,
+    st: &'a PeStorage,
+    view: &'a RankView,
+    to: Striping,
+    /// The block being encoded: records `from..at` of block `g` are in
+    /// `block`, at their places.
+    g: u64,
+    from: usize,
+    at: usize,
+    block: Box<[u8]>,
+    /// The pieces for each rank (this rank's stays empty).
+    msgs: Vec<WireWriter>,
+    /// Copies this rank holds that still miss another PE's records:
+    /// block, and the buffer with the records present so far.
+    waiting: BTreeMap<u64, (Box<[u8]>, usize)>,
+    /// This rank's copies, written at most a window at a time.
+    writes: RunWriter<'a>,
+    entries: Vec<DirEntry<R::Key>>,
+    /// Record bytes placed into this rank's copies.
+    copied: u64,
+}
+
+impl<'a, R: Record> StripeSink<'a, R> {
+    /// A sink for records `part` of the sequence.
+    fn open(
+        comm: &'a Communicator,
+        st: &'a PeStorage,
+        view: &'a RankView,
+        to: Striping,
+        part: Range<u64>,
+        window: usize,
+    ) -> Self {
+        // Size each message exactly: a message that grows by doubling
+        // holds its old and its new buffer while it moves.
+        let (me, rpb) = (comm.rank(), to.rpb as u64);
+        let mut bytes = vec![0; comm.size()];
+        for g in part.start / rpb..part.end.div_ceil(rpb) {
+            let count = part.end.min((g + 1) * rpb) - part.start.max(g * rpb);
+            for c in 0..=to.replicas {
+                bytes[to.holder(g, c)] += PIECE_HEADER_BYTES + count as usize * R::BYTES;
+            }
+        }
+        bytes[me] = 0;
+        let within = (part.start % rpb) as usize;
+        Self {
+            comm,
+            st,
+            view,
+            g: part.start / rpb,
+            from: within,
+            at: within,
+            block: st.pool().get(),
+            msgs: bytes.into_iter().map(WireWriter::with_capacity).collect(),
+            waiting: BTreeMap::new(),
+            writes: RunWriter::with_window(st, window.max(st.disks())),
+            entries: Vec::new(),
+            copied: 0,
+            to,
         }
     }
-    st.pool().add_copied(assembled_bytes);
 
-    // Write assembled blocks to the designated local disk and collect
-    // the directory entries.
-    let mut entries: Vec<DirEntry<R::Key>> = Vec::with_capacity(mine.len());
-    let mut pending = Vec::with_capacity(mine.len());
-    for (g, (data, count)) in mine {
-        let expect = (n.min((g + 1) * rpb as u64) - g * rpb as u64) as usize;
-        if count != expect {
+    /// Hand the encoded records of the current block to every holder of
+    /// a copy, and move on to the next block.
+    fn close_block(&mut self) -> Result<()> {
+        let (g, from, at) = (self.g, self.from, self.at);
+        let bytes = from * R::BYTES..at * R::BYTES;
+        let me = self.comm.rank();
+        for c in 0..=self.to.replicas {
+            let dest = self.to.holder(g, c);
+            if dest != me {
+                encode_piece(&mut self.msgs[dest], g, from, R::BYTES, &self.block[bytes.clone()]);
+            }
+        }
+        if self.to.copy_on(g, me).is_some() {
+            if from == 0 && at == self.to.len(g) {
+                // The whole block: written from the buffer it was
+                // encoded into.
+                let block = std::mem::replace(&mut self.block, self.st.pool().get());
+                self.copied += bytes.len() as u64;
+                self.store(g, block, at)?;
+            } else {
+                let block = std::mem::take(&mut self.block);
+                self.place(g, from, &block[bytes])?;
+                self.block = block;
+            }
+        }
+        (self.g, self.from, self.at) = (g + 1, 0, 0);
+        Ok(())
+    }
+
+    /// Copy records of block `g` from record `within` on into this
+    /// rank's copy, which is stored once all its records are there.
+    fn place(&mut self, g: u64, within: usize, payload: &[u8]) -> Result<()> {
+        let st = self.st;
+        let (buf, count) = self.waiting.entry(g).or_insert_with(|| {
+            // Recycled buffers keep their previous contents: zero the
+            // whole block, so the parts no piece covers are padding.
+            let mut buf = st.pool().get();
+            buf.fill(0);
+            (buf, 0)
+        });
+        let at = within * R::BYTES;
+        buf[at..at + payload.len()].copy_from_slice(payload);
+        *count += payload.len() / R::BYTES;
+        self.copied += payload.len() as u64;
+        let (count, expect) = (*count, self.to.len(g));
+        if count > expect {
             return Err(Error::comm(format!(
-                "rank {me}: striped block {g} arrived with {count} of its {expect} records"
+                "rank {}: striped block {g} arrived with {count} of its {expect} records",
+                self.comm.rank()
             )));
         }
-        let first_key = R::decode(&data[..R::BYTES]).key();
-        let id = st.alloc().alloc_on(to.disk(g) % dpp);
-        pending.push(st.engine().write(id, data.into_boxed_slice()));
-        entries.push(DirEntry { g, id, count: expect as u32, first_key });
-    }
-    for h in pending {
-        // The write worker hands the staged buffer back; recycle it.
-        st.pool().put(h.wait()?);
+        if count == expect {
+            if let Some((buf, _)) = self.waiting.remove(&g) {
+                self.store(g, buf, count)?;
+            }
+        }
+        Ok(())
     }
 
-    // Allgather the directory (every PE learns the whole striped run).
-    let mut msg = WireWriter::with_capacity(entries.len() * (20 + R::BYTES));
-    for e in &entries {
-        encode_dir_entry::<R>(&mut msg, e);
+    /// Write this rank's copy of block `g` — `count` records, the rest
+    /// of `buf` padding — to the disk its block is striped to.
+    fn store(&mut self, g: u64, mut buf: Box<[u8]>, count: usize) -> Result<()> {
+        buf[count * R::BYTES..].fill(0);
+        let first_key = R::decode(&buf[..R::BYTES]).key();
+        let copy = self.to.copy_on(g, self.comm.rank()).unwrap_or(0);
+        let copy = u16::try_from(copy)
+            .map_err(|_| Error::config(format!("copy {copy} does not fit the directory")))?;
+        let id = self.st.alloc().alloc_on(self.to.disk(g) % self.to.dpp);
+        self.writes.push_issued(id, self.st.engine().write(id, buf))?;
+        self.entries.push(DirEntry { g, copy, id, count: count as u32, first_key });
+        Ok(())
     }
-    let gathered = comm.allgather(msg.finish())?;
-    let tb = to.blocks as usize;
-    let mut run = StripedRun {
-        owners: vec![0; tb],
-        blocks: vec![BlockId::new(0, 0); tb],
-        first_keys: Vec::with_capacity(tb),
-        counts: vec![0; tb],
-        replicas: Vec::new(),
-        elems: n,
-    };
-    let mut keys: Vec<Option<R::Key>> = vec![None; tb];
-    for (src, buf) in gathered.iter().enumerate() {
-        let listed = decode_directory::<R>(buf, &to, src)
-            .map_err(|e| from_peer(me, src, "striped run directory", e))?;
-        for e in listed {
-            let g = e.g as usize;
-            if keys[g].replace(e.first_key).is_some() {
-                let twice = Error::comm(format!("g = {g} listed twice"));
-                return Err(from_peer(me, src, "striped run directory", twice));
-            }
-            run.owners[g] = view.globals[src] as u32;
-            run.blocks[g] = e.id;
-            run.counts[g] = e.count;
+
+    /// Send the pieces, place the ones that arrive, retire every write
+    /// and allgather the directory, which every rank turns into the
+    /// run's. Collective.
+    fn finish(mut self) -> Result<StripedRun<R::Key>> {
+        if self.at > self.from {
+            self.close_block()?;
         }
+        let (comm, st, me) = (self.comm, self.st, self.comm.rank());
+        st.pool().put(std::mem::take(&mut self.block));
+        let msgs = std::mem::take(&mut self.msgs).into_iter().map(WireWriter::finish).collect();
+        let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
+        for (src, buf) in received.into_iter().enumerate() {
+            let pieces = decode_pieces(&buf, R::BYTES, &self.to, me)
+                .map_err(|e| from_peer(me, src, "striped block piece", e))?;
+            for piece in pieces {
+                self.place(piece.g, piece.within, piece.payload)?;
+            }
+        }
+        if let Some((g, (_, count))) = self.waiting.first_key_value() {
+            return Err(Error::comm(format!(
+                "rank {me}: striped block {g} arrived with {count} of its {} records",
+                self.to.len(*g)
+            )));
+        }
+        self.writes.finish()?;
+        st.pool().add_copied(self.copied);
+
+        // Allgather the directory (every PE learns the whole striped run).
+        let mut msg = WireWriter::with_capacity(self.entries.len() * dir_entry_bytes::<R>());
+        for e in &self.entries {
+            encode_dir_entry::<R>(&mut msg, e)?;
+        }
+        let gathered = comm.allgather(msg.finish())?;
+        let (tb, f) = (self.to.blocks() as usize, self.to.replicas);
+        let mut run = StripedRun {
+            owners: vec![0; tb],
+            blocks: vec![BlockId::new(0, 0); tb],
+            first_keys: Vec::new(),
+            counts: vec![0; tb],
+            replicas: vec![vec![(0, BlockId::new(0, 0)); f]; if f > 0 { tb } else { 0 }],
+            elems: self.to.elems,
+        };
+        let mut keys: Vec<Option<R::Key>> = vec![None; tb];
+        let mut listed = vec![false; tb * (f + 1)];
+        for (src, buf) in gathered.iter().enumerate() {
+            let bad = |e: Error| from_peer(me, src, "striped run directory", e);
+            for e in decode_directory::<R>(buf, &self.to, src).map_err(bad)? {
+                let (g, c) = (e.g as usize, e.copy as usize);
+                if std::mem::replace(&mut listed[g * (f + 1) + c], true) {
+                    return Err(bad(Error::comm(format!("g = {g} copy {c} listed twice"))));
+                }
+                let holder = self.view.globals[src] as u32;
+                if c == 0 {
+                    keys[g] = Some(e.first_key);
+                    run.owners[g] = holder;
+                    run.blocks[g] = e.id;
+                    run.counts[g] = e.count;
+                } else {
+                    run.replicas[g][c - 1] = (holder, e.id);
+                }
+            }
+        }
+        if let Some(i) = listed.iter().position(|&l| !l) {
+            let (g, c) = (i / (f + 1), i % (f + 1));
+            return Err(Error::comm(format!(
+                "rank {me}: striped run directory: no rank lists copy {c} of block {g}"
+            )));
+        }
+        run.first_keys = keys.into_iter().flatten().collect();
+        Ok(run)
     }
-    for (g, key) in keys.into_iter().enumerate() {
-        run.first_keys.push(key.ok_or_else(|| {
-            Error::comm(format!("rank {me}: striped run directory: no rank lists block {g}"))
-        })?);
+}
+
+impl<R: Record> RecordSink<R> for StripeSink<'_, R> {
+    fn emit(&mut self, rec: R) -> Result<()> {
+        self.emit_all(std::slice::from_ref(&rec))
     }
-    Ok(run)
+
+    fn emit_all(&mut self, mut recs: &[R]) -> Result<()> {
+        while !recs.is_empty() {
+            let (head, rest) = recs.split_at((self.to.rpb - self.at).min(recs.len()));
+            R::encode_slice(head, &mut self.block[self.at * R::BYTES..]);
+            self.at += head.len();
+            if self.at == self.to.rpb {
+                self.close_block()?;
+            }
+            recs = rest;
+        }
+        Ok(())
+    }
 }
 
 /// A job's output file as a striped sort's last pass fills it, one
@@ -406,14 +642,24 @@ mod tests {
     use demsort_types::Element16;
     use proptest::prelude::*;
 
-    /// Four ranks of two disks, 10 blocks of 16 records from disk 3 on:
-    /// rank 1 stores blocks 0, 7 and 8 (disks 3, 2 and 3).
-    fn striping() -> Striping {
-        Striping { stripe_offset: 3, disks: 8, dpp: 2, blocks: 10, rpb: 16 }
+    /// Four ranks of two disks, 10 blocks of 16 records from disk 3 on,
+    /// each block with `replicas` replicas: rank 1 stores blocks 0, 7
+    /// and 8 (disks 3, 2 and 3), and holds replica 1 of rank 0's blocks
+    /// 5 and 6.
+    fn striping(replicas: usize) -> Striping {
+        Striping { stripe_offset: 3, disks: 8, dpp: 2, ranks: 4, replicas, elems: 160, rpb: 16 }
     }
 
     fn recs(n: u64) -> Vec<Element16> {
         (0..n).map(|i| Element16::new(100 + i, i)).collect()
+    }
+
+    /// Append `recs`, which start at record `within` of block `g`, as a
+    /// piece.
+    fn put_piece(w: &mut WireWriter, g: u64, within: usize, recs: &[Element16]) {
+        let mut bytes = vec![0u8; recs.len() * Element16::BYTES];
+        Element16::encode_slice(recs, &mut bytes);
+        encode_piece(w, g, within, Element16::BYTES, &bytes);
     }
 
     /// Every cut of `buf` short of its end is rejected or — on an entry
@@ -431,10 +677,10 @@ mod tests {
 
     #[test]
     fn pieces_round_trip_and_bad_frames_are_errors() {
-        let to = striping();
+        let to = striping(0);
         let mut w = WireWriter::new();
-        encode_piece(&mut w, 7, 4, &recs(12));
-        encode_piece(&mut w, 8, 0, &recs(5));
+        put_piece(&mut w, 7, 4, &recs(12));
+        put_piece(&mut w, 8, 0, &recs(5));
         let buf = w.finish();
         let pieces = decode_pieces(&buf, Element16::BYTES, &to, 1).expect("valid");
         assert_eq!(pieces.len(), 2);
@@ -448,7 +694,7 @@ mod tests {
         // One out-of-range value per field.
         let piece = |g: u64, within: usize, n: u64| {
             let mut w = WireWriter::new();
-            encode_piece(&mut w, g, within, &recs(n));
+            put_piece(&mut w, g, within, &recs(n));
             w.finish()
         };
         for (bad, field) in [
@@ -461,38 +707,67 @@ mod tests {
             let err = decode_pieces(&bad, Element16::BYTES, &to, 1).expect_err(field);
             assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
         }
+        // With one replica rank 1 also holds rank 0's block 6.
+        assert!(decode_pieces(&piece(6, 0, 1), Element16::BYTES, &striping(1), 1).is_ok());
     }
 
-    fn entry(g: u64, disk: u32, slot: u32, count: u32, key: u64) -> DirEntry<u64> {
-        DirEntry { g, id: BlockId::new(disk, slot), count, first_key: key }
+    fn entry(g: u64, copy: u16, disk: u32, slot: u32, count: u32, key: u64) -> DirEntry<u64> {
+        DirEntry { g, copy, id: BlockId::new(disk, slot), count, first_key: key }
     }
 
     fn directory(entries: &[DirEntry<u64>]) -> Vec<u8> {
         let mut w = WireWriter::new();
         for e in entries {
-            encode_dir_entry::<Element16>(&mut w, e);
+            encode_dir_entry::<Element16>(&mut w, e).expect("disk fits");
         }
         w.finish()
     }
 
     #[test]
     fn directory_rejects_short_frames_and_out_of_range_fields() {
-        let to = striping();
+        let to = striping(0);
         let decode = |b: &[u8]| decode_directory::<Element16>(b, &to, 1);
-        let listed = [entry(0, 1, 9, 16, 5), entry(7, 0, 2, 16, 70), entry(8, 1, 3, 4, 80)];
+        let listed =
+            [entry(0, 0, 1, 9, 16, 5), entry(7, 0, 0, 2, 16, 70), entry(8, 0, 1, 3, 4, 80)];
         let buf = directory(&listed);
+        assert_eq!(buf.len(), listed.len() * dir_entry_bytes::<Element16>());
         assert_eq!(decode(&buf).expect("valid"), listed);
         prefixes_fail(&buf, listed.len(), |b| decode(b).map(|e| e.len()));
         for (bad, field) in [
-            (entry(10, 0, 0, 1, 0), "g = "),
-            (entry(1, 0, 0, 1, 0), "g = "), // rank 2's block
-            (entry(7, 2, 0, 1, 0), "disk"),
-            (entry(7, 0, 0, 17, 0), "count"),
-            (entry(7, 0, 0, 0, 0), "count"),
+            (entry(10, 0, 0, 0, 1, 0), "g = "),
+            (entry(1, 0, 0, 0, 1, 0), "g = "), // rank 2's block
+            (entry(7, 0, 2, 0, 1, 0), "disk"),
+            (entry(7, 0, 0, 0, 17, 0), "count"),
+            (entry(7, 0, 0, 0, 0, 0), "count"),
         ] {
             let err = decode(&directory(&[bad])).expect_err(field);
             assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
         }
+    }
+
+    #[test]
+    fn replica_directory_rejects_short_frames_and_out_of_range_fields() {
+        // At replication 2 rank 1 holds block 0, replica 1 of rank 0's
+        // blocks 5 and 6, and replica 2 of rank 3's blocks 3 and 4.
+        let to = striping(2);
+        let decode = |b: &[u8]| decode_directory::<Element16>(b, &to, 1);
+        let listed =
+            [entry(0, 0, 1, 7, 16, 1), entry(6, 1, 0, 9, 16, 60), entry(3, 2, 1, 4, 16, 30)];
+        let buf = directory(&listed);
+        assert_eq!(decode(&buf).expect("valid"), listed);
+        prefixes_fail(&buf, listed.len(), |b| decode(b).map(|e| e.len()));
+        for (bad, field) in [
+            (entry(10, 1, 0, 0, 1, 0), "g = "),         // past the sequence
+            (entry(6, 3, 0, 0, 1, 0), "replication"),   // a copy index above f
+            (entry(6, 2, 0, 0, 1, 0), "lives on rank"), // replica 2 of block 6 is rank 2's
+            (entry(7, 1, 0, 0, 1, 0), "lives on rank"), // rank 1 stores block 7 itself
+        ] {
+            let err = decode(&directory(&[bad])).expect_err(field);
+            assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
+        }
+        // The same copy index is above f at replication 1.
+        let err = decode_directory::<Element16>(&directory(&[listed[2].clone()]), &striping(1), 1);
+        assert!(matches!(&err, Err(Error::Comm(m)) if m.contains("replication")), "{err:?}");
     }
 
     proptest! {
@@ -503,12 +778,39 @@ mod tests {
             counts in prop::collection::vec(1u32..=16, 20..21),
             keys in prop::collection::vec(0u64..u64::MAX, 20..21),
         ) {
-            let to = striping();
+            let to = striping(0);
             let mine = [0u64, 7, 8];
             let listed: Vec<DirEntry<u64>> = gs
                 .iter()
                 .enumerate()
-                .map(|(i, &g)| entry(mine[g as usize], slots[i] % 2, slots[i], counts[i], keys[i]))
+                .map(|(i, &g)| {
+                    entry(mine[g as usize], 0, slots[i] % 2, slots[i], counts[i], keys[i])
+                })
+                .collect();
+            let back = decode_directory::<Element16>(&directory(&listed), &to, 1);
+            prop_assert_eq!(back, Ok(listed));
+        }
+
+        #[test]
+        fn replica_directory_round_trips(
+            gs in prop::collection::vec(0usize..7, 0..30),
+            slots in prop::collection::vec(0u32..u32::MAX, 30..31),
+            keys in prop::collection::vec(0u64..u64::MAX, 30..31),
+        ) {
+            // Every copy rank 1 holds at replication 2: block g with
+            // its copy index.
+            let to = striping(2);
+            let held: Vec<(u64, u16)> = (0..10u64)
+                .filter_map(|g| to.copy_on(g, 1).map(|c| (g, c as u16)))
+                .collect();
+            prop_assert_eq!(held.len(), 7);
+            let listed: Vec<DirEntry<u64>> = gs
+                .iter()
+                .enumerate()
+                .map(|(i, &h)| {
+                    let (g, copy) = held[h];
+                    entry(g, copy, slots[i] % 2, slots[i], 1 + slots[i] % 16, keys[i])
+                })
                 .collect();
             let back = decode_directory::<Element16>(&directory(&listed), &to, 1);
             prop_assert_eq!(back, Ok(listed));

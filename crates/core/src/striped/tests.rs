@@ -1,6 +1,6 @@
 use super::merge::MergeJob;
 use super::recovery::remap_runs;
-use super::runs::{write_striped, RankView};
+use super::runs::{DiskOutput, RankView};
 use super::*;
 use crate::job::run_in_process;
 use crate::runform::ingest_input;
@@ -9,7 +9,7 @@ use demsort_net::run_cluster;
 use demsort_storage::BlockId;
 use demsort_types::wire::RankReport;
 use demsort_types::{
-    AlgoConfig, Element16, MachineConfig, SortReport, TraceEv, TraceRecord, Tracer,
+    AlgoConfig, Element16, MachineConfig, PhaseStats, SortReport, TraceEv, TraceRecord, Tracer,
 };
 use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 use std::path::{Path, PathBuf};
@@ -120,7 +120,7 @@ fn sort_striped_traced(
 }
 
 /// Merge `runs` striped runs of `per_pe` records per PE each — run `j`
-/// the sorted uniform input of seed `j`, written by [`write_striped`] —
+/// the sorted uniform input of seed `j`, written by a [`DiskOutput`] —
 /// back onto the disks with `MergeJob::merge_to_disks`: per rank, the
 /// merged run's directory and how many pieces the merge emitted.
 fn merged_on_disks(
@@ -137,13 +137,22 @@ fn merged_on_disks(
         comm.set_tracer(tracer.clone());
         let (me, view) = (comm.rank(), RankView::identity(comm.rank(), p));
         let st = storage.pe(me);
+        let mut exchange = crate::psort::Exchange::new();
         let group = (0..runs)
             .map(|seed| {
-                let mut run = generate_all(InputSpec::Uniform, seed, p, per_pe);
-                run.sort_unstable();
-                let mine = demsort_types::ranks::owned_range(me, p, run.len() as u64);
-                let slice = &run[mine.start as usize..mine.end as usize];
-                write_striped::<Element16>(&comm, st, cfg, &view, slice, 0)
+                let mut all = generate_all(InputSpec::Uniform, seed, p, per_pe);
+                all.sort_unstable();
+                let mine = demsort_types::ranks::owned_range(me, p, all.len() as u64);
+                let mut run = DiskOutput::new(&view, 0);
+                run.append(
+                    &comm,
+                    st,
+                    cfg,
+                    &mut exchange,
+                    &all[mine.start as usize..mine.end as usize],
+                    1,
+                )?;
+                Ok(run.finish())
             })
             .collect::<Result<Vec<_>>>()?;
         let job = MergeJob {
@@ -444,13 +453,13 @@ fn replication_off_and_on_produce_identical_output() {
     let repl_cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
     let (b, _, repl) = sort_into_file(&repl_cfg, &inputs);
     assert_eq!(a, b, "replication must not perturb the sorted output");
-    // The replica stores are charged as run-formation communication.
+    // The replicas' pieces are run-formation communication.
     let sent = |per_pe: &[StripedOutcome]| {
         per_pe.iter().map(|o| o.phases[0].1.comm.bytes_sent).sum::<u64>()
     };
     assert!(
         sent(&repl) > sent(&plain),
-        "replica stores must show up in the run-formation comm counters"
+        "replica pieces must show up in the run-formation comm counters"
     );
 }
 
@@ -614,13 +623,13 @@ fn cluster_driver_report_aggregates_striped_phases() {
 fn replica_buffers_recycle_across_runs() {
     // Twelve runs of 64 blocks per PE, each block replicated once. What
     // run formation keeps in flight per run is a group's reads and the
-    // blocks assembled for the striped write, and replication a window
-    // of the run's own blocks read back plus the window the buddy
-    // stages — and that, not the 768 blocks replicated, is what they
-    // may allocate: a replicated block's buffer goes back to the pool
-    // once the last buddy has stored it. (Twice the working set, as in
-    // `runform::block_buffers_recycle_across_runs`; it was 832 misses
-    // when the buffers were dropped.)
+    // striped write's copies — a window of whole ones being written and
+    // the few that wait for a piece from another PE — and that, not
+    // the 1 536 copies written, is what it may allocate: a copy's
+    // buffer goes back to the pool once its write retires, and the next
+    // copy is encoded or assembled into it. (Twice the working set, as
+    // in `runform::block_buffers_recycle_across_runs`; it was 832
+    // misses when replication dropped the buffers it read back.)
     let machine = MachineConfig {
         pes: 2,
         disks_per_pe: 2,
@@ -656,5 +665,66 @@ fn replica_buffers_recycle_across_runs() {
     for misses in misses {
         let in_flight = 2 * bpr as u64;
         assert!(misses <= 2 * in_flight, "{misses} misses for {in_flight} blocks in flight");
+    }
+}
+
+#[test]
+fn replicas_ride_the_striping_all_to_all() {
+    // Run formation at replication f against f = 0: P ranks of two
+    // disks, 256-byte blocks (16 records) and 48 blocks of memory per
+    // PE, three runs. Each rank's part of a run is 48 whole blocks, a
+    // whole number of the 2·P-block striping cycle at P = 2, 3 and 4,
+    // so for every copy index a part holds the same share, (P−1)/P, of
+    // blocks whose holder is another rank.
+    //
+    // Stated before running: every copy is written by its holder from
+    // the records the run's one all-to-all brought it. So bytes_read
+    // and the message count equal f = 0's, bytes_written is (f + 1)
+    // times f = 0's, and bytes_sent exceeds f = 0's by exactly
+    // f·(P−1)/P of the run bytes plus two overheads: the 16-byte header
+    // of each extra piece, and the 36-byte directory entry of each
+    // replica, which the ring allgather forwards P−1 times.
+    const BLOCKS_PER_PART: u64 = 48;
+    const RUNS: u64 = 3;
+    const RPB: u64 = 16;
+    const HEADER: u64 = 16;
+    const DIR_ENTRY: u64 = 20 + 16;
+    let rec = Element16::BYTES as u64;
+    for (p, f) in [(2usize, 1usize), (3, 1), (3, 2), (4, 1), (4, 2)] {
+        let machine = MachineConfig {
+            pes: p,
+            disks_per_pe: 2,
+            block_bytes: (RPB * rec) as usize,
+            mem_bytes_per_pe: (BLOCKS_PER_PART * RPB * rec) as usize,
+            cores_per_pe: 1,
+        };
+        let local_n = (RUNS * BLOCKS_PER_PART * RPB) as usize;
+        let inputs = inputs(InputSpec::Uniform, p, local_n);
+        let run_formation = |f: usize| {
+            let algo = AlgoConfig { replication: f, ..AlgoConfig::default() };
+            let cfg = SortConfig::new(machine.clone(), algo).expect("valid");
+            let (out, _, per_pe) = sort_into_file(&cfg, &inputs);
+            assert_eq!(per_pe[0].runs, RUNS as usize, "P = {p}");
+            let total =
+                per_pe.iter().fold(PhaseStats::default(), |all, o| all.merge(&o.phases[0].1));
+            (out, total)
+        };
+        let (plain_out, plain) = run_formation(0);
+        let (repl_out, repl) = run_formation(f);
+        assert!(repl_out == plain_out, "P = {p}, f = {f}: replication changed the output");
+
+        let (np, nf) = (p as u64, f as u64);
+        let run_bytes = RUNS * np * BLOCKS_PER_PART * RPB * rec;
+        let extra_pieces = RUNS * nf * (np - 1) * BLOCKS_PER_PART;
+        let replicas = RUNS * nf * np * BLOCKS_PER_PART;
+        let extra = nf * (np - 1) * run_bytes / np
+            + extra_pieces * HEADER
+            + replicas * DIR_ENTRY * (np - 1);
+        let at = format!("P = {p}, f = {f}");
+        assert_eq!(repl.io.bytes_read, plain.io.bytes_read, "{at}: nothing is read back");
+        assert_eq!(repl.io.bytes_written, (nf + 1) * plain.io.bytes_written, "{at}");
+        assert_eq!(repl.comm.messages, plain.comm.messages, "{at}: no extra round");
+        assert_eq!(repl.comm.bytes_sent, plain.comm.bytes_sent + extra, "{at}");
+        assert_eq!(repl.comm.bytes_recv, repl.comm.bytes_sent, "{at}");
     }
 }

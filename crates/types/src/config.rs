@@ -114,6 +114,14 @@ impl MachineConfig {
         if self.disks_per_pe == 0 {
             return Err(Error::config("disks_per_pe must be > 0"));
         }
+        // A striped run's directory names a block's disk in 16 bits.
+        if self.disks_per_pe > u16::MAX as usize {
+            return Err(Error::config(format!(
+                "disks_per_pe ({}) must be at most {}",
+                self.disks_per_pe,
+                u16::MAX
+            )));
+        }
         if self.block_bytes == 0 {
             return Err(Error::config("block_bytes must be > 0"));
         }
@@ -212,6 +220,14 @@ impl SortConfig {
     /// live on, so `replication < pes`).
     pub fn new(machine: MachineConfig, algo: AlgoConfig) -> Result<Self> {
         machine.validate()?;
+        // A striped run's directory names a copy in 16 bits.
+        if algo.replication > u16::MAX as usize {
+            return Err(Error::config(format!(
+                "replication factor {} must be at most {}",
+                algo.replication,
+                u16::MAX
+            )));
+        }
         if algo.replication >= machine.pes {
             return Err(Error::config(format!(
                 "replication factor {} needs {} distinct ranks but the machine has only {} PEs",
@@ -379,6 +395,20 @@ mod tests {
             f(&mut c);
             assert!(c.validate().is_err(), "expected config error");
         }
+    }
+
+    #[test]
+    fn validation_bounds_the_directory_fields() {
+        let mut c = MachineConfig::tiny(2);
+        c.disks_per_pe = u16::MAX as usize;
+        c.validate().expect("65535 disks fit the directory's disk field");
+        c.disks_per_pe += 1;
+        let err = c.validate().expect_err("65536 disks do not fit");
+        assert!(matches!(err, Error::Config(m) if m.contains("disks_per_pe")), "wrong error");
+
+        let algo = AlgoConfig { replication: u16::MAX as usize + 1, ..AlgoConfig::default() };
+        let err = SortConfig::new(MachineConfig::tiny(1 << 17), algo).expect_err("copy too wide");
+        assert!(matches!(err, Error::Config(m) if m.contains("at most")), "wrong error");
     }
 
     #[test]

@@ -57,7 +57,10 @@ pub enum TraceEv {
         /// Whether the request left this process (wire fetch).
         remote: bool,
     },
-    /// Block stores issued through the cluster block service (event).
+    /// Block stores issued through a block service (event). No sort
+    /// journals it: striped replicas ride the striping all-to-all, and
+    /// blocks are written only by their own rank. Journals that carry
+    /// one still parse, and the benchmark harness still counts it.
     Store {
         /// Rank that will own the stored blocks.
         owner: usize,
@@ -504,8 +507,8 @@ impl Tracer {
         self.emit(TraceOp::End(id), ev);
     }
 
-    /// Record an instantaneous event. [`TraceEv::Fetch`]/[`TraceEv::Store`]
-    /// events also feed the byte meter reported in progress frames
+    /// Record an instantaneous event. [`TraceEv::Fetch`] events also
+    /// feed the byte meter reported in progress frames
     /// (`blocks * block_bytes` supplied by the caller via
     /// [`Tracer::add_bytes`]).
     pub fn instant(&self, ev: TraceEv) {

@@ -40,6 +40,11 @@ impl WireWriter {
         self
     }
 
+    pub fn u16(&mut self, x: u16) -> &mut Self {
+        self.buf.extend_from_slice(&x.to_le_bytes());
+        self
+    }
+
     pub fn u32(&mut self, x: u32) -> &mut Self {
         self.buf.extend_from_slice(&x.to_le_bytes());
         self
@@ -123,6 +128,11 @@ impl<'a> WireReader<'a> {
 
     pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    pub fn u16(&mut self) -> Result<u16> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     pub fn u32(&mut self) -> Result<u32> {
