@@ -54,7 +54,7 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// name because the analyzer is token-level; the list holds the
 /// `Result`-returning surface of:
 /// `Transport`/`Communicator` and the TCP block channel (net),
-/// `ClusterStorage`/`BlockFetch` (core::ctx), `IoEngine`/`IoHandle` and
+/// `ClusterStorage` (core::ctx), `IoEngine`/`IoHandle` and
 /// `RunWriter` (storage), and the readers and `fileio::OutputFile`
 /// (core).
 const FALLIBLE_METHODS: &[&str] = &[
@@ -81,7 +81,6 @@ const FALLIBLE_METHODS: &[&str] = &[
     // ClusterStorage, fetch handles and the TCP block channel
     "fetch_block",
     "fetch_blocks",
-    "fetch_blocks_scheduled",
     "fetch_block_cached",
     "store_blocks",
     "wait",

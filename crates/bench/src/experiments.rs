@@ -349,7 +349,7 @@ pub fn run_striped_report(scale: &ExpScale, pes: usize) -> SortReport {
         let input = ingest_input(st, &recs)?;
         let io0 = st.counters();
         let comm0 = c.counters();
-        let out = striped_mergesort::<Element16>(&c, storage, &cfg, input, 1, None, output)?;
+        let out = striped_mergesort::<Element16>(&c, st, &cfg, input, 1, None, output)?;
         // Attribute run formation and merging together; the comparison
         // table uses totals only.
         let totals = PhaseStats {

@@ -6,21 +6,18 @@
 //! IV-A's bottleneck analysis and the Appendix B ablation depend on
 //! them — so they must be **identical** whether the cluster is the
 //! in-process shared-memory view or real single-rank views probing
-//! each other over TCP sockets. Likewise, the striped sort on such
-//! views, whose merge fetches peers' blocks through the wire, must
-//! write the sorted sequence into its output file.
+//! each other over TCP sockets. The probes are the block service's one
+//! caller: both sorts' merges read only their own disks.
 
 use demsort_core::ctx::{ClusterStorage, MeshView};
 use demsort_core::extselect::{select_rank_external, SelectionStats};
-use demsort_core::fileio::OutputFile;
 use demsort_core::rundir::build_directory;
 use demsort_core::runform::{form_runs, ingest_input};
-use demsort_core::striped::striped_mergesort;
 use demsort_net::tcp::{loopback_mesh, TcpOptions, TcpTransport};
 use demsort_net::{run_cluster, Communicator};
 use demsort_storage::MemBackend;
-use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig, Record as _, SortConfig, Tracer};
-use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
+use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig, SortConfig, Tracer};
+use demsort_workloads::{generate_pe_input, InputSpec};
 use std::sync::Arc;
 
 const P: usize = 3;
@@ -88,48 +85,4 @@ fn probe_counters_identical_across_local_and_tcp_transports() {
     });
 
     assert_eq!(local_stats, tcp_stats, "probe counters must not depend on the transport");
-}
-
-#[test]
-fn striped_sort_over_tcp_views_writes_the_sorted_file() {
-    let cfg = SortConfig::new(MachineConfig::tiny(P), AlgoConfig::default()).expect("valid");
-    let mesh = loopback_mesh(P, TcpOptions::default()).expect("mesh");
-    let path = std::env::temp_dir()
-        .join(format!("demsort-block-service-{}-striped.dat", std::process::id()));
-    let output = OutputFile { path: &path, records: (P * LOCAL_N) as u64 };
-    let cfg_ref = &cfg;
-    let runs: Vec<usize> = std::thread::scope(|s| {
-        let handles: Vec<_> = mesh
-            .into_iter()
-            .enumerate()
-            .map(|(rank, tcp)| {
-                s.spawn(move || {
-                    let storage = single_rank_storage(cfg_ref, &tcp);
-                    let comm = Communicator::new(Box::new(tcp.clone()));
-                    let st = storage.pe(rank);
-                    let recs = generate_pe_input(InputSpec::Uniform, SEED, rank, P, LOCAL_N);
-                    let input = ingest_input(st, &recs).expect("ingest");
-                    // Every merge batch holds blocks of all three ranks:
-                    // ~2/3 of each rank's fetches cross the wire.
-                    let outcome = striped_mergesort::<Element16>(
-                        &comm, &storage, cfg_ref, input, 1, None, output,
-                    )
-                    .expect("striped sort");
-                    comm.barrier().expect("barrier");
-                    outcome.runs
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread")).collect()
-    });
-    assert!(runs[0] > 1, "the sort must merge, fetching through the block service");
-
-    let mut reference = generate_all(InputSpec::Uniform, SEED, P, LOCAL_N);
-    reference.sort_unstable();
-    let mut got = Vec::new();
-    Element16::decode_slice(&std::fs::read(&path).expect("read output"), &mut got);
-    let _ = std::fs::remove_file(&path);
-    let keys: Vec<u64> = got.iter().map(|e| e.key).collect();
-    let ref_keys: Vec<u64> = reference.iter().map(|e| e.key).collect();
-    assert_eq!(keys, ref_keys, "the output file must hold the sorted sequence");
 }

@@ -31,7 +31,7 @@ const RANKS: usize = 4;
 
 fn test_machine() -> MachineConfig {
     // Tiny blocks and memory force several runs per rank, so the merge
-    // phase (batch fetches, exchanges and the file write) really runs.
+    // phase (batch reads, exchanges and the file write) really runs.
     MachineConfig {
         pes: RANKS,
         disks_per_pe: 2,
@@ -117,7 +117,7 @@ fn striped_in_process(
     let (report, pools, _) = run_in_process(cfg, Record100::BYTES, |comm, storage| {
         let (rank, st) = (comm.rank(), storage.pe(comm.rank()));
         let input = ingest_input(st, &shard(rank, comm.size()))?;
-        let o = striped_mergesort::<Record100>(&comm, storage, cfg, input, 1, None, output)?;
+        let o = striped_mergesort::<Record100>(&comm, st, cfg, input, 1, None, output)?;
         let (elems, runs, phases) = (o.written, o.runs, o.phases);
         Ok((RankReport { rank, elems, runs, phases, error: None }, st.pool().counters()))
     })

@@ -142,8 +142,15 @@ fn four_rank_traced_run_produces_valid_journals() {
             "rank {rank}: no collective spans"
         );
 
+        // The striped sort reads only its own disks: its merge takes no
+        // block through the block service, so no fetch is journalled.
+        assert!(
+            !records.iter().any(|r| matches!(r.ev, TraceEv::Fetch { .. })),
+            "rank {rank}: the striped sort fetched through the block service"
+        );
+
         // Merge pipelining, from the journal: within every (pass,
-        // group), batch b+1's fetches are issued before batch b's
+        // group), batch b+1's reads are in flight before batch b's
         // records are emitted.
         let mut issued: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();
         let mut emitted: BTreeMap<(usize, usize, usize), usize> = BTreeMap::new();

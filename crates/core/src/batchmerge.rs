@@ -4,17 +4,18 @@
 //! *prediction sequence*, every block's smallest key (Section III,
 //! \[11\]\[14\]) — a batch at a time, and merges them, not re-sorts them.
 //! [`merge_batches`] takes a group's blocks in prediction order, a
-//! [`BlockSource`] and a sink. Per batch it decodes the blocks onto
-//! their runs' buffers, merges everything below the next unread block's
-//! first key ([`CarryMerge`]), checks that no run carries more than a
-//! block above it, and hands the prefix to the sink. The striped merge
-//! ([`crate::striped`]) fetches each batch through the block service and
-//! exchanges its prefix; canonical's final merge ([`crate::localmerge`])
-//! reads the PE's own disks through one prefetcher into its output run.
+//! [`MergePrefetcher`] over the ones on the merging PE's own disks, and
+//! a sink. Per batch it decodes the blocks onto their runs' buffers,
+//! merges everything below the next unread block's first key
+//! ([`CarryMerge`]), checks that no run carries more than a block above
+//! it, and hands the prefix to the sink. Both sorts read that way: the
+//! striped merge ([`crate::striped`]) reads its share of every batch
+//! and exchanges the prefix, canonical's final merge
+//! ([`crate::localmerge`]) reads all of it into its output run.
 
 use crate::merge::{merge_cpu, merge_threads, CarryMerge};
 use crate::recio::records_per_block;
-use demsort_storage::{BlockId, PeStorage};
+use demsort_storage::{BlockId, MergePrefetcher, PeStorage};
 use demsort_types::{CpuCounters, Error, Phase, Record, Result, TraceEv, Tracer};
 use std::ops::Range;
 
@@ -36,16 +37,6 @@ pub struct InputBlock<K> {
 /// prediction sequence: by first key, then run, then position (stable).
 pub fn prediction_order<K: Ord>(blocks: &mut [InputBlock<K>]) {
     blocks.sort_by(|a, b| (&a.first_key, a.run).cmp(&(&b.first_key, b.run)));
-}
-
-/// Where a merge's blocks come from.
-pub trait BlockSource<K> {
-    /// Start reading the next batch; called one batch ahead of `wait`.
-    fn issue(&mut self, batch: &[InputBlock<K>]) -> Result<()>;
-
-    /// Hand the blocks this PE reads of `batch`, the oldest batch
-    /// issued, to `take` with their index in it, each run's in order.
-    fn wait(&mut self, batch: &[InputBlock<K>], take: impl FnMut(usize, Box<[u8]>)) -> Result<()>;
 }
 
 /// How a group is merged, and what its journal events say.
@@ -70,20 +61,23 @@ pub struct BatchMerge<'a> {
 }
 
 /// Merge a group's `blocks`, given in prediction order, batch by batch:
-/// read each batch through `source` (the next one is issued before the
-/// current one merges) and hand its prefix — sorted, and no smaller
-/// than anything handed over before — to `sink`, which returns the CPU
-/// counters of what it did with it. Returns the merge's counters plus
-/// the sink's.
+/// take each batch's blocks owned by `how.rank` from `reads` — a
+/// prefetcher over exactly those blocks, in the same order, whose
+/// window keeps the next batch's reads in flight while the current one
+/// merges — and hand the batch's prefix — sorted, and no smaller than
+/// anything handed over before — to `sink`, which returns the CPU
+/// counters of what it did with it. Every block read feeds the
+/// tracer's progress byte meter. Returns the merge's counters plus the
+/// sink's.
 ///
 /// # Errors
-/// The source's and the sink's, and [`Error::Validation`] if a run
+/// The reads' and the sink's, and [`Error::Validation`] if a run
 /// carries more than a block above a batch's bound: its first keys do
 /// not match its blocks.
 pub fn merge_batches<R: Record + Ord>(
     how: &BatchMerge<'_>,
     blocks: &[InputBlock<R::Key>],
-    source: &mut impl BlockSource<R::Key>,
+    reads: &mut MergePrefetcher<'_>,
     mut sink: impl FnMut(&[R]) -> Result<CpuCounters>,
 ) -> Result<CpuCounters> {
     let BatchMerge {
@@ -98,15 +92,13 @@ pub fn merge_batches<R: Record + Ord>(
     let mut carry = CarryMerge::<R>::new(runs, cores, min_per_thread);
     let mut emit: Vec<R> = Vec::new();
     let mut cpu = CpuCounters::default();
-    if let Some(first) = batches.first() {
+    if total > 0 {
         tracer.instant(ev_issued(0));
-        source.issue(first)?;
     }
     for (b, batch) in batches.iter().enumerate() {
         // Batch b+1's reads are in flight while batch b merges.
-        if let Some(next) = batches.get(b + 1) {
+        if b + 1 < total {
             tracer.instant(ev_issued(b + 1));
-            source.issue(next)?;
         }
 
         // Decode each block onto its run's buffer and give it back; a
@@ -119,20 +111,22 @@ pub fn merge_batches<R: Record + Ord>(
             st.pool().add_copied(bytes.len() as u64);
             st.pool().put(buf);
         };
-        let reads = batch.iter().filter(|blk| blk.owner == rank).map(|blk| blk.records.len());
-        let fan_out = merge_threads(reads.sum(), cores, min_per_thread) > 1;
+        let mine = || batch.iter().enumerate().filter(|(_, blk)| blk.owner == rank);
+        let records = mine().map(|(_, blk)| blk.records.len()).sum();
+        let fan_out = merge_threads(records, cores, min_per_thread) > 1;
         let mut per_run: Vec<Vec<(usize, Box<[u8]>)>> = Vec::new();
         if fan_out {
             per_run.resize_with(runs, Vec::new);
         }
-        source.wait(batch, |i, buf| {
-            let blk = &batch[i];
+        for (i, blk) in mine() {
+            let buf = reads.next()?.ok_or_else(|| Error::io("a merge read past its blocks"))?;
+            tracer.add_bytes(buf.len() as u64);
             if fan_out {
                 per_run[blk.run].push((i, buf));
             } else {
                 decode(carry.buffer(blk.run, blk.records.len()), buf, i);
             }
-        })?;
+        }
         if fan_out {
             std::thread::scope(|s| {
                 for (src, bufs) in carry.buffers().zip(per_run) {

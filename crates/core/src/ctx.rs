@@ -1,25 +1,23 @@
 //! Per-PE execution context: storage for every PE, phase accounting.
 //!
 //! A PE owns its communicator endpoint and *operates on* its own
-//! storage; peers' storage is reachable through the
-//! **location-transparent block service** of [`ClusterStorage`] — the
-//! remote probes of external multiway selection (Section IV-A: "they
-//! have to request data from remote disks") and the cross-rank block
-//! reads of the globally striped algorithm (Section III). In a real
-//! deployment those are one-block RDMA gets / MPI request-reply pairs.
-//! The
-//! in-process cluster holds every PE's storage in one
-//! [`ClusterStorage`], so a request reaches the owner's storage
-//! directly; the multi-process runtime gives each worker a single-rank
-//! view over its mesh endpoint ([`ClusterStorage::over_mesh`]) whose
-//! requests for peers' blocks cross the wire (the TCP transport's
-//! out-of-band block channel) and are served there by the owner's
-//! view. Either way the block is **served by one function** of this
-//! module (`serve_fetch`): the I/O lands on the owning PE's disks
-//! (exactly where the paper's bottleneck analysis puts it). Requests
-//! are asynchronous [`BlockFetch`] handles mirroring the storage
-//! engine's `IoHandle` (so callers overlap remote I/O with
-//! computation), and the transferred bytes are charged to the
+//! storage: both sorts' merges read only their own disks, and records
+//! reach other ranks only through the communicator. The one reader of
+//! another rank's disk is external multiway selection, whose probes
+//! "have to request data from remote disks" (Section IV-A); they go
+//! through the **location-transparent block service** of
+//! [`ClusterStorage`], one block at a time
+//! ([`ClusterStorage::fetch_block`]) — in a real deployment a one-block
+//! RDMA get or MPI request-reply pair. The in-process cluster holds
+//! every PE's storage in one [`ClusterStorage`], so a request reaches
+//! the owner's storage directly; the multi-process runtime gives each
+//! worker a single-rank view over its mesh endpoint
+//! ([`ClusterStorage::over_mesh`]) whose requests for peers' blocks
+//! cross the wire (the TCP transport's out-of-band block channel) and
+//! are served there by the owner's view. Either way the block is
+//! **served by one function** of this module (`serve_fetch`): the I/O
+//! lands on the owning PE's disks (exactly where the paper's bottleneck
+//! analysis puts it), and the transferred bytes are charged to the
 //! requester as communication. Blocks are written only by their own
 //! rank: a striped run's pieces and replicas reach their holders in the
 //! run's all-to-all.
@@ -30,9 +28,9 @@
 //! no constructor takes it as a setting except
 //! [`ClusterStorage::new_mem_sized`].
 
-use demsort_net::tcp::{TcpTransport, WireFetch};
+use demsort_net::tcp::TcpTransport;
 use demsort_net::{Communicator, Transport as _};
-use demsort_storage::{Backend, BlockId, DiskModel, IoHandle, MemBackend, PeStorage};
+use demsort_storage::{Backend, BlockId, DiskModel, MemBackend, PeStorage};
 use demsort_types::trace::TraceEv;
 use demsort_types::{
     BufferPool, CommCounters, CpuCounters, Error, IoCounters, MachineConfig, Phase, PhaseStats,
@@ -41,49 +39,17 @@ use demsort_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Issues asynchronous batched reads of blocks owned by a remote PE.
-/// The multi-process runtime's is the mesh endpoint itself
-/// ([`TcpTransport`]'s block channel); tests substitute fakes. Requests
-/// are pipelined — all go out before any is waited on — and responses
-/// may complete in any order.
+/// Reads one block owned by a remote PE. The multi-process runtime's
+/// is the mesh endpoint itself ([`TcpTransport`]'s block channel);
+/// tests substitute fakes.
 pub trait RemoteBlockService: Send + Sync {
-    /// Issue reads of `ids` owned by rank `pe`; handles are returned
-    /// in request order.
-    fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>>;
+    /// Read block `id` of rank `pe`'s storage.
+    fn fetch_block(&self, pe: usize, id: BlockId) -> Result<Box<[u8]>>;
 }
 
 impl RemoteBlockService for TcpTransport {
-    fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-        let addrs: Vec<(u32, u32)> = ids.iter().map(|id| (id.disk, id.slot)).collect();
-        let issued = TcpTransport::fetch_blocks(self, pe, &addrs)?;
-        Ok(issued.into_iter().map(|f| BlockFetch(FetchState::Remote(f))).collect())
-    }
-}
-
-enum FetchState {
-    /// Served by a local engine (the owner's disk pays the I/O).
-    Local(IoHandle),
-    /// In flight on the wire.
-    Remote(WireFetch),
-}
-
-/// One pending block read through [`ClusterStorage::fetch_blocks`],
-/// local or remote — resolve with [`BlockFetch::wait`].
-#[must_use = "a BlockFetch must be waited on, or the read is abandoned"]
-pub struct BlockFetch(FetchState);
-
-impl BlockFetch {
-    /// An already-completed fetch (cache hits, tests).
-    pub fn ready(data: Box<[u8]>) -> Self {
-        Self(FetchState::Local(IoHandle::ready(data)))
-    }
-
-    /// Block until the read completes; returns the block bytes.
-    pub fn wait(self) -> Result<Box<[u8]>> {
-        match self.0 {
-            FetchState::Local(h) => h.wait(),
-            FetchState::Remote(f) => f.wait().map(Vec::into_boxed_slice),
-        }
+    fn fetch_block(&self, pe: usize, id: BlockId) -> Result<Box<[u8]>> {
+        TcpTransport::fetch_block(self, pe, id.disk, id.slot).map(Vec::into_boxed_slice)
     }
 }
 
@@ -91,8 +57,8 @@ impl BlockFetch {
 /// rank's block is read for somebody else, whether the request arrived
 /// by function call (in-process cluster) or over the wire. Serving
 /// journals nothing: the requester's view does.
-fn serve_fetch(pe: &PeStorage, id: BlockId) -> BlockFetch {
-    BlockFetch(FetchState::Local(pe.engine().read(id)))
+fn serve_fetch(pe: &PeStorage, id: BlockId) -> Result<Box<[u8]>> {
+    pe.engine().read(id).wait()
 }
 
 /// The storage view of one participant in the cluster.
@@ -155,11 +121,11 @@ impl ClusterStorage {
     }
 
     /// Single-rank view: `rank`'s own storage plus a block service for
-    /// its peers' blocks; `size` is the cluster size `P`. Every batch
-    /// of fetches issued through the view is journalled to `tracer` as
-    /// a [`TraceEv::Fetch`] instant carrying the owning rank and
-    /// locality, and the moved bytes feed
-    /// the tracer's progress byte meter ([`Tracer::off`] for neither).
+    /// its peers' blocks; `size` is the cluster size `P`. Every fetch
+    /// through the view is journalled to `tracer` as a
+    /// [`TraceEv::Fetch`] instant carrying the owning rank and locality,
+    /// and the moved bytes feed the tracer's progress byte meter
+    /// ([`Tracer::off`] for neither).
     fn single_traced(
         rank: usize,
         size: usize,
@@ -191,7 +157,7 @@ impl ClusterStorage {
         let storage = Self::single_traced(rank, mesh.size(), disks, Box::new(mesh.clone()), tracer);
         let served = Arc::clone(&storage);
         mesh.set_block_handler(Arc::new(move |disk, slot| {
-            let block = serve_fetch(served.pe(rank), BlockId::new(disk, slot)).wait();
+            let block = serve_fetch(served.pe(rank), BlockId::new(disk, slot));
             block.map(|b| b.into_vec()).map_err(|e| e.to_string())
         }));
         MeshView { storage, mesh: mesh.clone() }
@@ -214,74 +180,31 @@ impl ClusterStorage {
         &self.pes[rank - self.base_rank]
     }
 
-    /// The view's way to rank `rank`'s blocks, in or out of it.
-    fn route(&self, rank: usize) -> Result<Route<'_>> {
+    /// Read one block of PE `rank`'s storage, local or remote — the
+    /// location-transparent block service, which multiway selection's
+    /// probes read peers' run blocks through. A local read goes through
+    /// the owner's engine (its disk pays the I/O), a remote one through
+    /// the registered [`RemoteBlockService`]. A traced view journals
+    /// each fetch as a [`TraceEv::Fetch`] instant, its locality by
+    /// ownership, and adds the block to the progress byte meter.
+    pub fn fetch_block(&self, rank: usize, id: BlockId) -> Result<Box<[u8]>> {
         if rank >= self.size {
             return Err(Error::config(format!("rank {rank} out of range for {} ranks", self.size)));
         }
-        if self.is_local(rank) {
-            return Ok(Route::Local(self.pe(rank)));
-        }
-        self.remote.as_deref().map(Route::Remote).ok_or_else(|| {
-            Error::io(format!(
+        let remote = !self.is_local(rank);
+        if remote && self.remote.is_none() {
+            return Err(Error::io(format!(
                 "PE {rank}'s storage is remote and no remote block service is registered"
-            ))
-        })
-    }
-
-    /// Read one block of PE `rank`'s storage, local or remote — a
-    /// one-element [`ClusterStorage::fetch_blocks`] waited immediately
-    /// (the multiway-selection probe path).
-    pub fn fetch_block(&self, rank: usize, id: BlockId) -> Result<Box<[u8]>> {
-        let mut fetches = self.fetch_blocks(rank, &[id])?;
-        fetches.pop().expect("one fetch issued").wait()
-    }
-
-    /// Issue asynchronous reads of blocks owned by PE `rank`, local or
-    /// remote — the location-transparent block service. Handles come
-    /// back in request order; all reads are issued (and, for remote
-    /// owners, pipelined on the wire) before any is waited on, so
-    /// callers overlap the fetches with computation. Local reads go
-    /// through the owner's engine (its disk pays the I/O, and issue
-    /// order shapes its per-disk FIFO queues — pass ids in a prefetch
-    /// schedule order to realize it); remote reads go through the
-    /// registered [`RemoteBlockService`].
-    pub fn fetch_blocks(&self, rank: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-        let route = self.route(rank)?;
-        if self.tracer.enabled() && !ids.is_empty() {
-            self.tracer.instant(TraceEv::Fetch {
-                owner: rank,
-                blocks: ids.len(),
-                remote: !self.is_local(rank),
-            });
-            self.tracer.add_bytes((ids.len() * self.block_bytes_hint()) as u64);
+            )));
         }
-        match route {
-            Route::Local(pe) => Ok(ids.iter().map(|&id| serve_fetch(pe, id)).collect()),
-            Route::Remote(service) => service.fetch_blocks(rank, ids),
+        if self.tracer.enabled() {
+            self.tracer.instant(TraceEv::Fetch { owner: rank, blocks: 1, remote });
+            self.tracer.add_bytes(self.block_bytes_hint() as u64);
         }
-    }
-
-    /// [`ClusterStorage::fetch_blocks`], but issue the reads in
-    /// `schedule` order (a permutation of indices into `ids`, e.g. a
-    /// prefetch schedule from
-    /// [`duality_issue_order`](demsort_storage::duality_issue_order))
-    /// while returning the handles in `ids` order — the disks service
-    /// the schedule, the caller consumes in logical order.
-    pub fn fetch_blocks_scheduled(
-        &self,
-        rank: usize,
-        ids: &[BlockId],
-        schedule: &[usize],
-    ) -> Result<Vec<BlockFetch>> {
-        debug_assert_eq!(schedule.len(), ids.len(), "schedule must be a permutation of the ids");
-        let ordered: Vec<BlockId> = schedule.iter().map(|&i| ids[i]).collect();
-        let issued = self.fetch_blocks(rank, &ordered)?;
-        let mut handles: Vec<Option<BlockFetch>> = ids.iter().map(|_| None).collect();
-        for (&i, f) in schedule.iter().zip(issued) {
-            handles[i] = Some(f);
+        match self.remote.as_deref().filter(|_| remote) {
+            Some(service) => service.fetch_block(rank, id),
+            None => serve_fetch(self.pe(rank), id),
         }
-        Ok(handles.into_iter().map(|h| h.expect("schedule is a permutation")).collect())
     }
 
     /// Read one block of PE `owner`'s storage through `cache`: a hit
@@ -334,14 +257,6 @@ impl ClusterStorage {
     pub fn is_empty(&self) -> bool {
         self.size == 0
     }
-}
-
-/// Where a view finds a rank's blocks.
-enum Route<'a> {
-    /// In the view: the owner's storage itself.
-    Local(&'a PeStorage),
-    /// Out of it: ask the owner.
-    Remote(&'a dyn RemoteBlockService),
 }
 
 /// A worker's [`ClusterStorage`] view over its mesh endpoint
@@ -561,15 +476,8 @@ mod tests {
     struct FakePeers;
 
     impl RemoteBlockService for FakePeers {
-        fn fetch_blocks(&self, pe: usize, ids: &[BlockId]) -> Result<Vec<BlockFetch>> {
-            Ok(ids
-                .iter()
-                .map(|id| {
-                    BlockFetch::ready(
-                        vec![pe as u8, id.disk as u8, id.slot as u8].into_boxed_slice(),
-                    )
-                })
-                .collect())
+        fn fetch_block(&self, pe: usize, id: BlockId) -> Result<Box<[u8]>> {
+            Ok(vec![pe as u8, id.disk as u8, id.slot as u8].into_boxed_slice())
         }
     }
 
@@ -598,15 +506,13 @@ mod tests {
         // Remote fetch goes through the registered block service.
         let got = cs.fetch_block(2, BlockId::new(1, 5)).expect("remote");
         assert_eq!(&*got, &[2u8, 1, 5][..]);
-        // Batched fetches return handles in request order.
-        let ids = [BlockId::new(0, 1), BlockId::new(1, 2)];
-        let fetches = cs.fetch_blocks(0, &ids).expect("batch");
-        let got: Vec<Box<[u8]>> =
-            fetches.into_iter().map(|f| f.wait().expect("remote block")).collect();
-        assert_eq!(&*got[0], &[0u8, 0, 1][..]);
-        assert_eq!(&*got[1], &[0u8, 1, 2][..]);
+        // Every peer's blocks go through it, each fetch its own.
+        let got = cs.fetch_block(0, BlockId::new(0, 1)).expect("remote");
+        assert_eq!(&*got, &[0u8, 0, 1][..]);
+        let got = cs.fetch_block(0, BlockId::new(1, 2)).expect("remote");
+        assert_eq!(&*got, &[0u8, 1, 2][..]);
         // Out-of-range ranks are clean errors.
-        assert!(cs.fetch_blocks(9, &ids).is_err());
+        assert!(cs.fetch_block(9, BlockId::new(0, 1)).is_err());
     }
 
     #[test]
@@ -628,20 +534,8 @@ mod tests {
                 TraceEv::Fetch { owner: 1, blocks: 1, remote: false },
                 TraceEv::Fetch { owner: 2, blocks: 1, remote: true },
             ],
-            "one instant per block-service batch, locality by ownership"
+            "one instant per fetch, locality by ownership"
         );
-    }
-
-    #[test]
-    fn scheduled_fetch_returns_handles_in_request_order() {
-        let (cs, _) = one_rank_view(1, 3);
-        let ids = [BlockId::new(0, 4), BlockId::new(1, 1), BlockId::new(0, 9)];
-        // Issue back-to-front; handles must still line up with `ids`.
-        let fetches = cs.fetch_blocks_scheduled(2, &ids, &[2, 0, 1]).expect("scheduled");
-        let got: Vec<Box<[u8]>> = fetches.into_iter().map(|f| f.wait().expect("block")).collect();
-        assert_eq!(&*got[0], &[2u8, 0, 4][..]);
-        assert_eq!(&*got[1], &[2u8, 1, 1][..]);
-        assert_eq!(&*got[2], &[2u8, 0, 9][..]);
     }
 
     #[test]
@@ -839,14 +733,6 @@ mod tests {
             }
         }
 
-        // Issued in schedule order, handed back in `ids` order.
-        let ids = [write(1, 10), write(1, 11), write(1, 12)];
-        for me in [0, 1] {
-            let fetches = views[me].fetch_blocks_scheduled(1, &ids, &[2, 0, 1]).expect("issue");
-            let tags: Vec<u8> = fetches.into_iter().map(|f| f.wait().expect("block")[0]).collect();
-            assert_eq!(tags, [10, 11, 12], "rank {me}");
-        }
-
         // A never-written slot fails on the requester with the owner's
         // error text; a rank outside the cluster is a config error.
         let hole = BlockId::new(0, 9_999);
@@ -854,7 +740,7 @@ mod tests {
             let err = views[me].fetch_block(owner, hole).expect_err("never written");
             assert!(matches!(&err, Error::Io(m) if m.contains("unwritten block d0:9999")), "{err}");
         }
-        assert!(matches!(views[0].fetch_blocks(P, &[hole]), Err(Error::Config(_))));
+        assert!(matches!(views[0].fetch_block(P, hole), Err(Error::Config(_))));
 
         // Reads classify by ownership too, whatever the view holds.
         for (me, owner) in [(1, 1), (0, 1)] {

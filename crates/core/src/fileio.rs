@@ -202,7 +202,13 @@ mod tests {
                     let (rank, p, cores) = (comm.rank(), comm.size(), cfg.machine.cores_per_pe);
                     let input = ingest_input(storage.pe(rank), shard_of(recs, rank, p))?;
                     let o = striped_mergesort::<Record100>(
-                        &comm, storage, cfg, input, cores, None, output,
+                        &comm,
+                        storage.pe(rank),
+                        cfg,
+                        input,
+                        cores,
+                        None,
+                        output,
                     )?;
                     let (elems, runs, phases) = (o.written, o.runs, o.phases);
                     Ok((RankReport { rank, elems, runs, phases, error: None }, ()))

@@ -82,7 +82,7 @@ pub fn run_rank_job(
         }
         SortAlgo::Striped => {
             // The records this rank wrote into the output.
-            let o = striped_mergesort::<R>(comm, storage, &cfg, local, cores, hooks, output)?;
+            let o = striped_mergesort::<R>(comm, st, &cfg, local, cores, hooks, output)?;
             (o.written, o.runs, o.phases)
         }
     };
@@ -326,7 +326,7 @@ pub fn sort_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demsort_types::{AlgoConfig, MachineConfig};
+    use demsort_types::{AlgoConfig, MachineConfig, Phase, ProgressFrame};
     use demsort_workloads::gensort_records;
 
     /// A directory of this test's own, removed on drop.
@@ -486,6 +486,52 @@ mod tests {
             let sorted = std::fs::read(&job.output).expect("output");
             assert_eq!(sorted.len(), bytes.len(), "{algorithm}: the output is whole");
             assert!(sorted.chunks(Record100::BYTES).is_sorted_by_key(|r| &r[..10]), "{algorithm}");
+        }
+    }
+
+    #[test]
+    fn progress_frames_count_the_bytes_the_merge_reads() {
+        // Both merges feed the progress byte meter with every block they
+        // read, so a rank's last merge frame has counted at least the
+        // bytes its merge phase read — on the in-process cluster, whose
+        // block service is never traced, too.
+        const RECORDS: usize = 20_000;
+        let machine = MachineConfig {
+            pes: 2,
+            disks_per_pe: 2,
+            block_bytes: 4 << 10,
+            mem_bytes_per_pe: 256 << 10,
+            cores_per_pe: 1,
+        };
+        for algorithm in [SortAlgo::Canonical, SortAlgo::Striped] {
+            let dir = TestDir::new(&format!("progress-{algorithm}"));
+            let job = job_in(&dir, machine.clone(), algorithm);
+            let mut bytes = vec![0u8; RECORDS * Record100::BYTES];
+            Record100::encode_slice(&gensort_records(5, 0, RECORDS), &mut bytes);
+            std::fs::write(&job.input, &bytes).expect("write input");
+            let cfg = job.validate().expect("config");
+            let (storage, _guards) = local_job_storage(&job).expect("storage");
+            let frames = Arc::new(std::sync::Mutex::new(Vec::<ProgressFrame>::new()));
+            let (report, _) = run_on(&storage, &cfg, Record100::BYTES, |mut comm, storage| {
+                let frames = Arc::clone(&frames);
+                let seen = move |f: &ProgressFrame| frames.lock().expect("frames").push(*f);
+                comm.set_tracer(Tracer::to_buffer(comm.rank()).with_progress(Box::new(seen)));
+                Ok((run_rank_job(&job, &comm, storage, None)?, ()))
+            })
+            .expect("sort");
+            assert!(report.runs > 1, "{algorithm}: the sort must merge");
+            let frames = frames.lock().expect("frames");
+            for rank in 0..machine.pes {
+                let last = frames
+                    .iter()
+                    .rfind(|f| f.rank == rank && f.phase == Phase::FinalMerge)
+                    .expect("merge frames");
+                let read = report.get(rank, Phase::FinalMerge).io.bytes_read;
+                assert!(
+                    read > 0 && last.bytes >= read,
+                    "{algorithm} rank {rank}: {last:?}, {read} B read"
+                );
+            }
         }
     }
 

@@ -9,8 +9,8 @@
 //! * [`merge`] — k-way merging with a loser tree, its in-node parallel
 //!   form, and the carry-merge kernel both sorts' batch merges use;
 //! * [`batchmerge`] — the one batch merge loop: a group's blocks in
-//!   prediction order, read through a block source, merged into a sink
-//!   (Section III);
+//!   prediction order, each PE reading its own through a prefetcher,
+//!   merged into a sink (Section III);
 //! * [`seqsort`] — in-node (multi-core) sorting;
 //! * [`selection`] — exact multiway selection (Section IV-A);
 //! * [`psort`] — distributed internal parallel mergesort (Section IV-B);
@@ -27,8 +27,9 @@
 //!   driver, its striped runs and the output file's writer, its merge
 //!   passes and its rank-failure recovery, a submodule each;
 //! * [`ctx`] — each PE's view of the cluster's storage (the block
-//!   service), phase accounting, and the phase scope both drivers open
-//!   their phases through;
+//!   service selection's probes read peers' blocks through), phase
+//!   accounting, and the phase scope both drivers open their phases
+//!   through;
 //! * [`fileio`] — the file edges: the input shard run formation reads
 //!   where it lies, the output file the last pass writes into;
 //! * [`job`] — the rank program (input shard → sort → output part)
@@ -59,7 +60,7 @@ pub mod striped;
 pub mod validate;
 
 pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
-pub use ctx::{BlockCache, BlockFetch, ClusterStorage, FetchSource, MeshView, RemoteBlockService};
+pub use ctx::{BlockCache, ClusterStorage, FetchSource, MeshView, RemoteBlockService};
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;
 pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};

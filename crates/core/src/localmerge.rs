@@ -4,10 +4,11 @@
 //! read and written once, no communication is involved in this phase.
 //! The internal computation amounts to `O(N/P · log R)`."
 //!
-//! It is the striped sort's batch loop ([`merge_batches`]) over the
-//! PE's own disks: every fragment carries its blocks' first keys, so
-//! the blocks of all `R` runs form one prediction sequence, which one
-//! [`MergePrefetcher`] reads in the duality-optimal order (Appendix A)
+//! It is the batch loop the striped merge runs too ([`merge_batches`]),
+//! every block of it on the PE's own disks: every fragment carries its
+//! blocks' first keys, so the blocks of all `R` runs form one
+//! prediction sequence, which one [`MergePrefetcher`] reads in the
+//! duality-optimal order (Appendix A)
 //! with [`WINDOW_PER_DISK`]` · D` reads in flight, whatever `R` is, and
 //! frees as it reads ("blocks that are read to internal buffers are
 //! deallocated from disk immediately"). The merged records go to the
@@ -15,39 +16,18 @@
 //! file ([`RunDest`]).
 
 use crate::alltoall::MergeInput;
-use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, BlockSource, InputBlock};
+use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, InputBlock};
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
 use demsort_net::Communicator;
 use demsort_storage::striping::DEFAULT_WRITE_BEHIND;
 use demsort_storage::{MergePrefetcher, PeStorage};
-use demsort_types::{AlgoConfig, CpuCounters, Error, Record, Result};
+use demsort_types::{AlgoConfig, CpuCounters, Record, Result};
 
 /// Blocks read ahead per disk, and merged per batch. The merge has no
 /// collective to amortise, so its batch is the read-ahead window: two
 /// blocks per disk keep every disk busy with one batch while the one
 /// before it merges.
 pub const WINDOW_PER_DISK: usize = 2;
-
-/// A local merge's block source: one prefetcher over the whole
-/// prediction sequence keeps its window in flight across batches.
-impl<K> BlockSource<K> for MergePrefetcher<'_> {
-    fn issue(&mut self, _: &[InputBlock<K>]) -> Result<()> {
-        Ok(())
-    }
-
-    fn wait(
-        &mut self,
-        batch: &[InputBlock<K>],
-        mut take: impl FnMut(usize, Box<[u8]>),
-    ) -> Result<()> {
-        for i in 0..batch.len() {
-            let block =
-                self.next()?.ok_or_else(|| Error::io("final merge read past its blocks"))?;
-            take(i, block);
-        }
-        Ok(())
-    }
-}
 
 /// Merge the per-run fragment chains on `comm`'s PE into the final
 /// output run at `dest`, on up to `cores` threads (at least
@@ -80,7 +60,7 @@ pub fn final_merge<R: Record + Ord>(
     prediction_order(&mut blocks);
     let window = WINDOW_PER_DISK * st.disks();
     let ids = blocks.iter().map(|b| b.id).collect();
-    let mut source = MergePrefetcher::optimal(st, ids, window, true);
+    let mut reads = MergePrefetcher::optimal(st, ids, window, true);
     let how = BatchMerge {
         st,
         rank,
@@ -97,7 +77,7 @@ pub fn final_merge<R: Record + Ord>(
         group: 0,
     };
     let mut writer = RecordRunWriter::<R>::with_window(st, 0, DEFAULT_WRITE_BEHIND, dest);
-    let cpu = merge_batches::<R>(&how, &blocks, &mut source, |emit| {
+    let cpu = merge_batches::<R>(&how, &blocks, &mut reads, |emit| {
         writer.push_all(emit)?;
         Ok(CpuCounters::default())
     })?;
@@ -118,7 +98,7 @@ mod tests {
     use crate::recio::write_records;
     use demsort_net::run_cluster;
     use demsort_storage::{DiskModel, MemBackend, PeStorage};
-    use demsort_types::{BufferPool, Element16};
+    use demsort_types::{BufferPool, Element16, Error};
     use std::ops::Range;
     use std::sync::Arc;
 

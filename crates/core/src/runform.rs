@@ -205,12 +205,14 @@ impl<'a> GroupReader<'a> {
     }
 
     /// Wait for a group's blocks and decode them into `arena` (cleared
-    /// first), handing each read buffer back to the pool.
+    /// first), metering the decode as copied bytes and handing each read
+    /// buffer back to the pool.
     pub fn collect<R: Record>(&self, pending: Vec<PendingBlock>, arena: &mut Vec<R>) -> Result<()> {
         arena.clear();
         for (h, valid) in pending {
             let buf = h.wait()?;
             R::decode_slice(&buf[..valid * R::BYTES], arena);
+            self.st.pool().add_copied((valid * R::BYTES) as u64);
             self.st.pool().put(buf);
         }
         Ok(())
@@ -313,6 +315,7 @@ fn collect_sorting<R: Record + Ord>(
         let buf = h.wait()?;
         let mut recs = Vec::with_capacity(valid);
         R::decode_slice(&buf[..valid * R::BYTES], &mut recs);
+        st.pool().add_copied((valid * R::BYTES) as u64);
         st.pool().put(buf);
         cpu = cpu.merge(&sort_in_node(&mut recs, cores));
         sorted_blocks.push(recs);
@@ -604,6 +607,36 @@ mod tests {
             let in_flight = (bpr + bpr / WRITE_WINDOW_DIV) as u64;
             assert!(misses <= 2 * in_flight, "{misses} misses for {in_flight} blocks in flight");
             assert!(hits > 4 * misses, "{hits} hits, {misses} misses");
+        }
+    }
+
+    #[test]
+    fn meters_the_decode_and_the_encode_of_every_record() {
+        // A record is copied twice on a PE's pool: decoded out of its
+        // read buffer, and encoded into its run's block. Both are
+        // metered, whichever path reads the group: several runs
+        // (`GroupReader::collect`), or one sorted on arrival
+        // (`collect_sorting`).
+        for local_n in [700, 200] {
+            let cfg = config(2, true, true);
+            let storage = ClusterStorage::new_mem(&cfg.machine);
+            let (storage, cfg) = (&storage, &cfg);
+            let per_pe = run_cluster(2, move |c| {
+                let st = storage.pe(c.rank());
+                let recs = generate_pe_input(InputSpec::Uniform, 5, c.rank(), 2, local_n);
+                let input = ingest_input(st, &recs).expect("ingest");
+                let before = st.pool().counters().copied_bytes;
+                let out = form_runs::<Element16>(&c, st, cfg, input, 1, None).expect("form runs");
+                let written: u64 = out.local.iter().map(|fr| fr.elems).sum();
+                (out.local.len(), written, st.pool().counters().copied_bytes - before)
+            });
+            for (runs, written, copied) in per_pe {
+                let both = (local_n as u64 + written) * Element16::BYTES as u64;
+                assert_eq!(
+                    copied, both,
+                    "{runs} run(s): {local_n} records read, {written} written"
+                );
+            }
         }
     }
 

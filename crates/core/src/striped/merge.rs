@@ -5,7 +5,7 @@
 //! canonical's final merge runs too ([`merge_batches`]). The global
 //! *prediction sequence* — the smallest key of every block, recorded at
 //! write time — gives the exact order in which blocks are needed
-//! \[11\]\[14\]. A batch of the next `Θ(M/B)` blocks is fetched (each PE
+//! \[11\]\[14\]. A batch of the next `Θ(M/B)` blocks is read (each PE
 //! reads the blocks on its own disks) and **merged, not re-sorted**,
 //! and the merged prefix that is provably complete — smaller than every
 //! not-yet-merged block's first key — is redistributed with one
@@ -21,39 +21,39 @@
 //! per batch that full batch sorting would pay — the internal-work
 //! bound that dominates throughput at scale.
 //!
-//! The group's block source reads through the location-transparent
-//! [`ClusterStorage`] block service: a batch's fetches are issued
-//! asynchronously in the duality-optimal prefetch order
-//! ([`duality_issue_order`], Appendix A), and the fetches for batch
-//! `k+1` are issued **before** batch `k` is merged (double-buffered
-//! prefetch — the journal shows the interleaving as
+//! Every block of a batch lives on one PE's disks, and that PE reads
+//! it: each PE reads its own blocks of the group, in prediction order,
+//! through one [`MergePrefetcher`] in the duality-optimal issue order
+//! (Appendix A), the way canonical's final merge reads. Its window is
+//! the PE's share of a batch, so the reads of batch `k+1` are in
+//! flight while batch `k` merges and is exchanged (the journal shows
+//! the interleaving as
 //! [`TraceEv::MergeIssued`](demsort_types::TraceEv::MergeIssued) /
 //! [`TraceEv::MergeEmitted`](demsort_types::TraceEv::MergeEmitted)
-//! events), so the reads overlap the merge and the exchange.
+//! events). No PE reads another's disk.
 
 use super::runs::{DiskOutput, FileOutput, RankView, StripedRun};
-use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, BlockSource, InputBlock};
-use crate::ctx::{BlockFetch, ClusterStorage};
+use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, InputBlock};
 use crate::fileio::OutputFile;
 use crate::psort::Exchange;
 use demsort_net::Communicator;
-use demsort_storage::{duality_issue_order, BlockId};
+use demsort_storage::{MergePrefetcher, PeStorage};
 use demsort_types::{CpuCounters, Record, Result, SortConfig, Tracer};
-use std::collections::VecDeque;
 
 /// One merge attempt: what every pass and group of it shares.
 pub(super) struct MergeJob<'a> {
     /// The ranks merging, and how they map to global ranks.
     pub comm: &'a Communicator,
     pub view: &'a RankView,
-    pub storage: &'a ClusterStorage,
+    /// This rank's storage: every block it reads or writes is there.
+    pub st: &'a PeStorage,
     pub cfg: &'a SortConfig,
     pub cores: usize,
     /// Runs merged per group.
     pub k_max: usize,
-    /// Whether fetched input blocks are released after consumption:
-    /// the replicated sort keeps its initial runs on disk so a recovery
-    /// can re-merge them.
+    /// Whether input blocks are freed as they are read: the replicated
+    /// sort keeps its initial runs on disk so a recovery can re-merge
+    /// them.
     pub free_consumed: bool,
     pub tracer: &'a Tracer,
 }
@@ -83,11 +83,10 @@ impl MergeJob<'_> {
         // A pass of one group is the last: it writes the output file.
         // Every rank waited its last input read before its last run's
         // exchange, so the output may be the input.
-        let me = self.view.my_global;
-        let (st, mut file) = (self.storage.pe(me), FileOutput::new(output.open::<R>(me)?));
+        let mut file = FileOutput::new(output.open::<R>(self.view.my_global)?);
         let mut exchange = Exchange::new();
         let last_cpu = self.merge_group::<R>(&runs, passes, 0, |emit| {
-            file.append(self.comm, st, self.cfg, &mut exchange, emit, self.cores)
+            file.append(self.comm, self.st, self.cfg, &mut exchange, emit, self.cores)
         })?;
         Ok((file.finish(), passes + 1, cpu.merge(&last_cpu)))
     }
@@ -102,8 +101,7 @@ impl MergeJob<'_> {
         pass: usize,
         group_idx: usize,
     ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
-        let Self { comm, storage, cfg, view, cores, .. } = *self;
-        let st = storage.pe(view.my_global);
+        let Self { comm, st, cfg, view, cores, .. } = *self;
         let mut exchange = Exchange::new();
         // Merged runs are never replicated: a recovery re-merges the
         // initial runs.
@@ -127,9 +125,8 @@ impl MergeJob<'_> {
         group_idx: usize,
         deliver: impl FnMut(&[R]) -> Result<CpuCounters>,
     ) -> Result<CpuCounters> {
-        let Self { comm, storage, cfg, view, cores, tracer, .. } = *self;
+        let Self { comm, st, cfg, view, cores, tracer, .. } = *self;
         let me = view.my_global;
-        let st = storage.pe(me);
         let p = comm.size();
 
         // The group's blocks in prediction order. The directories are
@@ -147,15 +144,15 @@ impl MergeJob<'_> {
         }
         prediction_order(&mut blocks);
 
-        // Batch size: Θ(M/B) blocks globally.
+        // Batch size: Θ(M/B) blocks globally. This PE reads its own
+        // blocks of them with its share of a batch in flight: each block
+        // of batch b it takes is replaced by a read of batch b+1's, so
+        // those are in flight while b merges and is exchanged. (Two
+        // shares hold more pooled buffers and merged no faster.)
         let batch_blocks = (cfg.machine.mem_blocks_per_pe() * p / 2).max(1);
-        let mut source = ClusterSource {
-            storage,
-            me,
-            buffers: batch_blocks.div_ceil(p).max(st.disks()),
-            free_consumed: self.free_consumed,
-            pending: VecDeque::new(),
-        };
+        let window = batch_blocks.div_ceil(p);
+        let mine = blocks.iter().filter(|b| b.owner == me).map(|b| b.id).collect();
+        let mut reads = MergePrefetcher::optimal(st, mine, window, self.free_consumed);
         let how = BatchMerge {
             st,
             rank: me,
@@ -171,56 +168,6 @@ impl MergeJob<'_> {
             pass,
             group: group_idx,
         };
-        merge_batches(&how, &blocks, &mut source, deliver)
-    }
-}
-
-/// A striped merge's block source: each PE reads the batch blocks that
-/// live on its disks, through the location-transparent block service.
-/// A batch's fetches are issued asynchronously — in the duality-optimal
-/// prefetch order (Appendix A), which the engine's per-disk FIFO queues
-/// realize — and only waited on when the batch is merged, one batch
-/// later.
-struct ClusterSource<'a> {
-    storage: &'a ClusterStorage,
-    me: usize,
-    /// The duality schedule's buffer count.
-    buffers: usize,
-    /// Whether a fetched block's slot is reusable at once — the backing
-    /// bytes are only released on overwrite — which it is unless the
-    /// run is an initial run of a replicated sort, which a recovery may
-    /// need to re-read.
-    free_consumed: bool,
-    /// Per issued batch, its blocks on this PE: index in the batch,
-    /// block, fetch.
-    pending: VecDeque<Vec<(usize, BlockId, BlockFetch)>>,
-}
-
-impl<K> BlockSource<K> for ClusterSource<'_> {
-    fn issue(&mut self, batch: &[InputBlock<K>]) -> Result<()> {
-        let mine: Vec<(usize, BlockId)> = batch
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.owner == self.me)
-            .map(|(i, b)| (i, b.id))
-            .collect();
-        let ids: Vec<BlockId> = mine.iter().map(|&(_, id)| id).collect();
-        let schedule = duality_issue_order(&ids, self.buffers);
-        let fetches = self.storage.fetch_blocks_scheduled(self.me, &ids, &schedule)?;
-        self.pending
-            .push_back(mine.into_iter().zip(fetches).map(|((i, id), f)| (i, id, f)).collect());
-        Ok(())
-    }
-
-    fn wait(&mut self, _: &[InputBlock<K>], mut take: impl FnMut(usize, Box<[u8]>)) -> Result<()> {
-        // In issue order: the transport requires it.
-        for (i, id, fetch) in self.pending.pop_front().unwrap_or_default() {
-            let buf = fetch.wait()?;
-            if self.free_consumed {
-                self.storage.pe(self.me).alloc().free(id);
-            }
-            take(i, buf);
-        }
-        Ok(())
+        merge_batches(&how, &blocks, &mut reads, deliver)
     }
 }

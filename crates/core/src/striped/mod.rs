@@ -16,9 +16,9 @@
 //!   machine decides
 //!   ([`MachineConfig::merge_fan_in`](demsort_types::MachineConfig::merge_fan_in)),
 //!   each group merged batch by batch in prediction-sequence order
-//!   through the carry-merge kernel the canonical final merge uses
-//!   ([`crate::merge::CarryMerge`]); each batch is exchanged, and
-//!   striped like a run.
+//!   through the batch loop the canonical final merge uses
+//!   ([`crate::batchmerge`]), each PE reading the batch's blocks on its
+//!   own disks; each batch is exchanged, and striped like a run.
 //! * **Recovery** (`recovery`): replicas written at run formation let
 //!   the survivors of a rank's death regroup and re-merge.
 //!
@@ -44,12 +44,13 @@ mod tests;
 pub use recovery::{ResilientHooks, SubgroupFn};
 pub use runs::StripedRun;
 
-use crate::ctx::{ClusterStorage, PhaseRecorder};
+use crate::ctx::PhaseRecorder;
 use crate::fileio::OutputFile;
 use crate::psort::Exchange;
 use crate::runform::{GroupReader, LocalInput};
 use crate::seqsort::sort_in_node;
 use demsort_net::Communicator;
+use demsort_storage::PeStorage;
 use demsort_types::{CommCounters, Error, Phase, PhaseStats, Record, Result, SortConfig};
 use merge::MergeJob;
 use recovery::regroup;
@@ -67,7 +68,7 @@ pub struct StripedOutcome {
     /// included), then — when merging happened — the merge passes
     /// under [`Phase::FinalMerge`].
     ///
-    /// The fetch/merge interleaving of the merge passes is journalled
+    /// The read/merge interleaving of the merge passes is journalled
     /// through the communicator's [`Tracer`](demsort_types::Tracer) as
     /// [`TraceEv::MergeIssued`](demsort_types::TraceEv::MergeIssued) /
     /// [`TraceEv::MergeEmitted`](demsort_types::TraceEv::MergeEmitted)
@@ -85,10 +86,10 @@ pub struct StripedOutcome {
 /// per batch whose cuts fall on block boundaries, each rank writing its
 /// part at its place, and no striping.
 ///
-/// `input` must reside on this rank's own storage
-/// (`storage.pe(comm.rank())`); cross-rank block access goes through
-/// `storage`'s block service, so the identical call works on the
-/// in-process cluster and on a multi-process single-rank view.
+/// `st` is this rank's storage: `input` resides there, and the sort
+/// reads and writes no other. Records reach other ranks only through
+/// `comm`'s all-to-alls, so the identical call works on the in-process
+/// cluster and on a multi-process worker.
 ///
 /// Without `hooks` a rank failure surfaces as [`Error::Comm`]. With
 /// [`AlgoConfig::replication`]` = f > 0` and more than one run (the
@@ -121,7 +122,7 @@ pub struct StripedOutcome {
 /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
 pub fn striped_mergesort<R: Record + Ord>(
     comm: &Communicator,
-    storage: &ClusterStorage,
+    st: &PeStorage,
     cfg: &SortConfig,
     input: LocalInput,
     cores: usize,
@@ -130,11 +131,10 @@ pub fn striped_mergesort<R: Record + Ord>(
 ) -> Result<StripedOutcome> {
     let me = comm.rank();
     let p = comm.size();
-    let st = storage.pe(me);
     let f = cfg.algo.replication;
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
     let view = RankView::identity(me, p);
-    // The merge loop journals its fetch/merge interleaving through the
+    // The merge loop journals its read/merge interleaving through the
     // tracer the phase spans go to.
     let tr = comm.tracer();
 
@@ -156,7 +156,6 @@ pub fn striped_mergesort<R: Record + Ord>(
         for j in 0..num_runs {
             tr.progress(Phase::RunFormation, j as u64, num_runs as u64);
             groups.collect(groups.issue(j), &mut data)?;
-            st.pool().add_copied((data.len() * R::BYTES) as u64);
             let mut sort_cpu = sort_in_node(&mut data, cores);
             if last_pass {
                 // Into the output file, this rank's part at its place: no
@@ -196,7 +195,7 @@ pub fn striped_mergesort<R: Record + Ord>(
             let job = MergeJob {
                 comm,
                 view: &view,
-                storage,
+                st,
                 cfg,
                 cores,
                 k_max: cfg.machine.merge_fan_in(),

@@ -2,6 +2,7 @@ use super::merge::MergeJob;
 use super::recovery::remap_runs;
 use super::runs::{DiskOutput, RankView};
 use super::*;
+use crate::ctx::ClusterStorage;
 use crate::job::run_in_process;
 use crate::runform::ingest_input;
 use crate::validate::Fingerprint;
@@ -50,9 +51,9 @@ fn sort_into_file(
     let output = OutputFile { path: &path, records };
     let (report, per_pe, _) = run_in_process(cfg, Element16::BYTES, |comm, storage| {
         let rank = comm.rank();
-        let input = ingest_input(storage.pe(rank), &inputs[rank])?;
-        let cores = cfg.machine.cores_per_pe;
-        let o = striped_mergesort::<Element16>(&comm, storage, cfg, input, cores, None, output)?;
+        let (st, cores) = (storage.pe(rank), cfg.machine.cores_per_pe);
+        let input = ingest_input(st, &inputs[rank])?;
+        let o = striped_mergesort::<Element16>(&comm, st, cfg, input, cores, None, output)?;
         let phases = o.phases.clone();
         Ok((RankReport { rank, elems: o.written, runs: o.runs, phases, error: None }, o))
     })
@@ -96,15 +97,7 @@ fn sort_traced(
             let st = storage_ref.pe(comm.rank());
             let recs = generate_pe_input(InputSpec::Uniform, 21, comm.rank(), p, local_n);
             let input = ingest_input(st, &recs)?;
-            let o = striped_mergesort::<Element16>(
-                &comm,
-                storage_ref,
-                cfg,
-                input,
-                cores,
-                None,
-                output,
-            )?;
+            let o = striped_mergesort::<Element16>(&comm, st, cfg, input, cores, None, output)?;
             Ok((o, tracer.drain()))
         });
     let per_pe = results.into_iter().map(|r| r.expect("traced sort")).collect();
@@ -158,7 +151,7 @@ fn merged_on_disks(
         let job = MergeJob {
             comm: &comm,
             view: &view,
-            storage,
+            st,
             cfg,
             cores: 1,
             k_max: cfg.machine.merge_fan_in(),
@@ -285,8 +278,8 @@ fn merge_phase_merges_instead_of_sorting() {
 #[test]
 fn next_batch_fetches_issued_before_current_batch_emits() {
     // Multi-batch single-pass merge: the trace must show batch
-    // b+1's fetches handed to the block service before batch b's
-    // piece is written — the fetch/merge overlap of Section IV-E.
+    // b+1's reads in flight before batch b's piece is written — the
+    // read/merge overlap of Section IV-E.
     for (o, recs) in &sort_striped_traced(MachineConfig::tiny(2), 1200) {
         assert_eq!(o.passes, 1);
         let evs: Vec<TraceEv> = recs.iter().map(|r| r.ev.clone()).collect();
@@ -297,7 +290,7 @@ fn next_batch_fetches_issued_before_current_batch_emits() {
             assert!(
                 pos(TraceEv::MergeIssued { pass: 0, group: 0, batch: b + 1, batches })
                     < pos(TraceEv::MergeEmitted { pass: 0, group: 0, batch: b, batches }),
-                "batch {}'s fetches must be in flight before batch {b} emits: {evs:?}",
+                "batch {}'s reads must be in flight before batch {b} emits: {evs:?}",
                 b + 1
             );
         }
@@ -522,7 +515,7 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
         };
         striped_mergesort::<Element16>(
             &comm,
-            storage_ref,
+            storage_ref.pe(me),
             cfg_ref,
             input,
             cfg_ref.machine.cores_per_pe,
@@ -580,7 +573,7 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
             let job = MergeJob {
                 comm: &comm,
                 view: &view,
-                storage,
+                st: storage.pe(0),
                 cfg,
                 cores: 1,
                 k_max: cfg.machine.merge_fan_in(),
@@ -657,8 +650,7 @@ fn replica_buffers_recycle_across_runs() {
         // Twelve runs: the output is opened by the last merge, which
         // never starts.
         let output = OutputFile { path: Path::new("never-opened.dat"), records: 0 };
-        let stopped =
-            striped_mergesort::<Element16>(&c, storage, cfg, input, 1, Some(hooks), output);
+        let stopped = striped_mergesort::<Element16>(&c, st, cfg, input, 1, Some(hooks), output);
         assert!(stopped.is_err(), "abandoned at merge start");
         st.pool().counters().misses - before.misses
     });

@@ -24,13 +24,14 @@
 //!   coordinator, buffered writers flushed at collective boundaries,
 //!   and per-socket timeouts so dead peers surface as errors. This
 //!   plays the role of MVAPICH's network device on the paper's
-//!   cluster; remote block reads (selection probes, striped-sequence
-//!   reconstruction) and writes (run replication) ride the out-of-band
-//!   **block service** ([`tcp::TcpTransport::fetch_blocks`],
-//!   [`tcp::TcpTransport::store_blocks`]) — one batched, pipelined,
+//!   cluster; remote block reads — multiway selection's probes, the
+//!   sorts' only reads of another rank's disk — ride the out-of-band
+//!   **block service** ([`tcp::TcpTransport::fetch_block`]), one
 //!   id-matched request/reply exchange served by the owner's reader
-//!   thread, the moral equivalent of the RDMA gets and puts the paper
-//!   assumes.
+//!   thread, the moral equivalent of the RDMA gets the paper assumes.
+//!   Its batched, pipelined forms ([`tcp::TcpTransport::fetch_blocks`],
+//!   and [`tcp::TcpTransport::store_blocks`] for writes) have no caller
+//!   in the sorts.
 //!
 //! Because metering happens in the facade, the message/byte counters of
 //! a job are **identical across transports** — the in-process cluster

@@ -391,7 +391,7 @@ impl TcpTransport {
     }
 
     /// Register the handler serving this rank's blocks to remote
-    /// block-service requests (selection probes, striped reads).
+    /// block-service requests (selection probes).
     pub fn set_block_handler(&self, h: BlockHandler) {
         *self.inner.block.fetch_handler.write().expect("handler lock") = Some(h);
     }
@@ -404,7 +404,7 @@ impl TcpTransport {
     }
 
     /// Register the handler accepting remote block *stores* into this
-    /// rank's storage (run replication).
+    /// rank's storage.
     pub fn set_store_handler(&self, h: StoreHandler) {
         *self.inner.block.store_handler.write().expect("handler lock") = Some(h);
     }

@@ -387,7 +387,8 @@ pub struct ProgressFrame {
     pub batch: u64,
     /// Total merge batches in the current group (0 outside merge).
     pub batches: u64,
-    /// Bytes moved through the block service so far.
+    /// Bytes read so far by the rank's merges (every block either
+    /// sort's merge loop takes) and fetched through its block service.
     pub bytes: u64,
 }
 
@@ -507,10 +508,9 @@ impl Tracer {
         self.emit(TraceOp::End(id), ev);
     }
 
-    /// Record an instantaneous event. [`TraceEv::Fetch`] events also
-    /// feed the byte meter reported in progress frames
-    /// (`blocks * block_bytes` supplied by the caller via
-    /// [`Tracer::add_bytes`]).
+    /// Record an instantaneous event. (The byte meter reported in
+    /// progress frames is fed separately, through
+    /// [`Tracer::add_bytes`].)
     pub fn instant(&self, ev: TraceEv) {
         self.emit(TraceOp::Instant, ev);
     }

@@ -280,8 +280,7 @@ fn striped_and_canonical_agree() {
         let st = storage_ref.pe(c.rank());
         let recs = generate_pe_input(InputSpec::Uniform, 21, c.rank(), p, local_n);
         let input = ingest_input(st, &recs).expect("ingest");
-        striped_mergesort::<Element16>(&c, storage_ref, &cfg2, input, 1, None, output)
-            .expect("striped")
+        striped_mergesort::<Element16>(&c, st, &cfg2, input, 1, None, output).expect("striped")
     });
     let mut striped_all = Vec::new();
     Element16::decode_slice(&std::fs::read(&path).expect("read"), &mut striped_all);
