@@ -6,7 +6,7 @@
 //! | id | name | invariant |
 //! |----|------|-----------|
 //! | L1 | no-panic | no `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`.unwrap()` in non-test code of `crates/{net,storage,types,core}`; `.expect(` is inventoried as a warning (repo policy reserves it for process-local invariants no peer can trigger) |
-//! | L2 | fallible-op-discipline | a `Result` from a `Communicator`/`Transport`/`ClusterStorage`/`IoEngine` API is never discarded via `let _ =`, `.ok();`, or a bare statement drop |
+//! | L2 | fallible-op-discipline | a `Result` from a `Communicator`/`Transport`/`IoEngine` API is never discarded via `let _ =`, `.ok();`, or a bare statement drop |
 //! | L3 | unsafe-audit | every `unsafe` block/fn/impl carries a `// SAFETY:` comment; all sites feed the unsafe-inventory artifact |
 //! | L4 | trace-span-pairing | a function that opens a trace span (`.begin(`) also closes one (`.end(`), and vice versa — the static twin of `demsort-trace`'s runtime spans-closed check |
 //! | L5 | counter-integrity | identity-pinned counter fields (`CpuCounters`, `CommCounters`, `IoCounters`, wire meters) are mutated only in the allowlisted metering modules |
@@ -29,7 +29,7 @@ pub const LINTS: &[(&str, &str, &str)] = &[
     (
         "L2",
         "fallible-op-discipline",
-        "no discarded Result from Communicator/Transport/ClusterStorage/IoEngine APIs",
+        "no discarded Result from Communicator/Transport/IoEngine APIs",
     ),
     (
         "L3",
@@ -54,7 +54,7 @@ const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"]
 /// name because the analyzer is token-level; the list holds the
 /// `Result`-returning surface of:
 /// `Transport`/`Communicator` and the TCP block channel (net),
-/// `ClusterStorage` (core::ctx), `IoEngine`/`IoHandle` and
+/// `IoEngine`/`IoHandle` and
 /// `RunWriter` (storage), and the readers and `fileio::OutputFile`
 /// (core).
 const FALLIBLE_METHODS: &[&str] = &[
@@ -78,10 +78,9 @@ const FALLIBLE_METHODS: &[&str] = &[
     "chunked_alltoallv",
     "advance_epoch",
     "drain_to_epoch",
-    // ClusterStorage, fetch handles and the TCP block channel
+    // Fetch handles and the TCP block channel
     "fetch_block",
     "fetch_blocks",
-    "fetch_block_cached",
     "store_blocks",
     "wait",
     // IoEngine (a dropped handle loses the I/O and its error)

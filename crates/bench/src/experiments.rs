@@ -257,27 +257,26 @@ pub fn sortbench(scale: &ExpScale, pes: usize) -> Table {
     t
 }
 
-/// Ablation of Section IV-A's selection optimizations: sampling and
-/// block caching, on the worst case where probes are most expensive.
+/// Section IV-A's selection over the sample spacing `K`: the sample
+/// brackets every split to a window of fewer than `2K + 2R(K−1)`
+/// records, which the PEs read from their own disks and push to the
+/// selecting PE.
 pub fn ablate_selection(scale: &ExpScale, pes: usize) -> Table {
     let mut t = Table::new(
-        "Ablation — multiway selection: sampling / caching (sums over PEs)",
-        &["sampling", "cache", "sample_hits", "blocks_fetched", "cache_hits", "remote_MiB"],
+        "Ablation — multiway selection: sample spacing K (sums over PEs)",
+        &["K", "window_records", "blocks_read", "pushed_KiB"],
     );
-    for (sample_every, cache) in [(64usize, 32usize), (64, 0), (0, 32), (0, 0)] {
-        let algo =
-            AlgoConfig { sample_every, selection_cache_blocks: cache, ..AlgoConfig::default() };
+    for sample_every in [16usize, 64, 256] {
+        let algo = AlgoConfig { sample_every, ..AlgoConfig::default() };
         let outcome = run_canonical(scale, pes, InputSpec::Uniform, algo);
         let sum = |f: &dyn Fn(&demsort_core::extselect::SelectionStats) -> u64| -> u64 {
             outcome.per_pe.iter().map(|o| f(&o.selection)).sum()
         };
         t.row(vec![
-            if sample_every > 0 { format!("every {sample_every}") } else { "off".into() },
-            if cache > 0 { format!("{cache} blocks") } else { "off".into() },
-            sum(&|s| s.sample_hits).to_string(),
-            sum(&|s| s.blocks_local + s.blocks_remote).to_string(),
-            sum(&|s| s.cache_hits).to_string(),
-            format!("{:.2}", sum(&|s| s.remote_bytes) as f64 / (1 << 20) as f64),
+            format!("every {sample_every}"),
+            sum(&|s| s.window_records).to_string(),
+            sum(&|s| s.blocks_read).to_string(),
+            format!("{:.1}", sum(&|s| s.bytes_pushed) as f64 / 1024.0),
         ]);
     }
     t

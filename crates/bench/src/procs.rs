@@ -13,17 +13,14 @@
 //! ## Data path of a worker
 //!
 //! [`run_rank`] builds this substrate's `(comm, storage, hooks)` — the
-//! rank's disks, the TCP mesh, the rank's view of the cluster over its
-//! mesh endpoint ([`ClusterStorage::over_mesh`]: its storage, the
-//! endpoint's block channel for its peers' blocks, its own blocks
-//! served to them for as long as the view lives), recovery hooks wired
-//! to the transport's failure detector — and hands them to
+//! rank's disks and its storage over them ([`pe_storage`], its buffer
+//! pool shared with the mesh endpoint), the TCP mesh, recovery hooks
+//! wired to the transport's failure detector — and hands them to
 //! [`run_rank_job`], which sorts the rank's shard of the input, read
 //! where it lies, and writes the blocks it ends up owning into its byte
-//! ranges of the shared output file in the sort's last pass. A block a peer asks for, or
-//! sends here to be stored (run replication), is served on that peer's
-//! reader thread by the same two functions of `demsort_core::ctx` that
-//! serve the in-process cluster, out of this rank's buffer pool. Any
+//! ranges of the shared output file in the sort's last pass. No rank
+//! reads or writes another's disks: everything a peer needs arrives
+//! over the communicator. Any
 //! file failure is an `Error::Io` naming the path, the rank and the
 //! byte offset, shipped to the launcher like every other failure. The
 //! rank's disks are the files [`rank_backend`] creates under the job's
@@ -69,7 +66,7 @@
 //! address — the multi-host path, where the job config comes from
 //! flags instead of the wire.
 
-use demsort_core::ctx::ClusterStorage;
+use demsort_core::ctx::pe_storage;
 use demsort_core::job::{
     cluster_report, default_scratch, probe_scratch, rank_backend, rank_tracer, run_rank_job,
     sweep_scratch,
@@ -199,8 +196,8 @@ pub fn run_worker(coordinator: &str) -> Result<RankReport> {
 /// then hold the mesh up until every live peer is done too. Shared by
 /// the coordinator and hostfile bootstrap paths.
 ///
-/// `tracer` is threaded through the transport, the block service and
-/// the communicator so a traced run journals every layer under one
+/// `tracer` is threaded through the transport and the communicator so
+/// a traced run journals every layer under one
 /// rank/clock; pass [`Tracer::off`] for an untraced run.
 pub fn run_rank(
     rank: usize,
@@ -231,19 +228,18 @@ pub fn run_rank(
     let tcp = TcpTransport::connect_mesh(rank, addrs, listener, opts)?;
     tcp.set_tracer(tracer.clone());
 
-    // This rank's view of the cluster: its storage, the mesh for its
-    // peers' blocks, and its own blocks served to them until the view
-    // drops — on every way out of this function.
-    let storage = ClusterStorage::over_mesh(&tcp, &job.machine, backend, tracer.clone());
+    // This rank's storage; wire frames recycle the buffers its disk
+    // path uses.
+    let st = pe_storage(&job.machine, backend);
+    tcp.set_buffer_pool(st.pool().clone());
 
     // The rank program — the same body the in-process cluster runs.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
     comm.set_tracer(tracer.clone());
-    let report = run_rank_job(job, &comm, &storage, Some(recovery_hooks(&tcp)))?;
+    let report = run_rank_job(job, &comm, &st, Some(recovery_hooks(&tcp)))?;
 
     // Ranks must not tear the mesh down while a slower peer still
-    // depends on it (remote reads are done, but the final phases
-    // interleave); the view stops serving on return. After a degraded
+    // depends on it (the final phases interleave). After a degraded
     // striped completion a global barrier would wait on the dead rank
     // forever, so synchronize over the live group only.
     let dead = tcp.dead_peers();

@@ -18,8 +18,8 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 
 // Big enough that each rank's ~1.2 MiB shard exceeds its 1 MiB of
-// memory: the sort is external (R > 1), so multiway selection's remote
-// probes cross the multi-address mesh too.
+// memory: the sort is external (R > 1), so multiway selection's pushed
+// windows and the all-to-all cross the multi-address mesh too.
 const RECORDS: usize = 36_000;
 const RANKS: usize = 3;
 

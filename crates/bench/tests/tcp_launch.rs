@@ -24,8 +24,9 @@ const RECORDS: usize = 3_000;
 const RANKS: usize = 4;
 
 fn test_machine() -> MachineConfig {
-    // Tiny blocks and memory force a genuinely external sort (R > 1)
-    // with remote selection probes crossing the TCP mesh.
+    // Tiny blocks and memory force a genuinely external sort (R > 1):
+    // selection pushes windows and the all-to-all moves run pieces
+    // over the TCP mesh.
     MachineConfig {
         pes: RANKS,
         disks_per_pe: 2,
@@ -145,24 +146,17 @@ fn four_rank_tcp_launch_matches_in_process_run() {
             assert_eq!(t, l, "comm counters (pe {pe}, {phase})");
         }
     }
-    // And the I/O volumes: the workers run the same storage engine.
-    // Compared as per-PE totals, not per phase: serving a selection
-    // probe charges the block read to the *owner's* engine at whatever
-    // instant the prober asks, so its phase attribution on the owner
-    // is scheduling-dependent (a fast rank can probe a peer that has
-    // not closed its previous phase yet) — on either transport. The
-    // probe set itself is deterministic, so totals match exactly.
+    // And the I/O, per rank and per phase: the workers run the same
+    // storage engine, and no rank reads or writes another's disks, so
+    // every block operation lands in the phase of the rank that made it.
     for pe in 0..RANKS {
-        let totals = |rep: &SortReport| {
-            Phase::ALL
-                .iter()
-                .map(|ph| {
-                    let io = rep.get(pe, *ph).io;
-                    (io.bytes_read, io.bytes_written, io.blocks_read, io.blocks_written)
-                })
-                .fold((0, 0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3))
-        };
-        assert_eq!(totals(&tcp.report), totals(&local_report), "io totals (pe {pe})");
+        for phase in Phase::ALL {
+            let io = |rep: &SortReport| {
+                let io = rep.get(pe, phase).io;
+                (io.bytes_read, io.bytes_written, io.blocks_read, io.blocks_written)
+            };
+            assert_eq!(io(&tcp.report), io(&local_report), "io counters (pe {pe}, {phase})");
+        }
     }
 
     for p in [&input, &out_tcp, &out_local] {

@@ -198,3 +198,57 @@ fn four_rank_traced_run_produces_valid_journals() {
     let _ = std::fs::remove_file(&output);
     let _ = std::fs::remove_dir_all(&trace_dir);
 }
+
+#[test]
+fn four_rank_traced_canonical_run_reads_no_peer_disk() {
+    let input = tmp_path("canon-input.dat");
+    let output = tmp_path("canon-out.dat");
+    let trace_dir = tmp_path("canon-trace");
+    write_gensort_input(&input);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+
+    let job = JobConfig {
+        input: input.to_string_lossy().into_owned(),
+        output: output.to_string_lossy().into_owned(),
+        machine: test_machine(),
+        algo: AlgoConfig::default(),
+        algorithm: SortAlgo::Canonical,
+        read_timeout_ms: 60_000,
+        trace_dir: trace_dir.to_string_lossy().into_owned(),
+        scratch: default_scratch(&output.to_string_lossy()),
+    };
+    let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
+    let outcome = launch(&job, &worker).expect("traced canonical tcp launch");
+    assert!(outcome.report.runs > 1, "test must exercise selection (R > 1)");
+
+    for rank in 0..RANKS {
+        let path = trace_dir.join(format!("rank{rank}.jsonl"));
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("rank {rank} journal missing: {e}"));
+        let records = read_journal(&text).expect("journal parses");
+        validate_rank_journal(&records)
+            .unwrap_or_else(|e| panic!("rank {rank}: invariant violated: {e}"));
+        let phases: Vec<Phase> = records
+            .iter()
+            .filter_map(|r| match (&r.op, &r.ev) {
+                (TraceOp::Begin(_), TraceEv::Phase { phase }) => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            phases,
+            [Phase::RunFormation, Phase::MultiwaySelection, Phase::AllToAll, Phase::FinalMerge],
+            "rank {rank}"
+        );
+        // Selection reads only this rank's disks and pushes what it
+        // read: no block is fetched from a peer.
+        assert!(
+            !records.iter().any(|r| matches!(r.ev, TraceEv::Fetch { .. })),
+            "rank {rank}: the canonical sort fetched a block from a peer"
+        );
+    }
+
+    let _ = std::fs::remove_file(&input);
+    let _ = std::fs::remove_file(&output);
+    let _ = std::fs::remove_dir_all(&trace_dir);
+}

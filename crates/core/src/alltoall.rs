@@ -39,7 +39,7 @@ use crate::rundir::{slice_run, RunDirectory};
 use demsort_net::{chunked_alltoallv, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, PeStorage, RunWriter};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
-use demsort_types::{Error, Record, Result, SortConfig};
+use demsort_types::{ranks, Error, Record, Result, SortConfig};
 use std::ops::Range;
 
 /// One sorted piece of a run on local disk after redistribution — a
@@ -114,32 +114,61 @@ pub struct AllToAllOutcome<K> {
     pub subops: usize,
 }
 
-/// Allgather every PE's splitter vector (each PE computed its own rank's
-/// positions via external multiway selection).
+/// Allgather every PE's splitter vector (each PE selected its own
+/// rank's positions, [`crate::extselect::select_splitters`]).
 ///
 /// # Errors
 /// [`Error::Comm`](demsort_types::Error) if the allgather fails or a
-/// peer's splitter message is not one position per run.
-pub fn exchange_splitters(comm: &Communicator, mine: &RunSplitters) -> Result<Vec<RunSplitters>> {
+/// peer's splitter vector is not one position per run, each within its
+/// run, summing to the first global rank the peer owns.
+pub fn exchange_splitters<R: Record>(
+    comm: &Communicator,
+    dir: &RunDirectory<R>,
+    mine: &RunSplitters,
+) -> Result<Vec<RunSplitters>> {
     let gathered = comm.allgather(encode_u64s(&mine.positions))?;
-    let nruns = mine.positions.len();
+    let (p, n) = (comm.size(), dir.total_elems());
     gathered
         .iter()
         .enumerate()
         .map(|(src, buf)| {
-            decode_splitters(buf, nruns)
+            decode_splitters(buf, dir, ranks::owned_range(src, p, n).start)
                 .map_err(|e| from_peer(comm.rank(), src, "splitter vector", e))
         })
         .collect()
 }
 
-/// A peer's splitter vector: exactly `nruns` positions.
-fn decode_splitters(buf: &[u8], nruns: usize) -> Result<RunSplitters> {
+/// A peer's splitter vector: one position per run of `dir`, none past
+/// its run's end, summing to `rank`.
+fn decode_splitters<R: Record>(
+    buf: &[u8],
+    dir: &RunDirectory<R>,
+    rank: u64,
+) -> Result<RunSplitters> {
     let mut r = WireReader::new(buf);
-    let positions =
-        (0..nruns).map(|_| r.field("splitter position").u64()).collect::<Result<_>>()?;
+    let mut positions = Vec::with_capacity(dir.num_runs());
+    for (j, run) in dir.runs.iter().enumerate() {
+        let pos = r.field("splitter position").u64()?;
+        if pos > run.elems() {
+            return Err(Error::comm(format!(
+                "position {pos} past run {j}'s {} elems",
+                run.elems()
+            )));
+        }
+        positions.push(pos);
+    }
     if r.remaining() > 0 {
-        return Err(Error::comm(format!("{} bytes past {nruns} positions", r.remaining())));
+        return Err(Error::comm(format!(
+            "{} bytes past {} positions",
+            r.remaining(),
+            positions.len()
+        )));
+    }
+    let sum: u64 = positions.iter().sum();
+    if sum != rank {
+        return Err(Error::comm(format!(
+            "positions sum to {sum}, not the peer's first rank {rank}"
+        )));
     }
     Ok(RunSplitters { positions })
 }
@@ -452,12 +481,12 @@ fn write_fragment<R: Record>(
 mod tests {
     use super::*;
     use crate::ctx::ClusterStorage;
-    use crate::extselect::select_rank_external;
+    use crate::extselect::select_splitters;
     use crate::recio::{read_records, RecordRunReader};
     use crate::rundir::build_directory;
     use crate::runform::{form_runs, ingest_input};
     use demsort_net::run_cluster;
-    use demsort_types::{ranks, AlgoConfig, Element16, Key10, MachineConfig, Record100};
+    use demsort_types::{AlgoConfig, Element16, Key10, MachineConfig, Record100};
     use demsort_workloads::{generate_pe_input, InputSpec};
     use std::sync::Arc;
 
@@ -494,11 +523,8 @@ mod tests {
             let input = ingest_input(st, &recs).expect("ingest");
             let out = form_runs::<R>(&c, st, &cfg2, input, 1, None).expect("form");
             let dir = build_directory(&c, out.local).expect("directory");
-            let n = dir.total_elems();
-            let r = ranks::owned_range(c.rank(), p, n).start;
-            let (mine, _) =
-                select_rank_external(storage_ref, c.rank(), &dir, r, &cfg2.algo).expect("select");
-            let all = exchange_splitters(&c, &mine).expect("exchange");
+            let (mine, _) = select_splitters(&c, st, &dir).expect("select");
+            let all = exchange_splitters(&c, &dir, &mine).expect("exchange");
             // Reference: decode each run fully (before the exchange
             // frees blocks) and slice at the splitter positions; what of
             // it lies in this PE's own slice stays.
@@ -708,20 +734,30 @@ mod tests {
 
     #[test]
     fn exchange_splitters_rejects_malformed_vectors() {
-        let mine = RunSplitters { positions: vec![3, 5] };
-        let good = encode_u64s(&mine.positions);
-        // The empty message, every other strict prefix, one run too many.
+        // Two runs of 8 and 12 records over two PEs: rank 1's vector
+        // must sum to its first rank, 10.
+        let meta = |half: u64| crate::rundir::RunMeta::<Element16> {
+            slices: vec![Default::default(); 2],
+            offsets: vec![0, half, 2 * half],
+            samples: Vec::new(),
+        };
+        let dir = RunDirectory { runs: vec![meta(4), meta(6)], local: Vec::new() };
+        let good = encode_u64s(&[3, 7]);
+        // The empty message, every other strict prefix, one run too many,
+        // a position past its run, a sum other than the peer's rank.
         let mut bad: Vec<(Vec<u8>, &str)> =
             (0..good.len()).map(|cut| (good[..cut].to_vec(), "splitter position")).collect();
-        bad.push((encode_u64s(&[3, 5, 7]), "8 bytes past 2 positions"));
+        bad.push((encode_u64s(&[3, 7, 7]), "8 bytes past 2 positions"));
+        bad.push((encode_u64s(&[9, 1]), "position 9 past run 0's 8 elems"));
+        bad.push((encode_u64s(&[3, 5]), "positions sum to 8, not the peer's first rank 10"));
         for (msg, why) in &bad {
-            let mine = &mine;
+            let dir = &dir;
             let results = run_cluster(2, move |c| {
                 if c.rank() == 1 {
                     c.allgather(msg.clone()).expect("peer sends");
                     return None;
                 }
-                Some(exchange_splitters(&c, mine))
+                Some(exchange_splitters(&c, dir, &RunSplitters { positions: vec![0, 0] }))
             });
             let err = results[0].clone().expect("rank 0").expect_err("malformed vector");
             let text = err.to_string();
@@ -729,6 +765,11 @@ mod tests {
             assert!(text.contains("rank 0: bad splitter vector from rank 1"), "{text}");
             assert!(text.contains(why), "{} bytes: {text}", msg.len());
         }
+        let results = run_cluster(2, |c| {
+            let mine = if c.rank() == 0 { vec![0, 0] } else { vec![3, 7] };
+            exchange_splitters(&c, &dir, &RunSplitters { positions: mine }).expect("valid")
+        });
+        assert_eq!(results[0][1].positions, vec![3, 7]);
     }
 
     #[test]

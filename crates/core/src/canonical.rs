@@ -6,8 +6,9 @@
 //!    parallel, slices written locally, randomized block choice,
 //!    samples collected, I/O overlapped.
 //! 2. **Multiway selection** ([`crate::extselect`]) — PE `i` finds the
-//!    exact global rank `⌊i·N/P⌋` partition over all runs; splitter
-//!    positions are exchanged.
+//!    exact global rank `⌊i·N/P⌋` partition over all runs, in memory,
+//!    over the sample-bracketed windows the PEs push it from their own
+//!    disks; splitter positions are exchanged.
 //! 3. **All-to-all** ([`crate::alltoall`]) — the memory-bounded
 //!    external redistribution; data already in place stays put.
 //! 4. **Final merge** ([`crate::localmerge`]) — the local `R`-way
@@ -27,7 +28,7 @@
 
 use crate::alltoall::{exchange_splitters, external_alltoall};
 use crate::ctx::{ClusterStorage, PhaseRecorder};
-use crate::extselect::{select_rank_external, SelectionStats};
+use crate::extselect::{select_splitters, SelectionStats};
 use crate::fileio::OutputFile;
 use crate::job::run_in_process;
 use crate::localmerge::final_merge;
@@ -35,8 +36,9 @@ use crate::recio::{FinishedRun, RunDest};
 use crate::rundir::build_directory;
 use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::Communicator;
+use demsort_storage::PeStorage;
 use demsort_types::wire::RankReport;
-use demsort_types::{ranks, Error, Phase, PhaseStats, Record, Result, SortConfig};
+use demsort_types::{Error, Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
 
 /// Per-PE result of a canonical mergesort.
@@ -48,7 +50,7 @@ pub struct PeOutcome<R: Record> {
     pub output: FinishedRun<R>,
     /// Per-phase measured counters.
     pub phases: Vec<(Phase, PhaseStats)>,
-    /// Probe statistics of the multiway selection.
+    /// What the multiway selection read, pushed and selected over.
     pub selection: SelectionStats,
     /// Number of suboperations the all-to-all used (`k`).
     pub alltoall_subops: usize,
@@ -70,21 +72,21 @@ pub fn canonical_mergesort<R: Record + Ord>(
     input: LocalInput,
     cores: usize,
 ) -> Result<PeOutcome<R>> {
-    canonical_mergesort_to(comm, storage, cfg, input, cores, None)
+    canonical_mergesort_to(comm, storage.pe(comm.rank()), cfg, input, cores, None)
 }
 
 /// [`canonical_mergesort`] whose last pass writes this PE's output part
 /// into `output` (`None`: onto its disks, as [`canonical_mergesort`]).
+/// `st` is this PE's own storage.
 pub fn canonical_mergesort_to<R: Record + Ord>(
     comm: &Communicator,
-    storage: &ClusterStorage,
+    st: &PeStorage,
     cfg: &SortConfig,
     input: LocalInput,
     cores: usize,
     output: Option<OutputFile<'_>>,
 ) -> Result<PeOutcome<R>> {
     let me = comm.rank();
-    let st = storage.pe(me);
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
 
     // ---- Phase 1: run formation ----
@@ -111,12 +113,9 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
     }
 
     // ---- Phase 2a: multiway selection ----
-    let (all_splitters, sel_stats) = rec.phase(Phase::MultiwaySelection, comm, st, |rec| {
-        let my_rank_boundary = ranks::owned_range(me, comm.size(), dir.total_elems()).start;
-        let (splitters, sel_stats) =
-            select_rank_external(storage, me, &dir, my_rank_boundary, &cfg.algo)?;
-        rec.add_comm(sel_stats.comm());
-        Ok((exchange_splitters(comm, &splitters)?, sel_stats))
+    let (all_splitters, sel_stats) = rec.phase(Phase::MultiwaySelection, comm, st, |_| {
+        let (splitters, sel_stats) = select_splitters(comm, st, &dir)?;
+        Ok((exchange_splitters(comm, &dir, &splitters)?, sel_stats))
     })?;
 
     // ---- Phase 2b: external all-to-all ----
@@ -200,7 +199,7 @@ mod tests {
     use super::*;
     use crate::recio::read_records;
     use crate::validate::Fingerprint;
-    use demsort_types::{AlgoConfig, Element16, MachineConfig};
+    use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig};
     use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
 
     fn config(pes: usize) -> SortConfig {

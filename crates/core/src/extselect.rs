@@ -1,144 +1,44 @@
-//! Phase 2a: external multiway selection across runs (Section IV-A,
-//! Appendix B).
+//! Phase 2a: exact multiway selection across runs (Section IV-A,
+//! Appendix B), reading only the selecting PEs' own disks.
 //!
-//! PE `i` selects, for each run, the position of the first element it
-//! must own in the final output — i.e. the partition of global rank
-//! `r = ⌊i·N/P⌋` over the `R` runs. The runs live on disk, distributed
-//! over all PEs, so a probe of run element `x` may hit a *remote* disk:
-//! "although these selections can run in parallel, they have to request
-//! data from remote disks and thus the worst case number of I/O steps
-//! is `O(RP log M)` when a constant fraction of requests is directed to
-//! a single disk."
-//!
-//! The paper's three mitigations, all implemented and ablatable:
-//!
-//! 1. **randomization** during run formation spreads the probes;
-//! 2. **sampling** — every `K`-th element of each run (collected while
-//!    the runs were written, kept in memory) warm-starts the splitter
-//!    positions so the step size starts at `~K` instead of `M`;
-//! 3. **caching** — an LRU cache of recently probed blocks absorbs the
-//!    last `R·log B` probes of the halving search.
-//!
-//! A probe reads the block through the unified
-//! [`ClusterStorage::fetch_block_cached`] path — the *owning* PE's
-//! storage engine serves it (its disk pays the I/O, as in the paper's
-//! bottleneck analysis), the shared [`BlockCache`] absorbs repeats,
-//! and the transferred bytes are charged to the prober as
-//! communication. The same path serves the probes on every transport,
-//! so the probe counters are deployment-independent by construction.
+//! PE `s` must find, for each run, the position of the first element it
+//! owns in the final output — the partition of global rank
+//! `r_s = ⌊s·N/P⌋` over the `R` runs. The runs live on disk, spread over
+//! all PEs, and the paper's probes "have to request data from remote
+//! disks", a hot spot it softens with randomization, a sample and a
+//! cache. Here the sample does all of it: the directory holds every
+//! `K`-th record of every run, and that alone brackets every run's
+//! split to a window of a few `K` records (`sample_windows`). So no
+//! PE reads for another. Each PE reads the parts of all `P` windows
+//! that lie in its own slices and pushes the keys of window `s` to PE
+//! `s` in one all-to-all; PE `s` then selects exactly, in memory, over
+//! them ([`select_splitters`]). The split is unique under the
+//! (key, run, position) order, so it is the one a search over the
+//! whole runs would find.
 
-use crate::ctx::{BlockCache, ClusterStorage, FetchSource};
-use crate::recio::records_per_block;
+use crate::recio::RecordRunReader;
 use crate::rundir::{RunDirectory, RunMeta};
-use crate::selection::{multiway_select_from, KeyedSlice, SortedSeq};
-use demsort_types::{AlgoConfig, CommCounters, Error, Record, Result};
-use std::cell::RefCell;
-use std::rc::Rc;
+use crate::selection::multiway_select;
+use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
+use demsort_storage::PeStorage;
+use demsort_types::wire::{from_peer, WireReader, WireWriter};
+use demsort_types::{ranks, Error, Key, Record, Result};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
-/// Probe-cost accounting for one external selection.
+/// What one PE's selection cost.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SelectionStats {
-    /// Element probes answered from the in-memory sample (no block
-    /// access at all). Zero when sampling is off.
-    pub sample_hits: u64,
-    /// Blocks served by the probe cache.
-    pub cache_hits: u64,
-    /// Blocks fetched from this PE's own disks.
-    pub blocks_local: u64,
-    /// Blocks fetched from other PEs' disks.
-    pub blocks_remote: u64,
-    /// Bytes moved over the (simulated) network for remote probes.
-    pub remote_bytes: u64,
-}
-
-impl SelectionStats {
-    /// Element probes that had to fetch a block (disk I/O steps); the
-    /// in-memory sample and the block cache absorb the rest. Derived
-    /// from the fetch counters so the two can never drift apart.
-    pub fn probes(&self) -> u64 {
-        self.blocks_local + self.blocks_remote
-    }
-
-    /// The communication this selection caused (attributed to the
-    /// probing PE: remote gets are one request + one block reply).
-    pub fn comm(&self) -> CommCounters {
-        CommCounters {
-            bytes_sent: 16 * self.blocks_remote, // request descriptors
-            bytes_recv: self.remote_bytes,
-            messages: 2 * self.blocks_remote,
-        }
-    }
-}
-
-/// Random access to one distributed on-disk run, as a [`SortedSeq`].
-struct RunProbe<'a, R: Record> {
-    storage: &'a ClusterStorage,
-    my_rank: usize,
-    meta: &'a RunMeta<R>,
-    rpb: usize,
-    /// Whether the in-memory sample may answer probes — tied to the
-    /// *selection-time* `sample_every` switch so an ablation with
-    /// sampling off really pays for every probe, even when the runs
-    /// were formed with samples attached.
-    use_samples: bool,
-    cache: Rc<RefCell<BlockCache>>,
-    stats: Rc<RefCell<SelectionStats>>,
-}
-
-impl<R: Record> SortedSeq for RunProbe<'_, R> {
-    type Key = R::Key;
-
-    fn len(&self) -> usize {
-        self.meta.elems() as usize
-    }
-
-    fn key_at(&mut self, idx: usize) -> Result<R::Key> {
-        // Appendix B: the sample lives in memory, so a probe landing on
-        // a sampled position costs no I/O at all. Warm-started searches
-        // spend their coarse rounds on the sample grid, which is what
-        // makes sampling cut the external probe count, not just the
-        // step size.
-        if self.use_samples {
-            if let Ok(si) = self.meta.samples.binary_search_by_key(&(idx as u64), |s| s.pos) {
-                self.stats.borrow_mut().sample_hits += 1;
-                return Ok(self.meta.samples[si].rec.key());
-            }
-        }
-        let (pe, local) = self.meta.locate(idx as u64);
-        let block_idx = (local / self.rpb as u64) as usize;
-        let offset = (local % self.rpb as u64) as usize;
-        let id = self.meta.slices[pe].blocks[block_idx];
-
-        // Only a cache-missing probe is an I/O step — the metric the
-        // paper's bottleneck analysis (and the sampling/caching
-        // ablation) is about; see SelectionStats::probes. The unified
-        // fetch path reads through the owner's storage: its disk pays
-        // the I/O. In multi-process mode a non-local owner is reached
-        // through the transport's block service; a dead owner surfaces
-        // here as a clean error, not a panic. Keep the error's kind (a
-        // local disk fault stays Error::Io) and add probe context to
-        // comm failures only.
-        let mut cache = self.cache.borrow_mut();
-        let (data, source) = self
-            .storage
-            .fetch_block_cached(self.my_rank, pe, id, &mut cache)
-            .map_err(|e| match e {
-                Error::Comm(m) => {
-                    Error::comm(format!("selection probe of rank {pe}'s block {id:?} failed: {m}"))
-                }
-                other => other,
-            })?;
-        let mut stats = self.stats.borrow_mut();
-        match source {
-            FetchSource::Cache => stats.cache_hits += 1,
-            FetchSource::LocalDisk => stats.blocks_local += 1,
-            FetchSource::RemoteDisk => {
-                stats.blocks_remote += 1;
-                stats.remote_bytes += data.len() as u64;
-            }
-        }
-        Ok(R::decode(&data[offset * R::BYTES..(offset + 1) * R::BYTES]).key())
-    }
+    /// Records in the windows of this PE's own boundary, which it
+    /// selected over.
+    pub window_records: u64,
+    /// Blocks this PE read from its own disks for the windows it
+    /// pushed.
+    pub blocks_read: u64,
+    /// Bytes this PE pushed to other PEs: the keys of window records
+    /// and one count per run.
+    pub bytes_pushed: u64,
 }
 
 /// The splitter positions of one global rank over all runs.
@@ -149,282 +49,461 @@ pub struct RunSplitters {
     pub positions: Vec<u64>,
 }
 
-/// Select the partition of global rank `r` over all runs of `dir` — a
-/// one-rank [`select_ranks_external`] (same probe path, same cache
-/// behavior).
+/// Where the split of one global rank can lie: run `j`'s split is in
+/// `lo[j]..=hi[j]`, so the records `lo[j]..hi[j]` decide it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Window {
+    /// Per run, the first record of the window.
+    lo: Vec<u64>,
+    /// Per run, one past the last record of the window.
+    hi: Vec<u64>,
+}
+
+impl Window {
+    /// Records in the window, over all runs.
+    fn records(&self) -> u64 {
+        self.lo.iter().zip(&self.hi).map(|(l, h)| h - l).sum()
+    }
+
+    /// The part of run `j`'s window that lies in the slice
+    /// `slice` (run-global positions).
+    fn part(&self, j: usize, slice: Range<u64>) -> Range<u64> {
+        let lo = self.lo[j].clamp(slice.start, slice.end);
+        lo..self.hi[j].clamp(lo, slice.end)
+    }
+}
+
+/// The windows of the global ranks `ranks` (ascending), from the runs'
+/// samples alone.
+///
+/// Take the samples in (key, run, position) order; after the first `t`,
+/// let `L_j(t)` be one past run `j`'s last taken sample and `H_j(t)` its
+/// first untaken one (or the run's end). Every element up to the `t`-th
+/// sample precedes every untaken one, so the split of that element's
+/// rank lies between `L(t)` and `H(t)` in every run. Rank `r`'s window
+/// is then `L(t_a)..H(t_b)`, with `t_a` the last prefix with
+/// `Σ H_j(t_a) ≤ r` and `t_b` the first with `Σ L_j(t_b) ≥ r`. When
+/// each run samples at most `K` records apart (every slice's first
+/// record, then every `K`-th), a window holds fewer than
+/// `2K + 2R(K−1)` records.
+pub(crate) fn sample_windows<R: Record>(runs: &[RunMeta<R>], ranks: &[u64]) -> Vec<Window> {
+    debug_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "ranks ascending");
+    let first_untaken =
+        |j: usize, taken: usize| runs[j].samples.get(taken).map_or(runs[j].elems(), |s| s.pos);
+    let mut taken = vec![0usize; runs.len()];
+    let mut lo = vec![0u64; runs.len()];
+    let mut hi: Vec<u64> = (0..runs.len()).map(|j| first_untaken(j, 0)).collect();
+    let (mut sum_lo, mut sum_hi) = (0u64, hi.iter().sum::<u64>());
+    // The runs' next samples; ties go to the lower run.
+    let mut next: BinaryHeap<Reverse<(R::Key, usize)>> = runs
+        .iter()
+        .enumerate()
+        .filter_map(|(j, m)| m.samples.first().map(|s| Reverse((s.rec.key(), j))))
+        .collect();
+    let mut windows = vec![Window::default(); ranks.len()];
+    // The next rank awaiting its window's lower and upper edges.
+    let (mut a, mut b) = (0, 0);
+    loop {
+        while b < ranks.len() && sum_lo >= ranks[b] {
+            windows[b].hi = hi.clone();
+            b += 1;
+        }
+        let step = next.pop().map(|Reverse((_, j))| j);
+        let next_hi = step.map_or(u64::MAX, |j| sum_hi - hi[j] + first_untaken(j, taken[j] + 1));
+        while a < ranks.len() && next_hi > ranks[a] {
+            windows[a].lo = lo.clone();
+            a += 1;
+        }
+        let Some(j) = step else { break };
+        let pos = runs[j].samples[taken[j]].pos;
+        taken[j] += 1;
+        sum_lo += pos + 1 - lo[j];
+        lo[j] = pos + 1;
+        sum_hi = next_hi;
+        hi[j] = first_untaken(j, taken[j]);
+        if let Some(s) = runs[j].samples.get(taken[j]) {
+            next.push(Reverse((s.rec.key(), j)));
+        }
+    }
+    // Ranks no prefix of the sample reaches end at the runs' ends.
+    for w in &mut windows[b..] {
+        w.hi = hi.clone();
+    }
+    windows
+}
+
+/// Select this PE's splitters (collective): the exact partition of
+/// global rank `⌊rank·N/P⌋` over the runs of `dir`.
+///
+/// Every PE computes all `P` windows from the directory's samples,
+/// reads the parts of them in its own slices, and sends the keys of
+/// window `s` to PE `s`; each PE then selects over the keys it
+/// received.
 ///
 /// # Errors
-/// [`Error::Comm`] if a (possibly remote) block probe fails — the
-/// selection aborts cleanly instead of panicking the PE.
-pub fn select_rank_external<R: Record + Ord>(
-    storage: &ClusterStorage,
-    my_rank: usize,
+/// [`Error::Io`] if reading a window part fails; [`Error::Comm`] if the
+/// exchange fails or a peer's pushed window does not hold exactly the
+/// records its bracket implies.
+pub fn select_splitters<R: Record + Ord>(
+    comm: &Communicator,
+    st: &PeStorage,
     dir: &RunDirectory<R>,
-    r: u64,
-    algo: &AlgoConfig,
 ) -> Result<(RunSplitters, SelectionStats)> {
-    let (mut splitters, stats) = select_ranks_external(storage, my_rank, dir, &[r], algo)?;
-    Ok((splitters.pop().expect("one rank selected"), stats))
+    let (p, me) = (comm.size(), comm.rank());
+    let n = dir.total_elems();
+    let bounds: Vec<u64> = (0..p).map(|s| ranks::owned_range(s, p, n).start).collect();
+    let windows = sample_windows(&dir.runs, &bounds);
+
+    let blocks_before = st.counters().blocks_read;
+    let msgs = windows.iter().map(|w| push_window(st, dir, w, me)).collect::<Result<Vec<_>>>()?;
+    let blocks_read = st.counters().blocks_read - blocks_before;
+    let pushed = msgs.iter().enumerate().filter(|&(s, _)| s != me);
+    let bytes_pushed = pushed.map(|(_, m)| m.len() as u64).sum();
+
+    let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
+    let mine = &windows[me];
+    let mut keys: Vec<Vec<R::Key>> =
+        mine.lo.iter().zip(&mine.hi).map(|(l, h)| Vec::with_capacity((h - l) as usize)).collect();
+    for (src, buf) in received.iter().enumerate() {
+        window_keys(dir, mine, src, buf, &mut keys)
+            .map_err(|e| from_peer(me, src, "selection window", e))?;
+    }
+    let base: u64 = mine.lo.iter().sum();
+    let mut seqs: Vec<&[R::Key]> = keys.iter().map(Vec::as_slice).collect();
+    let sel = multiway_select(&mut seqs, bounds[me] - base)?;
+    let positions = mine.lo.iter().zip(&sel.positions).map(|(&l, &q)| l + q as u64).collect();
+    let stats = SelectionStats { window_records: mine.records(), blocks_read, bytes_pushed };
+    Ok((RunSplitters { positions }, stats))
 }
 
-/// Select the partitions of *several* ranks over the runs of `dir`,
-/// sharing one block cache across all searches.
-///
-/// Appendix B points out that the sample-based initialization "can be
-/// done for all `P` desired ranks using a parallel sorting step and a
-/// single parallel scan of the sorted sample" — the searches then
-/// touch overlapping blocks, so a shared cache cuts the total fetch
-/// count well below `ranks × (per-rank fetches)`. Useful when one node
-/// computes several boundaries (e.g. recovering for a failed peer, or
-/// the `P = 1` debugging path).
-///
-/// # Errors
-/// [`Error::Comm`] on the first failed block probe.
-pub fn select_ranks_external<R: Record + Ord>(
-    storage: &ClusterStorage,
-    my_rank: usize,
+/// The part of `window` in PE `me`'s slices, as pushed to the window's
+/// PE: per run, the record count, then the records' keys.
+fn push_window<R: Record>(
+    st: &PeStorage,
     dir: &RunDirectory<R>,
-    ranks: &[u64],
-    algo: &AlgoConfig,
-) -> Result<(Vec<RunSplitters>, SelectionStats)> {
-    let block_bytes = storage.pe(my_rank).block_bytes();
-    let rpb = records_per_block::<R>(block_bytes);
-    let cache = Rc::new(RefCell::new(BlockCache::new(algo.selection_cache_blocks)));
-    let stats = Rc::new(RefCell::new(SelectionStats::default()));
-
-    let mut out = Vec::with_capacity(ranks.len());
-    for &r in ranks {
-        let mut probes: Vec<RunProbe<'_, R>> = dir
-            .runs
-            .iter()
-            .map(|meta| RunProbe {
-                storage,
-                my_rank,
-                meta,
-                rpb,
-                use_samples: algo.sample_every > 0,
-                cache: Rc::clone(&cache),
-                stats: Rc::clone(&stats),
-            })
-            .collect();
-        let (init, step) = sample_warm_start(dir, r, algo.sample_every);
-        let result = multiway_select_from(&mut probes, r, init, step)?;
-        out.push(RunSplitters { positions: result.positions.iter().map(|&p| p as u64).collect() });
+    window: &Window,
+    me: usize,
+) -> Result<Vec<u8>> {
+    let parts: Vec<Range<u64>> =
+        dir.runs.iter().enumerate().map(|(j, m)| window.part(j, m.slice(me))).collect();
+    let records: u64 = parts.iter().map(|r| r.end - r.start).sum();
+    let mut w = WireWriter::with_capacity(8 * parts.len() + records as usize * R::Key::BYTES);
+    for ((part, meta), local) in parts.iter().zip(&dir.runs).zip(&dir.local) {
+        w.u64(part.end - part.start);
+        let off = meta.offsets[me];
+        let (start, end) = (part.start - off, part.end - off);
+        let mut reader =
+            RecordRunReader::<R>::with_range(st, &local.run, local.elems, start, end, false);
+        while let Some(rec) = reader.next_rec()? {
+            rec.key().encode(w.raw(R::Key::BYTES));
+        }
     }
-    let final_stats = *stats.borrow();
-    Ok((out, final_stats))
+    Ok(w.finish())
 }
 
-/// Initial positions and step size derived from the in-memory samples.
-fn sample_warm_start<R: Record + Ord>(
+/// Append the keys PE `src` pushed for `window` to `keys`, checking
+/// that each run's part holds exactly the records of `window` in
+/// `src`'s slice.
+fn window_keys<R: Record>(
     dir: &RunDirectory<R>,
-    r: u64,
-    sample_every: usize,
-) -> (Vec<usize>, usize) {
-    let max_len = dir.runs.iter().map(|m| m.elems() as usize).max().unwrap_or(0);
-    let cold = (vec![0usize; dir.num_runs()], max_len.next_power_of_two().max(1));
-    if sample_every == 0 {
-        return cold;
+    window: &Window,
+    src: usize,
+    buf: &[u8],
+    keys: &mut [Vec<R::Key>],
+) -> Result<()> {
+    let mut r = WireReader::new(buf);
+    for (j, meta) in dir.runs.iter().enumerate() {
+        let part = window.part(j, meta.slice(src));
+        let count = r.field("window count").u64()?;
+        if count != part.end - part.start {
+            return Err(Error::comm(format!(
+                "run {j}: {count} records where the bracket implies {}",
+                part.end - part.start
+            )));
+        }
+        let bytes = r.field("window keys").raw(count as usize * R::Key::BYTES)?;
+        keys[j].extend(bytes.chunks_exact(R::Key::BYTES).map(R::Key::decode));
     }
-    let total_samples: u64 = dir.runs.iter().map(|m| m.samples.len() as u64).sum();
-    if total_samples == 0 {
-        return cold;
+    if r.remaining() > 0 {
+        return Err(Error::comm(format!("{} bytes past the window", r.remaining())));
     }
-    // Rank-r elements contain roughly r/K samples; select that prefix
-    // of the combined sample (exactly, in memory), then map each run's
-    // sample splitter back to an element position. Positions derived
-    // this way sit at most ~2K elements below the true splitter (slice
-    // boundaries can stretch a sample gap to < 2K).
-    let t = (r / sample_every as u64).min(total_samples);
-    let mut sample_views: Vec<KeyedSlice<'_, _, _, _>> = dir
-        .runs
-        .iter()
-        .map(|m| KeyedSlice::new(m.samples.as_slice(), |s: &crate::recio::Sample<R>| s.rec.key()))
-        .collect();
-    let sel = crate::selection::multiway_select(&mut sample_views, t)
-        .expect("in-memory sample selection is infallible");
-    let init: Vec<usize> = dir
-        .runs
-        .iter()
-        .zip(&sel.positions)
-        .map(|(m, &sp)| if sp == 0 { 0 } else { m.samples[sp - 1].pos as usize })
-        .collect();
-    (init, (2 * sample_every).next_power_of_two())
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alltoall::exchange_splitters;
     use crate::ctx::ClusterStorage;
-    use crate::recio::read_records;
+    use crate::recio::{read_records, Sample};
+    use crate::rundir::SliceMeta;
     use crate::runform::{form_runs, ingest_input};
+    use crate::selection::KeyedSlice;
     use demsort_net::run_cluster;
     use demsort_types::{AlgoConfig, Element16, MachineConfig, SortConfig};
     use demsort_workloads::{generate_pe_input, InputSpec};
-    use std::sync::Arc;
+    use proptest::prelude::*;
 
-    /// Build a cluster, form runs, and return (storage, per-PE dirs,
-    /// decoded runs for reference checks).
-    fn setup(
-        p: usize,
-        local_n: usize,
-        algo: AlgoConfig,
-    ) -> (Arc<ClusterStorage>, Vec<RunDirectory<Element16>>, Vec<Vec<Element16>>) {
+    /// Every PE's splitters and stats, and the runs decoded whole.
+    type Selected = (Vec<(RunSplitters, SelectionStats)>, Vec<Vec<Element16>>);
+
+    /// Form runs of `spec` on `p` tiny PEs and select every PE's
+    /// splitters.
+    fn select_all(p: usize, local_n: usize, spec: InputSpec, algo: AlgoConfig) -> Selected {
         let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
         let storage = ClusterStorage::new_mem(&cfg.machine);
         let st_ref = &storage;
-        let cfg2 = cfg.clone();
-        let dirs = run_cluster(p, move |c| {
+        let out = run_cluster(p, move |c| {
             let st = st_ref.pe(c.rank());
-            let recs = generate_pe_input(InputSpec::Uniform, 11, c.rank(), p, local_n);
+            let recs = generate_pe_input(spec, 11, c.rank(), p, local_n);
             let input = ingest_input(st, &recs).expect("ingest");
-            let out = form_runs::<Element16>(&c, st, &cfg2, input, 1, None).expect("form");
-            crate::rundir::build_directory(&c, out.local).expect("directory")
+            let out = form_runs::<Element16>(&c, st, &cfg, input, 1, None).expect("form");
+            let dir = crate::rundir::build_directory(&c, out.local).expect("directory");
+            let sel = select_splitters(&c, st, &dir).expect("select");
+            (sel, dir)
         });
-        // Decode every run (globally) for reference.
-        let dir0 = &dirs[0];
-        let mut runs_decoded = Vec::new();
-        for j in 0..dir0.num_runs() {
-            let mut run: Vec<Element16> = Vec::new();
-            for (pe, d) in dirs.iter().enumerate() {
-                let fr = &d.local[j];
-                run.extend(
-                    read_records::<Element16>(st_ref.pe(pe), &fr.run, fr.elems).expect("read"),
-                );
-            }
-            assert!(run.windows(2).all(|w| w[0] <= w[1]), "run {j} sorted");
-            runs_decoded.push(run);
-        }
-        (storage, dirs, runs_decoded)
+        let dir0 = &out[0].1;
+        let runs = (0..dir0.num_runs())
+            .map(|j| {
+                let mut run = Vec::new();
+                for (pe, (_, d)) in out.iter().enumerate() {
+                    let fr = &d.local[j];
+                    run.extend(
+                        read_records::<Element16>(st_ref.pe(pe), &fr.run, fr.elems).expect("read"),
+                    );
+                }
+                run
+            })
+            .collect();
+        (out.into_iter().map(|(sel, _)| sel).collect(), runs)
     }
 
-    /// Reference positions from an in-memory selection over the decoded
-    /// runs.
+    /// The exact split of rank `r` over whole in-memory runs.
     fn reference_positions(runs: &[Vec<Element16>], r: u64) -> Vec<u64> {
         let mut views: Vec<KeyedSlice<'_, _, _, _>> =
             runs.iter().map(|s| KeyedSlice::new(s.as_slice(), |e: &Element16| e.key)).collect();
-        crate::selection::multiway_select(&mut views, r)
-            .expect("in-memory selection")
-            .positions
-            .iter()
-            .map(|&p| p as u64)
-            .collect()
+        let sel = multiway_select(&mut views, r).expect("in-memory selection");
+        sel.positions.iter().map(|&p| p as u64).collect()
     }
 
     #[test]
     fn external_matches_in_memory_selection() {
-        let (storage, dirs, runs) = setup(3, 700, AlgoConfig::default());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        for r in [0, 1, total / 3, total / 2, total - 1, total] {
-            let (split, _) = select_rank_external(&storage, 0, &dirs[0], r, &AlgoConfig::default())
-                .expect("select");
-            // Both are exact partitions of rank r; with distinct keys
-            // (uniform 64-bit) the positions are unique.
-            assert_eq!(split.positions, reference_positions(&runs, r), "rank {r}");
+        for spec in [InputSpec::Uniform, InputSpec::Constant, InputSpec::SkewedToOne] {
+            let p = 3;
+            let (sel, runs) = select_all(p, 700, spec, AlgoConfig::default());
+            assert!(runs.len() > 1, "several runs");
+            let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
+            for (pe, (split, stats)) in sel.iter().enumerate() {
+                let r = ranks::owned_range(pe, p, total).start;
+                assert_eq!(split.positions, reference_positions(&runs, r), "{spec:?} rank {r}");
+                let k = AlgoConfig::default().sample_every as u64;
+                assert!(stats.window_records < 2 * k + 2 * runs.len() as u64 * (k - 1));
+            }
         }
     }
 
     #[test]
     fn every_pe_gets_consistent_boundaries() {
         let p = 4;
-        let (storage, dirs, runs) = setup(p, 400, AlgoConfig::default());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let mut prev: Option<Vec<u64>> = None;
-        for (pe, dir) in dirs.iter().enumerate() {
-            let r = demsort_types::ranks::owned_range(pe, p, total).start;
-            let (split, _) =
-                select_rank_external(&storage, pe, dir, r, &AlgoConfig::default()).expect("select");
-            assert_eq!(split.positions.iter().sum::<u64>(), r);
-            if let Some(prev) = &prev {
-                for (a, b) in prev.iter().zip(&split.positions) {
-                    assert!(a <= b, "splitters must be monotone across PEs");
+        let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
+        let storage = ClusterStorage::new_mem(&cfg.machine);
+        let st_ref = &storage;
+        let all = run_cluster(p, move |c| {
+            let st = st_ref.pe(c.rank());
+            let recs = generate_pe_input(InputSpec::Uniform, 11, c.rank(), p, 400);
+            let input = ingest_input(st, &recs).expect("ingest");
+            let out = form_runs::<Element16>(&c, st, &cfg, input, 1, None).expect("form");
+            let dir = crate::rundir::build_directory(&c, out.local).expect("directory");
+            let (mine, _) = select_splitters(&c, st, &dir).expect("select");
+            (exchange_splitters(&c, &dir, &mine).expect("exchange"), dir.total_elems())
+        });
+        for (gathered, n) in &all {
+            assert_eq!(gathered, &all[0].0, "every PE holds the same splitters");
+            for (pe, split) in gathered.iter().enumerate() {
+                assert_eq!(
+                    split.positions.iter().sum::<u64>(),
+                    ranks::owned_range(pe, p, *n).start
+                );
+            }
+            for w in gathered.windows(2) {
+                assert!(
+                    w[0].positions.iter().zip(&w[1].positions).all(|(a, b)| a <= b),
+                    "monotone"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn denser_samples_narrow_the_windows() {
+        let select = |k| {
+            select_all(
+                2,
+                1000,
+                InputSpec::Uniform,
+                AlgoConfig { sample_every: k, ..AlgoConfig::default() },
+            )
+        };
+        let ((dense, runs), (sparse, _)) = (select(16), select(64));
+        let records = |sel: &[(RunSplitters, SelectionStats)]| {
+            sel.iter().map(|(_, s)| s.window_records).sum::<u64>()
+        };
+        assert!(records(&dense) < records(&sparse), "{dense:?} vs {sparse:?}");
+        assert!(dense.iter().zip(&sparse).all(|(d, s)| d.0 == s.0), "same exact split");
+        assert!(runs.len() > 1);
+    }
+
+    #[test]
+    fn pushed_windows_are_counted() {
+        let (sel, runs) = select_all(2, 1000, InputSpec::Uniform, AlgoConfig::default());
+        let nruns = runs.len() as u64;
+        let [(_, s0), (_, s1)] = [sel[0].clone(), sel[1].clone()];
+        // Rank 0's boundary is rank 0: an empty window, nothing pushed
+        // to it but one count per run.
+        assert_eq!(s0.window_records, 0);
+        assert_eq!(s1.bytes_pushed, 8 * nruns);
+        // Rank 0 pushes the part of rank 1's window in its slices, as
+        // 8-byte keys after the counts; rank 1 reads the rest.
+        assert!(s1.window_records > 0);
+        let from_rank0 = (s0.bytes_pushed - 8 * nruns) / 8;
+        assert_eq!((s0.bytes_pushed - 8 * nruns) % 8, 0);
+        assert!(0 < from_rank0 && from_rank0 < s1.window_records, "{s0:?} {s1:?}");
+        assert!(s0.blocks_read > 0 && s1.blocks_read > 0, "{s0:?} {s1:?}");
+    }
+
+    #[test]
+    fn a_window_holding_other_than_its_bracket_is_rejected() {
+        // Rank 1 pushes one record too many in its first run.
+        let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).expect("valid");
+        let storage = ClusterStorage::new_mem(&cfg.machine);
+        let st_ref = &storage;
+        let results = run_cluster(2, move |c| {
+            let st = st_ref.pe(c.rank());
+            let recs = generate_pe_input(InputSpec::Uniform, 3, c.rank(), 2, 600);
+            let input = ingest_input(st, &recs).expect("ingest");
+            let out = form_runs::<Element16>(&c, st, &cfg, input, 1, None).expect("form");
+            let dir = crate::rundir::build_directory(&c, out.local).expect("directory");
+            if c.rank() == 0 {
+                return Some(select_splitters(&c, st, &dir));
+            }
+            let bounds: Vec<u64> =
+                (0..2).map(|s| ranks::owned_range(s, 2, dir.total_elems()).start).collect();
+            let windows = sample_windows(&dir.runs, &bounds);
+            let mut msgs: Vec<Vec<u8>> =
+                windows.iter().map(|w| push_window(st, &dir, w, 1).expect("push")).collect();
+            let first = u64::from_le_bytes(msgs[0][..8].try_into().expect("count"));
+            msgs[0][..8].copy_from_slice(&(first + 1).to_le_bytes());
+            msgs[0].extend_from_slice(&[0; 8]);
+            chunked_alltoallv(&c, msgs, MPI_VOLUME_LIMIT).expect("exchange");
+            None
+        });
+        let err = results[0].clone().expect("rank 0").expect_err("bad window");
+        let text = err.to_string();
+        assert!(matches!(err, Error::Comm(_)), "{text}");
+        assert!(text.contains("bad selection window from rank 1"), "{text}");
+        assert!(text.contains("where the bracket implies"), "{text}");
+    }
+
+    /// Runs of `keys`, cut into ragged slices over `p` PEs, with the
+    /// samples the run writer takes: each slice's first record, then
+    /// every `k`-th.
+    fn metas(runs: &[Vec<u64>], cuts: &[Vec<usize>], k: usize) -> Vec<RunMeta<Element16>> {
+        runs.iter()
+            .zip(cuts)
+            .map(|(run, cut)| {
+                let mut offsets = vec![0u64];
+                let mut samples = Vec::new();
+                let mut slices = Vec::new();
+                for w in cut.windows(2) {
+                    let (a, b) = (w[0], w[1]);
+                    samples.extend(
+                        (a..b).step_by(k).map(|i| Sample {
+                            pos: i as u64,
+                            rec: Element16::new(run[i], i as u64),
+                        }),
+                    );
+                    slices.push(SliceMeta { elems: (b - a) as u64, blocks: Vec::new() });
+                    offsets.push(b as u64);
+                }
+                RunMeta { slices, offsets, samples }
+            })
+            .collect()
+    }
+
+    /// `len` sorted keys of one of four shapes: uniform, few distinct
+    /// keys, all equal, or most keys on one value (`SkewedToOne`-like).
+    fn sorted_keys(shape: usize, len: usize, next: &mut impl FnMut() -> u64) -> Vec<u64> {
+        let mut run: Vec<u64> = (0..len)
+            .map(|_| match shape {
+                0 => next(),
+                1 => next() % 4,
+                2 => 7,
+                _ => {
+                    if next().is_multiple_of(8) {
+                        next()
+                    } else {
+                        7
+                    }
+                }
+            })
+            .collect();
+        run.sort_unstable();
+        run
+    }
+
+    proptest! {
+        #[test]
+        fn windows_bracket_the_exact_split(
+            shape in 0usize..4,
+            lens in prop::collection::vec(0usize..400, 1..8),
+            seed in 1u64..u64::MAX,
+        ) {
+            let mut rng = seed;
+            let mut next = move || {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            };
+            let runs: Vec<Vec<u64>> = lens.iter().map(|&len| sorted_keys(shape, len, &mut next)).collect();
+            let recs: Vec<Vec<Element16>> =
+                runs.iter().map(|r| r.iter().map(|&key| Element16::new(key, 0)).collect()).collect();
+            let n: u64 = runs.iter().map(|r| r.len() as u64).sum();
+            for p in [1usize, 2, 3, 5] {
+                // Ragged cuts, empty slices among them.
+                let cuts: Vec<Vec<usize>> = runs
+                    .iter()
+                    .map(|run| {
+                        let mut cut: Vec<usize> =
+                            (1..p).map(|_| next() as usize % (run.len() + 1)).collect();
+                        cut.push(0);
+                        cut.push(run.len());
+                        cut.sort_unstable();
+                        cut
+                    })
+                    .collect();
+                let bounds: Vec<u64> = (0..p).map(|s| ranks::owned_range(s, p, n).start).collect();
+                for k in [1usize, 4, 64] {
+                    let windows = sample_windows(&metas(&runs, &cuts, k), &bounds);
+                    let (k, nruns) = (k as u64, runs.len() as u64);
+                    for (w, &r) in windows.iter().zip(&bounds) {
+                        let exact = reference_positions(&recs, r);
+                        for (j, &x) in exact.iter().enumerate() {
+                            prop_assert!(
+                                w.lo[j] <= x && x <= w.hi[j],
+                                "P {p} K {k} rank {r} run {j}: {x} not in {}..={}",
+                                w.lo[j],
+                                w.hi[j]
+                            );
+                        }
+                        prop_assert!(
+                            w.records() < 2 * k + 2 * nruns * (k - 1),
+                            "P {p} K {k} rank {r}: width {}",
+                            w.records()
+                        );
+                    }
                 }
             }
-            prev = Some(split.positions);
         }
-    }
-
-    #[test]
-    fn sampling_cuts_probes() {
-        let algo_sampled = AlgoConfig { sample_every: 16, ..AlgoConfig::default() };
-        let algo_cold =
-            AlgoConfig { sample_every: 0, selection_cache_blocks: 0, ..AlgoConfig::default() };
-        let (storage, dirs, runs) = setup(2, 1000, algo_sampled.clone());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let r = total / 2;
-        let (s1, warm) =
-            select_rank_external(&storage, 0, &dirs[0], r, &algo_sampled).expect("select");
-        let (s2, cold) =
-            select_rank_external(&storage, 0, &dirs[0], r, &algo_cold).expect("select");
-        assert_eq!(s1.positions, s2.positions, "same exact result");
-        assert!(
-            warm.probes() < cold.probes() / 2,
-            "sampling must cut probes: warm {} vs cold {}",
-            warm.probes(),
-            cold.probes()
-        );
-        // The ablation must be clean: with sampling off, the in-memory
-        // sample answers nothing, even though the runs carry samples.
-        assert!(warm.sample_hits > 0, "warm search must use the sample");
-        assert_eq!(cold.sample_hits, 0, "sampling-off search must not touch the sample");
-    }
-
-    #[test]
-    fn cache_absorbs_repeat_block_fetches() {
-        let algo_cached = AlgoConfig { selection_cache_blocks: 64, ..AlgoConfig::default() };
-        let algo_uncached = AlgoConfig { selection_cache_blocks: 0, ..AlgoConfig::default() };
-        let (storage, dirs, runs) = setup(2, 1000, algo_cached.clone());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let r = total / 2;
-        let (_, cached) =
-            select_rank_external(&storage, 0, &dirs[0], r, &algo_cached).expect("select");
-        let (_, uncached) =
-            select_rank_external(&storage, 0, &dirs[0], r, &algo_uncached).expect("select");
-        assert_eq!(uncached.cache_hits, 0);
-        assert!(cached.cache_hits > 0, "cache must serve repeat probes");
-        let fetched_cached = cached.blocks_local + cached.blocks_remote;
-        let fetched_uncached = uncached.blocks_local + uncached.blocks_remote;
-        assert!(
-            fetched_cached < fetched_uncached,
-            "cache must reduce block fetches: {fetched_cached} vs {fetched_uncached}"
-        );
-    }
-
-    #[test]
-    fn remote_probe_traffic_is_attributed() {
-        let (storage, dirs, runs) = setup(3, 600, AlgoConfig::default());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        // PE 2's boundary rank probes mostly land on other PEs' slices.
-        let (_, stats) =
-            select_rank_external(&storage, 2, &dirs[2], total / 3, &AlgoConfig::default())
-                .expect("select");
-        assert!(stats.blocks_remote > 0, "cross-PE probes expected");
-        assert_eq!(stats.remote_bytes, stats.blocks_remote * 256);
-        let comm = stats.comm();
-        assert_eq!(comm.bytes_recv, stats.remote_bytes);
-        assert_eq!(comm.messages, 2 * stats.blocks_remote);
-    }
-
-    #[test]
-    fn batched_selection_matches_and_shares_the_cache() {
-        let algo = AlgoConfig { selection_cache_blocks: 64, ..AlgoConfig::default() };
-        let (storage, dirs, runs) = setup(2, 1000, algo.clone());
-        let total: u64 = runs.iter().map(|r| r.len() as u64).sum();
-        let ranks: Vec<u64> = (0..4).map(|i| i * total / 4).collect();
-
-        let (batched, batched_stats) =
-            select_ranks_external(&storage, 0, &dirs[0], &ranks, &algo).expect("select");
-        let mut individual_fetches = 0u64;
-        for (i, &r) in ranks.iter().enumerate() {
-            let (single, s) =
-                select_rank_external(&storage, 0, &dirs[0], r, &algo).expect("select");
-            assert_eq!(single.positions, batched[i].positions, "rank {r}");
-            individual_fetches += s.blocks_local + s.blocks_remote;
-        }
-        let batched_fetches = batched_stats.blocks_local + batched_stats.blocks_remote;
-        assert!(
-            batched_fetches < individual_fetches,
-            "shared cache must cut fetches: {batched_fetches} vs {individual_fetches}"
-        );
     }
 }

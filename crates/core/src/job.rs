@@ -11,8 +11,8 @@
 //!   `sortfile --transport local`): one thread per PE over the channel
 //!   mesh, all PEs' storage in one [`ClusterStorage`];
 //! * the multi-process cluster (`demsort-worker`): a TCP mesh, this
-//!   rank's storage plus a block service for its peers', and
-//!   rank-failure recovery hooks wired to the transport.
+//!   rank's storage, and rank-failure recovery hooks wired to the
+//!   transport.
 //!
 //! What a rank's disks *are* is decided here, once, for both:
 //! [`rank_backend`] turns `(job, rank)` into files under
@@ -20,8 +20,8 @@
 //! memory follows `mem_bytes_per_pe`, not the input — or into memory
 //! when the job names no scratch directory, and hands back the
 //! [`ScratchGuard`] that removes the rank's files however the rank
-//! ends. The body, the algorithms and the block service see a
-//! [`PeStorage`](demsort_storage::PeStorage) either way.
+//! ends. The body and the algorithms see the rank's [`PeStorage`]
+//! either way, and no other rank's.
 //!
 //! [`run_in_process`] is the in-process harness itself, for rank
 //! bodies that are not file jobs (generator-fed sorts, baselines; in
@@ -33,7 +33,7 @@ use crate::ctx::{assemble_report, ClusterStorage};
 use crate::fileio::{file_records, input_shard, OutputFile};
 use crate::striped::{striped_mergesort, ResilientHooks};
 use demsort_net::{run_cluster, Communicator};
-use demsort_storage::{Backend, FileBackend, MemBackend};
+use demsort_storage::{Backend, FileBackend, MemBackend, PeStorage};
 use demsort_types::wire::RankReport;
 use demsort_types::{
     ranks, Error, JobConfig, Record, Record100, Result, SortAlgo, SortConfig, SortReport, TraceEv,
@@ -47,7 +47,7 @@ use std::sync::Arc;
 /// input file with `job.algorithm` into its part of the output file,
 /// and report its counters.
 ///
-/// `storage.pe(comm.rank())` must be this rank's own storage. `hooks`
+/// `st` is this rank's own storage. `hooks`
 /// are the substrate's rank-failure recovery callbacks; only the
 /// striped sort recovers, so the canonical sort ignores them.
 ///
@@ -59,12 +59,11 @@ use std::sync::Arc;
 pub fn run_rank_job(
     job: &JobConfig,
     comm: &Communicator,
-    storage: &ClusterStorage,
+    st: &PeStorage,
     hooks: Option<ResilientHooks<'_>>,
 ) -> Result<RankReport> {
     type R = Record100;
     let (rank, p) = (comm.rank(), comm.size());
-    let st = storage.pe(rank);
     let cfg = job.validate()?;
     let cores = cfg.machine.cores_per_pe;
 
@@ -76,7 +75,7 @@ pub fn run_rank_job(
         SortAlgo::Canonical => {
             // Rank `r`'s output is global ranks `⌊r·n/p⌋ ..`, so the
             // outputs concatenate at the shard boundaries.
-            let o = canonical_mergesort_to::<R>(comm, storage, &cfg, local, cores, Some(output))?;
+            let o = canonical_mergesort_to::<R>(comm, st, &cfg, local, cores, Some(output))?;
             debug_assert_eq!(o.output.elems, ranks::owned_len(rank, p, total));
             (o.output.elems, o.runs, o.phases)
         }
@@ -271,7 +270,7 @@ fn run_job_on(job: &JobConfig, cfg: &SortConfig, storage: &ClusterStorage) -> Re
         // The communicator is the journal's only holder: the journal
         // is flushed and closed when the rank's thread drops it.
         comm.set_tracer(rank_tracer(&job.trace_dir, comm.rank())?);
-        Ok((run_rank_job(job, &comm, storage, None)?, ()))
+        Ok((run_rank_job(job, &comm, storage.pe(comm.rank()), None)?, ()))
     })?;
     Ok(report)
 }
@@ -493,8 +492,7 @@ mod tests {
     fn progress_frames_count_the_bytes_the_merge_reads() {
         // Both merges feed the progress byte meter with every block they
         // read, so a rank's last merge frame has counted at least the
-        // bytes its merge phase read — on the in-process cluster, whose
-        // block service is never traced, too.
+        // bytes its merge phase read — on the in-process cluster too.
         const RECORDS: usize = 20_000;
         let machine = MachineConfig {
             pes: 2,
@@ -516,7 +514,7 @@ mod tests {
                 let frames = Arc::clone(&frames);
                 let seen = move |f: &ProgressFrame| frames.lock().expect("frames").push(*f);
                 comm.set_tracer(Tracer::to_buffer(comm.rank()).with_progress(Box::new(seen)));
-                Ok((run_rank_job(&job, &comm, storage, None)?, ()))
+                Ok((run_rank_job(&job, &comm, storage.pe(comm.rank()), None)?, ()))
             })
             .expect("sort");
             assert!(report.runs > 1, "{algorithm}: the sort must merge");

@@ -16,8 +16,10 @@
 //! * [`psort`] — distributed internal parallel mergesort (Section IV-B);
 //! * [`runform`] — randomized, overlapped run formation (Section IV-E),
 //!   and the group reader both sorts' run formation starts from;
-//! * [`extselect`] — external multiway selection with sampling and
-//!   block caching (Section IV-A, Appendix B);
+//! * [`extselect`] — external multiway selection: the sample brackets
+//!   every split to a window, the PEs push the windows from their own
+//!   disks, and the selection finishes in memory (Section IV-A,
+//!   Appendix B);
 //! * [`alltoall`] — the memory-bounded external all-to-all
 //!   (Section IV-C);
 //! * [`localmerge`] — the phase-3 local multiway merge: the batch loop
@@ -26,10 +28,9 @@
 //! * [`striped`] — mergesort with global striping (Section III): the
 //!   driver, its striped runs and the output file's writer, its merge
 //!   passes and its rank-failure recovery, a submodule each;
-//! * [`ctx`] — each PE's view of the cluster's storage (the block
-//!   service selection's probes read peers' blocks through), phase
-//!   accounting, and the phase scope both drivers open their phases
-//!   through;
+//! * [`ctx`] — each PE's storage, the in-process cluster's set of
+//!   them, phase accounting, and the phase scope both drivers open
+//!   their phases through;
 //! * [`fileio`] — the file edges: the input shard run formation reads
 //!   where it lies, the output file the last pass writes into;
 //! * [`job`] — the rank program (input shard → sort → output part)
@@ -60,7 +61,7 @@ pub mod striped;
 pub mod validate;
 
 pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
-pub use ctx::{BlockCache, ClusterStorage, FetchSource, MeshView, RemoteBlockService};
+pub use ctx::ClusterStorage;
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;
 pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};

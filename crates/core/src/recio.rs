@@ -4,8 +4,8 @@
 //! STXXL's `typed_block`, a *record run* stores exactly
 //! `⌊B / Record::BYTES⌋` records per block (the final block may hold
 //! fewer), so element `i` of a run lives at a computable `(block,
-//! offset)` — the property external multiway selection relies on for
-//! its random probes, and the all-to-all needs to cut runs at arbitrary
+//! offset)` — the property external multiway selection relies on to
+//! read its windows, and the all-to-all to cut runs at arbitrary
 //! element boundaries.
 //!
 //! [`RecordRunWriter`] is where a merge's output becomes blocks: each

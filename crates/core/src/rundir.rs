@@ -8,9 +8,9 @@
 //!
 //! * each PE's slice length (prefix offsets map run-global element
 //!   indexes to `(pe, local index)`),
-//! * each slice's on-disk block list (to probe a remote element), and
+//! * each slice's on-disk block list, and
 //! * the merged **sample** (every `K`-th element, Section IV-A /
-//!   Appendix B) that warm-starts the selection.
+//!   Appendix B) that brackets every run's split for the selection.
 //!
 //! All of this is `o(N)`: per run, `P` lengths + `N/(M/B)` block ids +
 //! `M/K` samples.
@@ -46,6 +46,11 @@ impl<R: Record> RunMeta<R> {
     /// Total elements in the run.
     pub fn elems(&self) -> u64 {
         *self.offsets.last().expect("offsets nonempty")
+    }
+
+    /// The run-global elements PE `pe`'s slice holds.
+    pub fn slice(&self, pe: usize) -> std::ops::Range<u64> {
+        self.offsets[pe]..self.offsets[pe + 1]
     }
 
     /// Which PE owns run-global element `x`, and its local index.
@@ -93,7 +98,7 @@ pub fn build_directory<R: Record + Ord>(
     let p = comm.size();
     let nruns = local.len();
     let mut runs = Vec::with_capacity(nruns);
-    for (j, fr) in local.iter().enumerate() {
+    for fr in &local {
         let gathered = comm.allgather(encode_slice_meta(fr))?;
         let mut slices = Vec::with_capacity(p);
         let mut per_pe_samples = Vec::with_capacity(p);
@@ -114,7 +119,6 @@ pub fn build_directory<R: Record + Ord>(
             let base = offsets[pe];
             samples.extend(ss.into_iter().map(|s| Sample { pos: base + s.pos, rec: s.rec }));
         }
-        debug_assert!(samples.windows(2).all(|w| w[0].pos < w[1].pos), "run {j} samples ordered");
         runs.push(RunMeta { slices, offsets, samples });
     }
     Ok(RunDirectory { runs, local })
@@ -139,8 +143,9 @@ fn encode_slice_meta<R: Record>(fr: &FinishedRun<R>) -> Vec<u8> {
 
 /// Decode a peer's [`encode_slice_meta`] message. The two counts must
 /// account for exactly the bytes that follow (so neither can make this
-/// rank allocate more than the message it already holds), and every
-/// sample must lie inside the slice.
+/// rank allocate more than the message it already holds), and the
+/// samples' positions must rise strictly inside the slice: the
+/// selection's windows are computed from them.
 fn decode_slice_meta<R: Record>(buf: &[u8]) -> Result<(SliceMeta, Vec<Sample<R>>)> {
     let mut r = WireReader::new(buf);
     let elems = r.field("elems").u64()?;
@@ -157,11 +162,14 @@ fn decode_slice_meta<R: Record>(buf: &[u8]) -> Result<(SliceMeta, Vec<Sample<R>>
         let disk = r.field("block disk").u32()?;
         blocks.push(BlockId::new(disk, r.field("block slot").u32()?));
     }
-    let mut samples = Vec::with_capacity(nsamples);
+    let mut samples: Vec<Sample<R>> = Vec::with_capacity(nsamples);
     for _ in 0..nsamples {
         let pos = r.field("sample pos").u64()?;
         if pos >= elems {
             return Err(Error::comm(format!("sample pos {pos} in a slice of {elems} elems")));
+        }
+        if let Some(prev) = samples.last().filter(|s| s.pos >= pos) {
+            return Err(Error::comm(format!("sample pos {pos} after sample pos {}", prev.pos)));
         }
         samples.push(Sample { pos, rec: R::decode(r.field("sample").raw(R::BYTES)?) });
     }
@@ -225,6 +233,22 @@ mod tests {
             let err = decode_slice_meta::<Element16>(&bad).expect_err(field);
             assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
         }
+    }
+
+    #[test]
+    fn a_peer_whose_samples_do_not_rise_is_rejected() {
+        let results = run_cluster(2, move |c| {
+            let mut fr = finished(c.rank(), 11);
+            if c.rank() == 1 {
+                fr.samples.swap(0, 1);
+            }
+            build_directory(&c, vec![fr]).map(|_| ())
+        });
+        let err = results[0].clone().expect_err("rank 1's samples fall");
+        let text = err.to_string();
+        assert!(matches!(err, Error::Comm(_)), "{text}");
+        assert!(text.contains("rank 0: bad run directory slice from rank 1"), "{text}");
+        assert!(text.contains("sample pos 0 after sample pos 4"), "{text}");
     }
 
     proptest::proptest! {

@@ -7,57 +7,23 @@
 //! every element right of any splitter (under a total order that breaks
 //! key ties by sequence index, making the partition unique).
 //!
-//! Two search strategies share the entry points, picked by how much
-//! positional information the caller brings:
+//! The search is a deterministic pivot search: pick the middle element
+//! of the widest undecided splitter range as the pivot, rank it
+//! globally with one binary search per sequence (under the total order
+//! that breaks key ties by sequence index, then position), and shrink
+//! every sequence's range toward the rank-`r` boundary. Every round
+//! narrows *all* `R` ranges — `O(R log M)` probes per round, `O(log M)`
+//! effective rounds.
 //!
-//! **Cold starts** ([`multiway_select`], or [`multiway_select_from`]
-//! with all-zero positions and a full-width step) run a deterministic
-//! pivot search: pick the middle element of the widest undecided
-//! splitter range as the pivot, rank it globally with one binary search
-//! per sequence (under the total order that breaks key ties by sequence
-//! index, then position), and shrink every sequence's range toward the
-//! rank-`r` boundary. Every round narrows *all* `R` ranges — `O(R log
-//! M)` probes per round, `O(log M)` effective rounds — which is what
-//! makes `R > 2` cold selections cheap; greedy single-splitter walks
-//! (the refinement below) move only one boundary per round and
-//! degenerate to `Θ(n)` one-element repairs from a cold start.
-//!
-//! **Warm starts** (sample-initialized external selection, Appendix B)
-//! refine the paper's way: approximate splitter positions move in
-//! halving steps starting from the sample spacing `s = K`:
-//!
-//! 1. until *more* than `r` elements are left of the splitters, advance
-//!    the splitter whose *head* (next element right of it) is smallest;
-//! 2. while more than `r` elements are left, retreat the splitter whose
-//!    *tail* (last element left of it) is largest;
-//! 3. halve `s` and repeat until `s = 1`, then run steps 1–2 once more.
-//!
-//! The up phase deliberately *overshoots* `r` (the paper: "increased by
-//! `s` until the number of elements to the left of the splitters becomes
-//! larger than `r`"): each advance-past/retreat-back wiggle at step `s`
-//! re-sorts the boundary at granularity `s`, so every halving round
-//! refines the partition even when the count already equals `r`.
-//! Stopping at `count == r` instead would freeze all remaining rounds
-//! whenever a coarse advance lands exactly on the rank (routine when
-//! lengths and ranks share a power-of-two factor) and leave the entire
-//! split to the one-element-at-a-time repair pass below.
-//!
-//! After the `s = 1` round the count is exactly `r`; a final exchange
-//! pass repairs any residual misordering between left and right sets.
-//! Each exchange strictly shrinks the set of cross-pairs, so termination
-//! is immediate when the start was within the sample spacing of the
-//! answer — the warm start's contract.
-//!
-//! Probing a sequence is **fallible**: external selection
-//! ([`crate::extselect`]) reads blocks that may live on a remote PE's
-//! disks, so [`SortedSeq::key_at`] returns `Result` and every selection
-//! entry point propagates the first probe failure instead of panicking
+//! External selection ([`crate::extselect`]) runs it in memory over the
+//! windows the run samples bracket; the merges split their batches
+//! through it too. Probing a sequence is
+//! fallible ([`SortedSeq::key_at`] returns `Result`), and every entry
+//! point propagates the first probe failure instead of panicking
 //! (in-memory sequences simply never fail).
 //!
-//! Total work: `O(R · log M)` sequence probes, `O(R log R log M)` time
-//! with the priority queues replaced by linear scans over `R` (our `R`
-//! is small; the asymptotically better variant is what Appendix B's
-//! sampling already buys).
+//! Total work: `O(R² log M)` sequence probes and time, `O(log M)` rounds
+//! of `R` binary searches; our `R` is small.
 
 use demsort_types::Result;
 
@@ -78,9 +44,7 @@ impl SelectionResult {
     }
 }
 
-/// Random access into one sorted sequence, abstracting in-memory slices
-/// (internal selection) and on-disk runs with caching (external
-/// selection, [`crate::extselect`]).
+/// Random access into one sorted sequence.
 pub trait SortedSeq {
     /// The key type.
     type Key: Ord + Copy;
@@ -96,9 +60,9 @@ pub trait SortedSeq {
     /// Key of the element at `idx` (`idx < len`).
     ///
     /// # Errors
-    /// External sequences probe (possibly remote) disk blocks; a failed
-    /// fetch surfaces here and aborts the selection cleanly. In-memory
-    /// sequences are infallible.
+    /// A sequence whose probe can fail surfaces the failure here, and
+    /// the selection aborts cleanly. In-memory sequences are
+    /// infallible.
     fn key_at(&mut self, idx: usize) -> Result<Self::Key>;
 }
 
@@ -146,8 +110,7 @@ impl<T, K: Ord + Copy, F: Fn(&T) -> K> SortedSeq for KeyedSlice<'_, T, K, F> {
 /// tie-break), so the result is unique and exact.
 ///
 /// # Errors
-/// Propagates the first failed [`SortedSeq::key_at`] probe (remote
-/// block fetch failures during external selection).
+/// Propagates the first failed [`SortedSeq::key_at`] probe.
 ///
 /// # Panics
 /// Panics if `r` exceeds the total number of elements (a caller bug,
@@ -158,7 +121,7 @@ pub fn multiway_select<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selection
     multiway_select_pivot(seqs, r)
 }
 
-/// Cold-start selection by deterministic pivoting (see the module doc):
+/// Selection by deterministic pivoting (see the module doc):
 /// each round ranks the middle element of the widest undecided splitter
 /// range and clamps every sequence's range toward the boundary.
 fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<SelectionResult> {
@@ -238,155 +201,6 @@ fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selecti
         "empty ranges must pin the exact rank"
     );
     Ok(SelectionResult { positions: lo, probes })
-}
-
-/// Selection with explicit initial positions and step size — the entry
-/// point used by sample-initialized external selection (Appendix B):
-/// the sample pins each splitter within `K` of its final position, so
-/// the search starts at step `K` instead of `2^⌈log2 M⌉`.
-///
-/// # Errors
-/// Propagates the first failed [`SortedSeq::key_at`] probe.
-pub fn multiway_select_from<S: SortedSeq>(
-    seqs: &mut [S],
-    r: u64,
-    mut pos: Vec<usize>,
-    init_step: usize,
-) -> Result<SelectionResult> {
-    assert_eq!(pos.len(), seqs.len());
-    for (p, s) in pos.iter().zip(seqs.iter()) {
-        assert!(*p <= s.len(), "initial position out of range");
-    }
-    // All-zero positions at full-width step carry no warm-start
-    // information (external selection with sampling disabled lands
-    // here): route to the pivot search, which stays probe-logarithmic
-    // without a warm start.
-    let max_len = seqs.iter().map(|s| s.len()).max().unwrap_or(0);
-    if init_step >= max_len && pos.iter().all(|&p| p == 0) {
-        return multiway_select_pivot(seqs, r);
-    }
-    let mut probes = 0u64;
-    let mut count: u64 = pos.iter().map(|&p| p as u64).sum();
-    let mut step = init_step.next_power_of_two().max(1);
-
-    // Memoized boundary keys: heads[i] / tails[i] cache the key right
-    // of / left of splitter i (`None` once known to be absent). Only
-    // the splitter that moved is re-probed, so the probe count — which
-    // external selection pays for in (possibly remote) block fetches —
-    // is `O(R + moves)` instead of `O(R · moves)`. This is the linear-
-    // scan stand-in for the paper's priority queues, with the queues'
-    // probe economy.
-    let mut heads: Vec<Option<Option<S::Key>>> = vec![None; seqs.len()];
-    let mut tails: Vec<Option<Option<S::Key>>> = vec![None; seqs.len()];
-
-    fn boundary_key<S: SortedSeq>(
-        seq: &mut S,
-        at: Option<usize>,
-        cache: &mut Option<Option<S::Key>>,
-        probes: &mut u64,
-    ) -> Result<Option<S::Key>> {
-        if cache.is_none() {
-            *cache = Some(match at {
-                Some(idx) => {
-                    *probes += 1;
-                    Some(seq.key_at(idx)?)
-                }
-                None => None,
-            });
-        }
-        Ok(cache.expect("cache filled above"))
-    }
-
-    loop {
-        // Advance the splitter with the smallest head until count > r
-        // (paper: "increased by s until the number of elements to the
-        // left of the splitters becomes larger than r"). The overshoot
-        // is load-bearing: landing exactly on r at a coarse step must
-        // not stall the refinement (see the module doc).
-        while count <= r {
-            let mut best: Option<(S::Key, usize)> = None;
-            for (i, s) in seqs.iter_mut().enumerate() {
-                let at = (pos[i] < s.len()).then_some(pos[i]);
-                if let Some(k) = boundary_key(s, at, &mut heads[i], &mut probes)? {
-                    // Strict `<` keeps the lowest sequence index on ties.
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            // Advance by a full step (may overshoot past r; the down
-            // phase repairs it at finer granularity, and the s = 1
-            // round lands exactly).
-            let adv = step.min(seqs[i].len() - pos[i]);
-            pos[i] += adv;
-            count += adv as u64;
-            heads[i] = None;
-            tails[i] = None;
-        }
-        // Retreat the splitter with the largest tail while count > r.
-        while count > r {
-            let mut best: Option<(S::Key, usize)> = None;
-            for (i, s) in seqs.iter_mut().enumerate() {
-                let at = (pos[i] > 0).then(|| pos[i] - 1);
-                if let Some(k) = boundary_key(s, at, &mut tails[i], &mut probes)? {
-                    // `>=` keeps the highest sequence index on ties
-                    // (mirror of the up-phase tie-break).
-                    if best.is_none_or(|(bk, _)| k >= bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let Some((_, i)) = best else { break };
-            // Retreat a full step (at step 1 this lands exactly on r,
-            // since each retreat moves the count by one).
-            let ret = step.min(pos[i]);
-            pos[i] -= ret;
-            count -= ret as u64;
-            heads[i] = None;
-            tails[i] = None;
-        }
-        if step == 1 {
-            break;
-        }
-        step /= 2;
-    }
-    debug_assert_eq!(count, r, "halving rounds must land on the exact rank");
-
-    // Exactness repair: if a coarse round landed on count == r with a
-    // misordered partition (largest-left > smallest-right under the
-    // (key, seq) total order), exchange one element at a time.
-    loop {
-        let mut max_left: Option<(S::Key, usize)> = None;
-        let mut min_right: Option<(S::Key, usize)> = None;
-        for (i, s) in seqs.iter_mut().enumerate() {
-            let tail_at = (pos[i] > 0).then(|| pos[i] - 1);
-            if let Some(k) = boundary_key(s, tail_at, &mut tails[i], &mut probes)? {
-                if max_left.is_none_or(|(bk, bi)| (k, i) > (bk, bi)) {
-                    max_left = Some((k, i));
-                }
-            }
-            let head_at = (pos[i] < s.len()).then_some(pos[i]);
-            if let Some(k) = boundary_key(s, head_at, &mut heads[i], &mut probes)? {
-                if min_right.is_none_or(|(bk, bi)| (k, i) < (bk, bi)) {
-                    min_right = Some((k, i));
-                }
-            }
-        }
-        match (max_left, min_right) {
-            (Some((lk, li)), Some((rk, ri))) if (lk, li) > (rk, ri) => {
-                pos[li] -= 1;
-                pos[ri] += 1;
-                heads[li] = None;
-                tails[li] = None;
-                heads[ri] = None;
-                tails[ri] = None;
-            }
-            _ => break,
-        }
-    }
-
-    Ok(SelectionResult { positions: pos, probes })
 }
 
 /// Split `seqs` into `parts` pieces of (near-)equal global size:
@@ -541,28 +355,6 @@ mod tests {
         for r in [0u64, 1, 10, 500, 1011] {
             select_and_check(&seqs, r);
         }
-    }
-
-    #[test]
-    fn sample_initialized_selection_matches() {
-        // Start from sample-derived positions (multiples of K below the
-        // target) and a small step — must converge to the same result.
-        let seqs: Vec<Vec<u64>> =
-            (0..4).map(|i| (0..256u64).map(|j| j * 4 + i).collect()).collect();
-        let r = 300;
-        let reference = select_and_check(&seqs, r);
-        let k = 16usize;
-        // Sample-derived warm start: true position rounded down to K.
-        let init: Vec<usize> = reference.positions.iter().map(|&p| p - p % k).collect();
-        let mut views: Vec<&[u64]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let warm = multiway_select_from(&mut views, r, init, k).expect("warm selection");
-        assert_eq!(warm.positions, reference.positions);
-        assert!(
-            warm.probes < reference.probes,
-            "warm start {} must probe less than cold {}",
-            warm.probes,
-            reference.probes
-        );
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   OS thread, each PE pair a dedicated FIFO channel. This plays the
 //!   role MVAPICH's shared-memory device plays on one node: delivery
 //!   is a pointer move, and the whole cluster lives in one address
-//!   space (which also lets remote block reads short-circuit to
-//!   direct memory access).
+//!   space.
 //! * [`TcpTransport`](tcp::TcpTransport) — the multi-process mesh:
 //!   each PE is an OS process, each PE pair one TCP connection carrying
 //!   length-prefixed frames, with a rank handshake at connect time, a
@@ -24,14 +23,14 @@
 //!   coordinator, buffered writers flushed at collective boundaries,
 //!   and per-socket timeouts so dead peers surface as errors. This
 //!   plays the role of MVAPICH's network device on the paper's
-//!   cluster; remote block reads — multiway selection's probes, the
-//!   sorts' only reads of another rank's disk — ride the out-of-band
-//!   **block service** ([`tcp::TcpTransport::fetch_block`]), one
-//!   id-matched request/reply exchange served by the owner's reader
-//!   thread, the moral equivalent of the RDMA gets the paper assumes.
-//!   Its batched, pipelined forms ([`tcp::TcpTransport::fetch_blocks`],
-//!   and [`tcp::TcpTransport::store_blocks`] for writes) have no caller
-//!   in the sorts.
+//!   cluster. It also carries an out-of-band block channel
+//!   ([`tcp::TcpTransport::fetch_block`], the batched, pipelined
+//!   [`tcp::TcpTransport::fetch_blocks`] and
+//!   [`tcp::TcpTransport::store_blocks`]): id-matched request/reply
+//!   exchanges served by the owner's reader thread. No sort reads or
+//!   writes another rank's disk, so the channel has no caller in the
+//!   sorts; it serves only the benchmark ladder's block-transfer rows
+//!   and goes with them.
 //!
 //! Because metering happens in the facade, the message/byte counters of
 //! a job are **identical across transports** — the in-process cluster

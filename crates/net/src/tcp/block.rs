@@ -391,14 +391,13 @@ impl TcpTransport {
     }
 
     /// Register the handler serving this rank's blocks to remote
-    /// block-service requests (selection probes).
+    /// block-channel requests.
     pub fn set_block_handler(&self, h: BlockHandler) {
         *self.inner.block.fetch_handler.write().expect("handler lock") = Some(h);
     }
 
-    /// Drop the block handler (subsequent requests get an error reply).
-    /// Workers clear it once no peer can read remotely anymore,
-    /// breaking the handler's reference back to the storage.
+    /// Drop the block handler (subsequent requests get an error reply),
+    /// and with it whatever the handler holds.
     pub fn clear_block_handler(&self) {
         *self.inner.block.fetch_handler.write().expect("handler lock") = None;
     }

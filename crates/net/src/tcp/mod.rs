@@ -17,16 +17,16 @@
 //!   flushes at collective boundaries (before every blocking receive),
 //!   so batching can never deadlock a peer on bytes parked locally;
 //!   the blocking read the reader threads use; the wire meters.
-//! * `block` — **the block service**: remote block reads ("they have
-//!   to request data from remote disks", Section IV-A — multiway
-//!   selection's probes, one block each) and writes are one
-//!   request/reply exchange, served from the owning rank's storage by
-//!   its reader thread — the remote PE's CPU never leaves its own
-//!   phase, exactly like an RDMA get. Requests carry ids, so any number
-//!   can be in flight per peer and responses are matched by id, not
-//!   arrival order ([`TcpTransport::fetch_blocks`] and
-//!   [`TcpTransport::store_blocks`] pipeline a whole batch behind one
-//!   flush; no sort issues a batch or a store).
+//! * `block` — an out-of-band block channel: reads and writes of
+//!   another rank's blocks are one request/reply exchange, served from
+//!   the owning rank's registered handler by its reader thread — the
+//!   remote PE's CPU never leaves its own phase, like an RDMA get.
+//!   Requests carry ids, so any number can be in flight per peer and
+//!   responses are matched by id, not arrival order
+//!   ([`TcpTransport::fetch_blocks`] and [`TcpTransport::store_blocks`]
+//!   pipeline a whole batch behind one flush). No sort reads or writes
+//!   another rank's disk, so only the benchmark ladder's block-transfer
+//!   rows use the channel.
 //! * `endpoint` — **the [`Transport`](crate::Transport)**: one reader
 //!   thread per peer socket demultiplexes frames into per-source FIFO
 //!   queues (preserving MPI's per-source ordering) and into the block

@@ -146,14 +146,11 @@ pub struct AlgoConfig {
     /// ("each PE chooses its participating blocks for the run randomly",
     /// Section IV). Turning this off reproduces Figure 6.
     pub randomize: bool,
-    /// Store every `K`-th element of each sorted run as a sample for
-    /// initializing multiway selection (Section IV-A / Appendix B).
-    /// `0` disables sampling (ablation).
+    /// Store every `K`-th element of each sorted run as a sample
+    /// (Section IV-A / Appendix B). The sample brackets every run's
+    /// split to a window of fewer than `2K + 2R(K−1)` records, which
+    /// multiway selection reads instead of the runs; so `K ≥ 1`.
     pub sample_every: usize,
-    /// Number of most-recently-used blocks cached during external
-    /// multiway selection ("we cache the most recently accessed disk
-    /// blocks", Section IV-A). `0` disables the cache (ablation).
-    pub selection_cache_blocks: usize,
     /// Overlap I/O with computation during run formation
     /// (Section IV-E "Overlapping"). Off = strictly sequential phases
     /// within run formation (ablation).
@@ -189,7 +186,6 @@ impl Default for AlgoConfig {
         Self {
             randomize: true,
             sample_every: 64,
-            selection_cache_blocks: 16,
             overlap: true,
             seed: 0x5EED_CAFE,
             replication: 0,
@@ -220,6 +216,11 @@ impl SortConfig {
     /// live on, so `replication < pes`).
     pub fn new(machine: MachineConfig, algo: AlgoConfig) -> Result<Self> {
         machine.validate()?;
+        if algo.sample_every == 0 {
+            return Err(Error::config(
+                "sample_every must be at least 1: the run samples bracket the selection's windows",
+            ));
+        }
         // A striped run's directory names a copy in 16 bits.
         if algo.replication > u16::MAX as usize {
             return Err(Error::config(format!(
@@ -426,6 +427,15 @@ mod tests {
         assert_eq!(cfg.num_runs(m), 1);
         assert_eq!(cfg.num_runs(m + 1), 2);
         assert_eq!(cfg.num_runs(3 * m), 3);
+    }
+
+    #[test]
+    fn selection_needs_a_sample() {
+        let algo = AlgoConfig { sample_every: 0, ..AlgoConfig::default() };
+        let err = SortConfig::new(MachineConfig::tiny(2), algo).expect_err("no sample");
+        assert!(matches!(&err, Error::Config(m) if m.contains("sample_every")), "{err}");
+        let algo = AlgoConfig { sample_every: 1, ..AlgoConfig::default() };
+        SortConfig::new(MachineConfig::tiny(2), algo).expect("every record sampled");
     }
 
     #[test]

@@ -26,11 +26,31 @@ pub trait Key: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {
     /// `a.prefix64() <= b.prefix64()`. Used for histograms, band
     /// generation, and diagnostics — never for ordering decisions.
     fn prefix64(&self) -> u64;
+
+    /// Serialized size in bytes.
+    const BYTES: usize;
+
+    /// Write the key into `out` (exactly [`Key::BYTES`] bytes).
+    fn encode(&self, out: &mut [u8]);
+
+    /// Read a key [`Key::encode`] wrote.
+    fn decode(bytes: &[u8]) -> Self;
 }
 
 impl Key for u64 {
     const MIN_KEY: Self = 0;
     const MAX_KEY: Self = u64::MAX;
+    const BYTES: usize = 8;
+
+    fn encode(&self, out: &mut [u8]) {
+        out[..8].copy_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> Self {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(&bytes[..8]);
+        u64::from_le_bytes(le)
+    }
 
     #[inline]
     fn prefix64(&self) -> u64 {
@@ -41,6 +61,17 @@ impl Key for u64 {
 impl Key for u32 {
     const MIN_KEY: Self = 0;
     const MAX_KEY: Self = u32::MAX;
+    const BYTES: usize = 4;
+
+    fn encode(&self, out: &mut [u8]) {
+        out[..4].copy_from_slice(&self.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> Self {
+        let mut le = [0u8; 4];
+        le.copy_from_slice(&bytes[..4]);
+        u32::from_le_bytes(le)
+    }
 
     #[inline]
     fn prefix64(&self) -> u64 {
@@ -56,6 +87,17 @@ pub struct Key10(pub [u8; 10]);
 impl Key for Key10 {
     const MIN_KEY: Self = Key10([0u8; 10]);
     const MAX_KEY: Self = Key10([0xFF; 10]);
+    const BYTES: usize = 10;
+
+    fn encode(&self, out: &mut [u8]) {
+        out[..10].copy_from_slice(&self.0);
+    }
+
+    fn decode(bytes: &[u8]) -> Self {
+        let mut key = Key10::MIN_KEY;
+        key.0.copy_from_slice(&bytes[..10]);
+        key
+    }
 
     #[inline]
     fn prefix64(&self) -> u64 {
@@ -379,6 +421,20 @@ impl Record for Record100 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn keys_round_trip_through_their_encoding() {
+        let mut buf = [0u8; 10];
+        for k in [0u64, 7, u64::MAX] {
+            k.encode(&mut buf);
+            assert_eq!(u64::decode(&buf), k);
+        }
+        3u32.encode(&mut buf);
+        assert_eq!(u32::decode(&buf), 3);
+        let k = Key10(*b"0123456789");
+        k.encode(&mut buf);
+        assert_eq!(Key10::decode(&buf), k);
+    }
 
     #[test]
     fn element16_roundtrip() {

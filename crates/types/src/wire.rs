@@ -203,7 +203,6 @@ pub fn decode_machine(r: &mut WireReader<'_>) -> Result<MachineConfig> {
 pub fn encode_algo(w: &mut WireWriter, a: &AlgoConfig) {
     w.bool(a.randomize)
         .u64(a.sample_every as u64)
-        .u64(a.selection_cache_blocks as u64)
         .bool(a.overlap)
         .u64(a.seed)
         .u64(a.replication as u64)
@@ -215,7 +214,6 @@ pub fn decode_algo(r: &mut WireReader<'_>) -> Result<AlgoConfig> {
     Ok(AlgoConfig {
         randomize: r.bool()?,
         sample_every: r.u64()? as usize,
-        selection_cache_blocks: r.u64()? as usize,
         overlap: r.bool()?,
         seed: r.u64()?,
         replication: r.u64()? as usize,

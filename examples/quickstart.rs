@@ -39,11 +39,11 @@ fn main() {
     // Figure 1's stages, as they actually ran:
     let o = &outcome.per_pe[0];
     println!("phase 1  run formation: {} global runs, each sorted across all PEs", o.runs);
+    let (last, sel) =
+        (outcome.per_pe.len() - 1, &outcome.per_pe[outcome.per_pe.len() - 1].selection);
     println!(
-        "phase 2a multiway selection: exact rank boundaries, {} probes on PE 0 ({} block fetches, {} cache hits)",
-        o.selection.probes(),
-        o.selection.blocks_local + o.selection.blocks_remote,
-        o.selection.cache_hits,
+        "phase 2a multiway selection: exact rank boundaries over sample windows, {} records for PE {last} ({} own blocks read, {} B pushed)",
+        sel.window_records, sel.blocks_read, sel.bytes_pushed,
     );
     println!(
         "phase 2b external all-to-all: {} suboperation(s), data received from {} PEs",
