@@ -19,9 +19,13 @@
 //! exact result as the paper's selection, with communication that
 //! scales.
 //!
-//! Ties are broken canonically by PE rank: of equal keys, lower-ranked
-//! PEs' elements count as smaller. This makes the returned split unique
-//! and is the same convention as [`crate::selection`].
+//! Elements are ordered as records — by key, then by whatever the
+//! record type's `Ord` compares next (`Record100`: the payload) — so the
+//! pieces of a split, merged, are in record order whatever PE they came
+//! from. Ties of equal records are broken canonically by PE rank:
+//! lower-ranked PEs' elements count as smaller. This makes the returned
+//! split unique and is the convention [`crate::selection`] follows over
+//! slices of records.
 
 use demsort_net::Communicator;
 use demsort_types::wire::{from_peer, WireReader};
@@ -44,7 +48,7 @@ pub fn dist_select_rank<R: Record + Ord>(
     local: &[R],
     r: u64,
 ) -> Result<usize> {
-    debug_assert!(local.windows(2).all(|w| w[0].key() <= w[1].key()), "local must be sorted");
+    debug_assert!(local.windows(2).all(|w| w[0] <= w[1]), "local must be sorted");
     let total = comm.allreduce_sum(local.len() as u64)?;
     assert!(r <= total, "rank {r} > total {total}");
     if r == 0 {
@@ -65,30 +69,30 @@ pub fn dist_select_rank<R: Record + Ord>(
         // Candidate pivot: the median record of the active range.
         let candidate = if weight > 0 { Some(local[lo + (hi - lo) / 2]) } else { None };
         let pivot = weighted_median(comm, candidate, weight)?;
-        let Some((pk, _ppe)) = pivot else {
+        let Some(pivot) = pivot else {
             // No PE has active elements left: the split is pinned.
             debug_assert_eq!(comm.allreduce_sum(lo as u64)?, r);
             return Ok(lo);
         };
 
-        // Count, over the *whole* local sequence, elements with keys
-        // strictly below the pivot key, and at-or-below it.
-        let lt = local.partition_point(|x| x.key() < pk);
-        let le = local.partition_point(|x| x.key() <= pk);
-        let c_lt = comm.allreduce_sum(lt as u64)?; // elements with key < pk
-        let c_le = comm.allreduce_sum(le as u64)?; // elements with key <= pk
+        // Count, over the *whole* local sequence, elements strictly
+        // below the pivot record, and at-or-below it.
+        let lt = local.partition_point(|x| *x < pivot);
+        let le = local.partition_point(|x| *x <= pivot);
+        let c_lt = comm.allreduce_sum(lt as u64)?; // elements < pivot
+        let c_le = comm.allreduce_sum(le as u64)?; // elements <= pivot
 
         if r <= c_lt {
-            // Split lies among keys < pk: discard everything >= pk.
+            // Split lies among records < pivot: discard the rest.
             hi = hi.min(lt);
             lo = lo.min(hi);
         } else if r >= c_le {
-            // Split lies among keys > pk: keep everything <= pk left.
+            // Split lies among records > pivot: keep the rest left.
             lo = lo.max(le);
             hi = hi.max(lo);
         } else {
-            // The split lands inside the band of keys == pk. Assign the
-            // `r - c_lt` in-band slots to PEs in rank order.
+            // The split lands inside the band of records == pivot.
+            // Assign the `r - c_lt` in-band slots to PEs in rank order.
             let eq = (le - lt) as u64;
             let before_me = comm.exscan_sum(eq)?;
             let remaining = (r - c_lt).saturating_sub(before_me);
@@ -140,13 +144,13 @@ pub fn dist_split<R: Record + Ord>(
 
 /// Weighted median of one candidate record per PE.
 ///
-/// Returns `(key, pe)` of the weighted median candidate under the
-/// (key, pe) order, or `None` if every PE's weight is zero.
+/// Returns the weighted median candidate under the (record, pe) order,
+/// or `None` if every PE's weight is zero.
 fn weighted_median<R: Record + Ord>(
     comm: &Communicator,
     candidate: Option<R>,
     weight: u64,
-) -> Result<Option<(R::Key, usize)>> {
+) -> Result<Option<R>> {
     // Allgather (weight, encoded record); weight 0 = no candidate.
     let mut msg = vec![0u8; 8 + R::BYTES];
     msg[..8].copy_from_slice(&weight.to_le_bytes());
@@ -155,28 +159,29 @@ fn weighted_median<R: Record + Ord>(
     }
     let gathered = comm.allgather(msg)?;
 
-    let mut cands: Vec<(R::Key, usize, u64)> = Vec::with_capacity(gathered.len());
+    // In PE order; the stable sort keeps equal records in it.
+    let mut cands: Vec<(R, u64)> = Vec::with_capacity(gathered.len());
     for (pe, m) in gathered.iter().enumerate() {
         let bad = |e: Error| from_peer(comm.rank(), pe, "pivot candidate", e);
         let mut r = WireReader::new(m);
         let w = r.field("weight").u64().map_err(bad)?;
         let rec = r.field("candidate").raw(R::BYTES).map_err(bad)?;
         if w > 0 {
-            cands.push((R::decode(rec).key(), pe, w));
+            cands.push((R::decode(rec), w));
         }
     }
-    cands.sort_by_key(|a| (a.0, a.1));
+    cands.sort_by_key(|c| c.0);
     // The first candidate whose prefix weight reaches half the total;
     // the last one always does, so only an empty list gives `None`.
-    let total: u64 = cands.iter().map(|c| c.2).sum();
+    let total: u64 = cands.iter().map(|c| c.1).sum();
     let mut acc = 0u64;
     Ok(cands
         .into_iter()
-        .find(|&(_, _, w)| {
+        .find(|&(_, w)| {
             acc += w;
             acc * 2 >= total
         })
-        .map(|(k, pe, _)| (k, pe)))
+        .map(|(rec, _)| rec))
 }
 
 #[cfg(test)]
@@ -198,18 +203,18 @@ mod tests {
         });
         let total: u64 = positions.iter().map(|&x| x as u64).sum();
         assert_eq!(total, r, "positions must sum to the rank");
-        // Partition property under (key, pe) order.
+        // Partition property under (record, pe) order.
         let max_left = locals
             .iter()
             .enumerate()
             .filter(|(i, _)| positions[*i] > 0)
-            .map(|(i, s)| (s[positions[i] - 1].key, i))
+            .map(|(i, s)| (s[positions[i] - 1], i))
             .max();
         let min_right = locals
             .iter()
             .enumerate()
             .filter(|(i, s)| positions[*i] < s.len())
-            .map(|(i, s)| (s[positions[i]].key, i))
+            .map(|(i, s)| (s[positions[i]], i))
             .min();
         if let (Some(l), Some(rr)) = (max_left, min_right) {
             assert!(l <= rr, "misordered: left {l:?} right {rr:?}");
@@ -269,6 +274,19 @@ mod tests {
         });
         // Canonical: PE 0's 10 elements, then 5 from PE 1.
         assert_eq!(positions, vec![10, 5, 0]);
+    }
+
+    #[test]
+    fn equal_keys_split_by_payload_before_pe_order() {
+        // PE 0's records carry the larger payload: record order puts all
+        // of PE 1's first, whatever the ranks.
+        let locals: Vec<Vec<Element16>> =
+            (0..2u64).map(|pe| vec![Element16::new(42, 1 - pe); 10]).collect();
+        let locals_ref = &locals;
+        let positions = run_cluster(2, move |c| {
+            dist_select_rank(&c, &locals_ref[c.rank()], 15).expect("select")
+        });
+        assert_eq!(positions, vec![5, 10]);
     }
 
     #[test]

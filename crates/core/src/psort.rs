@@ -107,8 +107,10 @@ impl<R: Record + Ord> Exchange<R> {
     /// Collective. Returns the CPU counters of the merge (and of its
     /// thread split); the splitter selection's traffic is on `comm`.
     ///
-    /// Equal keys come out in source-rank order — the canonical
-    /// (key, PE) tie-break the splitters were chosen under.
+    /// The output is in record order (`Ord`, which for `Record100`
+    /// orders equal keys by payload); records that compare equal come
+    /// out in source-rank order — the canonical (record, PE) tie-break
+    /// the splitters were chosen under.
     ///
     /// # Errors
     /// [`Error::Comm`] if a peer dies during the splitter selection or
@@ -215,7 +217,7 @@ impl<R: Record + Ord> Exchange<R> {
             })
             .collect();
 
-        // Merge them (source order is exactly the canonical (key, PE)
+        // Merge them (source order is exactly the canonical (record, PE)
         // tie-break order) into the sink.
         let total: usize = pieces.iter().map(|v| v.len()).sum();
         let mut cpu = merge_cpu(total as u64, p);

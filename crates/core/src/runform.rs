@@ -30,10 +30,12 @@
 //!   behind that read.
 //! * **One arena** — a run's local records are decoded into, sorted in
 //!   and merged from one vector of `m` bytes that every run reuses, and
-//!   each read buffer goes back to the pool as soon as it is decoded:
-//!   between the in-node sort and the disk queue a record is copied
-//!   twice (into the message that carries it, out of it into its
-//!   block), or once if it stays on this PE.
+//!   each read buffer goes back to the pool as soon as it is decoded.
+//!   The in-node sort of 100-byte records sorts 8-byte key tags beside
+//!   the arena (`8·n` bytes) and then moves each record once within it
+//!   ([`crate::seqsort`]); between that sort and the disk queue a record
+//!   is copied twice (into the message that carries it, out of it into
+//!   its block), or once if it stays on this PE.
 //! * **Single-run special case** — if everything fits in memory
 //!   (`R = 1`), each block is sorted immediately after it arrives while
 //!   the disk fetches the rest, and the sorted blocks are merged at the
@@ -302,6 +304,8 @@ pub fn form_runs<R: Record + Ord>(
 /// is sorted the moment it arrives ("immediately after a block is read
 /// from disk, it is sorted, while the disk is busy with subsequent
 /// blocks"), and the sorted blocks are merged into `arena` at the end.
+/// A block is a few hundred records, so it is sorted on one core; the
+/// final merge is what uses `cores`.
 fn collect_sorting<R: Record + Ord>(
     st: &PeStorage,
     pending: Vec<PendingBlock>,
@@ -317,7 +321,7 @@ fn collect_sorting<R: Record + Ord>(
         R::decode_slice(&buf[..valid * R::BYTES], &mut recs);
         st.pool().add_copied((valid * R::BYTES) as u64);
         st.pool().put(buf);
-        cpu = cpu.merge(&sort_in_node(&mut recs, cores));
+        cpu = cpu.merge(&sort_in_node(&mut recs, 1));
         sorted_blocks.push(recs);
     }
     let views: Vec<&[R]> = sorted_blocks.iter().map(|b| b.as_slice()).collect();

@@ -24,7 +24,8 @@ pub trait Key: Copy + Ord + Send + Sync + std::fmt::Debug + 'static {
 
     /// A monotone 64-bit summary of the key: `a <= b` implies
     /// `a.prefix64() <= b.prefix64()`. Used for histograms, band
-    /// generation, and diagnostics — never for ordering decisions.
+    /// generation, diagnostics, and the tags of the in-node sort, which
+    /// decide an order only where two prefixes differ.
     fn prefix64(&self) -> u64;
 
     /// Serialized size in bytes.
@@ -119,7 +120,10 @@ impl std::fmt::Debug for Key10 {
 /// through the byte-oriented storage and network layers.
 ///
 /// Implementations must guarantee `encode` writes exactly
-/// [`Record::BYTES`] bytes and `decode(encode(r)) == r`.
+/// [`Record::BYTES`] bytes and `decode(encode(r)) == r`. A record type
+/// that implements `Ord` must order by key first: splitters are chosen
+/// on keys, and the in-node sort of wide records orders by
+/// [`Key::prefix64`] wherever two prefixes differ.
 pub trait Record: Copy + Send + Sync + 'static {
     /// The sort key type.
     type Key: Key;
