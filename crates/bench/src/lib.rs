@@ -64,13 +64,6 @@ impl Default for ExpScale {
 }
 
 impl ExpScale {
-    /// The default scale but with quarter-size blocks — the paper's
-    /// `B = 2 MiB` configuration of Figure 5.
-    pub fn small_blocks() -> Self {
-        let base = Self::default();
-        Self { block_bytes: base.block_bytes / 4, ..base }
-    }
-
     /// A faster, smaller preset for smoke tests (keeps `R ≈ 6.25` but
     /// shrinks memory to 128 blocks).
     pub fn smoke() -> Self {

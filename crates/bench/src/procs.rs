@@ -344,20 +344,6 @@ pub fn cli_parse<T: std::str::FromStr>(bin: &str, s: &str, what: &str) -> T {
     s.parse().unwrap_or_else(|_| cli_die(bin, &format!("invalid {what}: {s}")))
 }
 
-/// `true` if the two paths name the same existing file (same
-/// device+inode on unix; path equality elsewhere or when either does
-/// not exist yet).
-fn same_file(a: &str, b: &str) -> bool {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        if let (Ok(ma), Ok(mb)) = (std::fs::metadata(a), std::fs::metadata(b)) {
-            return ma.dev() == mb.dev() && ma.ino() == mb.ino();
-        }
-    }
-    a == b
-}
-
 /// Locate the `demsort-worker` binary next to the running executable.
 pub fn sibling_worker_bin() -> Result<PathBuf> {
     let exe = std::env::current_exe().map_err(|e| Error::io(e.to_string()))?;
@@ -658,26 +644,16 @@ pub fn launch_workers_env(
     job.validate()?;
     let p = job.machine.pes;
 
-    // The output is truncated before the workers read the input, so
-    // sorting a file onto itself would destroy the data silently —
-    // reject it (the in-process driver tolerates in-place use because
-    // its ranks open the output only in the sort's last pass).
-    if same_file(&job.input, &job.output) {
-        return Err(Error::config(format!(
-            "output {} is the input file; TCP mode pre-sizes (truncates) the output before \
-             the sort reads the input — pick a different output path",
-            job.output
-        )));
-    }
-
-    // Pre-size the output so workers can write disjoint ranges.
+    // Create and size the output early, by the ranks' own rule
+    // (`OutputFile::open`): no truncation, so an output that is the
+    // input keeps its bytes until the last pass overwrites them.
     let in_len = std::fs::metadata(&job.input)
         .map_err(|e| Error::io(format!("stat {}: {e}", job.input)))?
         .len();
     let out = std::fs::OpenOptions::new()
         .create(true)
+        .truncate(false)
         .write(true)
-        .truncate(true)
         .open(&job.output)
         .map_err(|e| Error::io(format!("create {}: {e}", job.output)))?;
     out.set_len(in_len).map_err(|e| Error::io(format!("size {}: {e}", job.output)))?;
@@ -1154,30 +1130,6 @@ mod tests {
             elapsed < Duration::from_secs(10),
             "collection must finish when the last report lands, took {elapsed:?}"
         );
-    }
-
-    #[test]
-    fn launch_rejects_in_place_output_before_truncating() {
-        let path = std::env::temp_dir().join(format!("demsort-inplace-{}.dat", std::process::id()));
-        std::fs::write(&path, vec![1u8; 200]).expect("write input");
-        let p = path.to_string_lossy().into_owned();
-        let job = JobConfig {
-            input: p.clone(),
-            output: p,
-            machine: demsort_types::MachineConfig::tiny(2),
-            algo: demsort_types::AlgoConfig::default(),
-            algorithm: SortAlgo::default(),
-            read_timeout_ms: 1000,
-            trace_dir: String::new(),
-            scratch: String::new(),
-        };
-        // Rejected before any worker spawns (the bogus worker path is
-        // never exercised) and before the output truncate.
-        let err =
-            launch(&job, std::path::Path::new("/nonexistent-worker")).expect_err("in-place output");
-        assert!(err.to_string().contains("output"), "{err}");
-        assert_eq!(std::fs::metadata(&path).expect("stat").len(), 200, "input untouched");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -226,3 +226,42 @@ fn sort_file_matches_the_materialising_in_process_run() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+#[test]
+fn launch_sorts_a_file_onto_itself() {
+    // The launcher sizes the output before any rank reads the input,
+    // without truncating it, so a file sorted onto itself through real
+    // worker processes ends as the out-of-place output does.
+    let input = tmp_path("self-input.dat");
+    write_gensort_input(&input);
+    let worker = PathBuf::from(env!("CARGO_BIN_EXE_demsort-worker"));
+    for algorithm in [SortAlgo::Canonical, SortAlgo::Striped] {
+        let (apart, onto) = (tmp_path("self-apart.dat"), tmp_path("self-onto.dat"));
+        std::fs::copy(&input, &onto).expect("copy input");
+        for (from, to) in [(&input, &apart), (&onto, &onto)] {
+            let to_str = to.to_string_lossy().into_owned();
+            let job = JobConfig {
+                input: from.to_string_lossy().into_owned(),
+                output: to_str.clone(),
+                machine: test_machine(),
+                algo: AlgoConfig::default(),
+                algorithm,
+                read_timeout_ms: 60_000,
+                trace_dir: String::new(),
+                scratch: default_scratch(&to_str),
+            };
+            let outcome = launch(&job, &worker).expect("launch");
+            assert!(outcome.report.runs > 1, "the last pass is a merge, not run formation");
+        }
+        assert_eq!(
+            std::fs::read(&onto).expect("read in-place output"),
+            std::fs::read(&apart).expect("read out-of-place output"),
+            "{algorithm:?}: sorting a file onto itself must leave the out-of-place bytes"
+        );
+        assert_eq!(valsort(&onto).0, RECORDS as u64);
+        for p in [&apart, &onto] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+    let _ = std::fs::remove_file(&input);
+}

@@ -35,7 +35,7 @@
 
 use crate::extselect::RunSplitters;
 use crate::recio::{records_per_block, FinishedRun, RecordRunReader};
-use crate::rundir::{slice_run, RunDirectory};
+use crate::rundir::RunDirectory;
 use demsort_net::{chunked_alltoallv, encode_u64s, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, PeStorage, RunWriter};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
@@ -214,9 +214,8 @@ pub fn external_alltoall<R: Record + Ord>(
     let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); p];
     for j in 0..nruns {
         let meta = &dir.runs[j];
-        let my_off = meta.offsets[me];
-        let my_len = meta.slices[me].elems;
-        let clamp = |g: u64| g.clamp(my_off, my_off + my_len) - my_off;
+        let mine = meta.slice(me);
+        let clamp = |g: u64| g.clamp(mine.start, mine.end) - mine.start;
         for q in 0..p {
             let g_lo = all_splitters[q].positions[j];
             let g_hi = if q + 1 < p { all_splitters[q + 1].positions[j] } else { meta.elems() };
@@ -272,20 +271,18 @@ pub fn external_alltoall<R: Record + Ord>(
                 msgs.push(Vec::new());
                 continue;
             }
-            msgs.push(assemble_submessage::<R>(st, dir, me, &mut segments[q], quotas[q])?);
+            msgs.push(assemble_submessage::<R>(st, dir, &mut segments[q], quotas[q])?);
         }
 
         // ---- recycle fully shipped blocks (in-place) ----
-        for j in 0..nruns {
-            let meta = &dir.runs[j];
+        for (j, slice) in dir.local.iter().enumerate() {
             let (lo, hi) = retained[j];
-            let slice = &meta.slices[me];
-            let nblocks = slice.blocks.len();
+            let nblocks = slice.run.blocks.len();
             // Contiguous shipped prefix of the lower region [0, lo).
             let lower_done = region_frontier(&segments, j, 0, lo);
             let lower_limit = ((lower_done / rpb) as usize).min(nblocks);
             for idx in freed_upto[j].0..lower_limit {
-                st.free_block(slice.blocks[idx]);
+                st.free_block(slice.run.blocks[idx]);
             }
             freed_upto[j].0 = freed_upto[j].0.max(lower_limit);
             // Contiguous shipped prefix of the upper region [hi, len).
@@ -297,7 +294,7 @@ pub fn external_alltoall<R: Record + Ord>(
                 ((upper_done / rpb) as usize).min(nblocks)
             };
             for idx in freed_upto[j].1..upper_limit {
-                st.free_block(slice.blocks[idx]);
+                st.free_block(slice.run.blocks[idx]);
             }
             freed_upto[j].1 = freed_upto[j].1.max(upper_limit);
         }
@@ -382,7 +379,6 @@ fn region_frontier(segments: &[Vec<Segment>], j: usize, lo: u64, hi: u64) -> u64
 fn assemble_submessage<R: Record>(
     st: &PeStorage,
     dir: &RunDirectory<R>,
-    me: usize,
     segments: &mut [Segment],
     quota: u64,
 ) -> Result<Vec<u8>> {
@@ -408,11 +404,10 @@ fn assemble_submessage<R: Record>(
         out.u32(*run as u32).u64(recs.end - recs.start);
     }
     for (run, recs) in pieces {
-        let slice = &dir.runs[run].slices[me];
-        let run = slice_run(slice, st.block_bytes());
+        let slice = &dir.local[run];
         let bytes = out.raw((recs.end - recs.start) as usize * R::BYTES);
         // Recycling is handled by the monotone frontier, not the reader.
-        RecordRunReader::<R>::with_range(st, &run, slice.elems, recs.start, recs.end, false)
+        RecordRunReader::<R>::with_range(st, &slice.run, slice.elems, recs.start, recs.end, false)
             .copy_into(bytes)?;
     }
     Ok(out.finish())
@@ -531,18 +526,14 @@ mod tests {
             let nruns = dir.num_runs();
             let mut expected: Vec<Vec<R>> = Vec::with_capacity(nruns);
             let (mut shipped, mut kept) = (0, 0);
-            for j in 0..nruns {
-                let meta = &dir.runs[j];
+            for (j, own) in dir.local.iter().enumerate() {
+                // Every PE reads its own slice and gathers its peers'.
+                let slice = read_records::<R>(st, &own.run, own.elems).expect("read slice");
+                let mut bytes = vec![0; slice.len() * R::BYTES];
+                R::encode_slice(&slice, &mut bytes);
                 let mut whole: Vec<R> = Vec::new();
-                for (pe, slice) in meta.slices.iter().enumerate() {
-                    whole.extend(
-                        read_records::<R>(
-                            storage_ref.pe(pe),
-                            &slice_run(slice, st.block_bytes()),
-                            slice.elems,
-                        )
-                        .expect("read slice"),
-                    );
+                for buf in c.allgather(bytes).expect("gather slices") {
+                    R::decode_slice(&buf, &mut whole);
                 }
                 let lo = all[c.rank()].positions[j] as usize;
                 let hi = if c.rank() + 1 < p {
@@ -551,14 +542,11 @@ mod tests {
                     whole.len()
                 };
                 expected.push(whole[lo..hi].to_vec());
-                let meta = &dir.runs[j];
-                let (off, len) = (meta.offsets[c.rank()], meta.slices[c.rank()].elems);
+                let (off, len) = (dir.runs[j].offsets[c.rank()], own.elems);
                 let stays = (hi as u64).min(off + len).saturating_sub((lo as u64).max(off));
                 shipped += len - stays;
                 kept += stays;
             }
-            // Peers read this PE's slices for their references too.
-            c.barrier().expect("references read");
             let copied = st.pool().counters().copied_bytes;
             let outcome = external_alltoall::<R>(&c, st, &cfg2, &dir, &all).expect("alltoall");
             let copied = st.pool().counters().copied_bytes - copied;
@@ -736,12 +724,11 @@ mod tests {
     fn exchange_splitters_rejects_malformed_vectors() {
         // Two runs of 8 and 12 records over two PEs: rank 1's vector
         // must sum to its first rank, 10.
-        let meta = |half: u64| crate::rundir::RunMeta::<Element16> {
-            slices: vec![Default::default(); 2],
+        let meta = |half: u64| crate::rundir::RunMeta::<u64> {
             offsets: vec![0, half, 2 * half],
             samples: Vec::new(),
         };
-        let dir = RunDirectory { runs: vec![meta(4), meta(6)], local: Vec::new() };
+        let dir = RunDirectory::<Element16> { runs: vec![meta(4), meta(6)], local: Vec::new() };
         let good = encode_u64s(&[3, 7]);
         // The empty message, every other strict prefix, one run too many,
         // a position past its run, a sum other than the peer's rank.
@@ -781,18 +768,11 @@ mod tests {
         let recs: Vec<Element16> = (0..40).map(|i| Element16::new(i, i)).collect();
         let fr = crate::recio::write_records(st, &recs).expect("write");
         let dir = RunDirectory::<Element16> {
-            runs: vec![crate::rundir::RunMeta {
-                slices: vec![crate::rundir::SliceMeta {
-                    elems: fr.elems,
-                    blocks: fr.run.blocks.clone(),
-                }],
-                offsets: vec![0, fr.elems],
-                samples: Vec::new(),
-            }],
+            runs: vec![crate::rundir::RunMeta { offsets: vec![0, fr.elems], samples: Vec::new() }],
             local: vec![fr],
         };
         let mut segs = vec![Segment { run: 0, start: 5, end: 25, cursor: 5 }];
-        let msg = assemble_submessage::<Element16>(st, &dir, 0, &mut segs, 12).expect("assemble");
+        let msg = assemble_submessage::<Element16>(st, &dir, &mut segs, 12).expect("assemble");
         let pieces = parse_submessage::<Element16>(&msg, 1).expect("valid");
         assert_eq!(pieces.len(), 1);
         let (run, elems, payload) = pieces[0];

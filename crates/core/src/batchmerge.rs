@@ -156,7 +156,7 @@ pub fn merge_batches<R: Record + Ord>(
                 &mut emit,
                 |thread, threads, len, total| tracer.begin(par(thread, threads, len, total)),
                 |id, thread, threads, len, total| tracer.end(id, par(thread, threads, len, total)),
-            )?;
+            );
             let last = emit.len() < emit_limit;
             if let Some(t) = threshold.as_ref().filter(|_| last) {
                 // Carry bound (Section III): once block i+1 of a run is

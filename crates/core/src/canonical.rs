@@ -38,7 +38,7 @@ use crate::runform::{form_runs, ingest_input, LocalInput};
 use demsort_net::Communicator;
 use demsort_storage::PeStorage;
 use demsort_types::wire::RankReport;
-use demsort_types::{Error, Phase, PhaseStats, Record, Result, SortConfig};
+use demsort_types::{Phase, PhaseStats, Record, Result, SortConfig};
 use std::sync::Arc;
 
 /// Per-PE result of a canonical mergesort.
@@ -90,27 +90,32 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
     let mut rec = PhaseRecorder::new(me, st.counters(), comm.counters());
 
     // ---- Phase 1: run formation ----
+    // Every rank forms the same number of runs; one run is the output,
+    // and no rank needs a directory of it.
     let dir = rec.phase(Phase::RunFormation, comm, st, |rec| {
         let formed = form_runs::<R>(comm, st, cfg, input, cores, output)?;
         rec.add_cpu(formed.cpu);
-        build_directory(comm, formed.local)
+        match <[_; 1]>::try_from(formed.local) {
+            Ok([only]) => Ok(Err(only)),
+            Err(local) => build_directory(comm, local).map(Ok),
+        }
     })?;
-    let runs = dir.num_runs();
 
     // ---- Single-run shortcut: the sort was internal ----
-    if runs == 1 {
-        let Some(output) = dir.local.into_iter().next() else {
-            return Err(Error::validation(format!("rank {me}: one run but no local slice of it")));
-        };
-        return Ok(PeOutcome {
-            output,
-            phases: rec.into_stats(),
-            selection: SelectionStats::default(),
-            alltoall_subops: 0,
-            sources_seen: 0,
-            runs,
-        });
-    }
+    let dir = match dir {
+        Ok(dir) => dir,
+        Err(output) => {
+            return Ok(PeOutcome {
+                output,
+                phases: rec.into_stats(),
+                selection: SelectionStats::default(),
+                alltoall_subops: 0,
+                sources_seen: 0,
+                runs: 1,
+            })
+        }
+    };
+    let runs = dir.num_runs();
 
     // ---- Phase 2a: multiway selection ----
     let (all_splitters, sel_stats) = rec.phase(Phase::MultiwaySelection, comm, st, |_| {
@@ -275,6 +280,29 @@ mod tests {
         // Two I/Os per element: read input once, write output once.
         let io_over_n = outcome.report.io_volume_over_n();
         assert!((1.9..=2.3).contains(&io_over_n), "internal sort I/O ratio {io_over_n}");
+    }
+
+    #[test]
+    fn a_single_run_sort_builds_no_directory() {
+        let (cfg, p) = (config(3), 3);
+        let gen = |pe, p| generate_pe_input(InputSpec::Uniform, 77, pe, p, 100);
+        let outcome = sort_cluster::<Element16, _>(&cfg, gen).expect("sort");
+        // The run's exchange alone, on the same input.
+        let storage = ClusterStorage::new_mem(&cfg.machine);
+        let (st_ref, cfg_ref) = (&storage, &cfg);
+        let exchange = demsort_net::run_cluster(p, move |c| {
+            let st = st_ref.pe(c.rank());
+            let input = ingest_input(st, &gen(c.rank(), p)).expect("ingest");
+            let before = c.counters();
+            let cores = cfg_ref.machine.cores_per_pe;
+            let formed = form_runs::<Element16>(&c, st, cfg_ref, input, cores, None).expect("form");
+            assert!(formed.local[0].samples.is_empty(), "the only run is not sampled");
+            c.counters().delta_since(&before)
+        });
+        for (o, exchange) in outcome.per_pe.iter().zip(&exchange) {
+            assert_eq!((o.runs, o.phases[0].0), (1, Phase::RunFormation));
+            assert_eq!(o.phases[0].1.comm, *exchange, "run formation sends its exchange only");
+        }
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! all PEs, and the paper's probes "have to request data from remote
 //! disks", a hot spot it softens with randomization, a sample and a
 //! cache. Here the sample does all of it: the directory holds every
-//! `K`-th record of every run, and that alone brackets every run's
-//! split to a window of a few `K` records (`sample_windows`). So no
-//! PE reads for another. Each PE reads the parts of all `P` windows
-//! that lie in its own slices and pushes the keys of window `s` to PE
-//! `s` in one all-to-all; PE `s` then selects exactly, in memory, over
-//! them ([`select_splitters`]). The split is unique under the
-//! (key, run, position) order, so it is the one a search over the
-//! whole runs would find.
+//! `K`-th key of every run and its position, and that alone brackets
+//! every run's split to a window of a few `K` records
+//! (`sample_windows`). So no PE reads for another. Each PE reads the
+//! parts of all `P` windows that lie in its own slices and pushes the
+//! keys of window `s` to PE `s` in one all-to-all; PE `s` then selects
+//! exactly, in memory, over them ([`select_splitters`]). The split is
+//! unique under the (key, run, position) order, so it is the one a
+//! search over the whole runs would find.
 
 use crate::recio::RecordRunReader;
 use crate::rundir::{RunDirectory, RunMeta};
-use crate::selection::multiway_select;
+use crate::selection::select_rank;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::PeStorage;
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
@@ -86,7 +86,7 @@ impl Window {
 /// each run samples at most `K` records apart (every slice's first
 /// record, then every `K`-th), a window holds fewer than
 /// `2K + 2R(K−1)` records.
-pub(crate) fn sample_windows<R: Record>(runs: &[RunMeta<R>], ranks: &[u64]) -> Vec<Window> {
+pub(crate) fn sample_windows<K: Ord + Copy>(runs: &[RunMeta<K>], ranks: &[u64]) -> Vec<Window> {
     debug_assert!(ranks.windows(2).all(|w| w[0] <= w[1]), "ranks ascending");
     let first_untaken =
         |j: usize, taken: usize| runs[j].samples.get(taken).map_or(runs[j].elems(), |s| s.pos);
@@ -95,10 +95,10 @@ pub(crate) fn sample_windows<R: Record>(runs: &[RunMeta<R>], ranks: &[u64]) -> V
     let mut hi: Vec<u64> = (0..runs.len()).map(|j| first_untaken(j, 0)).collect();
     let (mut sum_lo, mut sum_hi) = (0u64, hi.iter().sum::<u64>());
     // The runs' next samples; ties go to the lower run.
-    let mut next: BinaryHeap<Reverse<(R::Key, usize)>> = runs
+    let mut next: BinaryHeap<Reverse<(K, usize)>> = runs
         .iter()
         .enumerate()
-        .filter_map(|(j, m)| m.samples.first().map(|s| Reverse((s.rec.key(), j))))
+        .filter_map(|(j, m)| m.samples.first().map(|s| Reverse((s.key, j))))
         .collect();
     let mut windows = vec![Window::default(); ranks.len()];
     // The next rank awaiting its window's lower and upper edges.
@@ -122,7 +122,7 @@ pub(crate) fn sample_windows<R: Record>(runs: &[RunMeta<R>], ranks: &[u64]) -> V
         sum_hi = next_hi;
         hi[j] = first_untaken(j, taken[j]);
         if let Some(s) = runs[j].samples.get(taken[j]) {
-            next.push(Reverse((s.rec.key(), j)));
+            next.push(Reverse((s.key, j)));
         }
     }
     // Ranks no prefix of the sample reaches end at the runs' ends.
@@ -169,8 +169,8 @@ pub fn select_splitters<R: Record + Ord>(
             .map_err(|e| from_peer(me, src, "selection window", e))?;
     }
     let base: u64 = mine.lo.iter().sum();
-    let mut seqs: Vec<&[R::Key]> = keys.iter().map(Vec::as_slice).collect();
-    let sel = multiway_select(&mut seqs, bounds[me] - base)?;
+    let seqs: Vec<&[R::Key]> = keys.iter().map(Vec::as_slice).collect();
+    let sel = select_rank(&seqs, bounds[me] - base);
     let positions = mine.lo.iter().zip(&sel.positions).map(|(&l, &q)| l + q as u64).collect();
     let stats = SelectionStats { window_records: mine.records(), blocks_read, bytes_pushed };
     Ok((RunSplitters { positions }, stats))
@@ -236,9 +236,7 @@ mod tests {
     use crate::alltoall::exchange_splitters;
     use crate::ctx::ClusterStorage;
     use crate::recio::{read_records, Sample};
-    use crate::rundir::SliceMeta;
     use crate::runform::{form_runs, ingest_input};
-    use crate::selection::KeyedSlice;
     use demsort_net::run_cluster;
     use demsort_types::{AlgoConfig, Element16, MachineConfig, SortConfig};
     use demsort_workloads::{generate_pe_input, InputSpec};
@@ -278,12 +276,11 @@ mod tests {
         (out.into_iter().map(|(sel, _)| sel).collect(), runs)
     }
 
-    /// The exact split of rank `r` over whole in-memory runs.
+    /// The exact split of rank `r` over whole in-memory runs' keys.
     fn reference_positions(runs: &[Vec<Element16>], r: u64) -> Vec<u64> {
-        let mut views: Vec<KeyedSlice<'_, _, _, _>> =
-            runs.iter().map(|s| KeyedSlice::new(s.as_slice(), |e: &Element16| e.key)).collect();
-        let sel = multiway_select(&mut views, r).expect("in-memory selection");
-        sel.positions.iter().map(|&p| p as u64).collect()
+        let keys: Vec<Vec<u64>> = runs.iter().map(|s| s.iter().map(|e| e.key).collect()).collect();
+        let views: Vec<&[u64]> = keys.iter().map(Vec::as_slice).collect();
+        select_rank(&views, r).positions.iter().map(|&p| p as u64).collect()
     }
 
     #[test]
@@ -407,25 +404,16 @@ mod tests {
     /// Runs of `keys`, cut into ragged slices over `p` PEs, with the
     /// samples the run writer takes: each slice's first record, then
     /// every `k`-th.
-    fn metas(runs: &[Vec<u64>], cuts: &[Vec<usize>], k: usize) -> Vec<RunMeta<Element16>> {
+    fn metas(runs: &[Vec<u64>], cuts: &[Vec<usize>], k: usize) -> Vec<RunMeta<u64>> {
         runs.iter()
             .zip(cuts)
             .map(|(run, cut)| {
-                let mut offsets = vec![0u64];
-                let mut samples = Vec::new();
-                let mut slices = Vec::new();
-                for w in cut.windows(2) {
-                    let (a, b) = (w[0], w[1]);
-                    samples.extend(
-                        (a..b).step_by(k).map(|i| Sample {
-                            pos: i as u64,
-                            rec: Element16::new(run[i], i as u64),
-                        }),
-                    );
-                    slices.push(SliceMeta { elems: (b - a) as u64, blocks: Vec::new() });
-                    offsets.push(b as u64);
-                }
-                RunMeta { slices, offsets, samples }
+                let samples = cut
+                    .windows(2)
+                    .flat_map(|w| (w[0]..w[1]).step_by(k))
+                    .map(|i| Sample { pos: i as u64, key: run[i] })
+                    .collect();
+                RunMeta { offsets: cut.iter().map(|&c| c as u64).collect(), samples }
             })
             .collect()
     }

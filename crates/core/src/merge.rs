@@ -271,11 +271,8 @@ pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
         return ParMerge { split_probes: 0, range_lens: vec![total] };
     }
 
-    // Exact splitters at the cores − 1 balanced global ranks. In-memory
-    // sequences never fail a probe, so the Result is vacuous here.
-    let mut views: Vec<&[T]> = seqs.to_vec();
-    let (ranges, split_probes) = crate::selection::multiway_split_counted(&mut views, cores)
-        .expect("in-memory selection is infallible");
+    // Exact splitters at the cores − 1 balanced global ranks.
+    let (ranges, split_probes) = crate::selection::multiway_split_counted(seqs, cores);
     let range_lens: Vec<usize> =
         ranges.windows(2).map(|w| w[1].iter().zip(&w[0]).map(|(b, a)| b - a).sum()).collect();
 
@@ -385,9 +382,6 @@ impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
     /// threshold wait for a later one, so the rounds concatenate to the
     /// merge of everything appended, in the loser tree's (key, run)
     /// order — which the exact multiway selection at `limit` keeps.
-    ///
-    /// # Errors
-    /// None in practice: the selection probes memory.
     pub fn emit_below(
         &mut self,
         below: Option<impl Fn(&T) -> bool>,
@@ -395,7 +389,7 @@ impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
         arena: &mut Vec<T>,
         begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
         end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-    ) -> demsort_types::Result<u64> {
+    ) -> u64 {
         arena.clear();
         let mut views: Vec<&[T]> = (0..self.sources.len()).map(|r| self.carry(r)).collect();
         if let Some(below) = &below {
@@ -403,7 +397,7 @@ impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
         }
         let mut probes = 0;
         if views.iter().map(|v| v.len()).sum::<usize>() > limit {
-            let cut = crate::selection::multiway_select(&mut views.clone(), limit as u64)?;
+            let cut = crate::selection::select_rank(&views, limit as u64);
             probes += cut.probes;
             views.iter_mut().zip(cut.positions).for_each(|(v, p)| *v = &v[..p]);
         }
@@ -421,7 +415,7 @@ impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
             }
             self.kept[r] = buf.len();
         }
-        Ok(probes + pm.split_probes)
+        probes + pm.split_probes
     }
 }
 
@@ -498,9 +492,7 @@ mod tests {
         for (r, s) in seqs.iter().enumerate() {
             carry.buffer(r, s.len()).extend_from_slice(s);
         }
-        carry
-            .emit_below(Some(below), usize::MAX, out, |_, _, _, _| 0, |_, _, _, _, _| {})
-            .expect("in memory");
+        carry.emit_below(Some(below), usize::MAX, out, |_, _, _, _| 0, |_, _, _, _, _| {});
         seqs.iter().enumerate().map(|(r, s)| s.len() - carry.carry(r).len()).collect()
     }
 
@@ -755,11 +747,9 @@ mod tests {
             parts in 1usize..7,
         ) {
             let sorted_seqs: Vec<Vec<u32>> = seqs.iter().cloned().map(sorted).collect();
-            let mut views: Vec<&[u32]> =
-                sorted_seqs.iter().map(|s| s.as_slice()).collect();
+            let views: Vec<&[u32]> = sorted_seqs.iter().map(|s| s.as_slice()).collect();
             let total: usize = views.iter().map(|v| v.len()).sum();
-            let (cuts, probes) =
-                crate::selection::multiway_split_counted(&mut views, parts).unwrap();
+            let (cuts, probes) = crate::selection::multiway_split_counted(&views, parts);
             prop_assert_eq!(cuts.len(), parts + 1);
             prop_assert!(cuts[0].iter().all(|&c| c == 0), "first cut must open every run");
             for (i, v) in views.iter().enumerate() {
@@ -882,7 +872,7 @@ mod tests {
                             &mut arena,
                             |_, _, _, _| 0,
                             |_, _, _, _, _| {},
-                        ).expect("in memory");
+                        );
                         prop_assert!(arena.len() <= limit);
                         if let Some(t) = threshold {
                             prop_assert!(arena.iter().all(|x| x.0 < t), "emitted at or above {t}");

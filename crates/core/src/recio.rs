@@ -19,9 +19,9 @@
 //! where block `i` lands at its final byte offset. It is a
 //! [`RecordSink`], the interface the exchange kernel ([`crate::psort`])
 //! emits into. While writing it additionally collects:
-//! * a **sample** of every `K`-th record (Section IV-A: "during run
-//!   formation, we store every K-th element of the sorted run as a
-//!   sample"), and
+//! * a **sample** of every `K`-th record's key and position (Section
+//!   IV-A: "during run formation, we store every K-th element of the
+//!   sorted run as a sample"; selection compares keys only), and
 //! * the **first key of every block** — the prediction sequence of
 //!   Section III / \[11\].
 //!
@@ -47,19 +47,14 @@ pub fn records_per_block<R: Record>(block_bytes: usize) -> usize {
     rpb
 }
 
-/// Number of blocks a run of `elems` records occupies.
-pub fn blocks_for<R: Record>(elems: u64, block_bytes: usize) -> u64 {
-    elems.div_ceil(records_per_block::<R>(block_bytes) as u64)
-}
-
 /// A sampled record: its position within the (local part of the) run
-/// and the record itself.
+/// and its key — all that bracketing a selection reads.
 #[derive(Copy, Clone, Debug, PartialEq)]
-pub struct Sample<R> {
+pub struct Sample<K> {
     /// Element index the sample was taken at.
     pub pos: u64,
-    /// The sampled record.
-    pub rec: R,
+    /// The sampled record's key.
+    pub key: K,
 }
 
 /// Where sorted records go as a merge produces them, one at a time or
@@ -129,7 +124,7 @@ pub struct RecordRunWriter<'a, R: Record> {
     sample_every: u64,
     /// Position of the next record to sample (`u64::MAX`: none).
     next_sample: u64,
-    samples: Vec<Sample<R>>,
+    samples: Vec<Sample<R::Key>>,
     block_first_keys: Vec<R::Key>,
 }
 
@@ -179,8 +174,8 @@ impl<'a, R: Record> RecordRunWriter<'a, R> {
             }
             let end = self.elems + head.len() as u64;
             while self.next_sample < end {
-                let rec = head[(self.next_sample - self.elems) as usize];
-                self.samples.push(Sample { pos: self.next_sample, rec });
+                let key = head[(self.next_sample - self.elems) as usize].key();
+                self.samples.push(Sample { pos: self.next_sample, key });
                 self.next_sample += self.sample_every;
             }
             R::encode_slice(head, &mut self.block[self.fill * R::BYTES..]);
@@ -250,8 +245,8 @@ pub struct FinishedRun<R: Record> {
     pub run: Run,
     /// Number of records.
     pub elems: u64,
-    /// Every `K`-th record (empty if sampling was disabled).
-    pub samples: Vec<Sample<R>>,
+    /// Every `K`-th record's key (empty if sampling was disabled).
+    pub samples: Vec<Sample<R::Key>>,
     /// First key of every block — the prediction sequence.
     pub block_first_keys: Vec<R::Key>,
 }
@@ -456,7 +451,7 @@ mod tests {
         let positions: Vec<u64> = fr.samples.iter().map(|s| s.pos).collect();
         assert_eq!(positions, vec![0, 4, 8]);
         for s in &fr.samples {
-            assert_eq!(s.rec.key, s.pos * 3);
+            assert_eq!(s.key, s.pos * 3);
         }
     }
 

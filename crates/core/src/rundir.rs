@@ -1,48 +1,36 @@
-//! The run directory: global metadata about formed runs.
+//! The run directory: what every PE knows about the formed runs.
 //!
 //! After run formation, run `j` is a globally sorted sequence of up to
 //! `M` elements whose canonical slice `i` sits on PE `i`'s local disks.
-//! Phase 2 (multiway selection + all-to-all) needs to address *run
-//! element `x` of run `j`* wherever it lives, so after phase 1 every PE
-//! learns, for every run:
+//! Phase 2 reads only each PE's own slices — selection brackets every
+//! run's split with the samples, and the all-to-all ships what it
+//! holds — so after phase 1 every PE learns, for every run, just:
 //!
 //! * each PE's slice length (prefix offsets map run-global element
-//!   indexes to `(pe, local index)`),
-//! * each slice's on-disk block list, and
-//! * the merged **sample** (every `K`-th element, Section IV-A /
-//!   Appendix B) that brackets every run's split for the selection.
+//!   indexes to slices), and
+//! * the merged **sample** (every `K`-th key and its position, Section
+//!   IV-A / Appendix B) that brackets every run's split for the
+//!   selection.
 //!
-//! All of this is `o(N)`: per run, `P` lengths + `N/(M/B)` block ids +
-//! `M/K` samples.
+//! The blocks of a PE's own slices stay with it ([`RunDirectory::local`]).
+//! All of this is `o(N)`: per run, `P` lengths + `M/K` samples.
 
 use crate::recio::{FinishedRun, Sample};
 use demsort_net::Communicator;
-use demsort_storage::{BlockId, Run};
 use demsort_types::wire::{from_peer, WireReader, WireWriter};
-use demsort_types::{Error, Record, Result};
-
-/// Per-PE slice metadata of one run, as seen by every PE.
-#[derive(Clone, Debug, Default)]
-pub struct SliceMeta {
-    /// Number of elements in the slice.
-    pub elems: u64,
-    /// The slice's on-disk blocks (block ids are local to the owner).
-    pub blocks: Vec<BlockId>,
-}
+use demsort_types::{Error, Key, Record, Result};
 
 /// Global metadata of one run.
-#[derive(Clone, Debug, Default)]
-pub struct RunMeta<R: Record> {
-    /// Slice metadata, indexed by PE.
-    pub slices: Vec<SliceMeta>,
+#[derive(Clone, Debug)]
+pub struct RunMeta<K> {
     /// Prefix offsets: slice `i` covers run elements
     /// `offsets[i]..offsets[i+1]` (length `P + 1`).
     pub offsets: Vec<u64>,
     /// Merged sample with run-global positions, ascending.
-    pub samples: Vec<Sample<R>>,
+    pub samples: Vec<Sample<K>>,
 }
 
-impl<R: Record> RunMeta<R> {
+impl<K> RunMeta<K> {
     /// Total elements in the run.
     pub fn elems(&self) -> u64 {
         *self.offsets.last().expect("offsets nonempty")
@@ -52,22 +40,15 @@ impl<R: Record> RunMeta<R> {
     pub fn slice(&self, pe: usize) -> std::ops::Range<u64> {
         self.offsets[pe]..self.offsets[pe + 1]
     }
-
-    /// Which PE owns run-global element `x`, and its local index.
-    pub fn locate(&self, x: u64) -> (usize, u64) {
-        debug_assert!(x < self.elems());
-        // offsets is sorted; find the slice containing x.
-        let pe = self.offsets.partition_point(|&o| o <= x) - 1;
-        (pe, x - self.offsets[pe])
-    }
 }
 
 /// Everything a PE knows about all runs after phase 1.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RunDirectory<R: Record> {
     /// Global metadata per run.
-    pub runs: Vec<RunMeta<R>>,
-    /// This PE's local slice (blocks + prediction keys) per run.
+    pub runs: Vec<RunMeta<R::Key>>,
+    /// This PE's local slice (blocks + prediction keys) per run; its
+    /// samples moved into `runs`.
     pub local: Vec<FinishedRun<R>>,
 }
 
@@ -83,109 +64,96 @@ impl<R: Record> RunDirectory<R> {
     }
 }
 
-/// Exchange local slice metadata into the global [`RunDirectory`].
+/// Exchange every PE's slice lengths and samples into the global
+/// [`RunDirectory`].
 ///
 /// Collective: every PE contributes its local [`FinishedRun`] per run
 /// (one entry per run, possibly empty slices).
 ///
 /// # Errors
-/// [`Error::Comm`] if the metadata allgather of any run fails (dead or
-/// silent peer) or a peer's slice metadata does not decode.
-pub fn build_directory<R: Record + Ord>(
+/// [`Error::Comm`] if the allgather of any run fails (dead or silent
+/// peer) or a peer's slice message does not decode.
+pub fn build_directory<R: Record>(
     comm: &Communicator,
-    local: Vec<FinishedRun<R>>,
+    mut local: Vec<FinishedRun<R>>,
 ) -> Result<RunDirectory<R>> {
-    let p = comm.size();
-    let nruns = local.len();
-    let mut runs = Vec::with_capacity(nruns);
-    for fr in &local {
-        let gathered = comm.allgather(encode_slice_meta(fr))?;
-        let mut slices = Vec::with_capacity(p);
-        let mut per_pe_samples = Vec::with_capacity(p);
-        for (src, buf) in gathered.iter().enumerate() {
-            let (meta, samples) = decode_slice_meta::<R>(buf)
-                .map_err(|e| from_peer(comm.rank(), src, "run directory slice", e))?;
-            slices.push(meta);
-            per_pe_samples.push(samples);
-        }
-        let mut offsets = Vec::with_capacity(p + 1);
-        offsets.push(0u64);
-        for s in &slices {
-            offsets.push(offsets.last().expect("nonempty") + s.elems);
-        }
-        // Merge samples: shift local positions to run-global ones.
+    let mut runs = Vec::with_capacity(local.len());
+    for fr in &mut local {
+        let gathered = comm.allgather(encode_slice(fr.elems, &fr.samples))?;
+        let mut offsets = vec![0u64];
         let mut samples = Vec::new();
-        for (pe, ss) in per_pe_samples.into_iter().enumerate() {
-            let base = offsets[pe];
-            samples.extend(ss.into_iter().map(|s| Sample { pos: base + s.pos, rec: s.rec }));
+        for (src, buf) in gathered.iter().enumerate() {
+            let base = *offsets.last().expect("nonempty");
+            let end = if src == comm.rank() {
+                // Our own slice: move its samples instead of decoding them.
+                let own = std::mem::take(&mut fr.samples).into_iter();
+                samples.extend(own.map(|s| Sample { pos: base + s.pos, ..s }));
+                base + fr.elems
+            } else {
+                decode_slice(buf, base, &mut samples)
+                    .map_err(|e| from_peer(comm.rank(), src, "run directory slice", e))?
+            };
+            offsets.push(end);
         }
-        runs.push(RunMeta { slices, offsets, samples });
+        runs.push(RunMeta { offsets, samples });
     }
     Ok(RunDirectory { runs, local })
 }
 
 /// One PE's slice of one run as the directory allgather carries it:
-/// `elems`, the block and sample counts, the block ids, then each
-/// sample's slice-local position and record.
-fn encode_slice_meta<R: Record>(fr: &FinishedRun<R>) -> Vec<u8> {
-    let mut w =
-        WireWriter::with_capacity(16 + fr.run.blocks.len() * 8 + fr.samples.len() * (8 + R::BYTES));
-    w.u64(fr.elems).u32(fr.run.blocks.len() as u32).u32(fr.samples.len() as u32);
-    for b in &fr.run.blocks {
-        w.u32(b.disk).u32(b.slot);
-    }
-    for s in &fr.samples {
+/// `elems`, the sample count, then each sample's slice-local position
+/// and key.
+fn encode_slice<K: Key>(elems: u64, samples: &[Sample<K>]) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(12 + samples.len() * (8 + K::BYTES));
+    w.u64(elems).u32(samples.len() as u32);
+    for s in samples {
         w.u64(s.pos);
-        s.rec.encode(w.raw(R::BYTES));
+        s.key.encode(w.raw(K::BYTES));
     }
     w.finish()
 }
 
-/// Decode a peer's [`encode_slice_meta`] message. The two counts must
-/// account for exactly the bytes that follow (so neither can make this
-/// rank allocate more than the message it already holds), and the
-/// samples' positions must rise strictly inside the slice: the
+/// Decode a peer's [`encode_slice`] message for the slice that starts
+/// at run element `base`, appending its samples to `samples` shifted
+/// by `base`, and return the run element the slice ends at. The
+/// sample count must account for exactly the bytes that follow (so it
+/// cannot make this rank allocate more than the message it already
+/// holds), and the positions must rise strictly inside the slice: the
 /// selection's windows are computed from them.
-fn decode_slice_meta<R: Record>(buf: &[u8]) -> Result<(SliceMeta, Vec<Sample<R>>)> {
+fn decode_slice<K: Key>(buf: &[u8], base: u64, samples: &mut Vec<Sample<K>>) -> Result<u64> {
     let mut r = WireReader::new(buf);
     let elems = r.field("elems").u64()?;
-    let nblocks = r.field("nblocks").u32()? as usize;
+    let end = base
+        .checked_add(elems)
+        .ok_or_else(|| Error::comm(format!("elems {elems} after {base} overflow the run")))?;
     let nsamples = r.field("nsamples").u32()? as usize;
-    if nblocks * 8 + nsamples * (8 + R::BYTES) != r.remaining() {
+    if nsamples * (8 + K::BYTES) != r.remaining() {
         return Err(Error::comm(format!(
-            "nblocks {nblocks} and nsamples {nsamples} do not describe the {} bytes that follow",
+            "nsamples {nsamples} does not describe the {} bytes that follow",
             r.remaining()
         )));
     }
-    let mut blocks = Vec::with_capacity(nblocks);
-    for _ in 0..nblocks {
-        let disk = r.field("block disk").u32()?;
-        blocks.push(BlockId::new(disk, r.field("block slot").u32()?));
-    }
-    let mut samples: Vec<Sample<R>> = Vec::with_capacity(nsamples);
+    samples.reserve(nsamples);
+    let mut prev = None;
     for _ in 0..nsamples {
         let pos = r.field("sample pos").u64()?;
         if pos >= elems {
             return Err(Error::comm(format!("sample pos {pos} in a slice of {elems} elems")));
         }
-        if let Some(prev) = samples.last().filter(|s| s.pos >= pos) {
-            return Err(Error::comm(format!("sample pos {pos} after sample pos {}", prev.pos)));
+        if let Some(prev) = prev.filter(|&p| p >= pos) {
+            return Err(Error::comm(format!("sample pos {pos} after sample pos {prev}")));
         }
-        samples.push(Sample { pos, rec: R::decode(r.field("sample").raw(R::BYTES)?) });
+        prev = Some(pos);
+        samples.push(Sample { pos: base + pos, key: K::decode(r.field("sample").raw(K::BYTES)?) });
     }
-    Ok((SliceMeta { elems, blocks }, samples))
-}
-
-/// The run a [`SliceMeta`] describes (for constructing readers over a
-/// remote or local slice).
-pub fn slice_run(meta: &SliceMeta, block_bytes: usize) -> Run {
-    Run { blocks: meta.blocks.clone(), bytes: meta.blocks.len() as u64 * block_bytes as u64 }
+    Ok(end)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use demsort_net::run_cluster;
+    use demsort_storage::{BlockId, Run};
     use demsort_types::Element16;
 
     fn finished(pe: usize, elems: u64) -> FinishedRun<Element16> {
@@ -197,42 +165,54 @@ mod tests {
             elems,
             samples: (0..elems)
                 .step_by(4)
-                .map(|p| Sample { pos: p, rec: Element16::new(p * 10 + pe as u64, p) })
+                .map(|p| Sample { pos: p, key: p * 10 + pe as u64 })
                 .collect(),
             block_first_keys: Vec::new(),
         }
     }
 
+    /// Decode a slice message at base 0: its length and samples.
+    fn decode(buf: &[u8]) -> Result<(u64, Vec<Sample<u64>>)> {
+        let mut samples = Vec::new();
+        decode_slice(buf, 0, &mut samples).map(|elems| (elems, samples))
+    }
+
     #[test]
     fn meta_encode_decode_roundtrip() {
         let fr = finished(1, 11);
-        let buf = encode_slice_meta(&fr);
-        let (meta, samples) = decode_slice_meta::<Element16>(&buf).expect("valid");
-        assert_eq!(meta.elems, 11);
-        assert_eq!(meta.blocks, fr.run.blocks);
+        let buf = encode_slice(fr.elems, &fr.samples);
+        assert_eq!(buf.len(), 12 + 3 * 16, "elems, count, then (pos, key) per sample");
+        let (elems, samples) = decode(&buf).expect("valid");
+        assert_eq!(elems, 11);
         assert_eq!(samples, fr.samples);
+        let mut shifted: Vec<Sample<u64>> = Vec::new();
+        assert_eq!(decode_slice(&buf, 100, &mut shifted).expect("valid"), 111, "the slice's end");
+        let positions: Vec<u64> = shifted.iter().map(|s| s.pos).collect();
+        assert_eq!(positions, vec![100, 104, 108], "positions shifted by the slice's base");
     }
 
     #[test]
     fn slice_meta_rejects_short_frames_and_out_of_range_fields() {
-        let buf = encode_slice_meta(&finished(1, 11));
+        let fr = finished(1, 11);
+        let buf = encode_slice(fr.elems, &fr.samples);
         for cut in 0..buf.len() {
-            let err = decode_slice_meta::<Element16>(&buf[..cut]).expect_err("strict prefix");
+            let err = decode(&buf[..cut]).expect_err("strict prefix");
             assert!(matches!(err, Error::Comm(_)), "cut {cut}: {err}");
         }
         let mut long = buf.clone();
         long.push(0);
-        assert!(decode_slice_meta::<Element16>(&long).is_err(), "trailing bytes");
+        assert!(decode(&long).is_err(), "trailing bytes");
         // One out-of-range value per field: `elems` below a sample's
-        // position, a block count and a sample count the frame does not
-        // hold.
-        for (at, value, field) in [(0, 8u32, "sample pos"), (8, 4, "nblocks"), (12, 2, "nsamples")]
-        {
+        // position, and a sample count the frame does not hold.
+        for (at, value, field) in [(0, 8u32, "sample pos"), (8, 2, "nsamples")] {
             let mut bad = buf.clone();
             bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            let err = decode_slice_meta::<Element16>(&bad).expect_err(field);
+            let err = decode(&bad).expect_err(field);
             assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
         }
+        // A slice that would end past the run's `u64` range.
+        let err = decode_slice::<u64>(&buf, u64::MAX - 10, &mut Vec::new()).expect_err("overflow");
+        assert!(matches!(&err, Error::Comm(m) if m.contains("overflow the run")), "{err}");
     }
 
     #[test]
@@ -253,33 +233,17 @@ mod tests {
 
     proptest::proptest! {
         #[test]
-        fn slice_meta_round_trips(
-            elems in 0u64..200,
-            slots in proptest::collection::vec(0u32..u32::MAX, 0..12),
-            every in 1u64..9,
-        ) {
-            let fr = FinishedRun {
-                run: Run {
-                    blocks: slots.iter().map(|&s| BlockId::new(s % 3, s)).collect(),
-                    bytes: slots.len() as u64 * 64,
-                },
-                elems,
-                samples: (0..elems)
-                    .step_by(every as usize)
-                    .map(|p| Sample { pos: p, rec: Element16::new(p * 7, p) })
-                    .collect(),
-                block_first_keys: Vec::new(),
-            };
-            let (meta, samples) =
-                decode_slice_meta::<Element16>(&encode_slice_meta(&fr)).expect("valid");
-            proptest::prop_assert_eq!(meta.elems, fr.elems);
-            proptest::prop_assert_eq!(meta.blocks, fr.run.blocks);
-            proptest::prop_assert_eq!(samples, fr.samples);
+        fn slice_meta_round_trips(elems in 0u64..200, every in 1u64..9) {
+            let samples: Vec<Sample<u64>> =
+                (0..elems).step_by(every as usize).map(|p| Sample { pos: p, key: p * 7 }).collect();
+            let (decoded_elems, decoded) = decode(&encode_slice(elems, &samples)).expect("valid");
+            proptest::prop_assert_eq!(decoded_elems, elems);
+            proptest::prop_assert_eq!(decoded, samples);
         }
     }
 
     #[test]
-    fn directory_offsets_and_locate() {
+    fn directory_offsets_and_slices() {
         let p = 3;
         let dirs = run_cluster(p, move |c| {
             // PE i's slice has 10·(i+1) elements.
@@ -290,12 +254,31 @@ mod tests {
             let run = &d.runs[0];
             assert_eq!(run.offsets, vec![0, 10, 30, 60]);
             assert_eq!(run.elems(), 60);
-            assert_eq!(run.locate(0), (0, 0));
-            assert_eq!(run.locate(9), (0, 9));
-            assert_eq!(run.locate(10), (1, 0));
-            assert_eq!(run.locate(29), (1, 19));
-            assert_eq!(run.locate(59), (2, 29));
+            assert_eq!(run.slice(0), 0..10);
+            assert_eq!(run.slice(1), 10..30);
+            assert_eq!(run.slice(2), 30..60);
         }
+    }
+
+    #[test]
+    fn the_directory_sends_lengths_and_keyed_samples_only() {
+        // Three PEs with the same slices, so each forwards messages of
+        // its own size around the allgather ring: (P − 1) copies of
+        // 12 bytes plus (pos, key) per sample, per run. No block id and
+        // no whole record travels.
+        let p = 3;
+        let lens = [11u64, 0, 40];
+        let sent = run_cluster(p, move |c| {
+            let local: Vec<_> = lens.iter().map(|&n| finished(c.rank(), n)).collect();
+            let before = c.counters().bytes_sent;
+            let dir = build_directory(&c, local).expect("directory");
+            assert!(dir.local.iter().all(|fr| fr.samples.is_empty()), "samples moved");
+            assert_eq!(dir.local[2].run.blocks.len(), 10, "own blocks kept");
+            c.counters().bytes_sent - before
+        });
+        let key = <u64 as Key>::BYTES as u64;
+        let per_run: u64 = lens.iter().map(|&n| 12 + n.div_ceil(4) * (8 + key)).sum();
+        assert_eq!(sent, vec![(p as u64 - 1) * per_run; p]);
     }
 
     #[test]
@@ -305,9 +288,13 @@ mod tests {
             let fr = finished(c.rank(), 8);
             build_directory(&c, vec![fr]).expect("directory")
         });
-        let samples = &dirs[0].runs[0].samples;
-        let positions: Vec<u64> = samples.iter().map(|s| s.pos).collect();
-        assert_eq!(positions, vec![0, 4, 8, 12], "PE1's local 0,4 shifted by 8");
+        for d in &dirs {
+            let samples = &d.runs[0].samples;
+            let positions: Vec<u64> = samples.iter().map(|s| s.pos).collect();
+            assert_eq!(positions, vec![0, 4, 8, 12], "PE1's local 0,4 shifted by 8");
+            let keys: Vec<u64> = samples.iter().map(|s| s.key).collect();
+            assert_eq!(keys, vec![0, 40, 1, 41], "each PE's keys, own and decoded alike");
+        }
     }
 
     #[test]
@@ -318,7 +305,7 @@ mod tests {
             build_directory(&c, vec![fr]).expect("directory")
         });
         assert_eq!(dirs[0].runs[0].offsets, vec![0, 5, 5]);
-        assert_eq!(dirs[0].runs[0].locate(4), (0, 4));
+        assert_eq!(dirs[0].runs[0].slice(1), 5..5);
     }
 
     #[test]

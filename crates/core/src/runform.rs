@@ -283,7 +283,9 @@ pub fn form_runs<R: Record + Ord>(
             Some(out) if num_runs == 1 => out.canonical_part::<R>(comm.rank(), comm.size())?,
             _ => RunDest::Scratch,
         };
-        let mut w = RecordRunWriter::with_window(st, cfg.algo.sample_every, window, dest);
+        // The only run is the output: nothing selects over it.
+        let sample_every = if num_runs == 1 { 0 } else { cfg.algo.sample_every };
+        let mut w = RecordRunWriter::with_window(st, sample_every, window, dest);
         cpu_total = cpu_total.merge(&exchange.run(comm, &arena, cores, &mut w)?);
         if cfg.algo.overlap {
             writing = Some(w);
@@ -535,7 +537,7 @@ mod tests {
                 }
                 assert!(!fr.samples.is_empty(), "samples collected");
                 for s in &fr.samples {
-                    assert_eq!(s.rec, recs[s.pos as usize], "sample matches slice");
+                    assert_eq!(s.key, recs[s.pos as usize].key(), "sample matches slice");
                 }
                 assert_eq!(
                     fr.block_first_keys.len(),

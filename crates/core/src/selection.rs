@@ -16,16 +16,12 @@
 //! effective rounds.
 //!
 //! External selection ([`crate::extselect`]) runs it in memory over the
-//! windows the run samples bracket; the merges split their batches
-//! through it too. Probing a sequence is
-//! fallible ([`SortedSeq::key_at`] returns `Result`), and every entry
-//! point propagates the first probe failure instead of panicking
-//! (in-memory sequences simply never fail).
+//! keys of the windows the run samples bracket; the merges split their
+//! batches through it too. Every sequence is a plain sorted slice, so a
+//! selection cannot fail.
 //!
 //! Total work: `O(R² log M)` sequence probes and time, `O(log M)` rounds
 //! of `R` binary searches; our `R` is small.
-
-use demsort_types::Result;
 
 /// Result of a multiway selection.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,95 +40,36 @@ impl SelectionResult {
     }
 }
 
-/// Random access into one sorted sequence.
-pub trait SortedSeq {
-    /// The key type.
-    type Key: Ord + Copy;
-
-    /// Sequence length in elements.
-    fn len(&self) -> usize;
-
-    /// `true` if the sequence is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Key of the element at `idx` (`idx < len`).
-    ///
-    /// # Errors
-    /// A sequence whose probe can fail surfaces the failure here, and
-    /// the selection aborts cleanly. In-memory sequences are
-    /// infallible.
-    fn key_at(&mut self, idx: usize) -> Result<Self::Key>;
+/// [`select_rank`] for callers that unwrap a `Result`; it is always
+/// `Ok`.
+///
+/// # Errors
+/// None.
+pub fn multiway_select<K: Ord>(seqs: &[&[K]], r: u64) -> demsort_types::Result<SelectionResult> {
+    Ok(select_rank(seqs, r))
 }
 
-impl<K: Ord + Copy> SortedSeq for &[K] {
-    type Key = K;
-
-    fn len(&self) -> usize {
-        <[K]>::len(self)
-    }
-
-    fn key_at(&mut self, idx: usize) -> Result<K> {
-        Ok(self[idx])
-    }
-}
-
-/// A slice paired with a key extractor (for record types).
-pub struct KeyedSlice<'a, T, K, F: Fn(&T) -> K> {
-    slice: &'a [T],
-    keyfn: F,
-}
-
-impl<'a, T, K, F: Fn(&T) -> K> KeyedSlice<'a, T, K, F> {
-    /// Wrap `slice` with key extractor `keyfn`.
-    pub fn new(slice: &'a [T], keyfn: F) -> Self {
-        Self { slice, keyfn }
-    }
-}
-
-impl<T, K: Ord + Copy, F: Fn(&T) -> K> SortedSeq for KeyedSlice<'_, T, K, F> {
-    type Key = K;
-
-    fn len(&self) -> usize {
-        self.slice.len()
-    }
-
-    fn key_at(&mut self, idx: usize) -> Result<K> {
-        Ok((self.keyfn)(&self.slice[idx]))
-    }
-}
-
-/// Select the partition of global rank `r` over `seqs`.
+/// Select the partition of global rank `r` over the sorted `seqs` by
+/// deterministic pivoting (see the module doc): each round ranks the
+/// middle element of the widest undecided splitter range and clamps
+/// every sequence's range toward the boundary.
 ///
 /// Equal keys across sequences are ordered by sequence index (the
 /// paper's conceptual "fill up with ∞" padding plus a deterministic
 /// tie-break), so the result is unique and exact.
 ///
-/// # Errors
-/// Propagates the first failed [`SortedSeq::key_at`] probe.
-///
 /// # Panics
-/// Panics if `r` exceeds the total number of elements (a caller bug,
-/// not a communication failure).
-pub fn multiway_select<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<SelectionResult> {
-    let total: u64 = seqs.iter().map(|s| s.len() as u64).sum();
-    assert!(r <= total, "rank {r} > total {total}");
-    multiway_select_pivot(seqs, r)
-}
-
-/// Selection by deterministic pivoting (see the module doc):
-/// each round ranks the middle element of the widest undecided splitter
-/// range and clamps every sequence's range toward the boundary.
-fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<SelectionResult> {
+/// Panics if `r` exceeds the total number of elements (a caller bug).
+pub fn select_rank<K: Ord>(seqs: &[&[K]], r: u64) -> SelectionResult {
     let n = seqs.len();
     let full: Vec<usize> = seqs.iter().map(|s| s.len()).collect();
     let total: u64 = full.iter().map(|&l| l as u64).sum();
+    assert!(r <= total, "rank {r} > total {total}");
     if r == 0 {
-        return Ok(SelectionResult { positions: vec![0; n], probes: 0 });
+        return SelectionResult { positions: vec![0; n], probes: 0 };
     }
     if r == total {
-        return Ok(SelectionResult { positions: full, probes: 0 });
+        return SelectionResult { positions: full, probes: 0 };
     }
     // Invariant: the true splitter of sequence `i` lies in
     // `lo[i]..=hi[i]` (the left set — the `r` smallest under the
@@ -146,7 +83,7 @@ fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selecti
     while let Some(j) = (0..n).filter(|&i| hi[i] > lo[i]).max_by_key(|&i| hi[i] - lo[i]) {
         let m = lo[j] + (hi[j] - lo[j]) / 2;
         probes += 1;
-        let k = seqs[j].key_at(m)?;
+        let k = &seqs[j][m];
         // Global rank of the pivot element (k, j, m): elements of `j`
         // before position `m` (keys < k plus equal keys at earlier
         // positions), plus each other sequence's prefix that precedes
@@ -162,7 +99,7 @@ fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selecti
             while a < b {
                 let mid = a + (b - a) / 2;
                 probes += 1;
-                let ke = seqs[i].key_at(mid)?;
+                let ke = &seqs[i][mid];
                 if ke < k || (ke == k && i < j) {
                     a = mid + 1;
                 } else {
@@ -175,7 +112,7 @@ fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selecti
         match rank.cmp(&r) {
             // Exactly r elements precede the pivot: the left set is
             // precisely those elements, so `c` is the exact partition.
-            std::cmp::Ordering::Equal => return Ok(SelectionResult { positions: c, probes }),
+            std::cmp::Ordering::Equal => return SelectionResult { positions: c, probes },
             std::cmp::Ordering::Less => {
                 // The pivot is among the r smallest, hence so is every
                 // element before it: splitters sit at or past `c` (past
@@ -200,31 +137,16 @@ fn multiway_select_pivot<S: SortedSeq>(seqs: &mut [S], r: u64) -> Result<Selecti
         r,
         "empty ranges must pin the exact rank"
     );
-    Ok(SelectionResult { positions: lo, probes })
+    SelectionResult { positions: lo, probes }
 }
 
 /// Split `seqs` into `parts` pieces of (near-)equal global size:
 /// `parts + 1` position vectors, where piece `p` of sequence `i` is
-/// `result[p][i]..result[p+1][i]`. Used by the in-node parallel merge
-/// and the distributed internal sort.
-///
-/// # Errors
-/// Propagates the first failed [`SortedSeq::key_at`] probe.
-pub fn multiway_split<S: SortedSeq>(seqs: &mut [S], parts: usize) -> Result<Vec<Vec<usize>>> {
-    multiway_split_counted(seqs, parts).map(|(cuts, _)| cuts)
-}
-
-/// [`multiway_split`] that also reports the selection probes spent on
+/// `result[p][i]..result[p+1][i]`, and the selection probes spent on
 /// the splitters — the price of parallelizing a merge, accounted in
 /// [`CpuCounters::split_probes`](demsort_types::CpuCounters) so the
 /// merge-comparison bound stays thread-count-independent.
-///
-/// # Errors
-/// Propagates the first failed [`SortedSeq::key_at`] probe.
-pub fn multiway_split_counted<S: SortedSeq>(
-    seqs: &mut [S],
-    parts: usize,
-) -> Result<(Vec<Vec<usize>>, u64)> {
+pub fn multiway_split_counted<K: Ord>(seqs: &[&[K]], parts: usize) -> (Vec<Vec<usize>>, u64) {
     assert!(parts > 0);
     let total: u64 = seqs.iter().map(|s| s.len() as u64).sum();
     let mut probes = 0u64;
@@ -232,12 +154,12 @@ pub fn multiway_split_counted<S: SortedSeq>(
     cuts.push(vec![0; seqs.len()]);
     for p in 1..parts {
         let r = (p as u128 * total as u128 / parts as u128) as u64;
-        let sel = multiway_select(seqs, r)?;
+        let sel = select_rank(seqs, r);
         probes += sel.probes;
         cuts.push(sel.positions);
     }
     cuts.push(seqs.iter().map(|s| s.len()).collect());
-    Ok((cuts, probes))
+    (cuts, probes)
 }
 
 #[cfg(test)]
@@ -269,8 +191,8 @@ mod tests {
     }
 
     fn select_and_check(seqs: &[Vec<u64>], r: u64) -> SelectionResult {
-        let mut views: Vec<&[u64]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let res = multiway_select(&mut views, r).expect("in-memory selection");
+        let views: Vec<&[u64]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let res = select_rank(&views, r);
         assert_exact(seqs, r, &res);
         res
     }
@@ -319,33 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_failures_abort_the_selection() {
-        /// A sequence whose probes fail past a cutoff index.
-        struct Flaky {
-            len: usize,
-            fail_from: usize,
-        }
-        impl SortedSeq for Flaky {
-            type Key = u64;
-            fn len(&self) -> usize {
-                self.len
-            }
-            fn key_at(&mut self, idx: usize) -> Result<u64> {
-                if idx >= self.fail_from {
-                    return Err(demsort_types::Error::comm(format!("probe of {idx} failed")));
-                }
-                Ok(idx as u64)
-            }
-        }
-        let mut seqs = vec![Flaky { len: 100, fail_from: 10 }];
-        let err = multiway_select(&mut seqs, 50).expect_err("failed probes must surface");
-        assert!(matches!(err, demsort_types::Error::Comm(_)), "{err}");
-        // Probes below the cutoff succeed.
-        let mut seqs = vec![Flaky { len: 100, fail_from: 101 }];
-        assert_eq!(multiway_select(&mut seqs, 50).expect("fine").positions, vec![50]);
-    }
-
-    #[test]
     fn wildly_different_lengths() {
         let seqs = vec![
             (0..1000u64).map(|i| 2 * i).collect::<Vec<_>>(),
@@ -360,8 +255,8 @@ mod tests {
     #[test]
     fn split_covers_and_balances() {
         let seqs: Vec<Vec<u64>> = (0..5).map(|i| (0..100).map(|j| j * 5 + i).collect()).collect();
-        let mut views: Vec<&[u64]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let cuts = multiway_split(&mut views, 4).expect("split");
+        let views: Vec<&[u64]> = seqs.iter().map(|s| s.as_slice()).collect();
+        let (cuts, _) = multiway_split_counted(&views, 4);
         assert_eq!(cuts.len(), 5);
         assert_eq!(cuts[0], vec![0; 5]);
         assert_eq!(cuts[4], vec![100; 5]);

@@ -59,24 +59,6 @@ impl HardwareProfile {
         }
     }
 
-    /// A generic modern-ish single machine (for laptop-scale sanity
-    /// reports): NVMe-class storage, loopback "network".
-    pub fn workstation() -> Self {
-        Self {
-            name: "generic workstation",
-            disk_seek_ns: 50_000,
-            disk_bytes_per_sec: 2.0e9,
-            disks_per_pe: 1,
-            net_peak_bytes_per_sec: 10.0e9,
-            net_congested_bytes_per_sec: 8.0e9,
-            congestion_knee_pes: 64,
-            net_latency_ns: 1_000,
-            cores_per_pe: 8,
-            sort_ns_per_op: 4.0,
-            merge_ns_per_op: 5.0,
-        }
-    }
-
     /// Effective per-node network bandwidth at cluster size `pes`
     /// (linear degradation from peak to congested, saturating at the
     /// knee).

@@ -28,9 +28,8 @@ impl BlockId {
     /// What a run's block list records for a block written into a job's
     /// output file instead of a slot: the disk queue that wrote it, and
     /// no slot — reading it back is an error, not another block. Only
-    /// the canonical sort lists such blocks, so that its run directory's
-    /// messages keep their size; the striped sort's file output has no
-    /// directory.
+    /// the canonical sort lists such blocks, in its output's run; the
+    /// striped sort's file output keeps no block list.
     #[inline]
     pub const fn in_file(disk: u32) -> Self {
         Self::new(disk, u32::MAX)

@@ -301,9 +301,9 @@ impl std::fmt::Display for SortAlgo {
 pub struct JobConfig {
     /// Path of the input file (whole 100-byte SortBenchmark records).
     pub input: String,
-    /// Path of the output file (pre-sized by the launcher in
-    /// coordinator mode; in hostfile mode the workers create and size
-    /// it themselves from the job's record count).
+    /// Path of the output file; it may be the input. Each rank
+    /// creates and sizes it, without truncating, when its last pass
+    /// starts (the launcher does so too, before spawning workers).
     pub output: String,
     /// The cluster shape.
     pub machine: MachineConfig,

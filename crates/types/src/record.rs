@@ -59,27 +59,6 @@ impl Key for u64 {
     }
 }
 
-impl Key for u32 {
-    const MIN_KEY: Self = 0;
-    const MAX_KEY: Self = u32::MAX;
-    const BYTES: usize = 4;
-
-    fn encode(&self, out: &mut [u8]) {
-        out[..4].copy_from_slice(&self.to_le_bytes());
-    }
-
-    fn decode(bytes: &[u8]) -> Self {
-        let mut le = [0u8; 4];
-        le.copy_from_slice(&bytes[..4]);
-        u32::from_le_bytes(le)
-    }
-
-    #[inline]
-    fn prefix64(&self) -> u64 {
-        (*self as u64) << 32
-    }
-}
-
 /// The SortBenchmark 10-byte key, ordered lexicographically.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
@@ -433,8 +412,6 @@ mod tests {
             k.encode(&mut buf);
             assert_eq!(u64::decode(&buf), k);
         }
-        3u32.encode(&mut buf);
-        assert_eq!(u32::decode(&buf), 3);
         let k = Key10(*b"0123456789");
         k.encode(&mut buf);
         assert_eq!(Key10::decode(&buf), k);
