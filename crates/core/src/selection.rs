@@ -99,8 +99,9 @@ pub fn select_rank<K: Ord>(seqs: &[&[K]], r: u64) -> SelectionResult {
             while a < b {
                 let mid = a + (b - a) / 2;
                 probes += 1;
-                let ke = &seqs[i][mid];
-                if ke < k || (ke == k && i < j) {
+                // `Ord` alone decides: a key type's `==` may look at
+                // more than its order does.
+                if seqs[i][mid].cmp(k).then(i.cmp(&j)).is_lt() {
                     a = mid + 1;
                 } else {
                     b = mid;
@@ -231,6 +232,51 @@ mod tests {
         let seqs = vec![vec![7u64; 4], vec![7; 4], vec![7; 4]];
         let res = select_and_check(&seqs, 5);
         assert_eq!(res.positions, vec![4, 1, 0]);
+    }
+
+    /// Ordered by `key` only, equal only when `tag` matches too: the
+    /// shape of a record ordered by its key whose `Eq` is derived over
+    /// the payload.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    struct KeyOnly {
+        key: u8,
+        tag: u8,
+    }
+
+    impl PartialOrd for KeyOnly {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for KeyOnly {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    #[test]
+    fn ties_follow_ord_not_eq() {
+        let k = |key, tag| KeyOnly { key, tag };
+        let a = [k(1, 0), k(2, 0), k(2, 1)];
+        let b = [k(2, 2), k(2, 3), k(3, 0)];
+        let c = [k(0, 0), k(2, 4)];
+        // In (key, sequence) order the 2s go a, a, b, b, c.
+        let want = [
+            [0, 0, 0],
+            [0, 0, 1],
+            [1, 0, 1],
+            [2, 0, 1],
+            [3, 0, 1],
+            [3, 1, 1],
+            [3, 2, 1],
+            [3, 2, 2],
+        ];
+        for (r, want) in want.iter().enumerate() {
+            let res = select_rank(&[&a[..], &b[..], &c[..]], r as u64);
+            assert_eq!(res.positions, want.to_vec(), "rank {r}");
+        }
+        assert_eq!(select_rank(&[&a[..], &b[..], &c[..]], 8).positions, vec![3, 3, 2]);
     }
 
     #[test]

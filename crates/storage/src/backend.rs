@@ -21,13 +21,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Abstract block store addressed by `(disk, slot)`.
 ///
-/// Implementations must be safe for concurrent access from one worker
-/// thread per disk (different disks in parallel, one op at a time per
-/// disk).
+/// Implementations must be safe for concurrent access from any thread,
+/// with different disks in parallel and one operation at a time per
+/// disk.
 pub trait Backend: Send + Sync + 'static {
     /// Read the block at `(disk, slot)` into `buf` (whose length is the
     /// block size).
     fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()>;
+
+    /// [`read`](Self::read) if it will not wait for a device; `None`
+    /// if it would, and then the engine hands the read to the disk's
+    /// thread. The default reads: right for a backend that answers at
+    /// memory speed. A backend that models a device's latency answers
+    /// `None`, so the engine overlaps its reads as a real disk's.
+    fn read_nowait(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Option<Result<()>> {
+        Some(self.read(disk, slot, buf))
+    }
 
     /// Write `data` (block size bytes) to `(disk, slot)`.
     fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()>;
@@ -124,8 +133,9 @@ struct FileDisk {
     /// block. A file cannot tell a never-written slot from zeros (a
     /// sparse hole reads back as zeros), so this is what makes reading
     /// one the error it is on [`MemBackend`]. Held across each
-    /// operation: the engine runs one operation per disk at a time, so
-    /// the lock is uncontended and a read never sees half a write.
+    /// operation: the engine runs one operation per disk at a time,
+    /// whichever thread serves it, so the lock is uncontended and a
+    /// read never sees half a write.
     written: Mutex<Vec<u64>>,
 }
 
@@ -199,17 +209,38 @@ impl FileBackend {
         }
         Ok((d, slot * self.block_bytes as u64))
     }
-}
 
-impl Backend for FileBackend {
-    fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
+    /// Read `(disk, slot)` into `buf` with `pread`, once the slot is
+    /// known to hold a block.
+    fn read_with<T>(
+        &self,
+        disk: usize,
+        slot: u64,
+        buf: &mut [u8],
+        pread: impl FnOnce(&File, &mut [u8], u64) -> T,
+    ) -> Result<T> {
         let (d, at) = self.slot_of("read", disk, slot, buf.len())?;
         let written = d.written.lock();
         if !slot_written(&written, slot) {
             return Err(Error::io(format!("read of unwritten block {}", self.locate(disk, slot))));
         }
-        fio::read_exact_at(&d.file, buf, at)
-            .map_err(|s| Error::io(s.describe("read", self.locate(disk, slot), at)))
+        Ok(pread(&d.file, buf, at))
+    }
+}
+
+impl Backend for FileBackend {
+    fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
+        self.read_with(disk, slot, buf, |file, buf, at| {
+            fio::read_exact_at(file, buf, at)
+                .map_err(|s| Error::io(s.describe("read", self.locate(disk, slot), at)))
+        })?
+    }
+
+    fn read_nowait(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Option<Result<()>> {
+        match self.read_with(disk, slot, buf, fio::read_cached_at) {
+            Ok(cached) => cached.then_some(Ok(())),
+            Err(e) => Some(Err(e)),
+        }
     }
 
     fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()> {
@@ -267,6 +298,13 @@ impl<B: Backend> Backend for FaultInjectingBackend<B> {
     fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
         self.tick("read", disk, slot)?;
         self.inner.read(disk, slot, buf)
+    }
+
+    /// A read that would block is not an operation yet: it counts when
+    /// the blocking [`read`](Backend::read) runs it.
+    fn read_nowait(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Option<Result<()>> {
+        let res = self.inner.read_nowait(disk, slot, buf)?;
+        Some(self.tick("read", disk, slot).and(res))
     }
 
     fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()> {

@@ -89,7 +89,7 @@ impl DiskModel {
     }
 }
 
-/// Lock-free per-disk counters, updated by the disk's worker thread.
+/// Lock-free per-disk counters, updated as requests are submitted.
 #[derive(Debug, Default)]
 pub struct DiskStats {
     /// Bytes read from this disk.

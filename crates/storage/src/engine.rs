@@ -1,15 +1,38 @@
 //! Asynchronous block I/O engine.
 //!
-//! One worker thread per simulated disk services a FIFO request queue,
-//! exactly like STXXL's disk queues. Callers get [`IoHandle`]s —
-//! lightweight futures they can poll or block on — so algorithms
-//! naturally overlap computation, communication, and I/O (the
-//! "Overlapping" optimization of Section IV-E is just *not waiting
-//! immediately*).
+//! Every simulated disk has a FIFO request queue, like STXXL's disk
+//! queues. Callers get [`IoHandle`]s — lightweight futures they can
+//! poll or block on — so algorithms naturally overlap computation,
+//! communication, and I/O (the "Overlapping" optimization of Section
+//! IV-E is just *not waiting immediately*).
+//!
+//! A request is served on the thread that waits for it whenever that
+//! will not block, and each disk's worker thread runs only the reads
+//! that would wait for a device. The disks are buffered files, whose
+//! page cache already makes their I/O asynchronous, and handing a
+//! block to a thread costs more than the `pread` it wraps:
+//!
+//! * a write, file write or fence is served at submit, on the
+//!   submitting thread, if nothing is queued on its disk; otherwise it
+//!   queues;
+//! * a read queues, and [`IoHandle::wait`] serves its disk's queue up
+//!   to it on the waiting thread, each read through
+//!   [`Backend::read_nowait`] (for files, `preadv2` with `RWF_NOWAIT`:
+//!   [`fio::read_cached_at`]);
+//! * a read that would block goes to the disk's worker, which then
+//!   runs the rest of the queue ahead of its waiters, in issue order:
+//!   cold data still overlaps with computation, after one miss.
+//!
+//! Either thread runs the same `serve`, holding the disk's
+//! service lock, and the queue is served in ticket (issue) order: a
+//! disk still runs one operation at a time, in the order they were
+//! submitted, so a write given a slot whose read is queued lands after
+//! that read. A waited handle's state goes back to its disk for the
+//! next request, so in steady state a request allocates nothing.
 //!
 //! Timing is accounted, not slept: each operation charges its modeled
-//! service time ([`DiskModel`]) to the disk's busy-time counter, which
-//! the cost model later reads.
+//! service time ([`DiskModel`]) to the disk's busy-time counter when it
+//! is submitted, which the cost model later reads.
 //!
 //! Beside the backend's slots a queue also serves an [`EdgeFile`] — a
 //! job's input or output, read or written at a byte offset with
@@ -22,10 +45,10 @@
 use crate::backend::Backend;
 use crate::block::BlockId;
 use crate::disk::{DiskModel, DiskStats};
-use crossbeam::channel::{unbounded, Sender};
 use demsort_types::fio::{self, Stopped};
 use demsort_types::{BufferPool, Error, IoCounters, Result};
 use parking_lot::{Condvar, Mutex};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -55,8 +78,11 @@ impl EdgeFile {
 }
 
 enum Request {
+    /// Read `slot` into a pooled block: `buf`, once a waiter has drawn
+    /// it and found that the read would block.
     Read {
         slot: u64,
+        buf: Option<Box<[u8]>>,
         state: Arc<HandleState>,
     },
     Write {
@@ -80,28 +106,170 @@ enum Request {
         data: Box<[u8]>,
         state: Arc<HandleState>,
     },
-    /// Completes once everything queued before it has been serviced;
+    /// Completes once everything queued before it has been served;
     /// touches neither the backend nor the counters.
     Fence {
         state: Arc<HandleState>,
     },
-    Shutdown,
 }
 
 struct HandleState {
-    result: Mutex<Option<Result<Box<[u8]>>>>,
+    outcome: Mutex<Outcome>,
     cv: Condvar,
+}
+
+#[derive(Default)]
+struct Outcome {
+    result: Option<Result<Box<[u8]>>>,
+    /// A thread sleeps on the condvar: most requests complete on the
+    /// thread that waits for them, which need not be woken.
+    sleeper: bool,
 }
 
 impl HandleState {
     fn new() -> Arc<Self> {
-        Arc::new(Self { result: Mutex::new(None), cv: Condvar::new() })
+        Arc::new(Self { outcome: Mutex::default(), cv: Condvar::new() })
     }
 
     fn complete(&self, r: Result<Box<[u8]>>) {
-        let mut guard = self.result.lock();
-        *guard = Some(r);
-        self.cv.notify_all();
+        let mut outcome = self.outcome.lock();
+        outcome.result = Some(r);
+        if outcome.sleeper {
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// One disk's request queue, its worker's wake-up, and what serving a
+/// request needs.
+struct Disk {
+    index: usize,
+    backend: Arc<dyn Backend>,
+    pool: BufferPool,
+    queue: Mutex<Queue>,
+    /// Wakes the worker, to run ahead or to shut down.
+    wake: Condvar,
+    /// Held by whoever serves one of this disk's requests, so the disk
+    /// runs one at a time.
+    service: Mutex<()>,
+    /// Handle states whose requests are done, for the next requests:
+    /// in steady state a request allocates nothing.
+    spare: Mutex<Vec<Arc<HandleState>>>,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// Requests not yet served, by ticket: issue order.
+    pending: VecDeque<(u64, Request)>,
+    next_ticket: u64,
+    /// The worker serves the queue until it is empty: set when a read
+    /// would block. Waiters leave the queue to it meanwhile.
+    run_ahead: bool,
+    /// The engine is gone: the worker serves what is left and exits.
+    shutdown: bool,
+}
+
+impl Disk {
+    /// A handle state for a new request.
+    fn handle_state(&self) -> Arc<HandleState> {
+        self.spare.lock().pop().unwrap_or_else(HandleState::new)
+    }
+
+    /// Take back the state of a waited handle, unless whoever served
+    /// its request still holds it.
+    fn recycle(&self, state: Arc<HandleState>) {
+        if Arc::strong_count(&state) == 1 {
+            *state.outcome.lock() = Outcome::default();
+            self.spare.lock().push(state);
+        }
+    }
+
+    /// Serve `req`. Unless `may_block`, a read that would wait for a
+    /// device is not run but handed back.
+    fn serve(&self, req: Request, may_block: bool) -> Option<Request> {
+        match req {
+            Request::Read { slot, buf, state } => {
+                // Recycled buffers keep stale bytes; the backend fills
+                // the whole block on success and errors otherwise.
+                let mut buf = buf.unwrap_or_else(|| self.pool.get());
+                let res = if may_block {
+                    Some(self.backend.read(self.index, slot, &mut buf))
+                } else {
+                    self.backend.read_nowait(self.index, slot, &mut buf)
+                };
+                let Some(res) = res else {
+                    return Some(Request::Read { slot, buf: Some(buf), state });
+                };
+                state.complete(res.map(|()| buf));
+            }
+            Request::Write { slot, data, state } => {
+                let res = self.backend.write(self.index, slot, &data);
+                state.complete(res.map(|()| data));
+            }
+            Request::ReadAt { file, at, len, mut buf, state } => {
+                let (valid, tail) = buf.split_at_mut(len);
+                tail.fill(0);
+                let res = if may_block {
+                    fio::read_exact_at(&file.file, valid, at).map_err(|s| file.fail("read", s, at))
+                } else if fio::read_cached_at(&file.file, valid, at) {
+                    Ok(())
+                } else {
+                    return Some(Request::ReadAt { file, at, len, buf, state });
+                };
+                state.complete(res.map(|()| buf));
+            }
+            Request::WriteAt { file, at, len, data, state } => {
+                let res = fio::write_all_at(&file.file, &data[..len], at)
+                    .map_err(|s| file.fail("write", s, at));
+                state.complete(res.map(|()| data));
+            }
+            Request::Fence { state } => state.complete(Ok(Vec::new().into_boxed_slice())),
+        }
+        None
+    }
+
+    /// Serve the queue in ticket order through ticket `upto`. A waiter
+    /// (not `may_block`) leaves the queue to a worker that runs ahead,
+    /// and hands it a read that would block, waking it to run ahead;
+    /// once the worker is shut down, a waiter blocks on reads itself.
+    fn serve_upto(&self, upto: u64, may_block: bool) {
+        loop {
+            let _serving = self.service.lock();
+            let mut q = self.queue.lock();
+            let may_block = may_block || q.shutdown;
+            if (q.run_ahead && !may_block) || q.pending.front().is_none_or(|&(t, _)| t > upto) {
+                return;
+            }
+            let Some((ticket, req)) = q.pending.pop_front() else { return };
+            drop(q);
+            if let Some(req) = self.serve(req, may_block) {
+                let mut q = self.queue.lock();
+                q.pending.push_front((ticket, req));
+                q.run_ahead = true;
+                self.wake.notify_one();
+                return;
+            }
+        }
+    }
+
+    /// The disk's worker: asleep until a read would block, then runs
+    /// the queue until it is empty; at shutdown serves what is left.
+    fn work(&self) {
+        loop {
+            let mut q = self.queue.lock();
+            while !(q.shutdown || q.run_ahead && !q.pending.is_empty()) {
+                // Run ahead only until the queue empties.
+                q.run_ahead = false;
+                // verify: allow(L2, parking_lot Condvar::wait returns unit — not the fallible IoHandle::wait)
+                self.wake.wait(&mut q);
+            }
+            let shutdown = q.shutdown;
+            drop(q);
+            self.serve_upto(u64::MAX, true);
+            if shutdown {
+                return;
+            }
+        }
     }
 }
 
@@ -111,22 +279,41 @@ impl HandleState {
 #[must_use = "an IoHandle must be waited on, or the I/O may be lost"]
 pub struct IoHandle {
     state: Arc<HandleState>,
+    /// The disk that takes the state back (none for a ready handle).
+    disk: Option<Arc<Disk>>,
+    /// The request's ticket while it is queued on `disk`.
+    ticket: Option<u64>,
 }
 
 impl IoHandle {
-    /// Block until the operation completes; returns the buffer.
+    /// Block until the operation completes; returns the buffer. A
+    /// queued request is served here, with everything queued on its
+    /// disk before it, unless a read among them would block.
     pub fn wait(self) -> Result<Box<[u8]>> {
-        let mut guard = self.state.result.lock();
-        while guard.is_none() {
-            // verify: allow(L2, parking_lot Condvar::wait returns unit — not the fallible IoHandle::wait)
-            self.state.cv.wait(&mut guard);
+        let IoHandle { state, disk, ticket } = self;
+        if let (Some(disk), Some(ticket)) = (&disk, ticket) {
+            if state.outcome.lock().result.is_none() {
+                disk.serve_upto(ticket, false);
+            }
         }
-        guard.take().expect("completed state present")
+        let result = {
+            let mut outcome = state.outcome.lock();
+            while outcome.result.is_none() {
+                outcome.sleeper = true;
+                // verify: allow(L2, parking_lot Condvar::wait returns unit — not the fallible IoHandle::wait)
+                state.cv.wait(&mut outcome);
+            }
+            outcome.result.take().expect("completed state present")
+        };
+        if let Some(disk) = disk {
+            disk.recycle(state);
+        }
+        result
     }
 
     /// `true` once the operation has completed (success or failure).
     pub fn is_done(&self) -> bool {
-        self.state.result.lock().is_some()
+        self.state.outcome.lock().result.is_some()
     }
 
     /// An already-completed handle (used when data is served from a
@@ -134,15 +321,16 @@ impl IoHandle {
     pub fn ready(data: Box<[u8]>) -> Self {
         let state = HandleState::new();
         state.complete(Ok(data));
-        Self { state }
+        Self { state, disk: None, ticket: None }
     }
 }
 
 /// Multi-disk asynchronous I/O engine for one PE.
 pub struct IoEngine {
-    queues: Vec<Sender<Request>>,
+    disks: Vec<Arc<Disk>>,
     workers: Vec<JoinHandle<()>>,
-    stats: Arc<Vec<DiskStats>>,
+    stats: Vec<DiskStats>,
+    model: DiskModel,
     block_bytes: usize,
     pool: BufferPool,
 }
@@ -177,76 +365,31 @@ impl IoEngine {
     ) -> Self {
         assert!(disks > 0, "need at least one disk");
         assert_eq!(pool.buf_bytes(), block_bytes, "pool buffer size must match block size");
-        let stats: Arc<Vec<DiskStats>> =
-            Arc::new((0..disks).map(|_| DiskStats::default()).collect());
-        let mut queues = Vec::with_capacity(disks);
-        let mut workers = Vec::with_capacity(disks);
-        for disk in 0..disks {
-            let (tx, rx) = unbounded::<Request>();
-            queues.push(tx);
-            let backend = Arc::clone(&backend);
-            let stats = Arc::clone(&stats);
-            let model = model.clone();
-            let pool = pool.clone();
-            workers.push(
+        let disks: Vec<Arc<Disk>> = (0..disks)
+            .map(|index| {
+                Arc::new(Disk {
+                    index,
+                    backend: Arc::clone(&backend),
+                    pool: pool.clone(),
+                    queue: Mutex::new(Queue::default()),
+                    wake: Condvar::new(),
+                    service: Mutex::new(()),
+                    spare: Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
+        let workers = disks
+            .iter()
+            .map(|disk| {
+                let disk = Arc::clone(disk);
                 std::thread::Builder::new()
-                    .name(format!("demsort-disk-{disk}"))
-                    .spawn(move || {
-                        while let Ok(req) = rx.recv() {
-                            match req {
-                                Request::Read { slot, state } => {
-                                    // Recycled buffers keep stale bytes;
-                                    // the backend fills the whole block
-                                    // on success and errors otherwise.
-                                    let mut buf = pool.get();
-                                    let res = backend.read(disk, slot, &mut buf);
-                                    stats[disk].record_read(
-                                        block_bytes,
-                                        model.service_ns_at(block_bytes, slot),
-                                    );
-                                    state.complete(res.map(|()| buf));
-                                }
-                                Request::Write { slot, data, state } => {
-                                    let res = backend.write(disk, slot, &data);
-                                    stats[disk].record_write(
-                                        data.len(),
-                                        model.service_ns_at(data.len(), slot),
-                                    );
-                                    state.complete(res.map(|()| data));
-                                }
-                                Request::ReadAt { file, at, len, mut buf, state } => {
-                                    let (valid, tail) = buf.split_at_mut(len);
-                                    tail.fill(0);
-                                    let res = fio::read_exact_at(&file.file, valid, at)
-                                        .map_err(|s| file.fail("read", s, at));
-                                    let slot = at / block_bytes as u64;
-                                    stats[disk].record_read(
-                                        block_bytes,
-                                        model.service_ns_at(block_bytes, slot),
-                                    );
-                                    state.complete(res.map(|()| buf));
-                                }
-                                Request::WriteAt { file, at, len, data, state } => {
-                                    let res = fio::write_all_at(&file.file, &data[..len], at)
-                                        .map_err(|s| file.fail("write", s, at));
-                                    let slot = at / block_bytes as u64;
-                                    stats[disk].record_write(
-                                        block_bytes,
-                                        model.service_ns_at(block_bytes, slot),
-                                    );
-                                    state.complete(res.map(|()| data));
-                                }
-                                Request::Fence { state } => {
-                                    state.complete(Ok(Vec::new().into_boxed_slice()));
-                                }
-                                Request::Shutdown => break,
-                            }
-                        }
-                    })
-                    .expect("spawn disk worker"),
-            );
-        }
-        Self { queues, workers, stats, block_bytes, pool }
+                    .name(format!("demsort-disk-{}", disk.index))
+                    .spawn(move || disk.work())
+                    .expect("spawn disk worker")
+            })
+            .collect();
+        let stats = disks.iter().map(|_| DiskStats::default()).collect();
+        Self { disks, workers, stats, model, block_bytes, pool }
     }
 
     /// Block size in bytes.
@@ -263,27 +406,64 @@ impl IoEngine {
 
     /// Number of disks.
     pub fn disks(&self) -> usize {
-        self.queues.len()
+        self.disks.len()
     }
 
-    /// Queue the request `make` builds on disk `disk`'s queue.
-    fn submit(&self, disk: usize, make: impl FnOnce(Arc<HandleState>) -> Request) -> IoHandle {
-        let state = HandleState::new();
-        let handle = IoHandle { state: Arc::clone(&state) };
-        self.queues[disk].send(make(state)).expect("disk worker alive");
-        handle
+    /// Hand the request `make` builds to disk `disk`: served here and
+    /// now if `now` and nothing on the disk is queued or being served,
+    /// queued otherwise.
+    fn submit(
+        &self,
+        disk: usize,
+        now: bool,
+        make: impl FnOnce(Arc<HandleState>) -> Request,
+    ) -> IoHandle {
+        let disk = &self.disks[disk];
+        let state = disk.handle_state();
+        let req = make(Arc::clone(&state));
+        let handle = |ticket| IoHandle { state, disk: Some(Arc::clone(disk)), ticket };
+        if now {
+            if let Some(_serving) = disk.service.try_lock() {
+                if disk.queue.lock().pending.is_empty() {
+                    let unserved = disk.serve(req, true);
+                    debug_assert!(unserved.is_none(), "a request that may block is served");
+                    return handle(None);
+                }
+            }
+        }
+        let mut q = disk.queue.lock();
+        let ticket = q.next_ticket;
+        q.next_ticket += 1;
+        q.pending.push_back((ticket, req));
+        handle(Some(ticket))
+    }
+
+    /// Charge one block read at `slot` of disk `disk`.
+    fn meter_read(&self, disk: usize, slot: u64) {
+        let ns = self.model.service_ns_at(self.block_bytes, slot);
+        self.stats[disk].record_read(self.block_bytes, ns);
+    }
+
+    /// Charge one block write at `slot` of disk `disk`.
+    fn meter_write(&self, disk: usize, slot: u64) {
+        let ns = self.model.service_ns_at(self.block_bytes, slot);
+        self.stats[disk].record_write(self.block_bytes, ns);
     }
 
     /// Enqueue an asynchronous read of `id`.
     pub fn read(&self, id: BlockId) -> IoHandle {
-        self.submit(id.disk as usize, |state| Request::Read { slot: id.slot as u64, state })
+        let (disk, slot) = (id.disk as usize, id.slot as u64);
+        self.meter_read(disk, slot);
+        self.submit(disk, false, |state| Request::Read { slot, buf: None, state })
     }
 
     /// Enqueue an asynchronous write of `data` to `id`.
     /// `data.len()` must equal the block size.
     pub fn write(&self, id: BlockId, data: Box<[u8]>) -> IoHandle {
         assert_eq!(data.len(), self.block_bytes, "write must be exactly one block");
-        self.submit(id.disk as usize, |state| Request::Write { slot: id.slot as u64, data, state })
+        let (disk, slot) = (id.disk as usize, id.slot as u64);
+        self.meter_write(disk, slot);
+        self.submit(disk, true, |state| Request::Write { slot, data, state })
     }
 
     /// Enqueue a read of `len` bytes (at most one block) from byte `at`
@@ -292,10 +472,11 @@ impl IoEngine {
     /// error, not zeros. Metered as one block read.
     pub fn read_at(&self, disk: usize, file: &Arc<EdgeFile>, at: u64, len: usize) -> IoHandle {
         assert!(len <= self.block_bytes, "a file read fills at most one block");
+        self.meter_read(disk, at / self.block_bytes as u64);
         // The block is drawn on the caller's thread, which consumes and
         // frees it: a pool miss allocates there, not in the disk worker.
         let (file, buf) = (Arc::clone(file), self.pool.get());
-        self.submit(disk, |state| Request::ReadAt { file, at, len, buf, state })
+        self.submit(disk, false, |state| Request::ReadAt { file, at, len, buf, state })
     }
 
     /// Enqueue a write of the first `len` bytes of `data` (exactly one
@@ -311,8 +492,9 @@ impl IoEngine {
     ) -> IoHandle {
         assert_eq!(data.len(), self.block_bytes, "write must be exactly one block");
         assert!(len <= data.len(), "a file write moves at most one block");
+        self.meter_write(disk, at / self.block_bytes as u64);
         let file = Arc::clone(file);
-        self.submit(disk, |state| Request::WriteAt { file, at, len, data, state })
+        self.submit(disk, true, |state| Request::WriteAt { file, at, len, data, state })
     }
 
     /// Synchronous read convenience.
@@ -325,11 +507,13 @@ impl IoEngine {
         self.write(id, data).wait().map(|_| ())
     }
 
-    /// Wait until all requests enqueued so far have been serviced
-    /// (FIFO queues make a per-disk fence sufficient).
+    /// Wait until all requests enqueued so far have been served (FIFO
+    /// queues make a per-disk fence sufficient; waiting on one serves
+    /// what is queued before it).
     pub fn drain(&self) -> Result<()> {
-        let fences: Vec<IoHandle> =
-            (0..self.disks()).map(|d| self.submit(d, |state| Request::Fence { state })).collect();
+        let fences: Vec<IoHandle> = (0..self.disks())
+            .map(|d| self.submit(d, true, |state| Request::Fence { state }))
+            .collect();
         for f in fences {
             f.wait()?;
         }
@@ -359,9 +543,9 @@ impl IoEngine {
 
 impl Drop for IoEngine {
     fn drop(&mut self) {
-        for q in &self.queues {
-            // verify: allow(L2, shutdown send in Drop — a worker that already exited has an empty queue)
-            let _ = q.send(Request::Shutdown);
+        for d in &self.disks {
+            d.queue.lock().shutdown = true;
+            d.wake.notify_one();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
@@ -510,6 +694,172 @@ mod tests {
         let want = format!("rank 3: read {} at byte 27: short read", path.display());
         assert!(matches!(&err, Error::Io(m) if m.starts_with(&want)), "{err}");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A [`MemBackend`] that notes which thread runs each read, and
+    /// whose every read would block when `cold`.
+    struct Watched {
+        inner: MemBackend,
+        cold: bool,
+        readers: Mutex<Vec<String>>,
+    }
+
+    impl Watched {
+        fn new(disks: usize, cold: bool) -> Self {
+            Self { inner: MemBackend::new(disks), cold, readers: Mutex::new(Vec::new()) }
+        }
+
+        fn readers(&self) -> Vec<String> {
+            self.readers.lock().clone()
+        }
+    }
+
+    impl Backend for Watched {
+        fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
+            let name = std::thread::current().name().unwrap_or("unnamed").to_string();
+            self.readers.lock().push(name);
+            self.inner.read(disk, slot, buf)
+        }
+
+        fn read_nowait(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Option<Result<()>> {
+            (!self.cold).then(|| self.read(disk, slot, buf))
+        }
+
+        fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()> {
+            self.inner.write(disk, slot, data)
+        }
+
+        fn discard(&self, disk: usize, slot: u64) {
+            self.inner.discard(disk, slot)
+        }
+    }
+
+    /// An engine of `disks` disks of 16-byte blocks over `backend`,
+    /// block `(d, s)` holding `16·s + d` in every byte.
+    fn filled(disks: u32, slots: u32, backend: Arc<dyn Backend>) -> IoEngine {
+        let e = IoEngine::new(disks as usize, 16, DiskModel::paper(), backend);
+        for d in 0..disks {
+            for s in 0..slots {
+                let fill = vec![(16 * s + d) as u8; 16].into_boxed_slice();
+                e.write_sync(BlockId::new(d, s), fill).expect("write");
+            }
+        }
+        e
+    }
+
+    fn check(h: IoHandle, d: u32, s: u32) {
+        assert_eq!(&h.wait().expect("read")[..], &[(16 * s + d) as u8; 16][..], "d{d}:{s}");
+    }
+
+    #[test]
+    fn cached_reads_are_served_on_the_waiting_thread() {
+        let backend = Arc::new(Watched::new(2, false));
+        let e = filled(2, 4, backend.clone());
+        let reads: Vec<_> = (0..8u32).map(|i| (i % 2, i / 2)).collect();
+        let handles: Vec<_> = reads.iter().map(|&(d, s)| e.read(BlockId::new(d, s))).collect();
+        assert!(backend.readers().is_empty(), "a read is served when waited for, not at submit");
+        for (h, &(d, s)) in handles.into_iter().zip(&reads).rev() {
+            check(h, d, s);
+        }
+        let me = std::thread::current().name().map(str::to_string);
+        assert_eq!(backend.readers(), vec![me.expect("test threads are named"); 8]);
+        assert_eq!(e.counters().blocks_read, 8);
+    }
+
+    #[test]
+    fn reads_that_would_block_go_to_the_disk_thread_which_runs_ahead() {
+        let backend = Arc::new(Watched::new(1, true));
+        let e = filled(1, 8, backend.clone());
+        let mut handles: Vec<_> = (0..8).map(|s| e.read(BlockId::new(0, s))).collect();
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(handles.iter().all(|h| !h.is_done()), "queued reads do not wake the worker");
+        let rest = handles.split_off(1);
+        check(handles.remove(0), 0, 0);
+        // The first read would block, so the worker took it and the
+        // reads queued behind it, none of which has been waited for.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !rest.iter().all(IoHandle::is_done) {
+            assert!(std::time::Instant::now() < deadline, "the worker did not run ahead");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert_eq!(backend.readers(), vec!["demsort-disk-0".to_string(); 8]);
+        for (s, h) in (1..).zip(rest) {
+            check(h, 0, s);
+        }
+        // Drained, the worker sleeps again: the next read queues until
+        // it is waited for, and the worker serves it.
+        let h = e.read(BlockId::new(0, 3));
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!h.is_done(), "queued reads do not wake the worker");
+        check(h, 0, 3);
+        assert_eq!(backend.readers().len(), 9);
+    }
+
+    #[test]
+    fn a_write_queued_behind_a_read_of_its_slot_does_not_overtake_it() {
+        for cold in [false, true] {
+            let e = filled(1, 2, Arc::new(Watched::new(1, cold)));
+            let id = BlockId::new(0, 1);
+            let read = e.read(id);
+            let write = e.write(id, vec![0xAB; 16].into_boxed_slice());
+            assert!(!write.is_done(), "cold {cold}: the write queues behind the read");
+            // Waiting for the write serves the read ahead of it.
+            write.wait().expect("write");
+            assert!(read.is_done(), "cold {cold}");
+            check(read, 0, 1);
+            assert_eq!(&e.read_sync(id).expect("read")[..], &[0xAB; 16], "cold {cold}");
+        }
+    }
+
+    #[test]
+    fn drain_completes_queued_reads() {
+        for cold in [false, true] {
+            let e = filled(3, 4, Arc::new(Watched::new(3, cold)));
+            let handles: Vec<_> = (0..12).map(|i| (i % 3, i / 3)).collect();
+            let handles: Vec<_> =
+                handles.into_iter().map(|(d, s)| (d, s, e.read(BlockId::new(d, s)))).collect();
+            e.drain().expect("drain");
+            for (d, s, h) in handles {
+                assert!(h.is_done(), "cold {cold}: d{d}:{s} served by drain");
+                check(h, d, s);
+            }
+        }
+    }
+
+    #[test]
+    fn injected_faults_reach_the_handle_on_both_paths() {
+        for cold in [false, true] {
+            // Operations 0 and 1 are the writes; 2 and 3 the reads.
+            let backend = FaultInjectingBackend::new(Watched::new(1, cold), 2);
+            let e = filled(1, 2, Arc::new(backend));
+            let (first, second) = (e.read(BlockId::new(0, 0)), e.read(BlockId::new(0, 1)));
+            match first.wait() {
+                Err(Error::Io(m)) => {
+                    assert_eq!(m, "injected fault at operation 2: read d0:0", "cold {cold}")
+                }
+                other => panic!("cold {cold}: expected the injected fault, got {other:?}"),
+            }
+            check(second, 0, 1);
+        }
+    }
+
+    #[test]
+    fn a_waited_handle_gives_its_state_to_the_next_request() {
+        let e = engine(1, 16);
+        let first = e.write(BlockId::new(0, 0), vec![1u8; 16].into_boxed_slice());
+        let state = Arc::as_ptr(&first.state);
+        first.wait().expect("write");
+        let second = e.read(BlockId::new(0, 0));
+        assert_eq!(Arc::as_ptr(&second.state), state, "the state is reused");
+        assert!(!second.is_done(), "and starts out pending");
+        assert_eq!(&second.wait().expect("read")[..], &[1u8; 16]);
+        let spare = || e.disks[0].spare.lock().len();
+        assert_eq!(spare(), 1);
+        // A handle dropped unwaited takes its state with it.
+        drop(e.write(BlockId::new(0, 1), vec![2u8; 16].into_boxed_slice()));
+        assert_eq!(spare(), 0);
+        assert_eq!(&e.read_sync(BlockId::new(0, 1)).expect("read")[..], &[2u8; 16]);
+        assert_eq!(spare(), 1);
     }
 
     #[test]

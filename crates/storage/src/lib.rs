@@ -12,8 +12,10 @@
 //!   ([`FileBackend`]), or a fault-injecting wrapper for tests.
 //! * [`disk`] — the timing model (Seagate 7200.10 defaults from the
 //!   paper) and per-disk statistics. Time is *accounted, not slept*.
-//! * [`engine`] — one worker thread per disk, FIFO request queues,
-//!   futures-style [`IoHandle`]s; this is what makes I/O overlap real.
+//! * [`engine`] — FIFO request queues per disk, futures-style
+//!   [`IoHandle`]s, requests served on the waiting thread when they
+//!   will not block and on the disk's thread when they would; this is
+//!   what makes I/O overlap real.
 //!   The same queues read a job's input and write its output
 //!   ([`EdgeFile`]) at byte offsets, one block per request.
 //! * [`alloc`] — per-disk free-list allocation with a high-water mark,

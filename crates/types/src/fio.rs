@@ -12,7 +12,10 @@
 //!
 //! [`write_all_at`] / [`read_exact_at`] are the positioned
 //! (`pwrite`/`pread`) single-buffer forms the storage layer uses, for
-//! its disks' slots and for a job's input and output files.
+//! its disks' slots and for a job's input and output files, and
+//! [`read_cached_at`] is the read that only the page cache may answer:
+//! it tells the storage engine which reads need a thread that may
+//! block.
 
 use std::fmt::Display;
 use std::fs::File;
@@ -105,6 +108,64 @@ pub fn read_exact_at(file: &File, buf: &mut [u8], at: u64) -> Result<(), Stopped
         .map(|_| ())
 }
 
+/// `pread` all of `buf` from byte `at` of `file` if the page cache can
+/// answer without waiting for a device (`preadv2` with `RWF_NOWAIT`).
+///
+/// `true`: every byte of `buf` was read. `false` means "ask a thread
+/// that may block", never "no data": the range is not all cached, the
+/// file system does not take the flag (tmpfs, FUSE and NFS answer
+/// `EOPNOTSUPP`), the call failed, or the file ends before the range
+/// does; a blocking [`read_exact_at`] then reads the bytes or says what
+/// stopped it. After `false`, `buf` may hold some of the bytes.
+pub fn read_cached_at(file: &File, buf: &mut [u8], at: u64) -> bool {
+    let want = buf.len();
+    nowait::pread(file, buf, at).is_ok_and(|n| n == want)
+}
+
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+mod nowait {
+    use std::ffi::c_int;
+    use std::fs::File;
+    use std::io::{self, IoSliceMut};
+    use std::os::fd::AsRawFd;
+
+    /// `RWF_NOWAIT` of `<linux/fs.h>`: fail with `EAGAIN` rather than
+    /// wait for the device.
+    const RWF_NOWAIT: c_int = 0x8;
+
+    extern "C" {
+        /// Since glibc 2.26; `off_t` is 64 bits on every 64-bit Linux
+        /// target.
+        fn preadv2(fd: c_int, iov: *const IoSliceMut<'_>, n: c_int, at: i64, flags: c_int)
+            -> isize;
+    }
+
+    /// One `preadv2(RWF_NOWAIT)` into `buf` at byte `at`: the bytes it
+    /// read, or the OS error.
+    pub(super) fn pread(file: &File, buf: &mut [u8], at: u64) -> io::Result<usize> {
+        let at = i64::try_from(at).map_err(|_| io::Error::from(io::ErrorKind::InvalidInput))?;
+        let iov = [IoSliceMut::new(buf)];
+        // SAFETY: `IoSliceMut` is ABI-compatible with `struct iovec`, and
+        // `iov` is one entry describing `buf`, which is live, writable and
+        // borrowed by nothing else for the whole call; the kernel writes
+        // at most its length. The descriptor stays open while `file` is
+        // borrowed.
+        let n = unsafe { preadv2(file.as_raw_fd(), iov.as_ptr(), 1, at, RWF_NOWAIT) };
+        usize::try_from(n).map_err(|_| io::Error::last_os_error())
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+mod nowait {
+    use std::fs::File;
+    use std::io;
+
+    /// No `RWF_NOWAIT` here: every read is one that may block.
+    pub(super) fn pread(_file: &File, _buf: &mut [u8], _at: u64) -> io::Result<usize> {
+        Err(io::Error::from(io::ErrorKind::Unsupported))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +245,37 @@ mod tests {
         assert_eq!(&back, b"4567");
         let stopped = read_exact_at(&file, &mut [0u8; 8], 11).expect_err("file ends at 15");
         assert_eq!((stopped.done, stopped.cause.kind()), (4, ErrorKind::UnexpectedEof));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cached_reads_answer_from_the_page_cache_or_say_false() {
+        let path = std::env::temp_dir().join(format!("demsort-fio-cached-{}", std::process::id()));
+        let file = std::fs::OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&path)
+            .expect("create");
+        write_all_at(&file, b"0123456789", 0).expect("pwrite");
+        // Bytes just written are in the page cache, unless this file
+        // system does not take `RWF_NOWAIT` at all.
+        let mut back = [0u8; 6];
+        let supported = !matches!(
+            nowait::pread(&file, &mut [0u8; 1], 0),
+            Err(e) if matches!(e.raw_os_error(), Some(95)) || e.kind() == ErrorKind::Unsupported
+        );
+        assert_eq!(read_cached_at(&file, &mut back, 3), supported);
+        if supported {
+            assert_eq!(&back, b"345678");
+        }
+        // Past the end, or partly past it: `false`, never zeros or a
+        // short read taken for data.
+        for at in [10, 8, 1 << 40] {
+            assert!(!read_cached_at(&file, &mut [0u8; 4], at), "range at byte {at}");
+        }
+        assert!(read_exact_at(&file, &mut [0u8; 4], 8).is_err(), "the blocking read says why");
         let _ = std::fs::remove_file(&path);
     }
 }
