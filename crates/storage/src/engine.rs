@@ -19,9 +19,15 @@
 //!   to it on the waiting thread, each read through
 //!   [`Backend::read_nowait`] (for files, `preadv2` with `RWF_NOWAIT`:
 //!   [`fio::read_cached_at`]);
-//! * a read that would block goes to the disk's worker, which then
-//!   runs the rest of the queue ahead of its waiters, in issue order:
-//!   cold data still overlaps with computation, after one miss.
+//! * a read that would block goes to the disk's worker, and the disk
+//!   turns *cold*: the worker runs the rest of the queue ahead of its
+//!   waiters, in issue order, and every request submitted to a cold
+//!   disk, a write too, goes to the worker at once. Each time it is
+//!   woken the worker, too, asks the page cache for reads until one
+//!   would block, and a read it answers turns the disk warm again. So
+//!   a cold disk runs as if every request were handed to a thread, and
+//!   its I/O overlaps with computation after one miss; a warm disk's
+//!   requests cost no hand-off.
 //!
 //! Either thread runs the same `serve`, holding the disk's
 //! service lock, and the queue is served in ticket (issue) order: a
@@ -162,11 +168,24 @@ struct Queue {
     /// Requests not yet served, by ticket: issue order.
     pending: VecDeque<(u64, Request)>,
     next_ticket: u64,
-    /// The worker serves the queue until it is empty: set when a read
-    /// would block. Waiters leave the queue to it meanwhile.
+    /// The worker serves the queue until it is empty. Waiters leave the
+    /// queue to it meanwhile.
     run_ahead: bool,
+    /// The last read served would have waited for a device: each
+    /// request submitted goes to the worker at once.
+    cold: bool,
     /// The engine is gone: the worker serves what is left and exits.
     shutdown: bool,
+}
+
+/// What serving a request came to.
+enum Served {
+    /// A read the page cache answered.
+    Cached,
+    /// A write, a fence, or a read that may have waited for a device.
+    Done,
+    /// A read that would wait for a device, handed back unserved.
+    WouldBlock(Request),
 }
 
 impl Disk {
@@ -186,74 +205,101 @@ impl Disk {
 
     /// Serve `req`. Unless `may_block`, a read that would wait for a
     /// device is not run but handed back.
-    fn serve(&self, req: Request, may_block: bool) -> Option<Request> {
+    fn serve(&self, req: Request, may_block: bool) -> Served {
         match req {
             Request::Read { slot, buf, state } => {
                 // Recycled buffers keep stale bytes; the backend fills
                 // the whole block on success and errors otherwise.
                 let mut buf = buf.unwrap_or_else(|| self.pool.get());
-                let res = if may_block {
-                    Some(self.backend.read(self.index, slot, &mut buf))
+                let (res, served) = if may_block {
+                    (self.backend.read(self.index, slot, &mut buf), Served::Done)
+                } else if let Some(res) = self.backend.read_nowait(self.index, slot, &mut buf) {
+                    (res, Served::Cached)
                 } else {
-                    self.backend.read_nowait(self.index, slot, &mut buf)
-                };
-                let Some(res) = res else {
-                    return Some(Request::Read { slot, buf: Some(buf), state });
+                    return Served::WouldBlock(Request::Read { slot, buf: Some(buf), state });
                 };
                 state.complete(res.map(|()| buf));
+                served
             }
             Request::Write { slot, data, state } => {
                 let res = self.backend.write(self.index, slot, &data);
                 state.complete(res.map(|()| data));
+                Served::Done
             }
             Request::ReadAt { file, at, len, mut buf, state } => {
                 let (valid, tail) = buf.split_at_mut(len);
                 tail.fill(0);
-                let res = if may_block {
-                    fio::read_exact_at(&file.file, valid, at).map_err(|s| file.fail("read", s, at))
+                let (res, served) = if may_block {
+                    let res = fio::read_exact_at(&file.file, valid, at)
+                        .map_err(|s| file.fail("read", s, at));
+                    (res, Served::Done)
                 } else if fio::read_cached_at(&file.file, valid, at) {
-                    Ok(())
+                    (Ok(()), Served::Cached)
                 } else {
-                    return Some(Request::ReadAt { file, at, len, buf, state });
+                    return Served::WouldBlock(Request::ReadAt { file, at, len, buf, state });
                 };
                 state.complete(res.map(|()| buf));
+                served
             }
             Request::WriteAt { file, at, len, data, state } => {
                 let res = fio::write_all_at(&file.file, &data[..len], at)
                     .map_err(|s| file.fail("write", s, at));
                 state.complete(res.map(|()| data));
+                Served::Done
             }
-            Request::Fence { state } => state.complete(Ok(Vec::new().into_boxed_slice())),
+            Request::Fence { state } => {
+                state.complete(Ok(Vec::new().into_boxed_slice()));
+                Served::Done
+            }
         }
-        None
     }
 
-    /// Serve the queue in ticket order through ticket `upto`. A waiter
-    /// (not `may_block`) leaves the queue to a worker that runs ahead,
-    /// and hands it a read that would block, waking it to run ahead;
-    /// once the worker is shut down, a waiter blocks on reads itself.
-    fn serve_upto(&self, upto: u64, may_block: bool) {
+    /// Serve the queue in ticket order through ticket `upto`, each read
+    /// from the page cache if it can be. The worker runs a read that
+    /// would block itself, and then the rest of its reads without
+    /// asking the page cache: on a cold disk the next one would most
+    /// likely block too, and asking costs a system call. A waiter
+    /// leaves the queue to a worker that runs ahead, and hands it a
+    /// read that would block, waking it to run ahead; once the worker
+    /// is shut down, a waiter blocks on reads itself.
+    fn serve_upto(&self, upto: u64, worker: bool) {
+        // What the last read served found, for the disk's `cold` flag.
+        let mut cold = None;
+        // Whether to ask the page cache before a read that may block.
+        let mut ask = true;
         loop {
             let _serving = self.service.lock();
             let mut q = self.queue.lock();
-            let may_block = may_block || q.shutdown;
+            if let Some(cold) = cold.take() {
+                q.cold = cold;
+            }
+            let may_block = worker || q.shutdown;
             if (q.run_ahead && !may_block) || q.pending.front().is_none_or(|&(t, _)| t > upto) {
                 return;
             }
             let Some((ticket, req)) = q.pending.pop_front() else { return };
             drop(q);
-            if let Some(req) = self.serve(req, may_block) {
-                let mut q = self.queue.lock();
-                q.pending.push_front((ticket, req));
-                q.run_ahead = true;
-                self.wake.notify_one();
-                return;
+            match self.serve(req, may_block && !ask) {
+                Served::Cached => cold = Some(false),
+                Served::Done => {}
+                Served::WouldBlock(req) if may_block => {
+                    self.serve(req, true);
+                    (cold, ask) = (Some(true), false);
+                }
+                Served::WouldBlock(req) => {
+                    let mut q = self.queue.lock();
+                    q.pending.push_front((ticket, req));
+                    (q.cold, q.run_ahead) = (true, true);
+                    self.wake.notify_one();
+                    return;
+                }
             }
         }
     }
 
-    /// The disk's worker: asleep until a read would block, then runs
-    /// the queue until it is empty; at shutdown serves what is left.
+    /// The disk's worker: asleep until a read would block or is
+    /// submitted to a cold disk, then runs the queue until it is empty;
+    /// at shutdown serves what is left.
     fn work(&self) {
         loop {
             let mut q = self.queue.lock();
@@ -288,7 +334,8 @@ pub struct IoHandle {
 impl IoHandle {
     /// Block until the operation completes; returns the buffer. A
     /// queued request is served here, with everything queued on its
-    /// disk before it, unless a read among them would block.
+    /// disk before it, unless the disk's worker runs the queue (a read
+    /// among them would block, or the disk is cold).
     pub fn wait(self) -> Result<Box<[u8]>> {
         let IoHandle { state, disk, ticket } = self;
         if let (Some(disk), Some(ticket)) = (&disk, ticket) {
@@ -409,24 +456,27 @@ impl IoEngine {
         self.disks.len()
     }
 
-    /// Hand the request `make` builds to disk `disk`: served here and
-    /// now if `now` and nothing on the disk is queued or being served,
-    /// queued otherwise.
+    /// Hand the request `make` builds to disk `disk`. A write or fence
+    /// is served here and now if the disk is warm and nothing on it is
+    /// queued or being served; otherwise it queues, as a read always
+    /// does. A request submitted to a cold disk wakes its worker.
     fn submit(
         &self,
         disk: usize,
-        now: bool,
+        read: bool,
         make: impl FnOnce(Arc<HandleState>) -> Request,
     ) -> IoHandle {
         let disk = &self.disks[disk];
         let state = disk.handle_state();
         let req = make(Arc::clone(&state));
         let handle = |ticket| IoHandle { state, disk: Some(Arc::clone(disk)), ticket };
-        if now {
+        if !read {
             if let Some(_serving) = disk.service.try_lock() {
-                if disk.queue.lock().pending.is_empty() {
-                    let unserved = disk.serve(req, true);
-                    debug_assert!(unserved.is_none(), "a request that may block is served");
+                let q = disk.queue.lock();
+                if !q.cold && q.pending.is_empty() {
+                    drop(q);
+                    let served = disk.serve(req, true);
+                    debug_assert!(matches!(served, Served::Done), "a write is served");
                     return handle(None);
                 }
             }
@@ -435,6 +485,10 @@ impl IoEngine {
         let ticket = q.next_ticket;
         q.next_ticket += 1;
         q.pending.push_back((ticket, req));
+        if q.cold && !q.run_ahead {
+            q.run_ahead = true;
+            disk.wake.notify_one();
+        }
         handle(Some(ticket))
     }
 
@@ -454,7 +508,7 @@ impl IoEngine {
     pub fn read(&self, id: BlockId) -> IoHandle {
         let (disk, slot) = (id.disk as usize, id.slot as u64);
         self.meter_read(disk, slot);
-        self.submit(disk, false, |state| Request::Read { slot, buf: None, state })
+        self.submit(disk, true, |state| Request::Read { slot, buf: None, state })
     }
 
     /// Enqueue an asynchronous write of `data` to `id`.
@@ -463,7 +517,7 @@ impl IoEngine {
         assert_eq!(data.len(), self.block_bytes, "write must be exactly one block");
         let (disk, slot) = (id.disk as usize, id.slot as u64);
         self.meter_write(disk, slot);
-        self.submit(disk, true, |state| Request::Write { slot, data, state })
+        self.submit(disk, false, |state| Request::Write { slot, data, state })
     }
 
     /// Enqueue a read of `len` bytes (at most one block) from byte `at`
@@ -476,7 +530,7 @@ impl IoEngine {
         // The block is drawn on the caller's thread, which consumes and
         // frees it: a pool miss allocates there, not in the disk worker.
         let (file, buf) = (Arc::clone(file), self.pool.get());
-        self.submit(disk, false, |state| Request::ReadAt { file, at, len, buf, state })
+        self.submit(disk, true, |state| Request::ReadAt { file, at, len, buf, state })
     }
 
     /// Enqueue a write of the first `len` bytes of `data` (exactly one
@@ -494,7 +548,7 @@ impl IoEngine {
         assert!(len <= data.len(), "a file write moves at most one block");
         self.meter_write(disk, at / self.block_bytes as u64);
         let file = Arc::clone(file);
-        self.submit(disk, true, |state| Request::WriteAt { file, at, len, data, state })
+        self.submit(disk, false, |state| Request::WriteAt { file, at, len, data, state })
     }
 
     /// Synchronous read convenience.
@@ -512,7 +566,7 @@ impl IoEngine {
     /// what is queued before it).
     pub fn drain(&self) -> Result<()> {
         let fences: Vec<IoHandle> = (0..self.disks())
-            .map(|d| self.submit(d, true, |state| Request::Fence { state }))
+            .map(|d| self.submit(d, false, |state| Request::Fence { state }))
             .collect();
         for f in fences {
             f.wait()?;
@@ -558,6 +612,8 @@ mod tests {
     use super::*;
     use crate::backend::{FaultInjectingBackend, MemBackend};
     use demsort_types::Error;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
 
     fn engine(disks: usize, block: usize) -> IoEngine {
         IoEngine::new(disks, block, DiskModel::paper(), Arc::new(MemBackend::new(disks)))
@@ -696,17 +752,23 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A [`MemBackend`] that notes which thread runs each read, and
-    /// whose every read would block when `cold`.
+    /// A [`MemBackend`] that notes which thread runs each read and
+    /// write, and whose every read would block while it is `cold`.
     struct Watched {
         inner: MemBackend,
-        cold: bool,
+        cold: AtomicBool,
         readers: Mutex<Vec<String>>,
+        writers: Mutex<Vec<String>>,
+    }
+
+    fn thread_name() -> String {
+        std::thread::current().name().unwrap_or("unnamed").to_string()
     }
 
     impl Watched {
         fn new(disks: usize, cold: bool) -> Self {
-            Self { inner: MemBackend::new(disks), cold, readers: Mutex::new(Vec::new()) }
+            let (readers, writers) = (Mutex::default(), Mutex::default());
+            Self { inner: MemBackend::new(disks), cold: AtomicBool::new(cold), readers, writers }
         }
 
         fn readers(&self) -> Vec<String> {
@@ -716,16 +778,16 @@ mod tests {
 
     impl Backend for Watched {
         fn read(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Result<()> {
-            let name = std::thread::current().name().unwrap_or("unnamed").to_string();
-            self.readers.lock().push(name);
+            self.readers.lock().push(thread_name());
             self.inner.read(disk, slot, buf)
         }
 
         fn read_nowait(&self, disk: usize, slot: u64, buf: &mut [u8]) -> Option<Result<()>> {
-            (!self.cold).then(|| self.read(disk, slot, buf))
+            (!self.cold.load(Ordering::SeqCst)).then(|| self.read(disk, slot, buf))
         }
 
         fn write(&self, disk: usize, slot: u64, data: &[u8]) -> Result<()> {
+            self.writers.lock().push(thread_name());
             self.inner.write(disk, slot, data)
         }
 
@@ -761,9 +823,17 @@ mod tests {
         for (h, &(d, s)) in handles.into_iter().zip(&reads).rev() {
             check(h, d, s);
         }
-        let me = std::thread::current().name().map(str::to_string);
-        assert_eq!(backend.readers(), vec![me.expect("test threads are named"); 8]);
+        assert_eq!(backend.readers(), vec![thread_name(); 8]);
         assert_eq!(e.counters().blocks_read, 8);
+    }
+
+    /// Wait until every handle of `hs` is done, without waiting on one.
+    fn served_unwaited(hs: &[IoHandle]) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !hs.iter().all(IoHandle::is_done) {
+            assert!(Instant::now() < deadline, "the worker did not serve the reads");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -771,28 +841,64 @@ mod tests {
         let backend = Arc::new(Watched::new(1, true));
         let e = filled(1, 8, backend.clone());
         let mut handles: Vec<_> = (0..8).map(|s| e.read(BlockId::new(0, s))).collect();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(handles.iter().all(|h| !h.is_done()), "queued reads do not wake the worker");
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(handles.iter().all(|h| !h.is_done()), "a warm disk's reads wait for a waiter");
         let rest = handles.split_off(1);
         check(handles.remove(0), 0, 0);
         // The first read would block, so the worker took it and the
         // reads queued behind it, none of which has been waited for.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while !rest.iter().all(IoHandle::is_done) {
-            assert!(std::time::Instant::now() < deadline, "the worker did not run ahead");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
+        served_unwaited(&rest);
         assert_eq!(backend.readers(), vec!["demsort-disk-0".to_string(); 8]);
         for (s, h) in (1..).zip(rest) {
             check(h, 0, s);
         }
-        // Drained, the worker sleeps again: the next read queues until
-        // it is waited for, and the worker serves it.
-        let h = e.read(BlockId::new(0, 3));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(!h.is_done(), "queued reads do not wake the worker");
-        check(h, 0, 3);
-        assert_eq!(backend.readers().len(), 9);
+        // Drained, the disk stays cold: a read submitted now goes to
+        // the worker at once and is served before anyone waits for it.
+        let later: Vec<_> = (3..5).map(|s| e.read(BlockId::new(0, s))).collect();
+        served_unwaited(&later);
+        for (s, h) in (3..).zip(later) {
+            check(h, 0, s);
+        }
+        assert_eq!(backend.readers(), vec!["demsort-disk-0".to_string(); 10]);
+        // So does a write: a cold disk hands every request to its worker.
+        let w = e.write(BlockId::new(0, 0), vec![7; 16].into_boxed_slice());
+        served_unwaited(std::slice::from_ref(&w));
+        w.wait().expect("write");
+        assert_eq!(backend.writers.lock().last().map(String::as_str), Some("demsort-disk-0"));
+    }
+
+    #[test]
+    fn a_cold_disk_turns_warm_when_the_page_cache_answers_its_worker() {
+        let backend = Arc::new(Watched::new(1, true));
+        let e = filled(1, 4, backend.clone());
+        // The worker asks the page cache again only once it has been
+        // woken again: let it go back to sleep after this miss.
+        let asleep = || {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while e.disks[0].queue.lock().run_ahead {
+                assert!(Instant::now() < deadline, "the worker did not go back to sleep");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        check(e.read(BlockId::new(0, 0)), 0, 0);
+        asleep();
+        backend.cold.store(false, Ordering::SeqCst);
+        // Cold, the disk hands this read to its worker, which now finds
+        // it cached: the disk is warm again.
+        let h = e.read(BlockId::new(0, 1));
+        served_unwaited(std::slice::from_ref(&h));
+        check(h, 0, 1);
+        asleep();
+        assert!(!e.disks[0].queue.lock().cold, "the worker's cached read warmed the disk");
+        let h = e.read(BlockId::new(0, 2));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!h.is_done(), "a warm disk's read waits for its waiter");
+        check(h, 0, 2);
+        let worker = "demsort-disk-0".to_string();
+        assert_eq!(backend.readers(), vec![worker.clone(), worker, thread_name()]);
+        // Warm, a write with nothing queued before it goes in at submit.
+        drop(e.write(BlockId::new(0, 0), vec![7; 16].into_boxed_slice()));
+        assert_eq!(backend.writers.lock().last(), Some(&thread_name()));
     }
 
     #[test]
