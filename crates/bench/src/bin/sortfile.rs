@@ -39,6 +39,7 @@
 
 use demsort_bench::procs::{launch_and_report, print_done, TcpJobCli};
 use demsort_core::job::run_job_local;
+use demsort_types::Record100;
 
 fn main() {
     const BIN: &str = "sortfile";
@@ -77,7 +78,7 @@ fn main() {
                 job.machine.pes,
                 demsort_types::fmtsize::fmt_bytes(job.machine.mem_bytes_per_pe as u64)
             );
-            match run_job_local(&job) {
+            match run_job_local::<Record100>(&job) {
                 Ok(report) => print_done(&report),
                 Err(e) => {
                     eprintln!("sortfile: {e}");

@@ -12,23 +12,8 @@
 //! records is printed either way); 2 on a usage error or a FILE that
 //! cannot be read.
 
-use demsort_core::validate::Fingerprint;
-use demsort_types::{Key10, Record as _, Record100};
-use std::io::Read;
-
-/// Read into `buf` until it is full or the input ends: the bytes read.
-fn fill(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(got)
-}
+use demsort_core::validate::check_file;
+use demsort_types::{Error, Record as _, Record100};
 
 fn main() {
     // No flags: `--help` and the like get the usage line.
@@ -36,45 +21,33 @@ fn main() {
         eprintln!("usage: valsort FILE");
         std::process::exit(2);
     };
-    let unreadable = |what: &str, e: std::io::Error| -> ! {
-        eprintln!("valsort: {what} {file}: {e}");
+    let check = check_file::<Record100>(file.as_ref()).unwrap_or_else(|e| {
+        // An I/O error names the file and whether it would not open or
+        // not read.
+        let msg = match e {
+            Error::Io(m) => m,
+            e => e.to_string(),
+        };
+        eprintln!("valsort: {msg}");
         std::process::exit(2);
-    };
-    let f = std::fs::File::open(&file).unwrap_or_else(|e| unreadable("open", e));
-    let mut r = std::io::BufReader::new(f);
-    let mut buf = vec![0u8; Record100::BYTES];
-    let mut fp = Fingerprint::default();
-    let mut violations = 0u64;
-    let mut last: Option<Key10> = None;
-    let trailing = loop {
-        match fill(&mut r, &mut buf).unwrap_or_else(|e| unreadable("read", e)) {
-            n if n == buf.len() => {}
-            n => break n,
-        }
-        let rec = Record100::decode(&buf);
-        if let Some(prev) = &last {
-            if *prev > rec.key {
-                violations += 1;
-            }
-        }
-        last = Some(rec.key);
-        fp.add(&rec);
-    };
+    });
+    let fp = check.fingerprint;
     println!("records:      {}", fp.count);
-    println!("violations:   {violations}");
+    println!("violations:   {}", check.violations);
     println!("fingerprint:  {:016x}:{:016x}", fp.count, fp.sum);
-    if trailing > 0 {
+    if check.trailing > 0 {
         println!(
-            "FAILURE - {trailing} trailing bytes after {} records are not a whole {}-byte record",
+            "FAILURE - {} trailing bytes after {} records are not a whole {}-byte record",
+            check.trailing,
             fp.count,
             Record100::BYTES
         );
         std::process::exit(1);
     }
-    if violations == 0 {
+    if check.violations == 0 {
         println!("SUCCESS - the file is sorted");
     } else {
-        println!("FAILURE - {violations} out-of-order record pairs");
+        println!("FAILURE - {} out-of-order record pairs", check.violations);
         std::process::exit(1);
     }
 }

@@ -3,19 +3,15 @@
 //! prints and dumps as CSV.
 
 use crate::table::{ratio, secs, Table};
-use crate::{run_canonical, worst_case, ExpScale};
+use crate::{run_canonical, sort_canonical, worst_case, ExpScale, JobFiles};
 use demsort_core::baselines::nowsort;
-use demsort_core::canonical::{sort_cluster, ClusterOutcome};
-use demsort_core::fileio::OutputFile;
-use demsort_core::job::run_in_process;
+use demsort_core::job::{run_in_process, sort_file};
 use demsort_core::runform::ingest_input;
-use demsort_core::striped::striped_mergesort;
 use demsort_types::wire::RankReport;
 use demsort_types::{
-    AlgoConfig, CpuCounters, Element16, Phase, PhaseStats, Record, Record100, SortConfig,
-    SortReport,
+    AlgoConfig, Element16, Phase, PhaseStats, Record, Record100, SortAlgo, SortConfig, SortReport,
 };
-use demsort_workloads::{generate_pe_input, gensort_records, InputSpec};
+use demsort_workloads::{generate_all, generate_pe_input, gensort_records, InputSpec};
 
 /// Default cluster sizes of the scalability figures (`P = 1..64`).
 pub const PAPER_PES: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
@@ -42,16 +38,16 @@ fn phase_sweep(
         ],
     );
     for &p in pes_list {
-        let outcome = run_canonical(scale, p, spec, algo.clone());
+        let (report, _) = run_canonical(scale, p, spec, algo.clone());
         let model = scale.cost_model(algo.overlap);
-        let phases = model.cluster_phases(&outcome.report);
+        let phases = model.cluster_phases(&report);
         let get = |ph: Phase| phases.get(&ph).map(|t| t.wall_s).unwrap_or(0.0);
         let total: f64 = phases.values().map(|t| t.wall_s).sum();
         // Measured host wall of this (unscaled) run — a phase ends when
         // its slowest PE does, so take the per-phase max over PEs. A
         // sanity signal next to the modeled paper-scale columns.
         let wall_ns: u64 =
-            Phase::ALL.iter().map(|&ph| outcome.report.phase_max(ph, |s| s.cpu.host_wall_ns)).sum();
+            Phase::ALL.iter().map(|&ph| report.phase_max(ph, |s| s.cpu.host_wall_ns)).sum();
         t.row(vec![
             p.to_string(),
             secs(get(Phase::RunFormation)),
@@ -102,7 +98,7 @@ pub fn fig6(scale: &ExpScale, pes_list: &[usize]) -> Table {
 /// Figure 3: per-PE wall-clock and I/O time of every phase on a
 /// 32-node run with random input.
 pub fn fig3(scale: &ExpScale, pes: usize) -> Table {
-    let outcome = run_canonical(scale, pes, InputSpec::Uniform, AlgoConfig::default());
+    let (report, _) = run_canonical(scale, pes, InputSpec::Uniform, AlgoConfig::default());
     let model = scale.cost_model(true);
     let mut t = Table::new(
         &format!("Figure 3 — per-PE phase times, P = {pes}, random input"),
@@ -116,10 +112,10 @@ pub fn fig3(scale: &ExpScale, pes: usize) -> Table {
             "merge_io_s",
         ],
     );
-    let rf = model.per_pe_times(&outcome.report, Phase::RunFormation);
-    let sel = model.per_pe_times(&outcome.report, Phase::MultiwaySelection);
-    let a2a = model.per_pe_times(&outcome.report, Phase::AllToAll);
-    let fm = model.per_pe_times(&outcome.report, Phase::FinalMerge);
+    let rf = model.per_pe_times(&report, Phase::RunFormation);
+    let sel = model.per_pe_times(&report, Phase::MultiwaySelection);
+    let a2a = model.per_pe_times(&report, Phase::AllToAll);
+    let fm = model.per_pe_times(&report, Phase::FinalMerge);
     for pe in 0..pes {
         t.row(vec![
             pe.to_string(),
@@ -141,9 +137,10 @@ pub fn fig3(scale: &ExpScale, pes: usize) -> Table {
 pub fn fig5(scale: &ExpScale, pes_list: &[usize]) -> Table {
     let small = ExpScale { block_bytes: scale.block_bytes / 4, ..scale.clone() };
     fn a2a_over_n(s: &ExpScale, p: usize, spec: InputSpec, randomize: bool) -> f64 {
-        let outcome = run_canonical(s, p, spec, AlgoConfig { randomize, ..AlgoConfig::default() });
-        outcome.report.phase_total(Phase::AllToAll, |st| st.io.bytes_total()) as f64
-            / outcome.report.total_bytes() as f64
+        let (report, _) =
+            run_canonical(s, p, spec, AlgoConfig { randomize, ..AlgoConfig::default() });
+        report.phase_total(Phase::AllToAll, |st| st.io.bytes_total()) as f64
+            / report.total_bytes() as f64
     }
     let worst = worst_case(scale);
     let worst_small = worst_case(&small);
@@ -165,18 +162,10 @@ pub fn fig5(scale: &ExpScale, pes_list: &[usize]) -> Table {
 
 /// Run the canonical sort on SortBenchmark records (100 bytes, 10-byte
 /// key).
-pub fn run_canonical_r100(
-    scale: &ExpScale,
-    pes: usize,
-    data_bytes_per_pe: usize,
-) -> ClusterOutcome<Record100> {
+pub fn run_canonical_r100(scale: &ExpScale, pes: usize, data_bytes_per_pe: usize) -> SortReport {
     let cfg = SortConfig::new(scale.machine(pes), AlgoConfig::default()).expect("valid");
-    let local_n = data_bytes_per_pe / Record100::BYTES;
-    sort_cluster::<Record100, _>(&cfg, move |pe, p| {
-        let _ = p;
-        gensort_records(0x50FF_BEEF, (pe * local_n) as u64, local_n)
-    })
-    .expect("sortbench sort")
+    let n = pes * (data_bytes_per_pe / Record100::BYTES);
+    sort_canonical(&cfg, &gensort_records(0x50FF_BEEF, 0, n)).0
 }
 
 /// Section VI's SortBenchmark results: our modeled runs next to the
@@ -190,8 +179,8 @@ pub fn sortbench(scale: &ExpScale, pes: usize) -> Table {
     // GraySort-style run: external (R > 1) 100-byte records.
     let gray = run_canonical_r100(scale, pes, scale.data_bytes_per_pe);
     let model = scale.cost_model(true);
-    let wall = model.total_wall_s(&gray.report);
-    let gbmin = model.throughput_bytes_per_sec(&gray.report) * 60.0 / 1e9;
+    let wall = model.total_wall_s(&gray);
+    let gbmin = model.throughput_bytes_per_sec(&gray) * 60.0 / 1e9;
     t.row(vec![
         "demsort (this run)".into(),
         "GraySort rate".into(),
@@ -229,9 +218,9 @@ pub fn sortbench(scale: &ExpScale, pes: usize) -> Table {
     let bpr = scale.mem_bytes_per_pe / scale.block_bytes;
     let minute_bytes = bpr * rpb * 4 / 5 * Record100::BYTES;
     let minute = run_canonical_r100(scale, pes, minute_bytes);
-    assert_eq!(minute.per_pe[0].runs, 1, "MinuteSort case must be internal");
-    let mwall = model.total_wall_s(&minute.report);
-    let paper_bytes = minute.report.total_bytes() as f64 * scale.scale;
+    assert_eq!(minute.runs, 1, "MinuteSort case must be internal");
+    let mwall = model.total_wall_s(&minute);
+    let paper_bytes = minute.total_bytes() as f64 * scale.scale;
     let per_minute_gb = paper_bytes / mwall * 60.0 / 1e9;
     t.row(vec![
         "demsort (this run)".into(),
@@ -268,9 +257,9 @@ pub fn ablate_selection(scale: &ExpScale, pes: usize) -> Table {
     );
     for sample_every in [16usize, 64, 256] {
         let algo = AlgoConfig { sample_every, ..AlgoConfig::default() };
-        let outcome = run_canonical(scale, pes, InputSpec::Uniform, algo);
+        let (_, per_pe) = run_canonical(scale, pes, InputSpec::Uniform, algo);
         let sum = |f: &dyn Fn(&demsort_core::extselect::SelectionStats) -> u64| -> u64 {
-            outcome.per_pe.iter().map(|o| f(&o.selection)).sum()
+            per_pe.iter().map(|o| f(&o.selection)).sum()
         };
         t.row(vec![
             format!("every {sample_every}"),
@@ -291,9 +280,9 @@ pub fn ablate_overlap(scale: &ExpScale, pes: usize) -> Table {
     );
     for overlap in [true, false] {
         let algo = AlgoConfig { overlap, ..AlgoConfig::default() };
-        let outcome = run_canonical(scale, pes, InputSpec::Uniform, algo);
+        let (report, _) = run_canonical(scale, pes, InputSpec::Uniform, algo);
         let model = scale.cost_model(overlap);
-        let phases = model.cluster_phases(&outcome.report);
+        let phases = model.cluster_phases(&report);
         let rf = phases.get(&Phase::RunFormation).map(|t| t.wall_s).unwrap_or(0.0);
         let total: f64 = phases.values().map(|t| t.wall_s).sum();
         t.row(vec![overlap.to_string(), secs(rf), secs(total)]);
@@ -311,14 +300,14 @@ pub fn striped_vs_canonical(scale: &ExpScale, pes_list: &[usize]) -> Table {
     );
     for &p in pes_list {
         // Canonical.
-        let outcome = run_canonical(scale, p, InputSpec::Uniform, AlgoConfig::default());
+        let (report, _) = run_canonical(scale, p, InputSpec::Uniform, AlgoConfig::default());
         let model = scale.cost_model(true);
         t.row(vec![
             p.to_string(),
             "canonical".into(),
-            ratio(outcome.report.io_volume_over_n()),
-            ratio(outcome.report.comm_volume_over_n()),
-            secs(model.total_wall_s(&outcome.report)),
+            ratio(report.io_volume_over_n()),
+            ratio(report.comm_volume_over_n()),
+            secs(model.total_wall_s(&report)),
         ]);
         // Striped.
         let report = run_striped_report(scale, p);
@@ -333,34 +322,24 @@ pub fn striped_vs_canonical(scale: &ExpScale, pes_list: &[usize]) -> Table {
     t
 }
 
-/// Run the striped sort into a scratch output file (removed afterwards)
-/// and collect a single-phase report (totals).
+/// Run the striped sort of the experiments' uniform input and collect
+/// a single-phase report (totals).
 pub fn run_striped_report(scale: &ExpScale, pes: usize) -> SortReport {
     let cfg = SortConfig::new(scale.machine(pes), AlgoConfig::default()).expect("valid config");
-    let local_n = scale.elems_per_pe();
-    let path = std::env::temp_dir()
-        .join(format!("demsort-striped-report-{}-{pes}.dat", std::process::id()));
-    let output = OutputFile { path: &path, records: (pes * local_n) as u64 };
-    let sorted = run_in_process(&cfg, Element16::BYTES, |c, storage| {
-        let st = storage.pe(c.rank());
-        let recs =
-            generate_pe_input(InputSpec::Uniform, 0xDE77_5047 ^ pes as u64, c.rank(), pes, local_n);
-        let input = ingest_input(st, &recs)?;
-        let io0 = st.counters();
-        let comm0 = c.counters();
-        let out = striped_mergesort::<Element16>(&c, st, &cfg, input, 1, None, output)?;
-        // Attribute run formation and merging together; the comparison
-        // table uses totals only.
-        let totals = PhaseStats {
-            io: st.counters().delta_since(&io0),
-            comm: c.counters().delta_since(&comm0),
-            cpu: out.phases.iter().fold(CpuCounters::default(), |acc, (_, s)| acc.merge(&s.cpu)),
-        };
-        let phases = vec![(Phase::RunFormation, totals)];
-        Ok((RankReport { rank: c.rank(), elems: local_n as u64, runs: 0, phases, error: None }, ()))
-    });
-    let _ = std::fs::remove_file(&path);
-    sorted.expect("striped").0
+    let seed = 0xDE77_5047 ^ pes as u64;
+    let files = JobFiles::new(&generate_all(InputSpec::Uniform, seed, pes, scale.elems_per_pe()));
+    let sorted = sort_file::<Element16>(&cfg, SortAlgo::Striped, &files.input(), &files.output())
+        .expect("striped");
+    // Attribute run formation and merging together; the comparison
+    // table uses totals only.
+    let mut report = SortReport::new(pes, sorted.elements, sorted.element_bytes, sorted.runs);
+    for pe in 0..pes {
+        let totals = Phase::ALL
+            .iter()
+            .fold(PhaseStats::default(), |acc, &ph| acc.merge(&sorted.get(pe, ph)));
+        report.record(pe, Phase::RunFormation, totals);
+    }
+    report
 }
 
 /// NOW-Sort baseline vs CANONICALMERGESORT on uniform and skewed
@@ -372,16 +351,16 @@ pub fn baseline_skew(scale: &ExpScale, pes: usize) -> Table {
     );
     for spec in [InputSpec::Uniform, InputSpec::SkewedToOne] {
         // Canonical: exact splitting keeps balance at 1 by construction.
-        let outcome = run_canonical(scale, pes, spec, AlgoConfig::default());
+        let (report, per_pe) = run_canonical(scale, pes, spec, AlgoConfig::default());
         let model = scale.cost_model(true);
-        let sizes: Vec<u64> = outcome.per_pe.iter().map(|o| o.output.elems).collect();
+        let sizes: Vec<u64> = per_pe.iter().map(|o| o.output.elems).collect();
         let avg = sizes.iter().sum::<u64>() as f64 / pes as f64;
         let imb = sizes.iter().copied().max().unwrap_or(0) as f64 / avg.max(1.0);
         t.row(vec![
             spec.label().into(),
             "canonical".into(),
             format!("{imb:.2}"),
-            secs(model.total_wall_s(&outcome.report)),
+            secs(model.total_wall_s(&report)),
         ]);
         // NOW-Sort.
         let (report, imbalance) = run_nowsort_report(scale, pes, spec);

@@ -26,10 +26,14 @@ pub mod experiments;
 pub mod procs;
 pub mod table;
 
-use demsort_core::canonical::{sort_cluster, ClusterOutcome};
+use demsort_core::canonical::{canonical_mergesort_to, PeOutcome};
+use demsort_core::fileio::{input_shard, write_record_file, OutputFile};
+use demsort_core::job::run_in_process;
 use demsort_simcost::CostModel;
-use demsort_types::{AlgoConfig, Element16, MachineConfig, SortConfig};
-use demsort_workloads::{generate_pe_input, InputSpec};
+use demsort_types::wire::RankReport;
+use demsort_types::{AlgoConfig, Element16, MachineConfig, Record, SortConfig, SortReport};
+use demsort_workloads::{generate_all, InputSpec};
+use std::path::PathBuf;
 
 /// Experiment-wide scale and machine shape (see module docs).
 #[derive(Clone, Debug)]
@@ -107,19 +111,73 @@ impl ExpScale {
 }
 
 /// Run CANONICALMERGESORT on `pes` PEs for `spec` input and return the
-/// outcome (counters + per-PE stats).
+/// cluster report and every PE's outcome.
 pub fn run_canonical(
     scale: &ExpScale,
     pes: usize,
     spec: InputSpec,
     algo: AlgoConfig,
-) -> ClusterOutcome<Element16> {
+) -> (SortReport, Vec<PeOutcome<Element16>>) {
     let cfg = SortConfig::new(scale.machine(pes), algo).expect("valid experiment config");
-    let local_n = scale.elems_per_pe();
-    sort_cluster::<Element16, _>(&cfg, move |pe, p| {
-        generate_pe_input(spec, 0xDE77_5047 ^ pes as u64, pe, p, local_n)
+    let seed = 0xDE77_5047 ^ pes as u64;
+    sort_canonical(&cfg, &generate_all(spec, seed, pes, scale.elems_per_pe()))
+}
+
+/// Sort `recs` with CANONICALMERGESORT on the in-process cluster `cfg`,
+/// its disks in memory, and return the cluster report and every PE's
+/// outcome. The records are written into an input file; each PE reads
+/// its shard of it where it lies and writes its part of the output file
+/// where it belongs.
+pub fn sort_canonical<R: Record + Ord>(
+    cfg: &SortConfig,
+    recs: &[R],
+) -> (SortReport, Vec<PeOutcome<R>>) {
+    let files = JobFiles::new(recs);
+    let (input, total, p) = (files.input(), recs.len() as u64, cfg.machine.pes);
+    let output = OutputFile { path: &files.output(), records: total };
+    let (report, per_pe, _) = run_in_process(cfg, R::BYTES, |comm, storage| {
+        let (rank, cores) = (comm.rank(), cfg.machine.cores_per_pe);
+        let local = input_shard::<R>(&input, rank, p, total)?;
+        let o =
+            canonical_mergesort_to::<R>(&comm, storage.pe(rank), cfg, local, cores, Some(output))?;
+        let phases = o.phases.clone();
+        Ok((RankReport { rank, elems: o.output.elems, runs: o.runs, phases, error: None }, o))
     })
-    .expect("experiment sort")
+    .expect("experiment sort");
+    (report, per_pe)
+}
+
+/// A sort's input file of given records and the path of its output, in
+/// a directory of their own that is removed on drop.
+pub struct JobFiles(PathBuf);
+
+impl JobFiles {
+    /// Write `recs` into a new input file.
+    pub fn new<R: Record>(recs: &[R]) -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("demsort-bench-{}-{seq}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create job directory");
+        let files = Self(dir);
+        write_record_file(&files.input(), recs).expect("write job input");
+        files
+    }
+
+    /// The input file.
+    pub fn input(&self) -> PathBuf {
+        self.0.join("input.dat")
+    }
+
+    /// Where the output goes.
+    pub fn output(&self) -> PathBuf {
+        self.0.join("output.dat")
+    }
+}
+
+impl Drop for JobFiles {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// The paper's worst-case input for this scale: bands the width of one
@@ -146,10 +204,10 @@ mod tests {
     #[test]
     fn smoke_scale_sorts_and_reports() {
         let s = ExpScale::smoke();
-        let outcome = run_canonical(&s, 2, InputSpec::Uniform, AlgoConfig::default());
-        assert_eq!(outcome.per_pe.len(), 2);
-        assert_eq!(outcome.per_pe[0].runs, 7, "R = ⌈6.25⌉");
-        let io = outcome.report.io_volume_over_n();
+        let (report, per_pe) = run_canonical(&s, 2, InputSpec::Uniform, AlgoConfig::default());
+        assert_eq!(per_pe.len(), 2);
+        assert_eq!(per_pe[0].runs, 7, "R = ⌈6.25⌉");
+        let io = report.io_volume_over_n();
         assert!((3.5..7.0).contains(&io), "two-pass external sort: {io}");
     }
 }

@@ -79,8 +79,8 @@ use demsort_types::wire::{
     encode_rank_report, RankReport, WireReader, WireWriter,
 };
 use demsort_types::{
-    AlgoConfig, Error, JobConfig, MachineConfig, ProgressFrame, Record as _, Record100, Result,
-    SortAlgo, SortReport, Tracer,
+    AlgoConfig, Error, JobConfig, MachineConfig, Phase, PhaseStats, ProgressFrame, Record as _,
+    Record100, Result, SortAlgo, SortReport, Tracer,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -236,7 +236,7 @@ pub fn run_rank(
     // The rank program — the same body the in-process cluster runs.
     let mut comm = Communicator::new(Box::new(tcp.clone()));
     comm.set_tracer(tracer.clone());
-    let report = run_rank_job(job, &comm, &st, Some(recovery_hooks(&tcp)))?;
+    let report = run_rank_job::<Record100>(job, &comm, &st, Some(recovery_hooks(&tcp)))?;
 
     // Ranks must not tear the mesh down while a slower peer still
     // depends on it (the final phases interleave). After a degraded
@@ -934,12 +934,13 @@ impl TcpJobCli {
             disks_per_pe: self.disks,
             block_bytes: self.block_kib << 10,
             mem_bytes_per_pe: self.mem_mib << 20,
-            cores_per_pe: self
-                .cores
-                .unwrap_or_else(|| {
-                    std::thread::available_parallelism().map_or(1, |c| c.get() / self.ranks.max(1))
-                })
-                .max(1),
+            // Only the derived default is clamped: an explicit 0 is left
+            // for `MachineConfig::validate` to reject by name.
+            cores_per_pe: self.cores.unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map_or(1, |c| c.get() / self.ranks.max(1))
+                    .max(1)
+            }),
         }
     }
 
@@ -986,12 +987,22 @@ impl TcpJobCli {
 
 /// Print a finished job's summary line on stderr — the same on either
 /// transport, so the volumes of a local and a TCP run compare by `diff`.
+/// The volumes are in units of the input, `N`; an empty input has none,
+/// so its volumes are in bytes.
 pub fn print_done(report: &SortReport) {
+    let (n, pes, runs) = (report.elements, report.pes, report.runs);
+    if n == 0 {
+        let bytes = |f: fn(&PhaseStats) -> u64| -> u64 {
+            Phase::ALL.iter().map(|&ph| report.phase_total(ph, f)).sum()
+        };
+        let (io, comm) = (bytes(|s| s.io.bytes_total()), bytes(|s| s.comm.bytes_sent));
+        eprintln!(
+            "done: 0 records on {pes} ranks, {runs} runs, I/O volume {io} bytes, communication {comm} bytes"
+        );
+        return;
+    }
     eprintln!(
-        "done: {} records on {} ranks, {} runs, I/O volume {:.2} N, communication {:.2} N",
-        report.elements,
-        report.pes,
-        report.runs,
+        "done: {n} records on {pes} ranks, {runs} runs, I/O volume {:.2} N, communication {:.2} N",
         report.io_volume_over_n(),
         report.comm_volume_over_n(),
     );
@@ -1223,6 +1234,15 @@ mod tests {
         let derived = TcpJobCli { ranks: 3, ..TcpJobCli::default() }.machine().cores_per_pe;
         let host = std::thread::available_parallelism().map_or(1, |c| c.get());
         assert_eq!(derived, (host / 3).max(1));
+    }
+
+    #[test]
+    fn an_explicit_zero_cores_is_rejected_by_name() {
+        let mut cli = TcpJobCli::default();
+        let mut value = std::iter::once("0".to_string());
+        assert!(cli.try_flag("test", "--cores", &mut value));
+        let err = cli.job("a.dat", "b.dat").validate().expect_err("--cores 0");
+        assert!(matches!(&err, Error::Config(m) if m.contains("cores_per_pe")), "{err}");
     }
 
     #[test]

@@ -125,6 +125,26 @@ fn failed_runs_leave_no_scratch() {
 }
 
 #[test]
+fn an_empty_input_sorts_into_an_empty_output() {
+    // N = 0 has no volume "over N": the `done:` line gives bytes.
+    let dir = TestDir::new("empty");
+    let empty = dir.path("empty.dat");
+    std::fs::write(&empty, []).expect("write empty input");
+    for bin in [SORTFILE, LAUNCH] {
+        for algo in ["canonical", "striped"] {
+            let output = dir.path(&format!("out-{algo}.dat"));
+            let out = sort(bin, &["--algo", algo], &empty, &output);
+            let msg = stderr(&out);
+            assert_eq!(out.status.code(), Some(0), "{bin} {algo}: {msg}");
+            assert_eq!(std::fs::metadata(&output).expect("stat output").len(), 0, "{bin} {algo}");
+            assert!(msg.contains("done: 0 records on 2 ranks"), "{bin} {algo}: {msg}");
+            assert!(!msg.contains("NaN") && !msg.contains("inf"), "{bin} {algo}: {msg}");
+        }
+    }
+    assert!(!dir.leftovers().iter().any(|n| n.ends_with(".scratch")), "{:?}", dir.leftovers());
+}
+
+#[test]
 fn stale_scratch_from_a_crashed_run_is_reused() {
     let dir = TestDir::new("stale");
     let input = dir.path("in.dat");

@@ -83,7 +83,7 @@ fn on_both_transports(job: &JobConfig, out_local: &Path) -> (SortReport, SortRep
         scratch: default_scratch(&out_local.to_string_lossy()),
         ..job.clone()
     };
-    (tcp.report, run_job_local(&local).expect("in-process striped job"))
+    (tcp.report, run_job_local::<Record100>(&local).expect("in-process striped job"))
 }
 
 /// Every deterministic counter of two runs of one job agrees, per rank
@@ -224,7 +224,7 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
 
     // cores = 1 in-process run: the sequential baseline.
     let seq_job = striped_job(&input, &out_seq, test_machine(), AlgoConfig::default());
-    let seq_report = run_job_local(&seq_job).expect("cores = 1 job");
+    let seq_report = run_job_local::<Record100>(&seq_job).expect("cores = 1 job");
 
     // cores = 4 on both transports. Batches at this scale sit below
     // the engine's per-thread minimum, so the run pins
@@ -332,7 +332,8 @@ fn sort_file_matches_the_materialising_striped_run() {
     write_gensort_input(&input);
     let reference = striped_materialised(&input, &out_ref);
     let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
-    let report = demsort_core::sort_file(&cfg, SortAlgo::Striped, &input, &out).expect("sort");
+    let report =
+        demsort_core::sort_file::<Record100>(&cfg, SortAlgo::Striped, &input, &out).expect("sort");
 
     assert_eq!(
         std::fs::read(&out).expect("read output"),

@@ -8,16 +8,18 @@
 //! its path via `CARGO_BIN_EXE_demsort-worker`.
 
 use demsort_bench::procs::launch;
-use demsort_core::canonical::sort_cluster;
-use demsort_core::job::default_scratch;
+use demsort_core::canonical::canonical_mergesort;
+use demsort_core::fileio::{read_record_file, write_record_file};
+use demsort_core::job::{default_scratch, run_in_process};
 use demsort_core::recio::read_records;
-use demsort_core::validate::hash_record;
+use demsort_core::runform::ingest_input;
+use demsort_core::validate::check_file;
+use demsort_types::wire::RankReport;
 use demsort_types::{
-    AlgoConfig, JobConfig, MachineConfig, Phase, Record as _, Record100, SortAlgo, SortConfig,
-    SortReport,
+    ranks, AlgoConfig, JobConfig, MachineConfig, Phase, Record as _, Record100, SortAlgo,
+    SortConfig, SortReport,
 };
 use demsort_workloads::gensort_records;
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 const RECORDS: usize = 3_000;
@@ -41,57 +43,43 @@ fn tmp_path(name: &str) -> PathBuf {
 }
 
 fn write_gensort_input(path: &Path) {
-    let mut f = std::io::BufWriter::new(std::fs::File::create(path).expect("create input"));
-    let mut buf = vec![0u8; Record100::BYTES];
-    for rec in gensort_records(7, 0, RECORDS) {
-        rec.encode(&mut buf);
-        f.write_all(&buf).expect("write record");
-    }
-    f.flush().expect("flush");
+    write_record_file(path, &gensort_records(7, 0, RECORDS)).expect("write input");
 }
 
-/// The in-process reference: sortfile's local mode in miniature.
+/// The in-process reference: `sortfile --transport local`.
 fn sort_in_process(input: &Path, output: &Path) -> SortReport {
     let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
-    let input_path = input.to_path_buf();
-    let outcome = sort_cluster::<Record100, _>(&cfg, move |pe, p| {
-        let shard = demsort_types::ranks::owned_range(pe, p, RECORDS as u64);
-        let mut f = std::fs::File::open(&input_path).expect("open input");
-        f.seek(SeekFrom::Start(shard.start * Record100::BYTES as u64)).expect("seek");
-        let mut bytes = vec![0u8; (shard.end - shard.start) as usize * Record100::BYTES];
-        f.read_exact(&mut bytes).expect("read shard");
-        let mut recs = Vec::new();
-        Record100::decode_slice(&bytes, &mut recs);
-        recs
-    })
-    .expect("in-process sort");
-
-    let mut out = std::io::BufWriter::new(std::fs::File::create(output).expect("create output"));
-    let mut buf = vec![0u8; Record100::BYTES];
-    for (pe, o) in outcome.per_pe.iter().enumerate() {
-        for rec in read_records::<Record100>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-            .expect("read output")
-        {
-            rec.encode(&mut buf);
-            out.write_all(&buf).expect("write");
-        }
-    }
-    out.flush().expect("flush");
-    outcome.report
+    demsort_core::sort_file::<Record100>(&cfg, SortAlgo::Canonical, input, output)
+        .expect("in-process sort")
 }
 
-fn valsort(path: &Path) -> (u64, u64) {
-    let bytes = std::fs::read(path).expect("read sorted file");
-    assert_eq!(bytes.len() % Record100::BYTES, 0);
-    let mut recs = Vec::new();
-    Record100::decode_slice(&bytes, &mut recs);
-    assert!(
-        recs.windows(2).all(|w| w[0].key <= w[1].key),
-        "{} must be globally sorted",
-        path.display()
-    );
-    let sum = recs.iter().fold(0u64, |acc, r| acc.wrapping_add(hash_record(r)));
-    (recs.len() as u64, sum)
+/// The materialising reference of `sort_file`: whole shards of `input`
+/// ingested onto the disks and sorted there, the ranks' outputs read
+/// back and written into `output`.
+fn sort_materialised(input: &Path, output: &Path) -> SortReport {
+    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
+    let recs = read_record_file::<Record100>(input).expect("read input");
+    let (report, parts, _) = run_in_process(&cfg, Record100::BYTES, |comm, storage| {
+        let (rank, st) = (comm.rank(), storage.pe(comm.rank()));
+        let shard = ranks::owned_range(rank, comm.size(), recs.len() as u64);
+        let local = ingest_input(st, &recs[shard.start as usize..shard.end as usize])?;
+        let o = canonical_mergesort::<Record100>(&comm, storage, &cfg, local, 1)?;
+        let part = read_records::<Record100>(st, &o.output.run, o.output.elems)?;
+        let (elems, runs, phases) = (o.output.elems, o.runs, o.phases);
+        Ok((RankReport { rank, elems, runs, phases, error: None }, part))
+    })
+    .expect("materialising sort");
+    write_record_file(output, &parts.concat()).expect("write output");
+    report
+}
+
+/// Check that the file at `path` is a sorted permutation of the
+/// `input` file, and return its record count.
+fn valsort(path: &Path, input: &Path) -> u64 {
+    let input = check_file::<Record100>(input).expect("check input").fingerprint;
+    let check = check_file::<Record100>(path).expect("check output");
+    assert!(check.is_sort_of(input), "{}: {check:?}", path.display());
+    check.fingerprint.count
 }
 
 #[test]
@@ -128,13 +116,7 @@ fn four_rank_tcp_launch_matches_in_process_run() {
     assert_eq!(tcp_bytes, local_bytes, "outputs must be byte-identical across transports");
 
     // valsort-clean: sorted, a permutation of the input.
-    let (n, fp) = valsort(&out_tcp);
-    assert_eq!(n, RECORDS as u64);
-    let input_bytes = std::fs::read(&input).expect("read input");
-    let mut input_recs = Vec::new();
-    Record100::decode_slice(&input_bytes, &mut input_recs);
-    let input_fp = input_recs.iter().fold(0u64, |acc, r| acc.wrapping_add(hash_record(r)));
-    assert_eq!(fp, input_fp, "output must be a permutation of the input");
+    assert_eq!(valsort(&out_tcp, &input), RECORDS as u64);
 
     // Identical CommCounters: per rank, per phase, message and byte
     // totals must match the in-process run exactly — the transport
@@ -194,16 +176,15 @@ fn launch_surfaces_worker_failure() {
 
 #[test]
 fn sort_file_matches_the_materialising_in_process_run() {
-    // `sort_in_process` above loads whole shards and writes the output
-    // record by record; the direct file edges behind `sort_file`
-    // must leave the same bytes and move the same volumes.
+    // `sort_materialised` above ingests whole shards and writes the
+    // output from the ranks' disks; the direct file edges behind
+    // `sort_file` must leave the same bytes and move the same volumes.
     let input = tmp_path("sf-input.dat");
     let out_ref = tmp_path("sf-out-ref.dat");
     let out = tmp_path("sf-out.dat");
     write_gensort_input(&input);
-    let reference = sort_in_process(&input, &out_ref);
-    let cfg = SortConfig::new(test_machine(), AlgoConfig::default()).expect("valid");
-    let report = demsort_core::sort_file(&cfg, SortAlgo::Canonical, &input, &out).expect("sort");
+    let reference = sort_materialised(&input, &out_ref);
+    let report = sort_in_process(&input, &out);
 
     assert_eq!(
         std::fs::read(&out).expect("read output"),
@@ -258,7 +239,7 @@ fn launch_sorts_a_file_onto_itself() {
             std::fs::read(&apart).expect("read out-of-place output"),
             "{algorithm:?}: sorting a file onto itself must leave the out-of-place bytes"
         );
-        assert_eq!(valsort(&onto).0, RECORDS as u64);
+        assert_eq!(valsort(&onto, &input), RECORDS as u64);
         for p in [&apart, &onto] {
             let _ = std::fs::remove_file(p);
         }

@@ -116,7 +116,7 @@ fn one_pe_outputs_equal_sort_unstable_for_both_algorithms() {
     let dir = TestDir::new("one-pe");
     let expected = encode(&tie_heavy_input(&dir.0));
     for algo in ["canonical", "striped"] {
-        // One run (each block sorted as it arrives), then five.
+        // One run (the exchange writes the output), then five.
         for (mem_mib, runs) in [("8", 1), ("1", 5)] {
             for cores in ["1", "2"] {
                 let args = ["--pes", "1", "--algo", algo, "--mem-mib", mem_mib, "--cores", cores];

@@ -30,16 +30,13 @@ use crate::alltoall::{exchange_splitters, external_alltoall};
 use crate::ctx::{ClusterStorage, PhaseRecorder};
 use crate::extselect::{select_splitters, SelectionStats};
 use crate::fileio::OutputFile;
-use crate::job::run_in_process;
 use crate::localmerge::final_merge;
 use crate::recio::{FinishedRun, RunDest};
 use crate::rundir::build_directory;
-use crate::runform::{form_runs, ingest_input, LocalInput};
+use crate::runform::{form_runs, LocalInput};
 use demsort_net::Communicator;
 use demsort_storage::PeStorage;
-use demsort_types::wire::RankReport;
 use demsort_types::{Phase, PhaseStats, Record, Result, SortConfig};
-use std::sync::Arc;
 
 /// Per-PE result of a canonical mergesort.
 pub struct PeOutcome<R: Record> {
@@ -161,89 +158,67 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
     })
 }
 
-/// Whole-cluster result of [`sort_cluster`].
-pub struct ClusterOutcome<R: Record> {
-    /// Per-PE outcomes, indexed by rank.
-    pub per_pe: Vec<PeOutcome<R>>,
-    /// The aggregated measured report (input for the cost model).
-    pub report: demsort_types::SortReport,
-    /// The cluster storage (outputs remain readable through it).
-    pub storage: Arc<ClusterStorage>,
-}
-
-/// Convenience driver: spin up `cfg.machine.pes` PE threads
-/// ([`run_in_process`]), generate and ingest each PE's input via
-/// `gen(pe, p)`, run CANONICALMERGESORT, and aggregate the report.
-///
-/// Input generation and ingest are *setup* — their I/O happens before
-/// the measured baseline, like the pre-loaded input files of the
-/// paper's experiments.
-pub fn sort_cluster<R, G>(cfg: &SortConfig, gen: G) -> Result<ClusterOutcome<R>>
-where
-    R: Record + Ord,
-    G: Fn(usize, usize) -> Vec<R> + Send + Sync,
-{
-    let (report, per_pe, storage) = run_in_process(cfg, R::BYTES, |comm, storage| {
-        let (rank, p) = (comm.rank(), comm.size());
-        let input = ingest_input(storage.pe(rank), &gen(rank, p))?;
-        let o = canonical_mergesort::<R>(&comm, storage, cfg, input, cfg.machine.cores_per_pe)?;
-        let report = RankReport {
-            rank,
-            elems: o.output.elems,
-            runs: o.runs,
-            phases: o.phases.clone(),
-            error: None,
-        };
-        Ok((report, o))
-    })?;
-    Ok(ClusterOutcome { per_pe, report, storage })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recio::read_records;
+    use crate::fileio::{file_records, input_shard, read_record_file, write_record_file};
+    use crate::job::{run_in_process, run_rank_job};
     use crate::validate::Fingerprint;
-    use demsort_types::{ranks, AlgoConfig, Element16, MachineConfig};
-    use demsort_workloads::{generate_all, generate_pe_input, InputSpec};
+    use crate::TestDir;
+    use demsort_types::wire::RankReport;
+    use demsort_types::{
+        ranks, AlgoConfig, Element16, JobConfig, MachineConfig, SortAlgo, SortReport,
+    };
+    use demsort_workloads::{generate_all, InputSpec};
 
     fn config(pes: usize) -> SortConfig {
         SortConfig::new(MachineConfig::tiny(pes), AlgoConfig::default()).expect("valid")
     }
 
-    /// End-to-end check: output is the canonical distributed sort of
-    /// the input (sizes, order, permutation).
-    fn check_sort(cfg: &SortConfig, spec: InputSpec, local_n: usize) -> ClusterOutcome<Element16> {
-        let p = cfg.machine.pes;
-        let outcome =
-            sort_cluster::<Element16, _>(cfg, |pe, p| generate_pe_input(spec, 77, pe, p, local_n))
-                .expect("sort");
+    /// End-to-end check: a canonical file job of `local_n` records of
+    /// `spec` per PE, its disks in memory, writes the canonical sort of
+    /// its input (sizes, order, permutation). Returns the cluster's
+    /// report and the ranks'.
+    fn check_sort(
+        cfg: &SortConfig,
+        spec: InputSpec,
+        local_n: usize,
+    ) -> (SortReport, Vec<RankReport>) {
+        let (p, dir) = (cfg.machine.pes, TestDir::new("canonical"));
+        let input = generate_all(spec, 77, p, local_n);
+        write_record_file(&dir.file("in.dat"), &input).expect("write input");
+        let job = JobConfig {
+            input: dir.path("in.dat"),
+            output: dir.path("out.dat"),
+            machine: cfg.machine.clone(),
+            algo: cfg.algo.clone(),
+            algorithm: SortAlgo::Canonical,
+            read_timeout_ms: 1,
+            trace_dir: String::new(),
+            scratch: String::new(),
+        };
+        let (report, per_pe, _) = run_in_process(cfg, Element16::BYTES, |comm, storage| {
+            let report = run_rank_job::<Element16>(&job, &comm, storage.pe(comm.rank()), None)?;
+            Ok((report.clone(), report))
+        })
+        .expect("sort");
 
-        let mut reference = generate_all(spec, 77, p, local_n);
-        let checksum_in = Fingerprint::of_slice(&reference);
-        reference.sort_unstable();
-
-        let n = reference.len() as u64;
-        let mut concat = Vec::with_capacity(reference.len());
-        for (pe, o) in outcome.per_pe.iter().enumerate() {
-            assert_eq!(
-                o.output.elems,
-                ranks::owned_len(pe, p, n),
-                "canonical size on PE {pe} ({spec:?})"
-            );
-            let recs =
-                read_records::<Element16>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-                    .expect("read output");
-            concat.extend(recs);
+        let n = input.len() as u64;
+        for r in &per_pe {
+            let want = ranks::owned_len(r.rank, p, n);
+            assert_eq!(r.elems, want, "canonical size on PE {} ({spec:?})", r.rank);
         }
+        let sorted = read_record_file::<Element16>(&dir.file("out.dat")).expect("read output");
         // Key sequence must match the reference exactly (equal keys may
         // come out in any payload order — the sort is by key with PE
         // tie-breaks); the multiset of records must be untouched.
-        let keys: Vec<u64> = concat.iter().map(|e| e.key).collect();
+        let mut reference = input.clone();
+        reference.sort_unstable();
+        let keys: Vec<u64> = sorted.iter().map(|e| e.key).collect();
         let ref_keys: Vec<u64> = reference.iter().map(|e| e.key).collect();
         assert_eq!(keys, ref_keys, "global key order ({spec:?}, P={p})");
-        assert_eq!(Fingerprint::of_slice(&concat), checksum_in, "permutation ({spec:?})");
-        outcome
+        assert_eq!(Fingerprint::of_slice(&sorted), Fingerprint::of_slice(&input), "{spec:?}");
+        (report, per_pe)
     }
 
     #[test]
@@ -269,39 +244,48 @@ mod tests {
 
     #[test]
     fn single_run_shortcut_is_internal_sort() {
-        let cfg = config(3);
-        let outcome = check_sort(&cfg, InputSpec::Uniform, 100); // fits in memory
-        assert_eq!(outcome.per_pe[0].runs, 1);
-        // Only run formation happened.
-        for o in &outcome.per_pe {
-            assert_eq!(o.phases.len(), 1);
-            assert_eq!(o.phases[0].0, Phase::RunFormation);
+        // 100 records per PE are 7 blocks of the 16 memory holds: one
+        // run, read block by block.
+        for p in [2, 3] {
+            let (report, per_pe) = check_sort(&config(p), InputSpec::Uniform, 100);
+            assert_eq!(report.runs, 1);
+            // Only run formation happened.
+            for r in &per_pe {
+                assert_eq!(r.phases.len(), 1);
+                assert_eq!(r.phases[0].0, Phase::RunFormation);
+            }
+            // Two I/Os per element: read input once, write output once.
+            let io_over_n = report.io_volume_over_n();
+            assert!((1.9..=2.3).contains(&io_over_n), "internal sort I/O ratio {io_over_n}");
+            // At one core a record is merged once: by the run's exchange.
+            let merged = report.phase_total(Phase::RunFormation, |s| s.cpu.elements_merged);
+            assert_eq!(merged, report.elements, "P={p}: records merged in run formation");
         }
-        // Two I/Os per element: read input once, write output once.
-        let io_over_n = outcome.report.io_volume_over_n();
-        assert!((1.9..=2.3).contains(&io_over_n), "internal sort I/O ratio {io_over_n}");
     }
 
     #[test]
     fn a_single_run_sort_builds_no_directory() {
         let (cfg, p) = (config(3), 3);
-        let gen = |pe, p| generate_pe_input(InputSpec::Uniform, 77, pe, p, 100);
-        let outcome = sort_cluster::<Element16, _>(&cfg, gen).expect("sort");
+        let (_, per_pe) = check_sort(&cfg, InputSpec::Uniform, 100);
         // The run's exchange alone, on the same input.
+        let dir = TestDir::new("canonical-exchange");
+        let input = dir.file("in.dat");
+        write_record_file(&input, &generate_all(InputSpec::Uniform, 77, p, 100)).expect("write");
+        let (input, total) = (input.as_path(), file_records::<Element16>(&input).expect("size"));
         let storage = ClusterStorage::new_mem(&cfg.machine);
         let (st_ref, cfg_ref) = (&storage, &cfg);
         let exchange = demsort_net::run_cluster(p, move |c| {
             let st = st_ref.pe(c.rank());
-            let input = ingest_input(st, &gen(c.rank(), p)).expect("ingest");
+            let local = input_shard::<Element16>(input, c.rank(), p, total).expect("shard");
             let before = c.counters();
             let cores = cfg_ref.machine.cores_per_pe;
-            let formed = form_runs::<Element16>(&c, st, cfg_ref, input, cores, None).expect("form");
+            let formed = form_runs::<Element16>(&c, st, cfg_ref, local, cores, None).expect("form");
             assert!(formed.local[0].samples.is_empty(), "the only run is not sampled");
             c.counters().delta_since(&before)
         });
-        for (o, exchange) in outcome.per_pe.iter().zip(&exchange) {
-            assert_eq!((o.runs, o.phases[0].0), (1, Phase::RunFormation));
-            assert_eq!(o.phases[0].1.comm, *exchange, "run formation sends its exchange only");
+        for (r, exchange) in per_pe.iter().zip(&exchange) {
+            assert_eq!((r.runs, r.phases[0].0), (1, Phase::RunFormation));
+            assert_eq!(r.phases[0].1.comm, *exchange, "run formation sends its exchange only");
         }
     }
 
@@ -313,20 +297,20 @@ mod tests {
         // 0.75N read + written once more... but only moved data counts:
         // I/O = 4N + 2·moved_fraction·N bounded by 6N).
         let cfg = config(4);
-        let outcome = check_sort(&cfg, InputSpec::Uniform, 700);
-        let io_over_n = outcome.report.io_volume_over_n();
+        let (report, _) = check_sort(&cfg, InputSpec::Uniform, 700);
+        let io_over_n = report.io_volume_over_n();
         assert!((3.9..=6.5).contains(&io_over_n), "two-pass-ish I/O ratio {io_over_n}");
-        assert!(outcome.per_pe[0].runs >= 2, "external case must have several runs");
+        assert!(report.runs >= 2, "external case must have several runs");
     }
 
     #[test]
     fn presorted_input_moves_almost_nothing() {
         let cfg = config(4);
-        let outcome = check_sort(&cfg, InputSpec::Sorted, 700);
+        let (report, _) = check_sort(&cfg, InputSpec::Sorted, 700);
         // All-to-all volume (Figure 5's metric): bytes through the
         // all-to-all phase relative to input bytes.
-        let n_bytes = outcome.report.total_bytes() as f64;
-        let a2a_io = outcome.report.phase_total(Phase::AllToAll, |s| s.io.bytes_total()) as f64;
+        let n_bytes = report.total_bytes() as f64;
+        let a2a_io = report.phase_total(Phase::AllToAll, |s| s.io.bytes_total()) as f64;
         assert!(
             a2a_io / n_bytes < 0.1,
             "presorted input must not move data: ratio {}",
@@ -343,9 +327,9 @@ mod tests {
         let volume = |randomize: bool| {
             let algo = AlgoConfig { randomize, ..AlgoConfig::default() };
             let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-            let outcome = check_sort(&cfg, spec, 1024);
-            outcome.report.phase_total(Phase::AllToAll, |s| s.io.bytes_total()) as f64
-                / outcome.report.total_bytes() as f64
+            let (report, _) = check_sort(&cfg, spec, 1024);
+            report.phase_total(Phase::AllToAll, |s| s.io.bytes_total()) as f64
+                / report.total_bytes() as f64
         };
         let with_rand = volume(true);
         let without = volume(false);
@@ -373,9 +357,9 @@ mod tests {
         };
         let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
         // 100k elems/PE → R = 4 runs of 32k elems/PE.
-        let outcome = check_sort(&cfg, InputSpec::Uniform, 100_000);
-        assert!(outcome.per_pe[0].runs >= 2, "external case");
-        let comm_over_n = outcome.report.comm_volume_over_n();
+        let (report, _) = check_sort(&cfg, InputSpec::Uniform, 100_000);
+        assert!(report.runs >= 2, "external case");
+        let comm_over_n = report.comm_volume_over_n();
         // (P-1)/P = 0.75 of the data moves in run formation's internal
         // sort; everything else must be small.
         assert!(comm_over_n < 1.1, "communication must stay near one pass: {comm_over_n:.2}");

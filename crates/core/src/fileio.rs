@@ -15,13 +15,15 @@
 //!
 //! Every failure is an [`Error::Io`] naming the rank, the file and the
 //! byte offset. The rank program that drives the edges is
-//! [`run_rank_job`](crate::job::run_rank_job).
+//! [`run_rank_job`](crate::job::run_rank_job); [`write_record_file`]
+//! and [`read_record_file`] fill its input and read its output.
 
 use crate::recio::RunDest;
 use crate::runform::LocalInput;
 use demsort_storage::EdgeFile;
 use demsort_types::{ranks, Error, Record, Result};
 use std::fs::File;
+use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -33,12 +35,35 @@ pub fn file_records<R: Record>(path: &Path) -> Result<u64> {
         .len();
     if len % R::BYTES as u64 != 0 {
         return Err(Error::config(format!(
-            "input {} is not whole {}-byte records",
+            "{} is not whole {}-byte records",
             path.display(),
             R::BYTES
         )));
     }
     Ok(len / R::BYTES as u64)
+}
+
+/// Write `recs` into a new file at `path`, or over the one there.
+pub fn write_record_file<R: Record>(path: &Path, recs: &[R]) -> Result<()> {
+    let failed = |e: std::io::Error| Error::io(format!("write {}: {e}", path.display()));
+    let mut file = File::create(path).map_err(failed)?;
+    let mut bytes = Vec::new();
+    for chunk in recs.chunks((64 << 10) / R::BYTES) {
+        bytes.resize(chunk.len() * R::BYTES, 0);
+        R::encode_slice(chunk, &mut bytes);
+        file.write_all(&bytes).map_err(failed)?;
+    }
+    Ok(())
+}
+
+/// The records in the file at `path`, which must consist of whole `R`
+/// records.
+pub fn read_record_file<R: Record>(path: &Path) -> Result<Vec<R>> {
+    let mut recs = Vec::with_capacity(file_records::<R>(path)? as usize);
+    let bytes =
+        std::fs::read(path).map_err(|e| Error::io(format!("read {}: {e}", path.display())))?;
+    R::decode_slice(&bytes, &mut recs);
+    Ok(recs)
 }
 
 /// Rank `rank`'s shard of the `total_records` in `path` — records
@@ -102,11 +127,12 @@ impl OutputFile<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canonical::sort_cluster;
+    use crate::canonical::canonical_mergesort;
     use crate::job::{run_in_process, run_job_local, sort_file};
     use crate::recio::{read_records, records_per_block};
     use crate::runform::{ingest_input, GroupReader};
     use crate::striped::striped_mergesort;
+    use crate::TestDir;
     use demsort_storage::PeStorage;
     use demsort_types::trace::{read_journal, validate_rank_journal};
     use demsort_types::wire::RankReport;
@@ -115,36 +141,6 @@ mod tests {
         SortReport, TraceEv,
     };
     use demsort_workloads::gensort_records;
-    use std::path::PathBuf;
-
-    /// A scratch directory removed on drop (tests run in parallel, so
-    /// each takes its own).
-    struct Scratch(PathBuf);
-
-    impl Scratch {
-        fn new(name: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("demsort-fileio-{}-{name}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create scratch dir");
-            Self(dir)
-        }
-
-        fn file(&self, name: &str) -> PathBuf {
-            self.0.join(name)
-        }
-    }
-
-    impl Drop for Scratch {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
-
-    fn encode(recs: &[Record100]) -> Vec<u8> {
-        let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
-        Record100::encode_slice(recs, &mut bytes);
-        bytes
-    }
 
     /// The smallest memory the config accepts (4 blocks per PE), so a
     /// few thousand records already take the external path.
@@ -173,50 +169,40 @@ mod tests {
     }
 
     /// The materialising reference of `sort_file`: shards as record
-    /// vectors in, ingested into blocks; the canonical output read back
-    /// and encoded one by one, the striped output written into the file
-    /// `out` — what `sortfile` did before the edges streamed.
+    /// vectors in, ingested into blocks; the canonical output left on
+    /// the disks and read back, the striped output written into the
+    /// file `out` — what `sortfile` did before the edges streamed.
     fn sort_materialised(
         cfg: &SortConfig,
         algo: SortAlgo,
         recs: &[Record100],
         out: &Path,
-    ) -> (Vec<u8>, SortReport) {
-        match algo {
-            SortAlgo::Canonical => {
-                let gen = |pe: usize, p: usize| shard_of(recs, pe, p).to_vec();
-                let o = sort_cluster::<Record100, _>(cfg, gen).expect("sort");
-                let mut sorted = Vec::new();
-                for (pe, pe_out) in o.per_pe.iter().enumerate() {
-                    let run = &pe_out.output;
-                    sorted.extend(
-                        read_records::<Record100>(o.storage.pe(pe), &run.run, run.elems)
-                            .expect("read output"),
-                    );
+    ) -> (Vec<Record100>, SortReport) {
+        let output = OutputFile { path: out, records: recs.len() as u64 };
+        let (report, parts, _) = run_in_process(cfg, Record100::BYTES, |comm, storage| {
+            let (rank, p, cores) = (comm.rank(), comm.size(), cfg.machine.cores_per_pe);
+            let (st, input) = (storage.pe(rank), shard_of(recs, rank, p));
+            let input = ingest_input(st, input)?;
+            let (elems, runs, phases, part) = match algo {
+                SortAlgo::Canonical => {
+                    let o = canonical_mergesort::<Record100>(&comm, storage, cfg, input, cores)?;
+                    let part = read_records::<Record100>(st, &o.output.run, o.output.elems)?;
+                    (o.output.elems, o.runs, o.phases, part)
                 }
-                (encode(&sorted), o.report)
-            }
-            SortAlgo::Striped => {
-                let output = OutputFile { path: out, records: recs.len() as u64 };
-                let (report, ..) = run_in_process(cfg, Record100::BYTES, |comm, storage| {
-                    let (rank, p, cores) = (comm.rank(), comm.size(), cfg.machine.cores_per_pe);
-                    let input = ingest_input(storage.pe(rank), shard_of(recs, rank, p))?;
-                    let o = striped_mergesort::<Record100>(
-                        &comm,
-                        storage.pe(rank),
-                        cfg,
-                        input,
-                        cores,
-                        None,
-                        output,
-                    )?;
-                    let (elems, runs, phases) = (o.written, o.runs, o.phases);
-                    Ok((RankReport { rank, elems, runs, phases, error: None }, ()))
-                })
-                .expect("sort");
-                (std::fs::read(out).expect("read output"), report)
-            }
-        }
+                SortAlgo::Striped => {
+                    let o =
+                        striped_mergesort::<Record100>(&comm, st, cfg, input, cores, None, output)?;
+                    (o.written, o.runs, o.phases, Vec::new())
+                }
+            };
+            Ok((RankReport { rank, elems, runs, phases, error: None }, part))
+        })
+        .expect("sort");
+        let sorted = match algo {
+            SortAlgo::Canonical => parts.concat(),
+            SortAlgo::Striped => read_record_file(out).expect("read output"),
+        };
+        (sorted, report)
     }
 
     /// A job's I/O totals over all PEs and phases: bytes written, blocks
@@ -241,7 +227,7 @@ mod tests {
 
     #[test]
     fn sort_file_matches_the_materialising_sort() {
-        let scratch = Scratch::new("sort");
+        let scratch = TestDir::new("sort");
         let (input, output) = (scratch.file("in.dat"), scratch.file("out.dat"));
         let reference = scratch.file("ref.dat");
         // Every edge of the block layout at the smallest memory; and two
@@ -263,14 +249,16 @@ mod tests {
                 let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
                 for &n in counts {
                     let recs = gensort_records(5, 0, n);
-                    std::fs::write(&input, encode(&recs)).expect("write input");
+                    write_record_file(&input, &recs).expect("write input");
                     // Stale bytes past the new length must not survive.
                     std::fs::write(&output, vec![0xAA; n * Record100::BYTES + 777])
                         .expect("write stale output");
-                    let report = sort_file(&cfg, algo, &input, &output).expect("sort_file");
+                    let report =
+                        sort_file::<Record100>(&cfg, algo, &input, &output).expect("sort_file");
                     let (want, want_report) = sort_materialised(&cfg, algo, &recs, &reference);
                     let case = format!("{algo} P={p} B={block_bytes} N={n}");
-                    assert!(std::fs::read(&output).expect("read output") == want, "{case}");
+                    let sorted = read_record_file::<Record100>(&output).expect("read output");
+                    assert!(sorted == want, "{case}");
                     assert_eq!(report.elements, n as u64, "{case}");
                     assert_eq!(report.runs, want_report.runs, "{case}");
                     assert_eq!(io_totals(&report), io_totals(&want_report), "{case}");
@@ -307,8 +295,9 @@ mod tests {
                             trace_dir: trace.to_string_lossy().into_owned(),
                             scratch: String::new(),
                         };
-                        run_job_local(&job).expect("traced job");
-                        assert!(std::fs::read(&output).expect("read output") == want, "{case}");
+                        run_job_local::<Record100>(&job).expect("traced job");
+                        let sorted = read_record_file::<Record100>(&output).expect("read output");
+                        assert!(sorted == want, "{case}");
                         for rank in 0..p {
                             check_journal(&trace.join(format!("rank{rank}.jsonl")), &case);
                         }
@@ -323,7 +312,7 @@ mod tests {
         // Every rank's shard of the file, read where it lies, gives run
         // formation the same records in the same groups — shuffled or in
         // input order — as ingesting the rank's decoded records.
-        let scratch = Scratch::new("ingest");
+        let scratch = TestDir::new("ingest");
         let input = scratch.file("in.dat");
         for p in [1, 2, 3] {
             for block_bytes in [4 << 10, 32 << 10] {
@@ -331,7 +320,7 @@ mod tests {
                 let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
                 for n in record_counts(&m) {
                     let recs = gensort_records(3, 0, n);
-                    std::fs::write(&input, encode(&recs)).expect("write input");
+                    write_record_file(&input, &recs).expect("write input");
                     let total = file_records::<Record100>(&input).expect("measure input");
                     for rank in 0..p {
                         for seed in [None, Some(11)] {
@@ -374,7 +363,7 @@ mod tests {
         // merge group (striped; after a pass to the disks when the runs
         // exceed the fan-in). A canonical rank writes over its own
         // shard, a striped rank over its peers' shards too.
-        let scratch = Scratch::new("inplace");
+        let scratch = TestDir::new("inplace");
         let path = scratch.file("data.dat");
         let m = machine(2, 4 << 10);
         let cfg = SortConfig::new(m.clone(), AlgoConfig::default()).expect("config");
@@ -384,36 +373,40 @@ mod tests {
             for runs in [1, 3, fan_in + 2] {
                 let n = (runs - 1) * run + run / 2 + 7;
                 let recs = gensort_records(9, 0, n);
-                std::fs::write(&path, encode(&recs)).expect("write input");
-                let report = sort_file(&cfg, algo, &path, &path).expect("sort in place");
+                write_record_file(&path, &recs).expect("write input");
+                let report =
+                    sort_file::<Record100>(&cfg, algo, &path, &path).expect("sort in place");
                 let (want, _) = sort_materialised(&cfg, algo, &recs, &scratch.file("ref.dat"));
                 let case = format!("{algo}, {n} records");
                 assert_eq!(report.runs, runs, "{case}");
-                assert!(std::fs::read(&path).expect("read") == want, "{case}");
+                assert!(read_record_file::<Record100>(&path).expect("read") == want, "{case}");
             }
         }
     }
 
     #[test]
     fn file_errors_name_path_rank_and_offset() {
-        let scratch = Scratch::new("errors");
+        let scratch = TestDir::new("errors");
         let cfg = SortConfig::new(machine(2, 4 << 10), AlgoConfig::default()).expect("config");
         let input = scratch.file("in.dat");
-        std::fs::write(&input, encode(&gensort_records(1, 0, 300))).expect("write input");
+        write_record_file(&input, &gensort_records(1, 0, 300)).expect("write input");
 
         // Unreadable input: an error, not a panic in a PE thread.
         let missing = scratch.file("missing.dat");
-        let err = sort_file(&cfg, SortAlgo::Canonical, &missing, &scratch.file("o.dat"))
-            .expect_err("missing input");
+        let err =
+            sort_file::<Record100>(&cfg, SortAlgo::Canonical, &missing, &scratch.file("o.dat"))
+                .expect_err("missing input");
         assert!(matches!(&err, Error::Io(m) if m.contains("missing.dat")), "{err}");
-        let err = sort_file(&cfg, SortAlgo::Canonical, &scratch.0, &scratch.file("o.dat"))
-            .expect_err("directory as input");
+        let err =
+            sort_file::<Record100>(&cfg, SortAlgo::Canonical, &scratch.0, &scratch.file("o.dat"))
+                .expect_err("directory as input");
         assert!(matches!(err, Error::Io(_) | Error::Config(_)), "{err}");
 
         // Unwritable output, either algorithm.
         let nowhere = scratch.file("no-such-dir").join("out.dat");
         for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
-            let err = sort_file(&cfg, algo, &input, &nowhere).expect_err("unwritable output");
+            let err = sort_file::<Record100>(&cfg, algo, &input, &nowhere)
+                .expect_err("unwritable output");
             assert!(
                 matches!(&err, Error::Io(m) if m.contains("rank 0") && m.contains("no-such-dir")),
                 "{err}"

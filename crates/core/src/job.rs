@@ -23,10 +23,12 @@
 //! ends. The body and the algorithms see the rank's [`PeStorage`]
 //! either way, and no other rank's.
 //!
-//! [`run_in_process`] is the in-process harness itself, for rank
-//! bodies that are not file jobs (generator-fed sorts, baselines; in
-//! memory), and [`cluster_report`] turns the ranks' reports into the
-//! cluster's on either substrate.
+//! The rank program sorts records of any [`Record`] type; the binaries
+//! sort [`Record100`](demsort_types::Record100). [`run_in_process`] is
+//! the in-process harness itself, for rank bodies that want more than
+//! a rank's report (the storage it leaves, a sort's whole outcome, the
+//! baselines; in memory), and [`cluster_report`] turns the ranks'
+//! reports into the cluster's on either substrate.
 
 use crate::canonical::canonical_mergesort_to;
 use crate::ctx::{assemble_report, ClusterStorage};
@@ -36,16 +38,15 @@ use demsort_net::{run_cluster, Communicator};
 use demsort_storage::{Backend, FileBackend, MemBackend, PeStorage};
 use demsort_types::wire::RankReport;
 use demsort_types::{
-    ranks, Error, JobConfig, Record, Record100, Result, SortAlgo, SortConfig, SortReport, TraceEv,
-    Tracer,
+    ranks, Error, JobConfig, Record, Result, SortAlgo, SortConfig, SortReport, TraceEv, Tracer,
 };
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Run this rank's share of `job` (collective): sort its shard of the
-/// input file with `job.algorithm` into its part of the output file,
-/// and report its counters.
+/// input file, records of `R`, with `job.algorithm` into its part of
+/// the output file, and report its counters.
 ///
 /// `st` is this rank's own storage. `hooks`
 /// are the substrate's rank-failure recovery callbacks; only the
@@ -56,13 +57,12 @@ use std::sync::Arc;
 /// opens and sizes when that pass starts: after a collective by which
 /// every rank has waited its last input read. So the output may be the
 /// input file where the substrate leaves it intact until then.
-pub fn run_rank_job(
+pub fn run_rank_job<R: Record + Ord>(
     job: &JobConfig,
     comm: &Communicator,
     st: &PeStorage,
     hooks: Option<ResilientHooks<'_>>,
 ) -> Result<RankReport> {
-    type R = Record100;
     let (rank, p) = (comm.rank(), comm.size());
     let cfg = job.validate()?;
     let cores = cfg.machine.cores_per_pe;
@@ -265,12 +265,12 @@ fn local_job_storage(job: &JobConfig) -> Result<(Arc<ClusterStorage>, Vec<Scratc
 
 /// Every PE thread runs [`run_rank_job`] for `job` on `storage`,
 /// journalling to `job.trace_dir` like a worker process does.
-fn run_job_on(job: &JobConfig, cfg: &SortConfig, storage: &ClusterStorage) -> Result<SortReport> {
-    let (report, _) = run_on(storage, cfg, Record100::BYTES, |mut comm, storage| {
+fn run_job_on<R: Record + Ord>(job: &JobConfig, storage: &ClusterStorage) -> Result<SortReport> {
+    let (report, _) = run_on(storage, &job.validate()?, R::BYTES, |mut comm, storage| {
         // The communicator is the journal's only holder: the journal
         // is flushed and closed when the rank's thread drops it.
         comm.set_tracer(rank_tracer(&job.trace_dir, comm.rank())?);
-        Ok((run_rank_job(job, &comm, storage.pe(comm.rank()), None)?, ()))
+        Ok((run_rank_job::<R>(job, &comm, storage.pe(comm.rank()), None)?, ()))
     })?;
     Ok(report)
 }
@@ -281,13 +281,13 @@ fn run_job_on(job: &JobConfig, cfg: &SortConfig, storage: &ClusterStorage) -> Re
 /// pass, when every rank has finished reading the input — so it may be
 /// the input file. The job's scratch files are gone when this returns,
 /// whether it returns a report or an error.
-pub fn run_job_local(job: &JobConfig) -> Result<SortReport> {
-    let cfg = job.validate()?;
+pub fn run_job_local<R: Record + Ord>(job: &JobConfig) -> Result<SortReport> {
+    job.validate()?;
     let (storage, _scratch) = local_job_storage(job)?;
-    run_job_on(job, &cfg, &storage)
+    run_job_on::<R>(job, &storage)
 }
 
-/// Sort the SortBenchmark file `input` into `output` (which may be the
+/// Sort the file of `R` records `input` into `output` (which may be the
 /// same file) with `algo` on the in-process cluster `cfg` describes:
 /// [`run_job_local`] for callers that hold a [`SortConfig`] and paths
 /// rather than a [`JobConfig`].
@@ -297,7 +297,7 @@ pub fn run_job_local(job: &JobConfig) -> Result<SortReport> {
 /// between them in `<output>.scratch/` ([`default_scratch`]; about `N`
 /// bytes at the peak, removed before this returns) — so memory follows
 /// `cfg.machine.mem_bytes_per_pe`, not the file size.
-pub fn sort_file(
+pub fn sort_file<R: Record + Ord>(
     cfg: &SortConfig,
     algo: SortAlgo,
     input: &Path,
@@ -309,7 +309,7 @@ pub fn sort_file(
             .ok_or_else(|| Error::config(format!("path {} is not valid UTF-8", p.display())))
     };
     let output = utf8(output)?;
-    run_job_local(&JobConfig {
+    run_job_local::<R>(&JobConfig {
         input: utf8(input)?,
         scratch: default_scratch(&output),
         output,
@@ -325,31 +325,10 @@ pub fn sort_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demsort_types::{AlgoConfig, MachineConfig, Phase, ProgressFrame};
+    use crate::fileio::write_record_file;
+    use crate::TestDir;
+    use demsort_types::{AlgoConfig, MachineConfig, Phase, ProgressFrame, Record100};
     use demsort_workloads::gensort_records;
-
-    /// A directory of this test's own, removed on drop.
-    struct TestDir(PathBuf);
-
-    impl TestDir {
-        fn new(name: &str) -> Self {
-            let dir =
-                std::env::temp_dir().join(format!("demsort-job-{}-{name}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("create test dir");
-            Self(dir)
-        }
-
-        fn path(&self, name: &str) -> String {
-            self.0.join(name).to_string_lossy().into_owned()
-        }
-    }
-
-    impl Drop for TestDir {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
 
     fn job_in(dir: &TestDir, machine: MachineConfig, algorithm: SortAlgo) -> JobConfig {
         JobConfig {
@@ -454,14 +433,11 @@ mod tests {
         for algorithm in [SortAlgo::Canonical, SortAlgo::Striped] {
             let dir = TestDir::new(&format!("space-{algorithm}"));
             let job = job_in(&dir, machine.clone(), algorithm);
-            let recs = gensort_records(17, 0, RECORDS);
-            let mut bytes = vec![0u8; RECORDS * Record100::BYTES];
-            Record100::encode_slice(&recs, &mut bytes);
-            std::fs::write(&job.input, &bytes).expect("write input");
+            write_record_file(Path::new(&job.input), &gensort_records(17, 0, RECORDS))
+                .expect("write input");
 
-            let cfg = job.validate().expect("config");
             let (storage, guards) = local_job_storage(&job).expect("storage");
-            let report = run_job_on(&job, &cfg, &storage).expect("sort");
+            let report = run_job_on::<Record100>(&job, &storage).expect("sort");
             assert!(report.runs > 5, "{algorithm}: an external sort, {} runs", report.runs);
 
             // The sort has returned and the guards are alive: the files
@@ -476,14 +452,14 @@ mod tests {
             });
             let on_disk: u64 =
                 disk_files.map(|f| std::fs::metadata(&f).expect("stat disk file").len()).sum();
-            let n = bytes.len() as u64;
+            let n = (RECORDS * Record100::BYTES) as u64;
             assert!(on_disk >= n, "{algorithm}: the runs were on disk ({on_disk} B of {n} B)");
             assert!(on_disk * 10 <= n * 11, "{algorithm}: {on_disk} B of scratch for {n} B");
 
             drop(guards);
             assert!(!Path::new(&job.scratch).exists(), "{algorithm}: scratch removed");
             let sorted = std::fs::read(&job.output).expect("output");
-            assert_eq!(sorted.len(), bytes.len(), "{algorithm}: the output is whole");
+            assert_eq!(sorted.len() as u64, n, "{algorithm}: the output is whole");
             assert!(sorted.chunks(Record100::BYTES).is_sorted_by_key(|r| &r[..10]), "{algorithm}");
         }
     }
@@ -504,9 +480,8 @@ mod tests {
         for algorithm in [SortAlgo::Canonical, SortAlgo::Striped] {
             let dir = TestDir::new(&format!("progress-{algorithm}"));
             let job = job_in(&dir, machine.clone(), algorithm);
-            let mut bytes = vec![0u8; RECORDS * Record100::BYTES];
-            Record100::encode_slice(&gensort_records(5, 0, RECORDS), &mut bytes);
-            std::fs::write(&job.input, &bytes).expect("write input");
+            write_record_file(Path::new(&job.input), &gensort_records(5, 0, RECORDS))
+                .expect("write input");
             let cfg = job.validate().expect("config");
             let (storage, _guards) = local_job_storage(&job).expect("storage");
             let frames = Arc::new(std::sync::Mutex::new(Vec::<ProgressFrame>::new()));
@@ -514,7 +489,8 @@ mod tests {
                 let frames = Arc::clone(&frames);
                 let seen = move |f: &ProgressFrame| frames.lock().expect("frames").push(*f);
                 comm.set_tracer(Tracer::to_buffer(comm.rank()).with_progress(Box::new(seen)));
-                Ok((run_rank_job(&job, &comm, storage.pe(comm.rank()), None)?, ()))
+                let st = storage.pe(comm.rank());
+                Ok((run_rank_job::<Record100>(&job, &comm, st, None)?, ()))
             })
             .expect("sort");
             assert!(report.runs > 1, "{algorithm}: the sort must merge");
@@ -561,7 +537,7 @@ mod tests {
             trace_dir: String::new(),
             scratch: String::new(),
         };
-        let err = run_job_local(&job).expect_err("replication needs the striped sort");
+        let err = run_job_local::<Record100>(&job).expect_err("replication needs the striped sort");
         assert!(matches!(&err, Error::Config(m) if m.contains("striped")), "{err}");
     }
 }

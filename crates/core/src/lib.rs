@@ -37,7 +37,7 @@
 //!   every substrate runs, the in-process harness, and the one-call
 //!   local file sort;
 //! * [`baselines`] — comparison algorithms (NOW-Sort-style);
-//! * [`validate`] — distributed output validation.
+//! * [`validate`] — output validation: the fingerprint, the file check.
 
 pub mod alltoall;
 pub mod baselines;
@@ -60,7 +60,7 @@ pub mod seqsort;
 pub mod striped;
 pub mod validate;
 
-pub use canonical::{canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome};
+pub use canonical::{canonical_mergesort, PeOutcome};
 pub use ctx::ClusterStorage;
 pub use distselect::{dist_select_rank, dist_split};
 pub use job::sort_file;
@@ -69,3 +69,40 @@ pub use psort::parallel_sort;
 pub use selection::{multiway_select, SelectionResult};
 pub use seqsort::sort_in_node;
 pub use striped::{striped_mergesort, ResilientHooks};
+
+#[cfg(test)]
+/// A directory of one test's own under the system's temp directory,
+/// removed on drop. Tests run in parallel, so each directory's name
+/// ends in a number no other takes.
+pub(crate) struct TestDir(pub std::path::PathBuf);
+
+#[cfg(test)]
+impl TestDir {
+    pub fn new(name: &str) -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("demsort-core-{}-{name}-{seq}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        Self(dir)
+    }
+
+    /// The file `name` in the directory.
+    pub fn file(&self, name: &str) -> std::path::PathBuf {
+        self.0.join(name)
+    }
+
+    /// [`TestDir::file`] as a `String`, as a [`demsort_types::JobConfig`]
+    /// names its files.
+    pub fn path(&self, name: &str) -> String {
+        self.file(name).to_string_lossy().into_owned()
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

@@ -36,10 +36,6 @@
 //!   ([`crate::seqsort`]); between that sort and the disk queue a record
 //!   is copied twice (into the message that carries it, out of it into
 //!   its block), or once if it stays on this PE.
-//! * **Single-run special case** — if everything fits in memory
-//!   (`R = 1`), each block is sorted immediately after it arrives while
-//!   the disk fetches the rest, and the sorted blocks are merged at the
-//!   end instead of sorting from scratch.
 //! * **In-place** — input blocks are freed as they are read; slice
 //!   writes reuse them. A file job has none to free: its input is read
 //!   where it lies in the input file ([`LocalInput::Extent`]), and the
@@ -47,7 +43,6 @@
 //!   output file.
 
 use crate::fileio::OutputFile;
-use crate::merge::{merge_cpu, par_merge_k_into};
 use crate::psort::Exchange;
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
 use crate::seqsort::sort_in_node;
@@ -248,25 +243,18 @@ pub fn form_runs<R: Record + Ord>(
     let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
     // The previous run's writer, its last `window` writes in flight.
     let mut writing: Option<RecordRunWriter<'_, R>> = None;
-    let single_run = num_runs == 1 && cfg.algo.overlap;
 
     // Prefetch the first run's blocks.
     let mut pending = groups.issue(0);
 
     for j in 0..num_runs {
-        // Fetch + decode (or sort-on-arrival) run j's local data.
-        if single_run {
-            cpu_total = cpu_total.merge(&collect_sorting(st, pending, &mut arena, cores)?);
-        } else {
-            groups.collect(pending, &mut arena)?;
-        }
+        // Fetch and decode run j's local records.
+        groups.collect(pending, &mut arena)?;
 
         // The overlap schedule: run j+1's reads are queued before run
         // j is sorted, and run j−1's last writes are still retiring.
         pending = groups.issue(j + 1);
-        if !single_run {
-            cpu_total = cpu_total.merge(&sort_in_node(&mut arena, cores));
-        }
+        cpu_total = cpu_total.merge(&sort_in_node(&mut arena, cores));
         // Those writes had the sort to retire in: collect them before
         // run j's merge starts issuing its own.
         if let Some(w) = writing.take() {
@@ -300,35 +288,6 @@ pub fn form_runs<R: Record + Ord>(
     debug_assert!(pending.is_empty(), "no reads may remain after the last run");
 
     Ok(RunFormOutcome { local: finished, cpu: cpu_total })
-}
-
-/// The single-run special case of [`GroupReader::collect`]: each block
-/// is sorted the moment it arrives ("immediately after a block is read
-/// from disk, it is sorted, while the disk is busy with subsequent
-/// blocks"), and the sorted blocks are merged into `arena` at the end.
-/// A block is a few hundred records, so it is sorted on one core; the
-/// final merge is what uses `cores`.
-fn collect_sorting<R: Record + Ord>(
-    st: &PeStorage,
-    pending: Vec<PendingBlock>,
-    arena: &mut Vec<R>,
-    cores: usize,
-) -> Result<CpuCounters> {
-    let mut cpu = CpuCounters::default();
-    arena.clear();
-    let mut sorted_blocks: Vec<Vec<R>> = Vec::with_capacity(pending.len());
-    for (h, valid) in pending {
-        let buf = h.wait()?;
-        let mut recs = Vec::with_capacity(valid);
-        R::decode_slice(&buf[..valid * R::BYTES], &mut recs);
-        st.pool().add_copied((valid * R::BYTES) as u64);
-        st.pool().put(buf);
-        cpu = cpu.merge(&sort_in_node(&mut recs, 1));
-        sorted_blocks.push(recs);
-    }
-    let views: Vec<&[R]> = sorted_blocks.iter().map(|b| b.as_slice()).collect();
-    cpu.split_probes += par_merge_k_into(&views, cores, arena).split_probes;
-    Ok(cpu.merge(&merge_cpu(arena.len() as u64, views.len())))
 }
 
 /// Write a PE's input records to its local disks (experiment setup;
@@ -620,9 +579,7 @@ mod tests {
     fn meters_the_decode_and_the_encode_of_every_record() {
         // A record is copied twice on a PE's pool: decoded out of its
         // read buffer, and encoded into its run's block. Both are
-        // metered, whichever path reads the group: several runs
-        // (`GroupReader::collect`), or one sorted on arrival
-        // (`collect_sorting`).
+        // metered, for several runs and for one.
         for local_n in [700, 200] {
             let cfg = config(2, true, true);
             let storage = ClusterStorage::new_mem(&cfg.machine);

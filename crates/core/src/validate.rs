@@ -1,23 +1,17 @@
-//! Distributed output validation (valsort-style, but collective).
+//! Output validation, valsort-style.
 //!
-//! A distributed sort is correct iff
-//!
-//! 1. every PE's output is locally key-sorted,
-//! 2. the last key of PE `i` ≤ the first key of PE `i+1` (canonical
-//!    output format), and
-//! 3. the multiset of records is a permutation of the input — checked
-//!    with an order-independent fingerprint (count + wrapping sum of
-//!    per-record hashes), which detects loss, duplication, and
-//!    mutation with probability `1 − 2^-64`-ish.
-//!
-//! Validation streams the output from disk (it never needs the whole
-//! output in memory) and is itself a collective operation.
+//! A sort is correct iff its output is key-sorted and the multiset of
+//! its records is a permutation of the input. [`check_file`] reads a
+//! file of records once and finds both: the adjacent pairs out of key
+//! order, and an order-independent [`Fingerprint`] (count + wrapping
+//! sum of per-record hashes) to compare with the input's, which detects
+//! loss, duplication and mutation with probability `1 − 2^-64`-ish.
+//! Whatever a job's ranks do, their outputs concatenate into one file,
+//! so one pass over that file checks the whole sort.
 
-use crate::recio::{FinishedRun, RecordRunReader};
-use demsort_net::Communicator;
-use demsort_storage::PeStorage;
-use demsort_types::wire::{from_peer, WireReader};
 use demsort_types::{Error, Record, Result};
+use std::io::{BufReader, Read};
+use std::path::Path;
 
 /// Order-independent record-stream fingerprint.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -67,96 +61,55 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Result of a collective validation (identical on every PE).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ValidationReport {
-    /// Global element count.
-    pub elements: u64,
-    /// Every PE's output was locally sorted.
-    pub locally_sorted: bool,
-    /// All cross-PE boundaries were ordered.
-    pub boundaries_ordered: bool,
-    /// Global output fingerprint (compare with the input's).
+/// What [`check_file`] found in a file of records.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub struct FileCheck {
+    /// Adjacent pairs of records whose keys are out of order.
+    pub violations: u64,
+    /// Bytes after the last whole record: a torn file.
+    pub trailing: usize,
+    /// Fingerprint of the whole records (`count` is how many).
     pub fingerprint: Fingerprint,
 }
 
-impl ValidationReport {
-    /// `true` iff the output is a correct canonical sort of an input
-    /// with fingerprint `input`.
-    pub fn is_valid_sort_of(&self, input: Fingerprint) -> bool {
-        self.locally_sorted && self.boundaries_ordered && self.fingerprint == input
+impl FileCheck {
+    /// `true` iff the file is whole records, key-sorted, and a
+    /// permutation of an input with fingerprint `input`.
+    pub fn is_sort_of(&self, input: Fingerprint) -> bool {
+        self.violations == 0 && self.trailing == 0 && self.fingerprint == input
     }
 }
 
-/// Validate this PE's output run collectively. Streams from disk.
-pub fn validate_output<R: Record + Ord>(
-    comm: &Communicator,
-    st: &PeStorage,
-    output: &FinishedRun<R>,
-) -> Result<ValidationReport> {
-    let mut reader = RecordRunReader::<R>::new(st, &output.run, output.elems);
-    let mut fp = Fingerprint::default();
-    let mut sorted = true;
-    let mut first: Option<R> = None;
-    let mut last: Option<R> = None;
-    while let Some(rec) = reader.next_rec()? {
-        if let Some(prev) = &last {
-            if prev.key() > rec.key() {
-                sorted = false;
-            }
-        }
-        if first.is_none() {
-            first = Some(rec);
-        }
-        fp.add(&rec);
-        last = Some(rec);
+/// Check the file at `path` as records of `R`, streaming it. An error
+/// names the file and whether it could not be opened or not be read.
+pub fn check_file<R: Record>(path: &Path) -> Result<FileCheck> {
+    let failed =
+        |what: &str, e: std::io::Error| Error::io(format!("{what} {}: {e}", path.display()));
+    let file = std::fs::File::open(path).map_err(|e| failed("open", e))?;
+    let len = file.metadata().map_err(|e| failed("read", e))?.len();
+    let (mut file, mut bytes) = (BufReader::with_capacity(64 << 10, file), vec![0u8; R::BYTES]);
+    let (mut check, mut last) = (FileCheck::default(), None);
+    for _ in 0..len / R::BYTES as u64 {
+        file.read_exact(&mut bytes).map_err(|e| failed("read", e))?;
+        let rec = R::decode(&bytes);
+        check.violations += u64::from(last.is_some_and(|prev| prev > rec.key()));
+        last = Some(rec.key());
+        check.fingerprint.add(&rec);
     }
-
-    // Exchange (nonempty, first, last) and check boundary order over
-    // the nonempty PEs in rank order.
-    let mut msg = vec![0u8; 1 + 2 * R::BYTES];
-    if let (Some(f), Some(l)) = (&first, &last) {
-        msg[0] = 1;
-        f.encode(&mut msg[1..1 + R::BYTES]);
-        l.encode(&mut msg[1 + R::BYTES..]);
-    }
-    let gathered = comm.allgather(msg)?;
-    let mut boundaries_ordered = true;
-    let mut prev_last: Option<R::Key> = None;
-    for (src, buf) in gathered.iter().enumerate() {
-        let bad = |e: Error| from_peer(comm.rank(), src, "output boundary", e);
-        let mut r = WireReader::new(buf);
-        let nonempty = r.field("nonempty flag").bool().map_err(bad)?;
-        let first = r.field("first record").raw(R::BYTES).map_err(bad)?;
-        let last = r.field("last record").raw(R::BYTES).map_err(bad)?;
-        if nonempty {
-            boundaries_ordered &= prev_last.is_none_or(|pl| pl <= R::decode(first).key());
-            prev_last = Some(R::decode(last).key());
-        }
-    }
-
-    let count = comm.allreduce_sum(fp.count)?;
-    Ok(ValidationReport {
-        elements: count,
-        locally_sorted: comm.allreduce_and(sorted)?,
-        boundaries_ordered,
-        fingerprint: Fingerprint {
-            count,
-            sum: comm.allreduce_u64(fp.sum, |a, b| a.wrapping_add(b))?,
-        },
-    })
+    // What follows the whole records: part of one, or what a writer
+    // appended meanwhile.
+    check.trailing = file.read_to_end(&mut Vec::new()).map_err(|e| failed("read", e))?;
+    Ok(check)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::canonical::sort_cluster;
-    use crate::recio::write_records;
-    use demsort_net::run_cluster;
-    use demsort_storage::{DiskModel, MemBackend};
-    use demsort_types::{AlgoConfig, Element16, MachineConfig, SortConfig};
-    use demsort_workloads::{generate_pe_input, InputSpec};
-    use std::sync::Arc;
+    use crate::fileio::write_record_file;
+    use crate::job::sort_file;
+    use crate::TestDir;
+    use demsort_types::{AlgoConfig, Element16, MachineConfig, SortAlgo, SortConfig};
+    use demsort_workloads::{generate_all, InputSpec};
 
     #[test]
     fn fingerprint_is_order_independent_and_sensitive() {
@@ -188,8 +141,8 @@ mod tests {
 
     #[test]
     fn fingerprints_merge_like_concatenation() {
-        // What `validate_output`'s reductions compute from the PEs'
-        // parts is the fingerprint of the whole.
+        // The parts' fingerprints add up to the whole's, so the parts
+        // of an output may be fingerprinted apart.
         let a: Vec<Element16> = (0..30).map(|i| Element16::new(i, 0)).collect();
         let (head, tail) = (Fingerprint::of_slice(&a[..13]), Fingerprint::of_slice(&a[13..]));
         let merged =
@@ -205,155 +158,62 @@ mod tests {
         assert_ne!(Fingerprint::of_slice(&[a]), Fingerprint::of_slice(&[b]));
     }
 
+    /// What [`check_file`] finds in a file of `recs`.
+    fn check(recs: &[Element16]) -> FileCheck {
+        let dir = TestDir::new("validate");
+        write_record_file(&dir.file("out.dat"), recs).expect("write");
+        check_file::<Element16>(&dir.file("out.dat")).expect("check")
+    }
+
     #[test]
     fn validates_a_correct_sort() {
-        let p = 3;
+        let (p, dir) = (3, TestDir::new("validate-sort"));
         let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
-        let outcome = sort_cluster::<Element16, _>(&cfg, |pe, p| {
-            generate_pe_input(InputSpec::Uniform, 5, pe, p, 500)
-        })
-        .expect("sort");
-        let input_fp = {
-            let mut f = Fingerprint::default();
-            for pe in 0..p {
-                for r in generate_pe_input(InputSpec::Uniform, 5, pe, p, 500) {
-                    f.add(&r);
-                }
-            }
-            f
-        };
-        let storage = &outcome.storage;
-        let outputs: Vec<_> = outcome.per_pe.iter().map(|o| o.output.clone()).collect();
-        let outputs = &outputs;
-        let reports = run_cluster(p, move |c| {
-            validate_output::<Element16>(&c, storage.pe(c.rank()), &outputs[c.rank()])
-                .expect("validate")
-        });
-        for r in &reports {
-            assert_eq!(*r, reports[0], "all PEs agree");
-            assert!(r.is_valid_sort_of(input_fp));
-            assert_eq!(r.elements, 1500);
+        let input = generate_all(InputSpec::Uniform, 5, p, 500);
+        let (input_path, output) = (dir.file("in.dat"), dir.file("out.dat"));
+        write_record_file(&input_path, &input).expect("write input");
+        for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
+            sort_file::<Element16>(&cfg, algo, &input_path, &output).expect("sort");
+            let checked = check_file::<Element16>(&output).expect("check");
+            assert!(checked.is_sort_of(Fingerprint::of_slice(&input)), "{algo}: {checked:?}");
+            assert_eq!(checked.fingerprint.count, 1500, "{algo}");
         }
     }
 
     #[test]
     fn detects_unsorted_output() {
-        let p = 2;
-        let cfg = MachineConfig::tiny(p);
-        let storages: Vec<_> = (0..p)
-            .map(|_| {
-                demsort_storage::PeStorage::with_backend(
-                    cfg.disks_per_pe,
-                    cfg.block_bytes,
-                    DiskModel::paper(),
-                    Arc::new(MemBackend::new(cfg.disks_per_pe)),
-                )
-            })
-            .collect();
-        let storages = &storages;
-        let reports = run_cluster(p, move |c| {
-            let recs: Vec<Element16> = if c.rank() == 0 {
-                vec![Element16::new(5, 0), Element16::new(3, 1)] // unsorted!
-            } else {
-                vec![Element16::new(9, 2)]
-            };
-            let fr = write_records(&storages[c.rank()], &recs).expect("write");
-            validate_output::<Element16>(&c, &storages[c.rank()], &fr).expect("validate")
-        });
-        assert!(!reports[0].locally_sorted);
+        let recs = [Element16::new(5, 0), Element16::new(3, 1), Element16::new(9, 2)];
+        let checked = check(&recs);
+        assert_eq!((checked.violations, checked.trailing), (1, 0));
+        assert_eq!(checked.fingerprint, Fingerprint::of_slice(&recs));
+        assert!(!checked.is_sort_of(Fingerprint::of_slice(&recs)));
     }
 
     #[test]
     fn detects_misordered_boundaries() {
-        let p = 2;
-        let cfg = MachineConfig::tiny(p);
-        let storages: Vec<_> = (0..p)
-            .map(|_| {
-                demsort_storage::PeStorage::with_backend(
-                    cfg.disks_per_pe,
-                    cfg.block_bytes,
-                    DiskModel::paper(),
-                    Arc::new(MemBackend::new(cfg.disks_per_pe)),
-                )
-            })
-            .collect();
-        let storages = &storages;
-        let reports = run_cluster(p, move |c| {
-            // PE 0 holds keys {10, 20}; PE 1 holds {15} → boundary
-            // violation although both are locally sorted.
-            let recs: Vec<Element16> = if c.rank() == 0 {
-                vec![Element16::new(10, 0), Element16::new(20, 1)]
-            } else {
-                vec![Element16::new(15, 2)]
-            };
-            let fr = write_records(&storages[c.rank()], &recs).expect("write");
-            validate_output::<Element16>(&c, &storages[c.rank()], &fr).expect("validate")
-        });
-        assert!(reports[0].locally_sorted);
-        assert!(!reports[0].boundaries_ordered);
+        // Two parts, each sorted — keys {10, 20} then {15} — are not a
+        // sorted file.
+        let recs = [Element16::new(10, 0), Element16::new(20, 1), Element16::new(15, 2)];
+        assert_eq!(check(&recs).violations, 1);
+        assert_eq!(check(&recs[..2]).violations, 0);
     }
 
     #[test]
-    fn boundary_allgather_rejects_short_messages() {
-        // Rank 1 sends the empty message or a strict prefix of its
-        // `[nonempty][first][last]` boundary instead of the whole.
-        let cfg = MachineConfig::tiny(2);
-        let whole = [1u8; 1 + 2 * Element16::BYTES];
-        for cut in 0..whole.len() {
-            let msg = &whole[..cut];
-            let results = run_cluster(2, move |c| {
-                if c.rank() == 1 {
-                    c.allgather(msg.to_vec()).expect("peer sends");
-                    return None;
-                }
-                let st = demsort_storage::PeStorage::with_backend(
-                    cfg.disks_per_pe,
-                    cfg.block_bytes,
-                    DiskModel::paper(),
-                    Arc::new(MemBackend::new(cfg.disks_per_pe)),
-                );
-                let fr = write_records(&st, &[Element16::new(1, 0)]).expect("write");
-                Some(validate_output::<Element16>(&c, &st, &fr))
-            });
-            let err = results[0].clone().expect("rank 0").expect_err("short boundary");
-            let text = err.to_string();
-            assert!(matches!(err, Error::Comm(_)), "{text}");
-            assert!(text.contains("rank 0: bad output boundary from rank 1"), "{text}");
-            let field = match cut {
-                0 => "nonempty flag",
-                c if c <= Element16::BYTES => "first record",
-                _ => "last record",
-            };
-            assert!(text.contains(field), "cut {cut}: {text}");
+    fn a_torn_or_unreadable_file_is_named() {
+        let dir = TestDir::new("validate-torn");
+        let path = dir.file("torn.dat");
+        let recs = [Element16::new(1, 0), Element16::new(2, 1)];
+        write_record_file(&path, &recs).expect("write");
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("tear");
+        let checked = check_file::<Element16>(&path).expect("check");
+        assert_eq!((checked.fingerprint.count, checked.trailing), (1, Element16::BYTES - 5));
+        assert!(!checked.is_sort_of(Fingerprint::of_slice(&recs[..1])), "a torn file is no sort");
+
+        for (path, what) in [(dir.file("missing.dat"), "open"), (dir.0.clone(), "read")] {
+            let err = check_file::<Element16>(&path).expect_err("unreadable");
+            let want = format!("{what} {}", path.display());
+            assert!(matches!(&err, Error::Io(m) if m.starts_with(&want)), "{err}");
         }
-    }
-
-    #[test]
-    fn empty_pes_are_skipped_in_boundary_check() {
-        let p = 3;
-        let cfg = MachineConfig::tiny(p);
-        let storages: Vec<_> = (0..p)
-            .map(|_| {
-                demsort_storage::PeStorage::with_backend(
-                    cfg.disks_per_pe,
-                    cfg.block_bytes,
-                    DiskModel::paper(),
-                    Arc::new(MemBackend::new(cfg.disks_per_pe)),
-                )
-            })
-            .collect();
-        let storages = &storages;
-        let reports = run_cluster(p, move |c| {
-            // PE 1 is empty; 0 and 2 are ordered.
-            let recs: Vec<Element16> = match c.rank() {
-                0 => vec![Element16::new(1, 0)],
-                2 => vec![Element16::new(2, 1)],
-                _ => Vec::new(),
-            };
-            let fr = write_records(&storages[c.rank()], &recs).expect("write");
-            validate_output::<Element16>(&c, &storages[c.rank()], &fr).expect("validate")
-        });
-        assert!(reports[0].locally_sorted && reports[0].boundaries_ordered);
-        assert_eq!(reports[0].elements, 2);
     }
 }

@@ -299,7 +299,9 @@ impl std::fmt::Display for SortAlgo {
 /// concatenates each merge batch's per-rank parts, batch after batch).
 #[derive(Clone, Debug)]
 pub struct JobConfig {
-    /// Path of the input file (whole 100-byte SortBenchmark records).
+    /// Path of the input file: whole records of the type the rank
+    /// program is run for (100-byte SortBenchmark records in the
+    /// binaries).
     pub input: String,
     /// Path of the output file; it may be the input. Each rank
     /// creates and sizes it, without truncating, when its last pass

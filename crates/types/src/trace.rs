@@ -1,8 +1,8 @@
 //! Structured cluster tracing: per-rank JSONL event journals.
 //!
-//! Every layer of the suite — collectives in `demsort-net`, the block
-//! service and phase recorder in `demsort-core`, the striped merge
-//! loop, the TCP failure detector — reports what it does through a
+//! Every layer of the suite — collectives in `demsort-net`, the phase
+//! recorder and the merge loop in `demsort-core`, the TCP failure
+//! detector — reports what it does through a
 //! [`Tracer`] handle. A tracer is either *off* (the default: every
 //! call is a branch on a `None` and nothing else) or appends typed
 //! records to a per-rank journal file, one JSON object per line:
@@ -48,7 +48,10 @@ pub enum TraceEv {
         /// Collective name (`"barrier"`, `"alltoallv"`, ...).
         name: Cow<'static, str>,
     },
-    /// Block fetches issued through the cluster block service (event).
+    /// Block fetches issued through a block service (event). No sort
+    /// journals it: every rank reads only its own disks, and no block
+    /// service is left in `demsort-core`. Journals that carry one still
+    /// parse, and the benchmark harness still counts it.
     Fetch {
         /// Rank that owns the blocks.
         owner: usize,
@@ -387,8 +390,8 @@ pub struct ProgressFrame {
     pub batch: u64,
     /// Total merge batches in the current group (0 outside merge).
     pub batches: u64,
-    /// Bytes read so far by the rank's merges (every block either
-    /// sort's merge loop takes) and fetched through its block service.
+    /// Bytes read so far by the rank's merges: every block either
+    /// sort's merge loop takes from the rank's own disks.
     pub bytes: u64,
 }
 

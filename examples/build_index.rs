@@ -14,6 +14,7 @@
 //! ```
 
 use demsort::prelude::*;
+use demsort::types::{ranks, SortAlgo};
 use demsort::workloads::splitmix64;
 
 /// A posting: term hash → document id, packed as the paper's 16-byte
@@ -38,9 +39,9 @@ fn main() {
     // the whole key space (a zipf-flavoured term mix: a few hot terms,
     // a long tail).
     println!("building an inverted-index layout from {} postings...", pes * postings_per_pe);
-    let outcome = demsort::core::canonical::sort_cluster::<Element16, _>(&cfg, move |pe, _| {
-        (0..postings_per_pe as u64)
-            .map(|i| {
+    let postings: Vec<Element16> = (0..pes)
+        .flat_map(|pe| {
+            (0..postings_per_pe as u64).map(move |i| {
                 let doc = (pe as u64) << 32 | i;
                 let r = splitmix64(doc ^ 0xB16_B00B5);
                 // 1 in 8 postings goes to one of 1024 hot terms (the
@@ -52,17 +53,33 @@ fn main() {
                 };
                 posting(term, doc)
             })
-            .collect()
-    })
-    .expect("sort");
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("demsort-build-index-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let (input, output) = (dir.join("postings.dat"), dir.join("index.dat"));
+    write_record_file(&input, &postings).expect("write postings");
+    sort_file::<Element16>(&cfg, SortAlgo::Canonical, &input, &output).expect("sort");
+    let check = check_file::<Element16>(&output).expect("check index");
+    assert!(check.is_sort_of(Fingerprint::of_slice(&postings)), "partitions ordered and complete");
+    let index = read_record_file::<Element16>(&output).expect("read index");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+
+    // PE `i`'s partition of the index is global ranks ⌊i·N/P⌋.., and
+    // its blocks of `rpb` postings each start at the partition's start.
+    let rpb = (4 << 10) / Element16::BYTES;
+    let partition = |pe: usize| {
+        let r = ranks::owned_range(pe, pes, index.len() as u64);
+        &index[r.start as usize..r.end as usize]
+    };
+    let block_first_keys =
+        |part: &[Element16]| -> Vec<u64> { part.chunks(rpb).map(|block| block[0].key).collect() };
 
     // The index directory: each partition's first key (P entries), plus
-    // per-partition block first-keys (already collected by the writer).
-    let storage = &outcome.storage;
+    // per-partition block first-keys.
     let mut directory = Vec::with_capacity(pes);
-    for (pe, o) in outcome.per_pe.iter().enumerate() {
-        let first = o.output.block_first_keys.first().copied();
-        directory.push((first, pe));
+    for pe in 0..pes {
+        directory.push((partition(pe).first().map(|r| r.key), pe));
     }
     println!("directory: {} partitions, block index depth 2 (partition → block → scan)", pes);
 
@@ -75,11 +92,8 @@ fn main() {
         .find(|(first, _)| first.is_some_and(|f| f <= term))
         .map(|&(_, pe)| pe)
         .unwrap_or(0);
-    let o = &outcome.per_pe[target_pe];
-    let block = o.output.block_first_keys.partition_point(|&k| k <= term).saturating_sub(1);
-    let recs = read_records::<Element16>(storage.pe(target_pe), &o.output.run, o.output.elems)
-        .expect("read partition");
-    let rpb = (4 << 10) / Element16::BYTES;
+    let recs = partition(target_pe);
+    let block = block_first_keys(recs).partition_point(|&k| k <= term).saturating_sub(1);
     let lo = block * rpb;
     let hi = (lo + rpb).min(recs.len());
     let hits: Vec<u64> =
@@ -90,7 +104,7 @@ fn main() {
     );
 
     // Index-wide sanity: partitions ordered, postings preserved.
-    let total: u64 = outcome.per_pe.iter().map(|o| o.output.elems).sum();
-    assert_eq!(total as usize, pes * postings_per_pe);
+    let total = index.len();
+    assert_eq!(total, pes * postings_per_pe);
     println!("index built over {total} postings — partitions ordered and complete");
 }

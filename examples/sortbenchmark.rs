@@ -9,6 +9,7 @@
 
 use demsort::prelude::*;
 use demsort::types::fmtsize::fmt_bytes;
+use demsort::types::SortAlgo;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,39 +36,23 @@ fn main() {
     );
 
     let seed = 0xC0FF_EE00;
-    let outcome = demsort::core::canonical::sort_cluster::<Record100, _>(&cfg, move |pe, _| {
-        demsort::workloads::gensort_records(seed, (pe * local_records) as u64, local_records)
-    })
-    .expect("sort");
+    let dir = std::env::temp_dir().join(format!("demsort-sortbenchmark-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let (input, output) = (dir.join("input.dat"), dir.join("output.dat"));
+    let recs = demsort::workloads::gensort_records(seed, 0, pes * local_records);
+    write_record_file(&input, &recs).expect("write input");
+    let report = sort_file::<Record100>(&cfg, SortAlgo::Canonical, &input, &output).expect("sort");
 
     // valsort: stream-validate the output and compare fingerprints.
-    let input_fp = {
-        let mut f = Fingerprint::default();
-        for pe in 0..pes {
-            for r in demsort::workloads::gensort_records(
-                seed,
-                (pe * local_records) as u64,
-                local_records,
-            ) {
-                f.add(&r);
-            }
-        }
-        f
-    };
-    let storage = &outcome.storage;
-    let outputs: Vec<_> = outcome.per_pe.iter().map(|o| o.output.clone()).collect();
-    let outputs = &outputs;
-    let reports = demsort::net::run_cluster(pes, move |c| {
-        validate_output::<Record100>(&c, storage.pe(c.rank()), &outputs[c.rank()])
-            .expect("validation")
-    });
-    assert!(reports[0].is_valid_sort_of(input_fp), "valsort failed");
-    println!("valsort: OK ({} records, {} runs)", reports[0].elements, outcome.per_pe[0].runs);
+    let check = check_file::<Record100>(&output).expect("valsort");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    assert!(check.is_sort_of(Fingerprint::of_slice(&recs)), "valsort failed");
+    println!("valsort: OK ({} records, {} runs)", check.fingerprint.count, report.runs);
 
     // Modeled rate on the paper's hardware at paper volume.
     let model = CostModel::paper_scaled(scale);
-    let wall = model.total_wall_s(&outcome.report);
-    let gb_min = model.throughput_bytes_per_sec(&outcome.report) * 60.0 / 1e9;
+    let wall = model.total_wall_s(&report);
+    let gb_min = model.throughput_bytes_per_sec(&report) * 60.0 / 1e9;
     println!(
         "modeled at paper scale (x{scale:.0}): {:.0} s wall, {gb_min:.0} GB/min on {pes} nodes \
          ({:.2} GB/min/node; the 2009 record was 564 GB/min on 195 nodes = 2.89 GB/min/node)",

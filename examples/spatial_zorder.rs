@@ -12,6 +12,7 @@
 //! ```
 
 use demsort::prelude::*;
+use demsort::types::{ranks, SortAlgo};
 use demsort::workloads::splitmix64;
 
 /// Interleave the low 32 bits of x and y into a 64-bit Morton code.
@@ -58,9 +59,9 @@ fn main() {
     // Points clustered around a few "cities" in a 2^16 × 2^16 world —
     // each PE observed a random mix of all clusters.
     println!("z-ordering {} points across {pes} PEs...", pes * points_per_pe);
-    let outcome = demsort::core::canonical::sort_cluster::<Element16, _>(&cfg, move |pe, _| {
-        (0..points_per_pe as u64)
-            .map(|i| {
+    let points: Vec<Element16> = (0..pes)
+        .flat_map(|pe| {
+            (0..points_per_pe as u64).map(move |i| {
                 let id = (pe as u64) << 32 | i;
                 let r = splitmix64(id);
                 let city = r % 5;
@@ -71,20 +72,27 @@ fn main() {
                 let y = (cy + dy) % 65_536;
                 Element16::new(morton(x, y), id)
             })
-            .collect()
-    })
-    .expect("sort");
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("demsort-zorder-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let (input, output) = (dir.join("points.dat"), dir.join("zorder.dat"));
+    write_record_file(&input, &points).expect("write points");
+    sort_file::<Element16>(&cfg, SortAlgo::Canonical, &input, &output).expect("sort");
+    let check = check_file::<Element16>(&output).expect("check");
+    assert!(check.is_sort_of(Fingerprint::of_slice(&points)), "the curve holds every point");
+    let sorted = read_record_file::<Element16>(&output).expect("read");
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    // PE `i` owns global ranks ⌊i·N/P⌋.. of the curve.
+    let region = |pe: usize| {
+        let r = ranks::owned_range(pe, pes, sorted.len() as u64);
+        &sorted[r.start as usize..r.end as usize]
+    };
 
     // Spatial locality: consecutive points on the curve must be close
     // in space. Measure mean L1 distance between curve neighbours on
     // PE 0 versus between random pairs.
-    let storage = &outcome.storage;
-    let recs = read_records::<Element16>(
-        storage.pe(0),
-        &outcome.per_pe[0].output.run,
-        outcome.per_pe[0].output.elems,
-    )
-    .expect("read");
+    let recs = region(0);
     let l1 = |a: u64, b: u64| {
         let (ax, ay) = decode(a);
         let (bx, by) = decode(b);
@@ -107,9 +115,9 @@ fn main() {
     assert!(neighbour * 20.0 < random, "Z-order must provide strong locality");
 
     // Each PE owns one contiguous stretch of the curve.
-    for (pe, o) in outcome.per_pe.iter().enumerate() {
-        let first = o.output.block_first_keys.first().copied().unwrap_or(0);
+    for pe in 0..pes {
+        let first = region(pe).first().map_or(0, |r| r.key);
         let (x, y) = decode(first);
-        println!("PE {pe}: {} points, curve region starts at ({x}, {y})", o.output.elems);
+        println!("PE {pe}: {} points, curve region starts at ({x}, {y})", region(pe).len());
     }
 }

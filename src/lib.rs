@@ -17,37 +17,15 @@
 //!
 //! ## Quickstart
 //!
-//! ```
-//! use demsort::prelude::*;
+//! [`sort_file`] is the whole local file-to-file sort in one call (what
+//! `sortfile --transport local` runs, for records of any [`Record`]
+//! type): every PE reads its shard of the input where it lies, the
+//! cluster sorts, and every PE writes its part of the output where it
+//! belongs. The disks the runs live on in between are files under
+//! `<output>.scratch/` for as long as the call runs, so its memory is
+//! set by `mem_bytes_per_pe`, not by the file.
 //!
-//! // A 4-PE simulated cluster with tiny blocks (tests/demos).
-//! let cfg = SortConfig::new(MachineConfig::tiny(4), AlgoConfig::default()).unwrap();
-//!
-//! // Sort 4 × 2000 uniformly random 16-byte elements.
-//! let outcome = demsort::core::canonical::sort_cluster::<Element16, _>(&cfg, |pe, p| {
-//!     demsort::workloads::generate_pe_input(InputSpec::Uniform, 42, pe, p, 2000)
-//! })
-//! .unwrap();
-//!
-//! // PE i now holds the elements of global ranks ⌊i·N/P⌋..⌊(i+1)·N/P⌋,
-//! // sorted and striped over its local disks.
-//! assert_eq!(outcome.per_pe.len(), 4);
-//! let n: u64 = outcome.per_pe.iter().map(|o| o.output.elems).sum();
-//! assert_eq!(n, 8000);
-//!
-//! // Measured volumes: an external sort reads and writes the data
-//! // about twice (4N of disk traffic), communicating it about once.
-//! assert!(outcome.report.io_volume_over_n() < 7.0);
-//! ```
-//!
-//! ## Sorting a file
-//!
-//! [`sort_file`] is the whole local file-to-file sort of SortBenchmark
-//! records in one call (what `sortfile --transport local` runs): every
-//! PE streams its shard of the input onto its disks, the cluster sorts,
-//! and all PEs stream their part of the output file concurrently. The
-//! disks are files under `<output>.scratch/` for as long as the call
-//! runs, so its memory is set by `mem_bytes_per_pe`, not by the file.
+//! [`Record`]: types::Record
 //!
 //! ```
 //! use demsort::prelude::*;
@@ -56,17 +34,23 @@
 //! let dir = std::env::temp_dir().join(format!("demsort-doc-{}", std::process::id()));
 //! std::fs::create_dir_all(&dir).unwrap();
 //! let (input, output) = (dir.join("in.dat"), dir.join("out.dat"));
-//! let recs = demsort::workloads::gensort_records(1, 0, 500);
-//! let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
-//! Record100::encode_slice(&recs, &mut bytes);
-//! std::fs::write(&input, &bytes).unwrap();
 //!
-//! let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).unwrap();
-//! let report = demsort::sort_file(&cfg, SortAlgo::Canonical, &input, &output).unwrap();
-//! assert_eq!(report.elements, 500);
+//! // 4 × 2000 uniformly random 16-byte elements, in a file.
+//! let recs = demsort::workloads::generate_all(InputSpec::Uniform, 42, 4, 2000);
+//! write_record_file(&input, &recs).unwrap();
 //!
-//! let sorted = std::fs::read(&output).unwrap();
-//! assert!(sorted.chunks(100).is_sorted_by_key(|r| &r[..10]));
+//! // A 4-PE simulated cluster with tiny blocks (tests/demos).
+//! let cfg = SortConfig::new(MachineConfig::tiny(4), AlgoConfig::default()).unwrap();
+//! let report = sort_file::<Element16>(&cfg, SortAlgo::Canonical, &input, &output).unwrap();
+//! assert_eq!(report.elements, 8000);
+//!
+//! // Measured volumes: an external sort reads and writes the data
+//! // about twice (4N of disk traffic), communicating it about once.
+//! assert!(report.io_volume_over_n() < 7.0);
+//!
+//! // The output is sorted and a permutation of the input.
+//! let check = check_file::<Element16>(&output).unwrap();
+//! assert!(check.is_sort_of(Fingerprint::of_slice(&recs)));
 //! assert!(!dir.join("out.dat.scratch").exists());
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
@@ -81,12 +65,10 @@ pub use demsort_workloads as workloads;
 
 /// Commonly used items for application code.
 pub mod prelude {
-    pub use demsort_core::canonical::{
-        canonical_mergesort, sort_cluster, ClusterOutcome, PeOutcome,
-    };
-    pub use demsort_core::ctx::ClusterStorage;
-    pub use demsort_core::recio::read_records;
-    pub use demsort_core::validate::{validate_output, Fingerprint, ValidationReport};
+    pub use demsort_core::canonical::PeOutcome;
+    pub use demsort_core::fileio::{read_record_file, write_record_file};
+    pub use demsort_core::sort_file;
+    pub use demsort_core::validate::{check_file, FileCheck, Fingerprint};
     pub use demsort_simcost::{CostModel, HardwareProfile};
     pub use demsort_types::{
         AlgoConfig, Element16, Key, Key10, MachineConfig, Phase, Record, Record100, SortConfig,

@@ -1,44 +1,62 @@
 //! Integration tests spanning all crates: full distributed external
 //! sorts across cluster sizes, input classes, record types, and
-//! storage backends, validated with the collective validator.
+//! storage backends, each a file job whose output file is checked.
 
-use demsort::core::canonical::sort_cluster;
-use demsort::core::recio::read_records;
-use demsort::core::validate::{validate_output, Fingerprint};
-use demsort::net::run_cluster;
 use demsort::prelude::*;
-use demsort::workloads::{generate_all, generate_pe_input, gensort_records};
+use demsort::types::SortAlgo;
+use demsort::workloads::{generate_all, gensort_records};
+use std::path::PathBuf;
 
 fn tiny_cfg(pes: usize) -> SortConfig {
     SortConfig::new(MachineConfig::tiny(pes), AlgoConfig::default()).expect("valid")
 }
 
-/// Sort, then validate collectively (sorted + boundaries + permutation).
+/// A directory of one sort's files, removed on drop. Tests run in
+/// parallel, so each directory's name ends in a number no other takes.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new() -> Self {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("demsort-e2e-{}-{seq}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create test dir");
+        Self(dir)
+    }
+
+    fn file(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Sort `recs` from a file into a file with `algo`, check the output
+/// file (sorted + a permutation of the input), and return its records
+/// and the report.
+fn sort_records<R: Record + Ord>(
+    cfg: &SortConfig,
+    algo: SortAlgo,
+    recs: &[R],
+) -> (Vec<R>, SortReport) {
+    let dir = TestDir::new();
+    let (input, output) = (dir.file("in.dat"), dir.file("out.dat"));
+    write_record_file(&input, recs).expect("write input");
+    let report = sort_file::<R>(cfg, algo, &input, &output).expect("sort");
+    let check = check_file::<R>(&output).expect("check");
+    let (p, n) = (cfg.machine.pes, recs.len());
+    assert!(check.is_sort_of(Fingerprint::of_slice(recs)), "{algo} P={p} N={n}: {check:?}");
+    (read_record_file(&output).expect("read output"), report)
+}
+
+/// Sort `local_n` records of `spec` per PE canonically, checked.
 fn sort_and_validate(cfg: &SortConfig, spec: InputSpec, local_n: usize) {
-    let p = cfg.machine.pes;
-    let outcome = sort_cluster::<Element16, _>(cfg, move |pe, p| {
-        generate_pe_input(spec, 0xABCD, pe, p, local_n)
-    })
-    .expect("sort");
-    let input_fp = {
-        let mut f = Fingerprint::default();
-        for r in generate_all(spec, 0xABCD, p, local_n) {
-            f.add(&r);
-        }
-        f
-    };
-    let storage = &outcome.storage;
-    let outputs: Vec<_> = outcome.per_pe.iter().map(|o| o.output.clone()).collect();
-    let outputs = &outputs;
-    let reports = run_cluster(p, move |c| {
-        validate_output::<Element16>(&c, storage.pe(c.rank()), &outputs[c.rank()])
-            .expect("validate")
-    });
-    assert!(
-        reports[0].is_valid_sort_of(input_fp),
-        "invalid sort: {spec:?} P={p} n={local_n}: {:?}",
-        reports[0]
-    );
+    let input = generate_all(spec, 0xABCD, cfg.machine.pes, local_n);
+    sort_records(cfg, SortAlgo::Canonical, &input);
 }
 
 #[test]
@@ -83,17 +101,7 @@ fn sortbenchmark_records_end_to_end() {
     // Record100 needs blocks ≥ 100 bytes; tiny's 256-byte blocks hold 2.
     let cfg = tiny_cfg(3);
     let local_n = 600usize;
-    let outcome = sort_cluster::<Record100, _>(&cfg, move |pe, _| {
-        gensort_records(99, (pe * local_n) as u64, local_n)
-    })
-    .expect("sort");
-    let mut all: Vec<Record100> = Vec::new();
-    for (pe, o) in outcome.per_pe.iter().enumerate() {
-        all.extend(
-            read_records::<Record100>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-                .expect("read"),
-        );
-    }
+    let (all, _) = sort_records(&cfg, SortAlgo::Canonical, &gensort_records(99, 0, 3 * local_n));
     assert_eq!(all.len(), 3 * local_n);
     assert!(all.windows(2).all(|w| w[0].key <= w[1].key), "globally sorted by 10-byte key");
     // Permutation via recovered gensort indices.
@@ -110,15 +118,12 @@ fn file_backed_storage_end_to_end() {
     // scratch directory keeps them in memory, and nothing the sort
     // computes or counts may tell the two apart.
     use demsort::core::job::{default_scratch, run_job_local};
-    use demsort::types::{JobConfig, SortAlgo};
+    use demsort::types::JobConfig;
 
-    let dir = std::env::temp_dir().join(format!("demsort-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create test dir");
-    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let dir = TestDir::new();
+    let path = |name: &str| dir.file(name).to_string_lossy().into_owned();
     let recs = gensort_records(5, 0, 6_000);
-    let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
-    Record100::encode_slice(&recs, &mut bytes);
-    std::fs::write(path("in.dat"), &bytes).expect("write input");
+    write_record_file(path("in.dat").as_ref(), &recs).expect("write input");
 
     let machine = MachineConfig {
         pes: 3,
@@ -134,7 +139,7 @@ fn file_backed_storage_end_to_end() {
         let cfg =
             SortConfig::new(machine.clone(), AlgoConfig { replication, ..AlgoConfig::default() })
                 .expect("valid");
-        let in_files = demsort::sort_file(
+        let in_files = sort_file::<Record100>(
             &cfg,
             algorithm,
             path("in.dat").as_ref(),
@@ -145,7 +150,7 @@ fn file_backed_storage_end_to_end() {
             !std::path::Path::new(&default_scratch(&path("files.dat"))).exists(),
             "{case}: scratch directory removed"
         );
-        let in_memory = run_job_local(&JobConfig {
+        let in_memory = run_job_local::<Record100>(&JobConfig {
             input: path("in.dat"),
             output: path("memory.dat"),
             machine: cfg.machine.clone(),
@@ -159,8 +164,8 @@ fn file_backed_storage_end_to_end() {
 
         let sorted = std::fs::read(path("files.dat")).expect("read output");
         assert!(sorted == std::fs::read(path("memory.dat")).expect("read output"), "{case}");
-        assert!(sorted.chunks(Record100::BYTES).is_sorted_by_key(|r| &r[..10]), "{case}");
-        assert_eq!(sorted.len(), bytes.len(), "{case}");
+        let check = check_file::<Record100>(path("files.dat").as_ref()).expect("check");
+        assert!(check.is_sort_of(Fingerprint::of_slice(&recs)), "{case}: {check:?}");
 
         // What the `done:` line prints.
         assert!(in_files.runs > 1, "{case}: external");
@@ -193,7 +198,6 @@ fn file_backed_storage_end_to_end() {
             }
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -220,19 +224,10 @@ fn power_law_skew_sorts_with_exact_balance() {
 #[test]
 fn determinism_same_seed_same_output() {
     let cfg = tiny_cfg(3);
+    let input = generate_all(InputSpec::Uniform, 11, 3, 500);
     let run = || {
-        let outcome = sort_cluster::<Element16, _>(&cfg, |pe, p| {
-            generate_pe_input(InputSpec::Uniform, 11, pe, p, 500)
-        })
-        .expect("sort");
-        let mut all = Vec::new();
-        for (pe, o) in outcome.per_pe.iter().enumerate() {
-            all.extend(
-                read_records::<Element16>(outcome.storage.pe(pe), &o.output.run, o.output.elems)
-                    .expect("read"),
-            );
-        }
-        (all, outcome.report.io_volume_over_n())
+        let (sorted, report) = sort_records(&cfg, SortAlgo::Canonical, &input);
+        (sorted, report.io_volume_over_n())
     };
     let (a, io_a) = run();
     let (b, io_b) = run();
@@ -242,43 +237,11 @@ fn determinism_same_seed_same_output() {
 
 #[test]
 fn striped_and_canonical_agree() {
-    use demsort::core::ctx::ClusterStorage;
-    use demsort::core::fileio::OutputFile;
-    use demsort::core::runform::ingest_input;
-    use demsort::core::striped::striped_mergesort;
-
-    let p = 3;
-    let local_n = 700usize;
-    let cfg = tiny_cfg(p);
-
-    let canonical = sort_cluster::<Element16, _>(&cfg, move |pe, p| {
-        generate_pe_input(InputSpec::Uniform, 21, pe, p, local_n)
-    })
-    .expect("canonical");
-    let mut canonical_all = Vec::new();
-    for (pe, o) in canonical.per_pe.iter().enumerate() {
-        canonical_all.extend(
-            read_records::<Element16>(canonical.storage.pe(pe), &o.output.run, o.output.elems)
-                .expect("read"),
-        );
-    }
-
-    let path = std::env::temp_dir().join(format!("demsort-e2e-striped-{}.dat", std::process::id()));
-    let output = OutputFile { path: &path, records: (p * local_n) as u64 };
-    let storage = ClusterStorage::new_mem(&cfg.machine);
-    let storage_ref = &storage;
-    let cfg2 = cfg.clone();
-    run_cluster(p, move |c| {
-        let st = storage_ref.pe(c.rank());
-        let recs = generate_pe_input(InputSpec::Uniform, 21, c.rank(), p, local_n);
-        let input = ingest_input(st, &recs).expect("ingest");
-        striped_mergesort::<Element16>(&c, st, &cfg2, input, 1, None, output).expect("striped")
-    });
-    let mut striped_all = Vec::new();
-    Element16::decode_slice(&std::fs::read(&path).expect("read"), &mut striped_all);
-    let _ = std::fs::remove_file(&path);
-
-    let keys_c: Vec<u64> = canonical_all.iter().map(|e| e.key).collect();
-    let keys_s: Vec<u64> = striped_all.iter().map(|e| e.key).collect();
+    let cfg = tiny_cfg(3);
+    let input = generate_all(InputSpec::Uniform, 21, 3, 700);
+    let (canonical, _) = sort_records(&cfg, SortAlgo::Canonical, &input);
+    let (striped, _) = sort_records(&cfg, SortAlgo::Striped, &input);
+    let keys_c: Vec<u64> = canonical.iter().map(|e| e.key).collect();
+    let keys_s: Vec<u64> = striped.iter().map(|e| e.key).collect();
     assert_eq!(keys_c, keys_s, "both algorithms produce the same sorted keys");
 }

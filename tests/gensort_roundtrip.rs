@@ -1,112 +1,81 @@
 //! SortBenchmark round trip: gensort-style 100-byte records →
-//! CANONICALMERGESORT → valsort-style collective validation.
+//! CANONICALMERGESORT → valsort-style check of the output file.
 //!
-//! The validator must accept a genuine sort (sortedness + canonical
-//! boundaries + permutation fingerprint) and reject the same output
-//! with a single deliberately corrupted record — both a payload-only
-//! corruption (caught by the fingerprint) and a key corruption (caught
-//! by the order checks as well).
+//! The check must accept a genuine sort (sortedness + permutation
+//! fingerprint) and reject the same output file with a single
+//! deliberately corrupted record — both a payload-only corruption
+//! (caught by the fingerprint) and a key corruption (caught by the
+//! order check as well).
 
-use demsort::core::canonical::sort_cluster;
-use demsort::core::recio::{read_records, write_records};
-use demsort::core::validate::{validate_output, Fingerprint, ValidationReport};
-use demsort::net::run_cluster;
 use demsort::prelude::*;
+use demsort::types::SortAlgo;
 use demsort::workloads::gensort_records;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 2009; // the year DEMSort led the SortBenchmark
 const P: usize = 4;
-const LOCAL_N: usize = 300;
+const N: usize = 4 * 300;
 
-fn sorted_outcome() -> demsort::core::canonical::ClusterOutcome<Record100> {
+/// The input's records, and the path of its sorted output file (in a
+/// directory of the test's own; `remove` it when done).
+fn sorted_output(name: &str) -> (Vec<Record100>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("demsort-roundtrip-{}-{name}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let (input, output) = (dir.join("in.dat"), dir.join("out.dat"));
+    let recs = gensort_records(SEED, 0, N);
+    write_record_file(&input, &recs).expect("write input");
     let cfg = SortConfig::new(MachineConfig::tiny(P), AlgoConfig::default()).expect("valid");
-    sort_cluster::<Record100, _>(&cfg, move |pe, _p| {
-        gensort_records(SEED, (pe * LOCAL_N) as u64, LOCAL_N)
-    })
-    .expect("sort")
+    sort_file::<Record100>(&cfg, SortAlgo::Canonical, &input, &output).expect("sort");
+    (recs, output)
 }
 
-fn input_fingerprint() -> Fingerprint {
-    let mut f = Fingerprint::default();
-    for pe in 0..P {
-        for r in gensort_records(SEED, (pe * LOCAL_N) as u64, LOCAL_N) {
-            f.add(&r);
-        }
-    }
-    f
+fn remove(output: &Path) {
+    let _ = std::fs::remove_dir_all(output.parent().expect("test dir"));
 }
 
-fn validate_all(
-    outcome: &demsort::core::canonical::ClusterOutcome<Record100>,
-    outputs: &[demsort::core::recio::FinishedRun<Record100>],
-) -> Vec<ValidationReport> {
-    let storage = &outcome.storage;
-    run_cluster(P, move |c| {
-        validate_output::<Record100>(&c, storage.pe(c.rank()), &outputs[c.rank()])
-            .expect("validate")
-    })
+/// Run the bytes of record `index` of the file at `path` through
+/// `corrupt`.
+fn corrupt_record(path: &Path, index: usize, corrupt: impl FnOnce(&mut [u8])) {
+    let mut bytes = std::fs::read(path).expect("read output");
+    corrupt(&mut bytes[index * Record100::BYTES..][..Record100::BYTES]);
+    std::fs::write(path, bytes).expect("rewrite output");
 }
 
 #[test]
 fn roundtrip_accepts_genuine_sort() {
-    let outcome = sorted_outcome();
-    let outputs: Vec<_> = outcome.per_pe.iter().map(|o| o.output.clone()).collect();
-    let reports = validate_all(&outcome, &outputs);
-    let fp = input_fingerprint();
-    for (pe, rep) in reports.iter().enumerate() {
-        assert!(rep.is_valid_sort_of(fp), "PE {pe} rejected a correct sort: {rep:?}");
-        assert_eq!(rep.elements, (P * LOCAL_N) as u64);
-    }
-    // Validation is collective: every PE must report the same verdict.
-    for rep in &reports[1..] {
-        assert_eq!(rep, &reports[0]);
-    }
-}
-
-/// Replace PE `pe`'s output with a copy whose `victim`-th record has
-/// been run through `corrupt`, and return the new per-PE outputs.
-fn with_corrupted_record(
-    outcome: &demsort::core::canonical::ClusterOutcome<Record100>,
-    pe: usize,
-    victim: usize,
-    corrupt: impl FnOnce(&mut Record100),
-) -> Vec<demsort::core::recio::FinishedRun<Record100>> {
-    let st = outcome.storage.pe(pe);
-    let out = &outcome.per_pe[pe].output;
-    let mut recs = read_records::<Record100>(st, &out.run, out.elems).expect("read output");
-    corrupt(&mut recs[victim]);
-    let rewritten = write_records(st, &recs).expect("rewrite output");
-    let mut outputs: Vec<_> = outcome.per_pe.iter().map(|o| o.output.clone()).collect();
-    outputs[pe] = rewritten;
-    outputs
+    let (recs, output) = sorted_output("genuine");
+    let check = check_file::<Record100>(&output).expect("check");
+    remove(&output);
+    assert!(check.is_sort_of(Fingerprint::of_slice(&recs)), "rejected a correct sort: {check:?}");
+    assert_eq!(check.fingerprint.count, N as u64);
 }
 
 #[test]
 fn roundtrip_rejects_payload_corruption() {
-    let outcome = sorted_outcome();
     // Payload-only corruption keeps every key in order — only the
-    // permutation fingerprint can catch it.
-    let outputs = with_corrupted_record(&outcome, 1, 17, |r| r.payload[42] ^= 0x01);
-    let reports = validate_all(&outcome, &outputs);
-    let fp = input_fingerprint();
-    for (pe, rep) in reports.iter().enumerate() {
-        assert!(!rep.is_valid_sort_of(fp), "PE {pe} accepted corrupted output: {rep:?}");
-        assert!(rep.locally_sorted, "payload corruption must not disturb key order");
-        assert_ne!(rep.fingerprint, fp, "fingerprint must flag the flipped bit");
-    }
+    // permutation fingerprint can catch it. Record 317 is in PE 1's
+    // part of the output.
+    let (recs, output) = sorted_output("payload");
+    corrupt_record(&output, 317, |r| r[10 + 42] ^= 0x01);
+    let check = check_file::<Record100>(&output).expect("check");
+    remove(&output);
+    let fp = Fingerprint::of_slice(&recs);
+    assert!(!check.is_sort_of(fp), "accepted corrupted output: {check:?}");
+    assert_eq!(check.violations, 0, "payload corruption must not disturb key order");
+    assert_ne!(check.fingerprint, fp, "fingerprint must flag the flipped bit");
 }
 
 #[test]
 fn roundtrip_rejects_key_corruption() {
-    let outcome = sorted_outcome();
-    // Forcing a middle record's key to the maximum breaks local
-    // sortedness (and the fingerprint, independently).
-    let outputs = with_corrupted_record(&outcome, 2, 100, |r| r.key.0 = [0xFF; 10]);
-    let reports = validate_all(&outcome, &outputs);
-    let fp = input_fingerprint();
-    for (pe, rep) in reports.iter().enumerate() {
-        assert!(!rep.is_valid_sort_of(fp), "PE {pe} accepted corrupted output: {rep:?}");
-        assert!(!rep.locally_sorted, "max key mid-run must break sortedness");
-        assert_ne!(rep.fingerprint, fp);
-    }
+    // Forcing a middle record's key to the maximum breaks sortedness
+    // (and the fingerprint, independently). Record 700 is in PE 2's
+    // part.
+    let (recs, output) = sorted_output("key");
+    corrupt_record(&output, 700, |r| r[..10].fill(0xFF));
+    let check = check_file::<Record100>(&output).expect("check");
+    remove(&output);
+    let fp = Fingerprint::of_slice(&recs);
+    assert!(!check.is_sort_of(fp), "accepted corrupted output: {check:?}");
+    assert!(check.violations > 0, "max key mid-file must break sortedness");
+    assert_ne!(check.fingerprint, fp);
 }

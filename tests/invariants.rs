@@ -1,12 +1,14 @@
 //! Property-based integration tests: the paper's invariants hold for
 //! arbitrary cluster shapes, input sizes, and key distributions.
 
-use demsort::core::canonical::sort_cluster;
-use demsort::core::recio::read_records;
+use demsort::core::ctx::ClusterStorage;
+use demsort::core::job::{run_in_process, run_rank_job};
 use demsort::prelude::*;
-use demsort::types::ranks;
+use demsort::types::wire::RankReport;
+use demsort::types::{ranks, JobConfig, SortAlgo};
 use demsort::workloads::splitmix64;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Generate an arbitrary per-PE input from a (seed, distribution
 /// exponent) pair: keys are `splitmix64(gid) % key_range`, so small
@@ -18,6 +20,41 @@ fn arbitrary_input(seed: u64, key_range: u64, pe: usize, _p: usize, n: usize) ->
             Element16::new(splitmix64(seed ^ gid) % key_range.max(1), gid)
         })
         .collect()
+}
+
+/// A canonical file job of every PE's `gen(pe, p)` on the in-process
+/// cluster `cfg`, its disks in memory. Returns the sorted records, the
+/// cluster's report, the ranks' reports and the storage the ranks used.
+fn sort_in_process(
+    cfg: &SortConfig,
+    gen: impl Fn(usize, usize) -> Vec<Element16>,
+) -> (Vec<Element16>, SortReport, Vec<RankReport>, Arc<ClusterStorage>) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("demsort-inv-{}-{seq}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    let p = cfg.machine.pes;
+    let input: Vec<Element16> = (0..p).flat_map(|pe| gen(pe, p)).collect();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    write_record_file(path("in.dat").as_ref(), &input).expect("write input");
+    let job = JobConfig {
+        input: path("in.dat"),
+        output: path("out.dat"),
+        machine: cfg.machine.clone(),
+        algo: cfg.algo.clone(),
+        algorithm: SortAlgo::Canonical,
+        read_timeout_ms: 1,
+        trace_dir: String::new(),
+        scratch: String::new(),
+    };
+    let (report, ranks, storage) = run_in_process(cfg, Element16::BYTES, |comm, storage| {
+        let report = run_rank_job::<Element16>(&job, &comm, storage.pe(comm.rank()), None)?;
+        Ok((report.clone(), report))
+    })
+    .expect("sort");
+    let sorted = read_record_file(path("out.dat").as_ref()).expect("read output");
+    let _ = std::fs::remove_dir_all(&dir);
+    (sorted, report, ranks, storage)
 }
 
 proptest! {
@@ -33,9 +70,9 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).unwrap();
-        let outcome = sort_cluster::<Element16, _>(&cfg, move |pe, p| {
+        let (sorted, _, per_pe, _) = sort_in_process(&cfg, |pe, p| {
             arbitrary_input(seed, key_range, pe, p, local_n)
-        }).expect("sort");
+        });
 
         let mut reference: Vec<u64> = (0..p)
             .flat_map(|pe| arbitrary_input(seed, key_range, pe, p, local_n))
@@ -44,13 +81,10 @@ proptest! {
         reference.sort_unstable();
 
         let n = reference.len() as u64;
-        let mut got: Vec<u64> = Vec::with_capacity(reference.len());
-        for (pe, o) in outcome.per_pe.iter().enumerate() {
-            prop_assert_eq!(o.output.elems, ranks::owned_len(pe, p, n));
-            let recs = read_records::<Element16>(
-                outcome.storage.pe(pe), &o.output.run, o.output.elems).expect("read");
-            got.extend(recs.iter().map(|e| e.key));
+        for r in &per_pe {
+            prop_assert_eq!(r.elems, ranks::owned_len(r.rank, p, n));
         }
+        let got: Vec<u64> = sorted.iter().map(|e| e.key).collect();
         prop_assert_eq!(got, reference);
     }
 
@@ -69,11 +103,11 @@ proptest! {
         let volume = |randomize: bool| {
             let algo = AlgoConfig { randomize, seed, ..AlgoConfig::default() };
             let cfg = SortConfig::new(machine.clone(), algo).unwrap();
-            let outcome = sort_cluster::<Element16, _>(&cfg, move |pe, p| {
+            let (_, report, ..) = sort_in_process(&cfg, |pe, p| {
                 demsort::workloads::generate_pe_input(
                     InputSpec::Banded { block_elems: band }, 5, pe, p, local_n)
-            }).expect("sort");
-            outcome.report.phase_total(Phase::AllToAll, |s| s.io.bytes_total())
+            });
+            report.phase_total(Phase::AllToAll, |s| s.io.bytes_total())
         };
         let with = volume(true);
         let without = volume(false);
@@ -97,11 +131,11 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).unwrap();
-        let outcome = sort_cluster::<Element16, _>(&cfg, move |pe, p| {
+        let (_, report, ..) = sort_in_process(&cfg, |pe, p| {
             arbitrary_input(seed, u64::MAX, pe, p, local_n)
-        }).expect("sort");
-        let io = outcome.report.io_volume_over_n();
-        if outcome.per_pe[0].runs == 1 {
+        });
+        let io = report.io_volume_over_n();
+        if report.runs == 1 {
             prop_assert!((1.9..=2.6).contains(&io), "internal: {}", io);
         } else {
             // 4N + redistribution (≤ 2N) + fragmentation slack.
@@ -117,12 +151,11 @@ fn in_place_peak_usage_bound() {
     let p = 4;
     let local_n = 2000usize;
     let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).unwrap();
-    let outcome = sort_cluster::<Element16, _>(&cfg, move |pe, p| {
+    let (.., storage) = sort_in_process(&cfg, |pe, p| {
         demsort::workloads::generate_pe_input(InputSpec::Uniform, 9, pe, p, local_n)
-    })
-    .expect("sort");
+    });
     for pe in 0..p {
-        let alloc = outcome.storage.pe(pe).alloc();
+        let alloc = storage.pe(pe).alloc();
         let input_blocks = (local_n * 16).div_ceil(256);
         assert!(
             alloc.high_water() <= input_blocks * 2,

@@ -6,7 +6,8 @@
 //! between the exchange merge and the run writer: three PEs (pieces
 //! from both sides of the one a PE keeps), an input that is not whole
 //! blocks (a partial tail block in the last group, partial tails in
-//! every run slice), one run (sort-on-arrival, no merge phases) and
+//! every run slice), one run (no merge phases; its exchange writes the
+//! output) and
 //! seven (the write-behind window carried from run to run), one core
 //! (the streaming merge) and two (the merge arena).
 
@@ -30,19 +31,13 @@ fn config(cores: usize) -> SortConfig {
     SortConfig::new(machine, AlgoConfig::default()).expect("valid config")
 }
 
-fn encode(recs: &[Record100]) -> Vec<u8> {
-    let mut bytes = vec![0u8; recs.len() * Record100::BYTES];
-    Record100::encode_slice(recs, &mut bytes);
-    bytes
-}
-
 /// Sort `shape(n)` for one run's worth and seven runs' worth of
 /// records, with both algorithms on one and two cores, and hand every
 /// output to `check` beside the input it came from.
 fn for_every_sort(
     name: &str,
     shape: impl Fn(usize) -> Vec<Record100>,
-    check: impl Fn(&[Record100], &[u8], &str),
+    check: impl Fn(&[Record100], &[Record100], &str),
 ) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("demsort-oracle-{}-{name}", std::process::id()));
@@ -50,14 +45,14 @@ fn for_every_sort(
     let (input, output) = (dir.join("in.dat"), dir.join("out.dat"));
     for (n, runs) in [(401, 1), (3001, 7)] {
         let recs = shape(n);
-        std::fs::write(&input, encode(&recs)).expect("write input");
+        write_record_file(&input, &recs).expect("write input");
         for algo in [SortAlgo::Canonical, SortAlgo::Striped] {
             for cores in [1, 2] {
                 let what = format!("{name}: {algo}, N={n}, cores={cores}");
-                let report = demsort::sort_file(&config(cores), algo, &input, &output)
+                let report = sort_file::<Record100>(&config(cores), algo, &input, &output)
                     .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert_eq!((report.elements, report.runs), (n as u64, runs), "{what}");
-                check(&recs, &std::fs::read(&output).expect("read output"), &what);
+                check(&recs, &read_record_file(&output).expect("read output"), &what);
             }
         }
     }
@@ -65,10 +60,10 @@ fn for_every_sort(
 }
 
 /// The output is, byte for byte, the input sorted.
-fn same_bytes_as_sort_unstable(input: &[Record100], output: &[u8], what: &str) {
+fn same_bytes_as_sort_unstable(input: &[Record100], output: &[Record100], what: &str) {
     let mut sorted = input.to_vec();
     sorted.sort_unstable();
-    assert!(output == encode(&sorted), "{what}: output differs from sort_unstable");
+    assert!(output == sorted, "{what}: output differs from sort_unstable");
 }
 
 #[test]
@@ -110,9 +105,8 @@ fn all_keys_equal() {
         recs
     };
     for_every_sort("all-equal", shape, |input, output, what| {
-        let mut got = Vec::new();
-        Record100::decode_slice(output, &mut got);
+        let mut got = output.to_vec();
         got.sort_unstable();
-        same_bytes_as_sort_unstable(input, &encode(&got), what);
+        same_bytes_as_sort_unstable(input, &got, what);
     });
 }
