@@ -73,6 +73,7 @@ const FALLIBLE_METHODS: &[&str] = &[
     "allreduce_sum",
     "allreduce_max",
     "allreduce_and",
+    "allreduce_sum_u64s",
     "exscan_sum",
     "alltoallv",
     "chunked_alltoallv",

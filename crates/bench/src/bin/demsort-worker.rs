@@ -63,6 +63,9 @@ fn main() {
         }
     }
 
+    // A launcher prints each rank's summary itself; a hostfile rank has
+    // no one else to print it.
+    let standalone = hostfile.is_some();
     let result = match (coordinator, hostfile) {
         (Some(coord), None) => run_worker(&coord),
         (None, Some(path)) => {
@@ -88,12 +91,13 @@ fn main() {
     };
 
     match result {
-        Ok(rep) => {
+        Ok(rep) if standalone => {
             eprintln!(
                 "rank {}: {} records in this rank's output, {} runs",
                 rep.rank, rep.elems, rep.runs
             );
         }
+        Ok(_) => {}
         Err(e) => {
             eprintln!("demsort-worker: {e}");
             std::process::exit(1);

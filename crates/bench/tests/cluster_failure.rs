@@ -30,9 +30,9 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Enough records over a tiny memory budget that the sort runs many
-/// multi-collective rounds (R ≈ 30 runs) — the kill lands mid-sort,
+/// multi-collective rounds (R ≈ 150 runs) — the kill lands mid-sort,
 /// not after a rank already finished.
-const RECORDS: usize = 20_000;
+const RECORDS: usize = 100_000;
 const RANKS: usize = 4;
 const VICTIM: usize = 1;
 const COMM_TIMEOUT_MS: u64 = 2_000;

@@ -246,3 +246,27 @@ fn launch_sorts_a_file_onto_itself() {
     }
     let _ = std::fs::remove_file(&input);
 }
+
+#[test]
+fn launch_prints_each_rank_summary_once() {
+    // The launcher prints every rank's summary; its workers print none
+    // of their own (a hostfile worker, with no launcher, prints its own).
+    let (input, output) = (tmp_path("summary-input.dat"), tmp_path("summary-output.dat"));
+    write_gensort_input(&input);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_demsort-launch"))
+        .args(["--ranks", &RANKS.to_string(), "--mem-mib", "1", "--worker-bin"])
+        .arg(env!("CARGO_BIN_EXE_demsort-worker"))
+        .args([&input, &output])
+        .output()
+        .expect("run demsort-launch");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    for rank in 0..RANKS {
+        let lines = stderr.lines().filter(|l| l.trim_start().starts_with(&format!("rank {rank}:")));
+        assert_eq!(lines.count(), 1, "rank {rank}'s summary in:\n{stderr}");
+    }
+    assert_eq!(valsort(&output, &input), RECORDS as u64);
+    for p in [&input, &output] {
+        let _ = std::fs::remove_file(p);
+    }
+}

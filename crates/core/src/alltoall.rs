@@ -303,17 +303,18 @@ pub fn external_alltoall<R: Record + Ord>(
         let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
 
         // ---- write received pieces as fragments ----
-        for (src, buf) in received.into_iter().enumerate() {
+        for (src, buf) in received.iter().enumerate() {
             if src == me || buf.is_empty() {
                 continue;
             }
             sources[src] = true;
-            let pieces = parse_submessage::<R>(&buf, nruns)
+            let pieces = parse_submessage::<R>(buf, nruns)
                 .map_err(|e| from_peer(me, src, "all-to-all submessage", e))?;
             for (run, elems, payload) in pieces {
                 streams[run][src].push(write_fragment::<R>(st, payload, elems)?);
             }
         }
+        comm.recycle(received);
     }
     st.engine().drain()?;
 

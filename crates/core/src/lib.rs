@@ -62,7 +62,7 @@ pub mod validate;
 
 pub use canonical::{canonical_mergesort, PeOutcome};
 pub use ctx::ClusterStorage;
-pub use distselect::{dist_select_rank, dist_split};
+pub use distselect::dist_split;
 pub use job::sort_file;
 pub use merge::{merge_k, par_merge_k_into, LoserTree, ParMerge};
 pub use psort::parallel_sort;

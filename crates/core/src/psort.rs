@@ -10,7 +10,8 @@
 //!
 //! 1. sort local data with the in-node parallel sort
 //!    ([`crate::seqsort`], the MCSTL stand-in);
-//! 2. exact splitters via distributed multiway selection
+//! 2. exact splitters via distributed multiway selection: all `P − 1`
+//!    splits together, in a few rounds of two collectives
 //!    ([`crate::distselect`]);
 //! 3. `alltoallv` the pieces (through the chunked variant that lifts
 //!    MPI's 2 GiB limit, Section V);
@@ -38,7 +39,7 @@
 //! sort writes its last pass into the output file — and tells each PE
 //! where its part starts before the first record reaches its sink.
 
-use crate::distselect::{dist_split, split_rank};
+use crate::distselect::{split_rank, Splitter};
 use crate::merge::{merge_cpu, merge_k_each, par_merge_k_into};
 use crate::recio::RecordSink;
 use crate::seqsort::sort_in_node;
@@ -78,11 +79,13 @@ pub fn parallel_sort<R: Record + Ord>(
     Ok((out, cpu.merge(&exchange_cpu)))
 }
 
-/// The exchange kernel (steps 2–4 above) and the two buffers it keeps
+/// The exchange kernel (steps 2–4 above) and the buffers it keeps
 /// between calls, so that a loop over runs or merge batches allocates
-/// them once. Both stay empty for a record type with a zero-copy view
-/// merged on one core.
-pub struct Exchange<R> {
+/// them once. The merge's two stay empty for a record type with a
+/// zero-copy view merged on one core.
+pub struct Exchange<R: Record> {
+    /// The splitter selection's candidates and brackets.
+    splitter: Splitter<R>,
     /// The received pieces, decoded back to back in source order —
     /// only for record types without [`Record::view_slice`].
     decoded: Vec<R>,
@@ -99,7 +102,7 @@ impl<R: Record + Ord> Default for Exchange<R> {
 impl<R: Record + Ord> Exchange<R> {
     /// A kernel with empty buffers.
     pub fn new() -> Self {
-        Self { decoded: Vec::new(), merged: Vec::new() }
+        Self { splitter: Splitter::default(), decoded: Vec::new(), merged: Vec::new() }
     }
 
     /// Redistribute the locally sorted `data` of all PEs canonically:
@@ -123,7 +126,7 @@ impl<R: Record + Ord> Exchange<R> {
         cores: usize,
         sink: &mut impl RecordSink<R>,
     ) -> Result<CpuCounters> {
-        let (cuts, _) = Self::split(comm, data, 1)?;
+        let (cuts, _) = self.split(comm, data, 1)?;
         self.deliver(comm, data, &cuts, cores, sink)
     }
 
@@ -144,7 +147,7 @@ impl<R: Record + Ord> Exchange<R> {
         grain: u64,
         open: impl FnOnce(Part) -> Result<S>,
     ) -> Result<(CpuCounters, Part, S)> {
-        let (cuts, total) = Self::split(comm, data, grain)?;
+        let (cuts, total) = self.split(comm, data, grain)?;
         let part = Part { start: split_rank(comm.rank(), comm.size(), total, grain), total };
         let mut sink = open(part)?;
         let cpu = self.deliver(comm, data, &cuts, cores, &mut sink)?;
@@ -153,11 +156,11 @@ impl<R: Record + Ord> Exchange<R> {
 
     /// This PE's cut positions in `data` and the global element count
     /// (one PE: all of it, with no communication).
-    fn split(comm: &Communicator, data: &[R], grain: u64) -> Result<(Vec<usize>, u64)> {
+    fn split(&mut self, comm: &Communicator, data: &[R], grain: u64) -> Result<(Vec<usize>, u64)> {
         debug_assert!(data.windows(2).all(|w| w[0] <= w[1]), "input must be locally sorted");
         match comm.size() {
             1 => Ok((vec![0, data.len()], data.len() as u64)),
-            p => dist_split(comm, data, p, grain),
+            p => self.splitter.split(comm, data, p, grain),
         }
     }
 
@@ -228,6 +231,7 @@ impl<R: Record + Ord> Exchange<R> {
         } else {
             merge_k_each(&pieces, |rec| sink.emit(rec))?;
         }
+        comm.recycle(received);
         Ok(cpu)
     }
 }

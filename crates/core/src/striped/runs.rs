@@ -503,13 +503,14 @@ impl<'a, R: Record> StripeSink<'a, R> {
         st.pool().put(std::mem::take(&mut self.block));
         let msgs = std::mem::take(&mut self.msgs).into_iter().map(WireWriter::finish).collect();
         let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
-        for (src, buf) in received.into_iter().enumerate() {
-            let pieces = decode_pieces(&buf, R::BYTES, &self.to, me)
+        for (src, buf) in received.iter().enumerate() {
+            let pieces = decode_pieces(buf, R::BYTES, &self.to, me)
                 .map_err(|e| from_peer(me, src, "striped block piece", e))?;
             for piece in pieces {
                 self.place(piece.g, piece.within, piece.payload)?;
             }
         }
+        comm.recycle(received);
         if let Some((g, (_, count))) = self.waiting.first_key_value() {
             return Err(Error::comm(format!(
                 "rank {me}: striped block {g} arrived with {count} of its {} records",

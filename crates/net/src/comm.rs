@@ -58,6 +58,8 @@ struct PeerMeter {
 pub struct Communicator {
     transport: Box<dyn Transport>,
     peers: Vec<PeerMeter>,
+    /// Collectives entered so far (never sent anywhere).
+    collectives: Cell<u64>,
     tracer: Tracer,
 }
 
@@ -65,7 +67,7 @@ impl Communicator {
     /// Wrap a transport endpoint into a communicator.
     pub fn new(transport: Box<dyn Transport>) -> Self {
         let peers = (0..transport.size()).map(|_| PeerMeter::default()).collect();
-        Self { transport, peers, tracer: Tracer::off() }
+        Self { transport, peers, collectives: Cell::new(0), tracer: Tracer::off() }
     }
 
     /// Attach a tracer: every collective is recorded as an enter/exit
@@ -82,8 +84,9 @@ impl Communicator {
     }
 
     /// Record `f` as a collective span, closing it on both the success
-    /// and the error path.
+    /// and the error path, and count it.
     fn traced<T>(&self, name: &'static str, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        self.collectives.set(self.collectives.get() + 1);
         let ev = || TraceEv::Collective { name: std::borrow::Cow::Borrowed(name) };
         let span = self.tracer.begin(ev());
         let out = f();
@@ -110,6 +113,13 @@ impl Communicator {
             total.messages += p.messages.get();
         }
         total
+    }
+
+    /// Collectives this rank has entered so far — one per traced
+    /// collective, whatever it is built from (the reductions count as
+    /// the allgather they are).
+    pub fn collectives(&self) -> u64 {
+        self.collectives.get()
     }
 
     /// Traffic exchanged with one peer (zeros for `peer == rank`).
@@ -172,6 +182,18 @@ impl Communicator {
             p.bytes_recv.set(p.bytes_recv.get() + msg.len() as u64);
         }
         Ok(msg)
+    }
+
+    /// Hand back the frames a collective returned (indexed by source
+    /// rank) once their bytes are used up: a transport that receives on
+    /// its own threads receives a later frame from the same peer into
+    /// the same memory instead of allocating it afresh.
+    pub fn recycle(&self, frames: Vec<Vec<u8>>) {
+        for (from, frame) in frames.into_iter().enumerate() {
+            if from != self.rank() {
+                self.transport.recycle(from, frame);
+            }
+        }
     }
 
     /// Send one control word, encoded on the stack — no allocation.
@@ -278,51 +300,84 @@ impl Communicator {
         })
     }
 
-    /// Allgather: everyone receives everyone's message, indexed by rank.
+    /// Bruck's allgather: `⌈log2 P⌉` rounds. In the round at distance
+    /// `d` this rank sends the first `min(d, P − d)` blocks it holds
+    /// (its own, then those of ranks `rank + 1, …`) to `rank − d`, one
+    /// frame each, and gets as many from `rank + d`, which it holds after
+    /// its own. Each rank sends `P − 1` frames of one block in all, as
+    /// the ring did; the result is indexed by rank.
+    fn bruck<T>(
+        &self,
+        mine: T,
+        send: impl Fn(usize, &T) -> Result<()>,
+        recv: impl Fn(usize) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let (me, size) = (self.rank(), self.size());
+        let mut held = Vec::with_capacity(size);
+        held.push(mine);
+        let mut dist = 1;
+        while dist < size {
+            let n = dist.min(size - dist);
+            for block in &held[..n] {
+                send((me + size - dist) % size, block)?;
+            }
+            for _ in 0..n {
+                held.push(recv((me + dist) % size)?);
+            }
+            dist <<= 1;
+        }
+        // `held[j]` is rank `me + j`'s block.
+        held.rotate_right(me);
+        Ok(held)
+    }
+
+    /// Allgather: everyone receives everyone's message, indexed by rank
+    /// ([`bruck`](Self::bruck)).
     ///
     /// # Errors
-    /// [`Error::Comm`](demsort_types::Error) if a ring neighbour dies
+    /// [`Error::Comm`](demsort_types::Error) if a round's partner dies
     /// mid-collective.
     pub fn allgather(&self, msg: Vec<u8>) -> Result<Vec<Vec<u8>>> {
         self.traced("allgather", || {
-            // Simple ring: P-1 rounds, each forwarding one original.
-            let size = self.size();
-            let mut out = vec![Vec::new(); size];
-            out[self.rank()] = msg;
-            for round in 1..size {
-                let to = (self.rank() + 1) % size;
-                let from = (self.rank() + size - 1) % size;
-                // forward the message that originated `round-1` hops back
-                let orig = (self.rank() + size - (round - 1)) % size;
-                self.send_bytes(to, &out[orig])?;
-                let recv_orig = (self.rank() + size - round) % size;
-                out[recv_orig] = self.recv(from)?;
-            }
-            Ok(out)
+            self.bruck(msg, |to, b| self.send_bytes(to, b), |from| self.recv(from))
         })
     }
 
-    /// Allgather of one `u64` per PE (stack-encoded ring — no
-    /// per-message allocation on wire transports).
+    /// Allgather of one `u64` per PE ([`bruck`](Self::bruck) with
+    /// stack-encoded words — no per-message allocation on wire
+    /// transports).
     ///
     /// # Errors
-    /// [`Error::Comm`](demsort_types::Error) on a dead ring neighbour
+    /// [`Error::Comm`](demsort_types::Error) on a dead round partner
     /// or a malformed (non-8-byte) control frame.
     pub fn allgather_u64(&self, x: u64) -> Result<Vec<u64>> {
         self.traced("allgather_u64", || {
-            let size = self.size();
-            let mut out = vec![0u64; size];
-            out[self.rank()] = x;
-            for round in 1..size {
-                let to = (self.rank() + 1) % size;
-                let from = (self.rank() + size - 1) % size;
-                let orig = (self.rank() + size - (round - 1)) % size;
-                self.send_u64(to, out[orig])?;
-                let recv_orig = (self.rank() + size - round) % size;
-                out[recv_orig] = self.recv_u64(from)?;
-            }
-            Ok(out)
+            self.bruck(x, |to, &w| self.send_u64(to, w), |from| self.recv_u64(from))
         })
+    }
+
+    /// Element-wise sum of one `u64` vector per PE (an
+    /// [`allgather`](Self::allgather) of the vectors).
+    ///
+    /// # Errors
+    /// [`Error::Comm`](demsort_types::Error) on a failed allgather, or a
+    /// peer's vector of another length, naming the peer.
+    pub fn allreduce_sum_u64s(&self, xs: &[u64]) -> Result<Vec<u64>> {
+        let mut sum = vec![0u64; xs.len()];
+        for (src, buf) in self.allgather(encode_u64s(xs))?.iter().enumerate() {
+            if buf.len() != 8 * xs.len() {
+                return Err(Error::comm(format!(
+                    "rank {}: rank {src} sent {} bytes to a sum of {} words",
+                    self.rank(),
+                    buf.len(),
+                    xs.len()
+                )));
+            }
+            for (s, x) in sum.iter_mut().zip(decode_u64s(buf)?) {
+                *s = s.wrapping_add(x);
+            }
+        }
+        Ok(sum)
     }
 
     /// Allreduce of a `u64` with an associative, commutative `op`.
@@ -528,6 +583,45 @@ mod tests {
                     assert_eq!(m, &vec![i as u8; i + 1]);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn allgather_takes_log_p_rounds_and_sends_p_minus_1_blocks() {
+        // Bruck: a PE sends to ⌈log2 P⌉ peers (rank − 1, − 2, − 4, …),
+        // P − 1 frames of one block in all — the ring's bytes and
+        // messages, in ⌈log2 P⌉ hops instead of P − 1.
+        for p in 1..=9usize {
+            let results = run_cluster(p, move |c| {
+                let _ = c.allgather(vec![7; 5]).expect("allgather");
+                let _ = c.allgather_u64(7).expect("allgather_u64");
+                let sent_to = (0..p).filter(|&j| c.peer_counters(j).messages > 0).count();
+                (c.counters(), sent_to, c.collectives())
+            });
+            let hops = p.next_power_of_two().trailing_zeros() as usize;
+            for (counters, sent_to, collectives) in results {
+                assert_eq!(counters.messages, 2 * (p as u64 - 1), "P = {p}");
+                assert_eq!(counters.bytes_sent, 13 * (p as u64 - 1), "P = {p}");
+                assert_eq!(sent_to, hops, "P = {p}");
+                assert_eq!(collectives, 2, "P = {p}");
+            }
+        }
+    }
+
+    #[test]
+    fn vector_sum_adds_elementwise_and_names_a_short_peer() {
+        let results = run_cluster(4, |c| {
+            let r = c.rank() as u64;
+            let sum = c.allreduce_sum_u64s(&[r, 10 * r, 1]).expect("sum");
+            // Rank 2 sends one word short.
+            let bad = if c.rank() == 2 { vec![0; 2] } else { vec![0; 3] };
+            (sum, c.allreduce_sum_u64s(&bad))
+        });
+        for (rank, (sum, bad)) in results.into_iter().enumerate() {
+            assert_eq!(sum, vec![6, 60, 4]);
+            let err = bad.expect_err("lengths differ").to_string();
+            let blamed = if rank == 2 { "rank 0 sent 24 bytes" } else { "rank 2 sent 16 bytes" };
+            assert!(err.contains(&format!("rank {rank}: {blamed}")), "{err}");
         }
     }
 

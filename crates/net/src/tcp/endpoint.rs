@@ -36,6 +36,10 @@ impl Default for TcpOptions {
     }
 }
 
+/// Data frames at least this long are received into the peer's spare
+/// buffer (see [`Transport::recycle`]); shorter ones into a fresh one.
+const SPARE_MIN: usize = 64 << 10;
+
 /// One entry of a per-source FIFO inbox: either an ordinary data frame
 /// or an **epoch marker** — the cut point a peer pushed through its
 /// FIFO with [`Transport::advance_epoch`]. Keeping markers inside the
@@ -59,6 +63,9 @@ pub(super) struct Inner {
     /// Highest epoch marker consumed from each peer's FIFO (by `recv`
     /// or [`Transport::drain_to_epoch`]).
     epoch_seen: Vec<AtomicU64>,
+    /// Per peer: the largest frame handed back to [`Transport::recycle`],
+    /// which its reader receives the next long data frame into.
+    spares: Vec<Arc<Mutex<Vec<u8>>>>,
     /// The block service: requests in flight, handlers, buffer pool.
     pub(super) block: Arc<BlockChannel>,
     shutdown: Arc<AtomicBool>,
@@ -112,6 +119,7 @@ impl TcpTransport {
         let shutdown = Arc::new(AtomicBool::new(false));
         let tracer: Arc<Mutex<Tracer>> = Arc::new(Mutex::new(Tracer::off()));
         let mut readers = Vec::with_capacity(size.saturating_sub(1));
+        let spares: Vec<Arc<Mutex<Vec<u8>>>> = (0..size).map(|_| Arc::default()).collect();
 
         for (j, stream) in streams.into_iter().enumerate() {
             if j == rank {
@@ -128,6 +136,7 @@ impl TcpTransport {
                 rx,
                 link: Arc::clone(&link),
                 data_tx,
+                spare: Arc::clone(&spares[j]),
                 block: Arc::clone(&block),
                 tracer: Arc::clone(&tracer),
             };
@@ -149,6 +158,7 @@ impl TcpTransport {
                 self_tx,
                 inbox,
                 epoch_seen: (0..size).map(|_| AtomicU64::new(0)).collect(),
+                spares,
                 block,
                 shutdown,
                 readers: Mutex::new(readers),
@@ -238,6 +248,15 @@ impl Transport for TcpTransport {
         }
     }
 
+    fn recycle(&self, from: usize, frame: Vec<u8>) {
+        if frame.capacity() >= SPARE_MIN {
+            let mut spare = self.inner.spares[from].lock().expect("spare lock");
+            if frame.capacity() > spare.capacity() {
+                *spare = frame;
+            }
+        }
+    }
+
     fn flush(&self) -> Result<()> {
         // A link whose peer the failure detector already declared dead
         // keeps its dirty flag (its last flush failed, and nothing can
@@ -318,6 +337,7 @@ struct ReaderCtx {
     rx: FrameReader,
     link: Arc<PeerLink>,
     data_tx: Sender<InboxMsg>,
+    spare: Arc<Mutex<Vec<u8>>>,
     block: Arc<BlockChannel>,
     tracer: Arc<Mutex<Tracer>>,
 }
@@ -360,7 +380,21 @@ impl ReaderCtx {
     /// `false` ends the connection (it closed, the marker is malformed,
     /// or the endpoint was dropped).
     fn on_inbox_frame(&mut self, kind: u8, len: usize) -> bool {
-        let mut payload = vec![0u8; len];
+        let mut payload = if kind == KIND_DATA && len >= SPARE_MIN {
+            // Into the spare, grown where it lies and with room for the
+            // next frames, which are about as long: a fresh frame beside
+            // a short spare, or a frame freed on another thread, leaves a
+            // hole in this thread's heap that the next one may not fit.
+            let mut spare = std::mem::take(&mut *self.spare.lock().expect("spare lock"));
+            if spare.capacity() < len {
+                spare.clear();
+                spare.reserve_exact(len + len / 8);
+            }
+            spare.resize(len, 0);
+            spare
+        } else {
+            vec![0u8; len]
+        };
         if !self.rx.fill(&mut payload) {
             return false;
         }

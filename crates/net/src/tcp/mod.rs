@@ -96,6 +96,36 @@ mod tests {
     }
 
     #[test]
+    fn long_frames_are_received_into_the_recycled_one() {
+        // Rank 1 hands back the first long frame before rank 0 sends the
+        // next (the empty frame orders the two): the next, a little
+        // longer, and the one after, shorter, land in the same memory;
+        // a short frame gets its own.
+        let got = run_cluster_tcp(2, |c| {
+            if c.rank() == 0 {
+                for len in [200_000, 210_000, 150_000, 100] {
+                    c.send(1, vec![len as u8; len]).expect("send");
+                    let _ = c.recv(1).expect("go on");
+                }
+                return Vec::new();
+            }
+            let mut seen = Vec::new();
+            for _ in 0..4 {
+                let frame = c.recv(0).expect("frame");
+                assert!(frame.iter().all(|&b| b == frame.len() as u8));
+                seen.push(frame.as_ptr() as usize);
+                c.recycle(vec![Vec::new(), frame]);
+                c.send(0, Vec::new()).expect("ack");
+            }
+            seen
+        });
+        let seen = &got[1];
+        assert_eq!(seen[1], seen[0], "{seen:?}");
+        assert_eq!(seen[2], seen[0], "{seen:?}");
+        assert_ne!(seen[3], seen[0], "{seen:?}");
+    }
+
+    #[test]
     fn mesh_survives_out_of_order_connects() {
         // Stagger rank start-up in reverse order: high ranks dial
         // before low ranks even listen-accept, so connections arrive

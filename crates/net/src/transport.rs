@@ -77,6 +77,13 @@ pub trait Transport: Send {
     /// hangs forever on a dead peer.
     fn recv(&self, from: usize) -> Result<Vec<u8>>;
 
+    /// Hand back a frame [`recv`](Self::recv) returned from `from` once
+    /// its bytes are used up, for the transport to receive a later frame
+    /// from that peer into. Dropped by default.
+    fn recycle(&self, from: usize, frame: Vec<u8>) {
+        let _ = (from, frame);
+    }
+
     /// Push buffered sends onto the wire.
     ///
     /// Buffering transports (TCP) may hold small frames back for
@@ -205,6 +212,10 @@ impl<T: Transport> Transport for SubTransport<T> {
 
     fn recv(&self, from: usize) -> Result<Vec<u8>> {
         self.inner.recv(self.members[from])
+    }
+
+    fn recycle(&self, from: usize, frame: Vec<u8>) {
+        self.inner.recycle(self.members[from], frame);
     }
 
     fn flush(&self) -> Result<()> {
