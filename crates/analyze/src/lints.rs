@@ -72,9 +72,7 @@ const FALLIBLE_METHODS: &[&str] = &[
     "allreduce_u64",
     "allreduce_sum",
     "allreduce_max",
-    "allreduce_and",
     "allreduce_sum_u64s",
-    "exscan_sum",
     "alltoallv",
     "chunked_alltoallv",
     "advance_epoch",

@@ -51,6 +51,16 @@ fn write_gensort_input(path: &Path) {
     f.flush().expect("flush");
 }
 
+/// Whether a rank's scratch directory holds a disk file with a block on
+/// it (`disk_<D>.bin`, created empty when the rank starts).
+fn has_written(dir: &Path) -> bool {
+    let Ok(entries) = std::fs::read_dir(dir) else { return false };
+    entries.flatten().any(|e| {
+        e.file_name().to_string_lossy().starts_with("disk_")
+            && e.metadata().is_ok_and(|m| m.len() > 0)
+    })
+}
+
 #[test]
 fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
     let input = tmp_path("input.dat");
@@ -79,8 +89,14 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
     // underway in the workers.
     let mut ctl = launch_workers(&job, &worker).expect("launch workers");
 
-    // Let the mesh come up and the sort get going, then kill one rank.
-    std::thread::sleep(Duration::from_millis(150));
+    // Kill one rank once its run formation is under way: its scratch
+    // disks start empty and take their first blocks then.
+    let disks = Path::new(&job.scratch).join(format!("rank{VICTIM}"));
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !has_written(&disks) {
+        assert!(Instant::now() < deadline, "the kill did not land mid-sort: no run was written");
+        std::thread::sleep(Duration::from_millis(2));
+    }
     ctl.kill_rank(VICTIM).expect("SIGKILL the victim rank");
 
     let started = Instant::now();
@@ -113,6 +129,9 @@ fn sigkill_mid_sort_fails_every_survivor_cleanly_and_names_the_dead_rank() {
                     msg.contains("communication error"),
                     "rank {rank} must fail with Error::Comm, got: {msg}"
                 );
+            }
+            RankOutcome::Report(_) => {
+                panic!("the kill did not land mid-sort: surviving rank {rank} finished")
             }
             other => panic!("surviving rank {rank} must report a failure, got {other:?}"),
         }

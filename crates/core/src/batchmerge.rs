@@ -26,9 +26,8 @@ pub struct InputBlock<K> {
     pub run: usize,
     /// A lower bound of its records, non-decreasing along its run.
     pub first_key: K,
-    /// The global rank whose disks hold it, and where.
-    pub owner: usize,
-    pub id: BlockId,
+    /// Where the merging PE stored it, if that PE reads it.
+    pub id: Option<BlockId>,
     /// The block's records that belong to the run.
     pub records: Range<usize>,
 }
@@ -42,7 +41,7 @@ pub fn prediction_order<K: Ord>(blocks: &mut [InputBlock<K>]) {
 /// How a group is merged, and what its journal events say.
 pub struct BatchMerge<'a> {
     /// The merging PE's storage (its pool takes the blocks back) and
-    /// global rank (the owner of the blocks it reads).
+    /// global rank (its errors name it).
     pub st: &'a PeStorage,
     pub rank: usize,
     /// Runs in the group, blocks per batch, and records per call of the
@@ -61,12 +60,12 @@ pub struct BatchMerge<'a> {
 }
 
 /// Merge a group's `blocks`, given in prediction order, batch by batch:
-/// take each batch's blocks owned by `how.rank` from `reads` — a
-/// prefetcher over exactly those blocks, in the same order, whose
-/// window keeps the next batch's reads in flight while the current one
-/// merges — and hand the batch's prefix — sorted, and no smaller than
-/// anything handed over before — to `sink`, which returns the CPU
-/// counters of what it did with it. Every block read feeds the
+/// take each batch's blocks the merging PE reads (those with an `id`)
+/// from `reads` — a prefetcher over exactly those blocks, in the same
+/// order, whose window keeps the next batch's reads in flight while the
+/// current one merges — and hand the batch's prefix — sorted, and no
+/// smaller than anything handed over before — to `sink`, which returns
+/// the CPU counters of what it did with it. Every block read feeds the
 /// tracer's progress byte meter. Returns the merge's counters plus the
 /// sink's.
 ///
@@ -111,7 +110,7 @@ pub fn merge_batches<R: Record + Ord>(
             st.pool().add_copied(bytes.len() as u64);
             st.pool().put(buf);
         };
-        let mine = || batch.iter().enumerate().filter(|(_, blk)| blk.owner == rank);
+        let mine = || batch.iter().enumerate().filter(|(_, blk)| blk.id.is_some());
         let records = mine().map(|(_, blk)| blk.records.len()).sum();
         let fan_out = merge_threads(records, cores, min_per_thread) > 1;
         let mut per_run: Vec<Vec<(usize, Box<[u8]>)>> = Vec::new();
@@ -194,7 +193,7 @@ mod tests {
     use super::*;
 
     fn block(run: usize, first_key: u64, slot: u32) -> InputBlock<u64> {
-        InputBlock { run, first_key, owner: 0, id: BlockId::new(0, slot), records: 0..1 }
+        InputBlock { run, first_key, id: Some(BlockId::new(0, slot)), records: 0..1 }
     }
 
     #[test]
@@ -209,7 +208,7 @@ mod tests {
             block(1, 5, 5),
         ];
         prediction_order(&mut blocks);
-        let slots: Vec<u32> = blocks.iter().map(|b| b.id.slot).collect();
+        let slots: Vec<u32> = blocks.iter().filter_map(|b| b.id).map(|id| id.slot).collect();
         assert_eq!(slots, vec![3, 0, 1, 4, 5, 2]);
     }
 }

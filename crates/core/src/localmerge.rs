@@ -51,15 +51,14 @@ pub fn final_merge<R: Record + Ord>(
             blocks.extend(f.touched(rpb).map(|(id, first_key, records)| InputBlock {
                 run,
                 first_key,
-                owner: rank,
-                id,
+                id: Some(id),
                 records,
             }));
         }
     }
     prediction_order(&mut blocks);
     let window = WINDOW_PER_DISK * st.disks();
-    let ids = blocks.iter().map(|b| b.id).collect();
+    let ids = blocks.iter().filter_map(|b| b.id).collect();
     let mut reads = MergePrefetcher::optimal(st, ids, window, true);
     let how = BatchMerge {
         st,

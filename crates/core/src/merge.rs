@@ -419,32 +419,18 @@ impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
     }
 }
 
-/// [`merge_k_into`] writing into an uninitialized output slice (one
+/// [`merge_k_each`] writing into an uninitialized output slice (one
 /// thread's disjoint range of the shared emit buffer). Initializes
 /// every slot; `slot.len()` must equal the sources' total length.
 fn merge_k_into_uninit<T: Ord + Copy>(seqs: &[&[T]], slot: &mut [std::mem::MaybeUninit<T>]) {
     debug_assert_eq!(seqs.iter().map(|s| s.len()).sum::<usize>(), slot.len());
-    match seqs.len() {
-        0 => {}
-        1 => {
-            for (dst, src) in slot.iter_mut().zip(seqs[0]) {
-                dst.write(*src);
-            }
-        }
-        _ => {
-            let mut pos = vec![0usize; seqs.len()];
-            let heads: Vec<Option<T>> = seqs.iter().map(|s| s.first().copied()).collect();
-            let mut lt = LoserTree::new(heads);
-            let mut filled = 0;
-            while let Some(w) = lt.winner() {
-                pos[w] += 1;
-                let next = seqs[w].get(pos[w]).copied();
-                slot[filled].write(lt.replace_winner(next));
-                filled += 1;
-            }
-            debug_assert_eq!(filled, slot.len());
-        }
-    }
+    let mut filled = 0;
+    let merged = merge_k_each(seqs, |x| {
+        slot[filled].write(x);
+        filled += 1;
+        Ok(())
+    });
+    debug_assert!(merged.is_ok() && filled == slot.len(), "the merge fills its slot");
 }
 
 /// Comparison-work proxy for merging `elements` items `k` ways

@@ -376,10 +376,6 @@ mod tests {
         fn decode(buf: &[u8]) -> Self {
             ByKey(Element16::decode(buf))
         }
-
-        fn with_key(key: u64) -> Self {
-            ByKey(Element16::with_key(key))
-        }
     }
 
     #[test]

@@ -320,10 +320,6 @@ mod tests {
         fn decode(buf: &[u8]) -> Self {
             Wide(Backwards::decode(&buf[..8]))
         }
-
-        fn with_key(key: Backwards) -> Self {
-            Wide(key)
-        }
     }
 
     /// Keys that differ above any tag's index bits, shuffled, sorted on

@@ -12,17 +12,18 @@
 //! splitter-based exchange ([`Exchange`]: exact splitters, one
 //! all-to-all, a `P`-way merge) and written out: striped over the disks
 //! for a run a later pass reads, the exchange merging straight into the
-//! striping sink and its all-to-all ([`DiskOutput`]), or — in the last
-//! pass — straight into the output file, the exchange's cuts on block
-//! boundaries ([`FileOutput`]). The
-//! rest stays buffered per run for the next batch (at most `B`
+//! striping sink and its all-to-all ([`StripedRun::append`]), or — in
+//! the last pass — straight into the output file, the exchange's cuts on
+//! block boundaries ([`FileOutput`]). The rest stays buffered per run
+//! for the next batch (at most `B`
 //! elements per run remain unmerged, so carry-over is bounded). Merging
 //! costs `O(n log R)` comparisons per pass instead of the `O(n log n)`
 //! per batch that full batch sorting would pay — the internal-work
 //! bound that dominates throughput at scale.
 //!
-//! Every block of a batch lives on one PE's disks, and that PE reads
-//! it: each PE reads its own blocks of the group, in prediction order,
+//! Every block of a batch is read by one PE, the first live holder of a
+//! copy — its owner, unless a recovery re-merges without it — from its
+//! own disks: each PE reads its blocks of the group, in prediction order,
 //! through one [`MergePrefetcher`] in the duality-optimal issue order
 //! (Appendix A), the way canonical's final merge reads. Its window is
 //! the PE's share of a batch, so the reads of batch `k+1` are in
@@ -32,7 +33,7 @@
 //! [`TraceEv::MergeEmitted`](demsort_types::TraceEv::MergeEmitted)
 //! events). No PE reads another's disk.
 
-use super::runs::{DiskOutput, FileOutput, RankView, StripedRun};
+use super::runs::{FileOutput, RankView, StripedRun};
 use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, InputBlock};
 use crate::fileio::OutputFile;
 use crate::psort::Exchange;
@@ -93,8 +94,8 @@ impl MergeJob<'_> {
 
     /// Merge one group of striped runs into a new striped run on the
     /// disks: each batch's emitted prefix is striped by one exchange
-    /// ([`DiskOutput`]). Pieces are emitted in globally increasing key
-    /// order, so their concatenation is the merged run.
+    /// ([`StripedRun::append`]). Pieces are emitted in globally
+    /// increasing key order, so their concatenation is the merged run.
     pub(super) fn merge_to_disks<R: Record + Ord>(
         &self,
         group: &[StripedRun<R::Key>],
@@ -105,11 +106,11 @@ impl MergeJob<'_> {
         let mut exchange = Exchange::new();
         // Merged runs are never replicated: a recovery re-merges the
         // initial runs.
-        let mut merged = DiskOutput::new(view, 0);
+        let mut merged = StripedRun::new(view, cfg.machine.disks_per_pe, 0);
         let cpu = self.merge_group::<R>(group, pass, group_idx, |emit| {
             merged.append(comm, st, cfg, &mut exchange, emit, cores)
         })?;
-        Ok((merged.finish(), cpu))
+        Ok((merged, cpu))
     }
 
     /// Merge one group of striped runs batch by batch
@@ -129,18 +130,19 @@ impl MergeJob<'_> {
         let me = view.my_global;
         let p = comm.size();
 
-        // The group's blocks in prediction order. The directories are
-        // identical on every PE, so every PE walks the same batches —
-        // and takes the same thresholds — without a collective.
+        // The group's blocks in prediction order. First keys and counts
+        // are identical on every PE, so every PE walks the same batches —
+        // and takes the same thresholds — without a collective. A block
+        // is read by the first holder of a copy among the ranks merging,
+        // from the copy it stored.
         let mut blocks = Vec::new();
         for (r, run) in group.iter().enumerate() {
-            blocks.extend((0..run.blocks.len()).map(|g| InputBlock {
-                run: r,
-                first_key: run.first_keys[g],
-                owner: run.owners[g] as usize,
-                id: run.blocks[g],
-                records: 0..run.counts[g] as usize,
-            }));
+            let index = group_idx * self.k_max + r;
+            for t in 0..run.counts.len() {
+                let id = run.read_here(index, t, me, &view.globals)?;
+                let (first_key, records) = (run.first_keys[t], 0..run.counts[t] as usize);
+                blocks.push(InputBlock { run: r, first_key, id, records });
+            }
         }
         prediction_order(&mut blocks);
 
@@ -151,7 +153,7 @@ impl MergeJob<'_> {
         // shares hold more pooled buffers and merged no faster.)
         let batch_blocks = (cfg.machine.mem_blocks_per_pe() * p / 2).max(1);
         let window = batch_blocks.div_ceil(p);
-        let mine = blocks.iter().filter(|b| b.owner == me).map(|b| b.id).collect();
+        let mine = blocks.iter().filter_map(|b| b.id).collect();
         let mut reads = MergePrefetcher::optimal(st, mine, window, self.free_consumed);
         let how = BatchMerge {
             st,

@@ -42,7 +42,6 @@ mod runs;
 mod tests;
 
 pub use recovery::{ResilientHooks, SubgroupFn};
-pub use runs::StripedRun;
 
 use crate::ctx::PhaseRecorder;
 use crate::fileio::OutputFile;
@@ -54,7 +53,7 @@ use demsort_storage::PeStorage;
 use demsort_types::{CommCounters, Error, Phase, PhaseStats, Record, Result, SortConfig};
 use merge::MergeJob;
 use recovery::regroup;
-use runs::{DiskOutput, FileOutput, RankView};
+use runs::{FileOutput, RankView, StripedRun};
 
 /// Outcome of the striped sort on one PE.
 pub struct StripedOutcome {
@@ -100,9 +99,10 @@ pub struct StripedOutcome {
 /// to the writes, and reads nothing back — and the merge retains
 /// consumed initial-run blocks instead of freeing them. If a merge
 /// attempt then fails with [`Error::Comm`] and `hooks` are provided,
-/// the survivors regroup (dead set, subgroup, membership agreement,
-/// replica remap) and re-run the merge from the initial runs over the
-/// survivor communicator, completing degraded:
+/// the survivors regroup (dead set, subgroup, membership agreement) and
+/// re-run the merge from the initial runs over the survivor
+/// communicator, each block read on its first live holder, completing
+/// degraded:
 /// the re-merge stripes over the survivors' disks, cuts the output over
 /// the survivors and rewrites every byte of it.
 /// The failover is recorded in the [`Phase::FinalMerge`] counters:
@@ -169,10 +169,10 @@ pub fn striped_mergesort<R: Record + Ord>(
             } else {
                 // Striped over all disks by the run's one exchange, with
                 // the replicas a merge can fail over to.
-                let mut run = DiskOutput::new(&view, f);
+                let mut run = StripedRun::new(&view, cfg.machine.disks_per_pe, f);
                 sort_cpu =
                     sort_cpu.merge(&run.append(comm, st, cfg, &mut exchange, &data, cores)?);
-                runs.push(run.finish());
+                runs.push(run);
             }
             rec.add_cpu(sort_cpu);
         }
@@ -202,9 +202,9 @@ pub fn striped_mergesort<R: Record + Ord>(
                 free_consumed: f == 0,
                 tracer: tr,
             };
-            // With replication on, keep the initial run directories:
-            // they are what a recovery re-merges (with dead owners
-            // remapped to their replicas).
+            // With replication on, keep the initial runs: they are what
+            // a recovery re-merges, each block read on its first live
+            // holder.
             let attempt = match hooks.as_mut().filter(|_| f > 0) {
                 None => job.run::<R>(std::mem::take(&mut runs), output),
                 Some(hooks) => match job.run::<R>(runs.clone(), output) {
@@ -230,7 +230,7 @@ pub fn striped_mergesort<R: Record + Ord>(
                             free_consumed: false,
                             ..job
                         }
-                        .run::<R>(survivors.runs, output)?;
+                        .run::<R>(std::mem::take(&mut runs), output)?;
                         rec.add_comm(sub.counters());
                         Ok(done)
                     }

@@ -1,13 +1,14 @@
 //! Surviving a rank's death: run formation writes every block of an
 //! initial run to its owner's buddy ranks too, in the run's one
-//! striping all-to-all (`runs::DiskOutput`), and [`regroup`] turns a
-//! merge attempt that failed with [`Error::Comm`] into what the
-//! survivors re-merge with — see
+//! striping all-to-all (`runs::StripedRun::append`), and [`regroup`]
+//! turns a merge attempt that failed with [`Error::Comm`] into the
+//! survivors' communicator. The runs stay as they are: every rank knows
+//! every block's holders, so the re-merge reads each block on its first
+//! live holder, from the copy that rank stored — see
 //! [`striped_mergesort`](super::striped_mergesort) for the contract.
 
 use super::runs::{RankView, StripedRun};
 use demsort_net::{decode_u64s, encode_u64s, Communicator};
-use demsort_storage::BlockId;
 use demsort_types::{Error, Result};
 use std::time::{Duration, Instant};
 
@@ -51,44 +52,21 @@ const DEAD_SET_TIMEOUT: Duration = Duration::from_secs(10);
 /// Poll interval while waiting on the failure detector.
 const DEAD_SET_POLL: Duration = Duration::from_millis(20);
 
-/// Re-route every block owned by a dead rank to its first live
-/// replica: the returned runs have `owners[g]`/`blocks[g]` rewritten
-/// to the replica's rank and block id. Also returns how many blocks
-/// rank `me` re-serves after the remap (the failover volume it
-/// records). Fails with [`Error::Comm`] if any dead-owned block has
-/// no live replica (every buddy also died).
-pub(super) fn remap_runs<K: Clone>(
-    runs: &[StripedRun<K>],
-    dead: &[bool],
-    me: usize,
-) -> Result<(Vec<StripedRun<K>>, u64)> {
-    let is_dead = |r: usize| dead.get(r).copied().unwrap_or(false);
-    let mut served = 0u64;
-    let mut out = Vec::with_capacity(runs.len());
+/// How many blocks of `runs` rank `me` reads in a dead owner's place
+/// when only the global ranks `live` (strictly increasing) are alive:
+/// the blocks whose first live holder is `me` but whose owner is not.
+/// Fails with [`Error::Comm`] if a block has no live holder (its owner
+/// and every buddy died).
+pub(super) fn failovers<K: Copy>(runs: &[StripedRun<K>], live: &[usize], me: usize) -> Result<u64> {
+    let mut served = 0;
     for (ri, run) in runs.iter().enumerate() {
-        let mut run = run.clone();
-        for g in 0..run.blocks.len() {
-            let owner = run.owners[g] as usize;
-            if !is_dead(owner) {
-                continue;
-            }
-            let live = |reps: &Vec<(u32, BlockId)>| {
-                reps.iter().find(|&&(r, _)| !is_dead(r as usize)).copied()
-            };
-            let Some((rank, id)) = run.replicas.get(g).and_then(live) else {
-                return Err(Error::comm(format!(
-                    "run {ri} block {g}: owner rank {owner} is dead and no live replica exists"
-                )));
-            };
-            run.owners[g] = rank;
-            run.blocks[g] = id;
-            if rank as usize == me {
+        for t in 0..run.counts.len() {
+            if run.reader(ri, t, live)? == me && run.owner(t) != me {
                 served += 1;
             }
         }
-        out.push(run);
     }
-    Ok((out, served))
+    Ok(served)
 }
 
 /// Every member of `sub` must hold the same member list, or the
@@ -105,29 +83,27 @@ fn agree_on_members(sub: &Communicator, members: &[usize]) -> Result<()> {
     Err(Error::comm(format!("survivors disagree on who survived: their lists are {lists:?}")))
 }
 
-/// What the survivors of a failed merge attempt re-merge with.
-pub(super) struct Survivors<K> {
+/// What the survivors of a failed merge attempt re-merge over.
+pub(super) struct Survivors {
     /// The communicator over the surviving ranks.
     pub comm: Communicator,
-    /// Its ranks' global ranks.
+    /// Its ranks' global ranks: the live ones.
     pub view: RankView,
-    /// The initial runs, dead owners' blocks re-routed to replicas.
-    pub runs: Vec<StripedRun<K>>,
     /// Blocks this rank now serves in a dead owner's place.
     pub served: u64,
 }
 
 /// Regroup after a merge attempt over `p` ranks failed with `err`: wait
 /// for the failure detector to name the dead, build the survivors'
-/// communicator, check that all of them built the same one, and re-route
-/// the dead ranks' blocks of `runs` to their replicas.
-pub(super) fn regroup<K: Clone>(
+/// communicator, check that all of them built the same one, and count
+/// the blocks of `runs` this rank reads in a dead owner's place.
+pub(super) fn regroup<K: Copy>(
     hooks: &mut ResilientHooks<'_>,
     err: Error,
     me: usize,
     p: usize,
     runs: &[StripedRun<K>],
-) -> Result<Survivors<K>> {
+) -> Result<Survivors> {
     let deadline = Instant::now() + DEAD_SET_TIMEOUT;
     let dead = loop {
         let dead = (hooks.dead_set)();
@@ -147,8 +123,8 @@ pub(super) fn regroup<K: Clone>(
     }
     let comm = (hooks.subgroup)(&members)?;
     agree_on_members(&comm, &members)?;
-    let (runs, served) = remap_runs(runs, &dead, me)?;
-    Ok(Survivors { comm, view: RankView { my_global: me, globals: members }, runs, served })
+    let served = failovers(runs, &members, me)?;
+    Ok(Survivors { comm, view: RankView { my_global: me, globals: members }, served })
 }
 
 #[cfg(test)]

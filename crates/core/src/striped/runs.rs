@@ -1,25 +1,30 @@
-//! Striped runs: the directory and the two outputs.
+//! Striped runs: where their blocks live, and the two outputs.
 //!
-//! A run is a globally striped sorted sequence: block `g` holds
-//! elements `g·rpb ..` on disk `g mod D` — "subsequent blocks are
+//! A run is a globally striped sorted sequence: block `t` holds the
+//! run's next records on disk `t mod D` — "subsequent blocks are
 //! allocated on subsequent disks" — so the next pass reads it back in
-//! parallel. Pieces a merge emits continue the round-robin striping
-//! where the previous piece left off, so the per-disk block counts of
-//! a stitched run differ by at most one. A replicated sort's initial
-//! runs also keep `f` replicas of every block, on the owner's `f` buddy
-//! ranks.
+//! parallel. Each batch a merge emits continues the striping where the
+//! previous one left off, so the per-disk block counts of a stitched run
+//! differ by at most one. A replicated sort's initial runs also keep `f`
+//! replicas of every block, on the owner's `f` buddy ranks. [`Striping`]
+//! is the one place that knows this: a block's owner, disk and replica
+//! holders follow from its index, so every rank computes them and none
+//! sends them. What only the data tells is each block's first key, the
+//! prediction sequence; and a block's id never leaves the rank that
+//! stored it.
 //!
-//! [`DiskOutput`] writes every run that goes back to the disks (run
-//! formation and every merge batch of a pass before the last): the
+//! [`StripedRun::append`] writes every run that goes back to the disks
+//! (run formation and every merge batch of a pass before the last): the
 //! batch's exchange merges straight into a `StripeSink`, which sends
 //! each record once to every rank that holds a copy of its block —
-//! replicas included — in one all-to-all, and writes the copies this
-//! rank holds as their blocks fill. [`FileOutput`] is the last pass's
-//! write into the output file, which has no disks to stripe over and
-//! is never read back. Both of the sink's messages come from peers, so
-//! both are decoded with checks ([`decode_pieces`],
-//! [`decode_directory`]): a truncated or out-of-range frame is an
-//! [`Error::Comm`](demsort_types::Error) naming sender and field.
+//! replicas included — in one all-to-all of bare record bytes, writes
+//! the copies this rank holds as their blocks fill, and allgathers the
+//! first keys of the blocks that start in its part. Every rank knows
+//! every rank's part of a batch, so a receiver derives what each message
+//! holds; a message of another length is an
+//! [`Error::Comm`](demsort_types::Error) naming its sender.
+//! [`FileOutput`] is the last pass's write into the output file, which
+//! has no disks to stripe over and is never read back.
 
 use crate::distselect::split_rank;
 use crate::psort::{Exchange, Part};
@@ -27,64 +32,19 @@ use crate::recio::{records_per_block, RecordRunWriter, RecordSink, RunDest};
 use crate::runform::WRITE_WINDOW_DIV;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_storage::{BlockId, EdgeFile, PeStorage, RunWriter};
-use demsort_types::wire::{from_peer, WireReader, WireWriter};
-use demsort_types::{CpuCounters, Error, Record, Result, SortConfig};
+use demsort_types::wire::from_peer;
+use demsort_types::{CpuCounters, Error, Key, Record, Result, SortConfig};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
-
-/// A globally striped sorted sequence: block `g` lives on PE
-/// `owners[g]` at `blocks[g]`, holding records
-/// `[g·rpb, min((g+1)·rpb, elems))`; `first_keys[g]` is its smallest
-/// key (the prediction sequence).
-#[derive(Clone, Debug)]
-pub struct StripedRun<K> {
-    /// Owning PE per global block (**global** rank — stable across
-    /// survivor renumbering during rank-failure recovery).
-    pub owners: Vec<u32>,
-    /// Local block id per global block: a slot on one of the owner's
-    /// disks.
-    pub blocks: Vec<BlockId>,
-    /// Prediction sequence: first key per global block.
-    pub first_keys: Vec<K>,
-    /// Valid records per block (interior blocks of stitched merge
-    /// output can be partial, so counts are explicit).
-    pub counts: Vec<u32>,
-    /// Replica directory per global block: `(replica rank, block id)`
-    /// pairs in buddy order (replica `i` of a block owned by `o`
-    /// lives on rank `(o + i) mod P`). Empty unless the run was
-    /// replicated ([`AlgoConfig::replication`] ` > 0`) — merged
-    /// intermediate runs are never replicated; recovery re-derives
-    /// them from the initial runs.
-    ///
-    /// [`AlgoConfig::replication`]: demsort_types::AlgoConfig::replication
-    pub replicas: Vec<Vec<(u32, BlockId)>>,
-    /// Total records.
-    pub elems: u64,
-}
-
-impl<K> StripedRun<K> {
-    /// A run with no blocks and no records.
-    pub fn empty() -> Self {
-        Self {
-            owners: Vec::new(),
-            blocks: Vec::new(),
-            first_keys: Vec::new(),
-            counts: Vec::new(),
-            replicas: Vec::new(),
-            elems: 0,
-        }
-    }
-}
 
 /// The rank mapping a merge runs under. In the common case it is the
 /// identity (`globals[i] == i`); after a rank failure the survivors
 /// re-run the merge over a renumbered subgroup communicator, and this
 /// view translates between the subgroup's dense ranks (what `comm`
-/// speaks) and the global ranks recorded in run directories and used
-/// to address [`ClusterStorage`](crate::ctx::ClusterStorage).
+/// speaks) and the global ranks runs are striped over.
 pub(super) struct RankView {
-    /// This rank's global rank (`storage.pe(my_global)` is ours).
+    /// This rank's global rank.
     pub my_global: usize,
     /// Global rank of each communicator rank, strictly increasing.
     pub globals: Vec<usize>,
@@ -96,200 +56,100 @@ impl RankView {
     }
 }
 
-/// Where the blocks of one striped write go: block `g` on disk
-/// `(stripe_offset + g) mod D` of the participating ranks, `dpp` disks
-/// each, and its replicas on the owner's buddies.
-struct Striping {
-    stripe_offset: u64,
-    disks: u64,
-    dpp: usize,
-    /// Ranks striped over.
-    ranks: usize,
-    /// Replicas per block (`f`): copy `c ∈ 0..=f` of a block — the
-    /// block itself for `c = 0`, replica `c` otherwise — lives on the
-    /// owner's `c`-th buddy, rank `(owner + c) mod ranks`.
-    replicas: usize,
-    /// Records in the sequence being written.
-    elems: u64,
-    /// Records per block.
-    rpb: usize,
+/// Where the blocks of a striped run live. Block `t` is on disk
+/// `t mod D` of the ranks striped over, `dpp` disks each, and copy
+/// `c ∈ 0..=f` of it — the block itself for `c = 0`, replica `c`
+/// otherwise — on the owner's `c`-th buddy, rank `(owner + c) mod P`,
+/// on the same disk of that rank.
+#[derive(Clone, Debug)]
+pub(super) struct Striping {
+    /// The global ranks striped over: rank `i` of the communicator that
+    /// writes the run is `ranks[i]`.
+    pub ranks: Vec<usize>,
+    pub dpp: usize,
+    /// Replicas per block (`f`).
+    pub replicas: usize,
 }
 
 impl Striping {
-    /// Blocks in the sequence.
-    fn blocks(&self) -> u64 {
-        self.elems.div_ceil(self.rpb as u64)
+    /// The disk block `t` is on, on each of its holders.
+    fn disk(&self, t: u64) -> usize {
+        (t % self.dpp as u64) as usize
     }
 
-    fn disk(&self, g: u64) -> usize {
-        ((self.stripe_offset + g) % self.disks) as usize
+    /// The communicator rank that holds copy `c` of block `t`.
+    fn holder(&self, t: u64, c: usize) -> usize {
+        let p = self.ranks.len();
+        ((t % (self.dpp * p) as u64) as usize / self.dpp + c) % p
     }
 
-    /// The communicator rank that stores block `g`.
-    fn owner(&self, g: u64) -> usize {
-        self.disk(g) / self.dpp
-    }
-
-    /// The communicator rank that holds copy `c` of block `g`.
-    fn holder(&self, g: u64, c: usize) -> usize {
-        (self.owner(g) + c) % self.ranks
-    }
-
-    /// Which copy of block `g` rank `rank` holds, if any.
-    fn copy_on(&self, g: u64, rank: usize) -> Option<usize> {
-        let c = (rank + self.ranks - self.owner(g)) % self.ranks;
-        (c <= self.replicas).then_some(c)
-    }
-
-    /// Records in block `g`.
-    fn len(&self, g: u64) -> usize {
-        let rpb = self.rpb as u64;
-        (self.elems.min((g + 1) * rpb) - g * rpb) as usize
+    /// Whether communicator rank `i` holds a copy of block `t`.
+    fn holds(&self, t: u64, i: usize) -> bool {
+        let p = self.ranks.len();
+        (i + p - self.holder(t, 0)) % p <= self.replicas
     }
 }
 
-/// One sender's part of one block, as it arrives at a rank that holds a
-/// copy of it: `count` records from record `within` of block `g` on.
-#[derive(Debug)]
-struct Piece<'a> {
-    g: u64,
-    within: usize,
-    /// The records, encoded (`count · R::BYTES` bytes of the message).
-    payload: &'a [u8],
+/// A striped run as every rank holds it: where its blocks live, their
+/// first keys and record counts — the same on every rank — and where
+/// this rank stored its copies.
+#[derive(Clone, Debug)]
+pub(super) struct StripedRun<K> {
+    pub striping: Striping,
+    /// Prediction sequence: first key per block.
+    pub first_keys: Vec<K>,
+    /// Valid records per block (the last block of each batch of a
+    /// stitched merge output can be partial, so counts are explicit).
+    pub counts: Vec<u32>,
+    /// This rank's copy of each block, if it holds one.
+    pub held: Vec<Option<BlockId>>,
 }
 
-/// Bytes of a piece's header: `g`, `within` and the record count.
-const PIECE_HEADER_BYTES: usize = 16;
+impl<K: Copy> StripedRun<K> {
+    /// An empty run striped over `view`'s ranks, `dpp` disks each, every
+    /// block of which gets `replicas` replicas.
+    pub fn new(view: &RankView, dpp: usize, replicas: usize) -> Self {
+        let striping = Striping { ranks: view.globals.clone(), dpp, replicas };
+        Self { striping, first_keys: Vec::new(), counts: Vec::new(), held: Vec::new() }
+    }
 
-/// Append the piece `payload` — encoded records — which starts at
-/// record `within` of block `g`, to the message for a holder of the
-/// block.
-fn encode_piece(w: &mut WireWriter, g: u64, within: usize, rec_bytes: usize, payload: &[u8]) {
-    let count = payload.len() / rec_bytes;
-    w.u64(g).u32(within as u32).u32(count as u32).raw(payload.len()).copy_from_slice(payload);
-}
+    /// The global rank that stores block `t` itself.
+    pub fn owner(&self, t: usize) -> usize {
+        self.striping.ranks[self.striping.holder(t as u64, 0)]
+    }
 
-/// The pieces in one rank's message to rank `me`. A piece must lie
-/// inside one block of which `me` holds a copy, and carry what it
-/// announces.
-fn decode_pieces<'a>(
-    buf: &'a [u8],
-    rec_bytes: usize,
-    to: &Striping,
-    me: usize,
-) -> Result<Vec<Piece<'a>>> {
-    let mut r = WireReader::new(buf);
-    let mut pieces = Vec::new();
-    while r.remaining() > 0 {
-        let g = r.field("g").u64()?;
-        let within = r.field("within").u32()? as usize;
-        let count = r.field("count").u32()? as usize;
-        if g >= to.blocks() || to.copy_on(g, me).is_none() {
-            return Err(Error::comm(format!(
-                "g = {g} is not a block of this rank ({} blocks in the sequence)",
-                to.blocks()
-            )));
+    /// The global rank that reads block `t` of run `run` when the global
+    /// ranks `live` (strictly increasing) are alive: the first live
+    /// holder of a copy, in copy order.
+    pub fn reader(&self, run: usize, t: usize, live: &[usize]) -> Result<usize> {
+        let s = &self.striping;
+        (0..=s.replicas)
+            .map(|c| s.ranks[s.holder(t as u64, c)])
+            .find(|r| live.binary_search(r).is_ok())
+            .ok_or_else(|| {
+                Error::comm(format!(
+                    "run {run} block {t}: owner rank {} is dead and no live replica exists",
+                    self.owner(t)
+                ))
+            })
+    }
+
+    /// Where this rank (`me`) stored block `t` of run `run` if it reads
+    /// it when the global ranks `live` are alive, `None` if another rank
+    /// does ([`reader`](Self::reader)).
+    pub fn read_here(
+        &self,
+        run: usize,
+        t: usize,
+        me: usize,
+        live: &[usize],
+    ) -> Result<Option<BlockId>> {
+        if self.reader(run, t, live)? != me {
+            return Ok(None);
         }
-        if count == 0 || within + count > to.len(g) {
-            return Err(Error::comm(format!(
-                "within {within} + count {count} is not inside block {g} of {} records",
-                to.len(g)
-            )));
-        }
-        pieces.push(Piece { g, within, payload: r.field("records").raw(count * rec_bytes)? });
-    }
-    Ok(pieces)
-}
-
-/// What one rank contributes to a striped run's directory for one copy
-/// of a block it stored.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct DirEntry<K> {
-    g: u64,
-    /// Which copy: 0 for the block, `c` for replica `c`.
-    copy: u16,
-    id: BlockId,
-    /// Valid records in the block.
-    count: u32,
-    first_key: K,
-}
-
-/// Bytes of one directory entry: `g`, copy and disk, slot, count and
-/// the first key as a record.
-fn dir_entry_bytes<R: Record>() -> usize {
-    20 + R::BYTES
-}
-
-/// `MachineConfig::validate` keeps `disks_per_pe` within the disk
-/// field's 16 bits; a disk past them is an error, never a wrapped or
-/// saturated number that would name another block.
-fn encode_dir_entry<R: Record>(w: &mut WireWriter, e: &DirEntry<R::Key>) -> Result<()> {
-    let disk = u16::try_from(e.id.disk)
-        .map_err(|_| Error::config(format!("disk {} does not fit the directory", e.id.disk)))?;
-    w.u64(e.g).u16(e.copy).u16(disk).u32(e.id.slot).u32(e.count);
-    R::with_key(e.first_key).encode(w.raw(R::BYTES));
-    Ok(())
-}
-
-/// Rank `src`'s directory message: every entry a copy of a block that
-/// `src` holds under `to`, on one of its disks, with a count a block
-/// can hold.
-fn decode_directory<R: Record>(
-    buf: &[u8],
-    to: &Striping,
-    src: usize,
-) -> Result<Vec<DirEntry<R::Key>>> {
-    let mut r = WireReader::new(buf);
-    let mut entries = Vec::with_capacity(buf.len() / dir_entry_bytes::<R>());
-    while r.remaining() > 0 {
-        let g = r.field("g").u64()?;
-        let copy = r.field("copy").u16()?;
-        let disk = r.field("disk").u16()?;
-        let slot = r.field("slot").u32()?;
-        let count = r.field("count").u32()?;
-        let first_key = R::decode(r.field("first key").raw(R::BYTES)?).key();
-        if g >= to.blocks() {
-            return Err(Error::comm(format!(
-                "g = {g} is past the {} blocks in the sequence",
-                to.blocks()
-            )));
-        }
-        let c = copy as usize;
-        if c > to.replicas {
-            return Err(Error::comm(format!("copy {c} at replication {}", to.replicas)));
-        }
-        if to.holder(g, c) != src {
-            return Err(Error::comm(format!(
-                "g = {g} copy {c} lives on rank {}, not the sender",
-                to.holder(g, c)
-            )));
-        }
-        if disk as usize >= to.dpp {
-            return Err(Error::comm(format!("disk {disk} of {} per rank", to.dpp)));
-        }
-        if count == 0 || count as usize > to.rpb {
-            return Err(Error::comm(format!("count {count} of {} records per block", to.rpb)));
-        }
-        entries.push(DirEntry { g, copy, id: BlockId::new(disk.into(), slot), count, first_key });
-    }
-    Ok(entries)
-}
-
-/// A striped run as the batches of a pass write it back onto the disks,
-/// one exchange each: the run's directory so far, which every rank
-/// holds.
-pub(super) struct DiskOutput<'a, K> {
-    view: &'a RankView,
-    /// Replicas per block ([`StripedRun::replicas`]).
-    replicas: usize,
-    run: StripedRun<K>,
-}
-
-impl<'a, K: Copy> DiskOutput<'a, K> {
-    /// An empty run striped over `view`'s ranks, every block of which
-    /// gets `replicas` replicas.
-    pub fn new(view: &'a RankView, replicas: usize) -> Self {
-        Self { view, replicas, run: StripedRun::empty() }
+        let missing =
+            || Error::comm(format!("rank {me} reads block {t} of run {run} but has no copy"));
+        self.held[t].map(Some).ok_or_else(missing)
     }
 
     /// Append the next batch — the locally sorted `data` of all PEs —
@@ -298,15 +158,14 @@ impl<'a, K: Copy> DiskOutput<'a, K> {
     /// into a `StripeSink`: every record goes once to each rank that
     /// holds a copy of its block, this PE's copies are written as their
     /// blocks fill (at most `m/B / WRITE_WINDOW_DIV` in flight, all
-    /// retired before this returns), and the directory is allgathered.
+    /// retired before this returns), and the first keys are
+    /// allgathered.
     ///
-    /// The batch continues the round-robin striping at the block count
-    /// so far, so block `t` of a stitched run is on disk `t mod D`
-    /// exactly as if it had been written in one piece. `D` is the disk
-    /// count of the *participating* ranks (`view.globals`): a degraded
-    /// re-merge stripes over the survivors' disks only, and the
-    /// directory records their global ranks. Collective; returns the
-    /// exchange's CPU counters.
+    /// The batch continues the striping at the block count so far, so
+    /// block `t` of a stitched run is on disk `t mod D` exactly as if it
+    /// had been written in one piece. `D` is the disk count of the ranks
+    /// striped over: a degraded re-merge stripes over the survivors'
+    /// disks only. Collective; returns the exchange's CPU counters.
     pub fn append<R: Record<Key = K> + Ord>(
         &mut self,
         comm: &Communicator,
@@ -316,37 +175,110 @@ impl<'a, K: Copy> DiskOutput<'a, K> {
         data: &[R],
         cores: usize,
     ) -> Result<CpuCounters> {
-        let dpp = cfg.machine.disks_per_pe;
         let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
-        let (view, replicas, stripe_offset) =
-            (self.view, self.replicas, self.run.blocks.len() as u64);
+        let rpb = records_per_block::<R>(st.block_bytes()) as u64;
+        let (to, first) = (&self.striping, self.counts.len() as u64);
         let (cpu, _, sink) = exchange.run_aligned(comm, data, cores, 1, |part: Part| {
-            let to = Striping {
-                stripe_offset,
-                disks: (dpp * view.globals.len()) as u64,
-                dpp,
-                ranks: comm.size(),
-                replicas,
-                elems: part.total,
-                rpb: records_per_block::<R>(st.block_bytes()),
-            };
-            let end = split_rank(comm.rank() + 1, comm.size(), part.total, 1);
-            Ok(StripeSink::open(comm, st, view, to, part.start..end, window))
+            Ok(StripeSink::open(comm, st, Batch { to, first, elems: part.total, rpb }, window))
         })?;
-        let piece = sink.finish()?;
-        let run = &mut self.run;
-        run.owners.extend(piece.owners);
-        run.blocks.extend(piece.blocks);
-        run.first_keys.extend(piece.first_keys);
-        run.counts.extend(piece.counts);
-        run.replicas.extend(piece.replicas);
-        run.elems += piece.elems;
+        sink.finish(&mut self.first_keys, &mut self.counts, &mut self.held)?;
         Ok(cpu)
     }
+}
 
-    /// The whole run's directory.
-    pub fn finish(self) -> StripedRun<K> {
-        self.run
+/// One batch of a striped write as every rank sees it: `elems` records,
+/// `rpb` to a block, that continue the run striped by `to` at its block
+/// `first` (block `g` of the batch is block `first + g` of the run).
+/// Rank `i`'s part is records `split_rank(i)..split_rank(i + 1)`
+/// ([`split_rank`] at grain 1), so every rank knows every rank's.
+struct Batch<'a> {
+    to: &'a Striping,
+    first: u64,
+    elems: u64,
+    rpb: u64,
+}
+
+impl Batch<'_> {
+    /// Records in block `g`.
+    fn len(&self, g: u64) -> usize {
+        (self.elems.min((g + 1) * self.rpb) - g * self.rpb) as usize
+    }
+
+    fn holder(&self, g: u64, c: usize) -> usize {
+        self.to.holder(self.first + g, c)
+    }
+
+    fn holds(&self, g: u64, i: usize) -> bool {
+        self.to.holds(self.first + g, i)
+    }
+
+    /// Rank `i`'s part of the batch.
+    fn part(&self, i: usize) -> Range<u64> {
+        let p = self.to.ranks.len();
+        split_rank(i, p, self.elems, 1)..split_rank(i + 1, p, self.elems, 1)
+    }
+
+    /// What rank `src`'s striping message to rank `dest` carries, in
+    /// order: for every block of which `dest` holds a copy, the block
+    /// and the records of it in `src`'s part.
+    fn pieces(&self, src: usize, dest: usize) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+        let (part, rpb) = (self.part(src), self.rpb);
+        (part.start / rpb..part.end.div_ceil(rpb)).filter(move |&g| self.holds(g, dest)).map(
+            move |g| {
+                let base = g * rpb;
+                (
+                    g,
+                    (part.start.max(base) - base) as usize
+                        ..(part.end.min(base + rpb) - base) as usize,
+                )
+            },
+        )
+    }
+
+    /// Rank `src`'s striping message to rank `me`, cut into its pieces:
+    /// block, first record, and the records, encoded.
+    fn cut<'m>(
+        &self,
+        src: usize,
+        me: usize,
+        buf: &'m [u8],
+        rec_bytes: usize,
+    ) -> Result<Vec<(u64, usize, &'m [u8])>> {
+        let want: usize = self.pieces(src, me).map(|(_, r)| r.len() * rec_bytes).sum();
+        if buf.len() != want {
+            let why = format!("{} bytes where its part holds {want} for this rank", buf.len());
+            return Err(from_peer(me, src, "striping message", Error::comm(why)));
+        }
+        let mut rest = buf;
+        let mut pieces = Vec::new();
+        for (g, recs) in self.pieces(src, me) {
+            let (payload, tail) = rest.split_at(recs.len() * rec_bytes);
+            pieces.push((g, recs.start, payload));
+            rest = tail;
+        }
+        Ok(pieces)
+    }
+
+    /// Blocks whose first record lies in rank `i`'s part.
+    fn starts(&self, i: usize) -> usize {
+        let part = self.part(i);
+        (part.end.div_ceil(self.rpb) - part.start.div_ceil(self.rpb)) as usize
+    }
+
+    /// The batch's first keys, from every rank's message of the keys of
+    /// the blocks that start in its part.
+    fn first_keys<K: Key>(&self, me: usize, msgs: &[Vec<u8>]) -> Result<Vec<K>> {
+        let mut keys = Vec::new();
+        for (src, buf) in msgs.iter().enumerate() {
+            let want = self.starts(src);
+            if buf.len() != want * K::BYTES {
+                let why =
+                    format!("{} bytes for the {want} blocks that start in its part", buf.len());
+                return Err(from_peer(me, src, "first keys", Error::comm(why)));
+            }
+            keys.extend(buf.chunks_exact(K::BYTES).map(K::decode));
+        }
+        Ok(keys)
     }
 }
 
@@ -360,62 +292,59 @@ impl<'a, K: Copy> DiskOutput<'a, K> {
 struct StripeSink<'a, R: Record> {
     comm: &'a Communicator,
     st: &'a PeStorage,
-    view: &'a RankView,
-    to: Striping,
+    batch: Batch<'a>,
+    /// Where this PE's part of the batch ends.
+    end: u64,
     /// The block being encoded: records `from..at` of block `g` are in
     /// `block`, at their places.
     g: u64,
     from: usize,
     at: usize,
     block: Box<[u8]>,
-    /// The pieces for each rank (this rank's stays empty).
-    msgs: Vec<WireWriter>,
+    /// The records for each rank (this rank's stays empty).
+    msgs: Vec<Vec<u8>>,
+    /// The first keys of the blocks that start in this PE's part.
+    keys: Vec<R::Key>,
     /// Copies this rank holds that still miss another PE's records:
     /// block, and the buffer with the records present so far.
     waiting: BTreeMap<u64, (Box<[u8]>, usize)>,
     /// This rank's copies, written at most a window at a time.
     writes: RunWriter<'a>,
-    entries: Vec<DirEntry<R::Key>>,
+    /// Where this rank stored its copy of each block of the batch.
+    held: Vec<Option<BlockId>>,
     /// Record bytes placed into this rank's copies.
     copied: u64,
 }
 
 impl<'a, R: Record> StripeSink<'a, R> {
-    /// A sink for records `part` of the sequence.
-    fn open(
-        comm: &'a Communicator,
-        st: &'a PeStorage,
-        view: &'a RankView,
-        to: Striping,
-        part: Range<u64>,
-        window: usize,
-    ) -> Self {
+    /// A sink for this PE's part of `batch`.
+    fn open(comm: &'a Communicator, st: &'a PeStorage, batch: Batch<'a>, window: usize) -> Self {
         // Size each message exactly: a message that grows by doubling
         // holds its old and its new buffer while it moves.
-        let (me, rpb) = (comm.rank(), to.rpb as u64);
-        let mut bytes = vec![0; comm.size()];
-        for g in part.start / rpb..part.end.div_ceil(rpb) {
-            let count = part.end.min((g + 1) * rpb) - part.start.max(g * rpb);
-            for c in 0..=to.replicas {
-                bytes[to.holder(g, c)] += PIECE_HEADER_BYTES + count as usize * R::BYTES;
-            }
-        }
-        bytes[me] = 0;
-        let within = (part.start % rpb) as usize;
+        let me = comm.rank();
+        let msgs = (0..comm.size())
+            .map(|dest| {
+                let recs = batch.pieces(me, dest).map(|(_, r)| r.len()).sum::<usize>();
+                Vec::with_capacity(if dest == me { 0 } else { recs * R::BYTES })
+            })
+            .collect();
+        let part = batch.part(me);
+        let within = (part.start % batch.rpb) as usize;
         Self {
             comm,
             st,
-            view,
-            g: part.start / rpb,
+            end: part.end,
+            g: part.start / batch.rpb,
             from: within,
             at: within,
             block: st.pool().get(),
-            msgs: bytes.into_iter().map(WireWriter::with_capacity).collect(),
+            msgs,
+            keys: Vec::with_capacity(batch.starts(me)),
             waiting: BTreeMap::new(),
             writes: RunWriter::with_window(st, window.max(st.disks())),
-            entries: Vec::new(),
+            held: vec![None; batch.elems.div_ceil(batch.rpb) as usize],
             copied: 0,
-            to,
+            batch,
         }
     }
 
@@ -425,14 +354,14 @@ impl<'a, R: Record> StripeSink<'a, R> {
         let (g, from, at) = (self.g, self.from, self.at);
         let bytes = from * R::BYTES..at * R::BYTES;
         let me = self.comm.rank();
-        for c in 0..=self.to.replicas {
-            let dest = self.to.holder(g, c);
+        for c in 0..=self.batch.to.replicas {
+            let dest = self.batch.holder(g, c);
             if dest != me {
-                encode_piece(&mut self.msgs[dest], g, from, R::BYTES, &self.block[bytes.clone()]);
+                self.msgs[dest].extend_from_slice(&self.block[bytes.clone()]);
             }
         }
-        if self.to.copy_on(g, me).is_some() {
-            if from == 0 && at == self.to.len(g) {
+        if self.batch.holds(g, me) {
+            if from == 0 && at == self.batch.len(g) {
                 // The whole block: written from the buffer it was
                 // encoded into.
                 let block = std::mem::replace(&mut self.block, self.st.pool().get());
@@ -463,7 +392,7 @@ impl<'a, R: Record> StripeSink<'a, R> {
         buf[at..at + payload.len()].copy_from_slice(payload);
         *count += payload.len() / R::BYTES;
         self.copied += payload.len() as u64;
-        let (count, expect) = (*count, self.to.len(g));
+        let (count, expect) = (*count, self.batch.len(g));
         if count > expect {
             return Err(Error::comm(format!(
                 "rank {}: striped block {g} arrived with {count} of its {expect} records",
@@ -482,87 +411,53 @@ impl<'a, R: Record> StripeSink<'a, R> {
     /// of `buf` padding — to the disk its block is striped to.
     fn store(&mut self, g: u64, mut buf: Box<[u8]>, count: usize) -> Result<()> {
         buf[count * R::BYTES..].fill(0);
-        let first_key = R::decode(&buf[..R::BYTES]).key();
-        let copy = self.to.copy_on(g, self.comm.rank()).unwrap_or(0);
-        let copy = u16::try_from(copy)
-            .map_err(|_| Error::config(format!("copy {copy} does not fit the directory")))?;
-        let id = self.st.alloc().alloc_on(self.to.disk(g) % self.to.dpp);
+        let id = self.st.alloc().alloc_on(self.batch.to.disk(self.batch.first + g));
         self.writes.push_issued(id, self.st.engine().write(id, buf))?;
-        self.entries.push(DirEntry { g, copy, id, count: count as u32, first_key });
+        self.held[g as usize] = Some(id);
         Ok(())
     }
 
-    /// Send the pieces, place the ones that arrive, retire every write
-    /// and allgather the directory, which every rank turns into the
-    /// run's. Collective.
-    fn finish(mut self) -> Result<StripedRun<R::Key>> {
+    /// Send the records, place the ones that arrive, retire every write
+    /// and allgather the first keys. Collective. Appends the batch's
+    /// first keys and record counts, the same on every rank, and where
+    /// this rank stored its copies, to the run's.
+    fn finish(
+        mut self,
+        first_keys: &mut Vec<R::Key>,
+        counts: &mut Vec<u32>,
+        held: &mut Vec<Option<BlockId>>,
+    ) -> Result<()> {
         if self.at > self.from {
             self.close_block()?;
         }
         let (comm, st, me) = (self.comm, self.st, self.comm.rank());
         st.pool().put(std::mem::take(&mut self.block));
-        let msgs = std::mem::take(&mut self.msgs).into_iter().map(WireWriter::finish).collect();
-        let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
-        for (src, buf) in received.iter().enumerate() {
-            let pieces = decode_pieces(buf, R::BYTES, &self.to, me)
-                .map_err(|e| from_peer(me, src, "striped block piece", e))?;
-            for piece in pieces {
-                self.place(piece.g, piece.within, piece.payload)?;
+        let received = chunked_alltoallv(comm, std::mem::take(&mut self.msgs), MPI_VOLUME_LIMIT)?;
+        for (src, buf) in received.iter().enumerate().filter(|&(src, _)| src != me) {
+            for (g, within, payload) in self.batch.cut(src, me, buf, R::BYTES)? {
+                self.place(g, within, payload)?;
             }
         }
         comm.recycle(received);
         if let Some((g, (_, count))) = self.waiting.first_key_value() {
             return Err(Error::comm(format!(
                 "rank {me}: striped block {g} arrived with {count} of its {} records",
-                self.to.len(*g)
+                self.batch.len(*g)
             )));
         }
         self.writes.finish()?;
         st.pool().add_copied(self.copied);
 
-        // Allgather the directory (every PE learns the whole striped run).
-        let mut msg = WireWriter::with_capacity(self.entries.len() * dir_entry_bytes::<R>());
-        for e in &self.entries {
-            encode_dir_entry::<R>(&mut msg, e)?;
+        // Allgather the first keys (every PE learns the whole batch's).
+        let width = <R::Key as Key>::BYTES;
+        let mut keys = vec![0; self.keys.len() * width];
+        for (key, out) in self.keys.iter().zip(keys.chunks_exact_mut(width)) {
+            key.encode(out);
         }
-        let gathered = comm.allgather(msg.finish())?;
-        let (tb, f) = (self.to.blocks() as usize, self.to.replicas);
-        let mut run = StripedRun {
-            owners: vec![0; tb],
-            blocks: vec![BlockId::new(0, 0); tb],
-            first_keys: Vec::new(),
-            counts: vec![0; tb],
-            replicas: vec![vec![(0, BlockId::new(0, 0)); f]; if f > 0 { tb } else { 0 }],
-            elems: self.to.elems,
-        };
-        let mut keys: Vec<Option<R::Key>> = vec![None; tb];
-        let mut listed = vec![false; tb * (f + 1)];
-        for (src, buf) in gathered.iter().enumerate() {
-            let bad = |e: Error| from_peer(me, src, "striped run directory", e);
-            for e in decode_directory::<R>(buf, &self.to, src).map_err(bad)? {
-                let (g, c) = (e.g as usize, e.copy as usize);
-                if std::mem::replace(&mut listed[g * (f + 1) + c], true) {
-                    return Err(bad(Error::comm(format!("g = {g} copy {c} listed twice"))));
-                }
-                let holder = self.view.globals[src] as u32;
-                if c == 0 {
-                    keys[g] = Some(e.first_key);
-                    run.owners[g] = holder;
-                    run.blocks[g] = e.id;
-                    run.counts[g] = e.count;
-                } else {
-                    run.replicas[g][c - 1] = (holder, e.id);
-                }
-            }
-        }
-        if let Some(i) = listed.iter().position(|&l| !l) {
-            let (g, c) = (i / (f + 1), i % (f + 1));
-            return Err(Error::comm(format!(
-                "rank {me}: striped run directory: no rank lists copy {c} of block {g}"
-            )));
-        }
-        run.first_keys = keys.into_iter().flatten().collect();
-        Ok(run)
+        first_keys.extend(self.batch.first_keys::<R::Key>(me, &comm.allgather(keys)?)?);
+        counts.extend((0..self.held.len() as u64).map(|g| self.batch.len(g) as u32));
+        held.append(&mut self.held);
+        Ok(())
     }
 }
 
@@ -572,11 +467,20 @@ impl<R: Record> RecordSink<R> for StripeSink<'_, R> {
     }
 
     fn emit_all(&mut self, mut recs: &[R]) -> Result<()> {
+        if self.g * self.batch.rpb + (self.at + recs.len()) as u64 > self.end {
+            let me = self.comm.rank();
+            return Err(Error::comm(format!("rank {me}: the exchange delivered past its part")));
+        }
         while !recs.is_empty() {
-            let (head, rest) = recs.split_at((self.to.rpb - self.at).min(recs.len()));
+            let (head, rest) = recs.split_at((self.batch.rpb as usize - self.at).min(recs.len()));
+            if self.at == 0 {
+                // The block's first record: its key is the run's
+                // prediction sequence.
+                self.keys.push(head[0].key());
+            }
             R::encode_slice(head, &mut self.block[self.at * R::BYTES..]);
             self.at += head.len();
-            if self.at == self.to.rpb {
+            if self.at == self.batch.rpb as usize {
                 self.close_block()?;
             }
             recs = rest;
@@ -640,181 +544,273 @@ impl FileOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demsort_types::Element16;
+    use crate::ctx::ClusterStorage;
+    use demsort_net::run_cluster;
+    use demsort_types::{Element16, MachineConfig};
     use proptest::prelude::*;
 
-    /// Four ranks of two disks, 10 blocks of 16 records from disk 3 on,
-    /// each block with `replicas` replicas: rank 1 stores blocks 0, 7
-    /// and 8 (disks 3, 2 and 3), and holds replica 1 of rank 0's blocks
-    /// 5 and 6.
+    /// Four ranks of two disks at replication `f`.
     fn striping(replicas: usize) -> Striping {
-        Striping { stripe_offset: 3, disks: 8, dpp: 2, ranks: 4, replicas, elems: 160, rpb: 16 }
+        Striping { ranks: vec![0, 1, 2, 3], dpp: 2, replicas }
     }
 
-    fn recs(n: u64) -> Vec<Element16> {
-        (0..n).map(|i| Element16::new(100 + i, i)).collect()
+    /// 160 records, 16 to a block, from block 3 of the run on: block `g`
+    /// of the batch is on disk `(3 + g) mod 8`, so rank 1 stores blocks
+    /// 0, 7 and 8, and at `f ≥ 1` also holds replica 1 of rank 0's
+    /// blocks 5 and 6. The parts are records 0, 40, 80, 120 and 160.
+    fn batch(to: &Striping) -> Batch<'_> {
+        Batch { to, first: 3, elems: 160, rpb: 16 }
     }
 
-    /// Append `recs`, which start at record `within` of block `g`, as a
-    /// piece.
-    fn put_piece(w: &mut WireWriter, g: u64, within: usize, recs: &[Element16]) {
+    /// Records `range` of the batch, encoded: record `i` is `(i, i)`.
+    fn encoded(range: Range<u64>) -> Vec<u8> {
+        let recs: Vec<Element16> = range.map(|i| Element16::new(i, i)).collect();
         let mut bytes = vec![0u8; recs.len() * Element16::BYTES];
-        Element16::encode_slice(recs, &mut bytes);
-        encode_piece(w, g, within, Element16::BYTES, &bytes);
+        Element16::encode_slice(&recs, &mut bytes);
+        bytes
     }
 
-    /// Every cut of `buf` short of its end is rejected or — on an entry
-    /// boundary — decodes to fewer entries than the whole (which the
-    /// caller's completeness check then rejects); never a panic.
-    fn prefixes_fail(buf: &[u8], whole: usize, entries: impl Fn(&[u8]) -> Result<usize>) {
-        for cut in 0..buf.len() {
-            match entries(&buf[..cut]) {
-                Err(Error::Comm(_)) => {}
-                Err(other) => panic!("cut {cut}: {other}"),
-                Ok(part) => assert!(part < whole, "cut {cut} decoded as the whole message"),
-            }
-        }
+    /// Whether `res` is the `Error::Comm` of rank 1 about rank `src`'s
+    /// message.
+    fn names_sender<T: std::fmt::Debug>(res: Result<T>, src: usize) -> bool {
+        matches!(&res, Err(Error::Comm(m)) if m.contains("rank 1: bad") && m.contains(&format!("from rank {src}")))
     }
 
     #[test]
     fn pieces_round_trip_and_bad_frames_are_errors() {
-        let to = striping(0);
-        let mut w = WireWriter::new();
-        put_piece(&mut w, 7, 4, &recs(12));
-        put_piece(&mut w, 8, 0, &recs(5));
-        let buf = w.finish();
-        let pieces = decode_pieces(&buf, Element16::BYTES, &to, 1).expect("valid");
-        assert_eq!(pieces.len(), 2);
-        assert_eq!((pieces[0].g, pieces[0].within), (7, 4));
-        let mut back = Vec::new();
-        Element16::decode_slice(pieces[0].payload, &mut back);
-        assert_eq!(back, recs(12));
-        assert_eq!((pieces[1].g, pieces[1].within, pieces[1].payload.len()), (8, 0, 5 * 16));
-        prefixes_fail(&buf, 2, |b| decode_pieces(b, Element16::BYTES, &to, 1).map(|p| p.len()));
+        let (plain, replicated) = (striping(0), striping(1));
+        // Rank 3's part, records 120..160, ends block 7 and holds block 8
+        // whole: rank 1 gets records 120..128 of block 7 from record 8
+        // on, and all of block 8.
+        let msg = [encoded(120..128), encoded(128..144)].concat();
+        let pieces = batch(&plain).cut(3, 1, &msg, Element16::BYTES).expect("valid");
+        let want = [(7, 8, &msg[..128]), (8, 0, &msg[128..])];
+        assert_eq!(pieces, want);
+        // Rank 2's part, 80..120: block 7's first 8 records, and at f = 1
+        // the whole of blocks 5 and 6, whose replica rank 1 holds.
+        let msg = encoded(112..120);
+        assert_eq!(batch(&plain).cut(2, 1, &msg, 16).expect("valid"), [(7, 0, &msg[..])]);
+        let msg = encoded(80..120);
+        let pieces = batch(&replicated).cut(2, 1, &msg, 16).expect("valid");
+        let want = [(5, 0, &msg[..256]), (6, 0, &msg[256..512]), (7, 0, &msg[512..])];
+        assert_eq!(pieces, want);
+        // The sender sizes its message by the same pieces.
+        let sized =
+            |to: &Striping, src| batch(to).pieces(src, 1).map(|(_, r)| r.len()).sum::<usize>();
+        assert_eq!([sized(&plain, 3), sized(&plain, 2), sized(&replicated, 2)], [24, 8, 40]);
 
-        // One out-of-range value per field.
-        let piece = |g: u64, within: usize, n: u64| {
-            let mut w = WireWriter::new();
-            put_piece(&mut w, g, within, &recs(n));
-            w.finish()
+        // Short, long, ragged, empty when it should not be, and not
+        // empty when it should be (rank 1's part holds none of rank 1's
+        // blocks at f = 0).
+        let whole = [encoded(120..128), encoded(128..144)].concat();
+        for bad in
+            [&whole[..whole.len() - 16], &[whole.clone(), encoded(0..1)].concat(), &whole[1..], &[]]
+        {
+            assert!(names_sender(batch(&plain).cut(3, 1, bad, 16), 3), "{} bytes", bad.len());
+        }
+        assert!(names_sender(batch(&plain).cut(1, 1, &encoded(40..41), 16), 1));
+        assert_eq!(batch(&plain).cut(1, 1, &[], 16).expect("nothing for rank 1"), []);
+    }
+
+    #[test]
+    fn first_key_messages_must_hold_a_key_per_block_that_starts_in_the_part() {
+        // Blocks start at records 0, 16, 32 | 48, 64 | 80, 96, 112 |
+        // 128, 144 of the four parts.
+        let to = striping(0);
+        let keys = |n: u64, from: u64| (from..from + n).flat_map(u64::to_le_bytes).collect();
+        let msgs: Vec<Vec<u8>> = vec![keys(3, 0), keys(2, 3), keys(3, 5), keys(2, 8)];
+        assert_eq!(
+            batch(&to).first_keys::<u64>(1, &msgs).expect("valid"),
+            (0..10).collect::<Vec<_>>()
+        );
+        // Short, long, ragged and empty.
+        for (src, bad) in
+            [(2, keys(2, 5)), (1, keys(3, 3)), (3, msgs[3][1..].to_vec()), (0, Vec::new())]
+        {
+            let mut msgs = msgs.clone();
+            msgs[src] = bad;
+            assert!(names_sender(batch(&to).first_keys::<u64>(1, &msgs), src), "rank {src}");
+        }
+        // Of 20 records, blocks start in the first and the last part
+        // only: a key from a part that starts none is an error too.
+        let short = Batch { to: &to, first: 0, elems: 20, rpb: 16 };
+        let msgs = vec![keys(1, 0), Vec::new(), Vec::new(), keys(1, 1)];
+        assert_eq!(short.first_keys::<u64>(1, &msgs).expect("valid"), [0, 1]);
+        let msgs = vec![keys(1, 0), keys(1, 9), Vec::new(), keys(1, 1)];
+        assert!(names_sender(short.first_keys::<u64>(1, &msgs), 1));
+    }
+
+    /// What one rank's striping sink did with its part of a batch.
+    struct Striped {
+        /// The batch's first keys.
+        keys: Vec<u64>,
+        /// Bytes this rank sent.
+        sent: u64,
+        /// Each copy this rank stored: block, and the records read back.
+        copies: Vec<(u64, Vec<Element16>)>,
+    }
+
+    /// Every rank's striping sink at once, over `p` ranks of two disks at
+    /// replication `f`: a batch of `records` records `(i, i)`, 16 to a
+    /// block, from block 5 of the run on.
+    fn stripe(p: usize, f: usize, records: u64) -> Vec<Striped> {
+        let machine = MachineConfig::tiny(p);
+        let storage = ClusterStorage::new_mem(&machine);
+        let storage = &storage;
+        run_cluster(p, move |comm| {
+            let (me, st) = (comm.rank(), storage.pe(comm.rank()));
+            let to = Striping { ranks: (0..p).collect(), dpp: 2, replicas: f };
+            let batch = Batch { to: &to, first: 5, elems: records, rpb: 16 };
+            let part = batch.part(me);
+            let recs: Vec<Element16> = part.map(|i| Element16::new(i, i)).collect();
+            let before = comm.counters().bytes_sent;
+            let mut sink = StripeSink::<Element16>::open(&comm, st, batch, 4);
+            sink.emit_all(&recs).expect("emit");
+            let (mut keys, mut held) = (Vec::new(), Vec::new());
+            sink.finish(&mut keys, &mut Vec::new(), &mut held).expect("finish");
+            let sent = comm.counters().bytes_sent - before;
+            let batch = Batch { to: &to, first: 5, elems: records, rpb: 16 };
+            let copies = held
+                .iter()
+                .enumerate()
+                .filter_map(|(g, id)| id.map(|id| (g as u64, id)))
+                .map(|(g, id)| {
+                    assert_eq!(id.disk as u64, (5 + g) % 2, "rank {me}: block {g}'s disk");
+                    let block = st.engine().read_sync(id).expect("read");
+                    let mut back = Vec::new();
+                    Element16::decode_slice(&block[..batch.len(g) * 16], &mut back);
+                    (g, back)
+                })
+                .collect();
+            Striped { keys, sent, copies }
+        })
+    }
+
+    #[test]
+    fn the_striping_sends_records_and_first_keys_only() {
+        // Parts of 2·P whole blocks — whole striping cycles — so every
+        // copy index puts (P−1)/P of a part's records on other ranks.
+        // Each rank sends those records of each of the f + 1 copies, its
+        // blocks' first keys to the P − 1 others (Bruck's allgather
+        // forwards every message P − 1 times in all), and one word to
+        // each other rank as the all-to-all agrees on its round count:
+        // no header, no directory entry.
+        let records_of = |blocks: std::ops::Range<u64>, n: u64| -> Vec<u64> {
+            (blocks.start * 16..(blocks.end * 16).min(n)).collect()
         };
-        for (bad, field) in [
-            (piece(10, 0, 1), "g = "),   // past the sequence
-            (piece(6, 0, 1), "g = "),    // rank 0's block
-            (piece(7, 16, 1), "within"), // starts past the block
-            (piece(7, 5, 12), "count"),  // runs past the block
-            (piece(7, 0, 0), "count"),   // carries nothing
-        ] {
-            let err = decode_pieces(&bad, Element16::BYTES, &to, 1).expect_err(field);
-            assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
+        for (p, f) in [(2usize, 0usize), (2, 1), (3, 0), (3, 2), (4, 0), (4, 1)] {
+            let (np, nf) = (p as u64, f as u64);
+            let records = np * 2 * np * 16;
+            let blocks = records / 16;
+            let ranks = stripe(p, f, records);
+            let sent: u64 = ranks.iter().map(|r| r.sent).sum();
+            let want =
+                (nf + 1) * (np - 1) * records * 16 / np + blocks * 8 * (np - 1) + 8 * np * (np - 1);
+            assert_eq!(sent, want, "P = {p}, f = {f}");
+            // Every rank has every first key, and each copy it holds —
+            // and no other — with its block's records.
+            let to = Striping { ranks: (0..p).collect(), dpp: 2, replicas: f };
+            for (me, r) in ranks.iter().enumerate() {
+                assert_eq!(r.keys, (0..blocks).map(|g| g * 16).collect::<Vec<_>>(), "rank {me}");
+                let held: Vec<u64> = (0..blocks).filter(|g| to.holds(5 + g, me)).collect();
+                assert_eq!(r.copies.iter().map(|c| c.0).collect::<Vec<_>>(), held, "rank {me}");
+                for (g, recs) in &r.copies {
+                    let keys: Vec<u64> = recs.iter().map(|r| r.key).collect();
+                    assert_eq!(keys, records_of(*g..g + 1, records), "rank {me}, block {g}");
+                }
+            }
         }
-        // With one replica rank 1 also holds rank 0's block 6.
-        assert!(decode_pieces(&piece(6, 0, 1), Element16::BYTES, &striping(1), 1).is_ok());
-    }
-
-    fn entry(g: u64, copy: u16, disk: u32, slot: u32, count: u32, key: u64) -> DirEntry<u64> {
-        DirEntry { g, copy, id: BlockId::new(disk, slot), count, first_key: key }
-    }
-
-    fn directory(entries: &[DirEntry<u64>]) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        for e in entries {
-            encode_dir_entry::<Element16>(&mut w, e).expect("disk fits");
+        // A ragged batch: parts that split blocks, a partial last block.
+        let ranks = stripe(3, 1, 100);
+        for r in &ranks {
+            assert_eq!(r.keys, [0, 16, 32, 48, 64, 80, 96]);
+            for (g, recs) in &r.copies {
+                let keys: Vec<u64> = recs.iter().map(|r| r.key).collect();
+                assert_eq!(keys, records_of(*g..g + 1, 100), "block {g}");
+            }
         }
-        w.finish()
-    }
-
-    #[test]
-    fn directory_rejects_short_frames_and_out_of_range_fields() {
-        let to = striping(0);
-        let decode = |b: &[u8]| decode_directory::<Element16>(b, &to, 1);
-        let listed =
-            [entry(0, 0, 1, 9, 16, 5), entry(7, 0, 0, 2, 16, 70), entry(8, 0, 1, 3, 4, 80)];
-        let buf = directory(&listed);
-        assert_eq!(buf.len(), listed.len() * dir_entry_bytes::<Element16>());
-        assert_eq!(decode(&buf).expect("valid"), listed);
-        prefixes_fail(&buf, listed.len(), |b| decode(b).map(|e| e.len()));
-        for (bad, field) in [
-            (entry(10, 0, 0, 0, 1, 0), "g = "),
-            (entry(1, 0, 0, 0, 1, 0), "g = "), // rank 2's block
-            (entry(7, 0, 2, 0, 1, 0), "disk"),
-            (entry(7, 0, 0, 0, 17, 0), "count"),
-            (entry(7, 0, 0, 0, 0, 0), "count"),
-        ] {
-            let err = decode(&directory(&[bad])).expect_err(field);
-            assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
-        }
+        let copies: usize = ranks.iter().map(|r| r.copies.len()).sum();
+        assert_eq!(copies, 2 * 7, "two copies of each block");
     }
 
     #[test]
-    fn replica_directory_rejects_short_frames_and_out_of_range_fields() {
-        // At replication 2 rank 1 holds block 0, replica 1 of rank 0's
-        // blocks 5 and 6, and replica 2 of rank 3's blocks 3 and 4.
-        let to = striping(2);
-        let decode = |b: &[u8]| decode_directory::<Element16>(b, &to, 1);
-        let listed =
-            [entry(0, 0, 1, 7, 16, 1), entry(6, 1, 0, 9, 16, 60), entry(3, 2, 1, 4, 16, 30)];
-        let buf = directory(&listed);
-        assert_eq!(decode(&buf).expect("valid"), listed);
-        prefixes_fail(&buf, listed.len(), |b| decode(b).map(|e| e.len()));
-        for (bad, field) in [
-            (entry(10, 1, 0, 0, 1, 0), "g = "),         // past the sequence
-            (entry(6, 3, 0, 0, 1, 0), "replication"),   // a copy index above f
-            (entry(6, 2, 0, 0, 1, 0), "lives on rank"), // replica 2 of block 6 is rank 2's
-            (entry(7, 1, 0, 0, 1, 0), "lives on rank"), // rank 1 stores block 7 itself
-        ] {
-            let err = decode(&directory(&[bad])).expect_err(field);
-            assert!(matches!(&err, Error::Comm(m) if m.contains(field)), "{field}: {err}");
-        }
-        // The same copy index is above f at replication 1.
-        let err = decode_directory::<Element16>(&directory(&[listed[2].clone()]), &striping(1), 1);
-        assert!(matches!(&err, Err(Error::Comm(m)) if m.contains("replication")), "{err:?}");
+    fn records_past_the_part_are_an_error_not_a_panic() {
+        // The exchange hands the sink what peers sent: one record more
+        // than a part of 20 holds must not index past the batch.
+        let storage = ClusterStorage::new_mem(&MachineConfig::tiny(1));
+        let storage = &storage;
+        let res = run_cluster(1, move |comm| {
+            let to = Striping { ranks: vec![0], dpp: 2, replicas: 0 };
+            let batch = Batch { to: &to, first: 0, elems: 20, rpb: 16 };
+            let mut sink = StripeSink::<Element16>::open(&comm, storage.pe(0), batch, 4);
+            let recs: Vec<Element16> = (0..21).map(|i| Element16::new(i, i)).collect();
+            sink.emit_all(&recs[..20]).and_then(|()| sink.emit(recs[20]))
+        });
+        let err = res[0].clone().expect_err("one record too many");
+        assert!(matches!(&err, Error::Comm(m) if m.contains("past its part")), "{err}");
     }
 
     proptest! {
         #[test]
         fn directory_round_trips(
-            gs in prop::collection::vec(0u64..3, 0..20),
-            slots in prop::collection::vec(0u32..u32::MAX, 20..21),
-            counts in prop::collection::vec(1u32..=16, 20..21),
-            keys in prop::collection::vec(0u64..u64::MAX, 20..21),
+            p in 1usize..6,
+            elems in 0u64..400,
+            rpb in 1u64..20,
+            keys in prop::collection::vec(0u64..u64::MAX, 400..401),
         ) {
-            let to = striping(0);
-            let mine = [0u64, 7, 8];
-            let listed: Vec<DirEntry<u64>> = gs
-                .iter()
-                .enumerate()
-                .map(|(i, &g)| {
-                    entry(mine[g as usize], 0, slots[i] % 2, slots[i], counts[i], keys[i])
-                })
-                .collect();
-            let back = decode_directory::<Element16>(&directory(&listed), &to, 1);
-            prop_assert_eq!(back, Ok(listed));
+            // Each rank sends the keys of the blocks that start in its
+            // part; every rank reads back the batch's, in block order.
+            let to = Striping { ranks: (0..p).collect(), dpp: 1, replicas: 0 };
+            let batch = Batch { to: &to, first: 0, elems, rpb };
+            let blocks = elems.div_ceil(rpb) as usize;
+            let mut msgs = Vec::new();
+            let mut at = 0;
+            for i in 0..p {
+                let n = batch.starts(i);
+                msgs.push(keys[at..at + n].iter().flat_map(|k| k.to_le_bytes()).collect::<Vec<u8>>());
+                at += n;
+            }
+            prop_assert_eq!(at, blocks);
+            prop_assert_eq!(batch.first_keys::<u64>(0, &msgs), Ok(keys[..blocks].to_vec()));
         }
 
         #[test]
-        fn replica_directory_round_trips(
-            gs in prop::collection::vec(0usize..7, 0..30),
-            slots in prop::collection::vec(0u32..u32::MAX, 30..31),
-            keys in prop::collection::vec(0u64..u64::MAX, 30..31),
+        fn every_holder_gets_each_record_of_its_blocks_once(
+            p in 1usize..6,
+            f in 0usize..5,
+            dpp in 1usize..4,
+            first in 0u64..30,
+            elems in 0u64..400,
+            rpb in 1u64..20,
         ) {
-            // Every copy rank 1 holds at replication 2: block g with
-            // its copy index.
-            let to = striping(2);
-            let held: Vec<(u64, u16)> = (0..10u64)
-                .filter_map(|g| to.copy_on(g, 1).map(|c| (g, c as u16)))
-                .collect();
-            prop_assert_eq!(held.len(), 7);
-            let listed: Vec<DirEntry<u64>> = gs
-                .iter()
-                .enumerate()
-                .map(|(i, &h)| {
-                    let (g, copy) = held[h];
-                    entry(g, copy, slots[i] % 2, slots[i], 1 + slots[i] % 16, keys[i])
-                })
-                .collect();
-            let back = decode_directory::<Element16>(&directory(&listed), &to, 1);
-            prop_assert_eq!(back, Ok(listed));
+            // The pieces every sender derives tile each block a rank
+            // holds, in record order, and no other block.
+            let to = Striping { ranks: (0..p).collect(), dpp, replicas: f.min(p - 1) };
+            let batch = Batch { to: &to, first, elems, rpb };
+            for dest in 0..p {
+                let mut got: BTreeMap<u64, Vec<Range<usize>>> = BTreeMap::new();
+                for src in 0..p {
+                    for (g, recs) in batch.pieces(src, dest) {
+                        prop_assert!(!recs.is_empty());
+                        got.entry(g).or_default().push(recs);
+                    }
+                }
+                let held: Vec<u64> = (0..elems.div_ceil(rpb)).filter(|&g| batch.holds(g, dest)).collect();
+                prop_assert_eq!(got.keys().copied().collect::<Vec<_>>(), held);
+                for (g, pieces) in got {
+                    let mut at = 0;
+                    for recs in pieces {
+                        prop_assert_eq!(recs.start, at);
+                        at = recs.end;
+                    }
+                    prop_assert_eq!(at, batch.len(g));
+                }
+            }
+            // Each block has f + 1 holders.
+            for g in 0..elems.div_ceil(rpb) {
+                let holders = (0..p).filter(|&i| batch.holds(g, i)).count();
+                prop_assert_eq!(holders, to.replicas + 1);
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 use super::merge::MergeJob;
-use super::recovery::remap_runs;
-use super::runs::{DiskOutput, RankView};
+use super::recovery::failovers;
+use super::runs::{RankView, Striping};
 use super::*;
 use crate::ctx::ClusterStorage;
 use crate::job::run_in_process;
@@ -113,9 +113,10 @@ fn sort_striped_traced(
 }
 
 /// Merge `runs` striped runs of `per_pe` records per PE each — run `j`
-/// the sorted uniform input of seed `j`, written by a [`DiskOutput`] —
-/// back onto the disks with `MergeJob::merge_to_disks`: per rank, the
-/// merged run's directory and how many pieces the merge emitted.
+/// the sorted uniform input of seed `j`, written by
+/// [`StripedRun::append`] — back onto the disks with
+/// `MergeJob::merge_to_disks`: per rank, the merged run and how many
+/// pieces the merge emitted.
 fn merged_on_disks(
     machine: MachineConfig,
     runs: u64,
@@ -136,7 +137,7 @@ fn merged_on_disks(
                 let mut all = generate_all(InputSpec::Uniform, seed, p, per_pe);
                 all.sort_unstable();
                 let mine = demsort_types::ranks::owned_range(me, p, all.len() as u64);
-                let mut run = DiskOutput::new(&view, 0);
+                let mut run = StripedRun::new(&view, cfg.machine.disks_per_pe, 0);
                 run.append(
                     &comm,
                     st,
@@ -145,7 +146,7 @@ fn merged_on_disks(
                     &all[mine.start as usize..mine.end as usize],
                     1,
                 )?;
-                Ok(run.finish())
+                Ok(run)
             })
             .collect::<Result<Vec<_>>>()?;
         let job = MergeJob {
@@ -164,12 +165,12 @@ fn merged_on_disks(
     });
     let merged: Vec<(StripedRun<u64>, usize)> =
         merged.into_iter().map(|r: Result<_>| r.expect("merge to the disks")).collect();
-    // The directory is identical on every PE.
+    // First keys and counts are identical on every PE.
     let (run0, _) = &merged[0];
-    assert_eq!(run0.elems, runs * (p * per_pe) as u64);
+    assert_eq!(run0.counts.iter().map(|&c| c as u64).sum::<u64>(), runs * (p * per_pe) as u64);
     for (run, _) in &merged {
-        assert_eq!((&run.owners, &run.blocks), (&run0.owners, &run0.blocks));
         assert_eq!((&run.first_keys, &run.counts), (&run0.first_keys, &run0.counts));
+        assert_eq!(run.striping.ranks, (0..p).collect::<Vec<_>>());
     }
     merged
 }
@@ -216,11 +217,13 @@ fn multi_pass_merging_with_tiny_fanin() {
 #[test]
 fn blocks_stripe_over_all_pes() {
     // A merge pass that writes back to the disks stripes its run over
-    // every PE's disks.
+    // every PE's disks: each PE stored exactly the blocks it owns.
     let merged = merged_on_disks(MachineConfig::tiny(3), 3, 300);
-    let owners = &merged[0].0.owners;
-    for pe in 0..3u32 {
-        assert!(owners.contains(&pe), "every PE owns merged blocks");
+    for (pe, (run, _)) in merged.iter().enumerate() {
+        let stored: Vec<usize> = (0..run.held.len()).filter(|&t| run.held[t].is_some()).collect();
+        assert!(!stored.is_empty(), "PE {pe} owns merged blocks");
+        let owned: Vec<usize> = (0..run.counts.len()).filter(|&t| run.owner(t) == pe).collect();
+        assert_eq!(stored, owned, "PE {pe}");
     }
 }
 
@@ -305,11 +308,16 @@ fn multi_piece_output_stripes_evenly_over_disks() {
     let machine = MachineConfig::tiny(2);
     let dpp = machine.disks_per_pe;
     let mut per_disk = vec![0u64; machine.total_disks()];
-    let (run, pieces) = merged_on_disks(machine, 3, 600).swap_remove(0);
+    let merged = merged_on_disks(machine, 3, 600);
+    let pieces = merged[0].1;
     assert!(pieces >= 2, "test must cover a multi-piece run, got {pieces} piece(s)");
-    for (g, id) in run.blocks.iter().enumerate() {
-        per_disk[run.owners[g] as usize * dpp + id.disk as usize] += 1;
+    for (pe, (run, _)) in merged.iter().enumerate() {
+        for (t, id) in run.held.iter().enumerate().filter_map(|(t, id)| Some((t, (*id)?))) {
+            assert_eq!(id.disk as usize, t % dpp, "block {t} on the disk striping puts it on");
+            per_disk[pe * dpp + id.disk as usize] += 1;
+        }
     }
+    assert_eq!(per_disk.iter().sum::<u64>(), merged[0].0.counts.len() as u64, "every block stored");
     let (min, max) = (per_disk.iter().min().expect("disks"), per_disk.iter().max().expect("disks"));
     assert!(max - min <= 1, "stitched run must stripe evenly over all disks, got {per_disk:?}");
 }
@@ -413,27 +421,33 @@ fn parallel_batch_merge_is_byte_identical_and_journals_thread_ranges() {
 
 #[test]
 fn remap_reroutes_dead_owner_blocks_to_first_live_replica() {
+    // Four ranks of one disk, one replica: blocks 0, 1, 2 are owned by
+    // ranks 0, 1, 2, and their replicas are on ranks 1, 2, 3. As rank 2
+    // holds them: replica 1 of block 1 and block 2 itself.
+    let (replica, own) = (BlockId::new(0, 7), BlockId::new(0, 3));
     let run = StripedRun::<u64> {
-        owners: vec![0, 1, 2],
-        blocks: vec![BlockId::new(0, 0), BlockId::new(0, 1), BlockId::new(0, 2)],
+        striping: Striping { ranks: vec![0, 1, 2, 3], dpp: 1, replicas: 1 },
         first_keys: vec![0, 10, 20],
         counts: vec![5, 5, 5],
-        replicas: vec![
-            vec![(1, BlockId::new(1, 0))],
-            vec![(2, BlockId::new(1, 1))],
-            vec![(3, BlockId::new(1, 2))],
-        ],
-        elems: 15,
+        held: vec![None, Some(replica), Some(own)],
     };
-    let dead = vec![false, true, false, false];
-    let (remapped, served) = remap_runs(std::slice::from_ref(&run), &dead, 2).expect("remap");
-    assert_eq!(remapped[0].owners, vec![0, 2, 2], "dead owner replaced by its replica");
-    assert_eq!(remapped[0].blocks[1], BlockId::new(1, 1), "replica's block id substituted");
-    assert_eq!(remapped[0].blocks[0], BlockId::new(0, 0), "live owners untouched");
-    assert_eq!(served, 1, "rank 2 re-serves exactly the dead rank's block");
+    let readers =
+        |live: &[usize]| -> Result<Vec<usize>> { (0..3).map(|t| run.reader(0, t, live)).collect() };
+    assert_eq!(readers(&[0, 1, 2, 3]), Ok(vec![0, 1, 2]), "owners read their blocks");
+    // Rank 1 died: its block is read on its replica, rank 2.
+    let live = [0, 2, 3];
+    assert_eq!(readers(&live), Ok(vec![0, 2, 2]), "dead owner replaced by its replica");
+    let here = |t| run.read_here(0, t, 2, &live);
+    assert_eq!((here(0), here(1), here(2)), (Ok(None), Ok(Some(replica)), Ok(Some(own))));
+    assert_eq!(run.read_here(0, 1, 2, &[0, 1, 2, 3]), Ok(None), "a live owner reads its own");
+    let served = |me| failovers(std::slice::from_ref(&run), &live, me);
+    assert_eq!(served(2), Ok(1), "rank 2 re-serves exactly the dead rank's block");
+    assert_eq!((served(0), served(3)), (Ok(0), Ok(0)), "live owners serve their own");
     // Owner and its only replica both dead → unrecoverable.
-    let dead = vec![false, true, true, false];
-    assert!(remap_runs(&[run], &dead, 0).is_err(), "no live replica must fail");
+    let err = failovers(std::slice::from_ref(&run), &[0, 3], 0).expect_err("no live replica");
+    let text = err.to_string();
+    assert!(matches!(err, Error::Comm(_)), "{text}");
+    assert!(text.contains("run 0 block 1: owner rank 1 is dead"), "{text}");
 }
 
 #[test]
@@ -558,21 +572,20 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
     let blocks = crate::recio::write_records(storage.pe(0), &recs).expect("write").run.blocks;
     let path = out_path();
     let output = OutputFile { path: &path, records: recs.len() as u64 };
+    let view = RankView::identity(0, 1);
     let merge = |first_keys: Vec<u64>| {
         let run = StripedRun {
-            owners: vec![0; 3],
-            blocks: blocks.clone(),
             first_keys,
             counts: vec![rpb as u32; 3],
-            replicas: Vec::new(),
-            elems: recs.len() as u64,
+            held: blocks.iter().map(|&id| Some(id)).collect(),
+            ..StripedRun::new(&view, cfg.machine.disks_per_pe, 0)
         };
-        let (storage, cfg) = (&storage, &cfg);
+        let empty = StripedRun::new(&view, cfg.machine.disks_per_pe, 0);
+        let (storage, cfg, view) = (&storage, &cfg, &view);
         run_cluster(1, move |comm| {
-            let view = RankView::identity(0, 1);
             let job = MergeJob {
                 comm: &comm,
-                view: &view,
+                view,
                 st: storage.pe(0),
                 cfg,
                 cores: 1,
@@ -580,7 +593,7 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
                 free_consumed: false,
                 tracer: comm.tracer(),
             };
-            job.run::<Element16>(vec![run.clone(), StripedRun::empty()], output)
+            job.run::<Element16>(vec![run.clone(), empty.clone()], output)
         })
         .remove(0)
     };
@@ -670,17 +683,15 @@ fn replicas_ride_the_striping_all_to_all() {
     // blocks whose holder is another rank.
     //
     // Stated before running: every copy is written by its holder from
-    // the records the run's one all-to-all brought it. So bytes_read
-    // and the message count equal f = 0's, bytes_written is (f + 1)
-    // times f = 0's, and bytes_sent exceeds f = 0's by exactly
-    // f·(P−1)/P of the run bytes plus two overheads: the 16-byte header
-    // of each extra piece, and the 36-byte directory entry of each
-    // replica, which the ring allgather forwards P−1 times.
+    // the records the run's one all-to-all brought it, and the message
+    // carries the records only; every rank derives where its holders
+    // put them, and the first keys are those of the blocks, not of the
+    // copies. So bytes_read and the message count equal f = 0's,
+    // bytes_written is (f + 1) times f = 0's, and bytes_sent exceeds
+    // f = 0's by exactly f·(P−1)/P of the run bytes.
     const BLOCKS_PER_PART: u64 = 48;
     const RUNS: u64 = 3;
     const RPB: u64 = 16;
-    const HEADER: u64 = 16;
-    const DIR_ENTRY: u64 = 20 + 16;
     let rec = Element16::BYTES as u64;
     for (p, f) in [(2usize, 1usize), (3, 1), (3, 2), (4, 1), (4, 2)] {
         let machine = MachineConfig {
@@ -707,11 +718,7 @@ fn replicas_ride_the_striping_all_to_all() {
 
         let (np, nf) = (p as u64, f as u64);
         let run_bytes = RUNS * np * BLOCKS_PER_PART * RPB * rec;
-        let extra_pieces = RUNS * nf * (np - 1) * BLOCKS_PER_PART;
-        let replicas = RUNS * nf * np * BLOCKS_PER_PART;
-        let extra = nf * (np - 1) * run_bytes / np
-            + extra_pieces * HEADER
-            + replicas * DIR_ENTRY * (np - 1);
+        let extra = nf * (np - 1) * run_bytes / np;
         let at = format!("P = {p}, f = {f}");
         assert_eq!(repl.io.bytes_read, plain.io.bytes_read, "{at}: nothing is read back");
         assert_eq!(repl.io.bytes_written, (nf + 1) * plain.io.bytes_written, "{at}");

@@ -405,22 +405,6 @@ impl Communicator {
         self.allreduce_u64(x, |a, b| a.max(b))
     }
 
-    /// Logical-and allreduce (for "are we all done?" loops).
-    ///
-    /// # Errors
-    /// See [`allreduce_u64`](Self::allreduce_u64).
-    pub fn allreduce_and(&self, x: bool) -> Result<bool> {
-        Ok(self.allreduce_u64(x as u64, |a, b| a & b)? == 1)
-    }
-
-    /// Exclusive prefix sum of `x` over ranks (`rank 0 gets 0`).
-    ///
-    /// # Errors
-    /// See [`allgather_u64`](Self::allgather_u64).
-    pub fn exscan_sum(&self, x: u64) -> Result<u64> {
-        Ok(self.allgather_u64(x)?.iter().take(self.rank()).sum())
-    }
-
     /// Personalized all-to-all: `msgs[j]` goes to PE `j`; returns what
     /// each PE sent us, indexed by source rank.
     ///
@@ -630,17 +614,11 @@ mod tests {
         let results = run_cluster(5, |c| {
             let sum = c.allreduce_sum(c.rank() as u64 + 1).expect("sum");
             let max = c.allreduce_max(c.rank() as u64).expect("max");
-            let and_all = c.allreduce_and(true).expect("and");
-            let and_one = c.allreduce_and(c.rank() != 2).expect("and");
-            let ex = c.exscan_sum(c.rank() as u64 + 1).expect("exscan");
-            (sum, max, and_all, and_one, ex)
+            (sum, max)
         });
-        for (rank, (sum, max, and_all, and_one, ex)) in results.into_iter().enumerate() {
+        for (sum, max) in results {
             assert_eq!(sum, 15);
             assert_eq!(max, 4);
-            assert!(and_all);
-            assert!(!and_one);
-            assert_eq!(ex, (1..=rank as u64).sum::<u64>());
         }
     }
 

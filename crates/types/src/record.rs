@@ -119,10 +119,6 @@ pub trait Record: Copy + Send + Sync + 'static {
     /// Deserialize from `buf` (`buf.len() == Self::BYTES`).
     fn decode(buf: &[u8]) -> Self;
 
-    /// A record carrying the given key (payload unspecified but
-    /// deterministic). Used by tests and splitter exchange.
-    fn with_key(key: Self::Key) -> Self;
-
     /// Bulk-serialize `recs` into `out`
     /// (`out.len() >= recs.len() * Self::BYTES`).
     fn encode_slice(recs: &[Self], out: &mut [u8]) {
@@ -216,11 +212,6 @@ impl Record for Element16 {
             key: u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
             payload: u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
         }
-    }
-
-    #[inline]
-    fn with_key(key: u64) -> Self {
-        Self { key, payload: 0 }
     }
 
     /// Block-at-a-time path: on little-endian targets the in-memory
@@ -348,11 +339,6 @@ impl Record for Record100 {
         Self { key: Key10(key), payload }
     }
 
-    #[inline]
-    fn with_key(key: Key10) -> Self {
-        Self { key, payload: [0u8; 90] }
-    }
-
     /// Block-at-a-time path: the record is 100 contiguous bytes
     /// (`repr(C)`, align 1) in wire order on every target, so the slab
     /// is one endian-independent memcpy.
@@ -474,12 +460,6 @@ mod tests {
         let mut out = Vec::new();
         Element16::decode_slice(&buf, &mut out);
         assert_eq!(recs, out);
-    }
-
-    #[test]
-    fn with_key_carries_key() {
-        assert_eq!(Element16::with_key(7).key(), 7);
-        assert_eq!(Record100::with_key(Key10([3; 10])).key(), Key10([3; 10]));
     }
 
     #[test]
