@@ -613,6 +613,37 @@ mod tests {
     }
 
     #[test]
+    fn replica_directory_rejects_short_frames_and_out_of_range_fields() {
+        // At f = 1 rank 2's message to rank 1 carries its whole part,
+        // records 80..120: blocks 5 and 6, whose replica rank 1 holds,
+        // and the start of block 7. Short, long, ragged, empty, and the
+        // message of f = 0 (block 7's records only) are errors.
+        let to = striping(1);
+        let whole = encoded(80..120);
+        for bad in [
+            &whole[..whole.len() - 16],
+            &[whole.clone(), encoded(0..1)].concat(),
+            &whole[1..],
+            &[],
+            &encoded(112..120),
+        ] {
+            assert!(names_sender(batch(&to).cut(2, 1, bad, 16), 2), "{} bytes", bad.len());
+        }
+        // Replicas add nothing to the directory: still one first key per
+        // block that starts in a part, and a key for each copy is out of
+        // range.
+        let keys = |n: u64, from: u64| (from..from + n).flat_map(u64::to_le_bytes).collect();
+        let msgs: Vec<Vec<u8>> = vec![keys(3, 0), keys(2, 3), keys(3, 5), keys(2, 8)];
+        assert_eq!(
+            batch(&to).first_keys::<u64>(1, &msgs).expect("valid"),
+            (0..10).collect::<Vec<_>>()
+        );
+        let mut doubled = msgs.clone();
+        doubled[2] = [keys(3, 5), keys(3, 5)].concat();
+        assert!(names_sender(batch(&to).first_keys::<u64>(1, &doubled), 2));
+    }
+
+    #[test]
     fn first_key_messages_must_hold_a_key_per_block_that_starts_in_the_part() {
         // Blocks start at records 0, 16, 32 | 48, 64 | 80, 96, 112 |
         // 128, 144 of the four parts.

@@ -114,7 +114,8 @@ mod tests {
                 let frame = c.recv(0).expect("frame");
                 assert!(frame.iter().all(|&b| b == frame.len() as u8));
                 seen.push(frame.as_ptr() as usize);
-                c.recycle(vec![Vec::new(), frame]);
+                // Indexed by source rank: the frame came from rank 0.
+                c.recycle(vec![frame, Vec::new()]);
                 c.send(0, Vec::new()).expect("ack");
             }
             seen
