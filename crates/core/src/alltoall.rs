@@ -271,7 +271,7 @@ pub fn external_alltoall<R: Record + Ord>(
                 msgs.push(Vec::new());
                 continue;
             }
-            msgs.push(assemble_submessage::<R>(st, dir, &mut segments[q], quotas[q])?);
+            msgs.push(assemble_submessage::<R>(comm, st, dir, &mut segments[q], quotas[q])?);
         }
 
         // ---- recycle fully shipped blocks (in-place) ----
@@ -378,6 +378,7 @@ fn region_frontier(segments: &[Vec<Segment>], j: usize, lo: u64, hi: u64) -> u64
 /// Each piece's bytes are copied once, undecoded, from the blocks the
 /// record reader prefetches straight into the message.
 fn assemble_submessage<R: Record>(
+    comm: &Communicator,
     st: &PeStorage,
     dir: &RunDirectory<R>,
     segments: &mut [Segment],
@@ -399,7 +400,7 @@ fn assemble_submessage<R: Record>(
         return Ok(Vec::new()); // nothing this round: send no bytes at all
     }
     let payload_bytes = (quota - left) as usize * R::BYTES;
-    let mut out = WireWriter::with_capacity(4 + pieces.len() * 12 + payload_bytes);
+    let mut out = WireWriter::reusing(comm.frame(4 + pieces.len() * 12 + payload_bytes));
     out.u32(pieces.len() as u32);
     for (run, recs) in &pieces {
         out.u32(*run as u32).u64(recs.end - recs.start);
@@ -773,7 +774,9 @@ mod tests {
             local: vec![fr],
         };
         let mut segs = vec![Segment { run: 0, start: 5, end: 25, cursor: 5 }];
-        let msg = assemble_submessage::<Element16>(st, &dir, &mut segs, 12).expect("assemble");
+        let comm = demsort_net::build_mesh(1).pop().expect("one rank");
+        let msg =
+            assemble_submessage::<Element16>(&comm, st, &dir, &mut segs, 12).expect("assemble");
         let pieces = parse_submessage::<Element16>(&msg, 1).expect("valid");
         assert_eq!(pieces.len(), 1);
         let (run, elems, payload) = pieces[0];

@@ -78,7 +78,7 @@ pub fn nowsort<R: Record + Ord>(
         let msgs: Vec<Vec<u8>> = buckets
             .into_iter()
             .map(|b| {
-                let mut buf = vec![0u8; b.len() * R::BYTES];
+                let mut buf = comm.frame(b.len() * R::BYTES);
                 R::encode_slice(&b, &mut buf);
                 buf
             })
@@ -87,9 +87,10 @@ pub fn nowsort<R: Record + Ord>(
         // Sort what arrived and write it as one run (NOW-Sort's
         // receiver-side run formation).
         let mut run_data: Vec<R> = Vec::new();
-        for buf in received {
-            R::decode_slice(&buf, &mut run_data);
+        for buf in &received {
+            R::decode_slice(buf, &mut run_data);
         }
+        comm.recycle(received);
         received_total += run_data.len() as u64;
         if !run_data.is_empty() {
             let cpu = sort_in_node(&mut run_data, cores);

@@ -150,8 +150,11 @@ impl PhaseRecorder {
     /// opens the phase span on `comm`'s tracer and runs `body` with the
     /// recorder (for its CPU and out-of-band traffic); on success
     /// closes the recorder phase against `st`'s and `comm`'s counters,
-    /// journals a `mem` instant and ends the span. On error the span
-    /// stays open: an unclosed phase is what a post-mortem reads.
+    /// releases the phase's message frames
+    /// ([`Communicator::release_frames`]: the next phase's messages are
+    /// shaped otherwise), journals a `mem` instant and ends the span. On
+    /// error the span stays open: an unclosed phase is what a post-mortem
+    /// reads.
     pub fn phase<T>(
         &mut self,
         phase: Phase,
@@ -164,6 +167,7 @@ impl PhaseRecorder {
         let span = tr.begin(TraceEv::Phase { phase });
         let out = body(self)?;
         self.finish_phase(phase, st.counters(), comm.counters());
+        comm.release_frames();
         tr.mem();
         tr.end(span, TraceEv::Phase { phase });
         Ok(out)

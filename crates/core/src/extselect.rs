@@ -155,7 +155,7 @@ pub fn select_splitters<R: Record + Ord>(
     let windows = sample_windows(&dir.runs, &bounds);
 
     let blocks_before = st.counters().blocks_read;
-    let msgs = windows.iter().map(|w| push_window(st, dir, w, me)).collect::<Result<Vec<_>>>()?;
+    let msgs = windows.iter().map(|w| push_window(comm, st, dir, w)).collect::<Result<Vec<_>>>()?;
     let blocks_read = st.counters().blocks_read - blocks_before;
     let pushed = msgs.iter().enumerate().filter(|&(s, _)| s != me);
     let bytes_pushed = pushed.map(|(_, m)| m.len() as u64).sum();
@@ -172,6 +172,7 @@ pub fn select_splitters<R: Record + Ord>(
     let seqs: Vec<&[R::Key]> = keys.iter().map(Vec::as_slice).collect();
     let sel = select_rank(&seqs, bounds[me] - base);
     let positions = mine.lo.iter().zip(&sel.positions).map(|(&l, &q)| l + q as u64).collect();
+    comm.recycle(received);
     let stats = SelectionStats { window_records: mine.records(), blocks_read, bytes_pushed };
     Ok((RunSplitters { positions }, stats))
 }
@@ -179,15 +180,16 @@ pub fn select_splitters<R: Record + Ord>(
 /// The part of `window` in PE `me`'s slices, as pushed to the window's
 /// PE: per run, the record count, then the records' keys.
 fn push_window<R: Record>(
+    comm: &Communicator,
     st: &PeStorage,
     dir: &RunDirectory<R>,
     window: &Window,
-    me: usize,
 ) -> Result<Vec<u8>> {
+    let me = comm.rank();
     let parts: Vec<Range<u64>> =
         dir.runs.iter().enumerate().map(|(j, m)| window.part(j, m.slice(me))).collect();
     let records: u64 = parts.iter().map(|r| r.end - r.start).sum();
-    let mut w = WireWriter::with_capacity(8 * parts.len() + records as usize * R::Key::BYTES);
+    let mut w = WireWriter::reusing(comm.frame(8 * parts.len() + records as usize * R::Key::BYTES));
     for ((part, meta), local) in parts.iter().zip(&dir.runs).zip(&dir.local) {
         w.u64(part.end - part.start);
         let off = meta.offsets[me];
@@ -387,7 +389,7 @@ mod tests {
                 (0..2).map(|s| ranks::owned_range(s, 2, dir.total_elems()).start).collect();
             let windows = sample_windows(&dir.runs, &bounds);
             let mut msgs: Vec<Vec<u8>> =
-                windows.iter().map(|w| push_window(st, &dir, w, 1).expect("push")).collect();
+                windows.iter().map(|w| push_window(&c, st, &dir, w).expect("push")).collect();
             let first = u64::from_le_bytes(msgs[0][..8].try_into().expect("count"));
             msgs[0][..8].copy_from_slice(&(first + 1).to_le_bytes());
             msgs[0].extend_from_slice(&[0; 8]);

@@ -86,9 +86,10 @@ pub fn run_rank_job<R: Record + Ord>(
         }
     };
 
-    // Checkpoint the buffer-pool counters: in steady state the journal
-    // shows hits far above misses (diagnostics only — the split is
-    // timing-dependent, never an identity surface).
+    // Checkpoint the buffer-pool and message-frame counters: in steady
+    // state the journal shows hits far above misses and a few fresh
+    // frames per phase (diagnostics only — both are timing-dependent,
+    // never an identity surface).
     let pc = st.pool().counters();
     comm.tracer().instant(TraceEv::PoolStats {
         hits: pc.hits,
@@ -96,6 +97,12 @@ pub fn run_rank_job<R: Record + Ord>(
         recycled: pc.recycled,
         discarded: pc.discarded,
         copied_bytes: pc.copied_bytes,
+    });
+    let fc = comm.frame_counts();
+    comm.tracer().instant(TraceEv::Frames {
+        reused: fc.reused,
+        fresh: fc.fresh,
+        copied: fc.copied,
     });
     Ok(RankReport { rank, elems, runs, phases, error: None })
 }

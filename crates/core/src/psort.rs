@@ -20,16 +20,21 @@
 //! The output is *canonical*: PE `i` ends up with the elements of
 //! global ranks `⌊i·N/P⌋ .. ⌊(i+1)·N/P⌋`.
 //!
-//! Steps 2–4 are one kernel, [`Exchange::run`], and it is a stream: a
-//! record is copied once on its way out (encoded into the message that
-//! carries it) and once on its way in (merged into the caller's
-//! [`RecordSink`] — for run formation the block it is written to disk
-//! from). The piece a PE keeps is never encoded: it is merged from
-//! `data` where it lies. A received piece is merged from the message
-//! buffer it arrived in where the record type's layout allows
-//! ([`Record::view_slice`]), and decoded into a buffer the kernel keeps
-//! between calls where it does not. Nothing run-sized is allocated per
-//! call except the outgoing messages. With `cores > 1` the merge runs
+//! Steps 2–4 are one kernel, [`Exchange::run`], and it is a stream. A
+//! piece leaves a PE from where it lies in `data`
+//! ([`Record::bytes_of`]): over TCP it is written to the socket from
+//! there, and in-process it is copied once, into a message frame the
+//! transport keeps from run to run. A record is copied once more on its
+//! way in (merged into the caller's [`RecordSink`] — for run formation
+//! the block it is written to disk from). The piece a PE keeps is never
+//! copied: it is merged from `data` where it lies. A received piece is
+//! merged from the frame it arrived in where the record type's layout
+//! allows ([`Record::view_slice`]), and decoded into a buffer the kernel
+//! keeps between calls where it does not; the frames then go back to
+//! the transport. A record type without a byte view is encoded into a
+//! frame on its way out. Nothing run-sized is allocated per call once
+//! the frames and the kernel's buffers are as large as the largest
+//! pieces ([`Exchange::with_capacity`]). With `cores > 1` the merge runs
 //! on several threads into an arena the kernel keeps, and the sink
 //! takes that as one slab. [`parallel_sort`] wraps the kernel for
 //! callers that want the result as a vector.
@@ -45,6 +50,7 @@ use crate::recio::RecordSink;
 use crate::seqsort::sort_in_node;
 use demsort_net::{chunked_alltoallv, Communicator, MPI_VOLUME_LIMIT};
 use demsort_types::{CpuCounters, Error, Record, Result};
+use std::borrow::Cow;
 
 /// What one PE receives of an exchanged sequence: the global ranks from
 /// `start` on, of `total` records in all.
@@ -103,6 +109,13 @@ impl<R: Record + Ord> Exchange<R> {
     /// A kernel with empty buffers.
     pub fn new() -> Self {
         Self { splitter: Splitter::default(), decoded: Vec::new(), merged: Vec::new() }
+    }
+
+    /// A kernel whose merge output is sized for parts of up to
+    /// `records` records at `cores` cores, so that no call grows it.
+    pub fn with_capacity(records: usize, cores: usize) -> Self {
+        let merged = Vec::with_capacity(if cores > 1 { records } else { 0 });
+        Self { merged, ..Self::new() }
     }
 
     /// Redistribute the locally sorted `data` of all PEs canonically:
@@ -181,14 +194,21 @@ impl<R: Record + Ord> Exchange<R> {
             return Ok(CpuCounters::default());
         }
 
-        // Piece `dst` of every PE goes to PE `dst`; the piece this PE
-        // keeps stays in `data`.
-        let msgs: Vec<Vec<u8>> = (0..p)
+        // Piece `dst` of every PE goes to PE `dst`, sent from where it
+        // lies where the record type's layout is its encoding
+        // ([`Record::bytes_of`]) and encoded into a frame otherwise; the
+        // piece this PE keeps stays in `data`.
+        let msgs: Vec<Cow<'_, [u8]>> = (0..p)
             .map(|dst| {
                 let piece = if dst == me { &[][..] } else { &data[cuts[dst]..cuts[dst + 1]] };
-                let mut buf = vec![0u8; piece.len() * R::BYTES];
-                R::encode_slice(piece, &mut buf);
-                buf
+                R::bytes_of(piece).map_or_else(
+                    || {
+                        let mut buf = comm.frame(piece.len() * R::BYTES);
+                        R::encode_slice(piece, &mut buf);
+                        Cow::Owned(buf)
+                    },
+                    Cow::Borrowed,
+                )
             })
             .collect();
         let received = chunked_alltoallv(comm, msgs, MPI_VOLUME_LIMIT)?;
@@ -226,6 +246,9 @@ impl<R: Record + Ord> Exchange<R> {
         let mut cpu = merge_cpu(total as u64, p);
         if cores > 1 {
             self.merged.clear();
+            // Exactly: a buffer grown by doubling would hold up to twice
+            // the largest part.
+            self.merged.reserve_exact(total);
             cpu.split_probes += par_merge_k_into(&pieces, cores, &mut self.merged).split_probes;
             sink.emit_all(&self.merged)?;
         } else {
@@ -376,6 +399,51 @@ mod tests {
         fn decode(buf: &[u8]) -> Self {
             ByKey(Element16::decode(buf))
         }
+    }
+
+    /// An element that encodes to 24 bytes: a peer sorting these sends
+    /// pieces an [`Element16`] sort cannot cut into whole records.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct Padded(Element16);
+
+    impl Record for Padded {
+        type Key = u64;
+        const BYTES: usize = 24;
+
+        fn key(&self) -> u64 {
+            self.0.key
+        }
+
+        fn encode(&self, out: &mut [u8]) {
+            self.0.encode(out);
+            out[16..24].fill(0);
+        }
+
+        fn decode(buf: &[u8]) -> Self {
+            Padded(Element16::decode(buf))
+        }
+    }
+
+    #[test]
+    fn a_peer_message_of_partial_records_is_an_error_naming_the_sender() {
+        // Rank 1 sorts 24-byte records where rank 0 sorts 16-byte ones:
+        // the splitters agree on keys, and rank 0 is sent 51 records of
+        // 24 bytes — 1 224 bytes, 76.5 of its records.
+        let results = run_cluster(2, |c| {
+            let rank = c.rank() as u64;
+            let keys = (0..102u64).map(move |i| 2 * i + rank);
+            if rank == 1 {
+                let data: Vec<Padded> = keys.map(|k| Padded(Element16::new(k, 0))).collect();
+                // What rank 1 makes of rank 0's message does not matter.
+                let _ = Exchange::new().run(&c, &data, 1, &mut Vec::new());
+                return None;
+            }
+            let data: Vec<Element16> = keys.map(|k| Element16::new(k, 0)).collect();
+            Some(Exchange::new().run(&c, &data, 1, &mut Vec::new()))
+        });
+        let err = results[0].clone().expect("rank 0").expect_err("partial records");
+        assert!(matches!(err, Error::Comm(_)), "{err}");
+        assert!(err.to_string().contains("rank 0: rank 1 sent 1224 bytes"), "{err}");
     }
 
     #[test]

@@ -33,9 +33,13 @@
 //!   each read buffer goes back to the pool as soon as it is decoded.
 //!   The in-node sort of 100-byte records sorts 8-byte key tags beside
 //!   the arena (`8·n` bytes) and then moves each record once within it
-//!   ([`crate::seqsort`]); between that sort and the disk queue a record
-//!   is copied twice (into the message that carries it, out of it into
-//!   its block), or once if it stays on this PE.
+//!   ([`crate::seqsort::InNodeSort`], whose tags every run reuses too).
+//!   Between that sort and the disk queue a record that leaves this PE
+//!   is copied once over TCP (out of the message it arrived in, into
+//!   its block: it is sent from the arena) and twice in-process (into a
+//!   message frame first); one that stays is copied once. The message
+//!   frames are the transport's, kept from run to run, so after the
+//!   first run nothing run-sized is allocated.
 //! * **In-place** — input blocks are freed as they are read; slice
 //!   writes reuse them. A file job has none to free: its input is read
 //!   where it lies in the input file ([`LocalInput::Extent`]), and the
@@ -45,10 +49,10 @@
 use crate::fileio::OutputFile;
 use crate::psort::Exchange;
 use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
-use crate::seqsort::sort_in_node;
+use crate::seqsort::InNodeSort;
 use demsort_net::Communicator;
 use demsort_storage::{EdgeFile, PeStorage, Run};
-use demsort_types::{CpuCounters, Record, Result, SortConfig};
+use demsort_types::{CpuCounters, Phase, Record, Result, SortConfig};
 use rand::seq::SliceRandom;
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Arc;
@@ -239,7 +243,11 @@ pub fn form_runs<R: Record + Ord>(
     // Every run's local records in turn: decoded into, sorted in and
     // merged from this one vector.
     let mut arena: Vec<R> = Vec::with_capacity(groups.max_group_records());
-    let mut exchange = Exchange::new();
+    // The in-node sort's and the exchange's scratch, kept across runs.
+    // A PE's part of a run is at most the largest group: a run is
+    // at most P groups, cut into P parts of ⌈n/P⌉ or fewer.
+    let mut sorter = InNodeSort::with_capacity(groups.max_group_records(), cores);
+    let mut exchange = Exchange::with_capacity(groups.max_group_records(), cores);
     let window = cfg.machine.mem_blocks_per_pe().max(1) / WRITE_WINDOW_DIV;
     // The previous run's writer, its last `window` writes in flight.
     let mut writing: Option<RecordRunWriter<'_, R>> = None;
@@ -248,13 +256,14 @@ pub fn form_runs<R: Record + Ord>(
     let mut pending = groups.issue(0);
 
     for j in 0..num_runs {
+        comm.tracer().progress(Phase::RunFormation, j as u64, num_runs as u64);
         // Fetch and decode run j's local records.
         groups.collect(pending, &mut arena)?;
 
         // The overlap schedule: run j+1's reads are queued before run
         // j is sorted, and run j−1's last writes are still retiring.
         pending = groups.issue(j + 1);
-        cpu_total = cpu_total.merge(&sort_in_node(&mut arena, cores));
+        cpu_total = cpu_total.merge(&sorter.sort(&mut arena, cores));
         // Those writes had the sort to retire in: collect them before
         // run j's merge starts issuing its own.
         if let Some(w) = writing.take() {

@@ -45,49 +45,77 @@ use demsort_types::{CpuCounters, Key as _, Record};
 ///
 /// The sort is by `Ord`, i.e. by key with whatever tie-break the record
 /// type defines — identical to what a sequential `sort_unstable` would
-/// produce (tests assert this).
+/// produce (tests assert this). A loop that sorts many chunks keeps an
+/// [`InNodeSort`] instead, so that its scratch is allocated once.
 pub fn sort_in_node<R: Record + Ord>(data: &mut [R], cores: usize) -> CpuCounters {
-    let started = std::time::Instant::now();
-    let n = data.len() as u64;
-    let cores = cores.max(1).min(data.len().max(1));
-    let log_n = 64 - (n.max(2) - 1).leading_zeros() as u64; // ⌈log2 n⌉
-    let mut counters =
-        CpuCounters { elements_sorted: n, sort_work: n * log_n, ..Default::default() };
+    InNodeSort::with_capacity(0, cores).sort(data, cores)
+}
 
-    if cores == 1 || data.len() < 2 * cores {
-        sort_chunk(data);
-        counters.host_wall_ns = started.elapsed().as_nanos() as u64;
-        return counters;
+/// The in-node sort and the scratch it keeps between calls: the tags of
+/// a tag sort (`8·n` bytes) and, with `cores > 1`, the merge's output.
+/// Run formation sorts every run with one, so after the first run it
+/// allocates nothing run-sized.
+pub struct InNodeSort<R> {
+    tags: Vec<u64>,
+    merged: Vec<R>,
+}
+
+impl<R: Record + Ord> InNodeSort<R> {
+    /// A sort whose scratch is sized for chunks of up to `records`
+    /// records at `cores` cores, so that no call grows it.
+    pub fn with_capacity(records: usize, cores: usize) -> Self {
+        let tags = if R::BYTES > TAG_SORT_MIN_BYTES { records } else { 0 };
+        let merged = if cores > 1 { records } else { 0 };
+        Self { tags: Vec::with_capacity(tags), merged: Vec::with_capacity(merged) }
     }
 
-    // Phase 1: sort `cores` chunks in parallel.
-    let chunk = data.len().div_ceil(cores);
-    {
-        let mut rest = &mut *data;
+    /// [`sort_in_node`] with this sort's scratch.
+    pub fn sort(&mut self, data: &mut [R], cores: usize) -> CpuCounters {
+        let started = std::time::Instant::now();
+        let n = data.len() as u64;
+        let cores = cores.max(1).min(data.len().max(1));
+        let log_n = 64 - (n.max(2) - 1).leading_zeros() as u64; // ⌈log2 n⌉
+        let mut counters =
+            CpuCounters { elements_sorted: n, sort_work: n * log_n, ..Default::default() };
+        // One tag per record, the chunks' side by side.
+        let tags: &mut [u64] = if R::BYTES > TAG_SORT_MIN_BYTES {
+            self.tags.resize(data.len(), 0);
+            &mut self.tags[..data.len()]
+        } else {
+            &mut []
+        };
+
+        if cores == 1 || data.len() < 2 * cores {
+            sort_chunk(data, tags);
+            counters.host_wall_ns = started.elapsed().as_nanos() as u64;
+            return counters;
+        }
+
+        // Phase 1: sort `cores` chunks in parallel.
+        let chunk = data.len().div_ceil(cores);
         std::thread::scope(|s| {
-            while !rest.is_empty() {
-                let take = chunk.min(rest.len());
-                let (head, tail) = rest.split_at_mut(take);
-                rest = tail;
-                s.spawn(|| sort_chunk(head));
+            let mut tags = tags.chunks_mut(chunk);
+            for head in data.chunks_mut(chunk) {
+                let tags = tags.next().unwrap_or_default();
+                s.spawn(move || sort_chunk(head, tags));
             }
         });
+
+        // Phases 2 + 3: exact splitters over the sorted chunks, then
+        // merge each output range in parallel into the scratch buffer
+        // and copy back — the shared in-node parallel merge does both.
+        let chunks: Vec<&[R]> = data.chunks(chunk).collect();
+        self.merged.clear();
+        let pm = par_merge_k_into(&chunks, cores, &mut self.merged);
+        drop(chunks);
+        data.copy_from_slice(&self.merged);
+
+        counters.elements_merged = n;
+        counters.merge_work = merge_work(n, cores);
+        counters.split_probes = pm.split_probes;
+        counters.host_wall_ns = started.elapsed().as_nanos() as u64;
+        counters
     }
-
-    // Phases 2 + 3: exact splitters over the sorted chunks, then merge
-    // each output range in parallel into a scratch buffer and copy
-    // back — the shared in-node parallel merge does both.
-    let chunks: Vec<&[R]> = data.chunks(chunk).collect();
-    let mut out: Vec<R> = Vec::with_capacity(data.len());
-    let pm = par_merge_k_into(&chunks, cores, &mut out);
-    drop(chunks);
-    data.copy_from_slice(&out);
-
-    counters.elements_merged = n;
-    counters.merge_work = merge_work(n, cores);
-    counters.split_probes = pm.split_probes;
-    counters.host_wall_ns = started.elapsed().as_nanos() as u64;
-    counters
 }
 
 /// Records wider than this many bytes are sorted by tag. Sorting 41 856
@@ -97,26 +125,28 @@ pub fn sort_in_node<R: Record + Ord>(data: &mut [R], cores: usize) -> CpuCounter
 /// 0.5× at 100 bytes.
 const TAG_SORT_MIN_BYTES: usize = 64;
 
-/// Sort one chunk on this thread: by tag for wide records, directly
-/// otherwise.
-fn sort_chunk<R: Record + Ord>(data: &mut [R]) {
+/// Sort one chunk on this thread: by tag for wide records, into `tags`
+/// (one per record), directly otherwise.
+fn sort_chunk<R: Record + Ord>(data: &mut [R], tags: &mut [u64]) {
     if R::BYTES > TAG_SORT_MIN_BYTES {
-        tag_sort(data);
+        tag_sort(data, tags);
     } else {
         data.sort_unstable();
     }
 }
 
-/// Sort `data` by its `u64` tags, then move each record once.
-fn tag_sort<R: Record + Ord>(data: &mut [R]) {
+/// Sort `data` by its `u64` tags, written into `tags` (as long as
+/// `data`), then move each record once.
+fn tag_sort<R: Record + Ord>(data: &mut [R], tags: &mut [u64]) {
     if data.len() < 2 {
         return;
     }
     // b = ⌈log₂ n⌉ < 64: a slice holds fewer than 2^63 records.
     let b = usize::BITS - (data.len() - 1).leading_zeros();
     let index = (1u64 << b) - 1;
-    let mut tags: Vec<u64> =
-        data.iter().enumerate().map(|(i, r)| r.key().prefix64() & !index | i as u64).collect();
+    for (i, (tag, r)) in tags.iter_mut().zip(&*data).enumerate() {
+        *tag = r.key().prefix64() & !index | i as u64;
+    }
     // Tags that differ above the index order their records (prefix64 is
     // monotone in the key, which `Ord` compares first); tags that agree
     // there fall back to the records. Records that compare equal may
@@ -130,7 +160,7 @@ fn tag_sort<R: Record + Ord>(data: &mut [R]) {
             at(x).cmp(at(y))
         }
     });
-    permute(data, &mut tags, index);
+    permute(data, tags, index);
 }
 
 /// Put record `from[i] & index` at position `i` for every `i`, in place

@@ -47,7 +47,7 @@ use crate::ctx::PhaseRecorder;
 use crate::fileio::OutputFile;
 use crate::psort::Exchange;
 use crate::runform::{GroupReader, LocalInput};
-use crate::seqsort::sort_in_node;
+use crate::seqsort::InNodeSort;
 use demsort_net::Communicator;
 use demsort_storage::PeStorage;
 use demsort_types::{CommCounters, Error, Phase, PhaseStats, Record, Result, SortConfig};
@@ -151,12 +151,13 @@ pub fn striped_mergesort<R: Record + Ord>(
         // Every run's local records: decoded into, sorted in, and merged
         // from by the run's exchange.
         let mut data: Vec<R> = Vec::with_capacity(groups.max_group_records());
-        let mut exchange = Exchange::new();
+        let mut sorter = InNodeSort::with_capacity(groups.max_group_records(), cores);
+        let mut exchange = Exchange::with_capacity(groups.max_group_records(), cores);
         let mut written = 0;
         for j in 0..num_runs {
             tr.progress(Phase::RunFormation, j as u64, num_runs as u64);
             groups.collect(groups.issue(j), &mut data)?;
-            let mut sort_cpu = sort_in_node(&mut data, cores);
+            let mut sort_cpu = sorter.sort(&mut data, cores);
             if last_pass {
                 // Into the output file, this rank's part at its place: no
                 // rank writes before the run's exchange, which each enters

@@ -284,7 +284,8 @@ impl Batch<'_> {
 
 /// The sink a striped write's exchange merges into. It encodes this
 /// PE's records block by block; a block's records go into a message
-/// for each other rank that holds a copy of the block, and the pooled
+/// — a frame of the endpoint's, reused batch after batch — for each
+/// other rank that holds a copy of the block, and the pooled
 /// buffer they were encoded into becomes this rank's copy, if it holds
 /// one. A copy is written as soon as it is whole; one whose block
 /// straddles two PEs' parts waits for the other records, which arrive
@@ -319,13 +320,17 @@ struct StripeSink<'a, R: Record> {
 impl<'a, R: Record> StripeSink<'a, R> {
     /// A sink for this PE's part of `batch`.
     fn open(comm: &'a Communicator, st: &'a PeStorage, batch: Batch<'a>, window: usize) -> Self {
-        // Size each message exactly: a message that grows by doubling
-        // holds its old and its new buffer while it moves.
+        // Each message is a frame of the endpoint's that holds it
+        // exactly: one that grew by doubling would hold its old and its
+        // new buffer while it moves, and one allocated per batch would
+        // leave the allocator's state to the timing of its free.
         let me = comm.rank();
         let msgs = (0..comm.size())
             .map(|dest| {
                 let recs = batch.pieces(me, dest).map(|(_, r)| r.len()).sum::<usize>();
-                Vec::with_capacity(if dest == me { 0 } else { recs * R::BYTES })
+                let mut msg = comm.frame(if dest == me { 0 } else { recs * R::BYTES });
+                msg.clear();
+                msg
             })
             .collect();
         let part = batch.part(me);

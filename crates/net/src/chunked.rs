@@ -11,15 +11,21 @@
 //! `i32` barrier; tests use tiny limits to exercise multi-round
 //! reassembly.
 //!
-//! When the largest message anywhere fits one round — every exchange
-//! the binaries make, a run piece being at most `m` — nothing is split
-//! or reassembled: the message vectors go to
-//! [`Communicator::alltoallv`] as they are, so over the in-process mesh
-//! the receiver holds the very allocation the sender filled, and over
-//! TCP the payload is written to the socket from it.
+//! A message is owned (`Vec<u8>`) or borrowed (`&[u8]`, such as a
+//! slice of the records a sort holds). When the largest message
+//! anywhere fits one round — every exchange the binaries make, a run
+//! piece being at most `m` — nothing is split or reassembled: the
+//! messages go to [`Communicator::alltoallv`] as they are. An owned one
+//! then moves to its in-process receiver, and over TCP it is written to
+//! the socket from where it lies and handed back to the sender's frames;
+//! a borrowed one is written to the socket from where it lies, or copied
+//! once into a frame of the sender's list in-process. Past one round
+//! each round sends slices of the messages, and the owned ones go back
+//! to the sender's frames at the end.
 
 use crate::comm::Communicator;
 use demsort_types::Result;
+use std::borrow::Cow;
 
 /// The 2 GiB (`i32::MAX`) volume limit of classic MPI interfaces.
 pub const MPI_VOLUME_LIMIT: usize = i32::MAX as usize;
@@ -31,18 +37,19 @@ pub const MPI_VOLUME_LIMIT: usize = i32::MAX as usize;
 /// [`Error::Comm`](demsort_types::Error) if a peer dies or goes silent
 /// in any round (the allreduce agreeing on the round count included) —
 /// every surviving rank gets the error, none hangs.
-pub fn chunked_alltoallv(
+pub fn chunked_alltoallv<'a, M: Into<Cow<'a, [u8]>>>(
     comm: &Communicator,
-    msgs: Vec<Vec<u8>>,
+    msgs: Vec<M>,
     limit: usize,
 ) -> Result<Vec<Vec<u8>>> {
     assert!(limit > 0, "chunk limit must be positive");
     let p = comm.size();
     assert_eq!(msgs.len(), p);
+    let msgs: Vec<Cow<'a, [u8]>> = msgs.into_iter().map(Into::into).collect();
 
     // Everyone must agree on the number of rounds: the global maximum
     // pairwise message decides.
-    let local_max = msgs.iter().map(Vec::len).max().unwrap_or(0) as u64;
+    let local_max = msgs.iter().map(|m| m.len()).max().unwrap_or(0) as u64;
     let global_max = comm.allreduce_max(local_max)? as usize;
     let rounds = global_max.div_ceil(limit).max(1);
     if rounds == 1 {
@@ -50,25 +57,20 @@ pub fn chunked_alltoallv(
     }
 
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-    let mut offsets = vec![0usize; p];
-    for _ in 0..rounds {
-        let round_msgs: Vec<Vec<u8>> = msgs
-            .iter()
-            .enumerate()
-            .map(|(j, m)| {
-                let start = offsets[j].min(m.len());
-                let end = (start + limit).min(m.len());
-                m[start..end].to_vec()
-            })
-            .collect();
-        for (j, m) in round_msgs.iter().enumerate() {
-            offsets[j] += m.len();
-        }
+    for round in 0..rounds {
+        let at = |m: &[u8]| (round * limit).min(m.len());
+        let round_msgs: Vec<&[u8]> =
+            msgs.iter().map(|m| &m[at(m)..(at(m) + limit).min(m.len())]).collect();
         let received = comm.alltoallv(round_msgs)?;
-        for (src, part) in received.into_iter().enumerate() {
-            out[src].extend_from_slice(&part);
+        for (src, part) in received.iter().enumerate() {
+            out[src].extend_from_slice(part);
         }
+        comm.recycle(received);
     }
+    comm.recycle(msgs.into_iter().filter_map(|m| match m {
+        Cow::Owned(m) => Some(m),
+        Cow::Borrowed(_) => None,
+    }));
     Ok(out)
 }
 
@@ -144,6 +146,44 @@ mod tests {
                     assert_eq!(got[src], results[src].0[me], "P={p}: {src} -> {me} was copied");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn borrowed_messages_land_in_recycled_frames_on_both_transports() {
+        // Each round sends every peer a borrowed 100 KB slice and hands
+        // back what arrived. The first round sizes `p` long frames per
+        // rank — the copy of its own slice, and the in-process sender's
+        // copies or the TCP receiver's of the others — and every later
+        // round reuses them.
+        let (p, rounds) = (3usize, 4u64);
+        let job = move |c: crate::Communicator| {
+            let data: Vec<u8> = (0..p * 100_000).map(|i| (i % 251) as u8).collect();
+            for _ in 0..rounds {
+                let msgs: Vec<&[u8]> = data.chunks(100_000).collect();
+                let out = chunked_alltoallv(&c, msgs, MPI_VOLUME_LIMIT).expect("alltoallv");
+                for m in &out {
+                    assert_eq!(&m[..], &data[c.rank() * 100_000..][..100_000]);
+                }
+                c.recycle(out);
+            }
+            c.frame_counts()
+        };
+        let local = run_cluster(p, job);
+        let tcp = crate::cluster::run_cluster_tcp(p, job);
+        // Each round copies every slice once in-process — and the
+        // round count's control words, 8 bytes to each of `p − 1` peers
+        // — and only the rank's own slice over TCP, which writes the
+        // others from `data`.
+        let (reused, fresh) = (p as u64 * (rounds - 1), p as u64);
+        let copied = |slices: u64| slices * rounds * 100_000;
+        let words = rounds * (p as u64 - 1) * 8;
+        for counts in &local {
+            let copied = copied(p as u64) + words;
+            assert_eq!(*counts, crate::FrameCounts { reused, fresh, copied });
+        }
+        for counts in &tcp {
+            assert_eq!(*counts, crate::FrameCounts { reused, fresh, copied: copied(1) });
         }
     }
 

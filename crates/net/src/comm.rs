@@ -37,9 +37,11 @@
 //! payload senders can do the same via [`encode_u64s_into`] plus a
 //! reused buffer.
 
+use crate::frames::FrameCounts;
 use crate::transport::Transport;
 use demsort_types::trace::TraceEv;
 use demsort_types::{CommCounters, Error, Result, Tracer};
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// Per-peer traffic cells (interior mutability: the communicator is
@@ -184,16 +186,37 @@ impl Communicator {
         Ok(msg)
     }
 
-    /// Hand back the frames a collective returned (indexed by source
-    /// rank) once their bytes are used up: a transport that receives on
-    /// its own threads receives a later frame from the same peer into
-    /// the same memory instead of allocating it afresh.
-    pub fn recycle(&self, frames: Vec<Vec<u8>>) {
-        for (from, frame) in frames.into_iter().enumerate() {
-            if from != self.rank() {
-                self.transport.recycle(from, frame);
-            }
+    /// A frame of `len` bytes to build a message in, contents
+    /// unspecified: from the endpoint's list of long frames where one
+    /// fits ([`FrameList::take`](crate::FrameList::take)). Hand it back
+    /// with [`recycle`](Self::recycle) if it is not sent; an owned
+    /// message that is sent goes back to the list of the endpoint that
+    /// ends up holding it.
+    pub fn frame(&self, len: usize) -> Vec<u8> {
+        self.transport.frames().take(len)
+    }
+
+    /// Hand back frames whose bytes are used up — the messages a
+    /// collective returned, or frames from [`frame`](Self::frame) that
+    /// were not sent — for this endpoint to receive or build later
+    /// messages in instead of allocating them afresh.
+    pub fn recycle(&self, frames: impl IntoIterator<Item = Vec<u8>>) {
+        for frame in frames {
+            self.transport.frames().give(frame);
         }
+    }
+
+    /// Drop the long frames this endpoint keeps
+    /// ([`FrameList::release`](crate::FrameList::release)) — at the end
+    /// of a phase, whose messages the next phase's do not resemble.
+    pub fn release_frames(&self) {
+        self.transport.frames().release();
+    }
+
+    /// How this endpoint's long frames were obtained so far: reused
+    /// from its list, or freshly allocated.
+    pub fn frame_counts(&self) -> FrameCounts {
+        self.transport.frames().counts()
     }
 
     /// Send one control word, encoded on the stack — no allocation.
@@ -408,6 +431,11 @@ impl Communicator {
     /// Personalized all-to-all: `msgs[j]` goes to PE `j`; returns what
     /// each PE sent us, indexed by source rank.
     ///
+    /// A message is owned (`Vec<u8>`, moved to an in-process receiver
+    /// and, over TCP, handed back to this endpoint's frames once it is
+    /// written) or borrowed (`&[u8]`, written to the socket from where
+    /// it lies, or copied once into a frame in-process).
+    ///
     /// Sends happen before receives; unbounded transport buffering
     /// makes this deadlock-free without MPI's internal buffering
     /// concerns.
@@ -416,15 +444,19 @@ impl Communicator {
     /// [`Error::Comm`](demsort_types::Error) if any destination is
     /// unreachable or any source goes silent past the receive timeout.
     #[allow(clippy::needless_range_loop)] // rank loop skips self by index
-    pub fn alltoallv(&self, msgs: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+    pub fn alltoallv<'a, M: Into<Cow<'a, [u8]>>>(&self, msgs: Vec<M>) -> Result<Vec<Vec<u8>>> {
         assert_eq!(msgs.len(), self.size(), "need exactly one message per PE");
         self.traced("alltoallv", || {
             let mut out = vec![Vec::new(); self.size()];
             for (j, m) in msgs.into_iter().enumerate() {
-                if j == self.rank() {
-                    out[j] = m; // self-delivery without the transport round-trip
-                } else {
-                    self.send(j, m)?;
+                match m.into() {
+                    // Self-delivery without the transport round-trip.
+                    Cow::Owned(m) if j == self.rank() => out[j] = m,
+                    Cow::Borrowed(m) if j == self.rank() => {
+                        out[j] = self.transport.frames().gather(&[m]);
+                    }
+                    Cow::Owned(m) => self.send(j, m)?,
+                    Cow::Borrowed(m) => self.send_bytes(j, m)?,
                 }
             }
             for i in 0..self.size() {

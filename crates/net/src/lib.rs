@@ -48,10 +48,12 @@
 pub mod chunked;
 pub mod cluster;
 pub mod comm;
+pub mod frames;
 pub mod tcp;
 pub mod transport;
 
 pub use chunked::{chunked_alltoallv, MPI_VOLUME_LIMIT};
 pub use cluster::{build_mesh, run_cluster, run_cluster_over, run_cluster_tcp};
 pub use comm::{decode_u64s, decode_u64s_into, encode_u64s, encode_u64s_into, Communicator};
+pub use frames::{FrameCounts, FrameList};
 pub use transport::{LocalTransport, SubTransport, Transport};

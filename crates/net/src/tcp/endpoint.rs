@@ -4,6 +4,7 @@
 
 use super::block::BlockChannel;
 use super::link::{FrameReader, PeerLink, KIND_BLOCK_REQ, KIND_BLOCK_RESP, KIND_DATA, KIND_EPOCH};
+use crate::frames::FrameList;
 use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use demsort_types::trace::TraceEv;
@@ -36,10 +37,6 @@ impl Default for TcpOptions {
     }
 }
 
-/// Data frames at least this long are received into the peer's spare
-/// buffer (see [`Transport::recycle`]); shorter ones into a fresh one.
-const SPARE_MIN: usize = 64 << 10;
-
 /// One entry of a per-source FIFO inbox: either an ordinary data frame
 /// or an **epoch marker** — the cut point a peer pushed through its
 /// FIFO with [`Transport::advance_epoch`]. Keeping markers inside the
@@ -63,9 +60,9 @@ pub(super) struct Inner {
     /// Highest epoch marker consumed from each peer's FIFO (by `recv`
     /// or [`Transport::drain_to_epoch`]).
     epoch_seen: Vec<AtomicU64>,
-    /// Per peer: the largest frame handed back to [`Transport::recycle`],
-    /// which its reader receives the next long data frame into.
-    spares: Vec<Arc<Mutex<Vec<u8>>>>,
+    /// The long frames: the reader threads receive into them, owned
+    /// sends go back to them once written ([`Transport::frames`]).
+    frames: Arc<FrameList>,
     /// The block service: requests in flight, handlers, buffer pool.
     pub(super) block: Arc<BlockChannel>,
     shutdown: Arc<AtomicBool>,
@@ -119,7 +116,7 @@ impl TcpTransport {
         let shutdown = Arc::new(AtomicBool::new(false));
         let tracer: Arc<Mutex<Tracer>> = Arc::new(Mutex::new(Tracer::off()));
         let mut readers = Vec::with_capacity(size.saturating_sub(1));
-        let spares: Vec<Arc<Mutex<Vec<u8>>>> = (0..size).map(|_| Arc::default()).collect();
+        let frames = Arc::new(FrameList::default());
 
         for (j, stream) in streams.into_iter().enumerate() {
             if j == rank {
@@ -136,7 +133,7 @@ impl TcpTransport {
                 rx,
                 link: Arc::clone(&link),
                 data_tx,
-                spare: Arc::clone(&spares[j]),
+                frames: Arc::clone(&frames),
                 block: Arc::clone(&block),
                 tracer: Arc::clone(&tracer),
             };
@@ -158,7 +155,7 @@ impl TcpTransport {
                 self_tx,
                 inbox,
                 epoch_seen: (0..size).map(|_| AtomicU64::new(0)).collect(),
-                spares,
+                frames,
                 block,
                 shutdown,
                 readers: Mutex::new(readers),
@@ -210,7 +207,10 @@ impl Transport for TcpTransport {
             // queue — no copy.
             return self.send_to_self(InboxMsg::Data(frame));
         }
-        self.send_bytes(to, &frame)
+        self.send_bytes(to, &frame)?;
+        // Written: its memory can carry the next message.
+        self.inner.frames.give(frame);
+        Ok(())
     }
 
     fn send_bytes(&self, to: usize, frame: &[u8]) -> Result<()> {
@@ -220,7 +220,7 @@ impl Transport for TcpTransport {
     fn send_vectored(&self, to: usize, parts: &[&[u8]]) -> Result<()> {
         match &self.inner.peers[to] {
             Some(link) => link.write_frame_parts(KIND_DATA, parts),
-            None => self.send_to_self(InboxMsg::Data(parts.concat())),
+            None => self.send_to_self(InboxMsg::Data(self.inner.frames.gather(parts))),
         }
     }
 
@@ -248,13 +248,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn recycle(&self, from: usize, frame: Vec<u8>) {
-        if frame.capacity() >= SPARE_MIN {
-            let mut spare = self.inner.spares[from].lock().expect("spare lock");
-            if frame.capacity() > spare.capacity() {
-                *spare = frame;
-            }
-        }
+    fn frames(&self) -> &FrameList {
+        &self.inner.frames
     }
 
     fn flush(&self) -> Result<()> {
@@ -310,7 +305,8 @@ impl Transport for TcpTransport {
                 return Ok(());
             }
             match rx.recv_timeout(inner.opts.read_timeout) {
-                Ok(InboxMsg::Data(_)) => {} // stale pre-epoch traffic: discard
+                // Stale pre-epoch traffic: discard.
+                Ok(InboxMsg::Data(frame)) => inner.frames.give(frame),
                 Ok(InboxMsg::Epoch(e)) => {
                     inner.epoch_seen[from].fetch_max(e, Ordering::AcqRel);
                 }
@@ -337,7 +333,7 @@ struct ReaderCtx {
     rx: FrameReader,
     link: Arc<PeerLink>,
     data_tx: Sender<InboxMsg>,
-    spare: Arc<Mutex<Vec<u8>>>,
+    frames: Arc<FrameList>,
     block: Arc<BlockChannel>,
     tracer: Arc<Mutex<Tracer>>,
 }
@@ -380,21 +376,8 @@ impl ReaderCtx {
     /// `false` ends the connection (it closed, the marker is malformed,
     /// or the endpoint was dropped).
     fn on_inbox_frame(&mut self, kind: u8, len: usize) -> bool {
-        let mut payload = if kind == KIND_DATA && len >= SPARE_MIN {
-            // Into the spare, grown where it lies and with room for the
-            // next frames, which are about as long: a fresh frame beside
-            // a short spare, or a frame freed on another thread, leaves a
-            // hole in this thread's heap that the next one may not fit.
-            let mut spare = std::mem::take(&mut *self.spare.lock().expect("spare lock"));
-            if spare.capacity() < len {
-                spare.clear();
-                spare.reserve_exact(len + len / 8);
-            }
-            spare.resize(len, 0);
-            spare
-        } else {
-            vec![0u8; len]
-        };
+        // A long frame lands in memory an earlier one left, where it fits.
+        let mut payload = self.frames.take(len);
         if !self.rx.fill(&mut payload) {
             return false;
         }

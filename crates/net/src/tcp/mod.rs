@@ -52,6 +52,7 @@ mod tests {
     use super::*;
     use crate::cluster::{run_cluster, run_cluster_tcp};
     use crate::comm::Communicator;
+    use crate::frames::FrameCounts;
     use crate::transport::Transport;
     use demsort_types::wire::{BlockOp, BlockReq};
     use demsort_types::Error;
@@ -100,30 +101,26 @@ mod tests {
         // Rank 1 hands back the first long frame before rank 0 sends the
         // next (the empty frame orders the two): the next, a little
         // longer, and the one after, shorter, land in the same memory;
-        // a short frame gets its own.
+        // a short frame is not a long frame at all. The endpoint counts
+        // where each long frame came from, which the allocator cannot
+        // fake by handing a freed address out again.
         let got = run_cluster_tcp(2, |c| {
             if c.rank() == 0 {
                 for len in [200_000, 210_000, 150_000, 100] {
                     c.send(1, vec![len as u8; len]).expect("send");
                     let _ = c.recv(1).expect("go on");
                 }
-                return Vec::new();
+                return FrameCounts::default();
             }
-            let mut seen = Vec::new();
             for _ in 0..4 {
                 let frame = c.recv(0).expect("frame");
                 assert!(frame.iter().all(|&b| b == frame.len() as u8));
-                seen.push(frame.as_ptr() as usize);
-                // Indexed by source rank: the frame came from rank 0.
-                c.recycle(vec![frame, Vec::new()]);
+                c.recycle([frame]);
                 c.send(0, Vec::new()).expect("ack");
             }
-            seen
+            c.frame_counts()
         });
-        let seen = &got[1];
-        assert_eq!(seen[1], seen[0], "{seen:?}");
-        assert_eq!(seen[2], seen[0], "{seen:?}");
-        assert_ne!(seen[3], seen[0], "{seen:?}");
+        assert_eq!(got[1], FrameCounts { reused: 2, fresh: 1, copied: 0 });
     }
 
     #[test]

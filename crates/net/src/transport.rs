@@ -26,6 +26,7 @@
 //!    surface as [`Error::Comm`](demsort_types::Error) from `recv`
 //!    within the transport's timeout.
 
+use crate::frames::FrameList;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use demsort_types::{Error, Result};
 
@@ -48,10 +49,10 @@ pub trait Transport: Send {
     ///
     /// Transports that serialize onto a wire (TCP) copy straight into
     /// their buffered writer — no intermediate `Vec` per message. The
-    /// default falls back to an owned copy for transports that hand
-    /// frames across threads.
+    /// default copies it into a frame of [`frames`](Self::frames) for
+    /// transports that hand frames across threads.
     fn send_bytes(&self, to: usize, frame: &[u8]) -> Result<()> {
-        self.send(to, frame.to_vec())
+        self.send_vectored(to, &[frame])
     }
 
     /// Queue one frame assembled from `parts` (gather-write).
@@ -60,14 +61,11 @@ pub trait Transport: Send {
     /// receivers cannot tell it from a contiguous [`send`](Self::send).
     /// Wire transports (TCP) override this with a vectored write so a
     /// header-plus-payload frame never gets glued into an intermediate
-    /// buffer; the default concatenates for in-process transports that
-    /// hand an owned `Vec` across threads.
+    /// buffer; the default concatenates into a frame of
+    /// [`frames`](Self::frames) for in-process transports that hand an
+    /// owned `Vec` across threads.
     fn send_vectored(&self, to: usize, parts: &[&[u8]]) -> Result<()> {
-        let mut frame = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
-        for p in parts {
-            frame.extend_from_slice(p);
-        }
-        self.send(to, frame)
+        self.send(to, self.frames().gather(parts))
     }
 
     /// Receive the next frame from `from` (blocking, FIFO per source).
@@ -77,12 +75,10 @@ pub trait Transport: Send {
     /// hangs forever on a dead peer.
     fn recv(&self, from: usize) -> Result<Vec<u8>>;
 
-    /// Hand back a frame [`recv`](Self::recv) returned from `from` once
-    /// its bytes are used up, for the transport to receive a later frame
-    /// from that peer into. Dropped by default.
-    fn recycle(&self, from: usize, frame: Vec<u8>) {
-        let _ = (from, frame);
-    }
+    /// The endpoint's long frames: what it receives long messages into
+    /// and builds them in, handed back by
+    /// [`Communicator::recycle`](crate::Communicator::recycle).
+    fn frames(&self) -> &FrameList;
 
     /// Push buffered sends onto the wire.
     ///
@@ -214,8 +210,8 @@ impl<T: Transport> Transport for SubTransport<T> {
         self.inner.recv(self.members[from])
     }
 
-    fn recycle(&self, from: usize, frame: Vec<u8>) {
-        self.inner.recycle(self.members[from], frame);
+    fn frames(&self) -> &FrameList {
+        self.inner.frames()
     }
 
     fn flush(&self) -> Result<()> {
@@ -252,6 +248,11 @@ pub struct LocalTransport {
     /// Failure-injection tests need this: a live survivor that bailed
     /// out of a collective mid-round never closes its channels.
     timeout: Option<std::time::Duration>,
+    /// The frames borrowed messages are copied into, and received ones
+    /// are handed back to: a long frame moves from its sender's list to
+    /// its receiver's, and the exchanges are symmetric enough that each
+    /// list keeps its size.
+    frames: FrameList,
 }
 
 impl LocalTransport {
@@ -274,7 +275,14 @@ impl LocalTransport {
             .into_iter()
             .zip(inboxes)
             .enumerate()
-            .map(|(rank, (out, inbox))| LocalTransport { rank, size: p, out, inbox, timeout: None })
+            .map(|(rank, (out, inbox))| LocalTransport {
+                rank,
+                size: p,
+                out,
+                inbox,
+                timeout: None,
+                frames: FrameList::default(),
+            })
             .collect()
     }
 
@@ -303,20 +311,27 @@ impl Transport for LocalTransport {
     }
 
     fn send(&self, to: usize, frame: Vec<u8>) -> Result<()> {
+        self.frames.sent(&frame);
         self.out[to]
             .send(frame)
             .map_err(|_| Error::comm(format!("send to rank {to}: peer hung up (channel closed)")))
     }
 
     fn recv(&self, from: usize) -> Result<Vec<u8>> {
-        match self.timeout {
+        let frame = match self.timeout {
             None => self.inbox[from].recv().map_err(|_| {
                 Error::comm(format!("recv from rank {from}: peer hung up (channel closed)"))
             }),
             Some(t) => self.inbox[from].recv_timeout(t).map_err(|_| {
                 Error::comm(format!("recv from rank {from}: peer hung up or silent past {t:?}"))
             }),
-        }
+        }?;
+        self.frames.received(&frame);
+        Ok(frame)
+    }
+
+    fn frames(&self) -> &FrameList {
+        &self.frames
     }
 }
 

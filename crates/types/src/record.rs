@@ -120,11 +120,18 @@ pub trait Record: Copy + Send + Sync + 'static {
     fn decode(buf: &[u8]) -> Self;
 
     /// Bulk-serialize `recs` into `out`
-    /// (`out.len() >= recs.len() * Self::BYTES`).
+    /// (`out.len() >= recs.len() * Self::BYTES`): one copy of
+    /// [`bytes_of`](Self::bytes_of) where the type has it, record by
+    /// record otherwise.
     fn encode_slice(recs: &[Self], out: &mut [u8]) {
         assert!(out.len() >= recs.len() * Self::BYTES, "output buffer too small");
-        for (r, chunk) in recs.iter().zip(out.chunks_exact_mut(Self::BYTES)) {
-            r.encode(chunk);
+        match Self::bytes_of(recs) {
+            Some(bytes) => out[..bytes.len()].copy_from_slice(bytes),
+            None => {
+                for (r, chunk) in recs.iter().zip(out.chunks_exact_mut(Self::BYTES)) {
+                    r.encode(chunk);
+                }
+            }
         }
     }
 
@@ -147,6 +154,32 @@ pub trait Record: Copy + Send + Sync + 'static {
     fn view_slice(_buf: &[u8]) -> Option<&[Self]> {
         None
     }
+
+    /// The encoding of `recs`, where they lie — the inverse of
+    /// [`view_slice`](Self::view_slice), for types whose in-memory
+    /// layout is the wire format (no padding, bytes in wire order), so
+    /// records can be sent or written without being encoded first.
+    /// `None` when the type has no such layout, the default.
+    fn bytes_of(_recs: &[Self]) -> Option<&[u8]> {
+        None
+    }
+}
+
+/// The record types whose memory is their encoding: every byte of a
+/// value is initialized (no padding) and `size_of` is
+/// [`Record::BYTES`]. Private, so it holds for exactly the types below.
+trait Plain: Record {}
+
+impl Plain for Element16 {}
+impl Plain for Record100 {}
+
+/// The bytes `recs` lie in.
+fn plain_bytes<R: Plain>(recs: &[R]) -> &[u8] {
+    // SAFETY: a `Plain` type has no padding (Element16: two u64s;
+    // Record100: [u8; 10] + [u8; 90]; sizes asserted at compile time),
+    // so its `size_of_val(recs)` bytes are initialized; `u8` has
+    // alignment 1 and the slice borrows `recs`, living no longer than it.
+    unsafe { std::slice::from_raw_parts(recs.as_ptr().cast::<u8>(), std::mem::size_of_val(recs)) }
 }
 
 /// The paper's 16-byte element: 64-bit key plus 64-bit payload.
@@ -214,23 +247,10 @@ impl Record for Element16 {
         }
     }
 
-    /// Block-at-a-time path: on little-endian targets the in-memory
-    /// layout (`repr(C)`, two packed LE `u64`s) equals the wire format,
-    /// so the whole slab is one memcpy.
-    fn encode_slice(recs: &[Self], out: &mut [u8]) {
-        assert!(out.len() >= recs.len() * Self::BYTES, "output buffer too small");
-        if cfg!(target_endian = "little") {
-            let bytes = recs.len() * Self::BYTES;
-            // SAFETY: Element16 is repr(C) with two u64 fields and no
-            // padding (size asserted at compile time); on little-endian
-            // its bytes are exactly the wire encoding.
-            let src = unsafe { std::slice::from_raw_parts(recs.as_ptr().cast::<u8>(), bytes) };
-            out[..bytes].copy_from_slice(src);
-        } else {
-            for (r, chunk) in recs.iter().zip(out.chunks_exact_mut(Self::BYTES)) {
-                r.encode(chunk);
-            }
-        }
+    /// On little-endian targets the in-memory layout (`repr(C)`, two
+    /// packed LE `u64`s) equals the wire format.
+    fn bytes_of(recs: &[Self]) -> Option<&[u8]> {
+        cfg!(target_endian = "little").then(|| plain_bytes(recs))
     }
 
     /// Block-at-a-time path: one memcpy into the vector's spare
@@ -242,7 +262,7 @@ impl Record for Element16 {
         if cfg!(target_endian = "little") {
             out.reserve(n);
             let len = out.len();
-            // SAFETY: same layout argument as encode_slice; the
+            // SAFETY: same layout argument as `plain_bytes`; the
             // destination is freshly reserved, fully written before
             // set_len, and any u128 bit pattern is a valid Element16.
             unsafe {
@@ -339,16 +359,10 @@ impl Record for Record100 {
         Self { key: Key10(key), payload }
     }
 
-    /// Block-at-a-time path: the record is 100 contiguous bytes
-    /// (`repr(C)`, align 1) in wire order on every target, so the slab
-    /// is one endian-independent memcpy.
-    fn encode_slice(recs: &[Self], out: &mut [u8]) {
-        assert!(out.len() >= recs.len() * Self::BYTES, "output buffer too small");
-        let bytes = recs.len() * Self::BYTES;
-        // SAFETY: Record100 is repr(C) of [u8; 10] + [u8; 90] with no
-        // padding (size and alignment asserted at compile time).
-        let src = unsafe { std::slice::from_raw_parts(recs.as_ptr().cast::<u8>(), bytes) };
-        out[..bytes].copy_from_slice(src);
+    /// The record is 100 contiguous bytes (`repr(C)`, align 1) in wire
+    /// order on every target.
+    fn bytes_of(recs: &[Self]) -> Option<&[u8]> {
+        Some(plain_bytes(recs))
     }
 
     /// Block-at-a-time path: one memcpy into the vector's spare
@@ -358,7 +372,7 @@ impl Record for Record100 {
         let n = buf.len() / Self::BYTES;
         out.reserve(n);
         let len = out.len();
-        // SAFETY: same layout argument as encode_slice; the destination
+        // SAFETY: same layout argument as `plain_bytes`; the destination
         // is freshly reserved and fully written before set_len.
         unsafe {
             std::ptr::copy_nonoverlapping(
@@ -518,6 +532,13 @@ mod tests {
             prop_assert_eq!(out[0], Element16::new(7, 7));
             prop_assert_eq!(&out[1..], &recs[..]);
             prop_assert_eq!(decode_each::<Element16>(&reference), recs);
+            // Where the records lie is their encoding on little-endian
+            // targets.
+            let bytes = Element16::bytes_of(&recs);
+            prop_assert_eq!(bytes.is_some(), cfg!(target_endian = "little"));
+            if let Some(bytes) = bytes {
+                prop_assert_eq!(bytes, &reference[..]);
+            }
         }
 
         /// Same equivalence for the 100-byte SortBenchmark record.
@@ -535,6 +556,11 @@ mod tests {
             Record100::decode_slice(&reference, &mut out);
             prop_assert_eq!(&out[..], &recs[..]);
             prop_assert_eq!(decode_each::<Record100>(&reference), recs);
+            // Where the records lie is their encoding, and its view is
+            // the records again.
+            let bytes = Record100::bytes_of(&recs);
+            prop_assert_eq!(bytes, Some(&reference[..]));
+            prop_assert_eq!(bytes.and_then(Record100::view_slice), Some(&recs[..]));
         }
 
         /// The zero-copy view of an encoded slab is the records that

@@ -138,6 +138,20 @@ pub enum TraceEv {
         /// Resident set now (`VmRSS`), KiB.
         rss_kb: u64,
     },
+    /// Cumulative counts of the transport endpoint's long message
+    /// frames at a checkpoint, beside [`TraceEv::PoolStats`] (event):
+    /// `fresh` stays at what the first run or batch of a phase sized
+    /// when every later one reuses them. Timing-dependent like the
+    /// pool's — diagnostics, never a pinned identity surface.
+    Frames {
+        /// Long frames served from the endpoint's list.
+        reused: u64,
+        /// Long frames allocated because none in the list fit.
+        fresh: u64,
+        /// Bytes the endpoint copied into frames (borrowed messages to
+        /// an in-process peer or to itself).
+        copied: u64,
+    },
     /// The failure detector declared a peer dead (event).
     PeerDead {
         /// The dead peer's rank.
@@ -163,6 +177,7 @@ impl TraceEv {
             TraceEv::MergePar { .. } => "merge_par",
             TraceEv::PoolStats { .. } => "pool",
             TraceEv::Mem { .. } => "mem",
+            TraceEv::Frames { .. } => "frames",
             TraceEv::PeerDead { .. } => "peer_dead",
             TraceEv::EpochAdvance { .. } => "epoch_advance",
         }
@@ -195,6 +210,9 @@ impl TraceEv {
                 )
             }
             TraceEv::Mem { hwm_kb, rss_kb } => format!("mem peak={hwm_kb}KiB now={rss_kb}KiB"),
+            TraceEv::Frames { reused, fresh, copied } => {
+                format!("frames reused={reused} fresh={fresh} copied={copied}B")
+            }
             TraceEv::PeerDead { peer } => format!("peer {peer} declared dead"),
             TraceEv::EpochAdvance { epoch } => format!("epoch -> {epoch}"),
         }
@@ -236,6 +254,11 @@ impl TraceEv {
             TraceEv::Mem { hwm_kb, rss_kb } => {
                 out.push(("hwm_kb".into(), Json::Uint(*hwm_kb)));
                 out.push(("rss_kb".into(), Json::Uint(*rss_kb)));
+            }
+            TraceEv::Frames { reused, fresh, copied } => {
+                out.push(("reused".into(), Json::Uint(*reused)));
+                out.push(("fresh".into(), Json::Uint(*fresh)));
+                out.push(("copied".into(), Json::Uint(*copied)));
             }
             TraceEv::PeerDead { peer } => out.push(("peer".into(), u(*peer))),
             TraceEv::EpochAdvance { epoch } => out.push(("epoch".into(), Json::Uint(*epoch))),
@@ -294,6 +317,11 @@ impl TraceEv {
                 copied_bytes: num("copied_bytes")?,
             },
             "mem" => TraceEv::Mem { hwm_kb: num("hwm_kb")?, rss_kb: num("rss_kb")? },
+            "frames" => TraceEv::Frames {
+                reused: num("reused")?,
+                fresh: num("fresh")?,
+                copied: num("copied")?,
+            },
             "peer_dead" => TraceEv::PeerDead { peer: us("peer")? },
             "epoch_advance" => TraceEv::EpochAdvance { epoch: num("epoch")? },
             other => return Err(Error::validation(format!("unknown trace event kind {other:?}"))),
@@ -778,6 +806,7 @@ mod tests {
                 copied_bytes: 4096,
             },
             TraceEv::Mem { hwm_kb: 36_512, rss_kb: 30_208 },
+            TraceEv::Frames { reused: 40, fresh: 3, copied: 1 << 20 },
             TraceEv::PeerDead { peer: 2 },
             TraceEv::EpochAdvance { epoch: 7 },
         ]

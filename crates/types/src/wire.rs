@@ -30,6 +30,13 @@ impl WireWriter {
         Self { buf: Vec::with_capacity(bytes) }
     }
 
+    /// Start with `buf` emptied: whatever it holds is dropped, its
+    /// capacity kept — a recycled message frame, say.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Self { buf }
+    }
+
     /// The encoded bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
