@@ -208,12 +208,12 @@ fn four_rank_striped_tcp_launch_matches_in_process_run() {
     }
 }
 
-/// The in-node parallel batch merge must be invisible in the output
-/// and in every deterministic counter: running the striped sort with
-/// `cores_per_pe = 4` — on both transports — produces the exact bytes
-/// of the `cores = 1` run, charges the same merge-phase comparison
-/// bound, and books its split-selection probes in their own counter,
-/// identically across transports.
+/// Cores must be invisible in the output and in every deterministic
+/// counter: running the striped sort with `cores_per_pe = 4` — on both
+/// transports — produces the exact bytes of the `cores = 1` run and
+/// charges the same merge-phase comparison bound. The batch merge runs
+/// one loser tree on one thread at any core count, so the merge phase
+/// spends no split-selection probes.
 #[test]
 fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     let input = tmp_path("par-input.dat");
@@ -226,13 +226,9 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     let seq_job = striped_job(&input, &out_seq, test_machine(), AlgoConfig::default());
     let seq_report = run_job_local::<Record100>(&seq_job).expect("cores = 1 job");
 
-    // cores = 4 on both transports. Batches at this scale sit below
-    // the engine's per-thread minimum, so the run pins
-    // `par_merge_min_per_thread: 1` (on both transports — the knob is
-    // wire-encoded) to keep the multi-thread fan-out under test.
+    // cores = 4 on both transports.
     let machine4 = MachineConfig { cores_per_pe: 4, ..test_machine() };
-    let algo4 = AlgoConfig { par_merge_min_per_thread: 1, ..AlgoConfig::default() };
-    let job = striped_job(&input, &out_tcp, machine4, algo4);
+    let job = striped_job(&input, &out_tcp, machine4, AlgoConfig::default());
     let (tcp, local) = on_both_transports(&job, &out_local);
 
     let seq_bytes = std::fs::read(&out_seq).expect("read cores=1 output");
@@ -243,10 +239,8 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
     assert_eq!(local_bytes, seq_bytes, "cores=4 local output must equal the cores=1 output");
     assert_same_counters(&tcp, &local);
 
-    // Splitting the batch across threads must not change the total
-    // comparison charge: per-thread merges sum to the sequential
-    // n·(⌈log2 R⌉ + ⌈log2 P⌉) bound, and batches are still never
-    // re-sorted.
+    // Cores must not change the total comparison charge: the
+    // n·(⌈log2 R⌉ + ⌈log2 P⌉) bound, and batches are never re-sorted.
     let n = RECORDS as u64;
     assert!(tcp.runs > 1, "test must exercise the merge phase (R > 1)");
     for (name, report) in [("seq", &seq_report), ("tcp", &tcp), ("local", &local)] {
@@ -258,16 +252,16 @@ fn parallel_merge_cores_4_is_byte_identical_to_cores_1_on_both_transports() {
         assert_eq!(
             report.phase_total(Phase::FinalMerge, |s| s.cpu.merge_work),
             merge_work(n, report.runs) + merge_work(n, RANKS),
-            "{name}: parallel merge comparisons must sum to the sequential bound, R = {}",
+            "{name}: merge comparisons must be the sequential bound, R = {}",
             report.runs
         );
     }
 
-    // Split-selection work is accounted separately and is a pure
-    // function of the batch shapes, so it is transport-invariant.
+    // No batch is split over threads, on either transport.
     let probes = |r: &SortReport| r.phase_total(Phase::FinalMerge, |s| s.cpu.split_probes);
-    assert_eq!(probes(&seq_report), 0, "cores=1 performs no split selection");
-    assert!(probes(&tcp) > 0, "cores=4 must split batches across threads");
+    for (name, report) in [("seq", &seq_report), ("tcp", &tcp), ("local", &local)] {
+        assert_eq!(probes(report), 0, "{name}: the merge performs no split selection");
+    }
 
     for p in [&input, &out_seq, &out_tcp, &out_local] {
         let _ = std::fs::remove_file(p);

@@ -104,8 +104,7 @@ pub fn nowsort<R: Record + Ord>(
 
     // ---- Phase 2: local multiway merge of the received runs ----
     let inputs = local_runs.into_iter().map(MergeInput::whole).collect();
-    let (output, merge_cpu) =
-        final_merge::<R>(comm, st, &cfg.algo, inputs, cores, RunDest::Scratch)?;
+    let (output, merge_cpu) = final_merge::<R>(comm, st, inputs, RunDest::Scratch)?;
     rec.add_cpu(merge_cpu);
     rec.finish_phase(Phase::FinalMerge, st.counters(), comm.counters());
 

@@ -140,7 +140,7 @@ pub fn canonical_mergesort_to<R: Record + Ord>(
             None => RunDest::Scratch,
         };
         let inputs = outcome.merge_inputs;
-        let (output, merge_cpu) = final_merge::<R>(comm, st, &cfg.algo, inputs, cores, dest)?;
+        let (output, merge_cpu) = final_merge::<R>(comm, st, inputs, dest)?;
         rec.add_cpu(merge_cpu);
         for b in outcome.stragglers {
             st.free_block(b);

@@ -11,9 +11,11 @@
 //! duality-optimal order (Appendix A)
 //! with [`WINDOW_PER_DISK`]` · D` reads in flight, whatever `R` is, and
 //! frees as it reads ("blocks that are read to internal buffers are
-//! deallocated from disk immediately"). The merged records go to the
-//! output run — on the PE's disks, or in a file job into the output
-//! file ([`RunDest`]).
+//! deallocated from disk immediately"). The loop's loser tree reads each
+//! record from the block it was read into and hands it to the output
+//! run's writer, which encodes it into the block it is written from —
+//! on the PE's disks, or in a file job into the output file
+//! ([`RunDest`]): a record is copied once on its way through the merge.
 
 use crate::alltoall::MergeInput;
 use crate::batchmerge::{merge_batches, prediction_order, BatchMerge, InputBlock};
@@ -21,7 +23,7 @@ use crate::recio::{records_per_block, FinishedRun, RecordRunWriter, RunDest};
 use demsort_net::Communicator;
 use demsort_storage::striping::DEFAULT_WRITE_BEHIND;
 use demsort_storage::{MergePrefetcher, PeStorage};
-use demsort_types::{AlgoConfig, CpuCounters, Record, Result};
+use demsort_types::{CpuCounters, Record, Result};
 
 /// Blocks read ahead per disk, and merged per batch. The merge has no
 /// collective to amortise, so its batch is the read-ahead window: two
@@ -30,20 +32,16 @@ use demsort_types::{AlgoConfig, CpuCounters, Record, Result};
 pub const WINDOW_PER_DISK: usize = 2;
 
 /// Merge the per-run fragment chains on `comm`'s PE into the final
-/// output run at `dest`, on up to `cores` threads (at least
-/// `algo.par_merge_min_per_thread` records each).
+/// output run at `dest`.
 ///
 /// Returns the output run (with prediction keys, no samples) and the
 /// CPU counters of the merge.
 pub fn final_merge<R: Record + Ord>(
     comm: &Communicator,
     st: &PeStorage,
-    algo: &AlgoConfig,
     inputs: Vec<MergeInput<R::Key>>,
-    cores: usize,
     dest: RunDest,
 ) -> Result<(FinishedRun<R>, CpuCounters)> {
-    let rank = comm.rank();
     let rpb = records_per_block::<R>(st.block_bytes()) as u64;
     let mut blocks = Vec::new();
     for (run, input) in inputs.iter().enumerate() {
@@ -62,24 +60,16 @@ pub fn final_merge<R: Record + Ord>(
     let mut reads = MergePrefetcher::optimal(st, ids, window, true);
     let how = BatchMerge {
         st,
-        rank,
+        rank: comm.rank(),
         runs: inputs.len(),
         batch_blocks: window,
-        // The merged prefix goes to the writer a window at a time, so
-        // the merge holds its carries — a block per run — and no second
-        // copy of them.
-        emit_limit: window * rpb as usize,
-        cores,
-        min_per_thread: algo.par_merge_min_per_thread,
         tracer: comm.tracer(),
         pass: 0,
         group: 0,
     };
     let mut writer = RecordRunWriter::<R>::with_window(st, 0, DEFAULT_WRITE_BEHIND, dest);
-    let cpu = merge_batches::<R>(&how, &blocks, &mut reads, |emit| {
-        writer.push_all(emit)?;
-        Ok(CpuCounters::default())
-    })?;
+    let cpu =
+        merge_batches(&how, &blocks, &mut reads, &mut writer, |_| Ok(CpuCounters::default()))?;
     let out = writer.finish()?;
     debug_assert_eq!(
         out.elems,
@@ -97,7 +87,8 @@ mod tests {
     use crate::recio::write_records;
     use demsort_net::run_cluster;
     use demsort_storage::{DiskModel, MemBackend, PeStorage};
-    use demsort_types::{BufferPool, Element16, Error};
+    use demsort_types::trace::TraceOp;
+    use demsort_types::{BufferPool, Element16, Error, TraceEv, TraceRecord, Tracer};
     use std::ops::Range;
     use std::sync::Arc;
 
@@ -127,23 +118,33 @@ mod tests {
     fn merge(
         st: &PeStorage,
         inputs: Vec<MergeInput<u64>>,
-        cores: usize,
-        min_per_thread: usize,
     ) -> (FinishedRun<Element16>, CpuCounters) {
-        let algo = AlgoConfig { par_merge_min_per_thread: min_per_thread, ..AlgoConfig::default() };
-        let run = |comm: Communicator| {
-            final_merge::<Element16>(&comm, st, &algo, inputs.clone(), cores, RunDest::Scratch)
+        merge_traced(st, inputs).0
+    }
+
+    /// [`merge`], and the rank's journal.
+    fn merge_traced(
+        st: &PeStorage,
+        inputs: Vec<MergeInput<u64>>,
+    ) -> ((FinishedRun<Element16>, CpuCounters), Vec<TraceRecord>) {
+        let run = |mut comm: Communicator| {
+            let tracer = Tracer::to_buffer(0);
+            comm.set_tracer(tracer.clone());
+            let out = final_merge::<Element16>(&comm, st, inputs.clone(), RunDest::Scratch);
+            (out.expect("merge"), tracer.drain())
         };
-        run_cluster(1, run).remove(0).expect("merge")
+        run_cluster(1, run).remove(0)
     }
 
     #[test]
     fn merges_fragmented_runs() {
         let st = storage(64);
         // Run 0: two received fragments + a retained middle range that
-        // starts and ends mid-block.
+        // starts and ends mid-block. Its first block starts no lower
+        // than the fragment before it ends, as a retained range's does:
+        // lower ranks' slices hold no record above this PE's.
         let f0a = write_records(&st, &elems(0..10, 3)).expect("write");
-        let slice = write_records(&st, &elems(8..32, 3)).expect("write");
+        let slice = write_records(&st, &elems(9..33, 3)).expect("write");
         let f0c = write_records(&st, &elems(30..40, 3)).expect("write");
         // Run 1: a single received fragment interleaving with run 0.
         let f1 = write_records(
@@ -156,13 +157,13 @@ mod tests {
             MergeInput {
                 fragments: vec![
                     fragment(&f0a, 0..10),
-                    fragment(&slice, 2..22),
+                    fragment(&slice, 1..21),
                     fragment(&f0c, 0..10),
                 ],
             },
             MergeInput::whole(f1),
         ];
-        let (out, cpu) = merge(&st, inputs, 1, 0);
+        let (out, cpu) = merge(&st, inputs);
         assert_eq!(out.elems, 80);
         assert_eq!(cpu.elements_merged, 80);
         assert_eq!(cpu.merge_work, 80, "2-way merge: 1 comparison per element");
@@ -182,7 +183,7 @@ mod tests {
         let b = write_records(&st, &elems(0..64, 3)).expect("write");
         let before = st.alloc().in_use();
         let inputs = vec![MergeInput::whole(a), MergeInput::whole(b)];
-        let (out, _) = merge(&st, inputs, 1, 0);
+        let (out, _) = merge(&st, inputs);
         // Inputs freed, output allocated: net usage unchanged.
         assert_eq!(st.alloc().in_use(), before, "inputs recycled into output");
         // Peak stays within input + windows (not input + full output).
@@ -198,11 +199,11 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let st = storage(64);
-        let (out, _) = merge(&st, Vec::new(), 1, 0);
+        let (out, _) = merge(&st, Vec::new());
         assert_eq!(out.elems, 0);
 
         let a = write_records(&st, &elems(0..5, 1)).expect("write");
-        let (out, _) = merge(&st, vec![MergeInput::whole(a)], 1, 0);
+        let (out, _) = merge(&st, vec![MergeInput::whole(a)]);
         assert_eq!(out.elems, 5);
         let got = crate::recio::read_records::<Element16>(&st, &out.run, 5).expect("read");
         assert_eq!(got, elems(0..5, 1));
@@ -211,68 +212,81 @@ mod tests {
     #[test]
     fn parallel_merge_matches_streaming_merge() {
         // Small blocks force many batches; heavy duplicates (key mod 7)
-        // exercise the threshold-tie carry; retained ranges start and
-        // end mid-block; one run is empty. Forced fan-out
-        // (`par_merge_min_per_thread` 1) splits every batch at 4 cores.
-        let run = |cores: usize| {
-            let st = storage(64);
-            let mut inputs = Vec::new();
-            let mut pieces = Vec::new();
-            for r in 0..4u64 {
-                let mut recs: Vec<Element16> =
-                    (0..500u64).map(|i| Element16::new((i * 3 + r) % 7, r * 1000 + i)).collect();
-                recs.sort_unstable();
-                let fr = write_records(&st, &recs).expect("write");
-                let range = match r {
-                    0 => 0..500,
-                    1 => 3..497,
-                    2 => 130..131,
-                    _ => 0..0,
-                };
-                pieces.push(recs[range.start as usize..range.end as usize].to_vec());
-                let fragments =
-                    if range.is_empty() { Vec::new() } else { vec![fragment(&fr, range)] };
-                inputs.push(MergeInput { fragments });
-            }
-            let (out, cpu) = merge(&st, inputs, cores, 1);
-            let got =
-                crate::recio::read_records::<Element16>(&st, &out.run, out.elems).expect("read");
-            let refs: Vec<&[Element16]> = pieces.iter().map(Vec::as_slice).collect();
-            assert_eq!(got, merge_k(&refs), "cores {cores}: the loser tree's order");
-            let n = got.len() as u64;
-            assert_eq!(cpu.merge_work, merge_work(n, 4), "n · ⌈log2 R⌉ at cores {cores}");
-            (got, cpu)
-        };
-        let (seq, seq_cpu) = run(1);
-        let (par, par_cpu) = run(4);
-        assert_eq!(par, seq, "parallel local merge must be byte-identical");
-        assert_eq!(par_cpu.merge_work, seq_cpu.merge_work, "same n · ⌈log2 R⌉ charge");
-        // One thread spends probes only on cutting a batch's prefix into
-        // window-sized pieces for the writer; forced fan-out splits every
-        // piece over the threads on top.
-        assert!(par_cpu.split_probes > seq_cpu.split_probes, "forced fan-out must split");
+        // exercise the ties at every batch bound; retained ranges start
+        // and end mid-block; one run is empty. The merge is the loser
+        // tree's over the pieces, charges n · ⌈log2 R⌉ comparisons,
+        // splits nothing over threads, and journals one `merge_par` span
+        // per batch around its loop: thread 0 of 1, the batch's records.
+        let st = storage(64);
+        let mut inputs = Vec::new();
+        let mut pieces = Vec::new();
+        for r in 0..4u64 {
+            let mut recs: Vec<Element16> =
+                (0..500u64).map(|i| Element16::new((i * 3 + r) % 7, r * 1000 + i)).collect();
+            recs.sort_unstable();
+            let fr = write_records(&st, &recs).expect("write");
+            let range = match r {
+                0 => 0..500,
+                1 => 3..497,
+                2 => 130..131,
+                _ => 0..0,
+            };
+            pieces.push(recs[range.start as usize..range.end as usize].to_vec());
+            let fragments = if range.is_empty() { Vec::new() } else { vec![fragment(&fr, range)] };
+            inputs.push(MergeInput { fragments });
+        }
+        let ((out, cpu), journal) = merge_traced(&st, inputs);
+        let got = crate::recio::read_records::<Element16>(&st, &out.run, out.elems).expect("read");
+        let refs: Vec<&[Element16]> = pieces.iter().map(Vec::as_slice).collect();
+        assert_eq!(got, merge_k(&refs), "the loser tree's order");
+        assert_eq!(cpu.merge_work, merge_work(got.len() as u64, 4), "n · ⌈log2 R⌉");
+        assert_eq!(cpu.split_probes, 0, "no batch is split over threads");
+        let batches = journal.iter().filter(|r| matches!(r.ev, TraceEv::MergeEmitted { .. }));
+        let spans: Vec<(usize, usize)> = journal
+            .iter()
+            .filter_map(|r| match (&r.op, &r.ev) {
+                (TraceOp::End(_), TraceEv::MergePar { batch, thread, threads, len, .. }) => {
+                    assert_eq!((*thread, *threads), (0, 1), "one thread per batch");
+                    Some((*batch, *len))
+                }
+                _ => None,
+            })
+            .collect();
+        assert!(spans.len() > 2, "several batches");
+        assert_eq!(spans.len(), batches.count(), "one span per batch");
+        assert!(spans.iter().enumerate().all(|(b, s)| s.0 == b), "in batch order");
+        assert_eq!(spans.iter().map(|s| s.1).sum::<usize>(), got.len(), "spans count every record");
+        demsort_types::trace::validate_rank_journal(&journal).expect("valid journal");
     }
 
     #[test]
     fn first_keys_that_lie_are_an_error() {
         // Two runs of three blocks. Claiming run 0's blocks start at 0,
-        // 1 and 2 puts them all in the first batch (D = 2: two blocks per
-        // disk, four per batch) under a bound of 2 that none of their
-        // records is below: three blocks carried above it.
+        // 1 and 2 lets its first block in before run 1's, and its last
+        // record, 253, lies above the next block's first key, 1. A block
+        // whose first key lies above its first record is caught too:
+        // run 1's second block claims 5, and its first record is 4.
         let st = storage(64);
-        let a = write_records(&st, &elems(250..262, 1)).expect("write");
-        let b = write_records(&st, &elems(0..12, 1)).expect("write");
-        let mut lying = MergeInput::whole(a);
-        lying.fragments[0].first_keys = vec![0, 1, 2];
-        let algo = AlgoConfig::default();
-        let inputs = vec![lying, MergeInput::whole(b)];
-        let run = |comm: Communicator| {
-            final_merge::<Element16>(&comm, &st, &algo, inputs.clone(), 1, RunDest::Scratch)
+        let case = |lie: &dyn Fn(&mut [MergeInput<u64>])| {
+            let a = write_records(&st, &elems(250..262, 1)).expect("write");
+            let b = write_records(&st, &elems(0..12, 1)).expect("write");
+            let mut inputs = vec![MergeInput::whole(a), MergeInput::whole(b)];
+            lie(&mut inputs);
+            let run = |comm: Communicator| {
+                final_merge::<Element16>(&comm, &st, inputs.clone(), RunDest::Scratch)
+            };
+            let err = run_cluster(1, run).remove(0).map(|_| ()).expect_err("lying first keys");
+            assert!(matches!(err, Error::Validation(_)), "{err}");
+            err.to_string()
         };
-        let err = run_cluster(1, run).remove(0).map(|_| ()).expect_err("lying first keys");
-        let text = err.to_string();
-        assert!(matches!(err, Error::Validation(_)), "{text}");
-        assert!(text.contains("rank 0: merge pass 0, group 0, run 0: 12 carried"), "{text}");
+        let text = case(&|inputs| inputs[0].fragments[0].first_keys = vec![0, 1, 2]);
+        let want = "rank 0: merge pass 0, group 0, run 0: a block's last record lies above the \
+                    first key of the run's next block";
+        assert!(text.contains(want), "{text}");
+        let text = case(&|inputs| inputs[1].fragments[0].first_keys[1] = 5);
+        let want = "rank 0: merge pass 0, group 0, run 1: a block's first record lies below its \
+                    first key";
+        assert!(text.contains(want), "{text}");
     }
 
     /// The merge's pooled buffers are its read-ahead window and its
@@ -303,7 +317,7 @@ mod tests {
             // is a miss.
             drop((0..st.pool().available()).map(|_| st.pool().get()).collect::<Vec<_>>());
             let misses = st.pool().counters().misses;
-            let (out, _) = merge(&st, inputs, 1, 0);
+            let (out, _) = merge(&st, inputs);
             assert_eq!(out.elems, 40 * runs);
             let missed = st.pool().counters().misses - misses;
             assert!(missed <= bound, "R = {runs}: {missed} pool misses, bound {bound}");

@@ -3,9 +3,12 @@
 //! The loser tree (tournament tree of losers, Knuth 5.4.1) finds the
 //! next-smallest of `k` sorted sources with `⌈log2 k⌉` comparisons per
 //! element, independent of which source won last. It is the workhorse
-//! of every merge in this suite: batch merging during run formation,
-//! the final local merge of CANONICALMERGESORT, and the striped
-//! algorithm's global merge.
+//! of every merge in this suite: the exchange merge of run formation,
+//! the in-node sort's merge, and the batch loop
+//! ([`crate::batchmerge`]) of CANONICALMERGESORT's final local merge
+//! and of the striped algorithm's global merge, where one tree lives
+//! for a whole merge group and its heads are read from the blocks where
+//! they lie.
 //!
 //! Ties are broken by source index, making every merge deterministic
 //! and *stable across sources* (equal keys come out in source order).
@@ -187,11 +190,23 @@ pub struct ParMerge {
     pub range_lens: Vec<usize>,
 }
 
+/// Minimum records per merge thread before the parallel merge engages.
+///
+/// Splitting a merge costs `O(k · cores · log²)` selection probes plus
+/// thread spawns — pure overhead the sequential merge does not pay.
+/// Below this floor per thread the extra threads cannot win, so
+/// [`par_merge_k_into`] scales its thread count down to
+/// `total / PAR_MERGE_MIN_PER_THREAD` (collapsing to the sequential
+/// path, with zero split probes, when that is 1), and caps it at the
+/// host's available parallelism: a `cores` above what the machine can
+/// run in parallel only time-slices the same comparisons.
+const PAR_MERGE_MIN_PER_THREAD: usize = 8192;
+
 /// [`merge_k_into`] on up to `cores` threads: split the sources into
-/// `cores` balanced disjoint output ranges with exact multisequence
-/// selection ([`crate::selection::multiway_split_counted`] — the same
-/// machinery the in-node sort uses) and merge each range concurrently,
-/// directly into a disjoint slice of `out`'s spare capacity.
+/// balanced disjoint output ranges with exact multisequence selection
+/// ([`crate::selection::multiway_split_counted`] — the same machinery
+/// the in-node sort uses) and merge each range concurrently, directly
+/// into a disjoint slice of `out`'s spare capacity.
 ///
 /// The output is byte-identical to the sequential merge for every
 /// `cores`: the selection partitions by the (key, source) total order,
@@ -204,75 +219,27 @@ pub fn par_merge_k_into<T: Ord + Copy + Send + Sync>(
     cores: usize,
     out: &mut Vec<T>,
 ) -> ParMerge {
-    par_merge_k_traced(seqs, cores, 0, out, |_, _, _, _| 0, |_, _, _, _, _| {})
-}
-
-/// Minimum records per merge thread before the parallel merge engages.
-///
-/// Splitting a batch costs `O(k · cores · log²)` selection probes plus
-/// thread spawns — pure overhead the sequential merge does not pay. On
-/// small batches (a memory-bounded striped merge at smoke scale) that
-/// overhead dwarfs the merge itself and made `cores=8` slower than
-/// `cores=1`; below this floor per thread, the extra threads cannot win.
-/// The auto policy (`min_per_thread == 0` of [`par_merge_k_traced`],
-/// which is what the two plain entry points pass) scales the thread
-/// count down to `total / PAR_MERGE_MIN_PER_THREAD` (collapsing to the
-/// sequential path, with zero split probes, when that is 1) and
-/// additionally caps it at the host's available parallelism — a
-/// configured `cores` above what the machine can actually run in
-/// parallel only time-slices the same comparisons and can never win. An
-/// explicit `min_per_thread ≥ 1` is manual scheduling: the floor is
-/// taken literally and the host cap does not apply (tests pass 1 to
-/// force fan-out on any host).
-pub const PAR_MERGE_MIN_PER_THREAD: usize = 8192;
-
-/// Threads [`par_merge_k_traced`] uses for `total` records on up to
-/// `cores`; a merge too small to split never asks the host.
-pub fn merge_threads(total: usize, cores: usize, min_per_thread: usize) -> usize {
-    let min = if min_per_thread == 0 { PAR_MERGE_MIN_PER_THREAD } else { min_per_thread };
-    let threads = (total / min).min(cores).min(total).max(1);
+    let total: usize = seqs.iter().map(|s| s.len()).sum();
+    let threads = (total / PAR_MERGE_MIN_PER_THREAD).min(cores).max(1);
     let host = || std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
-    if threads > 1 && min_per_thread == 0 {
-        threads.min(host())
-    } else {
-        threads
-    }
+    merge_on_threads(seqs, if threads > 1 { threads.min(host()) } else { 1 }, out)
 }
 
-/// The parallel merge under [`par_merge_k_into`], with everything it
-/// fixes left open (a batch is cut before it, by [`CarryMerge`]):
-///
-/// * `min_per_thread` — at most `total / min_per_thread` threads are
-///   used (at least one), so a too-small batch takes the sequential path
-///   with zero split probes. `0` selects the auto policy
-///   ([`PAR_MERGE_MIN_PER_THREAD`] plus the host-parallelism cap); an
-///   explicit minimum is taken literally with no host cap.
-/// * `begin` / `end` — per-thread span hooks (the striped merge journals
-///   each range as a `merge_par` trace span): `begin` runs on the
-///   merging thread right before its range merge as
-///   `begin(thread, threads, len, total)` and returns an id; `end` runs
-///   right after with the same arguments plus that id. The
-///   single-thread collapse still fires one `(0, 1, total, total)` pair,
-///   so a traced merge always journals a complete thread set.
-pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
+/// The parallel merge under [`par_merge_k_into`] on exactly `threads`
+/// threads (one when there are fewer than two records per thread).
+fn merge_on_threads<T: Ord + Copy + Send + Sync>(
     seqs: &[&[T]],
-    cores: usize,
-    min_per_thread: usize,
+    threads: usize,
     out: &mut Vec<T>,
-    begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
-    end: impl Fn(u64, usize, usize, usize, usize) + Sync,
 ) -> ParMerge {
     let total: usize = seqs.iter().map(|s| s.len()).sum();
-    let cores = merge_threads(total, cores, min_per_thread);
-    if cores == 1 || total < 2 * cores {
-        let id = begin(0, 1, total, total);
+    if threads == 1 || total < 2 * threads {
         merge_k_into(seqs, out);
-        end(id, 0, 1, total, total);
         return ParMerge { split_probes: 0, range_lens: vec![total] };
     }
 
-    // Exact splitters at the cores − 1 balanced global ranks.
-    let (ranges, split_probes) = crate::selection::multiway_split_counted(seqs, cores);
+    // Exact splitters at the threads − 1 balanced global ranks.
+    let (ranges, split_probes) = crate::selection::multiway_split_counted(seqs, threads);
     let range_lens: Vec<usize> =
         ranges.windows(2).map(|w| w[1].iter().zip(&w[0]).map(|(b, a)| b - a).sum()).collect();
 
@@ -280,20 +247,14 @@ pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
     let base = out.len();
     {
         let spare = &mut out.spare_capacity_mut()[..total];
-        let (begin, end) = (&begin, &end);
         std::thread::scope(|s| {
             let mut spare_rest = spare;
             for (t, w) in ranges.windows(2).enumerate() {
-                let len = range_lens[t];
-                let (slot, tail) = spare_rest.split_at_mut(len);
+                let (slot, tail) = spare_rest.split_at_mut(range_lens[t]);
                 spare_rest = tail;
                 let pieces: Vec<&[T]> =
                     seqs.iter().enumerate().map(|(i, sq)| &sq[w[0][i]..w[1][i]]).collect();
-                s.spawn(move || {
-                    let id = begin(t, cores, len, total);
-                    merge_k_into_uninit(&pieces, slot);
-                    end(id, t, cores, len, total);
-                });
+                s.spawn(move || merge_k_into_uninit(&pieces, slot));
             }
         });
         // SAFETY: every slot of the spare capacity was initialized by
@@ -302,121 +263,6 @@ pub fn par_merge_k_traced<T: Ord + Copy + Send + Sync>(
         unsafe { out.set_len(base + total) };
     }
     ParMerge { split_probes, range_lens }
-}
-
-/// The carry-merge step both sorts' batch merges are made of: one
-/// sorted buffer per run that the caller appends to as blocks arrive,
-/// and [`CarryMerge::emit_below`], which merges records under a bound
-/// out of them and keeps the rest — each run's *carry* — for the next
-/// round. A round advances a cursor per buffer, and a buffer drops its
-/// merged front once that is as long as its carry (each record moves at
-/// most once more), grows only by what is appended, and gives back more
-/// than its carry and its last round's appends need: it holds what a
-/// round holds, not its largest round ever.
-pub struct CarryMerge<T> {
-    /// The buffers, each appended to in its run's order; the length of
-    /// each one's merged front; its length after the last round.
-    sources: Vec<Vec<T>>,
-    heads: Vec<usize>,
-    kept: Vec<usize>,
-    /// Merge threads at most, records per thread at least
-    /// ([`par_merge_k_traced`]).
-    cores: usize,
-    min_per_thread: usize,
-}
-
-impl<T: Ord + Copy + Send + Sync> CarryMerge<T> {
-    /// `k` empty buffers, merged on up to `cores` threads of at least
-    /// `min_per_thread` records each (0: the auto policy).
-    pub fn new(k: usize, cores: usize, min_per_thread: usize) -> Self {
-        let (sources, heads, kept) = (vec![Vec::new(); k], vec![0; k], vec![0; k]);
-        Self { sources, heads, kept, cores, min_per_thread }
-    }
-
-    fn compact(&mut self, r: usize) {
-        let (buf, head) = (&mut self.sources[r], &mut self.heads[r]);
-        if *head > 0 && 2 * *head >= buf.len() {
-            // verify: allow(L2, Vec::drain removing the merged front — not the fallible IoEngine::drain)
-            buf.drain(..*head);
-            self.kept[r] = self.kept[r].saturating_sub(*head);
-            *head = 0;
-        }
-    }
-
-    /// Buffer `r`, with room for `additional` more of run `r`'s records:
-    /// exactly, unless it already holds as many (a pile of ties grows
-    /// geometrically).
-    pub fn buffer(&mut self, r: usize, additional: usize) -> &mut Vec<T> {
-        self.compact(r);
-        let buf = &mut self.sources[r];
-        if buf.len() < additional {
-            buf.reserve_exact(additional);
-        }
-        buf
-    }
-
-    /// Every buffer, in run order, to append to (one thread each).
-    pub fn buffers(&mut self) -> impl Iterator<Item = &mut Vec<T>> {
-        (0..self.sources.len()).for_each(|r| self.compact(r));
-        self.sources.iter_mut()
-    }
-
-    /// Run `r`'s carry: its records not merged out yet.
-    pub fn carry(&self, r: usize) -> &[T] {
-        &self.sources[r][self.heads[r]..]
-    }
-
-    /// Whether every record appended has been merged out.
-    pub fn is_empty(&self) -> bool {
-        (0..self.sources.len()).all(|r| self.carry(r).is_empty())
-    }
-
-    /// Merge the `limit` smallest records of the buffers' prefixes that
-    /// satisfy `below` (`None`: all records) into `arena` (cleared
-    /// first) and remove them; a caller that gets `limit` back calls
-    /// again for the rest. Returns the selection probes spent on the cut
-    /// at `limit` and on splitting over threads; the span hooks are
-    /// [`par_merge_k_traced`]'s.
-    ///
-    /// With a strict bound (`key < threshold`) records *equal* to the
-    /// threshold wait for a later one, so the rounds concatenate to the
-    /// merge of everything appended, in the loser tree's (key, run)
-    /// order — which the exact multiway selection at `limit` keeps.
-    pub fn emit_below(
-        &mut self,
-        below: Option<impl Fn(&T) -> bool>,
-        limit: usize,
-        arena: &mut Vec<T>,
-        begin: impl Fn(usize, usize, usize, usize) -> u64 + Sync,
-        end: impl Fn(u64, usize, usize, usize, usize) + Sync,
-    ) -> u64 {
-        arena.clear();
-        let mut views: Vec<&[T]> = (0..self.sources.len()).map(|r| self.carry(r)).collect();
-        if let Some(below) = &below {
-            views.iter_mut().for_each(|v| *v = &v[..v.partition_point(below)]);
-        }
-        let mut probes = 0;
-        if views.iter().map(|v| v.len()).sum::<usize>() > limit {
-            let cut = crate::selection::select_rank(&views, limit as u64);
-            probes += cut.probes;
-            views.iter_mut().zip(cut.positions).for_each(|(v, p)| *v = &v[..p]);
-        }
-        let cuts: Vec<usize> = views.iter().map(|v| v.len()).collect();
-        let (cores, min) = (self.cores, self.min_per_thread);
-        let pm = par_merge_k_traced(&views, cores, min, arena, begin, end);
-        for (r, cut) in cuts.into_iter().enumerate() {
-            let appended = self.sources[r].len() - self.kept[r];
-            self.heads[r] += cut;
-            self.compact(r);
-            let buf = &mut self.sources[r];
-            let room = buf.len() + appended;
-            if buf.capacity() > 2 * room {
-                buf.shrink_to(room);
-            }
-            self.kept[r] = buf.len();
-        }
-        probes + pm.split_probes
-    }
 }
 
 /// [`merge_k_each`] writing into an uninitialized output slice (one
@@ -465,31 +311,17 @@ mod tests {
         v
     }
 
-    /// Cut-then-merge through [`CarryMerge`] on `cores` threads (at
-    /// least one record each): the prefixes under `below` merged into
-    /// `out`, and the per-source cuts.
-    fn carry_below<T: Ord + Copy + Send + Sync>(
-        seqs: &[&[T]],
-        below: impl Fn(&T) -> bool,
-        cores: usize,
-        out: &mut Vec<T>,
-    ) -> Vec<usize> {
-        let mut carry = CarryMerge::new(seqs.len(), cores, 1);
-        for (r, s) in seqs.iter().enumerate() {
-            carry.buffer(r, s.len()).extend_from_slice(s);
-        }
-        carry.emit_below(Some(below), usize::MAX, out, |_, _, _, _| 0, |_, _, _, _, _| {});
-        seqs.iter().enumerate().map(|(r, s)| s.len() - carry.carry(r).len()).collect()
-    }
-
-    /// The sequential reference the multi-threaded runs are compared
-    /// against.
-    fn merge_k_below_into<T: Ord + Copy + Send + Sync>(
+    /// The merge of each source's prefix under `below`, and the
+    /// prefixes' lengths.
+    fn merge_k_below_into<T: Ord + Copy>(
         seqs: &[&[T]],
         below: impl Fn(&T) -> bool,
         out: &mut Vec<T>,
     ) -> Vec<usize> {
-        carry_below(seqs, below, 1, out)
+        let cuts: Vec<usize> = seqs.iter().map(|s| s.partition_point(&below)).collect();
+        let prefixes: Vec<&[T]> = seqs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
+        merge_k_into(&prefixes, out);
+        cuts
     }
 
     #[test]
@@ -605,22 +437,6 @@ mod tests {
         assert_eq!(c.elements_sorted, 0);
     }
 
-    #[test]
-    fn merge_below_emits_prefixes_and_reports_cuts() {
-        let a = [1u32, 3, 8, 9];
-        let b = [2u32, 8];
-        let c = [10u32, 11];
-        let mut out = Vec::new();
-        let cuts = merge_k_below_into(&[&a, &b, &c], |x| *x < 8, &mut out);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(cuts, vec![2, 1, 0]);
-        // No bound: everything merges, cuts are the lengths.
-        let mut all = Vec::new();
-        let cuts = merge_k_below_into(&[&a, &b, &c], |_| true, &mut all);
-        assert_eq!(all, merge_k(&[&a, &b, &c]));
-        assert_eq!(cuts, vec![4, 2, 2]);
-    }
-
     proptest! {
         /// Splitting a merge at any bound and concatenating the two
         /// halves equals the unsplit merge.
@@ -645,63 +461,28 @@ mod tests {
 
     #[test]
     fn par_merge_collapses_to_one_span_on_tiny_input() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let spans = AtomicUsize::new(0);
         let mut out = Vec::new();
-        let pm = par_merge_k_traced(
-            &[&[1u32, 3][..], &[2u32][..]],
-            8,
-            0,
-            &mut out,
-            |t, n, len, total| {
-                assert_eq!((t, n, len, total), (0, 1, 3, 3));
-                spans.fetch_add(1, Ordering::Relaxed);
-                7
-            },
-            |id, t, n, len, total| {
-                assert_eq!((id, t, n, len, total), (7, 0, 1, 3, 3));
-                spans.fetch_add(1, Ordering::Relaxed);
-            },
-        );
+        let pm = par_merge_k_into(&[&[1u32, 3][..], &[2u32][..]], 8, &mut out);
         assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(pm.range_lens, vec![3]);
+        assert_eq!(pm.range_lens, vec![3], "one range: the whole merge");
         assert_eq!(pm.split_probes, 0, "single-thread collapse must not probe");
-        assert_eq!(spans.load(Ordering::Relaxed), 2, "collapse still journals thread 0");
     }
 
     #[test]
     fn par_merge_spans_partition_the_batch() {
-        use std::sync::Mutex;
         let seqs: Vec<Vec<u32>> = (0..5).map(|i| (0..200).map(|j| j * 5 + i).collect()).collect();
         let refs: Vec<&[u32]> = seqs.iter().map(|s| s.as_slice()).collect();
-        let opened = Mutex::new(Vec::new());
         let mut out = Vec::new();
-        let pm = par_merge_k_traced(
-            &refs,
-            4,
-            1,
-            &mut out,
-            |t, n, len, total| {
-                opened.lock().unwrap().push((t, n, len, total));
-                t as u64 + 1
-            },
-            |id, t, _, _, _| assert_eq!(id, t as u64 + 1),
-        );
+        let pm = merge_on_threads(&refs, 4, &mut out);
         assert_eq!(out, (0..1000).collect::<Vec<u32>>());
-        let mut opened = opened.into_inner().unwrap();
-        opened.sort_unstable();
-        assert_eq!(opened.len(), 4);
-        for (t, (thread, threads, len, total)) in opened.iter().enumerate() {
-            assert_eq!((*thread, *threads, *total), (t, 4, 1000));
-            assert_eq!(*len, pm.range_lens[t]);
-        }
-        assert_eq!(pm.range_lens.iter().sum::<usize>(), 1000);
+        assert_eq!(pm.range_lens.len(), 4);
+        assert!(pm.range_lens.iter().all(|&len| len == 250), "{:?}", pm.range_lens);
         assert!(pm.split_probes > 0, "a real split must account its probes");
     }
 
     proptest! {
         /// The parallel merge is byte-identical to the sequential one
-        /// for any thread count, and its cuts match too.
+        /// for any thread count, on prefixes cut under any bound.
         #[test]
         fn par_merge_below_matches_sequential(
             seqs in prop::collection::vec(prop::collection::vec(0u32..60, 0..40), 1..7),
@@ -712,15 +493,11 @@ mod tests {
             let refs: Vec<&[u32]> = sorted_seqs.iter().map(|s| s.as_slice()).collect();
             let below = |x: &u32| bound.is_none_or(|b| *x < b);
             let mut seq_out = Vec::new();
-            let seq_cuts = merge_k_below_into(&refs, below, &mut seq_out);
+            let cuts = merge_k_below_into(&refs, below, &mut seq_out);
+            let prefixes: Vec<&[u32]> = refs.iter().zip(&cuts).map(|(s, &c)| &s[..c]).collect();
             let mut par_out = Vec::new();
-            let par_cuts = carry_below(&refs, below, cores, &mut par_out);
+            let pm = merge_on_threads(&prefixes, cores, &mut par_out);
             prop_assert_eq!(&par_out, &seq_out);
-            prop_assert_eq!(&par_cuts, &seq_cuts);
-            let prefixes: Vec<&[u32]> = refs.iter().zip(&seq_cuts).map(|(s, &c)| &s[..c]).collect();
-            let pm = par_merge_k_traced(
-                &prefixes, cores, 1, &mut par_out, |_, _, _, _| 0, |_, _, _, _, _| {},
-            );
             prop_assert_eq!(pm.range_lens.iter().sum::<usize>(), seq_out.len());
         }
 
@@ -770,117 +547,6 @@ mod tests {
                 merge_k_into(&pieces, &mut cat);
             }
             prop_assert_eq!(cat, merge_k(&views));
-        }
-    }
-
-    /// A key with the (source, position) it came from, compared by the
-    /// key alone: where equal keys end up shows the order they were
-    /// merged in ([`Tagged::all`] tells them apart).
-    #[derive(Copy, Clone, Debug)]
-    struct Tagged(u32, usize, usize);
-
-    impl Tagged {
-        fn all(v: &[Tagged]) -> Vec<(u32, usize, usize)> {
-            v.iter().map(|t| (t.0, t.1, t.2)).collect()
-        }
-    }
-
-    impl PartialEq for Tagged {
-        fn eq(&self, o: &Self) -> bool {
-            self.0 == o.0
-        }
-    }
-
-    impl Eq for Tagged {}
-
-    impl PartialOrd for Tagged {
-        fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(o))
-        }
-    }
-
-    impl Ord for Tagged {
-        fn cmp(&self, o: &Self) -> std::cmp::Ordering {
-            self.0.cmp(&o.0)
-        }
-    }
-
-    proptest! {
-        /// The carry rule, for both sorts at once: sorted sources fed in
-        /// arbitrary chunks, each round cut under a threshold that never
-        /// decreases and never exceeds a record still to be fed. The
-        /// rounds concatenate to the merge of everything, ties
-        /// included; nothing at or above a round's threshold leaves in
-        /// that round; four threads emit what one does; and a round
-        /// emitted `limit` records at a time emits the same.
-        #[test]
-        fn carry_merge_rounds_concatenate_to_the_full_merge(
-            seqs in prop::collection::vec(prop::collection::vec(0u32..40, 0..40), 1..6),
-            chunks in prop::collection::vec(0usize..9, 1..24),
-            slack in prop::collection::vec(0u32..4, 1..24),
-            limit in prop::option::of(1usize..12),
-        ) {
-            let sources: Vec<Vec<Tagged>> = seqs
-                .iter()
-                .cloned()
-                .map(sorted)
-                .enumerate()
-                .map(|(s, keys)| {
-                    keys.into_iter().enumerate().map(|(i, k)| Tagged(k, s, i)).collect()
-                })
-                .collect();
-            let k = sources.len();
-            let refs: Vec<&[Tagged]> = sources.iter().map(|s| s.as_slice()).collect();
-            let expect = Tagged::all(&merge_k(&refs));
-
-            let mut outputs = Vec::new();
-            for cores in [1, 4] {
-                let mut carry = CarryMerge::new(k, cores, 1);
-                let limit = limit.unwrap_or(usize::MAX);
-                let mut fed = vec![0usize; k];
-                let (mut out, mut arena) = (Vec::new(), vec![Tagged(0, 0, 0)]);
-                let mut floor = 0u32;
-                for round in 0.. {
-                    for (i, src) in sources.iter().enumerate() {
-                        // Some source always advances, so the rounds end.
-                        let take = chunks[(round * k + i) % chunks.len()] + usize::from(i == round % k);
-                        let to = (fed[i] + take).min(src.len());
-                        carry.buffer(i, to - fed[i]).extend_from_slice(&src[fed[i]..to]);
-                        fed[i] = to;
-                    }
-                    let unfed = sources.iter().zip(&fed).filter_map(|(s, &f)| s.get(f)).map(|e| e.0);
-                    let threshold =
-                        unfed.min().map(|m| m.saturating_sub(slack[round % slack.len()]).max(floor));
-                    loop {
-                        carry.emit_below(
-                            threshold.map(|t| move |x: &Tagged| x.0 < t),
-                            limit,
-                            &mut arena,
-                            |_, _, _, _| 0,
-                            |_, _, _, _, _| {},
-                        );
-                        prop_assert!(arena.len() <= limit);
-                        if let Some(t) = threshold {
-                            prop_assert!(arena.iter().all(|x| x.0 < t), "emitted at or above {t}");
-                        }
-                        out.extend_from_slice(&arena);
-                        if arena.len() < limit {
-                            break;
-                        }
-                    }
-                    match threshold {
-                        Some(t) => {
-                            prop_assert!((0..k).flat_map(|i| carry.carry(i)).all(|x| x.0 >= t));
-                            floor = t;
-                        }
-                        None => break,
-                    }
-                }
-                prop_assert!(carry.is_empty(), "unbounded round drains");
-                prop_assert_eq!(&Tagged::all(&out), &expect, "cores = {}", cores);
-                outputs.push(Tagged::all(&out));
-            }
-            prop_assert_eq!(&outputs[0], &outputs[1]);
         }
     }
 

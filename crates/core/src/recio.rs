@@ -160,9 +160,19 @@ impl<'a, R: Record> RecordRunWriter<'a, R> {
         }
     }
 
-    /// Append one record.
+    /// Append one record: encoded where it goes, unless it starts a
+    /// block or is sampled.
     pub fn push(&mut self, rec: R) -> Result<()> {
-        self.push_all(std::slice::from_ref(&rec))
+        if self.fill == 0 || self.next_sample == self.elems {
+            return self.push_all(std::slice::from_ref(&rec));
+        }
+        rec.encode(&mut self.block[self.fill * R::BYTES..(self.fill + 1) * R::BYTES]);
+        self.fill += 1;
+        self.elems += 1;
+        if self.fill == self.rpb {
+            self.flush_block()?;
+        }
+        Ok(())
     }
 
     /// Append a slice of records.

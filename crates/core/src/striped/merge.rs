@@ -8,18 +8,18 @@
 //! \[11\]\[14\]. A batch of the next `Θ(M/B)` blocks is read (each PE
 //! reads the blocks on its own disks) and **merged, not re-sorted**,
 //! and the merged prefix that is provably complete — smaller than every
-//! not-yet-merged block's first key — is redistributed with one
-//! splitter-based exchange ([`Exchange`]: exact splitters, one
-//! all-to-all, a `P`-way merge) and written out: striped over the disks
-//! for a run a later pass reads, the exchange merging straight into the
-//! striping sink and its all-to-all ([`StripedRun::append`]), or — in
-//! the last pass — straight into the output file, the exchange's cuts on
-//! block boundaries ([`FileOutput`]). The rest stays buffered per run
-//! for the next batch (at most `B`
-//! elements per run remain unmerged, so carry-over is bounded). Merging
-//! costs `O(n log R)` comparisons per pass instead of the `O(n log n)`
-//! per batch that full batch sorting would pay — the internal-work
-//! bound that dominates throughput at scale.
+//! not-yet-merged block's first key — fills one arena, sized once for
+//! the group, from which it is redistributed with one splitter-based
+//! exchange ([`Exchange`]: exact splitters, one all-to-all, a `P`-way
+//! merge) and written out: striped over the disks for a run a later
+//! pass reads, the exchange merging straight into the striping sink and
+//! its all-to-all ([`StripedRun::append`]), or — in the last pass —
+//! straight into the output file, the exchange's cuts on block
+//! boundaries ([`FileOutput`]). The rest stays where it lies, in the
+//! blocks in use, for the next batch (at most a block per run, but for
+//! a pile of ties). Merging costs `O(n log R)` comparisons per pass
+//! instead of the `O(n log n)` per batch that full batch sorting would
+//! pay — the internal-work bound that dominates throughput at scale.
 //!
 //! Every block of a batch is read by one PE, the first live holder of a
 //! copy — its owner, unless a recovery re-merges without it — from its
@@ -85,7 +85,7 @@ impl MergeJob<'_> {
         // Every rank waited its last input read before its last run's
         // exchange, so the output may be the input.
         let mut file = FileOutput::new(output.open::<R>(self.view.my_global)?);
-        let mut exchange = Exchange::new();
+        let mut exchange = Exchange::with_capacity(self.batch_records::<R>(runs.len()), self.cores);
         let last_cpu = self.merge_group::<R>(&runs, passes, 0, |emit| {
             file.append(self.comm, self.st, self.cfg, &mut exchange, emit, self.cores)
         })?;
@@ -103,7 +103,7 @@ impl MergeJob<'_> {
         group_idx: usize,
     ) -> Result<(StripedRun<R::Key>, CpuCounters)> {
         let Self { comm, st, cfg, view, cores, .. } = *self;
-        let mut exchange = Exchange::new();
+        let mut exchange = Exchange::with_capacity(self.batch_records::<R>(group.len()), cores);
         // Merged runs are never replicated: a recovery re-merges the
         // initial runs.
         let mut merged = StripedRun::new(view, cfg.machine.disks_per_pe, 0);
@@ -111,6 +111,19 @@ impl MergeJob<'_> {
             merged.append(comm, st, cfg, &mut exchange, emit, cores)
         })?;
         Ok((merged, cpu))
+    }
+
+    /// Blocks per batch, over all PEs: `Θ(M/B)`.
+    fn batch_blocks(&self) -> usize {
+        (self.cfg.machine.mem_blocks_per_pe() * self.comm.size() / 2).max(1)
+    }
+
+    /// Records a PE emits in a batch of a group of `runs` runs, or
+    /// receives of one, but for a pile of ties: its share of the batch's
+    /// blocks and a block per run left from the batch before.
+    fn batch_records<R: Record>(&self, runs: usize) -> usize {
+        let share = self.batch_blocks().div_ceil(self.comm.size());
+        (share + runs) * crate::recio::records_per_block::<R>(self.st.block_bytes())
     }
 
     /// Merge one group of striped runs batch by batch
@@ -124,11 +137,10 @@ impl MergeJob<'_> {
         group: &[StripedRun<R::Key>],
         pass: usize,
         group_idx: usize,
-        deliver: impl FnMut(&[R]) -> Result<CpuCounters>,
+        mut deliver: impl FnMut(&[R]) -> Result<CpuCounters>,
     ) -> Result<CpuCounters> {
-        let Self { comm, st, cfg, view, cores, tracer, .. } = *self;
+        let Self { comm, st, view, tracer, .. } = *self;
         let me = view.my_global;
-        let p = comm.size();
 
         // The group's blocks in prediction order. First keys and counts
         // are identical on every PE, so every PE walks the same batches —
@@ -151,8 +163,8 @@ impl MergeJob<'_> {
         // of batch b it takes is replaced by a read of batch b+1's, so
         // those are in flight while b merges and is exchanged. (Two
         // shares hold more pooled buffers and merged no faster.)
-        let batch_blocks = (cfg.machine.mem_blocks_per_pe() * p / 2).max(1);
-        let window = batch_blocks.div_ceil(p);
+        let batch_blocks = self.batch_blocks();
+        let window = batch_blocks.div_ceil(comm.size());
         let mine = blocks.iter().filter_map(|b| b.id).collect();
         let mut reads = MergePrefetcher::optimal(st, mine, window, self.free_consumed);
         let how = BatchMerge {
@@ -160,16 +172,20 @@ impl MergeJob<'_> {
             rank: me,
             runs: group.len(),
             batch_blocks,
-            // The sink is collective: one exchange per batch.
-            emit_limit: usize::MAX,
-            cores,
-            // 0 = the engine's auto policy (per-thread floor + host cap);
-            // an explicit knob value forces that floor on any host.
-            min_per_thread: cfg.algo.par_merge_min_per_thread,
             tracer,
             pass,
             group: group_idx,
         };
-        merge_batches(&how, &blocks, &mut reads, deliver)
+        // The sink is collective: one exchange per batch, sent from the
+        // arena the batch's prefix fills, its messages in frames sized
+        // for the longest.
+        let records = self.batch_records::<R>(group.len());
+        let mut arena: Vec<R> = Vec::with_capacity(records);
+        comm.reserve_frames(records * R::BYTES, comm.size() - 1);
+        merge_batches(&how, &blocks, &mut reads, &mut arena, |prefix| {
+            let cpu = deliver(prefix)?;
+            prefix.clear();
+            Ok(cpu)
+        })
     }
 }

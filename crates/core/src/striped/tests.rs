@@ -355,23 +355,17 @@ fn merge_events_carry_pass_and_group_context() {
 
 #[test]
 fn parallel_batch_merge_is_byte_identical_and_journals_thread_ranges() {
-    // The same input sorted with cores = 1 and cores = 4: records,
-    // merge comparisons, and split-selection determinism must all
-    // match, and the cores = 4 journal must carry valid `merge_par`
-    // thread-range spans (complete per-batch sets summing to the
-    // batch size — validate_rank_journal enforces both).
+    // The same input sorted with cores = 1 and cores = 4: records and
+    // merge comparisons must match. The batch merge is one loser tree
+    // on one thread at any core count, so neither run spends split
+    // probes in its merge phase, and each journals one `merge_par` span
+    // per batch around its merge loop — thread 0 of 1 — which
+    // validate_rank_journal checks as a complete thread set.
     let p = 2;
     let local_n = 1200;
-    let run = |cores: usize| {
-        // Tiny inputs sit below the engagement threshold; force the
-        // fan-out so the byte-identity and journal pins stay
-        // meaningful at test scale.
-        let algo = AlgoConfig { par_merge_min_per_thread: 1, ..AlgoConfig::default() };
-        let cfg = SortConfig::new(MachineConfig::tiny(p), algo).expect("valid");
-        sort_traced(&cfg, cores, local_n)
-    };
-    let (seq, seq_pe) = run(1);
-    let (par, par_pe) = run(4);
+    let cfg = SortConfig::new(MachineConfig::tiny(p), AlgoConfig::default()).expect("valid");
+    let (seq, seq_pe) = sort_traced(&cfg, 1, local_n);
+    let (par, par_pe) = sort_traced(&cfg, 4, local_n);
     assert_eq!(par, seq, "cores = 4 output must be byte-identical to cores = 1");
     let merge_phase = |o: &StripedOutcome| {
         o.phases
@@ -380,42 +374,30 @@ fn parallel_batch_merge_is_byte_identical_and_journals_thread_ranges() {
             .map(|(_, s)| s.cpu)
             .expect("merge phase recorded")
     };
-    for ((so, _), (po, precs)) in seq_pe.iter().zip(&par_pe) {
+    for ((so, srecs), (po, precs)) in seq_pe.iter().zip(&par_pe) {
         let (sm, pm) = (merge_phase(so), merge_phase(po));
-        assert_eq!(
-            pm.merge_work, sm.merge_work,
-            "per-thread merge comparisons must sum to the single-thread bound"
-        );
-        assert_eq!(pm.sort_work, 0, "parallel batches are merged, never re-sorted");
+        assert_eq!(pm.merge_work, sm.merge_work, "the same merge comparisons at any core count");
+        assert_eq!(pm.sort_work, 0, "batches are merged, never re-sorted");
         assert_eq!(pm.elements_merged, sm.elements_merged);
-        assert!(pm.split_probes > 0, "parallel merge must account split probes");
-        assert_eq!(sm.split_probes, 0, "cores = 1 never splits");
-        demsort_types::trace::validate_rank_journal(precs).expect("valid journal");
-        let spans: Vec<(usize, usize)> = precs
-            .iter()
-            .filter_map(|r| match (&r.op, &r.ev) {
-                (
-                    demsort_types::trace::TraceOp::Begin(_),
-                    TraceEv::MergePar { thread, threads, .. },
-                ) => Some((*thread, *threads)),
-                _ => None,
-            })
-            .collect();
-        assert!(!spans.is_empty(), "cores = 4 merge must journal merge_par spans");
-        assert!(
-            spans.iter().any(|&(_, threads)| threads > 1),
-            "at least one batch must actually fan out, got {spans:?}"
-        );
-    }
-    // Split selection is deterministic: both ranks of the parallel
-    // run charge probes, and identical runs charge identically.
-    let (_, par_pe2) = run(4);
-    for ((a, _), (b, _)) in par_pe.iter().zip(&par_pe2) {
-        assert_eq!(
-            merge_phase(a).split_probes,
-            merge_phase(b).split_probes,
-            "split probes deterministic"
-        );
+        assert_eq!((sm.split_probes, pm.split_probes), (0, 0), "no batch is split over threads");
+        for recs in [srecs, precs] {
+            demsort_types::trace::validate_rank_journal(recs).expect("valid journal");
+            let mut spans = Vec::new();
+            let mut batches = 0;
+            for r in recs {
+                match (&r.op, &r.ev) {
+                    (
+                        demsort_types::trace::TraceOp::Begin(_),
+                        TraceEv::MergePar { pass, group, batch, thread, threads, .. },
+                    ) => spans.push((*pass, *group, *batch, *thread, *threads)),
+                    (_, TraceEv::MergeEmitted { .. }) => batches += 1,
+                    _ => {}
+                }
+            }
+            assert!(batches >= 2, "several merge batches, got {batches}");
+            assert_eq!(spans.len(), batches, "one merge_par span per batch: {spans:?}");
+            assert!(spans.iter().all(|s| (s.3, s.4) == (0, 1)), "thread 0 of 1: {spans:?}");
+        }
     }
 }
 
@@ -561,9 +543,8 @@ fn replicated_sort_survives_a_rank_death_at_merge_start() {
 fn first_keys_that_lie_are_an_error_not_a_panic() {
     // One run of three full blocks with keys from 1000 on. Its
     // directory — which peers send — may claim first keys 0, 1, 2: then
-    // the first batch (two blocks) merges nothing below the claimed
-    // threshold 2 and would carry two blocks above it, more than a
-    // directory that matches its blocks ever lets through.
+    // its first block, which comes into use first, ends above the first
+    // key claimed for the block after it.
     let machine = MachineConfig { mem_bytes_per_pe: 4 * 256, ..MachineConfig::tiny(1) };
     let cfg = SortConfig::new(machine, AlgoConfig::default()).expect("valid");
     let storage = ClusterStorage::new_mem(&cfg.machine);
@@ -606,7 +587,57 @@ fn first_keys_that_lie_are_an_error_not_a_panic() {
     let _ = std::fs::remove_file(&path);
     let text = err.to_string();
     assert!(matches!(err, Error::Validation(_)), "{text}");
-    assert!(text.contains("rank 0: merge pass 0, group 0, run 0: 32 carried records"), "{text}");
+    let want = "rank 0: merge pass 0, group 0, run 0: a block's last record lies above the first \
+                key of the run's next block";
+    assert!(text.contains(want), "{text}");
+}
+
+#[test]
+fn a_peer_directory_that_lies_is_an_error_at_the_rank_reading_the_block_before() {
+    // One run of eight full blocks striped over two ranks of two disks,
+    // blocks 0 and 1 on rank 0, 2 and 3 on rank 1, and so on. The
+    // directory every rank holds claims block 2 starts one key above
+    // block 1, which keeps the blocks in run order: rank 0 finds its
+    // block 1 ending above the first key of the run's next block, which
+    // rank 1 reads and finds no fault with.
+    let cfg = SortConfig::new(MachineConfig::tiny(2), AlgoConfig::default()).expect("valid");
+    let storage = ClusterStorage::new_mem(&cfg.machine);
+    let rpb = crate::recio::records_per_block::<Element16>(cfg.machine.block_bytes) as u64;
+    let all: Vec<Element16> = (0..8 * rpb).map(|i| Element16::new(1000 + i, i)).collect();
+    let path = out_path();
+    let output = OutputFile { path: &path, records: all.len() as u64 };
+    let (storage, cfg, all) = (&storage, &cfg, &all);
+    let results = run_cluster(2, move |comm| {
+        let (me, view) = (comm.rank(), RankView::identity(comm.rank(), 2));
+        let st = storage.pe(me);
+        let mine = demsort_types::ranks::owned_range(me, 2, all.len() as u64);
+        let mut run = StripedRun::new(&view, cfg.machine.disks_per_pe, 0);
+        let mut exchange = crate::psort::Exchange::new();
+        let part = &all[mine.start as usize..mine.end as usize];
+        run.append(&comm, st, cfg, &mut exchange, part, 1)?;
+        assert_eq!(run.reader(0, 1, &[0, 1])?, 0);
+        assert_eq!(run.reader(0, 2, &[0, 1])?, 1);
+        run.first_keys[2] = run.first_keys[1] + 1;
+        let empty = StripedRun::new(&view, cfg.machine.disks_per_pe, 0);
+        let job = MergeJob {
+            comm: &comm,
+            view: &view,
+            st,
+            cfg,
+            cores: 1,
+            k_max: cfg.machine.merge_fan_in(),
+            free_consumed: true,
+            tracer: comm.tracer(),
+        };
+        job.run::<Element16>(vec![run, empty], output).map(|_| ())
+    });
+    let _ = std::fs::remove_file(&path);
+    let err = results[0].clone().expect_err("rank 0 reads the block before the lie");
+    let text = err.to_string();
+    assert!(matches!(err, Error::Validation(_)), "{text}");
+    let want = "rank 0: merge pass 0, group 0, run 0: a block's last record lies above the first \
+                key of the run's next block";
+    assert!(text.contains(want), "{text}");
 }
 
 #[test]

@@ -1,8 +1,10 @@
 //! After its first run, run formation allocates nothing run-sized: the
 //! arena, the in-node sort's tags and merge output, the exchange's
 //! buffers and the message frames are all sized by the first run and
-//! reused by every later one. So is the merge's batch loop after its
-//! first batch.
+//! reused by every later one. After its first batch, the merge allocates
+//! nothing batch-sized either: it merges from the blocks where they lie,
+//! and the striped merge's arena, exchange and message frames are sized
+//! once for the group.
 //!
 //! A counting global allocator counts allocations of at least
 //! [`LARGE`] bytes; each rank's progress frames, which both sorts send
@@ -172,7 +174,7 @@ fn run_formation_allocates_nothing_run_sized_after_its_first_run() {
                         }
                     },
                 );
-                eprintln!("{case}: {merge} allocations of ≥ 64 KiB in the merge after batch 1");
+                assert_eq!(merge, 0, "{case}: allocations of ≥ 64 KiB in the merge after batch 1");
             }
         }
     }

@@ -206,6 +206,13 @@ impl Communicator {
         }
     }
 
+    /// Keep `count` frames of at least `len` bytes for the messages of a
+    /// loop that knows its longest one up front
+    /// ([`FrameList::reserve`](crate::FrameList::reserve)).
+    pub fn reserve_frames(&self, len: usize, count: usize) {
+        self.transport.frames().reserve(len, count);
+    }
+
     /// Drop the long frames this endpoint keeps
     /// ([`FrameList::release`](crate::FrameList::release)) — at the end
     /// of a phase, whose messages the next phase's do not resemble.

@@ -125,6 +125,23 @@ impl FrameList {
         }
     }
 
+    /// Keep `count` frames that hold `len` bytes each, allocating (but
+    /// not writing) those the list lacks: for a loop whose messages are
+    /// known to be at most `len` long, so that no later message is
+    /// longer than every frame kept so far and takes a fresh one.
+    pub fn reserve(&self, len: usize, count: usize) {
+        if len < LONG_FRAME {
+            return;
+        }
+        let mut s = self.state();
+        s.peak = s.peak.max(s.out + count);
+        let have = s.free.iter().filter(|f| f.capacity() >= len).count();
+        for _ in have..count {
+            s.counts.fresh += 1;
+            s.free.push(Vec::with_capacity(len));
+        }
+    }
+
     /// Drop the frames the list holds, and forget how many were out at
     /// once: what a phase of the sort needed is no guide to the next,
     /// whose messages have other lengths and other counts.
@@ -209,10 +226,17 @@ mod tests {
         caps.sort_unstable();
         assert_eq!(caps.len(), 3);
         assert_eq!(caps[2], 500_000, "the longest frame replaced the shortest");
+        // Reserved frames are kept and serve requests they hold.
+        list.reserve(600_000, 4);
+        assert_eq!(list.state().free.len(), 7, "none of the three kept holds 600 000 bytes");
+        let f = list.take(590_000);
+        assert_eq!(f.capacity(), 600_000);
+        list.give(f);
+        assert_eq!(list.counts(), FrameCounts { reused: 3, fresh: 6, copied: 0 });
         // Released, the list starts over: nothing kept, no peak.
         list.release();
         list.give(list.take(100_000));
-        assert_eq!(list.counts(), FrameCounts { reused: 2, fresh: 3, copied: 0 });
+        assert_eq!(list.counts(), FrameCounts { reused: 3, fresh: 7, copied: 0 });
         assert_eq!(list.state().free.len(), 1);
     }
 }

@@ -29,6 +29,7 @@
 use crate::frames::FrameList;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use demsort_types::{Error, Result};
+use std::sync::Arc;
 
 /// Point-to-point byte-frame transport between `size` ranks.
 ///
@@ -248,11 +249,12 @@ pub struct LocalTransport {
     /// Failure-injection tests need this: a live survivor that bailed
     /// out of a collective mid-round never closes its channels.
     timeout: Option<std::time::Duration>,
-    /// The frames borrowed messages are copied into, and received ones
-    /// are handed back to: a long frame moves from its sender's list to
-    /// its receiver's, and the exchanges are symmetric enough that each
-    /// list keeps its size.
-    frames: FrameList,
+    /// Every endpoint's frames, by rank. A borrowed message is copied
+    /// into a frame of its receiver's list, which it is handed back to,
+    /// so an endpoint keeps the frames it receives in — as a TCP endpoint
+    /// does — however long the messages it sends are. A frame a sender
+    /// built moves from its list to its receiver's.
+    frames: Vec<Arc<FrameList>>,
 }
 
 impl LocalTransport {
@@ -271,6 +273,7 @@ impl LocalTransport {
                 dst_inbox.push(rx);
             }
         }
+        let frames: Vec<Arc<FrameList>> = (0..p).map(|_| Arc::default()).collect();
         senders
             .into_iter()
             .zip(inboxes)
@@ -281,7 +284,7 @@ impl LocalTransport {
                 out,
                 inbox,
                 timeout: None,
-                frames: FrameList::default(),
+                frames: frames.clone(),
             })
             .collect()
     }
@@ -311,7 +314,17 @@ impl Transport for LocalTransport {
     }
 
     fn send(&self, to: usize, frame: Vec<u8>) -> Result<()> {
-        self.frames.sent(&frame);
+        self.frames[self.rank].sent(&frame);
+        self.out[to]
+            .send(frame)
+            .map_err(|_| Error::comm(format!("send to rank {to}: peer hung up (channel closed)")))
+    }
+
+    fn send_vectored(&self, to: usize, parts: &[&[u8]]) -> Result<()> {
+        // Taken from the receiver's list, the frame is out of it once,
+        // when it is received.
+        let frame = self.frames[to].gather(parts);
+        self.frames[to].sent(&frame);
         self.out[to]
             .send(frame)
             .map_err(|_| Error::comm(format!("send to rank {to}: peer hung up (channel closed)")))
@@ -326,12 +339,12 @@ impl Transport for LocalTransport {
                 Error::comm(format!("recv from rank {from}: peer hung up or silent past {t:?}"))
             }),
         }?;
-        self.frames.received(&frame);
+        self.frames[self.rank].received(&frame);
         Ok(frame)
     }
 
     fn frames(&self) -> &FrameList {
-        &self.frames
+        &self.frames[self.rank]
     }
 }
 

@@ -668,6 +668,20 @@ mod tests {
     }
 
     #[test]
+    fn counters_report_the_busiest_disk_not_the_sum() {
+        // Three writes on disk 0, one on disk 1: the disks work in
+        // parallel, so the PE's disk time is disk 0's.
+        let e = engine(2, 128);
+        for (disk, slot) in [(0, 0), (0, 1), (0, 2), (1, 0)] {
+            e.write_sync(BlockId::new(disk, slot), vec![0u8; 128].into_boxed_slice())
+                .expect("write");
+        }
+        let busy: Vec<u64> = e.per_disk().iter().map(|d| d.busy_ns).collect();
+        assert!(busy[0] > busy[1] && busy[1] > 0, "{busy:?}");
+        assert_eq!(e.counters().max_disk_busy_ns, busy[0], "the busiest disk, of {busy:?}");
+    }
+
+    #[test]
     fn errors_propagate_through_handles() {
         let backend = FaultInjectingBackend::new(MemBackend::new(1), 0);
         let e = IoEngine::new(1, 16, DiskModel::paper(), Arc::new(backend));

@@ -172,28 +172,11 @@ pub struct AlgoConfig {
     /// cost of retaining run blocks until the sort completes (the
     /// in-place space bound grows by one run copy per replica).
     pub replication: usize,
-    /// Minimum records each merge thread must receive before the batch
-    /// merge fans out; batches below `2 ×` this take the sequential
-    /// path (no split probes). `0` (the default) uses the engine's
-    /// built-in threshold and additionally caps merge threads at the
-    /// host's available parallelism (oversubscribed threads only
-    /// time-slice the same comparisons); an explicit value is taken
-    /// literally with no host cap — tests set `1` to force parallelism
-    /// on tiny inputs. Purely a CPU-scheduling knob — output bytes and
-    /// I/O are identical at every value.
-    pub par_merge_min_per_thread: usize,
 }
 
 impl Default for AlgoConfig {
     fn default() -> Self {
-        Self {
-            randomize: true,
-            sample_every: 64,
-            overlap: true,
-            seed: 0x5EED_CAFE,
-            replication: 0,
-            par_merge_min_per_thread: 0,
-        }
+        Self { randomize: true, sample_every: 64, overlap: true, seed: 0x5EED_CAFE, replication: 0 }
     }
 }
 

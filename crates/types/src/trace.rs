@@ -94,8 +94,11 @@ pub enum TraceEv {
         /// Total batches in the group.
         batches: usize,
     },
-    /// One thread's output range of the in-node parallel batch merge
-    /// (span; each merge batch emits one per merge thread).
+    /// One thread's output range of a merge batch (span). The batch
+    /// loop merges on one thread, so each batch journals one span around
+    /// its merge loop, thread 0 of 1; the loop learns its count of
+    /// records as it merges, so the span's begin event carries 0 for
+    /// `len` and `total` and its end event the batch's count.
     MergePar {
         /// Merge pass.
         pass: usize,

@@ -212,8 +212,7 @@ pub fn encode_algo(w: &mut WireWriter, a: &AlgoConfig) {
         .u64(a.sample_every as u64)
         .bool(a.overlap)
         .u64(a.seed)
-        .u64(a.replication as u64)
-        .u64(a.par_merge_min_per_thread as u64);
+        .u64(a.replication as u64);
 }
 
 /// Decode an [`AlgoConfig`].
@@ -224,7 +223,6 @@ pub fn decode_algo(r: &mut WireReader<'_>) -> Result<AlgoConfig> {
         overlap: r.bool()?,
         seed: r.u64()?,
         replication: r.u64()? as usize,
-        par_merge_min_per_thread: r.u64()? as usize,
     })
 }
 
@@ -601,13 +599,7 @@ mod tests {
             input: "/tmp/in.dat".to_string(),
             output: "/tmp/out.dat".to_string(),
             machine: MachineConfig::tiny(4),
-            algo: AlgoConfig {
-                seed: 42,
-                sample_every: 7,
-                replication: 1,
-                par_merge_min_per_thread: 3,
-                ..AlgoConfig::default()
-            },
+            algo: AlgoConfig { seed: 42, sample_every: 7, replication: 1, ..AlgoConfig::default() },
             algorithm: SortAlgo::Striped,
             read_timeout_ms: 12_345,
             trace_dir: "/tmp/trace".to_string(),
